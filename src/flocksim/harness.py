@@ -300,8 +300,7 @@ class RunLog:
 
     def positions(self, uav_id: int) -> np.ndarray:
         """(n_ticks, 3) array of [north, east, height] for one vehicle."""
-        rows = self.uav_records(uav_id)
-        return np.array([[r.north, r.east, r.height] for r in rows]).reshape(len(rows), 3)
+        return _xyz(self.uav_records(uav_id))
 
     def thetas(self) -> np.ndarray:
         """(n_ticks, n_uavs) array of time indices."""
@@ -309,6 +308,22 @@ class RunLog:
         for r in self.records:
             out[r.tick, r.uav_id] = r.theta
         return out
+
+
+def _xyz(rows: list[TickRecord]) -> np.ndarray:
+    return np.array([[r.north, r.east, r.height] for r in rows]).reshape(len(rows), 3)
+
+
+def _records_by_uav(log: RunLog) -> dict[int, list[TickRecord]]:
+    """Every vehicle's records in log order, from one pass over the log.
+
+    Fleet-wide readers use this instead of ``uav_records`` per vehicle,
+    which would rescan the whole log once per vehicle.
+    """
+    groups: dict[int, list[TickRecord]] = {}
+    for r in log.records:
+        groups.setdefault(r.uav_id, []).append(r)
+    return groups
 
 
 @dataclass
@@ -886,8 +901,9 @@ def compute_metrics(log: RunLog, scenario: Scenario) -> Metrics:
 
     per_uav_ae: list[float] = []
     per_uav_rmse: list[float] = []
+    by_uav = _records_by_uav(log)
     for spec in scenario.uavs:
-        traj = log.positions(spec.uav_id)
+        traj = _xyz(by_uav.get(spec.uav_id, []))
         errors = []
         for wp in spec.path.waypoints:
             d = np.linalg.norm(traj - wp.as_array(), axis=1)
@@ -956,6 +972,7 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
         raise RunError(f"cannot create output directory {out}: {exc}") from exc
 
     written: list[Path] = []
+    by_uav = _records_by_uav(log)
     for uav_id in range(log.n_uavs):
         rows = [
             [
@@ -972,7 +989,7 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
                 r.theta,
                 r.cursor,
             ]
-            for r in log.uav_records(uav_id)
+            for r in by_uav.get(uav_id, [])
         ]
         fp = out / f"uav_{uav_id:02d}.csv"
         _write_csv(fp, _TRAJECTORY_COLUMNS, rows)

@@ -1,10 +1,23 @@
 """Range-limited peer network: topology from geometry, one-tick delivery.
 
-Link strength falls off as 1/distance.  Each vehicle admits peers inside
-its communication radius (unless a scheduled dropout suppresses the
-pair), sorts them by strength, and keeps at most ``c_max``.  Because the
-cap is applied per vehicle, admission can be asymmetric: i may keep j
-while j's list is already full of closer peers.
+Admission rule: vehicle i admits peer j when their distance ``d`` (from
+``math.hypot``) satisfies ``d <= r_com`` and no active dropout window
+``[start_s, end_s)`` names the pair in either order.  Admitted peers get
+strength ``gamma_signal / d`` (inf when coincident), are sorted by
+(-strength, peer), and the first ``c_max`` are kept.  Because the cap is
+applied per vehicle, admission can be asymmetric: i may keep j while j's
+list is already full of closer peers.
+
+Strengths and ranks always come from that scalar rule.  From
+``_SCREEN_MIN_N`` vehicles up, a numpy pass over squared pairwise
+distances first prunes the pairs that cannot reach a vehicle's top
+``c_max`` (and keeps every pair closer than 1 m, so the near-coincident
+warning still fires); it only prunes, so the result is identical.  Below
+that size numpy's fixed cost per call exceeds the whole pair loop, so
+every pair goes through the scalar rule directly.  The dropout schedule
+is compiled to arrays once, in ``CommConfig``, so each tick finds the
+blocked pairs with one vectorised interval test instead of checking
+every window for every pair.
 
 Messages are delivered with a one-tick delay against the topology that
 existed at send time, so no vehicle ever reads a peer's current-tick
@@ -17,6 +30,8 @@ import logging
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from .geo import Point3, distance3
 
@@ -31,6 +46,13 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+# Fleet size from which build_topology screens candidates with numpy;
+# below it the scalar pair loop is cheaper than numpy's per-call cost.
+_SCREEN_MIN_N = 10
+# Relative slack on squared distances in the screen, far above the
+# rounding gap between numpy's squared sums and math.hypot.
+_SCREEN_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,10 +69,6 @@ class DropoutWindow:
             raise ValueError(f"dropout window must have start < end, got [{self.start_s}, {self.end_s})")
         if self.uav_a == self.uav_b:
             raise ValueError(f"dropout window must name two distinct vehicles, got {self.uav_a} twice")
-
-    def suppresses(self, i: int, j: int, now: float) -> bool:
-        pair = {self.uav_a, self.uav_b}
-        return {i, j} == pair and self.start_s <= now < self.end_s
 
 
 @dataclass(frozen=True)
@@ -70,6 +88,28 @@ class CommConfig:
             raise ValueError(f"c_max must be >= 1, got {self.c_max}")
         if not self.gamma_signal > 0.0:
             raise ValueError(f"gamma_signal must be positive, got {self.gamma_signal}")
+        windows = self.dropout_schedule
+        object.__setattr__(self, "_window_start", np.array([w.start_s for w in windows], dtype=float))
+        object.__setattr__(self, "_window_end", np.array([w.end_s for w in windows], dtype=float))
+        object.__setattr__(self, "_window_a", np.array([w.uav_a for w in windows], dtype=np.int64))
+        object.__setattr__(self, "_window_b", np.array([w.uav_b for w in windows], dtype=np.int64))
+
+    def _blocked_pairs(self, now: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ordered pairs (rows, cols) of an n-vehicle fleet that a window active at ``now`` blocks.
+
+        Windows naming an id outside [0, n) block nothing.
+        """
+        a, b = self._window_a, self._window_b
+        active = (
+            (self._window_start <= now)
+            & (now < self._window_end)
+            & (a >= 0)
+            & (a < n)
+            & (b >= 0)
+            & (b < n)
+        )
+        a, b = a[active], b[active]
+        return np.concatenate((a, b)), np.concatenate((b, a))
 
 
 @dataclass(frozen=True)
@@ -118,25 +158,60 @@ def build_topology(
     n = len(positions)
     if n < 1:
         raise ValueError("need at least one position")
-    now = tick * dt
+    blocked: set[tuple[int, int]] = set()
+    if n >= _SCREEN_MIN_N and config.c_max < n - 1:
+        candidates = _screen(positions, config, tick * dt)
+    else:
+        candidates = [range(n)] * n
+        if config.dropout_schedule:
+            rows, cols = config._blocked_pairs(tick * dt, n)
+            blocked = set(zip(rows.tolist(), cols.tolist()))
     neighbors = []
     for i in range(n):
-        admitted: list[NeighborLink] = []
-        for j in range(n):
-            if j == i:
+        # (-strength, peer): ascending order is the admission rank
+        ranked: list[tuple[float, int]] = []
+        for j in candidates[i]:
+            if j == i or (i, j) in blocked:
                 continue
             d = distance3(positions[i], positions[j])
             if d > config.r_com:
                 continue
-            if any(w.suppresses(i, j, now) for w in config.dropout_schedule):
-                continue
             if d < 1.0:
                 log.warning("near-coincident vehicles %d and %d at d=%.3g m; strength diverges", i, j, d)
-            strength = config.gamma_signal / d if d > 0.0 else math.inf
-            admitted.append(NeighborLink(peer=j, strength=strength))
-        admitted.sort(key=lambda link: (-link.strength, link.peer))
-        neighbors.append(tuple(admitted[: config.c_max]))
+            ranked.append((-config.gamma_signal / d if d > 0.0 else -math.inf, j))
+        ranked.sort()
+        neighbors.append(tuple(NeighborLink(peer=j, strength=-s) for s, j in ranked[: config.c_max]))
     return CommGraph(tick=tick, neighbors=tuple(neighbors))
+
+
+def _screen(positions: Sequence[Point3], config: CommConfig, now: float) -> list[list[int]]:
+    """Per vehicle, the ascending peer ids that can reach its top ``c_max``.
+
+    A superset of the admitted top ``c_max`` (ties included) and of every
+    unblocked in-range pair closer than 1 m; blocked pairs and the vehicle
+    itself are left out.  Out-of-range pairs within the margin may stay and
+    are rejected by the exact rule.
+    """
+    n = len(positions)
+    axes = np.array(
+        [[p.north for p in positions], [p.east for p in positions], [p.height for p in positions]]
+    )
+    diff = axes[:, :, None] - axes[:, None, :]
+    diff *= diff
+    d2 = diff.sum(axis=0)
+    slack = 1.0 + _SCREEN_MARGIN
+    d2[d2 > config.r_com * config.r_com * slack] = np.inf
+    np.fill_diagonal(d2, np.inf)
+    if config.dropout_schedule:
+        d2[config._blocked_pairs(now, n)] = np.inf
+    kth = np.partition(d2, config.c_max - 1, axis=1)[:, config.c_max - 1]
+    keep = (d2 <= kth[:, None] * slack) | (d2 < slack)
+    keep &= np.isfinite(d2)
+    rows, cols = np.nonzero(keep)
+    candidates: list[list[int]] = [[] for _ in range(n)]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        candidates[i].append(j)
+    return candidates
 
 
 def deliver(

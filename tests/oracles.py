@@ -5,11 +5,14 @@ trigonometry so the tests never compare the implementation against
 itself; only the geometric primitives (segment queries) are shared.
 """
 
+import logging
 import math
 
 import numpy as np
 
-from flocksim import Point3, segment_above_terrain, segment_obstructed
+from flocksim import CommGraph, NeighborLink, Point3, segment_above_terrain, segment_obstructed
+
+_network_log = logging.getLogger("flocksim.network")
 
 
 def two_leg_cost(uav, point, target):
@@ -106,6 +109,46 @@ def grid_cost_oracle(
             continue
         return float(cost[idx])
     raise AssertionError("grid oracle found no acceptable lattice point")
+
+
+def topology_oracle(positions, config, tick, dt=1.0):
+    """Scalar per-pair topology: every pair, every dropout window, every tick.
+
+    The admission rule written out in full: a peer in range (``d <=
+    r_com``) whose link no active window ``[start_s, end_s)`` names in
+    either order is admitted with strength ``gamma / d`` (inf when
+    coincident); each list is sorted by (-strength, peer) and cut at
+    ``c_max``.  Warnings for pairs closer than 1 m go to the
+    ``flocksim.network`` logger in (i, j) order, as the library emits them.
+    """
+    n = len(positions)
+    if n < 1:
+        raise ValueError("need at least one position")
+    now = tick * dt
+    neighbors = []
+    for i in range(n):
+        admitted = []
+        for j in range(n):
+            if j == i:
+                continue
+            a, b = positions[i], positions[j]
+            d = math.hypot(b.north - a.north, b.east - a.east, b.height - a.height)
+            if d > config.r_com:
+                continue
+            if any(
+                {i, j} == {w.uav_a, w.uav_b} and w.start_s <= now < w.end_s
+                for w in config.dropout_schedule
+            ):
+                continue
+            if d < 1.0:
+                _network_log.warning(
+                    "near-coincident vehicles %d and %d at d=%.3g m; strength diverges", i, j, d
+                )
+            strength = config.gamma_signal / d if d > 0.0 else math.inf
+            admitted.append(NeighborLink(peer=j, strength=strength))
+        admitted.sort(key=lambda link: (-link.strength, link.peer))
+        neighbors.append(tuple(admitted[: config.c_max]))
+    return CommGraph(tick=tick, neighbors=tuple(neighbors))
 
 
 def _wrap(x):

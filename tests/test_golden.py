@@ -1,0 +1,109 @@
+"""Golden export digests: numeric drift between commits fails here.
+
+``replay-check`` only shows that two runs in one process agree.  These
+digests pin the deterministic exports (every file except
+``WALL_CLOCK_FILES``) of each bundled scenario and of one generated
+40-vehicle fleet with an alternating blackout, so that a refactor which
+claims no behaviour change keeps them byte for byte.  The 40-vehicle
+fleet sits above the topology screen threshold and has dropouts, so it
+runs the screened candidate path with the compiled schedule.
+
+An intended change to exported numbers updates the table below in one
+place and says why in CHANGES.md.  ``manifest.json`` loses its
+``scenario_path`` field before hashing, because it names the checkout
+directory.
+"""
+
+import hashlib
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from flocksim import export, load_scenario, presets, run
+from flocksim.harness import WALL_CLOCK_FILES
+
+GOLDEN = {
+    "fleet_04": {
+        "events.csv": "672d351dc22adc4404d0e6f02b7941a6a8b4df250f6c92ceeb4aa84262bbe26e",
+        "manifest.json": "d36c3a3fd27299a96a6a58b48329bec79f850dc1ddc9458e660fc304eed0aba3",
+        "metrics.json": "dd114b395729060e9b9ab38f6b5b5231579ae9ae72b23b5159ea0fb2921d0b6e",
+        "trajectories": "16132b045d33ca869d47fbe80000237196f9d0aabb6b5de3330529b3e7048ddb",
+    },
+    "fleet_07": {
+        "events.csv": "aace4c925d6ffd0a9b22d09b723f5e07df6f3193e9b89bf01d9ac98dea7ff59d",
+        "manifest.json": "bd6763c358d0e1b6081023f999fc7f688ad54d367a870c485354c9fba2a6c149",
+        "metrics.json": "76c32ae3e7501817303d9aaf7ba1cfcfd3c50675760e5539c7610b428ce07f4b",
+        "trajectories": "74a799e29ba82db4a61ac3620383eaf33ad52257111e149c14ad73cdd58a2ded",
+    },
+    "fleet_10": {
+        "events.csv": "daabcd2490734c91aad10677e75020619ce9b2b8d012f4b47946018896ca6c7a",
+        "manifest.json": "cc8ddd9ec0ea519cac1689bbaff001bae2d283e2e36754f4659e7925dc1a21c7",
+        "metrics.json": "d19018489eafc74c78e7bdb816478cb316dba0f6f32f5ae9cf46435e0de46026",
+        "trajectories": "e49eb5bd90006029a7d0f646e2a8c84b5d70505e75c749d0194d98a4cc7b68a4",
+    },
+    "fleet_13": {
+        "events.csv": "081a5d1cb41f645ba918e648c745ae9c0cb86ae87453290813a7ca2b6bbe6b70",
+        "manifest.json": "cec785046757863266c630913f470fbc5778d4bb793a13fe0c43c6400f7a43de",
+        "metrics.json": "73c1a94d2731ca6b6bada62f4888c4b0bbed726fec21aabc8d57c4618c717206",
+        "trajectories": "cea7e2314992c25358dd322d1b26ec85673c4e3dbd2ebe60b606bba398bc63c7",
+    },
+    "fleet_40_blackout": {
+        "events.csv": "9e0c5daef6216bc56e918d0584141ead12dfad90c8a59199c52ef2de203a2f78",
+        "manifest.json": "b642c75b281c087bd6bc404a2249be3630e113302864524bff50fe70d81cb6d9",
+        "metrics.json": "361d8a8edefd202355bf487718173023fbeee7b0119ca6d13bb025ce0c222e96",
+        "trajectories": "a2fb823bb18390fa2eb99616d2bc520e401da570a1618764e9c46297e2f5899d",
+    },
+    "reference_4uav": {
+        "events.csv": "fcdce997a83407c4e1dac8e2a50a8a254bc89bc3467a0580d7f6d19a51272b2b",
+        "manifest.json": "7581ad3fbf775dac5597e0bbd60c4830128a17913a96bd97b82cc2dba1b089bc",
+        "metrics.json": "2361d0def4471b3f6c6ff7ba334d0f20ba2308a62170e050dd7f89e46913962c",
+        "trajectories": "d35ed0be159aff6960a45007074675241dae2b702b11ef65ad3ffdb82a0c353a",
+    },
+    "reference_4uav_dropout": {
+        "events.csv": "fefbe57bb622dfa9b2f7e57bbdc9a790724b6826bc55c2d821c333af36fba531",
+        "manifest.json": "2fe74af6e68957a9f59eb765d4401fe5cfd48d3c5f0064b2f9e7ae610decafde",
+        "metrics.json": "fa232a3f1d11ef606e9ce4aadbfb8cf2004ef57c21b41b7498379c0ce1b508e8",
+        "trajectories": "ff19fcb123779dc09b370c37c3ea236583a8b1f70b5719f3a92aaac20cf0c2cd",
+    },
+}
+
+
+def _export_digests(out_dir: Path) -> dict[str, str]:
+    """sha256 per export kind; the per-vehicle CSVs hash together in id order."""
+    trajectories = hashlib.sha256()
+    digests = {}
+    for fp in sorted(out_dir.iterdir()):
+        if fp.name in WALL_CLOCK_FILES:
+            continue
+        data = fp.read_bytes()
+        if fp.name.startswith("uav_"):
+            trajectories.update(fp.name.encode() + b"\0" + hashlib.sha256(data).digest())
+            continue
+        if fp.name == "manifest.json":
+            manifest = json.loads(data)
+            del manifest["scenario_path"]
+            data = json.dumps(manifest, sort_keys=True).encode()
+        digests[fp.name] = hashlib.sha256(data).hexdigest()
+    digests["trajectories"] = trajectories.hexdigest()
+    return digests
+
+
+def _scenario_file(name: str, scenario_dir: str, tmp_path: Path) -> Path:
+    if name != "fleet_40_blackout":
+        return Path(scenario_dir) / f"{name}.yaml"
+    doc = presets.fleet_scenario_dict(40)
+    doc["name"] = name
+    doc["duration_s"] = 60
+    doc["comm"]["dropout_schedule"] = presets.alternating_blackout(60, 40)
+    shutil.copy(Path(scenario_dir) / doc["dem_file"], tmp_path / doc["dem_file"])
+    return presets.write_scenario(doc, tmp_path / f"{name}.yaml")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_export_digests_unchanged(name, scenario_dir, tmp_path):
+    log, metrics = run(load_scenario(_scenario_file(name, scenario_dir, tmp_path)))
+    out = tmp_path / "out"
+    export(log, metrics, out)
+    assert _export_digests(out) == GOLDEN[name]

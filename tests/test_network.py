@@ -1,8 +1,12 @@
 """Topology construction, degree capping, dropout, and delivery tests."""
 
+import logging
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import topology_oracle
 
 from flocksim import (
     CommConfig,
@@ -14,6 +18,7 @@ from flocksim import (
     build_topology,
     deliver,
 )
+from flocksim.network import _SCREEN_MIN_N
 
 
 def at_km(*kms):
@@ -31,12 +36,22 @@ class TestDropoutWindow:
             DropoutWindow(start_s=0.0, end_s=5.0, uav_a=2, uav_b=2)
 
     def test_half_open_interval_both_directions(self):
-        w = DropoutWindow(start_s=10.0, end_s=20.0, uav_a=0, uav_b=1)
-        assert w.suppresses(0, 1, 10.0)
-        assert w.suppresses(1, 0, 19.999)
-        assert not w.suppresses(0, 1, 20.0)
-        assert not w.suppresses(0, 1, 9.999)
-        assert not w.suppresses(0, 2, 15.0)
+        config = CommConfig(dropout_schedule=(DropoutWindow(start_s=10.0, end_s=20.0, uav_a=0, uav_b=1),))
+
+        def linked(i, j, now):
+            graph = build_topology(at_km(0, 1, 2), config, tick=round(now * 1000), dt=0.001)
+            return any(link.peer == j for link in graph.neighbors[i])
+
+        assert not linked(0, 1, 10.0)
+        assert not linked(1, 0, 10.0)
+        assert not linked(0, 1, 19.999)
+        assert not linked(1, 0, 19.999)
+        assert linked(0, 1, 20.0)
+        assert linked(1, 0, 20.0)
+        assert linked(0, 1, 9.999)
+        assert linked(1, 0, 9.999)
+        assert linked(0, 2, 15.0)
+        assert linked(2, 0, 15.0)
 
 
 class TestCommConfig:
@@ -168,6 +183,121 @@ class TestBuildTopology:
     def test_rejects_empty_fleet(self):
         with pytest.raises(ValueError, match="at least one"):
             build_topology([], CommConfig(), tick=0)
+
+
+def lattice(n, spacing=1000.0):
+    """First n points of a 5-column grid in the horizontal plane: many equidistant peers."""
+    return [Point3((k // 5) * spacing, (k % 5) * spacing, 100.0) for k in range(n)]
+
+
+def assert_matches_oracle(caplog, positions, config, tick, dt=1.0):
+    """Same graph, compared float for float, and the same warnings in order."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="flocksim.network"):
+        graph = build_topology(positions, config, tick, dt)
+        got = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        expected = topology_oracle(positions, config, tick, dt)
+        want = [r.getMessage() for r in caplog.records]
+    assert graph == expected
+    assert got == want
+
+
+SIZES = (4, 25)  # fleet sizes on both sides of the screen threshold
+
+
+class TestTopologyMatchesOracle:
+    def test_sizes_straddle_screen_threshold(self):
+        assert SIZES[0] < _SCREEN_MIN_N <= SIZES[1]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("c_max", [1, 2, 3, 5, 100])
+    def test_equidistant_lattice_ties(self, caplog, n, c_max):
+        assert_matches_oracle(caplog, lattice(n), CommConfig(r_com=2000.0, c_max=c_max), 0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_pair_exactly_at_r_com(self, caplog, n):
+        config = CommConfig(r_com=1000.0, c_max=3)
+        graph = build_topology(lattice(n), config, 0)
+        assert any(link.peer == 1 for link in graph.neighbors[0])
+        assert_matches_oracle(caplog, lattice(n), config, 0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_coincident_and_near_pairs_warn(self, caplog, n):
+        # 0 and 3 coincide; 2 sits 0.5 m from 0 but outside its top c_max=1,
+        # and is still warned about
+        positions = lattice(n)
+        positions[3] = positions[0]
+        positions[2] = Point3(positions[0].north, positions[0].east + 0.5, 100.0)
+        assert_matches_oracle(caplog, positions, CommConfig(c_max=1), 0)
+        assert "vehicles 0 and 2" in caplog.text
+        assert build_topology(positions, CommConfig(c_max=1), 0).neighbors[0] == (NeighborLink(3, math.inf),)
+
+    def test_single_vehicle(self, caplog):
+        assert_matches_oracle(caplog, at_km(0), CommConfig(), 0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("tick", [9, 10, 19, 20])
+    def test_window_edges(self, caplog, n, tick):
+        windows = (DropoutWindow(10.0, 20.0, 0, 1), DropoutWindow(10.0, 20.0, 2, 1))
+        config = CommConfig(r_com=1500.0, c_max=2, dropout_schedule=windows)
+        assert_matches_oracle(caplog, lattice(n), config, tick)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("c_max", [1, 2, 100])
+    def test_out_of_fleet_ids_suppress_nothing(self, caplog, n, c_max):
+        # the last vehicle is everyone's nearest peer; under numpy indexing
+        # id -1 would wrap to it and id n + 3 would raise
+        positions = lattice(n)
+        positions[-1] = Point3(-500.0, 0.0, 100.0)
+        windows = tuple(DropoutWindow(0.0, 5.0, a, b) for a, b in ((-1, 0), (0, n + 3), (1, -1), (n + 3, -1)))
+        config = CommConfig(c_max=c_max, dropout_schedule=windows)
+        plain = build_topology(positions, CommConfig(c_max=c_max), 1)
+        assert any(link.peer == n - 1 for link in plain.neighbors[0])
+        assert build_topology(positions, config, 1) == plain
+        assert_matches_oracle(caplog, positions, config, 1)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_random_fleets(self, caplog, data):
+        n = data.draw(st.integers(1, 2 * _SCREEN_MIN_N), label="n")
+        spacing = data.draw(st.sampled_from([0.3, 400.0, 1000.0]), label="spacing")
+        on_lattice = st.integers(-2, 2).map(lambda k: k * spacing)
+        coord = st.one_of(on_lattice, on_lattice, st.floats(-4000.0, 4000.0, allow_nan=False))
+        positions = [
+            Point3(data.draw(coord), data.draw(coord), 100.0 + data.draw(coord))
+            for _ in range(n)
+        ]
+        r_com = data.draw(
+            st.one_of(
+                st.sampled_from([1.0, 2.0, 3.0]).map(lambda k: k * spacing),
+                st.floats(0.5, 40_000.0),
+            ),
+            label="r_com",
+        )
+        ids = st.one_of(st.integers(0, n - 1), st.sampled_from([-1, n, n + 3]))
+        windows = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, 12), st.integers(1, 4), ids, ids).filter(lambda w: w[2] != w[3]),
+                max_size=3 * n,
+            ),
+            label="windows",
+        )
+        config = CommConfig(
+            r_com=r_com,
+            c_max=data.draw(st.one_of(st.integers(1, 3), st.integers(1, n + 1)), label="c_max"),
+            gamma_signal=data.draw(st.sampled_from([1.0, 0.3, 5.0e4]), label="gamma"),
+            dropout_schedule=tuple(DropoutWindow(float(s), float(s + k), a, b) for s, k, a, b in windows),
+        )
+        tick = data.draw(st.integers(0, 16), label="tick")
+        dt = data.draw(st.sampled_from([1.0, 0.5]), label="dt")
+        assert_matches_oracle(caplog, positions, config, tick, dt)
 
 
 class TestDeliver:
