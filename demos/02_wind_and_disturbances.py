@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from flocksim import WindModel, sample_disturbance
+from flocksim import WindModel
 
 # Reference-mission turbulence: sigma 2.12 / 2.12 / 1.4 m/s, scales 200 / 200 / 50 m.
 SIGMA_V = 2.12
@@ -37,7 +37,7 @@ n = 20_000
 d_chi = np.empty(n)
 d_gamma = np.empty(n)
 for k in range(n):
-    d = sample_disturbance(wind, DT)
+    d = wind.sample(DT)
     d_chi[k] = d.d_chi
     d_gamma[k] = d.d_gamma
 
@@ -56,7 +56,7 @@ clipped = WindModel(
     ambient=(2.5, 0.0, 0.0), sigma_u=2.12, sigma_v=SIGMA_V, sigma_w=SIGMA_W,
     airspeed_nominal=AIRSPEED, d_max=0.1, seed=42,
 )
-vals = np.array([sample_disturbance(clipped, DT).d_chi for _ in range(n)])
+vals = np.array([clipped.sample(DT).d_chi for _ in range(n)])
 print(f"\nwith d_max = 0.1 rad/s: max |d_chi| = {np.abs(vals).max():.4f}, "
       f"{(np.abs(vals) >= 0.1 - 1e-12).mean() * 100:.2f}% of samples on the rail")
 
@@ -64,9 +64,9 @@ print(f"\nwith d_max = 0.1 rad/s: max |d_chi| = {np.abs(vals).max():.4f}, "
 a = WindModel(sigma_v=SIGMA_V, airspeed_nominal=AIRSPEED, seed=7)
 b = WindModel(sigma_v=SIGMA_V, airspeed_nominal=AIRSPEED, seed=7)
 c = WindModel(sigma_v=SIGMA_V, airspeed_nominal=AIRSPEED, seed=8)
-seq_a = [sample_disturbance(a, DT).d_chi for _ in range(5)]
-seq_b = [sample_disturbance(b, DT).d_chi for _ in range(5)]
-seq_c = [sample_disturbance(c, DT).d_chi for _ in range(5)]
+seq_a = [a.sample(DT).d_chi for _ in range(5)]
+seq_b = [b.sample(DT).d_chi for _ in range(5)]
+seq_c = [c.sample(DT).d_chi for _ in range(5)]
 print(f"\nseed 7 run 1 : {['%+.5f' % v for v in seq_a]}")
 print(f"seed 7 run 2 : {['%+.5f' % v for v in seq_b]}")
 print(f"seed 8       : {['%+.5f' % v for v in seq_c]}")

@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .coordination import (
     CoordinationGains,
-    TimeIndex,
     consensus_rate,
     speed_command,
     time_index,
@@ -22,7 +21,6 @@ from .dynamics import (
     UavLimits,
     UavState,
     WindModel,
-    sample_disturbance,
     step_autopilot,
     step_kinematics,
     wrap_angle,
@@ -45,7 +43,6 @@ from .guidance import (
     ConditionReport,
     DegenerateGeometryError,
     LookAheadAngles,
-    PathErrors,
     WaypointPath,
     advance_virtual_target,
     convergence_conditions,
@@ -56,20 +53,13 @@ from .guidance import (
     steering_rates,
 )
 from .harness import (
-    AutopilotParams,
-    GuidanceParams,
     Metrics,
-    PremiseViolation,
     ReplanEvent,
-    ReplanFailure,
-    ReplanParams,
     RunError,
     RunLog,
     Scenario,
     ScenarioError,
     TickRecord,
-    UavSpec,
-    WindParams,
     compute_metrics,
     export,
     load_scenario,
@@ -85,7 +75,6 @@ from .network import (
     deliver,
 )
 from .replanner import (
-    CandidateWaypoint,
     FeasibleRegion,
     ReplanError,
     best_detour,
@@ -94,10 +83,8 @@ from .replanner import (
     region_contains,
     replan,
     sample_region,
-    transit_angles_leg1,
     transit_angles_leg2,
 )
-from .seeding import derive_rng, derive_seed
 
 __all__ = [
     "__version__",
@@ -122,14 +109,12 @@ __all__ = [
     "Disturbance",
     "NO_DISTURBANCE",
     "WindModel",
-    "sample_disturbance",
     "step_autopilot",
     "step_kinematics",
     "wrap_angle",
     # guidance
     "WaypointPath",
     "LookAheadAngles",
-    "PathErrors",
     "ConditionReport",
     "DegenerateGeometryError",
     "advance_virtual_target",
@@ -142,11 +127,9 @@ __all__ = [
     # replanner
     "ReplanError",
     "FeasibleRegion",
-    "CandidateWaypoint",
     "feasible_region",
     "region_contains",
     "sample_region",
-    "transit_angles_leg1",
     "transit_angles_leg2",
     "candidate_cost",
     "best_detour",
@@ -161,7 +144,6 @@ __all__ = [
     "deliver",
     # coordination
     "CoordinationGains",
-    "TimeIndex",
     "time_index",
     "consensus_rate",
     "speed_command",
@@ -169,22 +151,12 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "RunError",
-    "GuidanceParams",
-    "ReplanParams",
-    "AutopilotParams",
-    "WindParams",
-    "UavSpec",
     "TickRecord",
     "ReplanEvent",
-    "ReplanFailure",
-    "PremiseViolation",
     "RunLog",
     "Metrics",
     "load_scenario",
     "run",
     "compute_metrics",
     "export",
-    # seeding
-    "derive_seed",
-    "derive_rng",
 ]

@@ -19,21 +19,11 @@ from .geo import Point3, distance3
 from .guidance import WaypointPath
 
 __all__ = [
-    "TimeIndex",
     "CoordinationGains",
     "time_index",
     "consensus_rate",
     "speed_command",
 ]
-
-
-@dataclass(frozen=True)
-class TimeIndex:
-    """One vehicle's coordination variables at one tick."""
-
-    theta: float
-    theta_dot: float
-    theta_ref: float
 
 
 @dataclass(frozen=True)

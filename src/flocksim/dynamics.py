@@ -29,7 +29,6 @@ __all__ = [
     "NO_DISTURBANCE",
     "WindModel",
     "wrap_angle",
-    "sample_disturbance",
     "step_autopilot",
     "step_kinematics",
 ]
@@ -189,11 +188,6 @@ class WindModel:
             d_chi=float(min(max(d_chi, -lim), lim)),
             d_gamma=float(min(max(d_gamma, -lim), lim)),
         )
-
-
-def sample_disturbance(wind: WindModel, dt: float) -> Disturbance:
-    """Advance the gust filters by ``dt`` and return the mapped disturbance."""
-    return wind.sample(dt)
 
 
 def _lagged(value: float, target: float, tau: float, dt: float) -> float:

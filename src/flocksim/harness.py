@@ -17,12 +17,14 @@ are quarantined in a separate timing file.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -36,7 +38,6 @@ from .dynamics import (
     UavLimits,
     UavState,
     WindModel,
-    sample_disturbance,
     step_autopilot,
     step_kinematics,
 )
@@ -178,19 +179,11 @@ class WindParams:
     airspeed_nominal: float = 13.5
     d_max: float = 0.1
 
+    def __post_init__(self) -> None:
+        self.make_model(seed=0)  # raises ValueError on any parameter WindModel rejects
+
     def make_model(self, seed: int) -> WindModel:
-        return WindModel(
-            ambient=self.ambient,
-            sigma_u=self.sigma_u,
-            sigma_v=self.sigma_v,
-            sigma_w=self.sigma_w,
-            length_u=self.length_u,
-            length_v=self.length_v,
-            length_w=self.length_w,
-            airspeed_nominal=self.airspeed_nominal,
-            d_max=self.d_max,
-            seed=seed,
-        )
+        return WindModel(**asdict(self), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -359,11 +352,46 @@ class Metrics:
 # ---------------------------------------------------------------------------
 # Scenario loading
 
+# The YAML keys of each param class. A key is its field's name, with a unit
+# suffix (_m, _s, _rad, _mps or _radps) appended where the quantity has a
+# unit and the name does not already end in one. The default and the
+# int/float type of each key come from its dataclass field; a field without
+# a default is a required key. Fields the loader fills itself
+# (CoordinationGains.dt, CommConfig.dropout_schedule, WindParams.ambient,
+# UavState.position) are not listed.
+_KEYS: dict[type, tuple[str, ...]] = {
+    Point3: ("north_m", "east_m", "height_m"),
+    GuidanceParams: ("k_chi", "k_gamma", "acceptance_radius_m", "delta_lat_rad", "delta_lon_rad"),
+    CoordinationGains: ("k_theta", "gamma_d", "k_vg"),
+    CommConfig: ("r_com_m", "c_max", "gamma_signal"),
+    DropoutWindow: ("start_s", "end_s", "uav_a", "uav_b"),
+    ReplanParams: ("k_samples", "delta_r_m", "delta_h_m", "delta_angle_rad", "clearance_m",
+                   "terrain_step_m", "max_iterations"),
+    AutopilotParams: ("tau_phi_s", "tau_n_s", "tau_v_s", "tau_psi_s"),
+    WindParams: ("sigma_u_mps", "sigma_v_mps", "sigma_w_mps", "length_u_m", "length_v_m",
+                 "length_w_m", "airspeed_nominal_mps", "d_max_radps"),
+    Obstacle: ("center_north_m", "center_east_m", "lateral_radius_m", "base_height_m",
+               "top_height_m", "activation_time_s"),
+    UavLimits: ("v_g_min_mps", "v_g_max_mps", "phi_min_rad", "phi_max_rad", "n_lf_min", "n_lf_max",
+                "eta_lat_min_rad", "eta_lat_max_rad", "eta_lon_min_rad", "eta_lon_max_rad"),
+    UavState: ("chi_rad", "gamma_rad", "psi_rad", "v_g_mps", "phi_rad", "n_lf"),
+}
+_ROOT_KEYS = ("name", "dem_file", "duration_s", "dt_s", "master_seed", "target", "guidance",
+              "coordination", "comm", "replan", "autopilot", "wind", "obstacle", "limits", "uavs")
+_UAV_KEYS = ("id", "initial", "limits", "waypoints")
+
 
 def _expect_mapping(node: Any, ctx: str) -> dict:
     if not isinstance(node, dict):
         raise ScenarioError(f"{ctx}: expected a mapping, got {type(node).__name__}")
     return node
+
+
+def _reject_unknown(node: dict, ctx: str, known: tuple[str, ...]) -> None:
+    # Called after the known keys are read, so their errors come first.
+    for key in node:
+        if key not in known:
+            raise ScenarioError(f"{ctx}: unknown key {key!r}")
 
 
 def _get(node: dict, key: str, ctx: str) -> Any:
@@ -372,37 +400,46 @@ def _get(node: dict, key: str, ctx: str) -> Any:
     return node[key]
 
 
-def _number(node: dict, key: str, ctx: str, default: float | None = None) -> float:
-    if key not in node:
-        if default is None:
-            raise ScenarioError(f"{ctx}: missing required field '{key}'")
+def _value(node: dict, key: str, ctx: str, default: Any = MISSING, integer: bool = False) -> Any:
+    """``node[key]`` as a finite float, or as an int when ``integer``."""
+    if key not in node and default is not MISSING:
         return default
-    value = node[key]
+    value = _get(node, key, ctx)
+    if integer:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ScenarioError(f"{ctx}.{key}: expected an integer, got {value!r}")
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{ctx}.{key}: expected a number, got {value!r}")
-    if not math.isfinite(float(value)):
+    if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int too large for a float
         raise ScenarioError(f"{ctx}.{key}: must be finite, got {value!r}")
     return float(value)
 
 
-def _integer(node: dict, key: str, ctx: str, default: int | None = None) -> int:
-    if key not in node:
-        if default is None:
-            raise ScenarioError(f"{ctx}: missing required field '{key}'")
-        return default
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{ctx}.{key}: expected an integer, got {value!r}")
-    return value
+@functools.cache
+def _schema(cls: type) -> tuple[tuple[str, str, Any, bool], ...]:
+    """(key, field name, default, is-int) for each key of ``cls``, read once per class."""
+    by_name = {f.name: f for f in fields(cls)}
+    rows = []
+    for key in _KEYS[cls]:
+        f = by_name.get(key) or by_name[key.rpartition("_")[0]]
+        rows.append((key, f.name, f.default, f.type in (int, "int")))
+    return tuple(rows)
 
 
-def _point(node: Any, ctx: str) -> Point3:
+def _section(cls: type, node: Any, ctx: str, other_keys: tuple[str, ...] = (), **extra: Any) -> Any:
+    """Build ``cls`` from the mapping ``node`` by its ``_KEYS`` row.
+
+    ``extra`` holds the fields the loader fills itself; ``other_keys`` names
+    the keys of ``node`` that it reads elsewhere. Any other key is unknown.
+    """
     node = _expect_mapping(node, ctx)
-    return Point3(
-        north=_number(node, "north_m", ctx),
-        east=_number(node, "east_m", ctx),
-        height=_number(node, "height_m", ctx),
-    )
+    values = {name: _value(node, key, ctx, default, integer) for key, name, default, integer in _schema(cls)}
+    _reject_unknown(node, ctx, _KEYS[cls] + other_keys)
+    try:
+        return cls(**values, **extra)
+    except ValueError as exc:
+        raise ScenarioError(f"{ctx}: {exc}") from exc
 
 
 def _waypoint(row: Any, ctx: str) -> Point3:
@@ -412,36 +449,19 @@ def _waypoint(row: Any, ctx: str) -> Point3:
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row)
     ):
         raise ScenarioError(f"{ctx}: expected [north_m, east_m, height_m], got {row!r}")
-    if any(not math.isfinite(float(v)) for v in row):
+    if any(not abs(v) <= sys.float_info.max for v in row):
         raise ScenarioError(f"{ctx}: waypoint components must be finite, got {row!r}")
     return Point3(float(row[0]), float(row[1]), float(row[2]))
-
-
-def _limits(node: dict, ctx: str) -> UavLimits:
-    try:
-        return UavLimits(
-            v_g_min=_number(node, "v_g_min_mps", ctx, 9.0),
-            v_g_max=_number(node, "v_g_max_mps", ctx, 18.0),
-            phi_min=_number(node, "phi_min_rad", ctx, -0.6),
-            phi_max=_number(node, "phi_max_rad", ctx, 0.6),
-            n_lf_min=_number(node, "n_lf_min", ctx, 0.0),
-            n_lf_max=_number(node, "n_lf_max", ctx, 2.1),
-            eta_lat_min=_number(node, "eta_lat_min_rad", ctx, -1.5),
-            eta_lat_max=_number(node, "eta_lat_max_rad", ctx, 1.5),
-            eta_lon_min=_number(node, "eta_lon_min_rad", ctx, -1.5),
-            eta_lon_max=_number(node, "eta_lon_max_rad", ctx, 1.5),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{ctx}: {exc}") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and fully validate a scenario file.
 
-    Every structural problem (missing field, wrong type) and semantic
-    problem (limit ordering, waypoint outside the terrain footprint, final
-    waypoint not at the target) raises :class:`ScenarioError` naming the
-    offending field.
+    Every structural problem (missing field, unknown key, wrong type) and
+    semantic problem (limit ordering, waypoint outside the terrain
+    footprint, final waypoint not at the target) raises
+    :class:`ScenarioError` naming the offending field. Omitted optional
+    keys take the defaults of the param dataclasses.
     """
     path = Path(path)
     try:
@@ -463,133 +483,53 @@ def load_scenario(path: str | Path) -> Scenario:
     except DemFormatError as exc:
         raise ScenarioError(f"scenario.dem_file: {exc}") from exc
 
-    duration = _number(root, "duration_s", "scenario")
-    dt = _number(root, "dt_s", "scenario")
+    duration = _value(root, "duration_s", "scenario")
+    dt = _value(root, "dt_s", "scenario")
     if not dt > 0.0:
         raise ScenarioError(f"scenario.dt_s: must be positive, got {dt}")
     if not duration >= 0.0:
         raise ScenarioError(f"scenario.duration_s: must be >= 0, got {duration}")
-    master_seed = _integer(root, "master_seed", "scenario")
+    master_seed = _value(root, "master_seed", "scenario", integer=True)
 
-    target = _point(_get(root, "target", "scenario"), "scenario.target")
+    target = _section(Point3, _get(root, "target", "scenario"), "scenario.target")
     if not dem.contains(target.north, target.east):
         raise ScenarioError("scenario.target: outside the terrain footprint")
 
-    g_node = _expect_mapping(root.get("guidance", {}), "scenario.guidance")
-    try:
-        guidance = GuidanceParams(
-            k_chi=_number(g_node, "k_chi", "scenario.guidance", 8.8844),
-            k_gamma=_number(g_node, "k_gamma", "scenario.guidance", 8.8844),
-            acceptance_radius=_number(g_node, "acceptance_radius_m", "scenario.guidance", 40.0),
-            delta_lat=_number(g_node, "delta_lat_rad", "scenario.guidance", 0.5),
-            delta_lon=_number(g_node, "delta_lon_rad", "scenario.guidance", 0.5),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"scenario.guidance: {exc}") from exc
-
-    c_node = _expect_mapping(root.get("coordination", {}), "scenario.coordination")
-    try:
-        coordination = CoordinationGains(
-            k_theta=_number(c_node, "k_theta", "scenario.coordination", 1.0),
-            gamma_d=_number(c_node, "gamma_d", "scenario.coordination", 1.0),
-            k_vg=_number(c_node, "k_vg", "scenario.coordination", 0.001),
-            dt=dt,
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"scenario.coordination: {exc}") from exc
+    guidance = _section(GuidanceParams, root.get("guidance", {}), "scenario.guidance")
+    coordination = _section(CoordinationGains, root.get("coordination", {}), "scenario.coordination",
+                            dt=dt)
 
     m_node = _expect_mapping(root.get("comm", {}), "scenario.comm")
-    windows = []
     rows = m_node.get("dropout_schedule", [])
     if not isinstance(rows, list):
         raise ScenarioError("scenario.comm.dropout_schedule: expected a list")
+    windows = []
     for k, row in enumerate(rows):
         ctx = f"scenario.comm.dropout_schedule[{k}]"
         if not isinstance(row, (list, tuple)) or len(row) != 4:
             raise ScenarioError(f"{ctx}: expected [start_s, end_s, uav_a, uav_b], got {row!r}")
-        try:
-            windows.append(
-                DropoutWindow(
-                    start_s=float(row[0]), end_s=float(row[1]), uav_a=int(row[2]), uav_b=int(row[3])
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{ctx}: {exc}") from exc
-    try:
-        comm = CommConfig(
-            r_com=_number(m_node, "r_com_m", "scenario.comm", 30_000.0),
-            c_max=_integer(m_node, "c_max", "scenario.comm", 2),
-            gamma_signal=_number(m_node, "gamma_signal", "scenario.comm", 1.0),
-            dropout_schedule=tuple(windows),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"scenario.comm: {exc}") from exc
+        windows.append(_section(DropoutWindow, dict(zip(_KEYS[DropoutWindow], row)), ctx))
+    comm = _section(CommConfig, m_node, "scenario.comm", other_keys=("dropout_schedule",),
+                    dropout_schedule=tuple(windows))
 
-    r_node = _expect_mapping(root.get("replan", {}), "scenario.replan")
-    try:
-        replan_params = ReplanParams(
-            k_samples=_integer(r_node, "k_samples", "scenario.replan", 2000),
-            delta_r=_number(r_node, "delta_r_m", "scenario.replan", 500.0),
-            delta_h=_number(r_node, "delta_h_m", "scenario.replan", 20.0),
-            delta_angle=_number(r_node, "delta_angle_rad", "scenario.replan", math.pi / 3),
-            clearance=_number(r_node, "clearance_m", "scenario.replan", 10.0),
-            terrain_step=_number(r_node, "terrain_step_m", "scenario.replan", 25.0),
-            max_iterations=_integer(r_node, "max_iterations", "scenario.replan", 20),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"scenario.replan: {exc}") from exc
-
-    a_node = _expect_mapping(root.get("autopilot", {}), "scenario.autopilot")
-    try:
-        autopilot = AutopilotParams(
-            tau_phi=_number(a_node, "tau_phi_s", "scenario.autopilot", 0.5),
-            tau_n=_number(a_node, "tau_n_s", "scenario.autopilot", 0.5),
-            tau_v=_number(a_node, "tau_v_s", "scenario.autopilot", 2.0),
-            tau_psi=_number(a_node, "tau_psi_s", "scenario.autopilot", 1.0),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"scenario.autopilot: {exc}") from exc
+    replan_params = _section(ReplanParams, root.get("replan", {}), "scenario.replan")
+    autopilot = _section(AutopilotParams, root.get("autopilot", {}), "scenario.autopilot")
 
     w_node = _expect_mapping(root.get("wind", {}), "scenario.wind")
-    ambient_row = w_node.get("ambient_mps", [0.0, 0.0, 0.0])
-    if (
-        not isinstance(ambient_row, (list, tuple))
-        or len(ambient_row) != 3
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in ambient_row)
-    ):
-        raise ScenarioError(
-            f"scenario.wind.ambient_mps: expected [north, east, up] m/s, got {ambient_row!r}"
-        )
-    wind = WindParams(
-        ambient=tuple(float(v) for v in ambient_row),
-        sigma_u=_number(w_node, "sigma_u_mps", "scenario.wind", 0.0),
-        sigma_v=_number(w_node, "sigma_v_mps", "scenario.wind", 0.0),
-        sigma_w=_number(w_node, "sigma_w_mps", "scenario.wind", 0.0),
-        length_u=_number(w_node, "length_u_m", "scenario.wind", 200.0),
-        length_v=_number(w_node, "length_v_m", "scenario.wind", 200.0),
-        length_w=_number(w_node, "length_w_m", "scenario.wind", 50.0),
-        airspeed_nominal=_number(w_node, "airspeed_nominal_mps", "scenario.wind", 13.5),
-        d_max=_number(w_node, "d_max_radps", "scenario.wind", 0.1),
-    )
-    try:
-        wind.make_model(seed=0)
-    except ValueError as exc:
-        raise ScenarioError(f"scenario.wind: {exc}") from exc
+    ambient = {}
+    if "ambient_mps" in w_node:
+        row = w_node["ambient_mps"]
+        if not isinstance(row, (list, tuple)) or len(row) != 3:
+            raise ScenarioError(
+                f"scenario.wind.ambient_mps: expected [north, east, up] m/s, got {row!r}"
+            )
+        axes = dict(zip(("north", "east", "up"), row))
+        ambient["ambient"] = tuple(_value(axes, a, "scenario.wind.ambient_mps") for a in axes)
+    wind = _section(WindParams, w_node, "scenario.wind", other_keys=("ambient_mps",), **ambient)
 
     obstacle = None
     if root.get("obstacle") is not None:
-        o_node = _expect_mapping(root["obstacle"], "scenario.obstacle")
-        try:
-            obstacle = Obstacle(
-                center_north=_number(o_node, "center_north_m", "scenario.obstacle"),
-                center_east=_number(o_node, "center_east_m", "scenario.obstacle"),
-                lateral_radius=_number(o_node, "lateral_radius_m", "scenario.obstacle"),
-                base_height=_number(o_node, "base_height_m", "scenario.obstacle"),
-                top_height=_number(o_node, "top_height_m", "scenario.obstacle"),
-                activation_time=_number(o_node, "activation_time_s", "scenario.obstacle", 0.0),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"scenario.obstacle: {exc}") from exc
+        obstacle = _section(Obstacle, root["obstacle"], "scenario.obstacle")
 
     default_limits_node = _expect_mapping(root.get("limits", {}), "scenario.limits")
 
@@ -600,27 +540,23 @@ def load_scenario(path: str | Path) -> Scenario:
     for k, row in enumerate(uav_rows):
         ctx = f"scenario.uavs[{k}]"
         row = _expect_mapping(row, ctx)
-        uav_id = _integer(row, "id", ctx)
+        uav_id = _value(row, "id", ctx, integer=True)
         if uav_id != k:
             raise ScenarioError(f"{ctx}.id: ids must be contiguous from 0, expected {k} got {uav_id}")
 
         merged = dict(default_limits_node)
         merged.update(_expect_mapping(row.get("limits", {}), f"{ctx}.limits"))
-        limits = _limits(merged, f"{ctx}.limits")
+        limits = _section(UavLimits, merged, f"{ctx}.limits")
 
-        init_node = _expect_mapping(_get(row, "initial", ctx), f"{ctx}.initial")
-        initial = UavState(
-            position=Point3(
-                north=_number(init_node, "north_m", f"{ctx}.initial"),
-                east=_number(init_node, "east_m", f"{ctx}.initial"),
-                height=_number(init_node, "height_m", f"{ctx}.initial"),
-            ),
-            chi=_number(init_node, "chi_rad", f"{ctx}.initial"),
-            gamma=_number(init_node, "gamma_rad", f"{ctx}.initial", 0.0),
-            psi=_number(init_node, "psi_rad", f"{ctx}.initial"),
-            v_g=_number(init_node, "v_g_mps", f"{ctx}.initial"),
-            phi=_number(init_node, "phi_rad", f"{ctx}.initial", 0.0),
-            n_lf=_number(init_node, "n_lf", f"{ctx}.initial", 1.0),
+        init_ctx = f"{ctx}.initial"
+        init_node = _expect_mapping(_get(row, "initial", ctx), init_ctx)
+        initial = _section(
+            UavState,
+            # UavState.gamma has no default; a vehicle starts level unless told otherwise.
+            {"gamma_rad": 0.0, **init_node},
+            init_ctx,
+            other_keys=_KEYS[Point3],
+            position=_section(Point3, init_node, init_ctx, other_keys=_KEYS[UavState]),
         )
         for value, lo, hi, name in (
             (initial.v_g, limits.v_g_min, limits.v_g_max, "v_g_mps"),
@@ -628,9 +564,7 @@ def load_scenario(path: str | Path) -> Scenario:
             (initial.n_lf, limits.n_lf_min, limits.n_lf_max, "n_lf"),
         ):
             if not lo <= value <= hi:
-                raise ScenarioError(
-                    f"{ctx}.initial.{name}: {value} outside limits [{lo}, {hi}]"
-                )
+                raise ScenarioError(f"{ctx}.initial.{name}: {value} outside limits [{lo}, {hi}]")
         if not -math.pi / 2 < initial.gamma < math.pi / 2:
             raise ScenarioError(f"{ctx}.initial.gamma_rad: must lie in (-pi/2, pi/2)")
         if not dem.contains(initial.position.north, initial.position.east):
@@ -641,11 +575,7 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"{ctx}.waypoints: expected a list of [n, e, h] rows")
         waypoints = [_waypoint(wp, f"{ctx}.waypoints[{j}]") for j, wp in enumerate(wp_rows)]
         try:
-            path_obj = WaypointPath(
-                waypoints=tuple(waypoints),
-                cursor=0,
-                acceptance_radius=guidance.acceptance_radius,
-            )
+            path_obj = WaypointPath(tuple(waypoints), acceptance_radius=guidance.acceptance_radius)
         except ValueError as exc:
             raise ScenarioError(f"{ctx}.waypoints: {exc}") from exc
         for j, wp in enumerate(waypoints):
@@ -655,11 +585,13 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(
                 f"{ctx}.waypoints: final waypoint {waypoints[-1]} must equal the shared target {target}"
             )
+        _reject_unknown(row, ctx, _UAV_KEYS)
         uavs.append(UavSpec(uav_id=uav_id, initial=initial, limits=limits, path=path_obj))
 
-    name = root.get("name", "")
+    name = root.get("name", Scenario.name)
     if not isinstance(name, str):
         raise ScenarioError(f"scenario.name: expected a string, got {name!r}")
+    _reject_unknown(root, "scenario", _ROOT_KEYS)
 
     return Scenario(
         dem_path=str(dem_path),
@@ -849,7 +781,7 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
             state = step_autopilot(
                 states[i], commands[i], scenario.uavs[i].limits, dt, ap.tau_phi, ap.tau_n, ap.tau_v
             )
-            gust = sample_disturbance(winds[i], dt)
+            gust = winds[i].sample(dt)
             state = step_kinematics(state, gust, dt, ap.tau_psi)
             if not all(
                 math.isfinite(v)

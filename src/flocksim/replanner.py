@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import UavState, wrap_angle
 from .geo import DemGrid, Obstacle, Point3, dem_elevation, distance3, lateral_distance, segment_above_terrain, segment_obstructed
-from .guidance import DegenerateGeometryError, LookAheadAngles, reference_angles
+from .guidance import LookAheadAngles, _bearing_elevation, look_ahead_angles, reference_angles
 
 __all__ = [
     "FeasibleRegion",
@@ -32,7 +32,6 @@ __all__ = [
     "feasible_region",
     "region_contains",
     "sample_region",
-    "transit_angles_leg1",
     "transit_angles_leg2",
     "candidate_cost",
     "best_detour",
@@ -172,33 +171,14 @@ def sample_region(region: FeasibleRegion, k: int, rng: np.random.Generator) -> n
     return pts[ok]
 
 
-def transit_angles_leg1(uav: UavState, candidate: Point3) -> LookAheadAngles:
-    """Turn the vehicle must make now to head for ``candidate``."""
-    chi_c, gamma_c = reference_angles(uav, candidate)
-    return LookAheadAngles(
-        eta_lat=wrap_angle(chi_c - uav.chi),
-        eta_lon=gamma_c - uav.gamma,
-    )
-
-
 def transit_angles_leg2(uav: UavState, candidate: Point3, original_target: Point3) -> LookAheadAngles:
     """Turn the vehicle must make at ``candidate`` to regain the target."""
-    chi1, gamma1 = _bearing(uav.position, candidate)
-    chi2, gamma2 = _bearing(candidate, original_target)
+    chi1, gamma1 = _bearing_elevation(uav.position, candidate)
+    chi2, gamma2 = _bearing_elevation(candidate, original_target)
     return LookAheadAngles(
         eta_lat=wrap_angle(chi2 - chi1),
         eta_lon=gamma2 - gamma1,
     )
-
-
-def _bearing(a: Point3, b: Point3) -> tuple[float, float]:
-    dn = b.north - a.north
-    de = b.east - a.east
-    dh = b.height - a.height
-    lateral = math.hypot(dn, de)
-    if lateral == 0.0 and dh == 0.0:
-        raise DegenerateGeometryError(f"bearing undefined between coincident points {a}")
-    return math.atan2(de, dn), math.atan2(dh, lateral)
 
 
 def candidate_cost(uav: UavState, candidate: Point3, original_target: Point3) -> float:
@@ -209,7 +189,7 @@ def candidate_cost(uav: UavState, candidate: Point3, original_target: Point3) ->
     axis are unreachable under the bounded-turn model and get an infinite
     sentinel, losing every comparison.
     """
-    a1 = transit_angles_leg1(uav, candidate)
+    a1 = look_ahead_angles(uav, *reference_angles(uav, candidate))
     a2 = transit_angles_leg2(uav, candidate, original_target)
     for eta in (a1.eta_lat, a1.eta_lon, a2.eta_lat, a2.eta_lon):
         if abs(eta) >= _HALF_PI:
@@ -375,7 +355,7 @@ def replan(
         except ReplanError as exc:
             raise ReplanError(f"iteration {iteration}: {exc}", iteration=iteration) from exc
         waypoints.append(best.point)
-        chi, gamma = _bearing(virtual.position, best.point)
+        chi, gamma = _bearing_elevation(virtual.position, best.point)
         virtual = replace(virtual, position=best.point, chi=chi, gamma=gamma)
     if segment_obstructed(virtual.position, target, obstacle, now):
         raise ReplanError(

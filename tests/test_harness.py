@@ -5,13 +5,21 @@ AE exactly 5, and the RMSE spreads the two norms about the norm of the
 mean error vector with the n-1 denominator.
 """
 
+import copy
+import dataclasses
 import json
 import math
+import re
+import shutil
+from operator import attrgetter
 
 import numpy as np
 import pytest
+import yaml
+from conftest import MINI_SCENARIO
 
 from flocksim import (
+    CoordinationGains,
     Metrics,
     Point3,
     ReplanEvent,
@@ -25,6 +33,9 @@ from flocksim import (
     run,
     segment_obstructed,
 )
+from flocksim.dynamics import UavLimits
+from flocksim.harness import _KEYS, AutopilotParams, GuidanceParams, ReplanParams, WindParams
+from flocksim.network import CommConfig, DropoutWindow
 
 
 def rec(tick, uav_id, north, east, height, theta=0.0, **kw):
@@ -164,6 +175,187 @@ class TestLoadScenario:
         bad.write_text("uavs: [unclosed\n")
         with pytest.raises(ScenarioError, match="not valid YAML"):
             load_scenario(bad)
+
+
+REMOVE = object()
+
+
+def load_variant(make_scenario_file, path, value=REMOVE):
+    """Load the mini scenario with the key at ``path`` set to ``value``, or removed."""
+    doc = copy.deepcopy(MINI_SCENARIO)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is REMOVE:
+        del node[last]
+    else:
+        node[last] = value
+    scenario_path = make_scenario_file()
+    scenario_path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    return load_scenario(scenario_path)
+
+
+class TestScenarioSchema:
+    """The loader derived from the param dataclasses: messages, keys, defaults."""
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("target", "east_m"), "x", "scenario.target.east_m: expected a number, got 'x'"),
+            (("guidance", "k_chi"), "x", "scenario.guidance.k_chi: expected a number, got 'x'"),
+            (("coordination", "k_vg"), None, "scenario.coordination.k_vg: expected a number, got None"),
+            (("comm", "c_max"), 2.5, "scenario.comm.c_max: expected an integer, got 2.5"),
+            (("replan", "k_samples"), True, "scenario.replan.k_samples: expected an integer, got True"),
+            (("autopilot", "tau_n_s"), "x", "scenario.autopilot.tau_n_s: expected a number, got 'x'"),
+            (("wind", "sigma_u_mps"), math.inf, "scenario.wind.sigma_u_mps: must be finite, got inf"),
+            (("wind", "sigma_u_mps"), -1.0, "scenario.wind: gust sigmas must be non-negative"),
+            (
+                ("obstacle",),
+                {**ACTIVE_OBSTACLE, "lateral_radius_m": "x"},
+                "scenario.obstacle.lateral_radius_m: expected a number, got 'x'",
+            ),
+            (
+                ("obstacle",),
+                {k: v for k, v in ACTIVE_OBSTACLE.items() if k != "center_north_m"},
+                "scenario.obstacle: missing required field 'center_north_m'",
+            ),
+            (
+                ("limits", "phi_max_rad"),
+                [1],
+                "scenario.uavs[0].limits.phi_max_rad: expected a number, got [1]",
+            ),
+            (
+                ("uavs", 0, "initial", "chi_rad"),
+                "x",
+                "scenario.uavs[0].initial.chi_rad: expected a number, got 'x'",
+            ),
+        ],
+        ids=["target", "guidance", "coordination", "comm", "replan", "autopilot", "wind",
+             "wind-semantic", "obstacle", "obstacle-missing", "limits", "initial"],
+    )
+    def test_each_section_reports_one_prefix(self, make_scenario_file, path, value, message):
+        with pytest.raises(ScenarioError) as info:
+            load_variant(make_scenario_file, path, value)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("guidence",), "scenario: unknown key 'guidence'"),
+            (("target", "up_m"), "scenario.target: unknown key 'up_m'"),
+            (("guidance", "k_chii"), "scenario.guidance: unknown key 'k_chii'"),
+            (("coordination", "dt_s"), "scenario.coordination: unknown key 'dt_s'"),
+            (("comm", "r_com"), "scenario.comm: unknown key 'r_com'"),
+            (("replan", "k_sample"), "scenario.replan: unknown key 'k_sample'"),
+            (("autopilot", "tau_phi"), "scenario.autopilot: unknown key 'tau_phi'"),
+            (("wind", "ambient"), "scenario.wind: unknown key 'ambient'"),
+            (("limits", "v_g_min"), "scenario.uavs[0].limits: unknown key 'v_g_min'"),
+            (("uavs", 0, "speed_mps"), "scenario.uavs[0]: unknown key 'speed_mps'"),
+            (("uavs", 0, "initial", "v_g"), "scenario.uavs[0].initial: unknown key 'v_g'"),
+        ],
+        ids=["root", "target", "guidance", "coordination", "comm", "replan", "autopilot", "wind",
+             "limits", "uav-row", "initial"],
+    )
+    def test_unknown_key_is_rejected(self, make_scenario_file, path, message):
+        with pytest.raises(ScenarioError) as info:
+            load_variant(make_scenario_file, path, 1.0)
+        assert str(info.value) == message
+
+    def test_unknown_obstacle_key_is_rejected(self, make_scenario_file):
+        with pytest.raises(ScenarioError) as info:
+            load_variant(make_scenario_file, ("obstacle",), {**ACTIVE_OBSTACLE, "radius_m": 5.0})
+        assert str(info.value) == "scenario.obstacle: unknown key 'radius_m'"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([0, 10, 1.7, 0], "uav_a: expected an integer, got 1.7"),
+            (["0", 10, 0, 1], "start_s: expected a number, got '0'"),
+            ([True, 10, 0, 1], "start_s: expected a number, got True"),
+            ([0, math.inf, 0, 1], "end_s: must be finite, got inf"),
+        ],
+        ids=["fractional-id", "string-start", "bool-start", "infinite-end"],
+    )
+    def test_dropout_row_cells_follow_the_number_rules(self, make_scenario_file, row, message):
+        with pytest.raises(ScenarioError) as info:
+            load_variant(make_scenario_file, ("comm", "dropout_schedule"), [row])
+        assert str(info.value) == f"scenario.comm.dropout_schedule[0].{message}"
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("replan", "clearance_m"), 10**400, r"scenario\.replan\.clearance_m: must be finite"),
+            (
+                ("uavs", 0, "waypoints", 0),
+                [10**400, 0.0, 110.0],
+                r"scenario\.uavs\[0\]\.waypoints\[0\]: waypoint components must be finite",
+            ),
+        ],
+        ids=["field", "waypoint"],
+    )
+    def test_int_too_large_for_a_float_is_rejected(self, make_scenario_file, path, value, message):
+        with pytest.raises(ScenarioError, match="^" + message):
+            load_variant(make_scenario_file, path, value)
+
+    def test_dropout_row_loads(self, make_scenario_file):
+        scenario = load_variant(make_scenario_file, ("comm", "dropout_schedule"), [[0, 10.5, 1, 0]])
+        assert scenario.comm.dropout_schedule == (DropoutWindow(0.0, 10.5, 1, 0),)
+
+    @pytest.mark.parametrize(
+        "ambient, message",
+        [
+            ([math.nan, 0.0, 0.0], "north: must be finite, got nan"),
+            ([0.0, math.inf, 0.0], "east: must be finite, got inf"),
+        ],
+        ids=["nan-north", "inf-east"],
+    )
+    def test_ambient_components_must_be_finite(self, make_scenario_file, ambient, message):
+        with pytest.raises(ScenarioError) as info:
+            load_variant(make_scenario_file, ("wind", "ambient_mps"), ambient)
+        assert str(info.value) == f"scenario.wind.ambient_mps.{message}"
+
+    def test_keys_map_one_to_one_onto_fields(self):
+        units = ("", "_m", "_s", "_rad", "_mps", "_radps")
+        filled_by_loader = {"dt", "dropout_schedule", "ambient", "position"}
+        for cls, keys in _KEYS.items():
+            names = [f.name for f in dataclasses.fields(cls)]
+            matched = []
+            for key in keys:
+                owners = [n for n in names if any(key == n + unit for unit in units)]
+                assert len(owners) == 1, (cls.__name__, key, owners)
+                matched.extend(owners)
+            assert len(set(matched)) == len(keys), cls.__name__
+            assert set(names) - set(matched) <= filled_by_loader, cls.__name__
+
+    @pytest.mark.parametrize(
+        "section, built, default",
+        [
+            ("guidance", attrgetter("guidance"), GuidanceParams()),
+            ("coordination", attrgetter("coordination"), CoordinationGains(dt=MINI_SCENARIO["dt_s"])),
+            ("comm", attrgetter("comm"), CommConfig()),
+            ("replan", attrgetter("replan"), ReplanParams()),
+            ("autopilot", attrgetter("autopilot"), AutopilotParams()),
+            ("wind", attrgetter("wind"), WindParams()),
+            ("limits", lambda scenario: scenario.uavs[0].limits, UavLimits()),
+        ],
+        ids=["guidance", "coordination", "comm", "replan", "autopilot", "wind", "limits"],
+    )
+    def test_omitted_section_takes_dataclass_defaults(
+        self, make_scenario_file, section, built, default
+    ):
+        assert built(load_variant(make_scenario_file, (section,))) == default
+
+    def test_readme_scenario_example_loads(self, scenario_dir, tmp_path, request):
+        readme = (request.config.rootpath / "README.md").read_text()
+        (block,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+        (tmp_path / "example.yaml").write_text(block)
+        shutil.copy(f"{scenario_dir}/terrain.dem", tmp_path / "terrain.dem")
+        scenario = load_scenario(tmp_path / "example.yaml")
+        assert scenario.name == "two_ship"
+        assert scenario.comm.gamma_signal == 5.0e4
+        assert scenario.obstacle is not None
+        assert len(scenario.uavs) == 1
 
 
 class TestRun:

@@ -21,12 +21,12 @@ from flocksim import (
     candidate_cost,
     distance3,
     feasible_region,
+    look_ahead_angles,
     reference_angles,
     region_contains,
     replan,
     sample_region,
     segment_obstructed,
-    transit_angles_leg1,
     transit_angles_leg2,
     wrap_angle,
 )
@@ -174,20 +174,20 @@ class TestSampleRegion:
 class TestTransitAngles:
     def test_leg1_straight_ahead(self):
         uav = make_uav(chi=0.0)
-        angles = transit_angles_leg1(uav, Point3(300.0, 0.0, 100.0))
+        angles = look_ahead_angles(uav, *reference_angles(uav, Point3(300.0, 0.0, 100.0)))
         assert angles.eta_lat == pytest.approx(0.0, abs=1e-15)
         assert angles.eta_lon == pytest.approx(0.0, abs=1e-15)
 
     def test_leg1_right_angle(self):
         uav = make_uav(chi=0.0)
-        angles = transit_angles_leg1(uav, Point3(0.0, 300.0, 100.0))
+        angles = look_ahead_angles(uav, *reference_angles(uav, Point3(0.0, 300.0, 100.0)))
         assert angles.eta_lat == pytest.approx(math.pi / 2, abs=1e-15)
 
     def test_leg1_matches_reference_angles(self):
         uav = make_uav(chi=0.4, gamma=0.1)
         candidate = Point3(210.0, -140.0, 160.0)
         chi_c, gamma_c = reference_angles(uav, candidate)
-        angles = transit_angles_leg1(uav, candidate)
+        angles = look_ahead_angles(uav, *reference_angles(uav, candidate))
         assert angles.eta_lat == pytest.approx(wrap_angle(chi_c - 0.4), abs=1e-12)
         assert angles.eta_lon == pytest.approx(gamma_c - 0.1, abs=1e-12)
 
