@@ -53,13 +53,13 @@ from .guidance import (
     steering_rates,
 )
 from .harness import (
+    LOG_COLUMNS,
     Metrics,
     ReplanEvent,
     RunError,
     RunLog,
     Scenario,
     ScenarioError,
-    TickRecord,
     compute_metrics,
     export,
     load_scenario,
@@ -151,7 +151,7 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "RunError",
-    "TickRecord",
+    "LOG_COLUMNS",
     "ReplanEvent",
     "RunLog",
     "Metrics",

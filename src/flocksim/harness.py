@@ -63,7 +63,7 @@ __all__ = [
     "WindParams",
     "UavSpec",
     "Scenario",
-    "TickRecord",
+    "LOG_COLUMNS",
     "ReplanEvent",
     "PremiseViolation",
     "RunLog",
@@ -80,6 +80,11 @@ _COINCIDENT_EPS = 1e-9
 # Export files that carry wall-clock measurements. Replay verification
 # compares every exported file except these.
 WALL_CLOCK_FILES = ("timing.json",)
+
+# The columns of RunLog.data, one row per vehicle and tick. The first ten
+# are the trajectory CSV's values after tick and t_s, in CSV order.
+LOG_COLUMNS = ("north", "east", "height", "chi", "gamma", "phi", "n_lf", "v_g", "theta", "cursor",
+               "psi", "phi_cmd", "n_lf_cmd", "v_g_cmd", "eta_lat", "eta_lon", "theta_dot", "theta_ref")
 
 _TRAJECTORY_COLUMNS = (
     "tick",
@@ -218,31 +223,6 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class TickRecord:
-    tick: int
-    t: float
-    uav_id: int
-    north: float
-    east: float
-    height: float
-    chi: float
-    gamma: float
-    psi: float
-    v_g: float
-    phi: float
-    n_lf: float
-    phi_cmd: float
-    n_lf_cmd: float
-    v_g_cmd: float
-    eta_lat: float
-    eta_lon: float
-    theta: float
-    theta_dot: float
-    theta_ref: float
-    cursor: int
-
-
-@dataclass(frozen=True)
 class ReplanEvent:
     tick: int
     t: float
@@ -272,14 +252,18 @@ class PremiseViolation:
     margin: float
 
 
-@dataclass
+@dataclass(eq=False)
 class RunLog:
-    """Complete per-tick history of one run."""
+    """Complete per-tick history of one run.
+
+    ``data[tick, uav_id]`` holds that vehicle's ``LOG_COLUMNS`` at that
+    tick, whose time is ``tick * dt``.
+    """
 
     n_uavs: int
     dt: float
     n_ticks: int
-    records: list[TickRecord] = field(default_factory=list)
+    data: np.ndarray = field(init=False, repr=False)
     replan_events: list[ReplanEvent] = field(default_factory=list)
     replan_failures: list[ReplanFailure] = field(default_factory=list)
     violations: list[PremiseViolation] = field(default_factory=list)
@@ -288,35 +272,16 @@ class RunLog:
     master_seed: int = 0
     wall_s: float = 0.0
 
-    def uav_records(self, uav_id: int) -> list[TickRecord]:
-        return [r for r in self.records if r.uav_id == uav_id]
+    def __post_init__(self) -> None:
+        self.data = np.zeros((self.n_ticks, self.n_uavs, len(LOG_COLUMNS)))
 
     def positions(self, uav_id: int) -> np.ndarray:
-        """(n_ticks, 3) array of [north, east, height] for one vehicle."""
-        return _xyz(self.uav_records(uav_id))
+        """(n_ticks, 3) view of [north, east, height] for one vehicle."""
+        return self.data[:, uav_id, :3]
 
     def thetas(self) -> np.ndarray:
-        """(n_ticks, n_uavs) array of time indices."""
-        out = np.zeros((self.n_ticks, self.n_uavs))
-        for r in self.records:
-            out[r.tick, r.uav_id] = r.theta
-        return out
-
-
-def _xyz(rows: list[TickRecord]) -> np.ndarray:
-    return np.array([[r.north, r.east, r.height] for r in rows]).reshape(len(rows), 3)
-
-
-def _records_by_uav(log: RunLog) -> dict[int, list[TickRecord]]:
-    """Every vehicle's records in log order, from one pass over the log.
-
-    Fleet-wide readers use this instead of ``uav_records`` per vehicle,
-    which would rescan the whole log once per vehicle.
-    """
-    groups: dict[int, list[TickRecord]] = {}
-    for r in log.records:
-        groups.setdefault(r.uav_id, []).append(r)
-    return groups
+        """(n_ticks, n_uavs) view of the time indices."""
+        return self.data[:, :, LOG_COLUMNS.index("theta")]
 
 
 @dataclass
@@ -427,15 +392,24 @@ def _schema(cls: type) -> tuple[tuple[str, str, Any, bool], ...]:
     return tuple(rows)
 
 
-def _section(cls: type, node: Any, ctx: str, other_keys: tuple[str, ...] = (), **extra: Any) -> Any:
-    """Build ``cls`` from the mapping ``node`` by its ``_KEYS`` row.
+def _fields(cls: type, node: Any, ctx: str, other_keys: tuple[str, ...] = ()) -> dict[str, Any]:
+    """The field values of ``cls``, read from the mapping ``node`` by its ``_KEYS`` row.
 
-    ``extra`` holds the fields the loader fills itself; ``other_keys`` names
-    the keys of ``node`` that it reads elsewhere. Any other key is unknown.
+    ``other_keys`` names the keys of ``node`` that the loader reads
+    elsewhere. Any other key is unknown.
     """
     node = _expect_mapping(node, ctx)
     values = {name: _value(node, key, ctx, default, integer) for key, name, default, integer in _schema(cls)}
     _reject_unknown(node, ctx, _KEYS[cls] + other_keys)
+    return values
+
+
+def _section(cls: type, node: Any, ctx: str, other_keys: tuple[str, ...] = (), **extra: Any) -> Any:
+    """Build ``cls`` from ``node`` as read by ``_fields``.
+
+    ``extra`` holds the fields the loader fills itself.
+    """
+    values = _fields(cls, node, ctx, other_keys)
     try:
         return cls(**values, **extra)
     except ValueError as exc:
@@ -531,7 +505,10 @@ def load_scenario(path: str | Path) -> Scenario:
     if root.get("obstacle") is not None:
         obstacle = _section(Obstacle, root["obstacle"], "scenario.obstacle")
 
-    default_limits_node = _expect_mapping(root.get("limits", {}), "scenario.limits")
+    # The root block is merged into each vehicle's block, so its keys and
+    # values are checked here and its min < max orderings once merged.
+    default_limits_node = root.get("limits", {})
+    _fields(UavLimits, default_limits_node, "scenario.limits")
 
     uav_rows = _get(root, "uavs", "scenario")
     if not isinstance(uav_rows, list) or not uav_rows:
@@ -747,30 +724,11 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
 
             commands.append(Commands(phi=phi_c, n_lf=n_lf_c, v_g=v_cmd))
             thetas.append(theta)
-            log.records.append(
-                TickRecord(
-                    tick=tick,
-                    t=t,
-                    uav_id=i,
-                    north=state.position.north,
-                    east=state.position.east,
-                    height=state.position.height,
-                    chi=state.chi,
-                    gamma=state.gamma,
-                    psi=state.psi,
-                    v_g=state.v_g,
-                    phi=state.phi,
-                    n_lf=state.n_lf,
-                    phi_cmd=phi_c,
-                    n_lf_cmd=n_lf_c,
-                    v_g_cmd=v_cmd,
-                    eta_lat=angles.eta_lat,
-                    eta_lon=angles.eta_lon,
-                    theta=theta,
-                    theta_dot=theta_dot,
-                    theta_ref=theta_ref,
-                    cursor=path.cursor,
-                )
+            pos = state.position
+            log.data[tick, i] = (
+                pos.north, pos.east, pos.height, state.chi, state.gamma, state.phi, state.n_lf,
+                state.v_g, theta, path.cursor, state.psi, phi_c, n_lf_c, v_cmd,
+                angles.eta_lat, angles.eta_lon, theta_dot, theta_ref,
             )
 
         graph = build_topology([s.position for s in states], scenario.comm, tick, dt)
@@ -817,7 +775,7 @@ def compute_metrics(log: RunLog, scenario: Scenario) -> Metrics:
     over the whole run and at the final tick.
     """
     n = len(scenario.uavs)
-    if log.n_ticks == 0 or not log.records:
+    if log.n_ticks == 0:
         return Metrics(
             ae_mean=0.0,
             rmse_mean=0.0,
@@ -833,9 +791,8 @@ def compute_metrics(log: RunLog, scenario: Scenario) -> Metrics:
 
     per_uav_ae: list[float] = []
     per_uav_rmse: list[float] = []
-    by_uav = _records_by_uav(log)
     for spec in scenario.uavs:
-        traj = _xyz(by_uav.get(spec.uav_id, []))
+        traj = log.positions(spec.uav_id)
         errors = []
         for wp in spec.path.waypoints:
             d = np.linalg.norm(traj - wp.as_array(), axis=1)
@@ -873,21 +830,6 @@ def compute_metrics(log: RunLog, scenario: Scenario) -> Metrics:
 # Export
 
 
-def _fmt(value: Any) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path: Path, columns: tuple[str, ...], rows: list[list[Any]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    path.write_text(buf.getvalue())
-
-
 def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
     """Write the run to ``out_dir``; returns the files written.
 
@@ -904,27 +846,16 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
         raise RunError(f"cannot create output directory {out}: {exc}") from exc
 
     written: list[Path] = []
-    by_uav = _records_by_uav(log)
+    header = ",".join(_TRAJECTORY_COLUMNS) + "\n"
     for uav_id in range(log.n_uavs):
-        rows = [
-            [
-                r.tick,
-                r.t,
-                r.north,
-                r.east,
-                r.height,
-                r.chi,
-                r.gamma,
-                r.phi,
-                r.n_lf,
-                r.v_g,
-                r.theta,
-                r.cursor,
-            ]
-            for r in by_uav.get(uav_id, [])
+        # .tolist() yields Python floats, whose repr is the shortest
+        # round-tripping text; the cursor column holds whole numbers.
+        lines = [
+            f"{tick},{tick * log.dt!r},{','.join(map(repr, row[:9]))},{int(row[9])}\n"
+            for tick, row in enumerate(log.data[:, uav_id, :10].tolist())
         ]
         fp = out / f"uav_{uav_id:02d}.csv"
-        _write_csv(fp, _TRAJECTORY_COLUMNS, rows)
+        fp.write_text(header + "".join(lines))
         written.append(fp)
 
     events: list[tuple[int, int, list[Any]]] = []
@@ -951,8 +882,12 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
             (v.tick, v.uav_id, ["premise_violation", v.tick, v.t, v.uav_id, json.dumps(detail, sort_keys=True)])
         )
     events.sort(key=lambda item: (item[0], item[1], item[2][0]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_EVENT_COLUMNS)
+    writer.writerows(row for _, _, row in events)
     fp = out / "events.csv"
-    _write_csv(fp, _EVENT_COLUMNS, [row for _, _, row in events])
+    fp.write_text(buf.getvalue())
     written.append(fp)
 
     fp = out / "metrics.json"

@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from oracles import grid_cost_oracle, two_leg_cost
 from flocksim import (
     Commands,
     DemGrid,
+    LOG_COLUMNS,
     NO_DISTURBANCE,
     Obstacle,
     Point3,
@@ -130,17 +132,20 @@ def test_03_consensus_under_link_dropout(scenario_dir):
 def test_04_replanning_geometry_and_cost_quality(reference_run):
     scenario, log, metrics = reference_run
     assert log.replan_events, "the obstacle activation must force at least one replan"
-    records = {(r.tick, r.uav_id): r for r in log.records}
+
+    def record(tick, uav_id):
+        return SimpleNamespace(**dict(zip(LOG_COLUMNS, log.data[tick, uav_id].tolist())))
 
     # every spliced leg, detection point through the original waypoint,
     # must clear the obstacle at the time it was planned
     wp_lists = {spec.uav_id: list(spec.path.waypoints) for spec in scenario.uavs}
     first_contexts = {}
     for event in log.replan_events:
-        r = records[(event.tick, event.uav_id)]
+        r = record(event.tick, event.uav_id)
+        cursor = int(r.cursor)
         pos = Point3(r.north, r.east, r.height)
         before = wp_lists[event.uav_id]
-        original = before[r.cursor]
+        original = before[cursor]
         legs = [pos, *event.waypoints, original]
         for a, b in zip(legs, legs[1:]):
             assert not segment_obstructed(a, b, scenario.obstacle, event.t), (
@@ -149,7 +154,7 @@ def test_04_replanning_geometry_and_cost_quality(reference_run):
         if event.uav_id not in first_contexts:
             first_contexts[event.uav_id] = (r, original)
         wp_lists[event.uav_id] = (
-            before[: r.cursor] + list(event.waypoints) + before[r.cursor :]
+            before[:cursor] + list(event.waypoints) + before[cursor:]
         )
 
     # and the flown trajectories never cross the active obstacle
@@ -270,9 +275,9 @@ def test_09_fleet_size_sweep(scenario_dir):
         scenario = load_scenario(f"{scenario_dir}/fleet_{n:02d}.yaml")
         log, metrics = run(scenario)
         assert log.n_uavs == n
-        final = {r.uav_id: r for r in log.records if r.tick == log.n_ticks - 1}
+        final_cursor = log.data[-1, :, LOG_COLUMNS.index("cursor")]
         for spec in scenario.uavs:
-            assert final[spec.uav_id].cursor == len(spec.path.waypoints) - 1, (
+            assert final_cursor[spec.uav_id] == len(spec.path.waypoints) - 1, (
                 f"fleet {n}: uav {spec.uav_id} never reached its final waypoint"
             )
             dists = np.linalg.norm(

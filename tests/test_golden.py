@@ -6,7 +6,10 @@ digests pin the deterministic exports (every file except
 40-vehicle fleet with an alternating blackout, so that a refactor which
 claims no behaviour change keeps them byte for byte.  The 40-vehicle
 fleet sits above the topology screen threshold and has dropouts, so it
-runs the screened candidate path with the compiled schedule.
+runs the screened candidate path with the compiled schedule.  The
+reference scenario also runs at ``dt_s: 0.2``: every other case steps in
+whole seconds, so only this one pins ``t_s`` cells that are not integers
+(``3 * 0.2`` is ``0.6000000000000001``).
 
 An intended change to exported numbers updates the table below in one
 place and says why in CHANGES.md.  ``manifest.json`` loses its
@@ -20,6 +23,7 @@ import shutil
 from pathlib import Path
 
 import pytest
+import yaml
 
 from flocksim import export, load_scenario, presets, run
 from flocksim.harness import WALL_CLOCK_FILES
@@ -61,6 +65,12 @@ GOLDEN = {
         "metrics.json": "2361d0def4471b3f6c6ff7ba334d0f20ba2308a62170e050dd7f89e46913962c",
         "trajectories": "d35ed0be159aff6960a45007074675241dae2b702b11ef65ad3ffdb82a0c353a",
     },
+    "reference_4uav_dt02": {
+        "events.csv": "a578770a8eb501c30d9175ee9685e93fe2a66c52dd7437d3b61af1e4bd925c0a",
+        "manifest.json": "6aef2ac9f7c53cddb4ab71301844931ac75691afda1da82d6f60e3bb2ccd9f96",
+        "metrics.json": "e3ad977878468218e69302503c35fabbd7f522fd1ea95ff87be3221335dfe348",
+        "trajectories": "40a0025db055f24e9ee0c9c19841542187f07e71cf7a036c2295091b230a586f",
+    },
     "reference_4uav_dropout": {
         "events.csv": "fefbe57bb622dfa9b2f7e57bbdc9a790724b6826bc55c2d821c333af36fba531",
         "manifest.json": "2fe74af6e68957a9f59eb765d4401fe5cfd48d3c5f0064b2f9e7ae610decafde",
@@ -91,12 +101,16 @@ def _export_digests(out_dir: Path) -> dict[str, str]:
 
 
 def _scenario_file(name: str, scenario_dir: str, tmp_path: Path) -> Path:
-    if name != "fleet_40_blackout":
+    if name == "fleet_40_blackout":
+        doc = presets.fleet_scenario_dict(40)
+        doc["duration_s"] = 60
+        doc["comm"]["dropout_schedule"] = presets.alternating_blackout(60, 40)
+    elif name == "reference_4uav_dt02":
+        doc = yaml.safe_load((Path(scenario_dir) / "reference_4uav.yaml").read_text())
+        doc["dt_s"] = 0.2
+    else:
         return Path(scenario_dir) / f"{name}.yaml"
-    doc = presets.fleet_scenario_dict(40)
     doc["name"] = name
-    doc["duration_s"] = 60
-    doc["comm"]["dropout_schedule"] = presets.alternating_blackout(60, 40)
     shutil.copy(Path(scenario_dir) / doc["dem_file"], tmp_path / doc["dem_file"])
     return presets.write_scenario(doc, tmp_path / f"{name}.yaml")
 

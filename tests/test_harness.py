@@ -20,12 +20,12 @@ from conftest import MINI_SCENARIO
 
 from flocksim import (
     CoordinationGains,
+    LOG_COLUMNS,
     Metrics,
     Point3,
     ReplanEvent,
     RunLog,
     ScenarioError,
-    TickRecord,
     compute_metrics,
     distance3,
     export,
@@ -38,32 +38,10 @@ from flocksim.harness import _KEYS, AutopilotParams, GuidanceParams, ReplanParam
 from flocksim.network import CommConfig, DropoutWindow
 
 
-def rec(tick, uav_id, north, east, height, theta=0.0, **kw):
-    fields = dict(
-        tick=tick,
-        t=float(tick),
-        uav_id=uav_id,
-        north=north,
-        east=east,
-        height=height,
-        chi=0.0,
-        gamma=0.0,
-        psi=0.0,
-        v_g=13.5,
-        phi=0.0,
-        n_lf=1.0,
-        phi_cmd=0.0,
-        n_lf_cmd=1.0,
-        v_g_cmd=13.5,
-        eta_lat=0.0,
-        eta_lon=0.0,
-        theta=theta,
-        theta_dot=0.0,
-        theta_ref=theta,
-        cursor=0,
-    )
-    fields.update(kw)
-    return TickRecord(**fields)
+def rec(log, tick, uav_id, north, east, height, theta=0.0):
+    """Log one vehicle-tick's position and time index through the log's views."""
+    log.positions(uav_id)[tick] = (north, east, height)
+    log.thetas()[tick, uav_id] = theta
 
 
 ACTIVE_OBSTACLE = {
@@ -223,7 +201,7 @@ class TestScenarioSchema:
             (
                 ("limits", "phi_max_rad"),
                 [1],
-                "scenario.uavs[0].limits.phi_max_rad: expected a number, got [1]",
+                "scenario.limits.phi_max_rad: expected a number, got [1]",
             ),
             (
                 ("uavs", 0, "initial", "chi_rad"),
@@ -250,7 +228,7 @@ class TestScenarioSchema:
             (("replan", "k_sample"), "scenario.replan: unknown key 'k_sample'"),
             (("autopilot", "tau_phi"), "scenario.autopilot: unknown key 'tau_phi'"),
             (("wind", "ambient"), "scenario.wind: unknown key 'ambient'"),
-            (("limits", "v_g_min"), "scenario.uavs[0].limits: unknown key 'v_g_min'"),
+            (("limits", "v_g_min"), "scenario.limits: unknown key 'v_g_min'"),
             (("uavs", 0, "speed_mps"), "scenario.uavs[0]: unknown key 'speed_mps'"),
             (("uavs", 0, "initial", "v_g"), "scenario.uavs[0].initial: unknown key 'v_g'"),
         ],
@@ -261,6 +239,40 @@ class TestScenarioSchema:
         with pytest.raises(ScenarioError) as info:
             load_variant(make_scenario_file, path, 1.0)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "limits, uav_limits, message",
+        [
+            ({"phi_max_rad": "x"}, {}, "scenario.limits.phi_max_rad: expected a number, got 'x'"),
+            ({"a": 1}, {}, "scenario.limits: unknown key 'a'"),
+            (
+                {"v_g_min_mps": 19.0},
+                {},
+                "scenario.uavs[0].limits: v_g: min (19.0) must be < max (18.0)",
+            ),
+            (
+                {},
+                {"phi_max_rad": "x"},
+                "scenario.uavs[0].limits.phi_max_rad: expected a number, got 'x'",
+            ),
+        ],
+        ids=["root-value", "root-unknown-key", "root-ordering", "uav-value"],
+    )
+    def test_limits_errors_name_the_block_they_are_in(
+        self, make_scenario_file, limits, uav_limits, message
+    ):
+        # Keys and values are checked in the block that holds them; the
+        # min < max orderings only once the root block is merged per vehicle.
+        uav = {**MINI_SCENARIO["uavs"][0], "limits": uav_limits}
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(make_scenario_file(limits=limits, uavs=[uav]))
+        assert str(info.value) == message
+
+    def test_root_limits_valid_only_once_merged_load(self, make_scenario_file):
+        uav = {**MINI_SCENARIO["uavs"][0], "limits": {"eta_lat_min_rad": -1.55}}
+        scenario = load_scenario(make_scenario_file(limits={"eta_lat_max_rad": -1.5}, uavs=[uav]))
+        limits = scenario.uavs[0].limits
+        assert (limits.eta_lat_min, limits.eta_lat_max) == (-1.55, -1.5)
 
     def test_unknown_obstacle_key_is_rejected(self, make_scenario_file):
         with pytest.raises(ScenarioError) as info:
@@ -364,9 +376,7 @@ class TestRun:
         log, metrics = run(scenario)
         assert log.n_ticks == 80
         assert log.n_uavs == 1
-        assert len(log.records) == 80
-        ticks = [r.tick for r in log.uav_records(0)]
-        assert ticks == list(range(80))
+        assert log.data.shape == (80, 1, len(LOG_COLUMNS))
         assert log.positions(0).shape == (80, 3)
         assert log.thetas().shape == (80, 1)
 
@@ -394,7 +404,7 @@ class TestRun:
         scenario = load_scenario(make_scenario_file(duration_s=0.0))
         log, metrics = run(scenario)
         assert log.n_ticks == 0
-        assert log.records == []
+        assert log.data.shape == (0, 1, len(LOG_COLUMNS))
         assert metrics.ae_mean == 0.0
         assert metrics.md == 0.0
         out = tmp_path / "empty"
@@ -461,10 +471,8 @@ class TestComputeMetrics:
         # sqrt(2) * (5 - sqrt(12.5))
         scenario = self.make_scenario(make_scenario_file)
         log = RunLog(n_uavs=1, dt=1.0, n_ticks=2)
-        log.records = [
-            rec(0, 0, -303.0, -4.0, 110.0),
-            rec(1, 0, 0.0, 0.0, 105.0),
-        ]
+        rec(log, 0, 0, -303.0, -4.0, 110.0)
+        rec(log, 1, 0, 0.0, 0.0, 105.0)
         metrics = compute_metrics(log, scenario)
         assert metrics.ae_mean == 5.0
         assert metrics.per_uav_ae == [5.0]
@@ -474,10 +482,8 @@ class TestComputeMetrics:
     def test_perfect_passage_zeroes_errors(self, make_scenario_file):
         scenario = self.make_scenario(make_scenario_file)
         log = RunLog(n_uavs=1, dt=1.0, n_ticks=2)
-        log.records = [
-            rec(0, 0, -300.0, 0.0, 110.0),
-            rec(1, 0, 0.0, 0.0, 110.0),
-        ]
+        rec(log, 0, 0, -300.0, 0.0, 110.0)
+        rec(log, 1, 0, 0.0, 0.0, 110.0)
         metrics = compute_metrics(log, scenario)
         assert metrics.ae_mean == 0.0
         assert metrics.rmse_mean == 0.0
@@ -502,12 +508,9 @@ class TestComputeMetrics:
         )
         log = RunLog(n_uavs=2, dt=1.0, n_ticks=3)
         thetas = {(0, 0): 10.0, (0, 1): 4.0, (1, 0): 6.0, (1, 1): 6.0, (2, 0): 5.0, (2, 1): 6.0}
-        log.records = [
-            rec(t, u, -300.0 if u == 0 else 0.0, 0.0 if u == 0 else -300.0, 110.0,
-                theta=thetas[(t, u)])
-            for t in range(3)
-            for u in range(2)
-        ]
+        for (t, u), theta in thetas.items():
+            rec(log, t, u, -300.0 if u == 0 else 0.0, 0.0 if u == 0 else -300.0, 110.0,
+                theta=theta)
         metrics = compute_metrics(log, scenario)
         assert metrics.md == 6.0
         assert metrics.md_final == 1.0
@@ -515,7 +518,7 @@ class TestComputeMetrics:
     def test_detour_overhead_sums_events(self, make_scenario_file):
         scenario = self.make_scenario(make_scenario_file)
         log = RunLog(n_uavs=1, dt=1.0, n_ticks=1)
-        log.records = [rec(0, 0, -300.0, 0.0, 110.0)]
+        rec(log, 0, 0, -300.0, 0.0, 110.0)
         log.replan_events = [
             ReplanEvent(0, 0.0, 0, (Point3(0, 0, 110),), rt_sim=0.0, overhead=1.5, wall_ms=2.0),
             ReplanEvent(0, 0.0, 0, (Point3(0, 0, 110),), rt_sim=0.0, overhead=2.25, wall_ms=2.0),
@@ -554,9 +557,9 @@ class TestExport:
         export(log, metrics, out)
         lines = (out / "uav_00.csv").read_text().splitlines()
         last = lines[-1].split(",")
-        final_record = log.uav_records(0)[-1]
-        assert float(last[2]) == final_record.north
-        assert float(last[10]) == final_record.theta
+        final_record = dict(zip(LOG_COLUMNS, log.data[-1, 0].tolist()))
+        assert float(last[2]) == final_record["north"]
+        assert float(last[10]) == final_record["theta"]
 
     def test_manifest_ties_run_to_scenario(self, make_scenario_file, tmp_path):
         import flocksim
