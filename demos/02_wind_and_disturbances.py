@@ -9,10 +9,11 @@ that equal seeds reproduce the stream bit for bit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from flocksim import WindModel
+from flocksim import WindModel, WindParams
 
 # Reference-mission turbulence: sigma 2.12 / 2.12 / 1.4 m/s, scales 200 / 200 / 50 m.
 SIGMA_V = 2.12
@@ -20,7 +21,7 @@ SIGMA_W = 1.4
 AIRSPEED = 13.5
 DT = 1.0
 
-wind = WindModel(
+turbulence = WindParams(
     ambient=(2.5, 0.0, 0.0),
     sigma_u=2.12,
     sigma_v=SIGMA_V,
@@ -30,8 +31,8 @@ wind = WindModel(
     length_w=50.0,
     airspeed_nominal=AIRSPEED,
     d_max=10.0,  # effectively no clip, so the raw statistics show through
-    seed=42,
 )
+wind = WindModel(turbulence, seed=42)
 
 n = 20_000
 d_chi = np.empty(n)
@@ -52,18 +53,16 @@ rho = np.corrcoef(d_chi[:-1], d_chi[1:])[0, 1]
 print(f"  lag-1 corr(d_chi)   {rho:.4f}     {math.exp(-DT * AIRSPEED / 200.0):.4f}  (exp(-dt V / L_v))")
 
 # The same turbulence with the operational clip: tails fold onto +-d_max.
-clipped = WindModel(
-    ambient=(2.5, 0.0, 0.0), sigma_u=2.12, sigma_v=SIGMA_V, sigma_w=SIGMA_W,
-    airspeed_nominal=AIRSPEED, d_max=0.1, seed=42,
-)
+clipped = WindModel(replace(turbulence, d_max=0.1), seed=42)
 vals = np.array([clipped.sample(DT).d_chi for _ in range(n)])
 print(f"\nwith d_max = 0.1 rad/s: max |d_chi| = {np.abs(vals).max():.4f}, "
       f"{(np.abs(vals) >= 0.1 - 1e-12).mean() * 100:.2f}% of samples on the rail")
 
 # Determinism: same seed, same stream; different seed, different stream.
-a = WindModel(sigma_v=SIGMA_V, airspeed_nominal=AIRSPEED, seed=7)
-b = WindModel(sigma_v=SIGMA_V, airspeed_nominal=AIRSPEED, seed=7)
-c = WindModel(sigma_v=SIGMA_V, airspeed_nominal=AIRSPEED, seed=8)
+lateral = WindParams(sigma_v=SIGMA_V, airspeed_nominal=AIRSPEED)
+a = WindModel(lateral, seed=7)
+b = WindModel(lateral, seed=7)
+c = WindModel(lateral, seed=8)
 seq_a = [a.sample(DT).d_chi for _ in range(5)]
 seq_b = [b.sample(DT).d_chi for _ in range(5)]
 seq_c = [c.sample(DT).d_chi for _ in range(5)]

@@ -12,7 +12,9 @@ radius and the bank limit.
 import math
 
 from flocksim import (
+    AutopilotParams,
     Commands,
+    GuidanceParams,
     NO_DISTURBANCE,
     Point3,
     UavLimits,
@@ -29,12 +31,13 @@ from flocksim import (
 )
 
 DT = 0.1
-K_CHI = K_GAMMA = 8.8844
 
+guidance = GuidanceParams(k_chi=8.8844, k_gamma=8.8844)
+autopilot = AutopilotParams()
 limits = UavLimits()
 path = WaypointPath(
     waypoints=(Point3(800.0, 0.0, 120.0), Point3(1100.0, 500.0, 120.0)),
-    acceptance_radius=40.0,
+    acceptance_radius=guidance.acceptance_radius,
 )
 # Start 200 m right of the first leg, course already along it.
 state = UavState(position=Point3(0.0, 200.0, 100.0), chi=0.0, gamma=0.0,
@@ -51,16 +54,16 @@ for k in range(1500):
 
     chi_c, gamma_c = reference_angles(state, target)
     angles = look_ahead_angles(state, chi_c, gamma_c)
-    report = convergence_conditions(angles, state, target)
-    phi_c, n_lf_c = guidance_commands(state, angles, K_CHI, K_GAMMA, limits)
+    report = convergence_conditions(angles, state, target, guidance)
+    phi_c, n_lf_c = guidance_commands(state, angles, guidance, limits)
 
     if k % 50 == 0:
         print(f"{t:5.1f}  {state.position.north:6.0f}  {state.position.east:6.0f}  "
               f"{state.position.height:6.1f}  {math.degrees(state.chi):6.1f}  "
               f"{abs(math.degrees(angles.eta_lat)):8.2f}  {str(report.all_ok):>8}  {path.cursor}")
 
-    state = step_autopilot(state, Commands(phi=phi_c, n_lf=n_lf_c, v_g=13.5), limits, DT)
-    state = step_kinematics(state, NO_DISTURBANCE, DT)
+    state = step_autopilot(state, Commands(phi=phi_c, n_lf=n_lf_c, v_g=13.5), limits, DT, autopilot)
+    state = step_kinematics(state, NO_DISTURBANCE, DT, autopilot)
     track.append((state.position.north, state.position.east))
     if path.cursor == len(path.waypoints) - 1 and distance3(state.position, path.active) < 15.0:
         print(f"{t:5.1f}  arrived at the final waypoint")

@@ -17,6 +17,7 @@ from flocksim import (
     DemGrid,
     Obstacle,
     Point3,
+    ReplanParams,
     UavState,
     distance3,
     feasible_region,
@@ -38,21 +39,21 @@ now = 80.0
 blocked = segment_obstructed(uav.position, target, obstacle, now)
 print(f"direct leg to ({target.north:.0f}, {target.east:.0f}): obstructed = {blocked}")
 
+params = ReplanParams(k_samples=2000, delta_r=300.0, delta_h=100.0, delta_angle=math.pi / 2)
 velocity = np.array([math.cos(uav.chi), math.sin(uav.chi), 0.0])
 region = feasible_region(uav.position, velocity, obstacle, flat,
-                         delta_r=300.0, delta_h=100.0, delta_angle=math.pi / 2)
+                         params.delta_r, params.delta_h, params.delta_angle)
 print("\nfeasible region")
 print(f"  ring   : {region.r_bar:.0f} .. {region.r_bar + region.delta_r:.0f} m around the cylinder axis")
 print(f"  heights: {region.dem_floor:.0f} .. {region.dem_floor + region.delta_h:.0f} m")
 print(f"  cone   : half-angle {math.degrees(region.delta_angle):.0f} deg about the velocity")
 
 rng = np.random.default_rng(77)
-samples = sample_region(region, k=2000, rng=rng)
+samples = sample_region(region, k=params.k_samples, rng=rng)
 inside = sum(region_contains(region, Point3(*row)) for row in samples)
 print(f"  sampled {len(samples)} candidates, {inside} verified inside")
 
-chosen = best_detour(uav, target, region, k=2000, rng=np.random.default_rng(77),
-                     grid=flat, obstacle=obstacle, now=now)
+chosen = best_detour(uav, target, region, np.random.default_rng(77), flat, obstacle, now, params)
 inbound = segment_obstructed(uav.position, chosen.point, obstacle, now)
 onward = segment_obstructed(chosen.point, target, obstacle, now)
 print("\nbest single candidate")
@@ -65,8 +66,7 @@ print(f"  onward leg obstructed : {onward} (may stay blocked; that is what the l
 # the final leg is clear, then the caller splices the list into the path.
 print("\nreplan() from three seeds")
 for seed in (1, 2, 3):
-    wps = replan(uav, target, obstacle, flat, k_samples=2000, delta_r=300.0,
-                 delta_h=100.0, delta_angle=math.pi / 2, rng_seed=seed, now=now)
+    wps = replan(uav, target, obstacle, flat, params, rng_seed=seed, now=now)
     pts = [uav.position, *wps, target]
     length = sum(distance3(a, b) for a, b in zip(pts, pts[1:]))
     clear = not any(segment_obstructed(a, b, obstacle, now) for a, b in zip(pts, pts[1:]))

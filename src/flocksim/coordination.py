@@ -15,7 +15,7 @@ from math import tanh
 from typing import Iterable
 
 from .dynamics import UavLimits, UavState
-from .geo import Point3, distance3
+from .geo import distance3
 from .guidance import WaypointPath
 
 __all__ = [
@@ -49,17 +49,14 @@ class CoordinationGains:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
 
-def time_index(state: UavState, path: WaypointPath, target: Point3) -> float:
-    """Estimated seconds to reach ``target`` along the remaining path.
+def time_index(state: UavState, path: WaypointPath) -> float:
+    """Estimated seconds to reach the path's terminus, the shared target.
 
     Straight-line distance to the active waypoint plus the remaining
-    polyline length, divided by the current ground speed.  The path's
-    terminus must be the shared target.
+    polyline length, divided by the current ground speed.  The loader
+    puts the target at every path's terminus and ``WaypointPath.splice``
+    keeps it there; ``UavLimits`` keeps the speed positive.
     """
-    if path.terminus != target:
-        raise ValueError(f"path terminus {path.terminus} is not the shared target {target}")
-    if not state.v_g > 0.0:
-        raise ValueError(f"ground speed must be positive, got {state.v_g}")
     return (distance3(state.position, path.active) + path.remaining_length()) / state.v_g
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +23,8 @@ __all__ = [
     "GRAVITY",
     "UavLimits",
     "UavState",
+    "AutopilotParams",
+    "WindParams",
     "Commands",
     "Disturbance",
     "NO_DISTURBANCE",
@@ -123,6 +124,53 @@ class Disturbance:
 NO_DISTURBANCE = Disturbance()
 
 
+@dataclass(frozen=True)
+class AutopilotParams:
+    """Time constants (s) of the bank, load-factor, speed and heading lags."""
+
+    tau_phi: float = 0.5
+    tau_n: float = 0.5
+    tau_v: float = 2.0
+    tau_psi: float = 1.0
+
+    def __post_init__(self) -> None:
+        for tau, name in (
+            (self.tau_phi, "tau_phi"),
+            (self.tau_n, "tau_n"),
+            (self.tau_v, "tau_v"),
+            (self.tau_psi, "tau_psi"),
+        ):
+            if not tau > 0.0:
+                raise ValueError(f"{name} must be positive, got {tau}")
+
+
+@dataclass(frozen=True)
+class WindParams:
+    """Ambient wind [north, east, up] (m/s), gust sigmas (m/s) and length scales (m)."""
+
+    ambient: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    sigma_u: float = 0.0
+    sigma_v: float = 0.0
+    sigma_w: float = 0.0
+    length_u: float = 200.0
+    length_v: float = 200.0
+    length_w: float = 50.0
+    airspeed_nominal: float = 13.5
+    d_max: float = 0.1
+
+    def __post_init__(self) -> None:
+        if np.shape(self.ambient) != (3,):
+            raise ValueError("ambient must be [north, east, up]")
+        if not all(s >= 0.0 for s in (self.sigma_u, self.sigma_v, self.sigma_w)):
+            raise ValueError("gust sigmas must be non-negative")
+        if not all(length > 0.0 for length in (self.length_u, self.length_v, self.length_w)):
+            raise ValueError("gust length scales must be positive")
+        if not self.airspeed_nominal > 0.0:
+            raise ValueError("airspeed_nominal must be positive")
+        if not self.d_max > 0.0:
+            raise ValueError("d_max must be positive")
+
+
 class WindModel:
     """Ambient wind plus first-order colored gusts on three body axes.
 
@@ -136,36 +184,13 @@ class WindModel:
     is fixed at three normals regardless of which channels are consumed.
     """
 
-    def __init__(
-        self,
-        ambient: Sequence[float] = (0.0, 0.0, 0.0),
-        sigma_u: float = 0.0,
-        sigma_v: float = 0.0,
-        sigma_w: float = 0.0,
-        length_u: float = 200.0,
-        length_v: float = 200.0,
-        length_w: float = 50.0,
-        airspeed_nominal: float = 13.5,
-        d_max: float = 0.1,
-        seed: int = 0,
-    ) -> None:
-        self.ambient = np.asarray(ambient, dtype=float)
-        if self.ambient.shape != (3,):
-            raise ValueError("ambient must be [north, east, up]")
-        sigmas = np.array([sigma_u, sigma_v, sigma_w], dtype=float)
-        lengths = np.array([length_u, length_v, length_w], dtype=float)
-        if np.any(sigmas < 0.0):
-            raise ValueError("gust sigmas must be non-negative")
-        if np.any(lengths <= 0.0):
-            raise ValueError("gust length scales must be positive")
-        if not airspeed_nominal > 0.0:
-            raise ValueError("airspeed_nominal must be positive")
-        if not d_max > 0.0:
-            raise ValueError("d_max must be positive")
-        self.sigma = sigmas
-        self.tau = lengths / airspeed_nominal
-        self.airspeed_nominal = float(airspeed_nominal)
-        self.d_max = float(d_max)
+    def __init__(self, params: WindParams, seed: int) -> None:
+        self.ambient = np.asarray(params.ambient, dtype=float)
+        self.sigma = np.array([params.sigma_u, params.sigma_v, params.sigma_w], dtype=float)
+        lengths = np.array([params.length_u, params.length_v, params.length_w], dtype=float)
+        self.tau = lengths / params.airspeed_nominal
+        self.airspeed_nominal = float(params.airspeed_nominal)
+        self.d_max = float(params.d_max)
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
         self._gust = np.zeros(3)
@@ -176,8 +201,6 @@ class WindModel:
         return self._gust.copy()
 
     def sample(self, dt: float) -> Disturbance:
-        if not dt > 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
         a = np.exp(-dt / self.tau)
         noise = self._rng.standard_normal(3)
         self._gust = a * self._gust + self.sigma * np.sqrt(1.0 - a * a) * noise
@@ -198,31 +221,17 @@ def _lagged(value: float, target: float, tau: float, dt: float) -> float:
 
 
 def step_autopilot(
-    state: UavState,
-    cmd: Commands,
-    limits: UavLimits,
-    dt: float,
-    tau_phi: float = 0.5,
-    tau_n: float = 0.5,
-    tau_v: float = 2.0,
+    state: UavState, cmd: Commands, limits: UavLimits, dt: float, ap: AutopilotParams
 ) -> UavState:
     """First-order actuator response toward ``cmd``, clipped to ``limits``."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    for tau, name in ((tau_phi, "tau_phi"), (tau_n, "tau_n"), (tau_v, "tau_v")):
-        if not tau > 0.0:
-            raise ValueError(f"{name} must be positive, got {tau}")
-    phi = min(max(_lagged(state.phi, cmd.phi, tau_phi, dt), limits.phi_min), limits.phi_max)
-    n_lf = min(max(_lagged(state.n_lf, cmd.n_lf, tau_n, dt), limits.n_lf_min), limits.n_lf_max)
-    v_g = min(max(_lagged(state.v_g, cmd.v_g, tau_v, dt), limits.v_g_min), limits.v_g_max)
+    phi = min(max(_lagged(state.phi, cmd.phi, ap.tau_phi, dt), limits.phi_min), limits.phi_max)
+    n_lf = min(max(_lagged(state.n_lf, cmd.n_lf, ap.tau_n, dt), limits.n_lf_min), limits.n_lf_max)
+    v_g = min(max(_lagged(state.v_g, cmd.v_g, ap.tau_v, dt), limits.v_g_min), limits.v_g_max)
     return replace(state, phi=phi, n_lf=n_lf, v_g=v_g)
 
 
 def step_kinematics(
-    state: UavState,
-    disturbance: Disturbance,
-    dt: float,
-    tau_psi: float = 1.0,
+    state: UavState, disturbance: Disturbance, dt: float, ap: AutopilotParams
 ) -> UavState:
     """One RK4 step of the point-mass kinematics with zero-order-hold inputs.
 
@@ -232,9 +241,6 @@ def step_kinematics(
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if not tau_psi > 0.0:
-        raise ValueError(f"tau_psi must be positive, got {tau_psi}")
-
     v_g = state.v_g
     phi = state.phi
     n_lf = state.n_lf
@@ -243,6 +249,7 @@ def step_kinematics(
     g_over_v = GRAVITY / v_g
     tan_phi = math.tan(phi)
     cos_phi = math.cos(phi)
+    tau_psi = ap.tau_psi
 
     def deriv(y: tuple[float, ...]) -> tuple[float, ...]:
         _, _, _, chi, gamma, psi = y

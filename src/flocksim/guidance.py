@@ -21,6 +21,7 @@ from .dynamics import GRAVITY, UavLimits, UavState, wrap_angle
 from .geo import Point3, distance3
 
 __all__ = [
+    "GuidanceParams",
     "WaypointPath",
     "LookAheadAngles",
     "PathErrors",
@@ -38,6 +39,25 @@ __all__ = [
 
 class DegenerateGeometryError(ValueError):
     """A bearing was requested between coincident points."""
+
+
+@dataclass(frozen=True)
+class GuidanceParams:
+    """Steering gains (1/s), waypoint acceptance radius (m) and premise trust bounds (rad)."""
+
+    k_chi: float = 8.8844
+    k_gamma: float = 8.8844
+    acceptance_radius: float = 40.0
+    delta_lat: float = 0.5
+    delta_lon: float = 0.5
+
+    def __post_init__(self) -> None:
+        if not (self.k_chi > 0.0 and self.k_gamma > 0.0):
+            raise ValueError("guidance gains must be positive")
+        if not self.acceptance_radius >= 0.0:
+            raise ValueError("acceptance_radius must be >= 0")
+        if not (0.0 <= self.delta_lat < math.pi / 2 and 0.0 <= self.delta_lon < math.pi / 2):
+            raise ValueError("delta_lat/delta_lon must lie in [0, pi/2)")
 
 
 @dataclass(frozen=True)
@@ -112,10 +132,11 @@ class PathErrors:
 class ConditionReport:
     """Convergence-premise check for one tick.
 
-    ``margin`` is V_g cos(delta_lon) cos(delta_lat) - L_c: the worst-case
-    closure speed toward the target minus the target's own speed bound.
-    The premises guarantee finite-time convergence only while all three
-    booleans hold and the margin is positive.
+    ``margin`` is V_g cos(delta_lon) cos(delta_lat): the worst-case
+    closure speed toward the target.  The target's own speed bound is
+    zero, since the virtual target is a fixed waypoint.  The premises
+    guarantee finite-time convergence only while all three booleans hold
+    and the margin is positive.
     """
 
     lat_ok: bool
@@ -190,11 +211,7 @@ def steering_rates(angles: LookAheadAngles, k_chi: float, k_gamma: float) -> tup
 
 
 def guidance_commands(
-    state: UavState,
-    angles: LookAheadAngles,
-    k_chi: float,
-    k_gamma: float,
-    limits: UavLimits,
+    state: UavState, angles: LookAheadAngles, gp: GuidanceParams, limits: UavLimits
 ) -> tuple[float, float]:
     """Map look-ahead angles to a roll and load-factor setpoint.
 
@@ -204,9 +221,7 @@ def guidance_commands(
     completion).  The load factor inverts the climb-rate relation at the
     commanded roll.  Both outputs are clipped to ``limits``.
     """
-    if not (k_chi > 0.0 and k_gamma > 0.0):
-        raise ValueError(f"gains must be positive, got k_chi={k_chi}, k_gamma={k_gamma}")
-    f_chi, f_gamma = steering_rates(angles, k_chi, k_gamma)
+    f_chi, f_gamma = steering_rates(angles, gp.k_chi, gp.k_gamma)
     arg = state.v_g * math.cos(state.phi) / GRAVITY * f_chi
     phi_c = -math.asin(min(max(arg, -1.0), 1.0))
     phi_c = min(max(phi_c, limits.phi_min), limits.phi_max)
@@ -218,12 +233,7 @@ def guidance_commands(
 
 
 def convergence_conditions(
-    angles: LookAheadAngles,
-    state: UavState,
-    target: Point3,
-    delta_lat: float = 0.5,
-    delta_lon: float = 0.5,
-    target_speed_bound: float = 0.0,
+    angles: LookAheadAngles, state: UavState, target: Point3, gp: GuidanceParams
 ) -> ConditionReport:
     """Check the finite-time convergence premises at the current tick.
 
@@ -232,14 +242,11 @@ def convergence_conditions(
     height error may not have the same sign).  Observational only; the
     harness logs violations and control proceeds regardless.
     """
-    if not (0.0 <= delta_lat < math.pi / 2 and 0.0 <= delta_lon < math.pi / 2):
-        raise ValueError("delta_lat and delta_lon must lie in [0, pi/2)")
-    margin = state.v_g * math.cos(delta_lon) * math.cos(delta_lat) - target_speed_bound
     return ConditionReport(
-        lat_ok=abs(angles.eta_lat) <= delta_lat,
-        lon_ok=abs(angles.eta_lon) <= delta_lon,
+        lat_ok=abs(angles.eta_lat) <= gp.delta_lat,
+        lon_ok=abs(angles.eta_lon) <= gp.delta_lon,
         sign_ok=state.gamma * (state.position.height - target.height) <= 0.0,
-        margin=margin,
+        margin=state.v_g * math.cos(gp.delta_lon) * math.cos(gp.delta_lat),
     )
 
 

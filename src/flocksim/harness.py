@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -34,15 +34,18 @@ import yaml
 from . import __version__ as _VERSION
 from .coordination import CoordinationGains, consensus_rate, speed_command, time_index
 from .dynamics import (
+    AutopilotParams,
     Commands,
     UavLimits,
     UavState,
     WindModel,
+    WindParams,
     step_autopilot,
     step_kinematics,
 )
 from .geo import DemFormatError, DemGrid, Obstacle, Point3, distance3, load_dem, segment_obstructed
 from .guidance import (
+    GuidanceParams,
     WaypointPath,
     advance_virtual_target,
     convergence_conditions,
@@ -51,16 +54,12 @@ from .guidance import (
     reference_angles,
 )
 from .network import CommConfig, DropoutWindow, ThetaMessage, build_topology, deliver
-from .replanner import ReplanError, replan
+from .replanner import ReplanError, ReplanParams, replan
 from .seeding import derive_seed
 
 __all__ = [
     "ScenarioError",
     "RunError",
-    "GuidanceParams",
-    "ReplanParams",
-    "AutopilotParams",
-    "WindParams",
     "UavSpec",
     "Scenario",
     "LOG_COLUMNS",
@@ -110,85 +109,6 @@ class ScenarioError(ValueError):
 
 class RunError(RuntimeError):
     """A run aborted; the message carries tick and vehicle context."""
-
-
-@dataclass(frozen=True)
-class GuidanceParams:
-    k_chi: float = 8.8844
-    k_gamma: float = 8.8844
-    acceptance_radius: float = 40.0
-    delta_lat: float = 0.5
-    delta_lon: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (self.k_chi > 0.0 and self.k_gamma > 0.0):
-            raise ValueError("guidance gains must be positive")
-        if not self.acceptance_radius >= 0.0:
-            raise ValueError("acceptance_radius must be >= 0")
-        if not (0.0 <= self.delta_lat < math.pi / 2 and 0.0 <= self.delta_lon < math.pi / 2):
-            raise ValueError("delta_lat/delta_lon must lie in [0, pi/2)")
-
-
-@dataclass(frozen=True)
-class ReplanParams:
-    k_samples: int = 2000
-    delta_r: float = 500.0
-    delta_h: float = 20.0
-    delta_angle: float = math.pi / 3
-    clearance: float = 10.0
-    terrain_step: float = 25.0
-    max_iterations: int = 20
-
-    def __post_init__(self) -> None:
-        if self.k_samples < 1:
-            raise ValueError("k_samples must be >= 1")
-        if not (self.delta_r > 0.0 and self.delta_h > 0.0):
-            raise ValueError("delta_r and delta_h must be positive")
-        if not 0.0 < self.delta_angle <= math.pi:
-            raise ValueError("delta_angle must lie in (0, pi]")
-        if not self.clearance >= 0.0:
-            raise ValueError("clearance must be >= 0")
-        if not self.terrain_step > 0.0:
-            raise ValueError("terrain_step must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-
-@dataclass(frozen=True)
-class AutopilotParams:
-    tau_phi: float = 0.5
-    tau_n: float = 0.5
-    tau_v: float = 2.0
-    tau_psi: float = 1.0
-
-    def __post_init__(self) -> None:
-        for tau, name in (
-            (self.tau_phi, "tau_phi"),
-            (self.tau_n, "tau_n"),
-            (self.tau_v, "tau_v"),
-            (self.tau_psi, "tau_psi"),
-        ):
-            if not tau > 0.0:
-                raise ValueError(f"{name} must be positive, got {tau}")
-
-
-@dataclass(frozen=True)
-class WindParams:
-    ambient: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    sigma_u: float = 0.0
-    sigma_v: float = 0.0
-    sigma_w: float = 0.0
-    length_u: float = 200.0
-    length_v: float = 200.0
-    length_w: float = 50.0
-    airspeed_nominal: float = 13.5
-    d_max: float = 0.1
-
-    def __post_init__(self) -> None:
-        self.make_model(seed=0)  # raises ValueError on any parameter WindModel rejects
-
-    def make_model(self, seed: int) -> WindModel:
-        return WindModel(**asdict(self), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -345,6 +265,10 @@ _ROOT_KEYS = ("name", "dem_file", "duration_s", "dt_s", "master_seed", "target",
               "coordination", "comm", "replan", "autopilot", "wind", "obstacle", "limits", "uavs")
 _UAV_KEYS = ("id", "initial", "limits", "waypoints")
 
+# libyaml's parser when PyYAML was built with it: it builds the same
+# documents as the pure-Python SafeLoader, about eight times faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def _expect_mapping(node: Any, ctx: str) -> dict:
     if not isinstance(node, dict):
@@ -443,7 +367,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     try:
-        root = yaml.safe_load(text)
+        root = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
     root = _expect_mapping(root, str(path))
@@ -616,7 +540,7 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
     states = [spec.initial for spec in scenario.uavs]
     paths = [spec.path for spec in scenario.uavs]
     winds = [
-        scenario.wind.make_model(seed=derive_seed(scenario.master_seed, spec.uav_id, "wind"))
+        WindModel(scenario.wind, derive_seed(scenario.master_seed, spec.uav_id, "wind"))
         for spec in scenario.uavs
     ]
     inboxes: dict[int, list[tuple[float, float]]] = {i: [] for i in range(n)}
@@ -648,21 +572,7 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
                 event_seed = derive_seed(scenario.master_seed, i, "replan", replan_counts[i])
                 replan_counts[i] += 1
                 try:
-                    detour = replan(
-                        state,
-                        path.active,
-                        scenario.obstacle,
-                        scenario.dem,
-                        k_samples=rp.k_samples,
-                        delta_r=rp.delta_r,
-                        delta_h=rp.delta_h,
-                        delta_angle=rp.delta_angle,
-                        rng_seed=event_seed,
-                        now=t,
-                        clearance=rp.clearance,
-                        terrain_step=rp.terrain_step,
-                        max_iterations=rp.max_iterations,
-                    )
+                    detour = replan(state, path.active, scenario.obstacle, scenario.dem, rp, event_seed, t)
                 except ReplanError as exc:
                     # No acceptable detour from this pose. Keep flying the
                     # current path and retry on later ticks; the failure is
@@ -695,7 +605,7 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
                     )
             paths[i] = path
 
-            theta = time_index(state, path, scenario.target)
+            theta = time_index(state, path)
             theta_dot = consensus_rate(theta, inboxes[i], gains)
             theta_ref = theta + theta_dot * gains.dt
             v_cmd = speed_command(theta, theta_dot, state.v_g, gains, limits)
@@ -705,10 +615,8 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
             else:
                 chi_c, gamma_c = reference_angles(state, path.active)
             angles = look_ahead_angles(state, chi_c, gamma_c)
-            phi_c, n_lf_c = guidance_commands(state, angles, gp.k_chi, gp.k_gamma, limits)
-            report = convergence_conditions(
-                angles, state, path.active, gp.delta_lat, gp.delta_lon, 0.0
-            )
+            phi_c, n_lf_c = guidance_commands(state, angles, gp, limits)
+            report = convergence_conditions(angles, state, path.active, gp)
             if not report.all_ok:
                 log.violations.append(
                     PremiseViolation(
@@ -736,11 +644,9 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
         inboxes = deliver(messages, graph)
 
         for i in range(n):
-            state = step_autopilot(
-                states[i], commands[i], scenario.uavs[i].limits, dt, ap.tau_phi, ap.tau_n, ap.tau_v
-            )
+            state = step_autopilot(states[i], commands[i], scenario.uavs[i].limits, dt, ap)
             gust = winds[i].sample(dt)
-            state = step_kinematics(state, gust, dt, ap.tau_psi)
+            state = step_kinematics(state, gust, dt, ap)
             if not all(
                 math.isfinite(v)
                 for v in (

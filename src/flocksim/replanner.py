@@ -26,6 +26,7 @@ from .geo import DemGrid, Obstacle, Point3, dem_elevation, distance3, lateral_di
 from .guidance import LookAheadAngles, _bearing_elevation, look_ahead_angles, reference_angles
 
 __all__ = [
+    "ReplanParams",
     "FeasibleRegion",
     "CandidateWaypoint",
     "ReplanError",
@@ -41,6 +42,37 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _HALF_PI = math.pi / 2
+
+
+@dataclass(frozen=True)
+class ReplanParams:
+    """Parameters of :func:`replan`.
+
+    Samples per iteration, feasible-region extents (m, m, rad), terrain
+    clearance and its check step (m), and the iteration cap.
+    """
+
+    k_samples: int = 2000
+    delta_r: float = 500.0
+    delta_h: float = 20.0
+    delta_angle: float = math.pi / 3
+    clearance: float = 10.0
+    terrain_step: float = 25.0
+    max_iterations: int = 20
+
+    def __post_init__(self) -> None:
+        if self.k_samples < 1:
+            raise ValueError("k_samples must be >= 1")
+        if not (self.delta_r > 0.0 and self.delta_h > 0.0):
+            raise ValueError("delta_r and delta_h must be positive")
+        if not 0.0 < self.delta_angle <= math.pi:
+            raise ValueError("delta_angle must lie in (0, pi]")
+        if not self.clearance >= 0.0:
+            raise ValueError("clearance must be >= 0")
+        if not self.terrain_step > 0.0:
+            raise ValueError("terrain_step must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 class ReplanError(RuntimeError):
@@ -247,26 +279,25 @@ def best_detour(
     uav: UavState,
     target: Point3,
     region: FeasibleRegion,
-    k: int,
     rng: np.random.Generator,
-    grid: DemGrid | None = None,
-    clearance: float = 10.0,
-    terrain_step: float = 25.0,
-    obstacle: Obstacle | None = None,
-    now: float = 0.0,
+    grid: DemGrid,
+    obstacle: Obstacle,
+    now: float,
+    params: ReplanParams,
 ) -> CandidateWaypoint:
-    """Cheapest feasible candidate from ``k`` draws, terrain-checked.
+    """Cheapest feasible candidate from ``params.k_samples`` draws, terrain-checked.
 
     Candidates are walked in ascending cost order; the first acceptable
     one wins.  A candidate is rejected when its inbound leg from the
     vehicle crosses the obstacle (sitting in the ring does not make the
-    straight leg to it safe) or fails terrain ``clearance``; and, when its
+    straight leg to it safe) or fails the terrain clearance; and, when its
     direct segment to ``target`` is already clear (it would terminate the
     replan loop), that final leg must clear the terrain too.  Non-terminal
     candidates get their outbound leg checked as the next iteration's
     inbound leg instead.  Raises :class:`ReplanError` when no draw is
     feasible or every one is rejected.
     """
+    k = params.k_samples
     pts = sample_region(region, k, rng)
     if pts.shape[0] == 0:
         raise ReplanError(f"no feasible samples among {k} draws", iteration=0)
@@ -278,17 +309,18 @@ def best_detour(
         if not math.isfinite(costs[idx]):
             break
         point = Point3(float(pts[idx, 0]), float(pts[idx, 1]), float(pts[idx, 2]))
-        if obstacle is not None and segment_obstructed(uav.position, point, obstacle, now):
+        if segment_obstructed(uav.position, point, obstacle, now):
             rejected_obstructed += 1
             continue
-        if grid is not None:
-            if not segment_above_terrain(grid, uav.position, point, clearance, terrain_step):
-                rejected_terrain += 1
-                continue
-            terminal = obstacle is not None and not segment_obstructed(point, target, obstacle, now)
-            if terminal and not segment_above_terrain(grid, point, target, clearance, terrain_step):
-                rejected_terrain += 1
-                continue
+        if not segment_above_terrain(grid, uav.position, point, params.clearance, params.terrain_step):
+            rejected_terrain += 1
+            continue
+        terminal = not segment_obstructed(point, target, obstacle, now)
+        if terminal and not segment_above_terrain(
+            grid, point, target, params.clearance, params.terrain_step
+        ):
+            rejected_terrain += 1
+            continue
         if rejected_obstructed or rejected_terrain:
             log.info(
                 "replan: rejected %d cheaper candidates (%d obstructed leg, %d terrain clearance)",
@@ -312,20 +344,14 @@ def replan(
     target: Point3,
     obstacle: Obstacle,
     grid: DemGrid,
-    k_samples: int,
-    delta_r: float,
-    delta_h: float,
-    delta_angle: float,
+    params: ReplanParams,
     rng_seed: int,
-    now: float = 0.0,
-    clearance: float = 10.0,
-    terrain_step: float = 25.0,
-    max_iterations: int = 20,
+    now: float,
 ) -> list[Point3]:
     """Detour waypoints clearing the obstacle, cheapest-first greedy.
 
     Iterates from the vehicle's position: while the straight segment to
-    ``target`` is obstructed, draw ``k_samples`` candidates around the
+    ``target`` is obstructed, draw ``params.k_samples`` candidates around the
     obstacle, keep the best, and continue from it with the leg direction
     as the new virtual heading.  The returned sequence (which excludes
     ``target``) leaves every leg, including the final one to ``target``,
@@ -333,25 +359,18 @@ def replan(
     draws from its own child stream, so earlier iterations' rejection
     counts never shift later draws.
     """
-    if k_samples < 1:
-        raise ValueError(f"k_samples must be >= 1, got {k_samples}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-
     virtual = uav
     waypoints: list[Point3] = []
-    for iteration in range(max_iterations):
+    for iteration in range(params.max_iterations):
         if not segment_obstructed(virtual.position, target, obstacle, now):
             return waypoints
         region = feasible_region(
-            virtual.position, virtual.velocity_unit(), obstacle, grid, delta_r, delta_h, delta_angle
+            virtual.position, virtual.velocity_unit(), obstacle, grid,
+            params.delta_r, params.delta_h, params.delta_angle,
         )
         rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(iteration,)))
         try:
-            best = best_detour(
-                virtual, target, region, k_samples, rng, grid, clearance, terrain_step,
-                obstacle=obstacle, now=now,
-            )
+            best = best_detour(virtual, target, region, rng, grid, obstacle, now, params)
         except ReplanError as exc:
             raise ReplanError(f"iteration {iteration}: {exc}", iteration=iteration) from exc
         waypoints.append(best.point)
@@ -359,6 +378,7 @@ def replan(
         virtual = replace(virtual, position=best.point, chi=chi, gamma=gamma)
     if segment_obstructed(virtual.position, target, obstacle, now):
         raise ReplanError(
-            f"still obstructed after {max_iterations} iterations", iteration=max_iterations - 1
+            f"still obstructed after {params.max_iterations} iterations",
+            iteration=params.max_iterations - 1,
         )
     return waypoints

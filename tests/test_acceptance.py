@@ -17,12 +17,15 @@ import pytest
 from oracles import grid_cost_oracle, two_leg_cost
 
 from flocksim import (
+    AutopilotParams,
     Commands,
     DemGrid,
+    GuidanceParams,
     LOG_COLUMNS,
     NO_DISTURBANCE,
     Obstacle,
     Point3,
+    ReplanParams,
     UavLimits,
     UavState,
     convergence_conditions,
@@ -58,6 +61,8 @@ def test_01_guidance_convergence_without_wind():
     # the range must fall below 5 m, stay there, and shrink on every tick
     # the premise monitor reports true
     limits = UavLimits()
+    gp = GuidanceParams(k_chi=8.8844, k_gamma=8.8844, delta_lat=0.5, delta_lon=0.5)
+    ap = AutopilotParams()
     wp = Point3(458.2575694955841, 160.0, 120.0)
     state = UavState(position=Point3(0.0, 0.0, 0.0), chi=0.0, gamma=0.0, psi=0.0, v_g=13.5)
 
@@ -77,12 +82,12 @@ def test_01_guidance_convergence_without_wind():
             break  # waypoint passed: the pursuit is over
         chi_c, gamma_c = reference_angles(state, wp)
         angles = look_ahead_angles(state, chi_c, gamma_c)
-        premises = convergence_conditions(angles, state, wp, 0.5, 0.5, 0.0)
+        premises = convergence_conditions(angles, state, wp, gp)
         errs.append(distance3(state.position, wp))
         oks.append(premises.all_ok)
-        phi_c, n_lf_c = guidance_commands(state, angles, 8.8844, 8.8844, limits)
-        state = step_autopilot(state, Commands(phi=phi_c, n_lf=n_lf_c, v_g=13.5), limits, dt)
-        state = step_kinematics(state, NO_DISTURBANCE, dt)
+        phi_c, n_lf_c = guidance_commands(state, angles, gp, limits)
+        state = step_autopilot(state, Commands(phi=phi_c, n_lf=n_lf_c, v_g=13.5), limits, dt, ap)
+        state = step_kinematics(state, NO_DISTURBANCE, dt, ap)
     else:
         raise AssertionError("vehicle never passed the waypoint")
     wall = time.perf_counter() - t0
@@ -205,11 +210,8 @@ def test_05_replanning_wall_clock_budget(reference_run):
     uav = UavState(position=Point3(0.0, 0.0, 50.0), chi=0.0, gamma=0.0, psi=0.0, v_g=13.5)
     obstacle = Obstacle(450.0, 20.0, 60.0, 0.0, 200.0)
     t0 = time.perf_counter()
-    detour = replan(
-        uav, Point3(900.0, 0.0, 50.0), obstacle, grid,
-        k_samples=2000, delta_r=300.0, delta_h=100.0, delta_angle=math.pi / 2,
-        rng_seed=77, now=80.0,
-    )
+    params = ReplanParams(k_samples=2000, delta_r=300.0, delta_h=100.0, delta_angle=math.pi / 2)
+    detour = replan(uav, Point3(900.0, 0.0, 50.0), obstacle, grid, params, rng_seed=77, now=80.0)
     wall_ms = (time.perf_counter() - t0) * 1e3
     overhead_ok = math.isfinite(metrics.detour_overhead) and metrics.detour_overhead >= 0.0
     ok = bool(detour) and wall_ms < 100.0 and overhead_ok

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from flocksim import (
+    AutopilotParams,
     Commands,
     Disturbance,
     NO_DISTURBANCE,
@@ -18,12 +19,14 @@ from flocksim import (
     UavLimits,
     UavState,
     WindModel,
+    WindParams,
     step_autopilot,
     step_kinematics,
     wrap_angle,
 )
 
 GRAVITY = 9.81
+AP = AutopilotParams()
 
 
 def level_state(chi: float = 0.0, v_g: float = 10.0, phi: float = 0.0, n_lf: float = 1.0):
@@ -94,20 +97,20 @@ class TestStepAutopilot:
     def test_fixed_point(self):
         state = level_state(v_g=13.0, phi=0.2, n_lf=1.1)
         cmd = Commands(phi=0.2, n_lf=1.1, v_g=13.0)
-        out = step_autopilot(state, cmd, UavLimits(), dt=0.25)
+        out = step_autopilot(state, cmd, UavLimits(), dt=0.25, ap=AP)
         assert out == state
 
     def test_unit_lag_reaches_command_in_one_step(self):
         state = level_state(phi=0.0)
         cmd = Commands(phi=0.4, n_lf=1.0, v_g=10.0)
-        out = step_autopilot(state, cmd, UavLimits(), dt=0.5, tau_phi=0.5)
+        out = step_autopilot(state, cmd, UavLimits(), dt=0.5, ap=AutopilotParams(tau_phi=0.5))
         assert out.phi == pytest.approx(0.4, abs=1e-15)
 
     def test_single_step_hand_value(self):
         # phi <- 0 + (0.1 / 0.5) * (0.6 - 0) = 0.12
         state = level_state(phi=0.0)
         cmd = Commands(phi=0.6, n_lf=1.0, v_g=10.0)
-        out = step_autopilot(state, cmd, UavLimits(), dt=0.1, tau_phi=0.5)
+        out = step_autopilot(state, cmd, UavLimits(), dt=0.1, ap=AutopilotParams(tau_phi=0.5))
         assert out.phi == pytest.approx(0.12, abs=1e-15)
 
     def test_long_step_is_deadbeat_not_overshoot(self):
@@ -115,13 +118,13 @@ class TestStepAutopilot:
         # the setpoint
         state = level_state(phi=0.0)
         cmd = Commands(phi=0.3, n_lf=1.0, v_g=10.0)
-        out = step_autopilot(state, cmd, UavLimits(), dt=5.0, tau_phi=0.5)
+        out = step_autopilot(state, cmd, UavLimits(), dt=5.0, ap=AutopilotParams(tau_phi=0.5))
         assert out.phi == pytest.approx(0.3, abs=1e-15)
 
     def test_clip_applies_after_lag(self):
         state = level_state(phi=0.55)
         cmd = Commands(phi=5.0, n_lf=1.0, v_g=10.0)
-        out = step_autopilot(state, cmd, UavLimits(), dt=0.5, tau_phi=0.5)
+        out = step_autopilot(state, cmd, UavLimits(), dt=0.5, ap=AutopilotParams(tau_phi=0.5))
         assert out.phi == 0.6
 
     def test_states_never_leave_limits(self):
@@ -134,7 +137,7 @@ class TestStepAutopilot:
                 n_lf=float(rng.uniform(-3.0, 6.0)),
                 v_g=float(rng.uniform(-5.0, 40.0)),
             )
-            state = step_autopilot(state, cmd, limits, dt=float(rng.uniform(0.05, 3.0)))
+            state = step_autopilot(state, cmd, limits, dt=float(rng.uniform(0.05, 3.0)), ap=AP)
             assert limits.phi_min <= state.phi <= limits.phi_max
             assert limits.n_lf_min <= state.n_lf <= limits.n_lf_max
             assert limits.v_g_min <= state.v_g <= limits.v_g_max
@@ -142,32 +145,36 @@ class TestStepAutopilot:
     def test_only_actuator_channels_change(self):
         state = level_state(chi=0.3)
         cmd = Commands(phi=0.2, n_lf=1.2, v_g=12.0)
-        out = step_autopilot(state, cmd, UavLimits(), dt=0.1)
+        out = step_autopilot(state, cmd, UavLimits(), dt=0.1, ap=AP)
         assert out.position == state.position
         assert out.chi == state.chi
         assert out.gamma == state.gamma
         assert out.psi == state.psi
 
-    def test_rejects_bad_dt_and_tau(self):
-        state = level_state()
-        cmd = Commands(phi=0.0, n_lf=1.0, v_g=10.0)
-        with pytest.raises(ValueError, match="dt"):
-            step_autopilot(state, cmd, UavLimits(), dt=0.0)
+
+class TestAutopilotParams:
+    def test_validation(self):
+        # step_autopilot and step_kinematics trust these; dt is checked by the
+        # loader (TestLoadScenario::test_non_positive_dt) and by step_kinematics
         with pytest.raises(ValueError, match="tau_v"):
-            step_autopilot(state, cmd, UavLimits(), dt=0.1, tau_v=-1.0)
+            AutopilotParams(tau_v=-1.0)
+        with pytest.raises(ValueError, match="tau_psi"):
+            AutopilotParams(tau_psi=0.0)
 
 
 class TestStepKinematics:
     def test_level_trimmed_flight_advances_north_exactly(self):
         # all derivatives are constant here, so RK4 integrates exactly
-        out = step_kinematics(level_state(v_g=10.0), NO_DISTURBANCE, dt=1.0)
+        out = step_kinematics(level_state(v_g=10.0), NO_DISTURBANCE, dt=1.0, ap=AP)
         assert out.position.north == pytest.approx(10.0, abs=1e-9)
         assert out.position.east == pytest.approx(0.0, abs=1e-9)
         assert out.position.height == pytest.approx(100.0, abs=1e-9)
         assert out.gamma == pytest.approx(0.0, abs=1e-12)
 
     def test_east_axis_symmetry(self):
-        out = step_kinematics(level_state(chi=math.pi / 2, v_g=10.0), NO_DISTURBANCE, dt=1.0)
+        out = step_kinematics(
+            level_state(chi=math.pi / 2, v_g=10.0), NO_DISTURBANCE, dt=1.0, ap=AP
+        )
         assert out.position.east == pytest.approx(10.0, abs=1e-9)
         assert out.position.north == pytest.approx(0.0, abs=1e-9)
 
@@ -186,7 +193,7 @@ class TestStepKinematics:
             n_lf=math.cos(gamma),
         )
         for _ in range(100):
-            state = step_kinematics(state, NO_DISTURBANCE, dt=1.0)
+            state = step_kinematics(state, NO_DISTURBANCE, dt=1.0, ap=AP)
         dist = 13.5 * 100.0
         expect = (
             dist * math.cos(gamma) * math.cos(chi),
@@ -218,7 +225,7 @@ class TestStepKinematics:
         n_lf = 1.0 / math.cos(0.3)
         state = level_state(v_g=15.0, phi=0.3, n_lf=n_lf)
         for _ in range(round(10.0 / dt)):
-            state = step_kinematics(state, NO_DISTURBANCE, dt=dt)
+            state = step_kinematics(state, NO_DISTURBANCE, dt=dt, ap=AP)
         return state.chi
 
     def test_banked_turn_matches_fine_step_reference(self):
@@ -245,7 +252,7 @@ class TestStepKinematics:
             n_lf=state.n_lf,
         )
         for _ in range(10):
-            state = step_kinematics(state, NO_DISTURBANCE, dt=1.0)
+            state = step_kinematics(state, NO_DISTURBANCE, dt=1.0, ap=AP)
             assert -math.pi < state.chi <= math.pi
             assert -math.pi < state.psi <= math.pi
 
@@ -260,26 +267,26 @@ class TestStepKinematics:
             n_lf=2.1,
         )
         for _ in range(50):
-            state = step_kinematics(state, NO_DISTURBANCE, dt=1.0)
+            state = step_kinematics(state, NO_DISTURBANCE, dt=1.0, ap=AP)
             assert abs(state.gamma) < math.pi / 2
             assert math.isfinite(state.position.height)
 
     def test_disturbance_shifts_course_rate(self):
-        base = step_kinematics(level_state(v_g=10.0), NO_DISTURBANCE, dt=1.0)
+        base = step_kinematics(level_state(v_g=10.0), NO_DISTURBANCE, dt=1.0, ap=AP)
         pushed = step_kinematics(
-            level_state(v_g=10.0), Disturbance(d_chi=0.05, d_gamma=0.0), dt=1.0
+            level_state(v_g=10.0), Disturbance(d_chi=0.05, d_gamma=0.0), dt=1.0, ap=AP
         )
         assert base.chi == pytest.approx(0.0, abs=1e-12)
         assert pushed.chi == pytest.approx(0.05, abs=1e-12)
 
     def test_deterministic(self):
-        a = step_kinematics(level_state(phi=0.1), Disturbance(0.01, -0.02), dt=0.7)
-        b = step_kinematics(level_state(phi=0.1), Disturbance(0.01, -0.02), dt=0.7)
+        a = step_kinematics(level_state(phi=0.1), Disturbance(0.01, -0.02), dt=0.7, ap=AP)
+        b = step_kinematics(level_state(phi=0.1), Disturbance(0.01, -0.02), dt=0.7, ap=AP)
         assert a == b
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError, match="dt"):
-            step_kinematics(level_state(), NO_DISTURBANCE, dt=-1.0)
+            step_kinematics(level_state(), NO_DISTURBANCE, dt=-1.0, ap=AP)
 
 
 class TestVelocityUnit:
@@ -313,7 +320,7 @@ REFERENCE_TURBULENCE = dict(
 
 class TestWindModel:
     def test_no_turbulence_no_ambient_is_silent(self):
-        wind = WindModel(seed=1)
+        wind = WindModel(WindParams(), seed=1)
         for _ in range(100):
             d = wind.sample(1.0)
             assert d.d_chi == 0.0
@@ -322,7 +329,7 @@ class TestWindModel:
     def test_ambient_maps_lateral_and_vertical_components(self):
         # north component is along-track and does not disturb the angle rates
         wind = WindModel(
-            ambient=(9.0, 2.7, -1.35), airspeed_nominal=13.5, d_max=1.0, seed=1
+            WindParams(ambient=(9.0, 2.7, -1.35), airspeed_nominal=13.5, d_max=1.0), seed=1
         )
         for _ in range(10):
             d = wind.sample(1.0)
@@ -330,7 +337,7 @@ class TestWindModel:
             assert d.d_gamma == pytest.approx(-1.35 / 13.5, abs=1e-15)
 
     def test_pure_headwind_ambient_is_silent(self):
-        wind = WindModel(ambient=(2.5, 0.0, 0.0), seed=7)
+        wind = WindModel(WindParams(ambient=(2.5, 0.0, 0.0)), seed=7)
         d = wind.sample(1.0)
         assert d.d_chi == 0.0
         assert d.d_gamma == 0.0
@@ -339,7 +346,7 @@ class TestWindModel:
         # recorded once from this implementation; the claim under test is
         # that the stream never changes, not that these numbers are special.
         # d_chi rides the -0.1 clip on ticks 2-4 (sigma_v/V ~ 0.157 > d_max).
-        wind = WindModel(ambient=(2.5, 0.0, 0.0), seed=42, **REFERENCE_TURBULENCE)
+        wind = WindModel(WindParams(ambient=(2.5, 0.0, 0.0), **REFERENCE_TURBULENCE), seed=42)
         expected = [
             (-0.0580367535863033, 0.050270800783386686),
             (-0.1, -0.04885396673745444),
@@ -356,43 +363,44 @@ class TestWindModel:
     def test_stationary_variance_matches_filter_analysis(self):
         # wide d_max so the clip never engages and the Gauss-Markov filter's
         # stationary variance (sigma_v / V_nom)^2 shows through
-        wind = WindModel(d_max=10.0, seed=5, **REFERENCE_TURBULENCE)
+        wind = WindModel(WindParams(d_max=10.0, **REFERENCE_TURBULENCE), seed=5)
         samples = np.array([wind.sample(1.0).d_chi for _ in range(100_000)])
         target = (2.12 / 13.5) ** 2
         assert abs(np.var(samples) - target) <= 0.2 * target
 
     def test_disturbance_bounded_by_d_max(self):
-        wind = WindModel(d_max=0.02, seed=9, **REFERENCE_TURBULENCE)
+        wind = WindModel(WindParams(d_max=0.02, **REFERENCE_TURBULENCE), seed=9)
         for _ in range(1000):
             d = wind.sample(1.0)
             assert abs(d.d_chi) <= 0.02
             assert abs(d.d_gamma) <= 0.02
 
     def test_same_seed_same_stream(self):
-        a = WindModel(seed=123, **REFERENCE_TURBULENCE)
-        b = WindModel(seed=123, **REFERENCE_TURBULENCE)
+        a = WindModel(WindParams(**REFERENCE_TURBULENCE), seed=123)
+        b = WindModel(WindParams(**REFERENCE_TURBULENCE), seed=123)
         stream_a = [(d.d_chi, d.d_gamma) for d in (a.sample(1.0) for _ in range(20))]
         stream_b = [(d.d_chi, d.d_gamma) for d in (b.sample(1.0) for _ in range(20))]
         assert stream_a == stream_b
 
     def test_different_seed_different_stream(self):
-        a = WindModel(seed=123, **REFERENCE_TURBULENCE)
-        b = WindModel(seed=124, **REFERENCE_TURBULENCE)
+        a = WindModel(WindParams(**REFERENCE_TURBULENCE), seed=123)
+        b = WindModel(WindParams(**REFERENCE_TURBULENCE), seed=124)
         stream_a = [a.sample(1.0).d_chi for _ in range(20)]
         stream_b = [b.sample(1.0).d_chi for _ in range(20)]
         assert stream_a != stream_b
 
+
+class TestWindParams:
     def test_validation(self):
+        # WindModel and WindModel.sample trust these; dt is checked by the
+        # loader (TestLoadScenario::test_non_positive_dt)
         with pytest.raises(ValueError, match="sigma"):
-            WindModel(sigma_v=-1.0)
+            WindParams(sigma_v=-1.0)
         with pytest.raises(ValueError, match="length"):
-            WindModel(length_w=0.0)
+            WindParams(length_w=0.0)
         with pytest.raises(ValueError, match="ambient"):
-            WindModel(ambient=(1.0, 2.0))
+            WindParams(ambient=(1.0, 2.0))
         with pytest.raises(ValueError, match="d_max"):
-            WindModel(d_max=0.0)
+            WindParams(d_max=0.0)
         with pytest.raises(ValueError, match="airspeed"):
-            WindModel(airspeed_nominal=0.0)
-        wind = WindModel(seed=0)
-        with pytest.raises(ValueError, match="dt"):
-            wind.sample(0.0)
+            WindParams(airspeed_nominal=0.0)

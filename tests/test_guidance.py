@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from flocksim import (
+    AutopilotParams,
     Commands,
     ConditionReport,
     DegenerateGeometryError,
+    GuidanceParams,
     LookAheadAngles,
     NO_DISTURBANCE,
     Point3,
@@ -26,6 +28,8 @@ from flocksim import (
 )
 
 GRAVITY = 9.81
+GP = GuidanceParams()
+AP = AutopilotParams()
 
 
 def make_state(
@@ -194,9 +198,7 @@ class TestSteeringRates:
 
 class TestGuidanceCommands:
     def test_trimmed_level_fixed_point(self):
-        phi_c, n_lf_c = guidance_commands(
-            make_state(), LookAheadAngles(0.0, 0.0), 8.8844, 8.8844, UavLimits()
-        )
+        phi_c, n_lf_c = guidance_commands(make_state(), LookAheadAngles(0.0, 0.0), GP, UavLimits())
         assert phi_c == 0.0
         assert n_lf_c == 1.0
 
@@ -205,29 +207,19 @@ class TestGuidanceCommands:
         # 15*(-0.8870)/9.81 = -1.356 saturates to -1, so phi_c hits +pi/2
         # and the envelope clip brings it to phi_max exactly
         state = make_state(v_g=15.0)
-        phi_c, _ = guidance_commands(
-            state, LookAheadAngles(0.1, 0.0), 8.8844, 8.8844, UavLimits()
-        )
+        phi_c, _ = guidance_commands(state, LookAheadAngles(0.1, 0.0), GP, UavLimits())
         assert phi_c == 0.6
 
     def test_longitudinal_chain_hand_value(self):
         # f_gamma = -8.8844 sin(0.05); n_lf_c = (g - 12 f_gamma) / g with
         # phi_c = 0: evaluates to 1.5431620 (within the 2.1 ceiling)
         state = make_state(v_g=12.0)
-        phi_c, n_lf_c = guidance_commands(
-            state, LookAheadAngles(0.0, 0.05), 8.8844, 8.8844, UavLimits()
-        )
+        phi_c, n_lf_c = guidance_commands(state, LookAheadAngles(0.0, 0.05), GP, UavLimits())
         f_gamma = -8.8844 * math.sin(0.05)
         expected = (GRAVITY - 12.0 * f_gamma) / GRAVITY
         assert phi_c == 0.0
         assert n_lf_c == pytest.approx(expected, abs=1e-9)
         assert n_lf_c == pytest.approx(1.5431620, abs=1e-6)
-
-    def test_rejects_non_positive_gains(self):
-        with pytest.raises(ValueError, match="gains"):
-            guidance_commands(
-                make_state(), LookAheadAngles(0.0, 0.0), 0.0, 1.0, UavLimits()
-            )
 
     def test_outputs_always_within_limits(self):
         limits = UavLimits()
@@ -242,17 +234,18 @@ class TestGuidanceCommands:
             angles = LookAheadAngles(
                 float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(-1.5, 1.5))
             )
-            phi_c, n_lf_c = guidance_commands(state, angles, 8.8844, 8.8844, limits)
+            phi_c, n_lf_c = guidance_commands(state, angles, GP, limits)
             assert limits.phi_min <= phi_c <= limits.phi_max
             assert limits.n_lf_min <= n_lf_c <= limits.n_lf_max
 
     def test_small_angle_commands_reduce_look_ahead_error(self):
         # closed-loop sign check: apply the commanded actuators directly and
         # verify one kinematic step shrinks each angular error
+        unit_gains = GuidanceParams(k_chi=1.0, k_gamma=1.0)
         for eta_lat, eta_lon in ((0.04, 0.0), (-0.04, 0.0), (0.0, 0.04), (0.0, -0.04)):
             state = make_state(v_g=12.0)
             phi_c, n_lf_c = guidance_commands(
-                state, LookAheadAngles(eta_lat, eta_lon), 1.0, 1.0, UavLimits()
+                state, LookAheadAngles(eta_lat, eta_lon), unit_gains, UavLimits()
             )
             driven = UavState(
                 position=state.position,
@@ -263,7 +256,7 @@ class TestGuidanceCommands:
                 phi=phi_c,
                 n_lf=n_lf_c,
             )
-            stepped = step_kinematics(driven, NO_DISTURBANCE, dt=0.2)
+            stepped = step_kinematics(driven, NO_DISTURBANCE, dt=0.2, ap=AP)
             chi_c = state.chi + eta_lat
             gamma_c = state.gamma + eta_lon
             after = look_ahead_angles(stepped, chi_c, gamma_c)
@@ -277,9 +270,7 @@ class TestConvergenceConditions:
             LookAheadAngles(0.0, 0.0),
             make_state(v_g=12.0),
             Point3(500, 0, 100),
-            delta_lat=0.5,
-            delta_lon=0.5,
-            target_speed_bound=0.0,
+            GuidanceParams(delta_lat=0.5, delta_lon=0.5),
         )
         assert report.lat_ok and report.lon_ok and report.sign_ok
         assert report.margin == pytest.approx(12.0 * math.cos(0.5) ** 2, abs=1e-12)
@@ -287,14 +278,16 @@ class TestConvergenceConditions:
 
     def test_lateral_premise_fails_outside_trust_bound(self):
         report = convergence_conditions(
-            LookAheadAngles(0.6, 0.0), make_state(), Point3(500, 0, 100), delta_lat=0.5
+            LookAheadAngles(0.6, 0.0), make_state(), Point3(500, 0, 100),
+            GuidanceParams(delta_lat=0.5),
         )
         assert not report.lat_ok
         assert not report.all_ok
 
     def test_longitudinal_premise_boundary_inclusive(self):
         report = convergence_conditions(
-            LookAheadAngles(0.0, 0.5), make_state(), Point3(500, 0, 100), delta_lon=0.5
+            LookAheadAngles(0.0, 0.5), make_state(), Point3(500, 0, 100),
+            GuidanceParams(delta_lon=0.5),
         )
         assert report.lon_ok
 
@@ -304,6 +297,7 @@ class TestConvergenceConditions:
             LookAheadAngles(0.0, 0.0),
             make_state(height=80.0, gamma=0.1),
             Point3(500, 0, 100),
+            GP,
         )
         assert below.sign_ok
         # climbing while already above it diverges
@@ -311,27 +305,20 @@ class TestConvergenceConditions:
             LookAheadAngles(0.0, 0.0),
             make_state(height=120.0, gamma=0.1),
             Point3(500, 0, 100),
+            GP,
         )
         assert not above.sign_ok
 
-    def test_positive_target_speed_eats_margin(self):
-        report = convergence_conditions(
-            LookAheadAngles(0.0, 0.0),
-            make_state(v_g=12.0),
-            Point3(500, 0, 100),
-            target_speed_bound=20.0,
-        )
-        assert report.margin < 0.0
-        assert not report.all_ok
+
+class TestGuidanceParams:
+    # guidance_commands and convergence_conditions trust these checks
+    def test_rejects_non_positive_gains(self):
+        with pytest.raises(ValueError, match="gains"):
+            GuidanceParams(k_chi=0.0, k_gamma=1.0)
 
     def test_rejects_bad_trust_bounds(self):
         with pytest.raises(ValueError, match="delta"):
-            convergence_conditions(
-                LookAheadAngles(0.0, 0.0),
-                make_state(),
-                Point3(500, 0, 100),
-                delta_lat=math.pi / 2,
-            )
+            GuidanceParams(delta_lat=math.pi / 2)
 
 
 class TestPathErrors:

@@ -12,6 +12,7 @@ import math
 import re
 import shutil
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,23 +20,29 @@ import yaml
 from conftest import MINI_SCENARIO
 
 from flocksim import (
+    AutopilotParams,
     CoordinationGains,
+    GuidanceParams,
     LOG_COLUMNS,
     Metrics,
     Point3,
     ReplanEvent,
+    ReplanParams,
     RunLog,
     ScenarioError,
+    WindParams,
     compute_metrics,
     distance3,
     export,
+    harness,
     load_scenario,
     run,
     segment_obstructed,
 )
 from flocksim.dynamics import UavLimits
-from flocksim.harness import _KEYS, AutopilotParams, GuidanceParams, ReplanParams, WindParams
+from flocksim.harness import _KEYS
 from flocksim.network import CommConfig, DropoutWindow
+from flocksim.presets import fleet_scenario_dict
 
 
 def rec(log, tick, uav_id, north, east, height, theta=0.0):
@@ -124,8 +131,10 @@ class TestLoadScenario:
             load_scenario(path)
 
     def test_non_positive_dt(self, make_scenario_file):
-        with pytest.raises(ScenarioError, match="dt_s"):
-            load_scenario(make_scenario_file(dt_s=0.0))
+        # the one dt check: step_autopilot, step_kinematics and WindModel.sample trust it
+        for dt in (0.0, -1.0):
+            with pytest.raises(ScenarioError, match="dt_s"):
+                load_scenario(make_scenario_file(dt_s=dt))
 
     def test_negative_duration(self, make_scenario_file):
         with pytest.raises(ScenarioError, match="duration_s"):
@@ -153,6 +162,22 @@ class TestLoadScenario:
         bad.write_text("uavs: [unclosed\n")
         with pytest.raises(ScenarioError, match="not valid YAML"):
             load_scenario(bad)
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize(
+        "name",
+        ["reference_4uav", "reference_4uav_dropout", "fleet_04", "fleet_07", "fleet_10", "fleet_13",
+         "generated_fleet_104"],
+    )
+    def test_libyaml_parses_like_pure_python(self, scenario_dir, name):
+        if name == "generated_fleet_104":
+            text = yaml.safe_dump(fleet_scenario_dict(104), sort_keys=False, default_flow_style=None)
+        else:
+            text = (Path(scenario_dir) / f"{name}.yaml").read_text()
+        assert harness._YAML_LOADER is yaml.CSafeLoader
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        # repr also tells 1 from 1.0 and compares key order
+        assert repr(fast) == repr(yaml.load(text, Loader=yaml.SafeLoader))
 
 
 REMOVE = object()

@@ -4,6 +4,7 @@ The statistical checks run at the 1% level with fixed seeds; the
 chi-squared critical value for 7 degrees of freedom is 18.4753.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from flocksim import (
     Obstacle,
     Point3,
     ReplanError,
+    ReplanParams,
     UavState,
     best_detour,
     candidate_cost,
@@ -274,8 +276,8 @@ class TestBestDetour:
             uav.position, uav.velocity_unit(), obstacle, flat_dem, 250.0, 100.0, math.pi / 2
         )
         best = best_detour(
-            uav, target, region, 2000, np.random.default_rng(12345),
-            flat_dem, 10.0, 25.0, obstacle=obstacle, now=0.0,
+            uav, target, region, np.random.default_rng(12345), flat_dem, obstacle, 0.0,
+            ReplanParams(k_samples=2000, clearance=10.0, terrain_step=25.0),
         )
         assert not segment_obstructed(uav.position, best.point, obstacle, 0.0)
         assert region_contains(region, best.point)
@@ -294,27 +296,22 @@ class TestBestDetour:
             uav_height=50.0, delta_angle=0.01, mu=np.array([-1.0, 0.0, 0.0]),
             center_north=450.0, dem_floor=0.0,
         )
+        obstacle = Obstacle(450.0, 0.0, 80.0, 0.0, 200.0)
         with pytest.raises(ReplanError, match="no feasible samples"):
-            best_detour(uav, target, region, 500, np.random.default_rng(9), flat_dem)
+            best_detour(
+                uav, target, region, np.random.default_rng(9), flat_dem, obstacle, 0.0,
+                ReplanParams(k_samples=500),
+            )
 
 
 class TestReplan:
     OBSTACLE = Obstacle(450.0, 20.0, 60.0, 0.0, 200.0)
 
-    def run_replan(self, seed=77, **overrides):
-        kwargs = dict(
-            uav=make_uav(height=50.0),
-            target=Point3(900.0, 0.0, 50.0),
-            obstacle=self.OBSTACLE,
-            k_samples=2000,
-            delta_r=300.0,
-            delta_h=100.0,
-            delta_angle=math.pi / 2,
-            rng_seed=seed,
-            now=80.0,
-        )
-        kwargs.update(overrides)
-        return replan(**kwargs)
+    PARAMS = ReplanParams(k_samples=2000, delta_r=300.0, delta_h=100.0, delta_angle=math.pi / 2)
+
+    def run_replan(self, grid, seed=77, target=Point3(900.0, 0.0, 50.0), **overrides):
+        params = dataclasses.replace(self.PARAMS, **overrides)
+        return replan(make_uav(height=50.0), target, self.OBSTACLE, grid, params, seed, 80.0)
 
     def test_postconditions_on_clipping_scenario(self, flat_dem):
         uav = make_uav(height=50.0)
@@ -380,12 +377,6 @@ class TestReplan:
         except ReplanError as exc:
             assert exc.iteration == 2
 
-    def test_rejects_bad_parameters(self, flat_dem):
-        with pytest.raises(ValueError, match="k_samples"):
-            self.run_replan(grid=flat_dem, k_samples=0)
-        with pytest.raises(ValueError, match="max_iterations"):
-            self.run_replan(grid=flat_dem, max_iterations=0)
-
     def test_prefix_property_of_sample_minimum(self):
         # draw order is preserved, so the minimum over all rows can never
         # exceed the minimum over the first 200 rows of the same draw
@@ -406,8 +397,17 @@ class TestMinimizerQuality:
             uav.position, uav.velocity_unit(), obstacle, flat_dem, 300.0, 100.0, math.pi / 2
         )
         chosen = best_detour(
-            uav, target, region, 2000, np.random.default_rng(77), flat_dem,
-            obstacle=obstacle, now=80.0,
+            uav, target, region, np.random.default_rng(77), flat_dem, obstacle, 80.0,
+            ReplanParams(k_samples=2000),
         )
         oracle = grid_cost_oracle(uav, target, region, obstacle, flat_dem, now=80.0)
         assert abs(chosen.cost - oracle) <= 0.02 * oracle
+
+
+class TestReplanParams:
+    # replan and best_detour trust these checks
+    def test_validation(self):
+        with pytest.raises(ValueError, match="k_samples"):
+            ReplanParams(k_samples=0)
+        with pytest.raises(ValueError, match="max_iterations"):
+            ReplanParams(max_iterations=0)
