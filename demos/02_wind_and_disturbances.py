@@ -38,9 +38,7 @@ n = 20_000
 d_chi = np.empty(n)
 d_gamma = np.empty(n)
 for k in range(n):
-    d = wind.sample(DT)
-    d_chi[k] = d.d_chi
-    d_gamma[k] = d.d_gamma
+    d_chi[k], d_gamma[k] = wind.sample(DT)
 
 print(f"{n} samples at dt = {DT} s")
 print("                      measured   expected")
@@ -54,7 +52,7 @@ print(f"  lag-1 corr(d_chi)   {rho:.4f}     {math.exp(-DT * AIRSPEED / 200.0):.4
 
 # The same turbulence with the operational clip: tails fold onto +-d_max.
 clipped = WindModel(replace(turbulence, d_max=0.1), seed=42)
-vals = np.array([clipped.sample(DT).d_chi for _ in range(n)])
+vals = np.array([clipped.sample(DT)[0] for _ in range(n)])
 print(f"\nwith d_max = 0.1 rad/s: max |d_chi| = {np.abs(vals).max():.4f}, "
       f"{(np.abs(vals) >= 0.1 - 1e-12).mean() * 100:.2f}% of samples on the rail")
 
@@ -63,9 +61,9 @@ lateral = WindParams(sigma_v=SIGMA_V, airspeed_nominal=AIRSPEED)
 a = WindModel(lateral, seed=7)
 b = WindModel(lateral, seed=7)
 c = WindModel(lateral, seed=8)
-seq_a = [a.sample(DT).d_chi for _ in range(5)]
-seq_b = [b.sample(DT).d_chi for _ in range(5)]
-seq_c = [c.sample(DT).d_chi for _ in range(5)]
+seq_a = [a.sample(DT)[0] for _ in range(5)]
+seq_b = [b.sample(DT)[0] for _ in range(5)]
+seq_c = [c.sample(DT)[0] for _ in range(5)]
 print(f"\nseed 7 run 1 : {['%+.5f' % v for v in seq_a]}")
 print(f"seed 7 run 2 : {['%+.5f' % v for v in seq_b]}")
 print(f"seed 8       : {['%+.5f' % v for v in seq_c]}")

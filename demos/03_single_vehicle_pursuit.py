@@ -1,28 +1,32 @@
 """One vehicle flying a dogleg under look-ahead pursuit guidance.
 
 Wires the control chain by hand, the same calls the mission harness
-makes each tick: advance the virtual target along the waypoint list,
-form the look-ahead angles, turn them into bank and load-factor
-commands, then integrate autopilot lags and kinematics. No wind here,
-so the track shows the pure guidance transient: an initial 200 m lateral
-offset collapses, then the dogleg corner is rounded by the acceptance
-radius and the bank limit.
+makes each tick, here for a fleet of one: advance the virtual target
+along the waypoint list, form the look-ahead angles, turn them into bank
+and load-factor commands, then integrate autopilot lags and kinematics.
+The steering law and the dynamics take the fleet as arrays with one
+column per vehicle (``fleet_arrays``). No wind here, so the track shows
+the pure guidance transient: an initial 200 m lateral offset collapses,
+then the dogleg corner is rounded by the acceptance radius and the bank
+limit.
 """
 
 import math
 
+import numpy as np
+
 from flocksim import (
     AutopilotParams,
-    Commands,
     GuidanceParams,
-    NO_DISTURBANCE,
     Point3,
     UavLimits,
     UavState,
     WaypointPath,
+    actuator_bounds,
     advance_virtual_target,
     convergence_conditions,
     distance3,
+    fleet_arrays,
     guidance_commands,
     look_ahead_angles,
     reference_angles,
@@ -35,37 +39,41 @@ DT = 0.1
 guidance = GuidanceParams(k_chi=8.8844, k_gamma=8.8844)
 autopilot = AutopilotParams()
 limits = UavLimits()
-path = WaypointPath(
-    waypoints=(Point3(800.0, 0.0, 120.0), Point3(1100.0, 500.0, 120.0)),
-    acceptance_radius=guidance.acceptance_radius,
-)
+path = WaypointPath(waypoints=(Point3(800.0, 0.0, 120.0), Point3(1100.0, 500.0, 120.0)))
 # Start 200 m right of the first leg, course already along it.
-state = UavState(position=Point3(0.0, 200.0, 100.0), chi=0.0, gamma=0.0,
-                 psi=0.0, v_g=13.5)
+y, act = fleet_arrays([UavState(position=Point3(0.0, 200.0, 100.0), chi=0.0, gamma=0.0,
+                                psi=0.0, v_g=13.5)])
+lo, hi = actuator_bounds([limits])
+calm = np.zeros((2, 1))  # course and climb rate disturbances
 
 print("t [s]   north    east  height  course  |eta_lat|  premises  wp")
 track = []
 closest = [math.inf, math.inf]
 for k in range(1500):
     t = k * DT
-    path = advance_virtual_target(path, state)
+    north, east, height, chi, gamma, _ = y[:, 0].tolist()
+    position = Point3(north, east, height)
+    path = advance_virtual_target(path, position, chi, gamma, guidance)
     target = path.active
-    closest[path.cursor] = min(closest[path.cursor], distance3(state.position, target))
+    closest[path.cursor] = min(closest[path.cursor], distance3(position, target))
 
-    chi_c, gamma_c = reference_angles(state, target)
-    angles = look_ahead_angles(state, chi_c, gamma_c)
-    report = convergence_conditions(angles, state, target, guidance)
-    phi_c, n_lf_c = guidance_commands(state, angles, guidance, limits)
+    chi_c, gamma_c = reference_angles(position, target)
+    eta_lat, eta_lon = look_ahead_angles(y[3], y[4], np.array([chi_c]), np.array([gamma_c]))
+    lat_ok, lon_ok, sign_ok, margin = convergence_conditions(
+        eta_lat, eta_lon, y, act, np.array([target.height]), guidance
+    )
+    phi_c, n_lf_c = guidance_commands(eta_lat, eta_lon, y, act, guidance, lo, hi)
 
     if k % 50 == 0:
-        print(f"{t:5.1f}  {state.position.north:6.0f}  {state.position.east:6.0f}  "
-              f"{state.position.height:6.1f}  {math.degrees(state.chi):6.1f}  "
-              f"{abs(math.degrees(angles.eta_lat)):8.2f}  {str(report.all_ok):>8}  {path.cursor}")
+        premises_ok = bool(lat_ok[0] and lon_ok[0] and sign_ok[0] and margin[0] > 0.0)
+        print(f"{t:5.1f}  {north:6.0f}  {east:6.0f}  {height:6.1f}  {math.degrees(chi):6.1f}  "
+              f"{abs(math.degrees(eta_lat[0])):8.2f}  {str(premises_ok):>8}  {path.cursor}")
 
-    state = step_autopilot(state, Commands(phi=phi_c, n_lf=n_lf_c, v_g=13.5), limits, DT, autopilot)
-    state = step_kinematics(state, NO_DISTURBANCE, DT, autopilot)
-    track.append((state.position.north, state.position.east))
-    if path.cursor == len(path.waypoints) - 1 and distance3(state.position, path.active) < 15.0:
+    act = step_autopilot(act, np.array([phi_c, n_lf_c, [13.5]]), lo, hi, DT, autopilot)
+    y = step_kinematics(y, act, calm, DT, autopilot)
+    position = Point3(*y[:3, 0].tolist())
+    track.append((position.north, position.east))
+    if path.cursor == len(path.waypoints) - 1 and distance3(position, path.active) < 15.0:
         print(f"{t:5.1f}  arrived at the final waypoint")
         break
 

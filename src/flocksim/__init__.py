@@ -15,13 +15,12 @@ from .coordination import (
 )
 from .dynamics import (
     AutopilotParams,
-    Commands,
-    Disturbance,
-    NO_DISTURBANCE,
     UavLimits,
     UavState,
     WindModel,
     WindParams,
+    actuator_bounds,
+    fleet_arrays,
     step_autopilot,
     step_kinematics,
     wrap_angle,
@@ -41,10 +40,8 @@ from .geo import (
     segment_obstructed,
 )
 from .guidance import (
-    ConditionReport,
     DegenerateGeometryError,
     GuidanceParams,
-    LookAheadAngles,
     WaypointPath,
     advance_virtual_target,
     convergence_conditions,
@@ -107,20 +104,17 @@ __all__ = [
     # dynamics
     "UavLimits",
     "UavState",
-    "Commands",
-    "Disturbance",
-    "NO_DISTURBANCE",
     "AutopilotParams",
     "WindParams",
     "WindModel",
+    "fleet_arrays",
+    "actuator_bounds",
     "step_autopilot",
     "step_kinematics",
     "wrap_angle",
     # guidance
     "GuidanceParams",
     "WaypointPath",
-    "LookAheadAngles",
-    "ConditionReport",
     "DegenerateGeometryError",
     "advance_virtual_target",
     "reference_angles",

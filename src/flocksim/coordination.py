@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from math import tanh
 from typing import Iterable
 
-from .dynamics import UavLimits, UavState
-from .geo import distance3
+from .dynamics import UavLimits
+from .geo import Point3, distance3
 from .guidance import WaypointPath
 
 __all__ = [
@@ -49,15 +49,16 @@ class CoordinationGains:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
 
-def time_index(state: UavState, path: WaypointPath) -> float:
+def time_index(position: Point3, v_g: float, path: WaypointPath) -> float:
     """Estimated seconds to reach the path's terminus, the shared target.
 
-    Straight-line distance to the active waypoint plus the remaining
-    polyline length, divided by the current ground speed.  The loader
-    puts the target at every path's terminus and ``WaypointPath.splice``
-    keeps it there; ``UavLimits`` keeps the speed positive.
+    Straight-line distance from ``position`` to the active waypoint plus
+    the remaining polyline length, divided by the ground speed ``v_g``.
+    The loader puts the target at every path's terminus and
+    ``WaypointPath.splice`` keeps it there; ``UavLimits`` keeps the speed
+    positive.
     """
-    return (distance3(state.position, path.active) + path.remaining_length()) / state.v_g
+    return (distance3(position, path.active) + path.remaining_length()) / v_g
 
 
 def consensus_rate(

@@ -5,6 +5,13 @@ flight-path climb angle, ``psi`` the heading, all radians; ``v_g`` the
 ground speed in m/s.  ``phi`` (bank) and ``n_lf`` (load factor) are the
 actuator states the autopilot drives toward their commanded values.
 
+The fleet steps as arrays with one column per vehicle: ``y`` is the
+(6, N) kinematic block with rows north, east, height, chi, gamma, psi,
+and ``act`` the (3, N) actuator block with rows phi, n_lf, v_g.  Every
+elementwise operation is one numpy ufunc whose result is bit-identical to
+the same ``math`` expression on one vehicle; ``tan`` is the exception and
+runs per element through ``math``.
+
 The angular-rate channels are driven by guidance through ``phi``/``n_lf``
 and perturbed additively by wind-induced disturbances ``d_chi``/``d_gamma``
 (rad/s), produced by :class:`WindModel`.
@@ -13,7 +20,8 @@ and perturbed additively by wind-induced disturbances ``d_chi``/``d_gamma``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,11 +33,10 @@ __all__ = [
     "UavState",
     "AutopilotParams",
     "WindParams",
-    "Commands",
-    "Disturbance",
-    "NO_DISTURBANCE",
     "WindModel",
     "wrap_angle",
+    "fleet_arrays",
+    "actuator_bounds",
     "step_autopilot",
     "step_kinematics",
 ]
@@ -38,13 +45,35 @@ GRAVITY = 9.81
 
 _GAMMA_CAP = math.pi / 2 - 1e-9
 
+# Constants of the array arithmetic as 0-d arrays: numpy combines those
+# with an array faster than it converts a Python float on every call.
+_PI, _NEG_PI = np.array(math.pi), np.array(-math.pi)
+_TWO_PI, _NEG_TWO_PI = np.array(2.0 * math.pi), np.array(-2.0 * math.pi)
+_TWO = np.array(2.0)
 
-def wrap_angle(x: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    r = math.fmod(x + math.pi, 2.0 * math.pi)
-    if r <= 0.0:
-        r += 2.0 * math.pi
-    return r - math.pi
+# Ticks of gust noise drawn from a vehicle's generator at a time: enough to
+# spread the cost of a generator call, few enough that a large fleet holds
+# few drawn floats (64 ticks raised a 104-vehicle run's peak RSS by ~1.5 MB).
+_NOISE_BLOCK = 16
+
+
+def wrap_angle(x):
+    """Wrap angles to (-pi, pi], elementwise; takes a float or an array.
+
+    Bit for bit the scalar rule r = fmod(x + pi, 2 pi), plus 2 pi when
+    r <= 0, minus pi: numpy's Python-style mod of -(x + pi) by -2 pi is
+    -r after that fix-up, except that it gives -0.0 where r == 0, which
+    the heaviside step maps to 2 pi.
+    """
+    q = np.mod(_NEG_PI - x, _NEG_TWO_PI)
+    return (np.heaviside(q, _TWO_PI) - q) - _PI
+
+
+def _clip(x, lo, hi):
+    # Equals min(max(x, lo), hi) elementwise, signed zeros included: on a
+    # tie np.maximum and np.minimum return their second argument, as
+    # Python's max and min return their first.
+    return np.minimum(hi, np.maximum(lo, x))
 
 
 @dataclass(frozen=True)
@@ -105,26 +134,6 @@ class UavState:
 
 
 @dataclass(frozen=True)
-class Commands:
-    """Autopilot setpoints from guidance and coordination."""
-
-    phi: float
-    n_lf: float
-    v_g: float
-
-
-@dataclass(frozen=True)
-class Disturbance:
-    """Additive angular-rate disturbances (rad/s) for one integration step."""
-
-    d_chi: float = 0.0
-    d_gamma: float = 0.0
-
-
-NO_DISTURBANCE = Disturbance()
-
-
-@dataclass(frozen=True)
 class AutopilotParams:
     """Time constants (s) of the bank, load-factor, speed and heading lags."""
 
@@ -182,10 +191,12 @@ class WindModel:
     ``1/airspeed_nominal`` and clipped to ``d_max``.  The along-track (u)
     filter is advanced but unmapped: it exists so the draw layout per tick
     is fixed at three normals regardless of which channels are consumed.
+    Normals are drawn a block at a time; the stream is the one that
+    ``standard_normal(3)`` per sample would give.
     """
 
     def __init__(self, params: WindParams, seed: int) -> None:
-        self.ambient = np.asarray(params.ambient, dtype=float)
+        self.ambient = tuple(float(a) for a in params.ambient)
         self.sigma = np.array([params.sigma_u, params.sigma_v, params.sigma_w], dtype=float)
         lengths = np.array([params.length_u, params.length_v, params.length_w], dtype=float)
         self.tau = lengths / params.airspeed_nominal
@@ -193,98 +204,111 @@ class WindModel:
         self.d_max = float(params.d_max)
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
-        self._gust = np.zeros(3)
+        self._gust = (0.0, 0.0, 0.0)
+        self._noise: list[float] = []
+        self._next = 0
+        # No dt equals NaN, so the first sample sets the filter coefficients.
+        self._dt = math.nan
 
     @property
     def gust(self) -> np.ndarray:
         """Current [u, v, w] gust values (m/s), copy."""
-        return self._gust.copy()
+        return np.array(self._gust)
 
-    def sample(self, dt: float) -> Disturbance:
-        a = np.exp(-dt / self.tau)
-        noise = self._rng.standard_normal(3)
-        self._gust = a * self._gust + self.sigma * np.sqrt(1.0 - a * a) * noise
+    def sample(self, dt: float) -> tuple[float, float]:
+        """Advance the gusts by ``dt`` and return (d_chi, d_gamma) in rad/s."""
+        if dt != self._dt:
+            a = np.exp(-dt / self.tau)
+            self._coef = (*a.tolist(), *(self.sigma * np.sqrt(1.0 - a * a)).tolist())
+            self._dt = dt
+        k = self._next
+        noise = self._noise
+        if k == len(noise):
+            noise = self._noise = self._rng.standard_normal(3 * _NOISE_BLOCK).tolist()
+            k = 0
+        self._next = k + 3
+        a_u, a_v, a_w, b_u, b_v, b_w = self._coef
+        g_u, g_v, g_w = self._gust
+        g_u = a_u * g_u + b_u * noise[k]
+        g_v = a_v * g_v + b_v * noise[k + 1]
+        g_w = a_w * g_w + b_w * noise[k + 2]
+        self._gust = (g_u, g_v, g_w)
         lim = self.d_max
-        d_chi = (self._gust[1] + self.ambient[1]) / self.airspeed_nominal
-        d_gamma = (self._gust[2] + self.ambient[2]) / self.airspeed_nominal
-        return Disturbance(
-            d_chi=float(min(max(d_chi, -lim), lim)),
-            d_gamma=float(min(max(d_gamma, -lim), lim)),
-        )
+        d_chi = (g_v + self.ambient[1]) / self.airspeed_nominal
+        d_gamma = (g_w + self.ambient[2]) / self.airspeed_nominal
+        return min(max(d_chi, -lim), lim), min(max(d_gamma, -lim), lim)
 
 
-def _lagged(value: float, target: float, tau: float, dt: float) -> float:
-    # dt > tau would overshoot the setpoint under the plain Euler lag, so the
-    # response saturates at deadbeat tracking instead.
-    alpha = min(dt / tau, 1.0)
-    return value + alpha * (target - value)
+def fleet_arrays(states: Sequence[UavState]) -> tuple[np.ndarray, np.ndarray]:
+    """The (6, N) kinematic block and (3, N) actuator block of ``states``."""
+    y = np.array([[s.position.north for s in states], [s.position.east for s in states],
+                  [s.position.height for s in states], [s.chi for s in states],
+                  [s.gamma for s in states], [s.psi for s in states]], dtype=float)
+    act = np.array([[s.phi for s in states], [s.n_lf for s in states], [s.v_g for s in states]],
+                   dtype=float)
+    return y, act
+
+
+def actuator_bounds(limits: Sequence[UavLimits]) -> tuple[np.ndarray, np.ndarray]:
+    """(3, N) lower and upper bounds of the actuator rows phi, n_lf, v_g."""
+    lo = np.array([[lim.phi_min for lim in limits], [lim.n_lf_min for lim in limits],
+                   [lim.v_g_min for lim in limits]], dtype=float)
+    hi = np.array([[lim.phi_max for lim in limits], [lim.n_lf_max for lim in limits],
+                   [lim.v_g_max for lim in limits]], dtype=float)
+    return lo, hi
 
 
 def step_autopilot(
-    state: UavState, cmd: Commands, limits: UavLimits, dt: float, ap: AutopilotParams
-) -> UavState:
-    """First-order actuator response toward ``cmd``, clipped to ``limits``."""
-    phi = min(max(_lagged(state.phi, cmd.phi, ap.tau_phi, dt), limits.phi_min), limits.phi_max)
-    n_lf = min(max(_lagged(state.n_lf, cmd.n_lf, ap.tau_n, dt), limits.n_lf_min), limits.n_lf_max)
-    v_g = min(max(_lagged(state.v_g, cmd.v_g, ap.tau_v, dt), limits.v_g_min), limits.v_g_max)
-    return replace(state, phi=phi, n_lf=n_lf, v_g=v_g)
+    act: np.ndarray, cmd: np.ndarray, lo: np.ndarray, hi: np.ndarray, dt: float, ap: AutopilotParams
+) -> np.ndarray:
+    """First-order response of the (3, N) actuators toward ``cmd``, clipped to [lo, hi].
+
+    A lag with dt > tau would overshoot its setpoint under the plain Euler
+    update, so the response saturates at deadbeat tracking instead.
+    """
+    alpha = np.array([[min(dt / tau, 1.0)] for tau in (ap.tau_phi, ap.tau_n, ap.tau_v)])
+    return _clip(act + alpha * (cmd - act), lo, hi)
 
 
 def step_kinematics(
-    state: UavState, disturbance: Disturbance, dt: float, ap: AutopilotParams
-) -> UavState:
-    """One RK4 step of the point-mass kinematics with zero-order-hold inputs.
+    y: np.ndarray, act: np.ndarray, disturbance: np.ndarray, dt: float, ap: AutopilotParams
+) -> np.ndarray:
+    """One RK4 step of the (6, N) point-mass kinematics with zero-order-hold inputs.
 
-    ``v_g``, ``phi``, ``n_lf`` and the disturbance are held constant across
-    the step.  Heading relaxes toward course through a first-order lag on
-    the wrapped difference, integrated alongside the five kinematic states.
+    The actuators ``act`` and the (2, N) ``disturbance`` rows d_chi,
+    d_gamma are held constant across the step.  Heading relaxes toward
+    course through a first-order lag on the wrapped difference, integrated
+    alongside the five kinematic states.  Returns the new block.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    v_g = state.v_g
-    phi = state.phi
-    n_lf = state.n_lf
-    d_chi = disturbance.d_chi
-    d_gamma = disturbance.d_gamma
+    phi, v_g = act[0], act[2]
+    d_chi, d_gamma = disturbance[0], disturbance[1]
     g_over_v = GRAVITY / v_g
-    tan_phi = math.tan(phi)
-    cos_phi = math.cos(phi)
-    tau_psi = ap.tau_psi
+    # numpy's tan differs from math.tan in the last bit for some inputs.
+    turn = g_over_v * np.array([math.tan(p) for p in phi.tolist()])
+    lift = act[1] * np.cos(phi)
+    tau_psi = np.array(ap.tau_psi)
 
-    def deriv(y: tuple[float, ...]) -> tuple[float, ...]:
-        _, _, _, chi, gamma, psi = y
-        cg = math.cos(gamma)
-        return (
-            v_g * cg * math.cos(chi),
-            v_g * cg * math.sin(chi),
-            v_g * math.sin(gamma),
-            g_over_v * tan_phi * math.cos(chi - psi) + d_chi,
-            g_over_v * (n_lf * cos_phi - cg) + d_gamma,
-            wrap_angle(chi - psi) / tau_psi,
-        )
+    def deriv(s: np.ndarray) -> np.ndarray:
+        cos_cg, sin_cg = np.cos(s[3:5]), np.sin(s[3:5])
+        slip = s[3] - s[5]
+        v_cg = v_g * cos_cg[1]
+        return np.array((
+            v_cg * cos_cg[0],
+            v_cg * sin_cg[0],
+            v_g * sin_cg[1],
+            turn * np.cos(slip) + d_chi,
+            g_over_v * (lift - cos_cg[1]) + d_gamma,
+            wrap_angle(slip) / tau_psi,
+        ))
 
-    y0 = (
-        state.position.north,
-        state.position.east,
-        state.position.height,
-        state.chi,
-        state.gamma,
-        state.psi,
-    )
-    k1 = deriv(y0)
-    k2 = deriv(tuple(y + 0.5 * dt * k for y, k in zip(y0, k1)))
-    k3 = deriv(tuple(y + 0.5 * dt * k for y, k in zip(y0, k2)))
-    k4 = deriv(tuple(y + dt * k for y, k in zip(y0, k3)))
-    y1 = tuple(
-        y + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-        for y, a, b, c, d in zip(y0, k1, k2, k3, k4)
-    )
-
-    gamma1 = min(max(y1[4], -_GAMMA_CAP), _GAMMA_CAP)
-    return replace(
-        state,
-        position=Point3(y1[0], y1[1], y1[2]),
-        chi=wrap_angle(y1[3]),
-        gamma=gamma1,
-        psi=wrap_angle(y1[5]),
-    )
+    half, full, sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
+    k1 = deriv(y)
+    k2 = deriv(y + half * k1)
+    k3 = deriv(y + half * k2)
+    k4 = deriv(y + full * k3)
+    y1 = y + sixth * (k1 + _TWO * k2 + _TWO * k3 + k4)
+    y1[4] = _clip(y1[4], -_GAMMA_CAP, _GAMMA_CAP)
+    y1[3::2] = wrap_angle(y1[3::2])
+    return y1

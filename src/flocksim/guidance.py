@@ -9,6 +9,10 @@ setpoints through a sine feedback with hard saturation.
 A separate, purely observational condition monitor reports whether the
 finite-time convergence premises of the steering law hold at the current
 tick.  Violations are logged by the harness, never acted on.
+
+The virtual target and the reference angles are per vehicle; the steering
+law and the monitor take (N,) arrays, one element per vehicle (see
+:mod:`flocksim.dynamics` for the block layout).
 """
 
 from __future__ import annotations
@@ -17,15 +21,15 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .dynamics import GRAVITY, UavLimits, UavState, wrap_angle
+import numpy as np
+
+from .dynamics import GRAVITY, UavState, _clip, wrap_angle
 from .geo import Point3, distance3
 
 __all__ = [
     "GuidanceParams",
     "WaypointPath",
-    "LookAheadAngles",
     "PathErrors",
-    "ConditionReport",
     "DegenerateGeometryError",
     "advance_virtual_target",
     "reference_angles",
@@ -66,7 +70,6 @@ class WaypointPath:
 
     waypoints: tuple[Point3, ...]
     cursor: int = 0
-    acceptance_radius: float = 40.0
 
     def __post_init__(self) -> None:
         pts = tuple(self.waypoints)
@@ -78,8 +81,6 @@ class WaypointPath:
                 raise ValueError(f"consecutive waypoints {k} and {k + 1} coincide: {pts[k]}")
         if not 0 <= self.cursor < len(pts):
             raise ValueError(f"cursor {self.cursor} out of range for {len(pts)} waypoints")
-        if not self.acceptance_radius >= 0.0:
-            raise ValueError(f"acceptance_radius must be >= 0, got {self.acceptance_radius}")
 
     @property
     def active(self) -> Point3:
@@ -108,15 +109,7 @@ class WaypointPath:
         if not detour:
             return self
         pts = self.waypoints[: self.cursor] + detour + self.waypoints[self.cursor:]
-        return WaypointPath(pts, cursor=self.cursor, acceptance_radius=self.acceptance_radius)
-
-
-@dataclass(frozen=True)
-class LookAheadAngles:
-    """Angular offsets from current course/climb to the reference angles."""
-
-    eta_lat: float
-    eta_lon: float
+        return WaypointPath(pts, cursor=self.cursor)
 
 
 @dataclass(frozen=True)
@@ -126,27 +119,6 @@ class PathErrors:
     e_north: float
     e_east: float
     e_height: float
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Convergence-premise check for one tick.
-
-    ``margin`` is V_g cos(delta_lon) cos(delta_lat): the worst-case
-    closure speed toward the target.  The target's own speed bound is
-    zero, since the virtual target is a fixed waypoint.  The premises
-    guarantee finite-time convergence only while all three booleans hold
-    and the margin is positive.
-    """
-
-    lat_ok: bool
-    lon_ok: bool
-    sign_ok: bool
-    margin: float
-
-    @property
-    def all_ok(self) -> bool:
-        return self.lat_ok and self.lon_ok and self.sign_ok and self.margin > 0.0
 
 
 def _bearing_elevation(a: Point3, b: Point3) -> tuple[float, float]:
@@ -159,21 +131,24 @@ def _bearing_elevation(a: Point3, b: Point3) -> tuple[float, float]:
     return math.atan2(de, dn), math.atan2(dh, lateral)
 
 
-def advance_virtual_target(path: WaypointPath, state: UavState) -> WaypointPath:
+def advance_virtual_target(
+    path: WaypointPath, position: Point3, chi: float, gamma: float, gp: GuidanceParams
+) -> WaypointPath:
     """Advance the cursor past reached or overflown waypoints.
 
-    A waypoint is dropped once the vehicle is within the acceptance radius
-    or the waypoint falls behind the velocity direction; the final waypoint
-    is never dropped.  Idempotent for an unchanged state.
+    A waypoint is dropped once the vehicle at ``position``, flying course
+    ``chi`` and climb ``gamma``, is within ``gp.acceptance_radius`` of it
+    or the waypoint falls behind the velocity direction; the final
+    waypoint is never dropped.  Idempotent for an unchanged state.
     """
-    mu = state.velocity_unit()
-    pos = state.position
+    cg = math.cos(gamma)
+    mu = (cg * math.cos(chi), cg * math.sin(chi), math.sin(gamma))
     cursor = path.cursor
     last = len(path.waypoints) - 1
     while cursor < last:
         wp = path.waypoints[cursor]
-        reached = distance3(pos, wp) <= path.acceptance_radius
-        rel = (wp.north - pos.north, wp.east - pos.east, wp.height - pos.height)
+        reached = distance3(position, wp) <= gp.acceptance_radius
+        rel = (wp.north - position.north, wp.east - position.east, wp.height - position.height)
         behind = rel[0] * mu[0] + rel[1] * mu[1] + rel[2] * mu[2] < 0.0
         if reached or behind:
             cursor += 1
@@ -184,69 +159,86 @@ def advance_virtual_target(path: WaypointPath, state: UavState) -> WaypointPath:
     return replace(path, cursor=cursor)
 
 
-def reference_angles(state: UavState, target: Point3) -> tuple[float, float]:
-    """Course and climb angles pointing straight at ``target``.
+def reference_angles(position: Point3, target: Point3) -> tuple[float, float]:
+    """Course and climb angles pointing from ``position`` straight at ``target``.
 
     Full-quadrant: a target behind the vehicle yields |chi_c| > pi/2 rather
     than the wrapped-into-quadrant value a plain arctangent would give.
     """
-    return _bearing_elevation(state.position, target)
+    return _bearing_elevation(position, target)
 
 
-def look_ahead_angles(state: UavState, chi_c: float, gamma_c: float) -> LookAheadAngles:
-    """Angular error from current course/climb to the reference angles."""
-    return LookAheadAngles(
-        eta_lat=wrap_angle(chi_c - state.chi),
-        eta_lon=gamma_c - state.gamma,
-    )
+def look_ahead_angles(chi, gamma, chi_c, gamma_c):
+    """(eta_lat, eta_lon): angular error from course/climb to the reference angles.
+
+    Elementwise; takes floats or arrays.
+    """
+    return wrap_angle(chi_c - chi), gamma_c - gamma
 
 
-def steering_rates(angles: LookAheadAngles, k_chi: float, k_gamma: float) -> tuple[float, float]:
+def steering_rates(eta_lat, eta_lon, k_chi: float, k_gamma: float):
     """Commanded course/climb rates (f_chi, f_gamma) before actuator mapping.
 
     Sine feedback: smooth, bounded, and with Jacobian -diag(k_chi, k_gamma)
     at the origin, so the symmetrized Jacobian is negative definite there.
     """
-    return -k_chi * math.sin(angles.eta_lat), -k_gamma * math.sin(angles.eta_lon)
+    return -k_chi * np.sin(eta_lat), -k_gamma * np.sin(eta_lon)
 
 
 def guidance_commands(
-    state: UavState, angles: LookAheadAngles, gp: GuidanceParams, limits: UavLimits
-) -> tuple[float, float]:
-    """Map look-ahead angles to a roll and load-factor setpoint.
+    eta_lat: np.ndarray,
+    eta_lon: np.ndarray,
+    y: np.ndarray,
+    act: np.ndarray,
+    gp: GuidanceParams,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map look-ahead angles to (N,) roll and load-factor setpoints.
 
-    The roll inverts the coordinated-turn relation for the commanded course
-    rate, with the asin argument saturated to [-1, 1] (at practical gains
-    the argument routinely exceeds 1; saturation is the only continuous
-    completion).  The load factor inverts the climb-rate relation at the
-    commanded roll.  Both outputs are clipped to ``limits``.
+    ``y`` and ``act`` are the fleet's kinematic and actuator blocks, and
+    ``lo``/``hi`` its actuator bounds.  The roll inverts the
+    coordinated-turn relation for the commanded course rate, with the asin
+    argument saturated to [-1, 1] (at practical gains the argument
+    routinely exceeds 1; saturation is the only continuous completion).
+    The load factor inverts the climb-rate relation at the commanded roll.
+    Both outputs are clipped to the bounds.
     """
-    f_chi, f_gamma = steering_rates(angles, gp.k_chi, gp.k_gamma)
-    arg = state.v_g * math.cos(state.phi) / GRAVITY * f_chi
-    phi_c = -math.asin(min(max(arg, -1.0), 1.0))
-    phi_c = min(max(phi_c, limits.phi_min), limits.phi_max)
-    n_lf_c = (GRAVITY * math.cos(state.gamma) - state.v_g * f_gamma) / (
-        GRAVITY * math.cos(phi_c)
-    )
-    n_lf_c = min(max(n_lf_c, limits.n_lf_min), limits.n_lf_max)
-    return phi_c, n_lf_c
+    f_chi, f_gamma = steering_rates(eta_lat, eta_lon, gp.k_chi, gp.k_gamma)
+    v_g = act[2]
+    arg = _clip(v_g * np.cos(act[0]) / GRAVITY * f_chi, -1.0, 1.0)
+    # numpy's arcsin differs from math.asin in the last bit for some inputs.
+    phi_c = _clip(np.array([-math.asin(a) for a in arg.tolist()]), lo[0], hi[0])
+    n_lf_c = (GRAVITY * np.cos(y[4]) - v_g * f_gamma) / (GRAVITY * np.cos(phi_c))
+    return phi_c, _clip(n_lf_c, lo[1], hi[1])
 
 
 def convergence_conditions(
-    angles: LookAheadAngles, state: UavState, target: Point3, gp: GuidanceParams
-) -> ConditionReport:
+    eta_lat: np.ndarray,
+    eta_lon: np.ndarray,
+    y: np.ndarray,
+    act: np.ndarray,
+    target_height: np.ndarray,
+    gp: GuidanceParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Check the finite-time convergence premises at the current tick.
 
-    Premises: both look-ahead angles inside their trust bounds, and the
-    climb direction not diverging from the target height (gamma and the
-    height error may not have the same sign).  Observational only; the
-    harness logs violations and control proceeds regardless.
+    Returns (N,) arrays ``lat_ok``, ``lon_ok``, ``sign_ok`` and
+    ``margin``.  Premises: both look-ahead angles inside their trust
+    bounds, and the climb direction not diverging from the target height
+    (gamma and the height error may not have the same sign).  ``margin``
+    is V_g cos(delta_lon) cos(delta_lat), the worst-case closure speed
+    toward the target; the target's own speed bound is zero, since the
+    virtual target is a fixed waypoint.  The premises guarantee
+    finite-time convergence only while all three booleans hold and the
+    margin is positive.  Observational only; the harness logs violations
+    and control proceeds regardless.
     """
-    return ConditionReport(
-        lat_ok=abs(angles.eta_lat) <= gp.delta_lat,
-        lon_ok=abs(angles.eta_lon) <= gp.delta_lon,
-        sign_ok=state.gamma * (state.position.height - target.height) <= 0.0,
-        margin=state.v_g * math.cos(gp.delta_lon) * math.cos(gp.delta_lat),
+    return (
+        np.abs(eta_lat) <= gp.delta_lat,
+        np.abs(eta_lon) <= gp.delta_lon,
+        y[4] * (y[2] - target_height) <= 0.0,
+        act[2] * math.cos(gp.delta_lon) * math.cos(gp.delta_lat),
     )
 
 

@@ -35,11 +35,12 @@ from . import __version__ as _VERSION
 from .coordination import CoordinationGains, consensus_rate, speed_command, time_index
 from .dynamics import (
     AutopilotParams,
-    Commands,
     UavLimits,
     UavState,
     WindModel,
     WindParams,
+    actuator_bounds,
+    fleet_arrays,
     step_autopilot,
     step_kinematics,
 )
@@ -476,7 +477,7 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"{ctx}.waypoints: expected a list of [n, e, h] rows")
         waypoints = [_waypoint(wp, f"{ctx}.waypoints[{j}]") for j, wp in enumerate(wp_rows)]
         try:
-            path_obj = WaypointPath(tuple(waypoints), acceptance_radius=guidance.acceptance_radius)
+            path_obj = WaypointPath(tuple(waypoints))
         except ValueError as exc:
             raise ScenarioError(f"{ctx}.waypoints: {exc}") from exc
         for j, wp in enumerate(waypoints):
@@ -524,9 +525,11 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
 
     Per tick, phase 1 runs every vehicle's control sequence on tick-t
     inputs (virtual-target advance, obstruction check and replan splice,
-    time index, consensus from last tick's inbox, steering commands);
+    time index, consensus from last tick's inbox, reference angles), then
+    the steering law and premise monitor for the whole fleet at once;
     phase 2 builds this tick's topology and routes the time-index
-    messages into next tick's inboxes; phase 3 integrates the dynamics.
+    messages into next tick's inboxes; phase 3 integrates the fleet's
+    dynamics as one (6, N) block.
     """
     t_start = time.perf_counter()
     n = len(scenario.uavs)
@@ -537,7 +540,8 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
     rp = scenario.replan
     ap = scenario.autopilot
 
-    states = [spec.initial for spec in scenario.uavs]
+    y, act = fleet_arrays([spec.initial for spec in scenario.uavs])
+    lo, hi = actuator_bounds([spec.limits for spec in scenario.uavs])
     paths = [spec.path for spec in scenario.uavs]
     winds = [
         WindModel(scenario.wind, derive_seed(scenario.master_seed, spec.uav_id, "wind"))
@@ -557,20 +561,24 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
 
     for tick in range(n_ticks):
         t = tick * dt
-        commands: list[Commands] = []
-        thetas: list[float] = []
+        north, east, height, chi, gamma, psi = y.tolist()
+        phi, n_lf, v_g = act.tolist()
+        positions: list[Point3] = []
+        thetas, cursors, v_cmds, theta_dots, theta_refs = ([0.0] * n for _ in range(5))
+        chi_cs, gamma_cs, target_heights = ([0.0] * n for _ in range(3))
 
         for i in range(n):
-            state = states[i]
-            limits = scenario.uavs[i].limits
-            path = advance_virtual_target(paths[i], state)
+            pos = Point3(north[i], east[i], height[i])
+            positions.append(pos)
+            path = advance_virtual_target(paths[i], pos, chi[i], gamma[i], gp)
 
             if scenario.obstacle is not None and segment_obstructed(
-                state.position, path.active, scenario.obstacle, t
+                pos, path.active, scenario.obstacle, t
             ):
                 wall0 = time.perf_counter()
                 event_seed = derive_seed(scenario.master_seed, i, "replan", replan_counts[i])
                 replan_counts[i] += 1
+                state = UavState(pos, chi[i], gamma[i], psi[i], v_g[i], phi[i], n_lf[i])
                 try:
                     detour = replan(state, path.active, scenario.obstacle, scenario.dem, rp, event_seed, t)
                 except ReplanError as exc:
@@ -583,12 +591,12 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
                     detour = None
                 wall_ms = (time.perf_counter() - wall0) * 1e3
                 if detour:
-                    legs = [state.position, *detour, path.active]
+                    legs = [pos, *detour, path.active]
                     detour_len = sum(
                         distance3(legs[k], legs[k + 1]) for k in range(len(legs) - 1)
                     )
-                    direct = distance3(state.position, path.active)
-                    overhead = (detour_len - direct) / state.v_g
+                    direct = distance3(pos, path.active)
+                    overhead = (detour_len - direct) / v_g[i]
                     path = path.splice(detour)
                     # Detection and splice complete inside the same tick, so
                     # the simulated response time is zero by construction.
@@ -605,62 +613,53 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
                     )
             paths[i] = path
 
-            theta = time_index(state, path)
+            theta = time_index(pos, v_g[i], path)
             theta_dot = consensus_rate(theta, inboxes[i], gains)
-            theta_ref = theta + theta_dot * gains.dt
-            v_cmd = speed_command(theta, theta_dot, state.v_g, gains, limits)
+            thetas[i] = theta
+            cursors[i] = path.cursor
+            v_cmds[i] = speed_command(theta, theta_dot, v_g[i], gains, scenario.uavs[i].limits)
+            theta_dots[i] = theta_dot
+            theta_refs[i] = theta + theta_dot * gains.dt
 
-            if distance3(state.position, path.active) < _COINCIDENT_EPS:
-                chi_c, gamma_c = state.chi, state.gamma
+            target = path.active
+            if distance3(pos, target) < _COINCIDENT_EPS:
+                chi_cs[i], gamma_cs[i] = chi[i], gamma[i]
             else:
-                chi_c, gamma_c = reference_angles(state, path.active)
-            angles = look_ahead_angles(state, chi_c, gamma_c)
-            phi_c, n_lf_c = guidance_commands(state, angles, gp, limits)
-            report = convergence_conditions(angles, state, path.active, gp)
-            if not report.all_ok:
+                chi_cs[i], gamma_cs[i] = reference_angles(pos, target)
+            target_heights[i] = target.height
+
+        eta_lat, eta_lon = look_ahead_angles(y[3], y[4], np.array(chi_cs), np.array(gamma_cs))
+        phi_c, n_lf_c = guidance_commands(eta_lat, eta_lon, y, act, gp, lo, hi)
+        premises = convergence_conditions(eta_lat, eta_lon, y, act, np.array(target_heights), gp)
+        for i, (lat_ok, lon_ok, sign_ok, margin) in enumerate(zip(*(p.tolist() for p in premises))):
+            if not (lat_ok and lon_ok and sign_ok and margin > 0.0):
                 log.violations.append(
-                    PremiseViolation(
-                        tick=tick,
-                        t=t,
-                        uav_id=i,
-                        lat_ok=report.lat_ok,
-                        lon_ok=report.lon_ok,
-                        sign_ok=report.sign_ok,
-                        margin=report.margin,
-                    )
+                    PremiseViolation(tick=tick, t=t, uav_id=i, lat_ok=lat_ok, lon_ok=lon_ok,
+                                     sign_ok=sign_ok, margin=margin)
                 )
 
-            commands.append(Commands(phi=phi_c, n_lf=n_lf_c, v_g=v_cmd))
-            thetas.append(theta)
-            pos = state.position
-            log.data[tick, i] = (
-                pos.north, pos.east, pos.height, state.chi, state.gamma, state.phi, state.n_lf,
-                state.v_g, theta, path.cursor, state.psi, phi_c, n_lf_c, v_cmd,
-                angles.eta_lat, angles.eta_lon, theta_dot, theta_ref,
-            )
+        row = log.data[tick].T
+        row[:5] = y[:5]
+        row[5:8] = act
+        row[8:10] = (thetas, cursors)
+        row[10] = y[5]
+        row[11:14] = (phi_c, n_lf_c, v_cmds)
+        row[14:18] = (eta_lat, eta_lon, theta_dots, theta_refs)
 
-        graph = build_topology([s.position for s in states], scenario.comm, tick, dt)
+        graph = build_topology(positions, scenario.comm, tick, dt)
         messages = [ThetaMessage(sender=i, theta=thetas[i], sent_tick=tick) for i in range(n)]
         inboxes = deliver(messages, graph)
 
-        for i in range(n):
-            state = step_autopilot(states[i], commands[i], scenario.uavs[i].limits, dt, ap)
-            gust = winds[i].sample(dt)
-            state = step_kinematics(state, gust, dt, ap)
-            if not all(
-                math.isfinite(v)
-                for v in (
-                    state.position.north,
-                    state.position.east,
-                    state.position.height,
-                    state.chi,
-                    state.gamma,
-                    state.psi,
-                    state.v_g,
-                )
-            ):
-                raise RunError(f"tick {tick}, uav {i}: state became non-finite: {state}")
-            states[i] = state
+        act = step_autopilot(act, np.array((phi_c, n_lf_c, v_cmds)), lo, hi, dt, ap)
+        gusts = np.array([wind.sample(dt) for wind in winds]).T
+        y = step_kinematics(y, act, gusts, dt, ap)
+        # A non-finite speed makes that vehicle's position non-finite in the
+        # same step, so the (6, N) block alone names the first bad vehicle.
+        if not np.isfinite(y).all():
+            i = int(np.argmin(np.isfinite(y).all(axis=0)))
+            values = dict(zip(("north", "east", "height", "chi", "gamma", "psi", "v_g"),
+                              [*y[:, i].tolist(), float(act[2, i])]))
+            raise RunError(f"tick {tick}, uav {i}: state became non-finite: {values}")
 
     log.wall_s = time.perf_counter() - t_start
     return log, compute_metrics(log, scenario)

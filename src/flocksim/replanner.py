@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import UavState, wrap_angle
+from .dynamics import UavState
 from .geo import DemGrid, Obstacle, Point3, dem_elevation, distance3, lateral_distance, segment_above_terrain, segment_obstructed
-from .guidance import LookAheadAngles, _bearing_elevation, look_ahead_angles, reference_angles
+from .guidance import _bearing_elevation, look_ahead_angles, reference_angles
 
 __all__ = [
     "ReplanParams",
@@ -90,7 +90,9 @@ class FeasibleRegion:
     The height band is anchored at the terrain elevation under the
     vehicle's own lateral position (``dem_floor``), not under the
     candidate; the terrain-safety check in :func:`best_detour` compensates
-    where the two differ.
+    where the two differ.  The extents come from a validated
+    :class:`ReplanParams` and ``velocity_unit`` is a unit vector, as
+    :meth:`UavState.velocity_unit` returns; neither is checked again here.
     """
 
     uav_position: Point3
@@ -104,22 +106,13 @@ class FeasibleRegion:
     delta_angle: float
 
     def __post_init__(self) -> None:
-        mu = np.asarray(self.velocity_unit, dtype=float)
+        mu = np.array(self.velocity_unit, dtype=float)
         if mu.shape != (3,):
             raise ValueError("velocity_unit must be a 3-vector")
-        if abs(float(np.linalg.norm(mu)) - 1.0) >= 1e-9:
-            raise ValueError(f"velocity_unit must have unit norm, got |mu| = {np.linalg.norm(mu)}")
-        mu = mu.copy()
         mu.flags.writeable = False
         object.__setattr__(self, "velocity_unit", mu)
         if not self.r_bar > 0.0:
             raise ValueError(f"r_bar must be positive, got {self.r_bar}")
-        if not self.delta_r > 0.0:
-            raise ValueError(f"delta_r must be positive, got {self.delta_r}")
-        if not self.delta_h > 0.0:
-            raise ValueError(f"delta_h must be positive, got {self.delta_h}")
-        if not 0.0 < self.delta_angle <= math.pi:
-            raise ValueError(f"delta_angle must lie in (0, pi], got {self.delta_angle}")
 
 
 @dataclass(frozen=True)
@@ -181,8 +174,6 @@ def sample_region(region: FeasibleRegion, k: int, rng: np.random.Generator) -> n
     discarded.  Returns an (m, 3) array of [north, east, height] rows with
     m <= k.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     angle = rng.uniform(0.0, 2.0 * math.pi, k)
     r_in2 = region.r_bar**2
     r_out2 = (region.r_bar + region.delta_r) ** 2
@@ -203,14 +194,12 @@ def sample_region(region: FeasibleRegion, k: int, rng: np.random.Generator) -> n
     return pts[ok]
 
 
-def transit_angles_leg2(uav: UavState, candidate: Point3, original_target: Point3) -> LookAheadAngles:
-    """Turn the vehicle must make at ``candidate`` to regain the target."""
+def transit_angles_leg2(
+    uav: UavState, candidate: Point3, original_target: Point3
+) -> tuple[float, float]:
+    """(eta_lat, eta_lon): the turn the vehicle must make at ``candidate`` to regain the target."""
     chi1, gamma1 = _bearing_elevation(uav.position, candidate)
-    chi2, gamma2 = _bearing_elevation(candidate, original_target)
-    return LookAheadAngles(
-        eta_lat=wrap_angle(chi2 - chi1),
-        eta_lon=gamma2 - gamma1,
-    )
+    return look_ahead_angles(chi1, gamma1, *_bearing_elevation(candidate, original_target))
 
 
 def candidate_cost(uav: UavState, candidate: Point3, original_target: Point3) -> float:
@@ -221,16 +210,14 @@ def candidate_cost(uav: UavState, candidate: Point3, original_target: Point3) ->
     axis are unreachable under the bounded-turn model and get an infinite
     sentinel, losing every comparison.
     """
-    a1 = look_ahead_angles(uav, *reference_angles(uav, candidate))
-    a2 = transit_angles_leg2(uav, candidate, original_target)
-    for eta in (a1.eta_lat, a1.eta_lon, a2.eta_lat, a2.eta_lon):
+    lat1, lon1 = look_ahead_angles(uav.chi, uav.gamma, *reference_angles(uav.position, candidate))
+    lat2, lon2 = transit_angles_leg2(uav, candidate, original_target)
+    for eta in (lat1, lon1, lat2, lon2):
         if abs(eta) >= _HALF_PI:
             return math.inf
     d1 = distance3(uav.position, candidate)
     d2 = distance3(candidate, original_target)
-    return d1 / (math.cos(a1.eta_lon) * math.cos(a1.eta_lat)) + d2 / (
-        math.cos(a2.eta_lon) * math.cos(a2.eta_lat)
-    )
+    return d1 / (math.cos(lon1) * math.cos(lat1)) + d2 / (math.cos(lon2) * math.cos(lat2))
 
 
 def _costs_vectorized(uav: UavState, pts: np.ndarray, target: Point3) -> np.ndarray:
@@ -248,10 +235,8 @@ def _costs_vectorized(uav: UavState, pts: np.ndarray, target: Point3) -> np.ndar
     chi2 = np.arctan2(rel2[:, 1], rel2[:, 0])
     gamma2 = np.arctan2(rel2[:, 2], lat2)
 
-    eta1_lat = _wrap_vec(chi1 - uav.chi)
-    eta1_lon = gamma1 - uav.gamma
-    eta2_lat = _wrap_vec(chi2 - chi1)
-    eta2_lon = gamma2 - gamma1
+    eta1_lat, eta1_lon = look_ahead_angles(uav.chi, uav.gamma, chi1, gamma1)
+    eta2_lat, eta2_lon = look_ahead_angles(chi1, gamma1, chi2, gamma2)
 
     feasible = (
         (np.abs(eta1_lat) < _HALF_PI)
@@ -267,12 +252,6 @@ def _costs_vectorized(uav: UavState, pts: np.ndarray, target: Point3) -> np.ndar
         np.cos(eta2_lon[f]) * np.cos(eta2_lat[f])
     )
     return costs
-
-
-def _wrap_vec(x: np.ndarray) -> np.ndarray:
-    r = np.mod(x + math.pi, 2.0 * math.pi)
-    r = np.where(r == 0.0, 2.0 * math.pi, r)
-    return r - math.pi
 
 
 def best_detour(

@@ -3,10 +3,16 @@
 Everything here recomputes results from first principles with explicit
 trigonometry so the tests never compare the implementation against
 itself; only the geometric primitives (segment queries) are shared.
+
+The scalar flight oracles (``wrap_oracle`` through ``WindOracle``) are the
+one-vehicle-at-a-time forms of the fleet step, written with ``math`` on
+Python floats in the library's operation order, so the fleet arrays must
+equal them bit for bit.
 """
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -157,3 +163,107 @@ def _wrap(x):
 
 def _wrap_vec(x):
     return np.arctan2(np.sin(x), np.cos(x))
+
+
+GRAVITY = 9.81
+_GAMMA_CAP = math.pi / 2 - 1e-9
+
+
+def wrap_oracle(x):
+    """Wrap an angle to (-pi, pi] with the scalar fmod rule."""
+    r = math.fmod(x + math.pi, 2.0 * math.pi)
+    if r <= 0.0:
+        r += 2.0 * math.pi
+    return r - math.pi
+
+
+def look_ahead_oracle(state, chi_c, gamma_c):
+    return wrap_oracle(chi_c - state.chi), gamma_c - state.gamma
+
+
+def guidance_oracle(state, eta_lat, eta_lon, gp, limits):
+    """Scalar roll and load-factor setpoints for one vehicle."""
+    f_chi, f_gamma = -gp.k_chi * math.sin(eta_lat), -gp.k_gamma * math.sin(eta_lon)
+    arg = state.v_g * math.cos(state.phi) / GRAVITY * f_chi
+    phi_c = -math.asin(min(max(arg, -1.0), 1.0))
+    phi_c = min(max(phi_c, limits.phi_min), limits.phi_max)
+    n_lf_c = (GRAVITY * math.cos(state.gamma) - state.v_g * f_gamma) / (GRAVITY * math.cos(phi_c))
+    return phi_c, min(max(n_lf_c, limits.n_lf_min), limits.n_lf_max)
+
+
+def conditions_oracle(state, eta_lat, eta_lon, target_height, gp):
+    """Scalar (lat_ok, lon_ok, sign_ok, margin) for one vehicle."""
+    return (
+        abs(eta_lat) <= gp.delta_lat,
+        abs(eta_lon) <= gp.delta_lon,
+        state.gamma * (state.position.height - target_height) <= 0.0,
+        state.v_g * math.cos(gp.delta_lon) * math.cos(gp.delta_lat),
+    )
+
+
+def autopilot_oracle(state, cmd, limits, dt, ap):
+    """Scalar first-order actuator step toward ``cmd`` = (phi, n_lf, v_g)."""
+
+    def lagged(value, target, tau):
+        return value + min(dt / tau, 1.0) * (target - value)
+
+    phi = min(max(lagged(state.phi, cmd[0], ap.tau_phi), limits.phi_min), limits.phi_max)
+    n_lf = min(max(lagged(state.n_lf, cmd[1], ap.tau_n), limits.n_lf_min), limits.n_lf_max)
+    v_g = min(max(lagged(state.v_g, cmd[2], ap.tau_v), limits.v_g_min), limits.v_g_max)
+    return replace(state, phi=phi, n_lf=n_lf, v_g=v_g)
+
+
+def kinematics_oracle(state, d_chi, d_gamma, dt, ap):
+    """Scalar RK4 step of one vehicle's point-mass kinematics."""
+    v_g, phi, n_lf = state.v_g, state.phi, state.n_lf
+    g_over_v = GRAVITY / v_g
+    tan_phi = math.tan(phi)
+    cos_phi = math.cos(phi)
+
+    def deriv(y):
+        _, _, _, chi, gamma, psi = y
+        cg = math.cos(gamma)
+        return (
+            v_g * cg * math.cos(chi),
+            v_g * cg * math.sin(chi),
+            v_g * math.sin(gamma),
+            g_over_v * tan_phi * math.cos(chi - psi) + d_chi,
+            g_over_v * (n_lf * cos_phi - cg) + d_gamma,
+            wrap_oracle(chi - psi) / ap.tau_psi,
+        )
+
+    p = state.position
+    y0 = (p.north, p.east, p.height, state.chi, state.gamma, state.psi)
+    k1 = deriv(y0)
+    k2 = deriv(tuple(y + 0.5 * dt * k for y, k in zip(y0, k1)))
+    k3 = deriv(tuple(y + 0.5 * dt * k for y, k in zip(y0, k2)))
+    k4 = deriv(tuple(y + dt * k for y, k in zip(y0, k3)))
+    y1 = tuple(
+        y + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)
+    )
+    return replace(
+        state,
+        position=Point3(y1[0], y1[1], y1[2]),
+        chi=wrap_oracle(y1[3]),
+        gamma=min(max(y1[4], -_GAMMA_CAP), _GAMMA_CAP),
+        psi=wrap_oracle(y1[5]),
+    )
+
+
+class WindOracle:
+    """Scalar gust model drawing ``standard_normal(3)`` per sample."""
+
+    def __init__(self, params, seed):
+        self.params = params
+        self.rng = np.random.default_rng(seed)
+        self.gust = np.zeros(3)
+
+    def sample(self, dt):
+        p = self.params
+        sigma = np.array([p.sigma_u, p.sigma_v, p.sigma_w])
+        a = np.exp(-dt / (np.array([p.length_u, p.length_v, p.length_w]) / p.airspeed_nominal))
+        self.gust = a * self.gust + sigma * np.sqrt(1.0 - a * a) * self.rng.standard_normal(3)
+        d_chi = (self.gust[1] + p.ambient[1]) / p.airspeed_nominal
+        d_gamma = (self.gust[2] + p.ambient[2]) / p.airspeed_nominal
+        lim = p.d_max
+        return float(min(max(d_chi, -lim), lim)), float(min(max(d_gamma, -lim), lim))

@@ -18,19 +18,19 @@ from oracles import grid_cost_oracle, two_leg_cost
 
 from flocksim import (
     AutopilotParams,
-    Commands,
     DemGrid,
     GuidanceParams,
     LOG_COLUMNS,
-    NO_DISTURBANCE,
     Obstacle,
     Point3,
     ReplanParams,
     UavLimits,
     UavState,
+    actuator_bounds,
     convergence_conditions,
     distance3,
     feasible_region,
+    fleet_arrays,
     guidance_commands,
     load_scenario,
     look_ahead_angles,
@@ -76,18 +76,25 @@ def test_01_guidance_convergence_without_wind():
     t0 = time.perf_counter()
     errs: list[float] = []
     oks: list[bool] = []
+    y, act = fleet_arrays([state])
+    lo, hi = actuator_bounds([limits])
+    target_height = np.array([wp.height])
     for _ in range(4000):
+        north, east, height, chi, gamma, _psi = y[:, 0].tolist()
+        state = UavState(Point3(north, east, height), chi, gamma, _psi, v_g=float(act[2, 0]))
         rel = wp.as_array() - state.position.as_array()
         if float(rel @ state.velocity_unit()) < 0.0:
             break  # waypoint passed: the pursuit is over
-        chi_c, gamma_c = reference_angles(state, wp)
-        angles = look_ahead_angles(state, chi_c, gamma_c)
-        premises = convergence_conditions(angles, state, wp, gp)
+        chi_c, gamma_c = reference_angles(state.position, wp)
+        eta_lat, eta_lon = look_ahead_angles(y[3], y[4], np.array([chi_c]), np.array([gamma_c]))
+        lat_ok, lon_ok, sign_ok, margin = convergence_conditions(
+            eta_lat, eta_lon, y, act, target_height, gp
+        )
         errs.append(distance3(state.position, wp))
-        oks.append(premises.all_ok)
-        phi_c, n_lf_c = guidance_commands(state, angles, gp, limits)
-        state = step_autopilot(state, Commands(phi=phi_c, n_lf=n_lf_c, v_g=13.5), limits, dt, ap)
-        state = step_kinematics(state, NO_DISTURBANCE, dt, ap)
+        oks.append(bool(lat_ok[0] and lon_ok[0] and sign_ok[0] and margin[0] > 0.0))
+        phi_c, n_lf_c = guidance_commands(eta_lat, eta_lon, y, act, gp, lo, hi)
+        act = step_autopilot(act, np.array([phi_c, n_lf_c, [13.5]]), lo, hi, dt, ap)
+        y = step_kinematics(y, act, np.zeros((2, 1)), dt, ap)
     else:
         raise AssertionError("vehicle never passed the waypoint")
     wall = time.perf_counter() - t0

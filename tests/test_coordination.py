@@ -49,13 +49,13 @@ class TestTimeIndex:
         target = Point3(100.0, 0.0, 100.0)
         path = WaypointPath((Point3(0.0, 0.0, 100.0), target), cursor=1)
         state = make_state(north=100.0, v_g=13.0)
-        assert time_index(state, path) == 0.0
+        assert time_index(state.position, state.v_g, path) == 0.0
 
     def test_single_remaining_leg(self):
         target = Point3(100.0, 0.0, 100.0)
         path = WaypointPath((Point3(-500.0, 0.0, 100.0), target), cursor=1)
         state = make_state(north=0.0, v_g=10.0)
-        assert time_index(state, path) == 10.0
+        assert time_index(state.position, state.v_g, path) == 10.0
 
     def test_hand_summed_polyline(self):
         # 50 m to the active waypoint, then segments of 100 m and 200 m,
@@ -65,7 +65,7 @@ class TestTimeIndex:
             (Point3(0.0, 0.0, 100.0), Point3(100.0, 0.0, 100.0), target), cursor=0
         )
         state = make_state(north=-50.0, v_g=10.0)
-        assert time_index(state, path) == 35.0
+        assert time_index(state.position, state.v_g, path) == 35.0
 
 
 class TestConsensusRate:

@@ -2,7 +2,9 @@
 
 The banked-turn case is checked against an independent fine-step Euler
 integration of the same ODE statement, written out locally so the test
-does not share code with the implementation.
+does not share code with the implementation.  The fleet functions run
+here on one-vehicle blocks; tests/test_fleet_step.py compares them with
+the scalar oracles on whole fleets.
 """
 
 import math
@@ -12,14 +14,13 @@ import pytest
 
 from flocksim import (
     AutopilotParams,
-    Commands,
-    Disturbance,
-    NO_DISTURBANCE,
     Point3,
     UavLimits,
     UavState,
     WindModel,
     WindParams,
+    actuator_bounds,
+    fleet_arrays,
     step_autopilot,
     step_kinematics,
     wrap_angle,
@@ -27,6 +28,22 @@ from flocksim import (
 
 GRAVITY = 9.81
 AP = AutopilotParams()
+
+
+def autopilot(state, cmd, limits, dt, ap=AP):
+    """One vehicle's actuators (phi, n_lf, v_g) after step_autopilot toward ``cmd``."""
+    _, act = fleet_arrays([state])
+    lo, hi = actuator_bounds([limits])
+    return tuple(step_autopilot(act, np.array([cmd], dtype=float).T, lo, hi, dt, ap)[:, 0].tolist())
+
+
+def kinematics(state, d_chi=0.0, d_gamma=0.0, dt=1.0, ap=AP):
+    """One vehicle's state after step_kinematics."""
+    y, act = fleet_arrays([state])
+    north, east, height, chi, gamma, psi = step_kinematics(
+        y, act, np.array([[d_chi], [d_gamma]]), dt, ap
+    )[:, 0].tolist()
+    return UavState(Point3(north, east, height), chi, gamma, psi, state.v_g, state.phi, state.n_lf)
 
 
 def level_state(chi: float = 0.0, v_g: float = 10.0, phi: float = 0.0, n_lf: float = 1.0):
@@ -96,60 +113,56 @@ class TestUavLimits:
 class TestStepAutopilot:
     def test_fixed_point(self):
         state = level_state(v_g=13.0, phi=0.2, n_lf=1.1)
-        cmd = Commands(phi=0.2, n_lf=1.1, v_g=13.0)
-        out = step_autopilot(state, cmd, UavLimits(), dt=0.25, ap=AP)
-        assert out == state
+        out = autopilot(state, (0.2, 1.1, 13.0), UavLimits(), dt=0.25)
+        assert out == (state.phi, state.n_lf, state.v_g)
 
     def test_unit_lag_reaches_command_in_one_step(self):
-        state = level_state(phi=0.0)
-        cmd = Commands(phi=0.4, n_lf=1.0, v_g=10.0)
-        out = step_autopilot(state, cmd, UavLimits(), dt=0.5, ap=AutopilotParams(tau_phi=0.5))
-        assert out.phi == pytest.approx(0.4, abs=1e-15)
+        out = autopilot(level_state(phi=0.0), (0.4, 1.0, 10.0), UavLimits(), dt=0.5,
+                        ap=AutopilotParams(tau_phi=0.5))
+        assert out[0] == pytest.approx(0.4, abs=1e-15)
 
     def test_single_step_hand_value(self):
         # phi <- 0 + (0.1 / 0.5) * (0.6 - 0) = 0.12
-        state = level_state(phi=0.0)
-        cmd = Commands(phi=0.6, n_lf=1.0, v_g=10.0)
-        out = step_autopilot(state, cmd, UavLimits(), dt=0.1, ap=AutopilotParams(tau_phi=0.5))
-        assert out.phi == pytest.approx(0.12, abs=1e-15)
+        out = autopilot(level_state(phi=0.0), (0.6, 1.0, 10.0), UavLimits(), dt=0.1,
+                        ap=AutopilotParams(tau_phi=0.5))
+        assert out[0] == pytest.approx(0.12, abs=1e-15)
 
     def test_long_step_is_deadbeat_not_overshoot(self):
         # dt > tau clamps the update factor at 1 instead of extrapolating past
         # the setpoint
-        state = level_state(phi=0.0)
-        cmd = Commands(phi=0.3, n_lf=1.0, v_g=10.0)
-        out = step_autopilot(state, cmd, UavLimits(), dt=5.0, ap=AutopilotParams(tau_phi=0.5))
-        assert out.phi == pytest.approx(0.3, abs=1e-15)
+        out = autopilot(level_state(phi=0.0), (0.3, 1.0, 10.0), UavLimits(), dt=5.0,
+                        ap=AutopilotParams(tau_phi=0.5))
+        assert out[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_clip_applies_after_lag(self):
-        state = level_state(phi=0.55)
-        cmd = Commands(phi=5.0, n_lf=1.0, v_g=10.0)
-        out = step_autopilot(state, cmd, UavLimits(), dt=0.5, ap=AutopilotParams(tau_phi=0.5))
-        assert out.phi == 0.6
+        out = autopilot(level_state(phi=0.55), (5.0, 1.0, 10.0), UavLimits(), dt=0.5,
+                        ap=AutopilotParams(tau_phi=0.5))
+        assert out[0] == 0.6
 
     def test_states_never_leave_limits(self):
         limits = UavLimits()
+        lo, hi = actuator_bounds([limits])
         rng = np.random.default_rng(11)
-        state = level_state(v_g=13.0)
+        _, act = fleet_arrays([level_state(v_g=13.0)])
         for _ in range(200):
-            cmd = Commands(
-                phi=float(rng.uniform(-4.0, 4.0)),
-                n_lf=float(rng.uniform(-3.0, 6.0)),
-                v_g=float(rng.uniform(-5.0, 40.0)),
-            )
-            state = step_autopilot(state, cmd, limits, dt=float(rng.uniform(0.05, 3.0)), ap=AP)
-            assert limits.phi_min <= state.phi <= limits.phi_max
-            assert limits.n_lf_min <= state.n_lf <= limits.n_lf_max
-            assert limits.v_g_min <= state.v_g <= limits.v_g_max
+            cmd = np.array([[rng.uniform(-4.0, 4.0)], [rng.uniform(-3.0, 6.0)],
+                            [rng.uniform(-5.0, 40.0)]])
+            act = step_autopilot(act, cmd, lo, hi, dt=float(rng.uniform(0.05, 3.0)), ap=AP)
+            phi, n_lf, v_g = act[:, 0].tolist()
+            assert limits.phi_min <= phi <= limits.phi_max
+            assert limits.n_lf_min <= n_lf <= limits.n_lf_max
+            assert limits.v_g_min <= v_g <= limits.v_g_max
 
     def test_only_actuator_channels_change(self):
-        state = level_state(chi=0.3)
-        cmd = Commands(phi=0.2, n_lf=1.2, v_g=12.0)
-        out = step_autopilot(state, cmd, UavLimits(), dt=0.1, ap=AP)
-        assert out.position == state.position
-        assert out.chi == state.chi
-        assert out.gamma == state.gamma
-        assert out.psi == state.psi
+        # the actuator block is the only state the autopilot sees; it returns
+        # a new block and leaves its inputs as they were
+        _, act = fleet_arrays([level_state(chi=0.3)])
+        cmd = np.array([[0.2], [1.2], [12.0]])
+        lo, hi = actuator_bounds([UavLimits()])
+        before = (act.copy(), cmd.copy())
+        out = step_autopilot(act, cmd, lo, hi, dt=0.1, ap=AP)
+        assert out is not act and out.shape == (3, 1)
+        assert (act == before[0]).all() and (cmd == before[1]).all()
 
 
 class TestAutopilotParams:
@@ -165,16 +178,14 @@ class TestAutopilotParams:
 class TestStepKinematics:
     def test_level_trimmed_flight_advances_north_exactly(self):
         # all derivatives are constant here, so RK4 integrates exactly
-        out = step_kinematics(level_state(v_g=10.0), NO_DISTURBANCE, dt=1.0, ap=AP)
+        out = kinematics(level_state(v_g=10.0), dt=1.0)
         assert out.position.north == pytest.approx(10.0, abs=1e-9)
         assert out.position.east == pytest.approx(0.0, abs=1e-9)
         assert out.position.height == pytest.approx(100.0, abs=1e-9)
         assert out.gamma == pytest.approx(0.0, abs=1e-12)
 
     def test_east_axis_symmetry(self):
-        out = step_kinematics(
-            level_state(chi=math.pi / 2, v_g=10.0), NO_DISTURBANCE, dt=1.0, ap=AP
-        )
+        out = kinematics(level_state(chi=math.pi / 2, v_g=10.0), dt=1.0)
         assert out.position.east == pytest.approx(10.0, abs=1e-9)
         assert out.position.north == pytest.approx(0.0, abs=1e-9)
 
@@ -193,7 +204,7 @@ class TestStepKinematics:
             n_lf=math.cos(gamma),
         )
         for _ in range(100):
-            state = step_kinematics(state, NO_DISTURBANCE, dt=1.0, ap=AP)
+            state = kinematics(state, dt=1.0)
         dist = 13.5 * 100.0
         expect = (
             dist * math.cos(gamma) * math.cos(chi),
@@ -225,7 +236,7 @@ class TestStepKinematics:
         n_lf = 1.0 / math.cos(0.3)
         state = level_state(v_g=15.0, phi=0.3, n_lf=n_lf)
         for _ in range(round(10.0 / dt)):
-            state = step_kinematics(state, NO_DISTURBANCE, dt=dt, ap=AP)
+            state = kinematics(state, dt=dt)
         return state.chi
 
     def test_banked_turn_matches_fine_step_reference(self):
@@ -252,7 +263,7 @@ class TestStepKinematics:
             n_lf=state.n_lf,
         )
         for _ in range(10):
-            state = step_kinematics(state, NO_DISTURBANCE, dt=1.0, ap=AP)
+            state = kinematics(state, dt=1.0)
             assert -math.pi < state.chi <= math.pi
             assert -math.pi < state.psi <= math.pi
 
@@ -267,26 +278,24 @@ class TestStepKinematics:
             n_lf=2.1,
         )
         for _ in range(50):
-            state = step_kinematics(state, NO_DISTURBANCE, dt=1.0, ap=AP)
+            state = kinematics(state, dt=1.0)
             assert abs(state.gamma) < math.pi / 2
             assert math.isfinite(state.position.height)
 
     def test_disturbance_shifts_course_rate(self):
-        base = step_kinematics(level_state(v_g=10.0), NO_DISTURBANCE, dt=1.0, ap=AP)
-        pushed = step_kinematics(
-            level_state(v_g=10.0), Disturbance(d_chi=0.05, d_gamma=0.0), dt=1.0, ap=AP
-        )
+        base = kinematics(level_state(v_g=10.0), dt=1.0)
+        pushed = kinematics(level_state(v_g=10.0), d_chi=0.05, d_gamma=0.0, dt=1.0)
         assert base.chi == pytest.approx(0.0, abs=1e-12)
         assert pushed.chi == pytest.approx(0.05, abs=1e-12)
 
     def test_deterministic(self):
-        a = step_kinematics(level_state(phi=0.1), Disturbance(0.01, -0.02), dt=0.7, ap=AP)
-        b = step_kinematics(level_state(phi=0.1), Disturbance(0.01, -0.02), dt=0.7, ap=AP)
+        a = kinematics(level_state(phi=0.1), 0.01, -0.02, dt=0.7)
+        b = kinematics(level_state(phi=0.1), 0.01, -0.02, dt=0.7)
         assert a == b
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError, match="dt"):
-            step_kinematics(level_state(), NO_DISTURBANCE, dt=-1.0, ap=AP)
+            kinematics(level_state(), dt=-1.0)
 
 
 class TestVelocityUnit:
@@ -322,9 +331,7 @@ class TestWindModel:
     def test_no_turbulence_no_ambient_is_silent(self):
         wind = WindModel(WindParams(), seed=1)
         for _ in range(100):
-            d = wind.sample(1.0)
-            assert d.d_chi == 0.0
-            assert d.d_gamma == 0.0
+            assert wind.sample(1.0) == (0.0, 0.0)
 
     def test_ambient_maps_lateral_and_vertical_components(self):
         # north component is along-track and does not disturb the angle rates
@@ -332,15 +339,13 @@ class TestWindModel:
             WindParams(ambient=(9.0, 2.7, -1.35), airspeed_nominal=13.5, d_max=1.0), seed=1
         )
         for _ in range(10):
-            d = wind.sample(1.0)
-            assert d.d_chi == pytest.approx(2.7 / 13.5, abs=1e-15)
-            assert d.d_gamma == pytest.approx(-1.35 / 13.5, abs=1e-15)
+            d_chi, d_gamma = wind.sample(1.0)
+            assert d_chi == pytest.approx(2.7 / 13.5, abs=1e-15)
+            assert d_gamma == pytest.approx(-1.35 / 13.5, abs=1e-15)
 
     def test_pure_headwind_ambient_is_silent(self):
         wind = WindModel(WindParams(ambient=(2.5, 0.0, 0.0)), seed=7)
-        d = wind.sample(1.0)
-        assert d.d_chi == 0.0
-        assert d.d_gamma == 0.0
+        assert wind.sample(1.0) == (0.0, 0.0)
 
     def test_pinned_regression_seed_42(self):
         # recorded once from this implementation; the claim under test is
@@ -354,39 +359,35 @@ class TestWindModel:
             (-0.1, 0.022773565058902854),
             (-0.03986482311422045, 0.04870212430701301),
         ]
-        got = []
-        for _ in range(5):
-            d = wind.sample(1.0)
-            got.append((d.d_chi, d.d_gamma))
-        assert got == expected
+        assert [wind.sample(1.0) for _ in range(5)] == expected
 
     def test_stationary_variance_matches_filter_analysis(self):
         # wide d_max so the clip never engages and the Gauss-Markov filter's
         # stationary variance (sigma_v / V_nom)^2 shows through
         wind = WindModel(WindParams(d_max=10.0, **REFERENCE_TURBULENCE), seed=5)
-        samples = np.array([wind.sample(1.0).d_chi for _ in range(100_000)])
+        samples = np.array([wind.sample(1.0)[0] for _ in range(100_000)])
         target = (2.12 / 13.5) ** 2
         assert abs(np.var(samples) - target) <= 0.2 * target
 
     def test_disturbance_bounded_by_d_max(self):
         wind = WindModel(WindParams(d_max=0.02, **REFERENCE_TURBULENCE), seed=9)
         for _ in range(1000):
-            d = wind.sample(1.0)
-            assert abs(d.d_chi) <= 0.02
-            assert abs(d.d_gamma) <= 0.02
+            d_chi, d_gamma = wind.sample(1.0)
+            assert abs(d_chi) <= 0.02
+            assert abs(d_gamma) <= 0.02
 
     def test_same_seed_same_stream(self):
         a = WindModel(WindParams(**REFERENCE_TURBULENCE), seed=123)
         b = WindModel(WindParams(**REFERENCE_TURBULENCE), seed=123)
-        stream_a = [(d.d_chi, d.d_gamma) for d in (a.sample(1.0) for _ in range(20))]
-        stream_b = [(d.d_chi, d.d_gamma) for d in (b.sample(1.0) for _ in range(20))]
+        stream_a = [a.sample(1.0) for _ in range(20)]
+        stream_b = [b.sample(1.0) for _ in range(20)]
         assert stream_a == stream_b
 
     def test_different_seed_different_stream(self):
         a = WindModel(WindParams(**REFERENCE_TURBULENCE), seed=123)
         b = WindModel(WindParams(**REFERENCE_TURBULENCE), seed=124)
-        stream_a = [a.sample(1.0).d_chi for _ in range(20)]
-        stream_b = [b.sample(1.0).d_chi for _ in range(20)]
+        stream_a = [a.sample(1.0)[0] for _ in range(20)]
+        stream_b = [b.sample(1.0)[0] for _ in range(20)]
         assert stream_a != stream_b
 
 

@@ -7,18 +7,16 @@ import pytest
 
 from flocksim import (
     AutopilotParams,
-    Commands,
-    ConditionReport,
     DegenerateGeometryError,
     GuidanceParams,
-    LookAheadAngles,
-    NO_DISTURBANCE,
     Point3,
     UavLimits,
     UavState,
     WaypointPath,
+    actuator_bounds,
     advance_virtual_target,
     convergence_conditions,
+    fleet_arrays,
     guidance_commands,
     look_ahead_angles,
     path_errors,
@@ -46,6 +44,29 @@ def make_state(
     )
 
 
+def commands(state, eta_lat, eta_lon, gp, limits):
+    """One vehicle's (phi_c, n_lf_c) from guidance_commands."""
+    y, act = fleet_arrays([state])
+    lo, hi = actuator_bounds([limits])
+    phi_c, n_lf_c = guidance_commands(np.array([eta_lat]), np.array([eta_lon]), y, act, gp, lo, hi)
+    return phi_c[0], n_lf_c[0]
+
+
+def conditions(eta_lat, eta_lon, state, target, gp):
+    """One vehicle's (lat_ok, lon_ok, sign_ok, margin, all_ok) from convergence_conditions."""
+    y, act = fleet_arrays([state])
+    premises = convergence_conditions(
+        np.array([eta_lat]), np.array([eta_lon]), y, act, np.array([target.height]), gp
+    )
+    lat_ok, lon_ok, sign_ok, margin = (p[0] for p in premises)
+    return lat_ok, lon_ok, sign_ok, margin, bool(lat_ok and lon_ok and sign_ok and margin > 0.0)
+
+
+def advance(path, state, acceptance_radius):
+    gp = GuidanceParams(acceptance_radius=acceptance_radius)
+    return advance_virtual_target(path, state.position, state.chi, state.gamma, gp)
+
+
 class TestWaypointPath:
     def test_needs_two_waypoints(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -59,11 +80,6 @@ class TestWaypointPath:
         pts = (Point3(0, 0, 100), Point3(10, 0, 100))
         with pytest.raises(ValueError, match="cursor"):
             WaypointPath(pts, cursor=2)
-
-    def test_rejects_negative_acceptance_radius(self):
-        pts = (Point3(0, 0, 100), Point3(10, 0, 100))
-        with pytest.raises(ValueError, match="acceptance_radius"):
-            WaypointPath(pts, acceptance_radius=-1.0)
 
     def test_active_and_terminus(self):
         pts = (Point3(0, 0, 100), Point3(10, 0, 100), Point3(20, 0, 100))
@@ -108,88 +124,88 @@ class TestAdvanceVirtualTarget:
     PTS = (Point3(0, 0, 100), Point3(100, 0, 100), Point3(200, 0, 100))
 
     def test_far_behind_stays(self):
-        path = WaypointPath(self.PTS, acceptance_radius=40.0)
+        path = WaypointPath(self.PTS)
         state = make_state(north=-500.0)
-        assert advance_virtual_target(path, state).cursor == 0
+        assert advance(path, state, 40.0).cursor == 0
 
     def test_acceptance_hit_advances(self):
-        path = WaypointPath(self.PTS, acceptance_radius=40.0)
+        path = WaypointPath(self.PTS)
         state = make_state(north=0.0)
-        out = advance_virtual_target(path, state)
+        out = advance(path, state, 40.0)
         assert out.cursor == 1
 
     def test_overflown_waypoints_are_skipped(self):
         # vehicle sits 10 m past waypoint 1 heading north: both waypoint 0
         # (at -110 m) and waypoint 1 (at -10 m) fail the forward dot test
-        path = WaypointPath(self.PTS, acceptance_radius=5.0)
+        path = WaypointPath(self.PTS)
         state = make_state(north=110.0, chi=0.0)
-        out = advance_virtual_target(path, state)
+        out = advance(path, state, 5.0)
         assert out.cursor == 2
 
     def test_terminus_is_never_dropped(self):
-        path = WaypointPath(self.PTS, acceptance_radius=5.0)
+        path = WaypointPath(self.PTS)
         state = make_state(north=450.0)
-        out = advance_virtual_target(path, state)
+        out = advance(path, state, 5.0)
         assert out.cursor == 2
         assert out.active == path.terminus
 
     def test_idempotent(self):
-        path = WaypointPath(self.PTS, acceptance_radius=40.0)
+        path = WaypointPath(self.PTS)
         state = make_state(north=95.0)
-        once = advance_virtual_target(path, state)
-        twice = advance_virtual_target(once, state)
+        once = advance(path, state, 40.0)
+        twice = advance(once, state, 40.0)
         assert once.cursor == twice.cursor
 
 
 class TestReferenceAngles:
     def test_due_north_level(self):
-        chi_c, gamma_c = reference_angles(make_state(), Point3(500, 0, 100))
+        chi_c, gamma_c = reference_angles(make_state().position, Point3(500, 0, 100))
         assert chi_c == pytest.approx(0.0, abs=1e-15)
         assert gamma_c == pytest.approx(0.0, abs=1e-15)
 
     def test_due_east_level(self):
-        chi_c, gamma_c = reference_angles(make_state(), Point3(0, 500, 100))
+        chi_c, gamma_c = reference_angles(make_state().position, Point3(0, 500, 100))
         assert chi_c == pytest.approx(math.pi / 2, abs=1e-15)
         assert gamma_c == pytest.approx(0.0, abs=1e-15)
 
     def test_forty_five_degree_climb(self):
-        chi_c, gamma_c = reference_angles(make_state(), Point3(100, 0, 200))
+        chi_c, gamma_c = reference_angles(make_state().position, Point3(100, 0, 200))
         assert chi_c == pytest.approx(0.0, abs=1e-15)
         assert gamma_c == pytest.approx(math.pi / 4, abs=1e-15)
 
     def test_target_behind_yields_obtuse_course(self):
         # full-quadrant bearing: a plain arctangent would fold this to 0
-        chi_c, _ = reference_angles(make_state(), Point3(-500, 0, 100))
+        chi_c, _ = reference_angles(make_state().position, Point3(-500, 0, 100))
         assert chi_c == pytest.approx(math.pi, abs=1e-15)
 
     def test_coincident_target_raises(self):
         state = make_state()
         with pytest.raises(DegenerateGeometryError):
-            reference_angles(state, state.position)
+            reference_angles(state.position, state.position)
 
 
 class TestLookAheadAngles:
     def test_aligned_is_zero(self):
-        angles = look_ahead_angles(make_state(chi=0.7, gamma=0.1), 0.7, 0.1)
-        assert angles.eta_lat == 0.0
-        assert angles.eta_lon == pytest.approx(0.0, abs=1e-15)
+        eta_lat, eta_lon = look_ahead_angles(0.7, 0.1, 0.7, 0.1)
+        assert eta_lat == 0.0
+        assert eta_lon == pytest.approx(0.0, abs=1e-15)
 
     def test_lateral_difference_wraps(self):
         # chi_c - chi = 6.2 rad, which wraps to the short way around
-        angles = look_ahead_angles(make_state(chi=-3.1), 3.1, 0.0)
-        assert angles.eta_lat == pytest.approx(6.2 - 2.0 * math.pi, abs=1e-12)
+        eta_lat, _ = look_ahead_angles(-3.1, 0.0, 3.1, 0.0)
+        assert eta_lat == pytest.approx(6.2 - 2.0 * math.pi, abs=1e-12)
 
     def test_longitudinal_difference_is_plain(self):
-        angles = look_ahead_angles(make_state(gamma=-0.1), 0.0, 0.2)
-        assert angles.eta_lon == pytest.approx(0.3, abs=1e-15)
+        _, eta_lon = look_ahead_angles(0.0, -0.1, 0.0, 0.2)
+        assert eta_lon == pytest.approx(0.3, abs=1e-15)
 
 
 class TestSteeringRates:
     def test_zero_at_zero(self):
-        assert steering_rates(LookAheadAngles(0.0, 0.0), 8.8844, 8.8844) == (-0.0, -0.0)
+        assert steering_rates(0.0, 0.0, 8.8844, 8.8844) == (-0.0, -0.0)
 
     def test_sine_feedback_values_and_signs(self):
-        f_chi, f_gamma = steering_rates(LookAheadAngles(0.1, -0.2), 2.0, 3.0)
+        f_chi, f_gamma = steering_rates(0.1, -0.2, 2.0, 3.0)
         assert f_chi == pytest.approx(-2.0 * math.sin(0.1), abs=1e-15)
         assert f_gamma == pytest.approx(3.0 * math.sin(0.2), abs=1e-15)
         assert f_chi < 0.0
@@ -198,7 +214,7 @@ class TestSteeringRates:
 
 class TestGuidanceCommands:
     def test_trimmed_level_fixed_point(self):
-        phi_c, n_lf_c = guidance_commands(make_state(), LookAheadAngles(0.0, 0.0), GP, UavLimits())
+        phi_c, n_lf_c = commands(make_state(), 0.0, 0.0, GP, UavLimits())
         assert phi_c == 0.0
         assert n_lf_c == 1.0
 
@@ -207,14 +223,14 @@ class TestGuidanceCommands:
         # 15*(-0.8870)/9.81 = -1.356 saturates to -1, so phi_c hits +pi/2
         # and the envelope clip brings it to phi_max exactly
         state = make_state(v_g=15.0)
-        phi_c, _ = guidance_commands(state, LookAheadAngles(0.1, 0.0), GP, UavLimits())
+        phi_c, _ = commands(state, 0.1, 0.0, GP, UavLimits())
         assert phi_c == 0.6
 
     def test_longitudinal_chain_hand_value(self):
         # f_gamma = -8.8844 sin(0.05); n_lf_c = (g - 12 f_gamma) / g with
         # phi_c = 0: evaluates to 1.5431620 (within the 2.1 ceiling)
         state = make_state(v_g=12.0)
-        phi_c, n_lf_c = guidance_commands(state, LookAheadAngles(0.0, 0.05), GP, UavLimits())
+        phi_c, n_lf_c = commands(state, 0.0, 0.05, GP, UavLimits())
         f_gamma = -8.8844 * math.sin(0.05)
         expected = (GRAVITY - 12.0 * f_gamma) / GRAVITY
         assert phi_c == 0.0
@@ -231,10 +247,9 @@ class TestGuidanceCommands:
                 v_g=float(rng.uniform(9.0, 18.0)),
                 phi=float(rng.uniform(-0.6, 0.6)),
             )
-            angles = LookAheadAngles(
-                float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(-1.5, 1.5))
-            )
-            phi_c, n_lf_c = guidance_commands(state, angles, GP, limits)
+            eta_lat = float(rng.uniform(-math.pi, math.pi))
+            eta_lon = float(rng.uniform(-1.5, 1.5))
+            phi_c, n_lf_c = commands(state, eta_lat, eta_lon, GP, limits)
             assert limits.phi_min <= phi_c <= limits.phi_max
             assert limits.n_lf_min <= n_lf_c <= limits.n_lf_max
 
@@ -244,70 +259,47 @@ class TestGuidanceCommands:
         unit_gains = GuidanceParams(k_chi=1.0, k_gamma=1.0)
         for eta_lat, eta_lon in ((0.04, 0.0), (-0.04, 0.0), (0.0, 0.04), (0.0, -0.04)):
             state = make_state(v_g=12.0)
-            phi_c, n_lf_c = guidance_commands(
-                state, LookAheadAngles(eta_lat, eta_lon), unit_gains, UavLimits()
-            )
-            driven = UavState(
-                position=state.position,
-                chi=state.chi,
-                gamma=state.gamma,
-                psi=state.chi,
-                v_g=state.v_g,
-                phi=phi_c,
-                n_lf=n_lf_c,
-            )
-            stepped = step_kinematics(driven, NO_DISTURBANCE, dt=0.2, ap=AP)
+            phi_c, n_lf_c = commands(state, eta_lat, eta_lon, unit_gains, UavLimits())
+            y, act = fleet_arrays([state])
+            act[:2, 0] = (phi_c, n_lf_c)
+            stepped = step_kinematics(y, act, np.zeros((2, 1)), dt=0.2, ap=AP)
             chi_c = state.chi + eta_lat
             gamma_c = state.gamma + eta_lon
-            after = look_ahead_angles(stepped, chi_c, gamma_c)
-            assert abs(after.eta_lat) < abs(eta_lat) or eta_lat == 0.0
-            assert abs(after.eta_lon) < abs(eta_lon) or eta_lon == 0.0
+            after_lat, after_lon = look_ahead_angles(stepped[3, 0], stepped[4, 0], chi_c, gamma_c)
+            assert abs(after_lat) < abs(eta_lat) or eta_lat == 0.0
+            assert abs(after_lon) < abs(eta_lon) or eta_lon == 0.0
 
 
 class TestConvergenceConditions:
     def test_all_premises_true_with_margin(self):
-        report = convergence_conditions(
-            LookAheadAngles(0.0, 0.0),
-            make_state(v_g=12.0),
-            Point3(500, 0, 100),
+        lat_ok, lon_ok, sign_ok, margin, all_ok = conditions(
+            0.0, 0.0, make_state(v_g=12.0), Point3(500, 0, 100),
             GuidanceParams(delta_lat=0.5, delta_lon=0.5),
         )
-        assert report.lat_ok and report.lon_ok and report.sign_ok
-        assert report.margin == pytest.approx(12.0 * math.cos(0.5) ** 2, abs=1e-12)
-        assert report.all_ok
+        assert lat_ok and lon_ok and sign_ok
+        assert margin == pytest.approx(12.0 * math.cos(0.5) ** 2, abs=1e-12)
+        assert all_ok
 
     def test_lateral_premise_fails_outside_trust_bound(self):
-        report = convergence_conditions(
-            LookAheadAngles(0.6, 0.0), make_state(), Point3(500, 0, 100),
-            GuidanceParams(delta_lat=0.5),
+        lat_ok, *_, all_ok = conditions(
+            0.6, 0.0, make_state(), Point3(500, 0, 100), GuidanceParams(delta_lat=0.5)
         )
-        assert not report.lat_ok
-        assert not report.all_ok
+        assert not lat_ok
+        assert not all_ok
 
     def test_longitudinal_premise_boundary_inclusive(self):
-        report = convergence_conditions(
-            LookAheadAngles(0.0, 0.5), make_state(), Point3(500, 0, 100),
-            GuidanceParams(delta_lon=0.5),
+        _, lon_ok, *_ = conditions(
+            0.0, 0.5, make_state(), Point3(500, 0, 100), GuidanceParams(delta_lon=0.5)
         )
-        assert report.lon_ok
+        assert lon_ok
 
     def test_sign_premise(self):
         # climbing while below the target height converges (product <= 0)
-        below = convergence_conditions(
-            LookAheadAngles(0.0, 0.0),
-            make_state(height=80.0, gamma=0.1),
-            Point3(500, 0, 100),
-            GP,
-        )
-        assert below.sign_ok
+        below = conditions(0.0, 0.0, make_state(height=80.0, gamma=0.1), Point3(500, 0, 100), GP)
+        assert below[2]
         # climbing while already above it diverges
-        above = convergence_conditions(
-            LookAheadAngles(0.0, 0.0),
-            make_state(height=120.0, gamma=0.1),
-            Point3(500, 0, 100),
-            GP,
-        )
-        assert not above.sign_ok
+        above = conditions(0.0, 0.0, make_state(height=120.0, gamma=0.1), Point3(500, 0, 100), GP)
+        assert not above[2]
 
 
 class TestGuidanceParams:
@@ -319,6 +311,11 @@ class TestGuidanceParams:
     def test_rejects_bad_trust_bounds(self):
         with pytest.raises(ValueError, match="delta"):
             GuidanceParams(delta_lat=math.pi / 2)
+
+    def test_rejects_negative_acceptance_radius(self):
+        # advance_virtual_target trusts this check
+        with pytest.raises(ValueError, match="acceptance_radius"):
+            GuidanceParams(acceptance_radius=-1.0)
 
 
 class TestPathErrors:

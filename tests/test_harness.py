@@ -7,6 +7,7 @@ mean error vector with the n-1 denominator.
 
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -28,8 +29,10 @@ from flocksim import (
     Point3,
     ReplanEvent,
     ReplanParams,
+    RunError,
     RunLog,
     ScenarioError,
+    WindModel,
     WindParams,
     compute_metrics,
     distance3,
@@ -424,6 +427,23 @@ class TestRun:
         # theta falls monotonically once the speed transient settles
         thetas = log.thetas()[:, 0]
         assert np.all(np.diff(thetas[2 : arrival + 1]) < 0.0)
+
+    def test_non_finite_state_names_tick_and_first_vehicle(self, scenario_dir, monkeypatch):
+        # vehicles 2 and 3 both get a NaN course gust at tick 3; the guard
+        # names the first of them in id order
+        scenario = load_scenario(f"{scenario_dir}/reference_4uav.yaml")
+        n = len(scenario.uavs)
+        sample = WindModel.sample
+        calls = itertools.count()
+
+        def nan_gust(model, dt):
+            k = next(calls)
+            d_chi, d_gamma = sample(model, dt)
+            return (math.nan, d_gamma) if k // n == 3 and k % n >= 2 else (d_chi, d_gamma)
+
+        monkeypatch.setattr(WindModel, "sample", nan_gust)
+        with pytest.raises(RunError, match=r"^tick 3, uav 2: state became non-finite"):
+            run(scenario)
 
     def test_zero_duration_run(self, make_scenario_file, tmp_path):
         scenario = load_scenario(make_scenario_file(duration_s=0.0))

@@ -75,17 +75,9 @@ def make_region(
 
 
 class TestFeasibleRegion:
-    def test_rejects_non_unit_velocity(self):
-        with pytest.raises(ValueError, match="unit norm"):
-            make_region(mu=np.array([1.0, 1.0, 0.0]))
-
     def test_rejects_bad_extents(self):
-        with pytest.raises(ValueError, match="delta_r"):
-            make_region(delta_r=0.0)
-        with pytest.raises(ValueError, match="delta_h"):
-            make_region(delta_h=-5.0)
-        with pytest.raises(ValueError, match="delta_angle"):
-            make_region(delta_angle=4.0)
+        # delta_r, delta_h and delta_angle are ReplanParams' to check
+        # (TestReplanParams::test_rejects_bad_extents)
         with pytest.raises(ValueError, match="r_bar"):
             make_region(r_bar=0.0)
 
@@ -168,54 +160,52 @@ class TestSampleRegion:
         pts = sample_region(region, 2000, np.random.default_rng(5))
         assert pts.shape[0] == 0
 
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError, match="k"):
-            sample_region(make_region(), 0, np.random.default_rng(6))
-
 
 class TestTransitAngles:
     def test_leg1_straight_ahead(self):
         uav = make_uav(chi=0.0)
-        angles = look_ahead_angles(uav, *reference_angles(uav, Point3(300.0, 0.0, 100.0)))
-        assert angles.eta_lat == pytest.approx(0.0, abs=1e-15)
-        assert angles.eta_lon == pytest.approx(0.0, abs=1e-15)
+        chi_c, gamma_c = reference_angles(uav.position, Point3(300.0, 0.0, 100.0))
+        eta_lat, eta_lon = look_ahead_angles(uav.chi, uav.gamma, chi_c, gamma_c)
+        assert eta_lat == pytest.approx(0.0, abs=1e-15)
+        assert eta_lon == pytest.approx(0.0, abs=1e-15)
 
     def test_leg1_right_angle(self):
         uav = make_uav(chi=0.0)
-        angles = look_ahead_angles(uav, *reference_angles(uav, Point3(0.0, 300.0, 100.0)))
-        assert angles.eta_lat == pytest.approx(math.pi / 2, abs=1e-15)
+        chi_c, gamma_c = reference_angles(uav.position, Point3(0.0, 300.0, 100.0))
+        eta_lat, _ = look_ahead_angles(uav.chi, uav.gamma, chi_c, gamma_c)
+        assert eta_lat == pytest.approx(math.pi / 2, abs=1e-15)
 
     def test_leg1_matches_reference_angles(self):
         uav = make_uav(chi=0.4, gamma=0.1)
         candidate = Point3(210.0, -140.0, 160.0)
-        chi_c, gamma_c = reference_angles(uav, candidate)
-        angles = look_ahead_angles(uav, *reference_angles(uav, candidate))
-        assert angles.eta_lat == pytest.approx(wrap_angle(chi_c - 0.4), abs=1e-12)
-        assert angles.eta_lon == pytest.approx(gamma_c - 0.1, abs=1e-12)
+        chi_c, gamma_c = reference_angles(uav.position, candidate)
+        eta_lat, eta_lon = look_ahead_angles(uav.chi, uav.gamma, chi_c, gamma_c)
+        assert eta_lat == pytest.approx(wrap_angle(chi_c - 0.4), abs=1e-12)
+        assert eta_lon == pytest.approx(gamma_c - 0.1, abs=1e-12)
 
     def test_leg2_collinear_is_zero(self):
         uav = make_uav()
-        angles = transit_angles_leg2(uav, Point3(300.0, 0.0, 100.0), Point3(700.0, 0.0, 100.0))
-        assert angles.eta_lat == pytest.approx(0.0, abs=1e-15)
-        assert angles.eta_lon == pytest.approx(0.0, abs=1e-15)
+        candidate, target = Point3(300.0, 0.0, 100.0), Point3(700.0, 0.0, 100.0)
+        eta_lat, eta_lon = transit_angles_leg2(uav, candidate, target)
+        assert eta_lat == pytest.approx(0.0, abs=1e-15)
+        assert eta_lon == pytest.approx(0.0, abs=1e-15)
 
     def test_leg2_right_angle_dogleg(self):
         uav = make_uav()
-        angles = transit_angles_leg2(uav, Point3(300.0, 0.0, 100.0), Point3(300.0, 400.0, 100.0))
-        assert abs(angles.eta_lat) == pytest.approx(math.pi / 2, abs=1e-15)
-        assert angles.eta_lon == pytest.approx(0.0, abs=1e-15)
+        candidate, target = Point3(300.0, 0.0, 100.0), Point3(300.0, 400.0, 100.0)
+        eta_lat, eta_lon = transit_angles_leg2(uav, candidate, target)
+        assert abs(eta_lat) == pytest.approx(math.pi / 2, abs=1e-15)
+        assert eta_lon == pytest.approx(0.0, abs=1e-15)
 
     def test_leg2_is_difference_of_bearings(self):
         uav = make_uav(chi=0.9)
         candidate = Point3(150.0, 90.0, 130.0)
         target = Point3(500.0, -60.0, 90.0)
-        first = reference_angles(uav, candidate)
-        second = reference_angles(
-            UavState(position=candidate, chi=0.0, gamma=0.0, psi=0.0, v_g=13.5), target
-        )
-        angles = transit_angles_leg2(uav, candidate, target)
-        assert angles.eta_lat == pytest.approx(wrap_angle(second[0] - first[0]), abs=1e-12)
-        assert angles.eta_lon == pytest.approx(second[1] - first[1], abs=1e-12)
+        first = reference_angles(uav.position, candidate)
+        second = reference_angles(candidate, target)
+        eta_lat, eta_lon = transit_angles_leg2(uav, candidate, target)
+        assert eta_lat == pytest.approx(wrap_angle(second[0] - first[0]), abs=1e-12)
+        assert eta_lon == pytest.approx(second[1] - first[1], abs=1e-12)
 
 
 class TestCandidateCost:
@@ -405,7 +395,15 @@ class TestMinimizerQuality:
 
 
 class TestReplanParams:
-    # replan and best_detour trust these checks
+    # replan, best_detour, feasible_region and sample_region trust these checks
+    def test_rejects_bad_extents(self):
+        with pytest.raises(ValueError, match="delta_r"):
+            ReplanParams(delta_r=0.0)
+        with pytest.raises(ValueError, match="delta_h"):
+            ReplanParams(delta_h=-5.0)
+        with pytest.raises(ValueError, match="delta_angle"):
+            ReplanParams(delta_angle=4.0)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="k_samples"):
             ReplanParams(k_samples=0)
