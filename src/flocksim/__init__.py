@@ -47,7 +47,6 @@ from .guidance import (
     convergence_conditions,
     guidance_commands,
     look_ahead_angles,
-    path_errors,
     reference_angles,
     steering_rates,
 )
@@ -57,7 +56,6 @@ from .harness import (
     ReplanEvent,
     RunError,
     RunLog,
-    Scenario,
     ScenarioError,
     compute_metrics,
     export,
@@ -66,10 +64,7 @@ from .harness import (
 )
 from .network import (
     CommConfig,
-    CommGraph,
     DropoutWindow,
-    NeighborLink,
-    ThetaMessage,
     build_topology,
     deliver,
 )
@@ -122,7 +117,6 @@ __all__ = [
     "steering_rates",
     "guidance_commands",
     "convergence_conditions",
-    "path_errors",
     # replanner
     "ReplanParams",
     "ReplanError",
@@ -137,9 +131,6 @@ __all__ = [
     # network
     "CommConfig",
     "DropoutWindow",
-    "NeighborLink",
-    "CommGraph",
-    "ThetaMessage",
     "build_topology",
     "deliver",
     # coordination
@@ -148,7 +139,6 @@ __all__ = [
     "consensus_rate",
     "speed_command",
     # harness
-    "Scenario",
     "ScenarioError",
     "RunError",
     "LOG_COLUMNS",

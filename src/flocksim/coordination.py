@@ -6,15 +6,19 @@ neighbors, and nudges its ground speed so the fleet's estimates equalize:
 a vehicle projected to arrive later than its peers speeds up, an early
 one slows down.  No leader, no global state; the only coupling is the
 bounded tanh disagreement term, weighted by link strength.
+
+The time index is computed per vehicle from its path; the consensus rate
+and the speed command run once per tick over (N,) arrays for the fleet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import tanh
-from typing import Iterable
 
-from .dynamics import UavLimits
+import numpy as np
+
+from .dynamics import _clip
 from .geo import Point3, distance3
 from .guidance import WaypointPath
 
@@ -58,41 +62,50 @@ def time_index(position: Point3, v_g: float, path: WaypointPath) -> float:
     ``WaypointPath.splice`` keeps it there; ``UavLimits`` keeps the speed
     positive.
     """
-    return (distance3(position, path.active) + path.remaining_length()) / v_g
+    return (distance3(position, path.active) + path.remaining_length) / v_g
 
 
 def consensus_rate(
-    theta_self: float,
-    inbox: Iterable[tuple[float, float]],
-    gains: CoordinationGains,
-) -> float:
-    """Time-index rate from the disagreement with received peer values.
+    theta: np.ndarray, received: np.ndarray, strength: np.ndarray, gains: CoordinationGains
+) -> np.ndarray:
+    """(N,) time-index rates from the disagreement with received peer values.
 
-    ``inbox`` holds (link strength, theta_j) pairs.  The drift gamma_d is
-    common to the fleet and cancels in pairwise differences; only the
-    bounded disagreement terms move vehicles relative to each other.
+    ``received`` and ``strength`` are (N, w): vehicle i's received theta_j
+    and link strength per slot (``deliver`` and ``CommGraph.strength``).
+    The drift gamma_d is common to the fleet and cancels in pairwise
+    differences; only the bounded disagreement terms move vehicles
+    relative to each other.  Slots are subtracted in column order; a slot
+    of strength 0 holding a finite value subtracts exactly zero.
     """
-    rate = gains.gamma_d
-    for strength, theta_j in inbox:
-        rate -= strength * tanh(gains.k_theta * (theta_self - theta_j))
+    arg = gains.k_theta * (theta[:, None] - received)
+    # numpy's tanh differs from math.tanh in the last bit for some inputs.
+    bounded = np.array(list(map(tanh, arg.ravel().tolist()))).reshape(arg.shape)
+    rate = np.full(len(theta), gains.gamma_d)
+    # An inf strength (coincident vehicles) times tanh(0) is NaN, silently,
+    # as with Python floats.
+    with np.errstate(invalid="ignore"):
+        for k in range(arg.shape[1]):
+            rate = rate - strength[:, k] * bounded[:, k]
     return rate
 
 
 def speed_command(
-    theta: float,
-    theta_dot: float,
-    v_g: float,
+    theta: np.ndarray,
+    theta_dot: np.ndarray,
+    v_g: np.ndarray,
     gains: CoordinationGains,
-    limits: UavLimits,
-) -> float:
-    """Ground-speed setpoint from the projected time-index step.
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N,) ground-speed setpoints and time-index references.
 
     The reference theta_ref = theta + theta_dot*dt and the speed moves by
     -k_vg*(theta_ref - theta).  A vehicle lagging its peers (theta above
     theirs) gets a reduced theta_dot from the consensus term, hence a
     smaller subtraction and a faster setpoint than theirs: disagreement
-    shrinks.  Clipped to the speed envelope.
+    shrinks.  Clipped to the speed rows of the (3, N) actuator bounds
+    ``lo``/``hi``.
     """
     theta_ref = theta + theta_dot * gains.dt
     v_cmd = v_g - gains.k_vg * (theta_ref - theta)
-    return min(max(v_cmd, limits.v_g_min), limits.v_g_max)
+    return _clip(v_cmd, lo[2], hi[2]), theta_ref

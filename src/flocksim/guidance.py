@@ -19,17 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .dynamics import GRAVITY, UavState, _clip, wrap_angle
+from .dynamics import GRAVITY, _clip, wrap_angle
 from .geo import Point3, distance3
 
 __all__ = [
     "GuidanceParams",
     "WaypointPath",
-    "PathErrors",
     "DegenerateGeometryError",
     "advance_virtual_target",
     "reference_angles",
@@ -37,7 +37,6 @@ __all__ = [
     "steering_rates",
     "guidance_commands",
     "convergence_conditions",
-    "path_errors",
 ]
 
 
@@ -91,8 +90,13 @@ class WaypointPath:
     def terminus(self) -> Point3:
         return self.waypoints[-1]
 
+    @cached_property
     def remaining_length(self) -> float:
-        """Polyline length from the active waypoint through the terminus."""
+        """Polyline length from the active waypoint through the terminus.
+
+        Summed once per path object; a cursor advance or a splice builds a
+        new one.
+        """
         total = 0.0
         for k in range(self.cursor, len(self.waypoints) - 1):
             total += distance3(self.waypoints[k], self.waypoints[k + 1])
@@ -110,15 +114,6 @@ class WaypointPath:
             return self
         pts = self.waypoints[: self.cursor] + detour + self.waypoints[self.cursor:]
         return WaypointPath(pts, cursor=self.cursor)
-
-
-@dataclass(frozen=True)
-class PathErrors:
-    """Componentwise position error target - vehicle (meters)."""
-
-    e_north: float
-    e_east: float
-    e_height: float
 
 
 def _bearing_elevation(a: Point3, b: Point3) -> tuple[float, float]:
@@ -239,13 +234,4 @@ def convergence_conditions(
         np.abs(eta_lon) <= gp.delta_lon,
         y[4] * (y[2] - target_height) <= 0.0,
         act[2] * math.cos(gp.delta_lon) * math.cos(gp.delta_lat),
-    )
-
-
-def path_errors(state: UavState, target: Point3) -> PathErrors:
-    """Componentwise position error target - vehicle."""
-    return PathErrors(
-        e_north=target.north - state.position.north,
-        e_east=target.east - state.position.east,
-        e_height=target.height - state.position.height,
     )

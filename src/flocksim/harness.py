@@ -2,12 +2,13 @@
 
 A scenario is one YAML file naming a terrain raster, a shared target, a
 fleet of vehicles with waypoint paths, and the controller parameters.
-``run`` executes the per-tick sequence for every vehicle: advance the
-virtual target, check/replan around the obstacle, compute the time index
-and consensus speed, compute steering commands, then (after all vehicles
-have decided) exchange time indices over the network and integrate the
-dynamics.  Messages are delivered with a one-tick delay, so no vehicle
-ever acts on a peer's current-tick value.
+``run`` executes the per-tick sequence: per vehicle, advance the virtual
+target, check/replan around the obstacle and compute the time index;
+then, for the whole fleet at once, the consensus speed and the steering
+commands; then (after all vehicles have decided) exchange time indices
+over the network and integrate the dynamics.  Time indices reach their
+receivers one tick later, so no vehicle ever acts on a peer's
+current-tick value.
 
 Everything downstream of a (scenario, master seed) pair is deterministic;
 exports are byte-stable and the wall-clock timings that cannot be stable
@@ -54,7 +55,7 @@ from .guidance import (
     look_ahead_angles,
     reference_angles,
 )
-from .network import CommConfig, DropoutWindow, ThetaMessage, build_topology, deliver
+from .network import CommConfig, DropoutWindow, build_topology, deliver
 from .replanner import ReplanError, ReplanParams, replan
 from .seeding import derive_seed
 
@@ -65,7 +66,6 @@ __all__ = [
     "Scenario",
     "LOG_COLUMNS",
     "ReplanEvent",
-    "PremiseViolation",
     "RunLog",
     "Metrics",
     "load_scenario",
@@ -82,9 +82,12 @@ _COINCIDENT_EPS = 1e-9
 WALL_CLOCK_FILES = ("timing.json",)
 
 # The columns of RunLog.data, one row per vehicle and tick. The first ten
-# are the trajectory CSV's values after tick and t_s, in CSV order.
+# are the trajectory CSV's values after tick and t_s, in CSV order; the
+# last four are the outputs of convergence_conditions, booleans as 0/1.
 LOG_COLUMNS = ("north", "east", "height", "chi", "gamma", "phi", "n_lf", "v_g", "theta", "cursor",
-               "psi", "phi_cmd", "n_lf_cmd", "v_g_cmd", "eta_lat", "eta_lon", "theta_dot", "theta_ref")
+               "psi", "phi_cmd", "n_lf_cmd", "v_g_cmd", "eta_lat", "eta_lon", "theta_dot", "theta_ref",
+               "lat_ok", "lon_ok", "sign_ok", "margin")
+_PREMISES = slice(LOG_COLUMNS.index("lat_ok"), len(LOG_COLUMNS))
 
 _TRAJECTORY_COLUMNS = (
     "tick",
@@ -162,17 +165,6 @@ class ReplanFailure:
     reason: str
 
 
-@dataclass(frozen=True)
-class PremiseViolation:
-    tick: int
-    t: float
-    uav_id: int
-    lat_ok: bool
-    lon_ok: bool
-    sign_ok: bool
-    margin: float
-
-
 @dataclass(eq=False)
 class RunLog:
     """Complete per-tick history of one run.
@@ -187,7 +179,6 @@ class RunLog:
     data: np.ndarray = field(init=False, repr=False)
     replan_events: list[ReplanEvent] = field(default_factory=list)
     replan_failures: list[ReplanFailure] = field(default_factory=list)
-    violations: list[PremiseViolation] = field(default_factory=list)
     scenario_path: str = "<memory>"
     scenario_sha256: str = ""
     master_seed: int = 0
@@ -203,6 +194,15 @@ class RunLog:
     def thetas(self) -> np.ndarray:
         """(n_ticks, n_uavs) view of the time indices."""
         return self.data[:, :, LOG_COLUMNS.index("theta")]
+
+    def premise_violations(self) -> np.ndarray:
+        """(n_ticks, n_uavs) mask of the vehicle-ticks where a convergence premise failed.
+
+        A premise fails unless all three booleans hold and the margin is
+        positive.
+        """
+        lat_ok, lon_ok, sign_ok, margin = np.moveaxis(self.data[:, :, _PREMISES], 2, 0)
+        return ~((lat_ok != 0.0) & (lon_ok != 0.0) & (sign_ok != 0.0) & (margin > 0.0))
 
 
 @dataclass
@@ -525,11 +525,12 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
 
     Per tick, phase 1 runs every vehicle's control sequence on tick-t
     inputs (virtual-target advance, obstruction check and replan splice,
-    time index, consensus from last tick's inbox, reference angles), then
-    the steering law and premise monitor for the whole fleet at once;
-    phase 2 builds this tick's topology and routes the time-index
-    messages into next tick's inboxes; phase 3 integrates the fleet's
-    dynamics as one (6, N) block.
+    time index, reference angles), then for the whole fleet at once the
+    consensus rate on the time indices received over last tick's graph,
+    the speed command, the steering law and the premise monitor; phase 2
+    builds this tick's topology and delivers this tick's time indices
+    over it, as the (N, w) values the fleet applies next tick; phase 3
+    integrates the fleet's dynamics as one (6, N) block.
     """
     t_start = time.perf_counter()
     n = len(scenario.uavs)
@@ -547,7 +548,8 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
         WindModel(scenario.wind, derive_seed(scenario.master_seed, spec.uav_id, "wind"))
         for spec in scenario.uavs
     ]
-    inboxes: dict[int, list[tuple[float, float]]] = {i: [] for i in range(n)}
+    # Tick 0 has received nothing: one slot of strength 0 per vehicle.
+    received = strength = np.zeros((n, 1))
     replan_counts = [0] * n
 
     log = RunLog(
@@ -563,13 +565,10 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
         t = tick * dt
         north, east, height, chi, gamma, psi = y.tolist()
         phi, n_lf, v_g = act.tolist()
-        positions: list[Point3] = []
-        thetas, cursors, v_cmds, theta_dots, theta_refs = ([0.0] * n for _ in range(5))
-        chi_cs, gamma_cs, target_heights = ([0.0] * n for _ in range(3))
+        thetas, cursors, chi_cs, gamma_cs, target_heights = ([0.0] * n for _ in range(5))
 
         for i in range(n):
             pos = Point3(north[i], east[i], height[i])
-            positions.append(pos)
             path = advance_virtual_target(paths[i], pos, chi[i], gamma[i], gp)
 
             if scenario.obstacle is not None and segment_obstructed(
@@ -613,13 +612,8 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
                     )
             paths[i] = path
 
-            theta = time_index(pos, v_g[i], path)
-            theta_dot = consensus_rate(theta, inboxes[i], gains)
-            thetas[i] = theta
+            thetas[i] = time_index(pos, v_g[i], path)
             cursors[i] = path.cursor
-            v_cmds[i] = speed_command(theta, theta_dot, v_g[i], gains, scenario.uavs[i].limits)
-            theta_dots[i] = theta_dot
-            theta_refs[i] = theta + theta_dot * gains.dt
 
             target = path.active
             if distance3(pos, target) < _COINCIDENT_EPS:
@@ -628,29 +622,26 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
                 chi_cs[i], gamma_cs[i] = reference_angles(pos, target)
             target_heights[i] = target.height
 
+        theta = np.array(thetas)
+        theta_dot = consensus_rate(theta, received, strength, gains)
+        v_cmd, theta_ref = speed_command(theta, theta_dot, act[2], gains, lo, hi)
         eta_lat, eta_lon = look_ahead_angles(y[3], y[4], np.array(chi_cs), np.array(gamma_cs))
         phi_c, n_lf_c = guidance_commands(eta_lat, eta_lon, y, act, gp, lo, hi)
         premises = convergence_conditions(eta_lat, eta_lon, y, act, np.array(target_heights), gp)
-        for i, (lat_ok, lon_ok, sign_ok, margin) in enumerate(zip(*(p.tolist() for p in premises))):
-            if not (lat_ok and lon_ok and sign_ok and margin > 0.0):
-                log.violations.append(
-                    PremiseViolation(tick=tick, t=t, uav_id=i, lat_ok=lat_ok, lon_ok=lon_ok,
-                                     sign_ok=sign_ok, margin=margin)
-                )
 
         row = log.data[tick].T
         row[:5] = y[:5]
         row[5:8] = act
-        row[8:10] = (thetas, cursors)
+        row[8:10] = (theta, cursors)
         row[10] = y[5]
-        row[11:14] = (phi_c, n_lf_c, v_cmds)
-        row[14:18] = (eta_lat, eta_lon, theta_dots, theta_refs)
+        row[11:14] = (phi_c, n_lf_c, v_cmd)
+        row[14:18] = (eta_lat, eta_lon, theta_dot, theta_ref)
+        row[_PREMISES] = premises
 
-        graph = build_topology(positions, scenario.comm, tick, dt)
-        messages = [ThetaMessage(sender=i, theta=thetas[i], sent_tick=tick) for i in range(n)]
-        inboxes = deliver(messages, graph)
+        graph = build_topology(y[:3], scenario.comm, tick, dt)
+        received, strength = deliver(theta, graph), graph.strength
 
-        act = step_autopilot(act, np.array((phi_c, n_lf_c, v_cmds)), lo, hi, dt, ap)
+        act = step_autopilot(act, np.array((phi_c, n_lf_c, v_cmd)), lo, hi, dt, ap)
         gusts = np.array([wind.sample(dt) for wind in winds]).T
         y = step_kinematics(y, act, gusts, dt, ap)
         # A non-finite speed makes that vehicle's position non-finite in the
@@ -727,7 +718,7 @@ def compute_metrics(log: RunLog, scenario: Scenario) -> Metrics:
         per_uav_ae=per_uav_ae,
         n_replan_events=len(log.replan_events),
         n_replan_failures=len(log.replan_failures),
-        n_premise_violations=len(log.violations),
+        n_premise_violations=int(np.count_nonzero(log.premise_violations())),
     )
 
 
@@ -776,15 +767,14 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
         events.append(
             (f.tick, f.uav_id, ["replan_failed", f.tick, f.t, f.uav_id, json.dumps(detail_f, sort_keys=True)])
         )
-    for v in log.violations:
-        detail = {
-            "lat_ok": v.lat_ok,
-            "lon_ok": v.lon_ok,
-            "sign_ok": v.sign_ok,
-            "margin": v.margin,
-        }
+    ticks, uav_ids = np.nonzero(log.premise_violations())
+    premises = log.data[ticks, uav_ids, _PREMISES]
+    # One flat list per column: bools and floats, not a list per row.
+    columns = (ticks.tolist(), uav_ids.tolist(), *(premises[:, :3] != 0.0).T.tolist(), premises[:, 3].tolist())
+    for tick, uav_id, lat_ok, lon_ok, sign_ok, margin in zip(*columns):
+        detail = {"lat_ok": lat_ok, "lon_ok": lon_ok, "sign_ok": sign_ok, "margin": margin}
         events.append(
-            (v.tick, v.uav_id, ["premise_violation", v.tick, v.t, v.uav_id, json.dumps(detail, sort_keys=True)])
+            (tick, uav_id, ["premise_violation", tick, tick * log.dt, uav_id, json.dumps(detail, sort_keys=True)])
         )
     events.sort(key=lambda item: (item[0], item[1], item[2][0]))
     buf = io.StringIO()

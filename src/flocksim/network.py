@@ -19,9 +19,12 @@ is compiled to arrays once, in ``CommConfig``, so each tick finds the
 blocked pairs with one vectorised interval test instead of checking
 every window for every pair.
 
-Messages are delivered with a one-tick delay against the topology that
-existed at send time, so no vehicle ever reads a peer's current-tick
-state.
+A tick's topology is a ``CommGraph``: each vehicle's admitted links as
+one row of an (N, w) peer table and an (N, w) strength table, in
+ascending peer order.  ``deliver`` gathers every vehicle's received time
+indices from those tables in one indexing step.  The harness delivers a
+tick's time indices over that tick's graph and applies them on the next
+tick, so no vehicle ever reads a peer's current-tick state.
 """
 
 from __future__ import annotations
@@ -29,18 +32,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
-
-from .geo import Point3, distance3
 
 __all__ = [
     "DropoutWindow",
     "CommConfig",
-    "NeighborLink",
     "CommGraph",
-    "ThetaMessage",
     "build_topology",
     "deliver",
 ]
@@ -112,52 +110,40 @@ class CommConfig:
         return np.concatenate((a, b)), np.concatenate((b, a))
 
 
-@dataclass(frozen=True)
-class NeighborLink:
-    peer: int
-    strength: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommGraph:
-    """Per-tick topology: ``neighbors[i]`` is vehicle i's admitted peer list."""
+    """Per-tick topology as two (N, w) tables, w = min(c_max, N - 1) but at least 1.
 
-    tick: int
-    neighbors: tuple[tuple[NeighborLink, ...], ...]
+    Row i lists vehicle i's admitted links in ascending peer order:
+    ``peer[i]`` holds the peer ids and ``strength[i]`` the link strengths.
+    The slots after them are padding, holding i's own id and strength 0, so
+    a consensus term over a padding slot is exactly zero.
+    """
+
+    peer: np.ndarray
+    strength: np.ndarray
 
     @property
-    def n_uavs(self) -> int:
-        return len(self.neighbors)
+    def neighbors(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Per vehicle, its admitted (peer, strength) links in ascending peer order."""
+        return tuple(
+            tuple((j, s) for j, s in zip(peers, strengths) if j != i)
+            for i, (peers, strengths) in enumerate(zip(self.peer.tolist(), self.strength.tolist()))
+        )
 
 
-@dataclass(frozen=True)
-class ThetaMessage:
-    """One vehicle's arrival-time estimate, stamped with its send tick."""
-
-    sender: int
-    theta: float
-    sent_tick: int
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and self.theta >= 0.0):
-            raise ValueError(f"theta must be finite and >= 0, got {self.theta}")
-
-
-def build_topology(
-    positions: Sequence[Point3],
-    config: CommConfig,
-    tick: int,
-    dt: float = 1.0,
-) -> CommGraph:
+def build_topology(positions: np.ndarray, config: CommConfig, tick: int, dt: float = 1.0) -> CommGraph:
     """Admit, rank, and cap each vehicle's neighbor list for this tick.
 
-    ``dt`` converts the tick count to seconds for the dropout schedule,
-    whose windows are expressed in simulated time.  Pure function of its
-    arguments.
+    ``positions`` is the (3, N) block of north, east and height rows, the
+    first three rows of the fleet's kinematic block.  ``dt`` converts the
+    tick count to seconds for the dropout schedule, whose windows are
+    expressed in simulated time.  Pure function of its arguments.
     """
-    n = len(positions)
+    n = positions.shape[1]
     if n < 1:
         raise ValueError("need at least one position")
+    north, east, height = positions.tolist()
     blocked: set[tuple[int, int]] = set()
     if n >= _SCREEN_MIN_N and config.c_max < n - 1:
         candidates = _screen(positions, config, tick * dt)
@@ -166,25 +152,29 @@ def build_topology(
         if config.dropout_schedule:
             rows, cols = config._blocked_pairs(tick * dt, n)
             blocked = set(zip(rows.tolist(), cols.tolist()))
-    neighbors = []
+    width = max(1, min(config.c_max, n - 1))
+    peer, strength = [], []
     for i in range(n):
         # (-strength, peer): ascending order is the admission rank
         ranked: list[tuple[float, int]] = []
         for j in candidates[i]:
             if j == i or (i, j) in blocked:
                 continue
-            d = distance3(positions[i], positions[j])
+            d = math.hypot(north[j] - north[i], east[j] - east[i], height[j] - height[i])
             if d > config.r_com:
                 continue
             if d < 1.0:
                 log.warning("near-coincident vehicles %d and %d at d=%.3g m; strength diverges", i, j, d)
             ranked.append((-config.gamma_signal / d if d > 0.0 else -math.inf, j))
         ranked.sort()
-        neighbors.append(tuple(NeighborLink(peer=j, strength=-s) for s, j in ranked[: config.c_max]))
-    return CommGraph(tick=tick, neighbors=tuple(neighbors))
+        links = sorted((j, -s) for s, j in ranked[: config.c_max])
+        pad = width - len(links)
+        peer.append([j for j, _ in links] + [i] * pad)
+        strength.append([s for _, s in links] + [0.0] * pad)
+    return CommGraph(peer=np.array(peer), strength=np.array(strength))
 
 
-def _screen(positions: Sequence[Point3], config: CommConfig, now: float) -> list[list[int]]:
+def _screen(positions: np.ndarray, config: CommConfig, now: float) -> list[list[int]]:
     """Per vehicle, the ascending peer ids that can reach its top ``c_max``.
 
     A superset of the admitted top ``c_max`` (ties included) and of every
@@ -192,11 +182,8 @@ def _screen(positions: Sequence[Point3], config: CommConfig, now: float) -> list
     itself are left out.  Out-of-range pairs within the margin may stay and
     are rejected by the exact rule.
     """
-    n = len(positions)
-    axes = np.array(
-        [[p.north for p in positions], [p.east for p in positions], [p.height for p in positions]]
-    )
-    diff = axes[:, :, None] - axes[:, None, :]
+    n = positions.shape[1]
+    diff = positions[:, :, None] - positions[:, None, :]
     diff *= diff
     d2 = diff.sum(axis=0)
     slack = 1.0 + _SCREEN_MARGIN
@@ -214,33 +201,12 @@ def _screen(positions: Sequence[Point3], config: CommConfig, now: float) -> list
     return candidates
 
 
-def deliver(
-    messages: Sequence[ThetaMessage],
-    graph_at_send: CommGraph,
-) -> dict[int, list[tuple[float, float]]]:
-    """Route send-tick messages into next-tick inboxes.
+def deliver(theta: np.ndarray, graph_at_send: CommGraph) -> np.ndarray:
+    """The (N, w) time indices each vehicle receives over ``graph_at_send``.
 
-    Vehicle i's inbox lists (link strength, theta) for each of its
-    admitted peers that sent a message, ordered by sender id.  Delivery
-    follows the receiver's own neighbor list, so asymmetric admission
-    yields asymmetric delivery.
+    Entry (i, k) is the value ``theta`` held by vehicle i's k-th link, in
+    the slot order of ``graph_at_send``.  Delivery follows the receiver's
+    own row, so asymmetric admission yields one-way coupling; a padding
+    slot carries the receiver's own value.
     """
-    thetas: dict[int, float] = {}
-    for msg in messages:
-        if msg.sent_tick != graph_at_send.tick:
-            raise ValueError(
-                f"message from {msg.sender} stamped tick {msg.sent_tick}, graph is tick {graph_at_send.tick}"
-            )
-        if msg.sender in thetas:
-            raise ValueError(f"duplicate message from sender {msg.sender}")
-        if not 0 <= msg.sender < graph_at_send.n_uavs:
-            raise ValueError(f"unknown sender {msg.sender}")
-        thetas[msg.sender] = msg.theta
-
-    inboxes: dict[int, list[tuple[float, float]]] = {}
-    for i, links in enumerate(graph_at_send.neighbors):
-        by_sender = sorted(links, key=lambda link: link.peer)
-        inboxes[i] = [
-            (link.strength, thetas[link.peer]) for link in by_sender if link.peer in thetas
-        ]
-    return inboxes
+    return theta[graph_at_send.peer]

@@ -7,7 +7,9 @@ itself; only the geometric primitives (segment queries) are shared.
 The scalar flight oracles (``wrap_oracle`` through ``WindOracle``) are the
 one-vehicle-at-a-time forms of the fleet step, written with ``math`` on
 Python floats in the library's operation order, so the fleet arrays must
-equal them bit for bit.
+equal them bit for bit.  ``deliver_oracle``, ``consensus_oracle`` and
+``speed_oracle`` are the same for the time-index exchange: one inbox of
+(strength, theta_j) pairs per receiver, in sender order.
 """
 
 import logging
@@ -16,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from flocksim import CommGraph, NeighborLink, Point3, segment_above_terrain, segment_obstructed
+from flocksim import Point3, segment_above_terrain, segment_obstructed
 
 _network_log = logging.getLogger("flocksim.network")
 
@@ -120,14 +122,17 @@ def grid_cost_oracle(
 def topology_oracle(positions, config, tick, dt=1.0):
     """Scalar per-pair topology: every pair, every dropout window, every tick.
 
-    The admission rule written out in full: a peer in range (``d <=
-    r_com``) whose link no active window ``[start_s, end_s)`` names in
-    either order is admitted with strength ``gamma / d`` (inf when
-    coincident); each list is sorted by (-strength, peer) and cut at
-    ``c_max``.  Warnings for pairs closer than 1 m go to the
-    ``flocksim.network`` logger in (i, j) order, as the library emits them.
+    ``positions`` is the (3, N) north, east, height block.  The admission
+    rule written out in full: a peer in range (``d <= r_com``) whose link
+    no active window ``[start_s, end_s)`` names in either order is admitted
+    with strength ``gamma / d`` (inf when coincident); each list is sorted
+    by (-strength, peer), cut at ``c_max`` and returned as (peer, strength)
+    pairs in ascending peer order.  Warnings for pairs closer than 1 m go
+    to the ``flocksim.network`` logger in (i, j) order, as the library
+    emits them.
     """
-    n = len(positions)
+    points = [Point3(*column) for column in np.asarray(positions).T.tolist()]
+    n = len(points)
     if n < 1:
         raise ValueError("need at least one position")
     now = tick * dt
@@ -137,7 +142,7 @@ def topology_oracle(positions, config, tick, dt=1.0):
         for j in range(n):
             if j == i:
                 continue
-            a, b = positions[i], positions[j]
+            a, b = points[i], points[j]
             d = math.hypot(b.north - a.north, b.east - a.east, b.height - a.height)
             if d > config.r_com:
                 continue
@@ -151,10 +156,30 @@ def topology_oracle(positions, config, tick, dt=1.0):
                     "near-coincident vehicles %d and %d at d=%.3g m; strength diverges", i, j, d
                 )
             strength = config.gamma_signal / d if d > 0.0 else math.inf
-            admitted.append(NeighborLink(peer=j, strength=strength))
-        admitted.sort(key=lambda link: (-link.strength, link.peer))
-        neighbors.append(tuple(admitted[: config.c_max]))
-    return CommGraph(tick=tick, neighbors=tuple(neighbors))
+            admitted.append((j, strength))
+        admitted.sort(key=lambda link: (-link[1], link[0]))
+        neighbors.append(tuple(sorted(admitted[: config.c_max])))
+    return tuple(neighbors)
+
+
+def deliver_oracle(thetas, neighbors):
+    """Per receiver, the (strength, theta_j) inbox of its links, by sender id."""
+    return [[(s, thetas[j]) for j, s in sorted(links)] for links in neighbors]
+
+
+def consensus_oracle(theta_self, inbox, gains):
+    """Scalar time-index rate of one vehicle from its inbox."""
+    rate = gains.gamma_d
+    for strength, theta_j in inbox:
+        rate -= strength * math.tanh(gains.k_theta * (theta_self - theta_j))
+    return rate
+
+
+def speed_oracle(theta, theta_dot, v_g, gains, limits):
+    """Scalar (speed setpoint, theta_ref) of one vehicle."""
+    theta_ref = theta + theta_dot * gains.dt
+    v_cmd = v_g - gains.k_vg * (theta_ref - theta)
+    return min(max(v_cmd, limits.v_g_min), limits.v_g_max), theta_ref
 
 
 def _wrap(x):

@@ -15,6 +15,7 @@ from flocksim import (
     UavLimits,
     UavState,
     WaypointPath,
+    actuator_bounds,
     consensus_rate,
     speed_command,
     time_index,
@@ -25,6 +26,27 @@ def make_state(north=0.0, east=0.0, height=100.0, v_g=10.0):
     return UavState(
         position=Point3(north, east, height), chi=0.0, gamma=0.0, psi=0.0, v_g=v_g
     )
+
+
+def one_rate(theta, inbox, gains):
+    """One vehicle's consensus rate from (strength, theta_j) pairs.
+
+    An empty inbox is one padding slot: the vehicle's own value at
+    strength 0.
+    """
+    inbox = inbox or [(0.0, theta)]
+    received = np.array([[theta_j for _, theta_j in inbox]])
+    strength = np.array([[s for s, _ in inbox]])
+    (out,) = consensus_rate(np.array([theta]), received, strength, gains).tolist()
+    return out
+
+
+def one_command(theta, theta_dot, v_g, gains, limits):
+    """One vehicle's speed setpoint."""
+    lo, hi = actuator_bounds([limits])
+    v_cmd, theta_ref = speed_command(np.array([theta]), np.array([theta_dot]), np.array([v_g]), gains, lo, hi)
+    assert theta_ref.tolist() == [theta + theta_dot * gains.dt]
+    return v_cmd.item()
 
 
 class TestCoordinationGains:
@@ -71,24 +93,24 @@ class TestTimeIndex:
 class TestConsensusRate:
     def test_empty_inbox_drifts_at_nominal_rate(self):
         gains = CoordinationGains(gamma_d=1.0)
-        assert consensus_rate(42.0, [], gains) == 1.0
+        assert one_rate(42.0, [], gains) == 1.0
 
     def test_agreeing_neighbor_is_fixed_point(self):
         gains = CoordinationGains(gamma_d=1.0)
-        assert consensus_rate(42.0, [(0.5, 42.0)], gains) == 1.0
+        assert one_rate(42.0, [(0.5, 42.0)], gains) == 1.0
 
     def test_hand_evaluated_disagreement(self):
         # 1 - 0.5 tanh(2) = 0.51799
         gains = CoordinationGains(k_theta=1.0, gamma_d=1.0)
-        rate = consensus_rate(10.0, [(0.5, 8.0)], gains)
+        rate = one_rate(10.0, [(0.5, 8.0)], gains)
         assert rate == pytest.approx(1.0 - 0.5 * math.tanh(2.0), abs=1e-12)
         assert rate == pytest.approx(0.51799, abs=1e-5)
 
     def test_pairwise_coupling_is_antisymmetric(self):
         gains = CoordinationGains(gamma_d=1.0)
         beta = 0.37
-        r1 = consensus_rate(30.0, [(beta, 18.0)], gains)
-        r2 = consensus_rate(18.0, [(beta, 30.0)], gains)
+        r1 = one_rate(30.0, [(beta, 18.0)], gains)
+        r2 = one_rate(18.0, [(beta, 30.0)], gains)
         assert r1 + r2 == pytest.approx(2.0 * gains.gamma_d, abs=1e-12)
 
     def test_rate_bounded_by_total_strength(self):
@@ -99,7 +121,7 @@ class TestConsensusRate:
                 (float(rng.uniform(0.01, 2.0)), float(rng.uniform(0.0, 300.0)))
                 for _ in range(int(rng.integers(1, 6)))
             ]
-            rate = consensus_rate(float(rng.uniform(0.0, 300.0)), inbox, gains)
+            rate = one_rate(float(rng.uniform(0.0, 300.0)), inbox, gains)
             assert abs(rate - gains.gamma_d) <= sum(b for b, _ in inbox) + 1e-12
 
 
@@ -108,35 +130,35 @@ class TestSpeedCommand:
 
     def test_zero_rate_keeps_speed(self):
         gains = CoordinationGains()
-        assert speed_command(100.0, 0.0, 13.5, gains, self.LIMITS) == 13.5
+        assert one_command(100.0, 0.0, 13.5, gains, self.LIMITS) == 13.5
 
     def test_upper_clip(self):
         # 18 + 0.001*10 = 18.01 exceeds the envelope
         gains = CoordinationGains(k_vg=0.001, dt=1.0)
-        assert speed_command(100.0, -10.0, 18.0, gains, self.LIMITS) == 18.0
+        assert one_command(100.0, -10.0, 18.0, gains, self.LIMITS) == 18.0
 
     def test_lower_clip(self):
         gains = CoordinationGains(k_vg=0.001, dt=1.0)
-        assert speed_command(100.0, 5000.0, 9.0, gains, self.LIMITS) == 9.0
+        assert one_command(100.0, 5000.0, 9.0, gains, self.LIMITS) == 9.0
 
     def test_hand_evaluated_decrement(self):
         # 12 - 0.001*500*1 = 11.5
         gains = CoordinationGains(k_vg=0.001, dt=1.0)
-        assert speed_command(100.0, 500.0, 12.0, gains, self.LIMITS) == 11.5
+        assert one_command(100.0, 500.0, 12.0, gains, self.LIMITS) == 11.5
 
     def test_consensus_fixed_point_drift_is_exact(self):
         # all peers agreeing leaves theta_dot = gamma_d, so the command is
         # exactly v_g - k_vg * gamma_d * dt, not v_g itself
         gains = CoordinationGains(k_theta=1.0, gamma_d=1.0, k_vg=0.001, dt=1.0)
-        rate = consensus_rate(50.0, [(0.8, 50.0), (0.3, 50.0)], gains)
-        cmd = speed_command(50.0, rate, 13.5, gains, self.LIMITS)
+        rate = one_rate(50.0, [(0.8, 50.0), (0.3, 50.0)], gains)
+        cmd = one_command(50.0, rate, 13.5, gains, self.LIMITS)
         assert cmd == 13.5 - 0.001 * 1.0 * 1.0
 
     def test_always_within_envelope(self):
         gains = CoordinationGains(k_vg=0.5, dt=1.0)
         rng = np.random.default_rng(19)
         for _ in range(200):
-            cmd = speed_command(
+            cmd = one_command(
                 float(rng.uniform(0.0, 400.0)),
                 float(rng.uniform(-100.0, 100.0)),
                 float(rng.uniform(9.0, 18.0)),
@@ -152,14 +174,13 @@ class TestLineTopologyConvergence:
         # forward integration of the rate law at dt=0.01 must close the gap
         # within the pinned 45 s horizon
         gains = CoordinationGains(k_theta=1.0, gamma_d=1.0)
-        links = {0: (1,), 1: (0, 2), 2: (1, 3), 3: (2,)}
-        theta = [0.0, 20.0, 40.0, 60.0]
-        assert max(theta) - min(theta) == 60.0
+        # links 0-1, 1-2, 2-3 as (4, 2) tables; the end vehicles' second
+        # slot is padding
+        peer = np.array([[1, 0], [0, 2], [1, 3], [2, 3]])
+        strength = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+        theta = np.array([0.0, 20.0, 40.0, 60.0])
+        assert np.ptp(theta) == 60.0
         dt = 0.01
         for _ in range(4500):
-            rates = [
-                consensus_rate(theta[i], [(1.0, theta[j]) for j in links[i]], gains)
-                for i in range(4)
-            ]
-            theta = [x + dt * r for x, r in zip(theta, rates)]
-        assert max(theta) - min(theta) < 1.0
+            theta = theta + dt * consensus_rate(theta, theta[peer], strength, gains)
+        assert np.ptp(theta) < 1.0

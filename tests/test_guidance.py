@@ -1,5 +1,6 @@
 """Virtual-target bookkeeping and look-ahead steering-law tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from flocksim import (
     fleet_arrays,
     guidance_commands,
     look_ahead_angles,
-    path_errors,
     reference_angles,
     steering_rates,
     step_kinematics,
@@ -94,9 +94,20 @@ class TestWaypointPath:
             Point3(30, 40, 100),
             Point3(30, 40, 110),
         )
-        assert WaypointPath(pts, cursor=0).remaining_length() == pytest.approx(80.0)
-        assert WaypointPath(pts, cursor=1).remaining_length() == pytest.approx(50.0)
-        assert WaypointPath(pts, cursor=3).remaining_length() == 0.0
+        assert WaypointPath(pts, cursor=0).remaining_length == pytest.approx(80.0)
+        assert WaypointPath(pts, cursor=1).remaining_length == pytest.approx(50.0)
+        assert WaypointPath(pts, cursor=3).remaining_length == 0.0
+
+    def test_remaining_length_of_every_cursor_of_a_spliced_path(self):
+        # the cached sum equals a fresh left-to-right loop from the cursor
+        pts = (Point3(0, 0, 100), Point3(100.3, 0, 100), Point3(200, 17.1, 96.2), Point3(301, 9, 100))
+        spliced = WaypointPath(pts, cursor=1).splice((Point3(80.7, 30.1, 99), Point3(120.2, 33.3, 101)))
+        for cursor in range(len(spliced.waypoints)):
+            path = dataclasses.replace(spliced, cursor=cursor)
+            total = 0.0
+            for k in range(cursor, len(path.waypoints) - 1):
+                total += math.dist(path.waypoints[k].as_array(), path.waypoints[k + 1].as_array())
+            assert path.remaining_length == path.remaining_length == total
 
     def test_splice_preserves_terminus_and_tail(self):
         pts = (Point3(0, 0, 100), Point3(100, 0, 100), Point3(200, 0, 100))
@@ -316,27 +327,3 @@ class TestGuidanceParams:
         # advance_virtual_target trusts this check
         with pytest.raises(ValueError, match="acceptance_radius"):
             GuidanceParams(acceptance_radius=-1.0)
-
-
-class TestPathErrors:
-    def test_coincident_is_zero(self):
-        state = make_state()
-        err = path_errors(state, state.position)
-        assert (err.e_north, err.e_east, err.e_height) == (0.0, 0.0, 0.0)
-
-    def test_component_signs(self):
-        err = path_errors(make_state(north=0, east=0, height=0), Point3(100, 0, 50))
-        assert (err.e_north, err.e_east, err.e_height) == (100.0, 0.0, 50.0)
-
-    def test_antisymmetry(self):
-        a = make_state(north=3.0, east=-7.0, height=90.0)
-        b = Point3(-2.0, 11.0, 140.0)
-        ab = path_errors(a, b)
-        ba = path_errors(
-            UavState(position=b, chi=0.0, gamma=0.0, psi=0.0, v_g=12.0), a.position
-        )
-        assert (ab.e_north, ab.e_east, ab.e_height) == (
-            -ba.e_north,
-            -ba.e_east,
-            -ba.e_height,
-        )

@@ -6,6 +6,7 @@ mean error vector with the n-1 denominator.
 """
 
 import copy
+import csv
 import dataclasses
 import itertools
 import json
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 import yaml
 from conftest import MINI_SCENARIO
+from oracles import consensus_oracle, deliver_oracle, topology_oracle
 
 from flocksim import (
     AutopilotParams,
@@ -445,6 +447,31 @@ class TestRun:
         with pytest.raises(RunError, match=r"^tick 3, uav 2: state became non-finite"):
             run(scenario)
 
+    def test_consensus_uses_last_ticks_values_over_last_ticks_graph(self, scenario_dir):
+        # theta_dot at tick t is the scalar law on the peers' tick t-1 theta,
+        # routed over the graph of the tick t-1 positions; at tick 0 nothing
+        # has been received, so every rate is gamma_d exactly
+        scenario = load_scenario(f"{scenario_dir}/reference_4uav_dropout.yaml")
+        log, _ = run(scenario)
+        gains = scenario.coordination
+        theta = log.thetas().tolist()
+        theta_dot = log.data[:, :, LOG_COLUMNS.index("theta_dot")].tolist()
+        assert theta_dot[0] == [gains.gamma_d] * log.n_uavs
+        suppressed = current_differs = 0
+        for tick in range(1, log.n_ticks):
+            positions = log.data[tick - 1, :, :3].T
+            links = topology_oracle(positions, scenario.comm, tick - 1, log.dt)
+            inboxes = deliver_oracle(theta[tick - 1], links)
+            assert theta_dot[tick] == [consensus_oracle(th, inbox, gains) for th, inbox in zip(theta[tick], inboxes)]
+            open_links = topology_oracle(positions, dataclasses.replace(scenario.comm, dropout_schedule=()),
+                                         tick - 1, log.dt)
+            suppressed += links != open_links
+            current = deliver_oracle(theta[tick], links)
+            current_differs += theta_dot[tick] != [consensus_oracle(th, inbox, gains)
+                                                   for th, inbox in zip(theta[tick], current)]
+        assert suppressed > 0
+        assert current_differs > 0
+
     def test_zero_duration_run(self, make_scenario_file, tmp_path):
         scenario = load_scenario(make_scenario_file(duration_s=0.0))
         log, metrics = run(scenario)
@@ -648,6 +675,31 @@ class TestExport:
         assert detail["waypoints"]
         assert detail["rt_sim_s"] == 0.0
         assert detail["overhead_s"] > 0.0
+
+    def test_premise_violation_rows_come_from_the_monitor_columns(self, scenario_dir, tmp_path):
+        # one row per vehicle-tick where a premise failed, in (tick, uav)
+        # order, with JSON booleans and the logged margin
+        scenario = load_scenario(f"{scenario_dir}/reference_4uav.yaml")
+        log, metrics = run(scenario)
+        export(log, metrics, tmp_path)
+        rows = [r for r in csv.reader((tmp_path / "events.csv").read_text().splitlines()[1:])
+                if r[0] == "premise_violation"]
+        col = {name: LOG_COLUMNS.index(name) for name in LOG_COLUMNS}
+        gp = scenario.guidance
+        want = []
+        for tick, uavs in enumerate(log.data.tolist()):
+            for uav_id, v in enumerate(uavs):
+                lat_ok, lon_ok = abs(v[col["eta_lat"]]) <= gp.delta_lat, abs(v[col["eta_lon"]]) <= gp.delta_lon
+                assert (v[col["lat_ok"]], v[col["lon_ok"]]) == (float(lat_ok), float(lon_ok))
+                assert v[col["margin"]] == v[col["v_g"]] * math.cos(gp.delta_lon) * math.cos(gp.delta_lat)
+                sign_ok = v[col["sign_ok"]] == 1.0
+                if not (lat_ok and lon_ok and sign_ok and v[col["margin"]] > 0.0):
+                    detail = {"lat_ok": lat_ok, "lon_ok": lon_ok, "sign_ok": sign_ok, "margin": v[col["margin"]]}
+                    want.append(["premise_violation", str(tick), repr(tick * log.dt), str(uav_id),
+                                 json.dumps(detail, sort_keys=True)])
+        assert rows == want
+        assert len(want) == metrics.n_premise_violations == np.count_nonzero(log.premise_violations()) > 0
+        assert any('"lat_ok": false' in r[4] for r in rows)
 
     def test_reference_run_file_set(self, scenario_dir, tmp_path):
         scenario = load_scenario(f"{scenario_dir}/reference_4uav.yaml")

@@ -3,6 +3,7 @@
 import logging
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -10,20 +11,27 @@ from oracles import topology_oracle
 
 from flocksim import (
     CommConfig,
-    CommGraph,
+    CoordinationGains,
     DropoutWindow,
-    NeighborLink,
-    Point3,
-    ThetaMessage,
     build_topology,
+    consensus_rate,
     deliver,
 )
 from flocksim.network import _SCREEN_MIN_N
 
 
+def block(*points):
+    """The (3, N) north, east, height block of (north, east, height) points."""
+    return np.array(points, dtype=float).reshape(-1, 3).T.copy()
+
+
 def at_km(*kms):
     """Collinear positions along the north axis, kilometers in, meters out."""
-    return [Point3(km * 1000.0, 0.0, 100.0) for km in kms]
+    return block(*((km * 1000.0, 0.0, 100.0) for km in kms))
+
+
+def peers(graph, i):
+    return tuple(j for j, _ in graph.neighbors[i])
 
 
 class TestDropoutWindow:
@@ -40,7 +48,7 @@ class TestDropoutWindow:
 
         def linked(i, j, now):
             graph = build_topology(at_km(0, 1, 2), config, tick=round(now * 1000), dt=0.001)
-            return any(link.peer == j for link in graph.neighbors[i])
+            return j in peers(graph, i)
 
         assert not linked(0, 1, 10.0)
         assert not linked(1, 0, 10.0)
@@ -71,25 +79,11 @@ class TestCommConfig:
             CommConfig(gamma_signal=-1.0)
 
 
-class TestThetaMessage:
-    def test_valid(self):
-        msg = ThetaMessage(sender=0, theta=42.0, sent_tick=7)
-        assert msg.theta == 42.0
-
-    def test_rejects_bad_theta(self):
-        with pytest.raises(ValueError, match="theta"):
-            ThetaMessage(sender=0, theta=-1.0, sent_tick=0)
-        with pytest.raises(ValueError, match="theta"):
-            ThetaMessage(sender=0, theta=math.inf, sent_tick=0)
-        with pytest.raises(ValueError, match="theta"):
-            ThetaMessage(sender=0, theta=math.nan, sent_tick=0)
-
-
 class TestBuildTopology:
     def test_pair_within_range(self):
         graph = build_topology(at_km(0, 1), CommConfig(gamma_signal=1.0), tick=0)
-        assert graph.neighbors[0] == (NeighborLink(peer=1, strength=0.001),)
-        assert graph.neighbors[1] == (NeighborLink(peer=0, strength=0.001),)
+        assert graph.neighbors[0] == ((1, 0.001),)
+        assert graph.neighbors[1] == ((0, 0.001),)
 
     def test_pair_out_of_range(self):
         graph = build_topology(at_km(0, 31), CommConfig(r_com=30_000.0), tick=0)
@@ -106,49 +100,37 @@ class TestBuildTopology:
             for j in range(4):
                 if j == i:
                     continue
-                d = abs(positions[i].north - positions[j].north)
+                d = abs(positions[0, i] - positions[0, j])
                 if d <= 15_000.0:
                     admitted.append((-1.0 / d, j))
             admitted.sort()
             expected = tuple(j for _, j in admitted[:2])
-            assert tuple(link.peer for link in graph.neighbors[i]) == expected
+            assert peers(graph, i) == tuple(sorted(expected))
 
         # the middle vehicles keep both 10-km peers, tie broken by lower id
-        assert tuple(link.peer for link in graph.neighbors[1]) == (0, 2)
-        assert tuple(link.peer for link in graph.neighbors[2]) == (1, 3)
+        assert peers(graph, 1) == (0, 2)
+        assert peers(graph, 2) == (1, 3)
 
     def test_strength_tracks_distance(self):
-        positions = [
-            Point3(0.0, 0.0, 100.0),
-            Point3(3000.0, 400.0, 150.0),
-            Point3(-1200.0, 2500.0, 80.0),
-        ]
+        positions = block((0.0, 0.0, 100.0), (3000.0, 400.0, 150.0), (-1200.0, 2500.0, 80.0))
         graph = build_topology(positions, CommConfig(gamma_signal=7.5), tick=0)
         for i, links in enumerate(graph.neighbors):
-            for link in links:
-                d = math.dist(
-                    positions[i].as_array(), positions[link.peer].as_array()
-                )
-                assert link.strength * d / 7.5 == pytest.approx(1.0, rel=1e-9)
+            for peer, strength in links:
+                d = math.dist(positions[:, i], positions[:, peer])
+                assert strength * d / 7.5 == pytest.approx(1.0, rel=1e-9)
 
     def test_cap_and_no_self_loops(self):
-        import numpy as np
-
         rng = np.random.default_rng(21)
-        positions = [
-            Point3(float(rng.uniform(-5000, 5000)), float(rng.uniform(-5000, 5000)), 100.0)
-            for _ in range(6)
-        ]
+        positions = block(*((rng.uniform(-5000, 5000), rng.uniform(-5000, 5000), 100.0) for _ in range(6)))
         config = CommConfig(r_com=4000.0, c_max=3)
         graph = build_topology(positions, config, tick=0)
+        assert graph.peer.shape == graph.strength.shape == (6, 3)
         for i, links in enumerate(graph.neighbors):
             assert len(links) <= 3
-            strengths = [link.strength for link in links]
-            assert strengths == sorted(strengths, reverse=True)
-            for link in links:
-                assert link.peer != i
-                d = math.dist(positions[i].as_array(), positions[link.peer].as_array())
-                assert d <= 4000.0
+            assert [peer for peer, _ in links] == sorted(peer for peer, _ in links)
+            for peer, _ in links:
+                assert peer != i
+                assert math.dist(positions[:, i], positions[:, peer]) <= 4000.0
 
     def test_dropout_window_suppresses_link(self):
         config = CommConfig(
@@ -158,40 +140,45 @@ class TestBuildTopology:
         before = build_topology(positions, config, tick=9, dt=1.0)
         during = build_topology(positions, config, tick=10, dt=1.0)
         after = build_topology(positions, config, tick=20, dt=1.0)
-        assert any(link.peer == 1 for link in before.neighbors[0])
-        assert not any(link.peer == 1 for link in during.neighbors[0])
-        assert not any(link.peer == 0 for link in during.neighbors[1])
+        assert 1 in peers(before, 0)
+        assert 1 not in peers(during, 0)
+        assert 0 not in peers(during, 1)
         # third vehicle unaffected
-        assert any(link.peer == 2 for link in during.neighbors[1])
-        assert any(link.peer == 1 for link in after.neighbors[0])
+        assert 2 in peers(during, 1)
+        assert 1 in peers(after, 0)
 
     def test_dropout_uses_seconds_not_ticks(self):
         config = CommConfig(dropout_schedule=(DropoutWindow(10.0, 20.0, 0, 1),))
         graph = build_topology(at_km(0, 1), config, tick=30, dt=0.5)
-        assert not any(link.peer == 1 for link in graph.neighbors[0])
+        assert 1 not in peers(graph, 0)
 
     def test_coincident_vehicles_get_infinite_strength(self):
-        positions = [Point3(0.0, 0.0, 100.0), Point3(0.0, 0.0, 100.0)]
-        graph = build_topology(positions, CommConfig(), tick=0)
-        assert graph.neighbors[0][0].strength == math.inf
+        graph = build_topology(block((0.0, 0.0, 100.0), (0.0, 0.0, 100.0)), CommConfig(), tick=0)
+        assert graph.neighbors[0] == ((1, math.inf),)
 
     def test_pure_function(self):
         positions = at_km(0, 5, 9)
         config = CommConfig(r_com=6000.0, c_max=1)
-        assert build_topology(positions, config, 3) == build_topology(positions, config, 3)
+        a, b = build_topology(positions, config, 3), build_topology(positions, config, 3)
+        assert (a.peer.tolist(), a.strength.tolist()) == (b.peer.tolist(), b.strength.tolist())
+        assert positions.tolist() == at_km(0, 5, 9).tolist()
 
     def test_rejects_empty_fleet(self):
         with pytest.raises(ValueError, match="at least one"):
-            build_topology([], CommConfig(), tick=0)
+            build_topology(np.zeros((3, 0)), CommConfig(), tick=0)
 
 
 def lattice(n, spacing=1000.0):
     """First n points of a 5-column grid in the horizontal plane: many equidistant peers."""
-    return [Point3((k // 5) * spacing, (k % 5) * spacing, 100.0) for k in range(n)]
+    return block(*(((k // 5) * spacing, (k % 5) * spacing, 100.0) for k in range(n)))
 
 
 def assert_matches_oracle(caplog, positions, config, tick, dt=1.0):
-    """Same graph, compared float for float, and the same warnings in order."""
+    """Same graph, compared float for float, and the same warnings in order.
+
+    The tables are (N, w) with w = min(c_max, N - 1), at least 1, and each
+    row's slots after its links hold the vehicle's own id at strength 0.
+    """
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="flocksim.network"):
         graph = build_topology(positions, config, tick, dt)
@@ -199,8 +186,16 @@ def assert_matches_oracle(caplog, positions, config, tick, dt=1.0):
         caplog.clear()
         expected = topology_oracle(positions, config, tick, dt)
         want = [r.getMessage() for r in caplog.records]
-    assert graph == expected
+    assert graph.neighbors == expected
     assert got == want
+    n = positions.shape[1]
+    width = max(1, min(config.c_max, n - 1))
+    assert graph.peer.shape == graph.strength.shape == (n, width)
+    for i, links in enumerate(expected):
+        pad = width - len(links)
+        assert graph.peer[i].tolist() == [j for j, _ in links] + [i] * pad
+        assert graph.strength[i].tolist() == [s for _, s in links] + [0.0] * pad
+    return graph
 
 
 SIZES = (4, 25)  # fleet sizes on both sides of the screen threshold
@@ -219,7 +214,7 @@ class TestTopologyMatchesOracle:
     def test_pair_exactly_at_r_com(self, caplog, n):
         config = CommConfig(r_com=1000.0, c_max=3)
         graph = build_topology(lattice(n), config, 0)
-        assert any(link.peer == 1 for link in graph.neighbors[0])
+        assert 1 in peers(graph, 0)
         assert_matches_oracle(caplog, lattice(n), config, 0)
 
     @pytest.mark.parametrize("n", SIZES)
@@ -227,11 +222,11 @@ class TestTopologyMatchesOracle:
         # 0 and 3 coincide; 2 sits 0.5 m from 0 but outside its top c_max=1,
         # and is still warned about
         positions = lattice(n)
-        positions[3] = positions[0]
-        positions[2] = Point3(positions[0].north, positions[0].east + 0.5, 100.0)
+        positions[:, 3] = positions[:, 0]
+        positions[:, 2] = positions[:, 0] + (0.0, 0.5, 0.0)
         assert_matches_oracle(caplog, positions, CommConfig(c_max=1), 0)
         assert "vehicles 0 and 2" in caplog.text
-        assert build_topology(positions, CommConfig(c_max=1), 0).neighbors[0] == (NeighborLink(3, math.inf),)
+        assert build_topology(positions, CommConfig(c_max=1), 0).neighbors[0] == ((3, math.inf),)
 
     def test_single_vehicle(self, caplog):
         assert_matches_oracle(caplog, at_km(0), CommConfig(), 0)
@@ -249,12 +244,12 @@ class TestTopologyMatchesOracle:
         # the last vehicle is everyone's nearest peer; under numpy indexing
         # id -1 would wrap to it and id n + 3 would raise
         positions = lattice(n)
-        positions[-1] = Point3(-500.0, 0.0, 100.0)
+        positions[:, -1] = (-500.0, 0.0, 100.0)
         windows = tuple(DropoutWindow(0.0, 5.0, a, b) for a, b in ((-1, 0), (0, n + 3), (1, -1), (n + 3, -1)))
         config = CommConfig(c_max=c_max, dropout_schedule=windows)
         plain = build_topology(positions, CommConfig(c_max=c_max), 1)
-        assert any(link.peer == n - 1 for link in plain.neighbors[0])
-        assert build_topology(positions, config, 1) == plain
+        assert n - 1 in peers(plain, 0)
+        assert build_topology(positions, config, 1).neighbors == plain.neighbors
         assert_matches_oracle(caplog, positions, config, 1)
 
     @settings(
@@ -270,10 +265,7 @@ class TestTopologyMatchesOracle:
         spacing = data.draw(st.sampled_from([0.3, 400.0, 1000.0]), label="spacing")
         on_lattice = st.integers(-2, 2).map(lambda k: k * spacing)
         coord = st.one_of(on_lattice, on_lattice, st.floats(-4000.0, 4000.0, allow_nan=False))
-        positions = [
-            Point3(data.draw(coord), data.draw(coord), 100.0 + data.draw(coord))
-            for _ in range(n)
-        ]
+        positions = block(*((data.draw(coord), data.draw(coord), 100.0 + data.draw(coord)) for _ in range(n)))
         r_com = data.draw(
             st.one_of(
                 st.sampled_from([1.0, 2.0, 3.0]).map(lambda k: k * spacing),
@@ -300,62 +292,52 @@ class TestTopologyMatchesOracle:
         assert_matches_oracle(caplog, positions, config, tick, dt)
 
 
+class TestLinkCount:
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("c_max", [1, 2, 3, 100])
+    def test_neighbors_count_the_oracle_links(self, n, c_max):
+        # the count a tracer reads off each graph, on both sides of the screen
+        windows = (DropoutWindow(0.0, 5.0, 0, 1), DropoutWindow(0.0, 5.0, 3, 2))
+        config = CommConfig(r_com=1500.0, c_max=c_max, dropout_schedule=windows)
+        positions = lattice(n)
+        positions[:, 1] = positions[:, 0]
+        graph = build_topology(positions, config, 2)
+        want = sum(len(links) for links in topology_oracle(positions, config, 2))
+        assert sum(len(links) for links in graph.neighbors) == want
+        assert np.count_nonzero(graph.peer != np.arange(n)[:, None]) == want
+
+
 class TestDeliver:
-    @staticmethod
-    def messages(thetas, tick=0):
-        return [ThetaMessage(sender=i, theta=th, sent_tick=tick) for i, th in enumerate(thetas)]
+    GAINS = CoordinationGains()
 
     def test_isolated_fleet_gets_empty_inboxes(self):
+        # every slot is padding: the receiver's own value at strength 0,
+        # so the rate is exactly the drift
         graph = build_topology(at_km(0, 31, 62), CommConfig(r_com=30_000.0), tick=0)
-        inboxes = deliver(self.messages([10.0, 20.0, 30.0]), graph)
-        assert inboxes == {0: [], 1: [], 2: []}
+        theta = np.array([10.0, 20.0, 30.0])
+        received = deliver(theta, graph)
+        assert graph.neighbors == ((), (), ())
+        assert received.tolist() == [[10.0, 10.0], [20.0, 20.0], [30.0, 30.0]]
+        assert graph.strength.tolist() == [[0.0, 0.0]] * 3
+        assert consensus_rate(theta, received, graph.strength, self.GAINS).tolist() == [1.0] * 3
 
     def test_fully_connected_three(self):
         graph = build_topology(at_km(0, 1, 2), CommConfig(c_max=2, gamma_signal=1.0), tick=0)
-        inboxes = deliver(self.messages([10.0, 20.0, 30.0]), graph)
-        for i in range(3):
-            assert len(inboxes[i]) == 2
+        received = deliver(np.array([10.0, 20.0, 30.0]), graph)
         # ordered by sender id; strengths match the 1-km and 2-km links
-        assert inboxes[0] == [(0.001, 20.0), (0.0005, 30.0)]
-        assert inboxes[1] == [(0.001, 10.0), (0.001, 30.0)]
-        assert inboxes[2] == [(0.0005, 10.0), (0.001, 20.0)]
+        assert received.tolist() == [[20.0, 30.0], [10.0, 30.0], [10.0, 20.0]]
+        assert graph.strength.tolist() == [[0.001, 0.0005], [0.001, 0.001], [0.0005, 0.001]]
 
     def test_asymmetric_admission_delivers_one_way(self):
         # with c_max=1: 0's only peer is 1, 1's is 2, 2's is 1, so 0 hears 1
         # but 1 never hears 0
         graph = build_topology(at_km(0, 10, 11), CommConfig(c_max=1), tick=0)
-        assert tuple(link.peer for link in graph.neighbors[0]) == (1,)
-        assert tuple(link.peer for link in graph.neighbors[1]) == (2,)
-        inboxes = deliver(self.messages([10.0, 20.0, 30.0]), graph)
-        assert [theta for _, theta in inboxes[0]] == [20.0]
-        assert [theta for _, theta in inboxes[1]] == [30.0]
-        assert [theta for _, theta in inboxes[2]] == [20.0]
-
-    def test_partial_messages_drop_silent_senders(self):
-        graph = build_topology(at_km(0, 1, 2), CommConfig(c_max=2), tick=0)
-        only_uav2 = [ThetaMessage(sender=2, theta=30.0, sent_tick=0)]
-        inboxes = deliver(only_uav2, graph)
-        assert [theta for _, theta in inboxes[0]] == [30.0]
-        assert [theta for _, theta in inboxes[1]] == [30.0]
-        assert inboxes[2] == []
-
-    def test_stale_message_rejected(self):
-        graph = build_topology(at_km(0, 1), CommConfig(), tick=5)
-        stale = [ThetaMessage(sender=0, theta=10.0, sent_tick=4)]
-        with pytest.raises(ValueError, match="tick"):
-            deliver(stale, graph)
-
-    def test_duplicate_sender_rejected(self):
-        graph = build_topology(at_km(0, 1), CommConfig(), tick=0)
-        dup = [
-            ThetaMessage(sender=0, theta=10.0, sent_tick=0),
-            ThetaMessage(sender=0, theta=11.0, sent_tick=0),
-        ]
-        with pytest.raises(ValueError, match="duplicate"):
-            deliver(dup, graph)
-
-    def test_unknown_sender_rejected(self):
-        graph = build_topology(at_km(0, 1), CommConfig(), tick=0)
-        ghost = [ThetaMessage(sender=5, theta=10.0, sent_tick=0)]
-        with pytest.raises(ValueError, match="unknown"):
-            deliver(ghost, graph)
+        assert peers(graph, 0) == (1,)
+        assert peers(graph, 1) == (2,)
+        assert deliver(np.array([10.0, 20.0, 30.0]), graph).tolist() == [[20.0], [30.0], [20.0]]
+        # moving vehicle 0's value changes only vehicle 0's own rate
+        base = np.array([10.0, 20.0, 30.0])
+        moved = np.array([500.0, 20.0, 30.0])
+        rates = [consensus_rate(th, deliver(th, graph), graph.strength, self.GAINS) for th in (base, moved)]
+        assert rates[0][1:].tolist() == rates[1][1:].tolist()
+        assert rates[0][0] != rates[1][0]
