@@ -57,8 +57,8 @@ for k in range(1500):
     target = path.active
     closest[path.cursor] = min(closest[path.cursor], distance3(position, target))
 
-    chi_c, gamma_c = reference_angles(position, target)
-    eta_lat, eta_lon = look_ahead_angles(y[3], y[4], np.array([chi_c]), np.array([gamma_c]))
+    chi_c, gamma_c = reference_angles(target.as_array()[:, None] - y[:3])
+    eta_lat, eta_lon = look_ahead_angles(y[3], y[4], chi_c, gamma_c)
     lat_ok, lon_ok, sign_ok, margin = convergence_conditions(
         eta_lat, eta_lon, y, act, np.array([target.height]), guidance
     )

@@ -7,8 +7,8 @@ a vehicle projected to arrive later than its peers speeds up, an early
 one slows down.  No leader, no global state; the only coupling is the
 bounded tanh disagreement term, weighted by link strength.
 
-The time index is computed per vehicle from its path; the consensus rate
-and the speed command run once per tick over (N,) arrays for the fleet.
+The time index, the consensus rate and the speed command run once per
+tick over (N,) arrays for the fleet.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from math import tanh
 import numpy as np
 
 from .dynamics import _clip
-from .geo import Point3, distance3
-from .guidance import WaypointPath
 
 __all__ = [
     "CoordinationGains",
@@ -53,16 +51,16 @@ class CoordinationGains:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
 
-def time_index(position: Point3, v_g: float, path: WaypointPath) -> float:
-    """Estimated seconds to reach the path's terminus, the shared target.
+def time_index(distance: np.ndarray, remaining: np.ndarray, v_g: np.ndarray) -> np.ndarray:
+    """(N,) estimated seconds to reach each path's terminus, the shared target.
 
-    Straight-line distance from ``position`` to the active waypoint plus
-    the remaining polyline length, divided by the ground speed ``v_g``.
-    The loader puts the target at every path's terminus and
-    ``WaypointPath.splice`` keeps it there; ``UavLimits`` keeps the speed
-    positive.
+    ``distance`` is the straight-line distance from each vehicle to its
+    active waypoint and ``remaining`` its path's ``remaining_length``; their
+    sum is divided by the ground speed ``v_g``.  The loader puts the target
+    at every path's terminus and ``WaypointPath.splice`` keeps it there;
+    ``UavLimits`` keeps the speed positive.
     """
-    return (distance3(position, path.active) + path.remaining_length) / v_g
+    return (distance + remaining) / v_g
 
 
 def consensus_rate(

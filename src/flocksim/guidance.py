@@ -10,9 +10,9 @@ A separate, purely observational condition monitor reports whether the
 finite-time convergence premises of the steering law hold at the current
 tick.  Violations are logged by the harness, never acted on.
 
-The virtual target and the reference angles are per vehicle; the steering
-law and the monitor take (N,) arrays, one element per vehicle (see
-:mod:`flocksim.dynamics` for the block layout).
+The virtual-target advance is per vehicle; the reference angles, the
+steering law and the monitor take arrays with one element or column per
+vehicle (see :mod:`flocksim.dynamics` for the block layout).
 """
 
 from __future__ import annotations
@@ -154,13 +154,21 @@ def advance_virtual_target(
     return replace(path, cursor=cursor)
 
 
-def reference_angles(position: Point3, target: Point3) -> tuple[float, float]:
-    """Course and climb angles pointing from ``position`` straight at ``target``.
+def reference_angles(offset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N,) course and climb angles pointing straight along each column of ``offset``.
 
-    Full-quadrant: a target behind the vehicle yields |chi_c| > pi/2 rather
-    than the wrapped-into-quadrant value a plain arctangent would give.
+    ``offset`` is the (3, N) north, east and height offset from each
+    vehicle to its target.  Full-quadrant: a target behind the vehicle
+    yields |chi_c| > pi/2 rather than the wrapped-into-quadrant value a
+    plain arctangent would give.  A zero column has no bearing and raises
+    ``DegenerateGeometryError``.
     """
-    return _bearing_elevation(position, target)
+    dn, de, dh = offset.tolist()
+    # numpy's arctan2 and hypot differ from math's in the last bit for some inputs.
+    lateral = list(map(math.hypot, dn, de))
+    if 0.0 in lateral and any(lat == 0.0 and h == 0.0 for lat, h in zip(lateral, dh)):
+        raise DegenerateGeometryError("bearing undefined for a zero offset")
+    return np.array(list(map(math.atan2, de, dn))), np.array(list(map(math.atan2, dh, lateral)))
 
 
 def look_ahead_angles(chi, gamma, chi_c, gamma_c):

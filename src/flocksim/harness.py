@@ -2,13 +2,14 @@
 
 A scenario is one YAML file naming a terrain raster, a shared target, a
 fleet of vehicles with waypoint paths, and the controller parameters.
-``run`` executes the per-tick sequence: per vehicle, advance the virtual
-target, check/replan around the obstacle and compute the time index;
-then, for the whole fleet at once, the consensus speed and the steering
-commands; then (after all vehicles have decided) exchange time indices
-over the network and integrate the dynamics.  Time indices reach their
-receivers one tick later, so no vehicle ever acts on a peer's
-current-tick value.
+``run`` executes the per-tick sequence for the whole fleet at once:
+advance the virtual targets (the scalar advance only for the vehicles a
+fleet-wide screen selects), check/replan around the obstacle once it is
+active (per vehicle), then the time indices, the reference angles, the
+consensus speed and the steering commands; then (after all vehicles
+have decided) exchange time indices over the network and integrate the
+dynamics.  Time indices reach their receivers one tick later, so no
+vehicle ever acts on a peer's current-tick value.
 
 Everything downstream of a (scenario, master seed) pair is deterministic;
 exports are byte-stable and the wall-clock timings that cannot be stable
@@ -520,17 +521,87 @@ def load_scenario(path: str | Path) -> Scenario:
 # The tick loop
 
 
+class _FleetTargets:
+    """The fleet's paths and the control inputs each tick reads off them.
+
+    Per vehicle: ``active`` holds its path's active waypoint as a column of
+    a (3, N) block, ``remaining`` the path's ``remaining_length``,
+    ``cursor`` its cursor and ``movable`` whether the cursor can still
+    advance.  A vehicle's entries change only through ``take``, when its
+    path object changes: a cursor advance or a splice.
+    """
+
+    def __init__(self, paths: list[WaypointPath]) -> None:
+        n = len(paths)
+        self.paths = list(paths)
+        self.active, self.remaining, self.cursor = np.empty((3, n)), np.empty(n), np.empty(n)
+        self.movable = np.empty(n, dtype=bool)
+        for i, path in enumerate(paths):
+            self.take(i, path)
+
+    def take(self, i: int, path: WaypointPath) -> None:
+        """Make ``path`` vehicle i's path."""
+        self.paths[i] = path
+        active = path.active
+        self.active[:, i] = (active.north, active.east, active.height)
+        self.remaining[i] = path.remaining_length
+        self.cursor[i] = path.cursor
+        self.movable[i] = path.cursor < len(path.waypoints) - 1
+
+    def advance(self, y: np.ndarray, gp: GuidanceParams) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Advance every vehicle's virtual target at the (6, N) state ``y``.
+
+        Returns the (3, N) offsets to the active waypoints and their (N,)
+        distances, both as they were before the advance, and the vehicles
+        whose path changed.  ``advance_virtual_target``'s test of the
+        active waypoint runs for the whole fleet in its operation order
+        (numpy's cos and sin give math's bits, as in the fleet step); only
+        the vehicles that pass it call it.
+        """
+        offset = self.active - y[:3]
+        distance = np.array(list(map(math.hypot, *offset.tolist())))
+        cos, sin = np.cos(y[3:5]), np.sin(y[3:5])
+        along = offset[0] * (cos[1] * cos[0]) + offset[1] * (cos[1] * sin[0]) + offset[2] * sin[1]
+        changed = (self.movable & ((distance <= gp.acceptance_radius) | (along < 0.0))).nonzero()[0].tolist()
+        for i in changed:
+            north, east, height, chi, gamma, _ = y[:, i].tolist()
+            self.take(i, advance_virtual_target(self.paths[i], Point3(north, east, height), chi, gamma, gp))
+        return offset, distance, changed
+
+    def control_inputs(
+        self, y: np.ndarray, v_g: np.ndarray, offset: np.ndarray, distance: np.ndarray, changed: list[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(N,) time indices and reference course and climb angles.
+
+        ``offset`` and ``distance`` come from ``advance``; the entries of
+        the ``changed`` vehicles are recomputed first, in place.  A vehicle
+        on its active waypoint keeps its course and climb.
+        """
+        for i in changed:
+            offset[:, i] = self.active[:, i] - y[:3, i]
+            distance[i] = math.hypot(*offset[:, i].tolist())
+        theta = time_index(distance, self.remaining, v_g)
+        if distance.min() >= _COINCIDENT_EPS:
+            return theta, *reference_angles(offset)
+        far = distance >= _COINCIDENT_EPS
+        chi_c, gamma_c = y[3].copy(), y[4].copy()
+        chi_c[far], gamma_c[far] = reference_angles(offset[:, far])
+        return theta, chi_c, gamma_c
+
+
 def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
     """Execute the scenario and return its full log plus fleet metrics.
 
-    Per tick, phase 1 runs every vehicle's control sequence on tick-t
-    inputs (virtual-target advance, obstruction check and replan splice,
-    time index, reference angles), then for the whole fleet at once the
-    consensus rate on the time indices received over last tick's graph,
-    the speed command, the steering law and the premise monitor; phase 2
-    builds this tick's topology and delivers this tick's time indices
-    over it, as the (N, w) values the fleet applies next tick; phase 3
-    integrates the fleet's dynamics as one (6, N) block.
+    Per tick, phase 1 computes the fleet's control inputs on tick-t
+    state: the virtual-target advance (``_FleetTargets.advance``), the
+    obstruction check and replan splice per vehicle while the scenario's
+    obstacle is active, then for the whole fleet at once the time
+    indices and reference angles, the consensus rate on the time indices
+    received over last tick's graph, the speed command, the steering law
+    and the premise monitor; phase 2 builds this tick's topology and
+    delivers this tick's time indices over it, as the (N, w) values the
+    fleet applies next tick; phase 3 integrates the fleet's dynamics as
+    one (6, N) block.
     """
     t_start = time.perf_counter()
     n = len(scenario.uavs)
@@ -543,7 +614,7 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
 
     y, act = fleet_arrays([spec.initial for spec in scenario.uavs])
     lo, hi = actuator_bounds([spec.limits for spec in scenario.uavs])
-    paths = [spec.path for spec in scenario.uavs]
+    targets = _FleetTargets([spec.path for spec in scenario.uavs])
     winds = [
         WindModel(scenario.wind, derive_seed(scenario.master_seed, spec.uav_id, "wind"))
         for spec in scenario.uavs
@@ -563,21 +634,20 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
 
     for tick in range(n_ticks):
         t = tick * dt
-        north, east, height, chi, gamma, psi = y.tolist()
-        phi, n_lf, v_g = act.tolist()
-        thetas, cursors, chi_cs, gamma_cs, target_heights = ([0.0] * n for _ in range(5))
+        offset, distance, changed = targets.advance(y, gp)
 
-        for i in range(n):
-            pos = Point3(north[i], east[i], height[i])
-            path = advance_virtual_target(paths[i], pos, chi[i], gamma[i], gp)
-
-            if scenario.obstacle is not None and segment_obstructed(
-                pos, path.active, scenario.obstacle, t
-            ):
+        if scenario.obstacle is not None and scenario.obstacle.is_active(t):
+            north, east, height = y[:3].tolist()
+            for i, path in enumerate(targets.paths):
+                pos = Point3(north[i], east[i], height[i])
+                if not segment_obstructed(pos, path.active, scenario.obstacle, t):
+                    continue
                 wall0 = time.perf_counter()
                 event_seed = derive_seed(scenario.master_seed, i, "replan", replan_counts[i])
                 replan_counts[i] += 1
-                state = UavState(pos, chi[i], gamma[i], psi[i], v_g[i], phi[i], n_lf[i])
+                chi, gamma, psi = y[3:, i].tolist()
+                phi, n_lf, v_g = act[:, i].tolist()
+                state = UavState(pos, chi, gamma, psi, v_g, phi, n_lf)
                 try:
                     detour = replan(state, path.active, scenario.obstacle, scenario.dem, rp, event_seed, t)
                 except ReplanError as exc:
@@ -587,7 +657,7 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
                     log.replan_failures.append(
                         ReplanFailure(tick=tick, t=t, uav_id=i, reason=str(exc))
                     )
-                    detour = None
+                    continue
                 wall_ms = (time.perf_counter() - wall0) * 1e3
                 if detour:
                     legs = [pos, *detour, path.active]
@@ -595,8 +665,9 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
                         distance3(legs[k], legs[k + 1]) for k in range(len(legs) - 1)
                     )
                     direct = distance3(pos, path.active)
-                    overhead = (detour_len - direct) / v_g[i]
-                    path = path.splice(detour)
+                    overhead = (detour_len - direct) / v_g
+                    targets.take(i, path.splice(detour))
+                    changed.append(i)
                     # Detection and splice complete inside the same tick, so
                     # the simulated response time is zero by construction.
                     log.replan_events.append(
@@ -610,29 +681,18 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
                             wall_ms=wall_ms,
                         )
                     )
-            paths[i] = path
 
-            thetas[i] = time_index(pos, v_g[i], path)
-            cursors[i] = path.cursor
-
-            target = path.active
-            if distance3(pos, target) < _COINCIDENT_EPS:
-                chi_cs[i], gamma_cs[i] = chi[i], gamma[i]
-            else:
-                chi_cs[i], gamma_cs[i] = reference_angles(pos, target)
-            target_heights[i] = target.height
-
-        theta = np.array(thetas)
+        theta, chi_c, gamma_c = targets.control_inputs(y, act[2], offset, distance, changed)
         theta_dot = consensus_rate(theta, received, strength, gains)
         v_cmd, theta_ref = speed_command(theta, theta_dot, act[2], gains, lo, hi)
-        eta_lat, eta_lon = look_ahead_angles(y[3], y[4], np.array(chi_cs), np.array(gamma_cs))
+        eta_lat, eta_lon = look_ahead_angles(y[3], y[4], chi_c, gamma_c)
         phi_c, n_lf_c = guidance_commands(eta_lat, eta_lon, y, act, gp, lo, hi)
-        premises = convergence_conditions(eta_lat, eta_lon, y, act, np.array(target_heights), gp)
+        premises = convergence_conditions(eta_lat, eta_lon, y, act, targets.active[2], gp)
 
         row = log.data[tick].T
         row[:5] = y[:5]
         row[5:8] = act
-        row[8:10] = (theta, cursors)
+        row[8:10] = (theta, targets.cursor)
         row[10] = y[5]
         row[11:14] = (phi_c, n_lf_c, v_cmd)
         row[14:18] = (eta_lat, eta_lon, theta_dot, theta_ref)

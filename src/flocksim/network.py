@@ -8,13 +8,17 @@ strength ``gamma_signal / d`` (inf when coincident), are sorted by
 applied per vehicle, admission can be asymmetric: i may keep j while j's
 list is already full of closer peers.
 
-Strengths and ranks always come from that scalar rule.  From
-``_SCREEN_MIN_N`` vehicles up, a numpy pass over squared pairwise
-distances first prunes the pairs that cannot reach a vehicle's top
-``c_max`` (and keeps every pair closer than 1 m, so the near-coincident
-warning still fires); it only prunes, so the result is identical.  Below
-that size numpy's fixed cost per call exceeds the whole pair loop, so
-every pair goes through the scalar rule directly.  The dropout schedule
+Below ``_SCREEN_MIN_N`` vehicles a pair loop applies that rule
+directly, since numpy's fixed cost per call exceeds the whole loop.
+From ``_SCREEN_MIN_N`` up, a numpy pass over squared pairwise distances
+first prunes the pairs that cannot reach a vehicle's top ``c_max`` (and
+keeps every pair closer than 1 m, so the near-coincident warning still
+fires); the rule then runs over arrays of the remaining pairs:
+``math.hypot`` per pair, range rejection, warnings in (i, j) order,
+strengths ``gamma_signal / d``, and one ``np.lexsort`` by (vehicle,
+-strength, peer) cut at ``c_max`` per vehicle.  The screen only prunes
+and every float comes from the same operation, so both paths give
+identical graphs and warnings.  The dropout schedule
 is compiled to arrays once, in ``CommConfig``, so each tick finds the
 blocked pairs with one vectorised interval test instead of checking
 every window for every pair.
@@ -143,28 +147,26 @@ def build_topology(positions: np.ndarray, config: CommConfig, tick: int, dt: flo
     n = positions.shape[1]
     if n < 1:
         raise ValueError("need at least one position")
+    if n >= _SCREEN_MIN_N:
+        return _rank_screened(positions, config, tick * dt)
     north, east, height = positions.tolist()
     blocked: set[tuple[int, int]] = set()
-    if n >= _SCREEN_MIN_N and config.c_max < n - 1:
-        candidates = _screen(positions, config, tick * dt)
-    else:
-        candidates = [range(n)] * n
-        if config.dropout_schedule:
-            rows, cols = config._blocked_pairs(tick * dt, n)
-            blocked = set(zip(rows.tolist(), cols.tolist()))
+    if config.dropout_schedule:
+        rows, cols = config._blocked_pairs(tick * dt, n)
+        blocked = set(zip(rows.tolist(), cols.tolist()))
     width = max(1, min(config.c_max, n - 1))
     peer, strength = [], []
     for i in range(n):
         # (-strength, peer): ascending order is the admission rank
         ranked: list[tuple[float, int]] = []
-        for j in candidates[i]:
+        for j in range(n):
             if j == i or (i, j) in blocked:
                 continue
             d = math.hypot(north[j] - north[i], east[j] - east[i], height[j] - height[i])
             if d > config.r_com:
                 continue
             if d < 1.0:
-                log.warning("near-coincident vehicles %d and %d at d=%.3g m; strength diverges", i, j, d)
+                _warn_near(i, j, d)
             ranked.append((-config.gamma_signal / d if d > 0.0 else -math.inf, j))
         ranked.sort()
         links = sorted((j, -s) for s, j in ranked[: config.c_max])
@@ -174,13 +176,54 @@ def build_topology(positions: np.ndarray, config: CommConfig, tick: int, dt: flo
     return CommGraph(peer=np.array(peer), strength=np.array(strength))
 
 
-def _screen(positions: np.ndarray, config: CommConfig, now: float) -> list[list[int]]:
-    """Per vehicle, the ascending peer ids that can reach its top ``c_max``.
+def _warn_near(i: int, j: int, d: float) -> None:
+    log.warning("near-coincident vehicles %d and %d at d=%.3g m; strength diverges", i, j, d)
+
+
+def _rank_screened(positions: np.ndarray, config: CommConfig, now: float) -> CommGraph:
+    """The scalar rule of ``build_topology`` over arrays of the screened pairs.
+
+    Distances come from ``math.hypot`` on the same differences, so every
+    admission, strength, rank and warning equals the pair loop's.
+    """
+    n = positions.shape[1]
+    rows, cols = _screen(positions, config, now)
+    diff = (positions[:, cols] - positions[:, rows]).tolist()
+    d = np.array(list(map(math.hypot, *diff)))
+    admitted = d <= config.r_com
+    rows, cols, d = rows[admitted], cols[admitted], d[admitted]
+    near = d < 1.0
+    for i, j, dist in zip(rows[near].tolist(), cols[near].tolist(), d[near].tolist()):
+        _warn_near(i, j, dist)
+    with np.errstate(divide="ignore"):
+        strength = config.gamma_signal / d
+    # Rank within each row by (-strength, peer) and keep the first c_max;
+    # the pairs stay in (row, col) order, the table's.
+    order = np.lexsort((cols, -strength, rows))
+    kept = np.empty(len(order), dtype=bool)
+    kept[order] = _slot(rows[order]) < config.c_max
+    rows, cols, strength = rows[kept], cols[kept], strength[kept]
+    width = max(1, min(config.c_max, n - 1))
+    peer = np.repeat(np.arange(n)[:, None], width, axis=1)
+    table = np.zeros((n, width))
+    slot = _slot(rows)
+    peer[rows, slot] = cols
+    table[rows, slot] = strength
+    return CommGraph(peer=peer, strength=table)
+
+
+def _slot(rows: np.ndarray) -> np.ndarray:
+    """Each entry's position within its run of equal values of the sorted ``rows``."""
+    return np.arange(len(rows)) - np.searchsorted(rows, rows)
+
+
+def _screen(positions: np.ndarray, config: CommConfig, now: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ordered pairs (rows, cols) that can reach a vehicle's top ``c_max``.
 
     A superset of the admitted top ``c_max`` (ties included) and of every
-    unblocked in-range pair closer than 1 m; blocked pairs and the vehicle
-    itself are left out.  Out-of-range pairs within the margin may stay and
-    are rejected by the exact rule.
+    unblocked in-range pair closer than 1 m; blocked pairs and self pairs
+    are left out.  Out-of-range pairs within the margin may stay and are
+    rejected by the exact rule.  Sorted by (row, col).
     """
     n = positions.shape[1]
     diff = positions[:, :, None] - positions[:, None, :]
@@ -191,14 +234,11 @@ def _screen(positions: np.ndarray, config: CommConfig, now: float) -> list[list[
     np.fill_diagonal(d2, np.inf)
     if config.dropout_schedule:
         d2[config._blocked_pairs(now, n)] = np.inf
-    kth = np.partition(d2, config.c_max - 1, axis=1)[:, config.c_max - 1]
-    keep = (d2 <= kth[:, None] * slack) | (d2 < slack)
-    keep &= np.isfinite(d2)
-    rows, cols = np.nonzero(keep)
-    candidates: list[list[int]] = [[] for _ in range(n)]
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        candidates[i].append(j)
-    return candidates
+    keep = np.isfinite(d2)
+    if config.c_max < n - 1:
+        kth = np.partition(d2, config.c_max - 1, axis=1)[:, config.c_max - 1]
+        keep &= (d2 <= kth[:, None] * slack) | (d2 < slack)
+    return np.nonzero(keep)
 
 
 def deliver(theta: np.ndarray, graph_at_send: CommGraph) -> np.ndarray:

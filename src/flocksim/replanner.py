@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import UavState
-from .geo import DemGrid, Obstacle, Point3, dem_elevation, distance3, lateral_distance, segment_above_terrain, segment_obstructed
-from .guidance import _bearing_elevation, look_ahead_angles, reference_angles
+from .geo import DemGrid, Obstacle, Point3, dem_elevation, distance3, segment_above_terrain, segment_obstructed
+from .guidance import _bearing_elevation, look_ahead_angles
 
 __all__ = [
     "ReplanParams",
@@ -210,7 +210,7 @@ def candidate_cost(uav: UavState, candidate: Point3, original_target: Point3) ->
     axis are unreachable under the bounded-turn model and get an infinite
     sentinel, losing every comparison.
     """
-    lat1, lon1 = look_ahead_angles(uav.chi, uav.gamma, *reference_angles(uav.position, candidate))
+    lat1, lon1 = look_ahead_angles(uav.chi, uav.gamma, *_bearing_elevation(uav.position, candidate))
     lat2, lon2 = transit_angles_leg2(uav, candidate, original_target)
     for eta in (lat1, lon1, lat2, lon2):
         if abs(eta) >= _HALF_PI:

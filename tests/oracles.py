@@ -9,7 +9,9 @@ one-vehicle-at-a-time forms of the fleet step, written with ``math`` on
 Python floats in the library's operation order, so the fleet arrays must
 equal them bit for bit.  ``deliver_oracle``, ``consensus_oracle`` and
 ``speed_oracle`` are the same for the time-index exchange: one inbox of
-(strength, theta_j) pairs per receiver, in sender order.
+(strength, theta_j) pairs per receiver, in sender order; and
+``time_index_oracle`` and ``reference_angles_oracle`` for the control
+inputs that ``run`` computes for the fleet each tick.
 """
 
 import logging
@@ -18,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from flocksim import Point3, segment_above_terrain, segment_obstructed
+from flocksim import DegenerateGeometryError, Point3, segment_above_terrain, segment_obstructed
 
 _network_log = logging.getLogger("flocksim.network")
 
@@ -160,6 +162,28 @@ def topology_oracle(positions, config, tick, dt=1.0):
         admitted.sort(key=lambda link: (-link[1], link[0]))
         neighbors.append(tuple(sorted(admitted[: config.c_max])))
     return tuple(neighbors)
+
+
+def time_index_oracle(position, v_g, path):
+    """Scalar time index of one vehicle: straight to the active waypoint, then along the path."""
+    points = path.waypoints[path.cursor:]
+    total = 0.0
+    for a, b in zip(points, points[1:]):
+        total += math.hypot(b.north - a.north, b.east - a.east, b.height - a.height)
+    target = path.active
+    d = math.hypot(target.north - position.north, target.east - position.east, target.height - position.height)
+    return (d + total) / v_g
+
+
+def reference_angles_oracle(position, target):
+    """Scalar full-quadrant course and climb angles from ``position`` to ``target``."""
+    dn = target.north - position.north
+    de = target.east - position.east
+    dh = target.height - position.height
+    lateral = math.hypot(dn, de)
+    if lateral == 0.0 and dh == 0.0:
+        raise DegenerateGeometryError(f"bearing undefined between coincident points {position}")
+    return math.atan2(de, dn), math.atan2(dh, lateral)
 
 
 def deliver_oracle(thetas, neighbors):

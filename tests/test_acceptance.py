@@ -85,8 +85,8 @@ def test_01_guidance_convergence_without_wind():
         rel = wp.as_array() - state.position.as_array()
         if float(rel @ state.velocity_unit()) < 0.0:
             break  # waypoint passed: the pursuit is over
-        chi_c, gamma_c = reference_angles(state.position, wp)
-        eta_lat, eta_lon = look_ahead_angles(y[3], y[4], np.array([chi_c]), np.array([gamma_c]))
+        chi_c, gamma_c = reference_angles(rel[:, None])
+        eta_lat, eta_lon = look_ahead_angles(y[3], y[4], chi_c, gamma_c)
         lat_ok, lon_ok, sign_ok, margin = convergence_conditions(
             eta_lat, eta_lon, y, act, target_height, gp
         )

@@ -17,6 +17,7 @@ from flocksim import (
     WaypointPath,
     actuator_bounds,
     consensus_rate,
+    distance3,
     speed_command,
     time_index,
 )
@@ -66,18 +67,25 @@ class TestCoordinationGains:
             CoordinationGains(dt=0.0)
 
 
+def one_time_index(position, v_g, path):
+    """time_index of one vehicle, from its distance to the active waypoint."""
+    distance = np.array([distance3(position, path.active)])
+    (out,) = time_index(distance, np.array([path.remaining_length]), np.array([v_g])).tolist()
+    return out
+
+
 class TestTimeIndex:
     def test_at_terminus_is_zero(self):
         target = Point3(100.0, 0.0, 100.0)
         path = WaypointPath((Point3(0.0, 0.0, 100.0), target), cursor=1)
         state = make_state(north=100.0, v_g=13.0)
-        assert time_index(state.position, state.v_g, path) == 0.0
+        assert one_time_index(state.position, state.v_g, path) == 0.0
 
     def test_single_remaining_leg(self):
         target = Point3(100.0, 0.0, 100.0)
         path = WaypointPath((Point3(-500.0, 0.0, 100.0), target), cursor=1)
         state = make_state(north=0.0, v_g=10.0)
-        assert time_index(state.position, state.v_g, path) == 10.0
+        assert one_time_index(state.position, state.v_g, path) == 10.0
 
     def test_hand_summed_polyline(self):
         # 50 m to the active waypoint, then segments of 100 m and 200 m,
@@ -87,7 +95,7 @@ class TestTimeIndex:
             (Point3(0.0, 0.0, 100.0), Point3(100.0, 0.0, 100.0), target), cursor=0
         )
         state = make_state(north=-50.0, v_g=10.0)
-        assert time_index(state.position, state.v_g, path) == 35.0
+        assert one_time_index(state.position, state.v_g, path) == 35.0
 
 
 class TestConsensusRate:

@@ -1,10 +1,11 @@
 """The fleet step equals the scalar oracles bit for bit.
 
-``run`` steps guidance, the premise monitor, the autopilot and the RK4
-kinematics once per tick over (N,) arrays.  These tests draw whole
-fleets, including the edge values of every clip and wrap, and require
-each vehicle's column to equal the one-vehicle oracle in
-``tests/oracles.py`` with ``==``.
+``run`` computes the control inputs (virtual-target advance, time index
+and reference angles) and steps guidance, the premise monitor, the
+autopilot and the RK4 kinematics once per tick over (N,) arrays.  These
+tests draw whole fleets, including the edge values of every clip, wrap
+and acceptance test, and require each vehicle's column to equal the
+one-vehicle oracle in ``tests/oracles.py`` with ``==``.
 """
 
 import math
@@ -20,6 +21,8 @@ from oracles import (
     guidance_oracle,
     kinematics_oracle,
     look_ahead_oracle,
+    reference_angles_oracle,
+    time_index_oracle,
     wrap_oracle,
 )
 
@@ -29,9 +32,11 @@ from flocksim import (
     Point3,
     UavLimits,
     UavState,
+    WaypointPath,
     WindModel,
     WindParams,
     actuator_bounds,
+    advance_virtual_target,
     convergence_conditions,
     fleet_arrays,
     guidance_commands,
@@ -40,6 +45,7 @@ from flocksim import (
     step_kinematics,
     wrap_angle,
 )
+from flocksim.harness import _COINCIDENT_EPS, _FleetTargets
 
 FLEET_SIZES = (1, 2, 4, 13, 104)
 PI = math.pi
@@ -178,6 +184,150 @@ class TestFleetMatchesOracle:
         phi_c, _ = guidance_commands(np.array([1.0]), np.array([0.0]), y, act, gp, lo, hi)
         assert phi_c[0] == guidance_oracle(state, 1.0, 0.0, gp, UavLimits())[0] == 0.6
         assert wrap_angle(-PI) == wrap_oracle(-PI) == PI
+
+
+# Ways to place a vehicle against its active waypoint, beside random paths.
+ON_RADIUS, BEHIND, SIDEWAYS, AT_TERMINUS, ON_TERMINUS, SPLICED = range(6)
+PLACEMENTS = 6
+
+
+def placed_waypoint(kind, state, r):
+    """The active waypoint for an edge ``kind``, or None for a random one.
+
+    On the acceptance radius the offset is exact, since the position is
+    whole metres; sideways puts the waypoint square to the velocity, where
+    the along-track product is zero up to rounding.
+    """
+    p = state.position
+    if kind == ON_RADIUS:
+        return (p.north + 0.6 * r, p.east, p.height - 0.8 * r)
+    if kind in (BEHIND, SIDEWAYS):
+        cg = math.cos(state.gamma)
+        mu = (cg * math.cos(state.chi), cg * math.sin(state.chi), math.sin(state.gamma))
+        side = (-math.sin(state.chi), math.cos(state.chi), 0.0)
+        step = tuple(-150.0 * m for m in mu) if kind == BEHIND else tuple(150.0 * v for v in side)
+        return (p.north + step[0], p.east + step[1], p.height + step[2])
+    if kind == ON_TERMINUS:
+        return (p.north, p.east, p.height)
+    return None
+
+
+@st.composite
+def targeted_fleets(draw):
+    """A fleet, one path per vehicle, guidance params and the vehicles to splice.
+
+    For n >= PLACEMENTS every placement occurs in every example; smaller
+    fleets take consecutive placements from a drawn start.  Other vehicles
+    draw a placement with probability ``edge_share``.
+    """
+    n = draw(st.sampled_from(FLEET_SIZES), label="n")
+    d = Draws(n, draw(st.integers(0, 2**32 - 1), label="seed"),
+              draw(st.sampled_from((0.0, 0.3, 1.0)), label="edge_share"))
+    gp = draw(st.sampled_from((GuidanceParams(), GuidanceParams(acceptance_radius=120.0),
+                               GuidanceParams(acceptance_radius=0.0))), label="gp")
+    first = draw(st.integers(0, PLACEMENTS - 1), label="first placement")
+    rng = d.rng
+    kinds = np.where(rng.random(n) < d.edge_share, rng.integers(0, PLACEMENTS, n), -1)
+    kinds[:PLACEMENTS] = (first + np.arange(min(n, PLACEMENTS))) % PLACEMENTS
+    states, paths, spliced = [], [], {}
+    for i, kind in enumerate(kinds.tolist()):
+        north, east, height = rng.integers(-2000, 2000), rng.integers(-2000, 2000), rng.integers(0, 500)
+        if kind == -1:
+            north, east, height = north + rng.random(), east + rng.random(), height + rng.random()
+        chi = float(rng.choice(EDGE_ANGLES)) if rng.random() < d.edge_share else rng.uniform(-PI, PI)
+        gamma = rng.choice((0.0, 0.3, -GAMMA_CAP)) if rng.random() < d.edge_share else rng.uniform(-1.0, 1.0)
+        state = UavState(Point3(float(north), float(east), float(height)), float(chi), float(gamma), 0.0,
+                         v_g=rng.uniform(10.0, 25.0))
+        m = int(rng.integers(2, 6))
+        cursor = m - 1 if kind in (AT_TERMINUS, ON_TERMINUS) else int(rng.integers(0, m))
+        points = (np.array([north, east, height], dtype=float) + rng.uniform(-200.0, 200.0, (m, 3))).tolist()
+        placed = placed_waypoint(kind, state, gp.acceptance_radius)
+        if placed is not None:
+            points[cursor] = list(placed)
+        if kind == ON_TERMINUS and rng.random() < 0.5:
+            points[cursor][0] += 1e-10  # inside the coincidence threshold, not on it
+        states.append(state)
+        paths.append(WaypointPath(tuple(Point3(*q) for q in points), cursor=cursor))
+        if kind == SPLICED:
+            detour = rng.uniform(-300.0, 300.0, (int(rng.integers(1, 3)), 3)) + points[0]
+            spliced[i] = tuple(Point3(*q) for q in detour.tolist())
+    return states, paths, gp, spliced
+
+
+def fleet_control_inputs(states, paths, gp, spliced):
+    """One tick's control inputs as ``run`` computes them, splices included.
+
+    Returns the fleet's targets, the vehicles the advance selected, and
+    theta, chi_c and gamma_c.
+    """
+    y, act = fleet_arrays(states)
+    targets = _FleetTargets(paths)
+    offset, distance, changed = targets.advance(y, gp)
+    advanced = changed[:]
+    for i, detour in spliced.items():
+        targets.take(i, targets.paths[i].splice(detour))
+        changed.append(i)
+    return (targets, advanced, *targets.control_inputs(y, act[2], offset, distance, changed))
+
+
+def oracle_control_inputs(state, path, gp, detour):
+    """One vehicle's path after the advance (and splice), theta, chi_c and gamma_c."""
+    path = advance_virtual_target(path, state.position, state.chi, state.gamma, gp)
+    if detour is not None:
+        path = path.splice(detour)
+    p, a = state.position, path.active
+    if math.hypot(a.north - p.north, a.east - p.east, a.height - p.height) < _COINCIDENT_EPS:
+        angles = (state.chi, state.gamma)
+    else:
+        angles = reference_angles_oracle(p, a)
+    return path, time_index_oracle(p, state.v_g, path), *angles
+
+
+class TestControlInputsMatchOracle:
+    @FLEET_SETTINGS
+    @given(fleet=targeted_fleets())
+    def test_control_inputs(self, fleet):
+        states, paths, gp, spliced = fleet
+        targets, advanced, theta, chi_c, gamma_c = fleet_control_inputs(states, paths, gp, spliced)
+        # the screen selects exactly the vehicles whose cursor moves
+        assert advanced == [
+            i for i, (state, path) in enumerate(zip(states, paths))
+            if advance_virtual_target(path, state.position, state.chi, state.gamma, gp).cursor != path.cursor
+        ]
+        for i, (state, path) in enumerate(zip(states, paths)):
+            want, *values = oracle_control_inputs(state, path, gp, spliced.get(i))
+            assert targets.paths[i] == want
+            assert targets.cursor[i] == want.cursor
+            assert targets.active[:, i].tolist() == [want.active.north, want.active.east, want.active.height]
+            assert [theta[i], chi_c[i], gamma_c[i]] == values
+
+    def test_each_placement_takes_its_branch(self):
+        # vehicle k flies north from (100 k, 0, 100) with placement k at the
+        # default 40 m acceptance radius; its other waypoint lies far ahead
+        gp = GuidanceParams()
+        states, paths = [], []
+        for k in range(PLACEMENTS):
+            state = UavState(Point3(100.0 * k, 0.0, 100.0), 0.0, 0.0, 0.0, v_g=12.0)
+            placed = Point3(*(placed_waypoint(k, state, gp.acceptance_radius) or (100.0 * k + 300.0, 40.0, 100.0)))
+            ahead = Point3(100.0 * k + 500.0, 300.0, 100.0)
+            terminal = k in (AT_TERMINUS, ON_TERMINUS)
+            paths.append(WaypointPath((ahead, placed) if terminal else (placed, ahead), cursor=int(terminal)))
+            states.append(state)
+        detour = (Point3(100.0 * SPLICED + 200.0, -50.0, 110.0),)
+        targets, advanced, theta, chi_c, gamma_c = fleet_control_inputs(states, paths, gp, {SPLICED: detour})
+        # reached on the radius alone, passed while outside it, kept when square to the velocity
+        assert math.hypot(0.6 * 40.0, 0.0, -0.8 * 40.0) == 40.0
+        assert advanced == [ON_RADIUS, BEHIND]
+        assert targets.cursor[[ON_RADIUS, BEHIND, SIDEWAYS]].tolist() == [1.0, 1.0, 0.0]
+        # a terminus is never dropped; on it the course and climb are held
+        assert targets.cursor[[AT_TERMINUS, ON_TERMINUS]].tolist() == [1.0, 1.0]
+        assert chi_c[AT_TERMINUS] == math.atan2(40.0, 300.0)
+        assert (theta[ON_TERMINUS], chi_c[ON_TERMINUS], gamma_c[ON_TERMINUS]) == (0.0, 0.0, 0.0)
+        # a splice makes the detour's first point the target
+        assert targets.active[:, SPLICED].tolist() == [100.0 * SPLICED + 200.0, -50.0, 110.0]
+        for i, (state, path) in enumerate(zip(states, paths)):
+            want, *values = oracle_control_inputs(state, path, gp, detour if i == SPLICED else None)
+            assert (targets.cursor[i], [theta[i], chi_c[i], gamma_c[i]]) == (want.cursor, values)
 
 
 class TestWindMatchesOracle:

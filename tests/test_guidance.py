@@ -168,31 +168,38 @@ class TestAdvanceVirtualTarget:
         assert once.cursor == twice.cursor
 
 
+def one_reference(position, target):
+    """reference_angles over the one-column offset from ``position`` to ``target``."""
+    offset = (target.as_array() - position.as_array())[:, None]
+    chi_c, gamma_c = reference_angles(offset)
+    return chi_c.item(), gamma_c.item()
+
+
 class TestReferenceAngles:
     def test_due_north_level(self):
-        chi_c, gamma_c = reference_angles(make_state().position, Point3(500, 0, 100))
+        chi_c, gamma_c = one_reference(make_state().position, Point3(500, 0, 100))
         assert chi_c == pytest.approx(0.0, abs=1e-15)
         assert gamma_c == pytest.approx(0.0, abs=1e-15)
 
     def test_due_east_level(self):
-        chi_c, gamma_c = reference_angles(make_state().position, Point3(0, 500, 100))
+        chi_c, gamma_c = one_reference(make_state().position, Point3(0, 500, 100))
         assert chi_c == pytest.approx(math.pi / 2, abs=1e-15)
         assert gamma_c == pytest.approx(0.0, abs=1e-15)
 
     def test_forty_five_degree_climb(self):
-        chi_c, gamma_c = reference_angles(make_state().position, Point3(100, 0, 200))
+        chi_c, gamma_c = one_reference(make_state().position, Point3(100, 0, 200))
         assert chi_c == pytest.approx(0.0, abs=1e-15)
         assert gamma_c == pytest.approx(math.pi / 4, abs=1e-15)
 
     def test_target_behind_yields_obtuse_course(self):
         # full-quadrant bearing: a plain arctangent would fold this to 0
-        chi_c, _ = reference_angles(make_state().position, Point3(-500, 0, 100))
+        chi_c, _ = one_reference(make_state().position, Point3(-500, 0, 100))
         assert chi_c == pytest.approx(math.pi, abs=1e-15)
 
     def test_coincident_target_raises(self):
         state = make_state()
         with pytest.raises(DegenerateGeometryError):
-            reference_angles(state.position, state.position)
+            one_reference(state.position, state.position)
 
 
 class TestLookAheadAngles:

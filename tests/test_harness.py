@@ -27,7 +27,6 @@ from flocksim import (
     CoordinationGains,
     GuidanceParams,
     LOG_COLUMNS,
-    Metrics,
     Point3,
     ReplanEvent,
     ReplanParams,
@@ -37,7 +36,6 @@ from flocksim import (
     WindModel,
     WindParams,
     compute_metrics,
-    distance3,
     export,
     harness,
     load_scenario,

@@ -18,6 +18,7 @@ from flocksim import (
     deliver,
 )
 from flocksim.network import _SCREEN_MIN_N
+from flocksim.presets import fleet_scenario_dict
 
 
 def block(*points):
@@ -251,6 +252,20 @@ class TestTopologyMatchesOracle:
         assert n - 1 in peers(plain, 0)
         assert build_topology(positions, config, 1).neighbors == plain.neighbors
         assert_matches_oracle(caplog, positions, config, 1)
+
+    @pytest.mark.parametrize("master_seed", [6, 7])
+    @pytest.mark.parametrize("c_max, r_com", [(2, None), (1, 400.0), (5, None), (103, 600.0)])
+    def test_generated_fleet_of_104(self, caplog, master_seed, c_max, r_com):
+        # the benchmark's fleet size; the generator draws each start bearing
+        # on the circle independently, so some starts lie under 1 m apart
+        doc = fleet_scenario_dict(104, master_seed)
+        positions = block(*(
+            (u["initial"]["north_m"], u["initial"]["east_m"], u["initial"]["height_m"]) for u in doc["uavs"]
+        ))
+        comm = doc["comm"]
+        config = CommConfig(r_com=r_com or comm["r_com_m"], c_max=c_max, gamma_signal=comm["gamma_signal"])
+        assert_matches_oracle(caplog, positions, config, 0)
+        assert "near-coincident" in caplog.text
 
     @settings(
         max_examples=150,
