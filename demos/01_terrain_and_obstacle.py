@@ -14,6 +14,7 @@ import numpy as np
 from flocksim import (
     Obstacle,
     Point3,
+    ReplanParams,
     dem_elevation,
     lateral_distance,
     load_dem,
@@ -71,9 +72,10 @@ for t in (74.0, 75.0, 76.0):
     print(f"  t = {t:5.1f} s: segment_obstructed = {segment_obstructed(a, b, obstacle, t)}")
 
 # Terrain check: same leg at cruise height clears, a low pass does not.
+# Samples are spaced as the replanner spaces them.
 print("\nterrain clearance along the same leg (10 m required)")
 for h in (110.0, 80.0, 60.0):
     lo_leg = Point3(a.north, a.east, h)
     hi_leg = Point3(b.north, b.east, h)
-    ok = segment_above_terrain(grid, lo_leg, hi_leg, clearance=10.0)
+    ok = segment_above_terrain(grid, lo_leg, hi_leg, clearance=10.0, step=ReplanParams().terrain_step)
     print(f"  height {h:5.1f} m: clear = {ok}")

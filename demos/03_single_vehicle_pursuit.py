@@ -12,6 +12,7 @@ limit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -51,9 +52,16 @@ track = []
 closest = [math.inf, math.inf]
 for k in range(1500):
     t = k * DT
-    north, east, height, chi, gamma, _ = y[:, 0].tolist()
+    north, east, height, chi, _, _ = y[:, 0].tolist()
     position = Point3(north, east, height)
-    path = advance_virtual_target(path, position, chi, gamma, guidance)
+    # Move the cursor on while the acceptance test flags the active
+    # waypoint (reached, or behind the velocity); the last one stays.
+    while True:
+        movable = np.array([path.cursor < len(path.waypoints) - 1])
+        _, _, step = advance_virtual_target(path.active.as_array()[:, None], y, movable, guidance)
+        if not step[0]:
+            break
+        path = replace(path, cursor=path.cursor + 1)
     target = path.active
     closest[path.cursor] = min(closest[path.cursor], distance3(position, target))
 

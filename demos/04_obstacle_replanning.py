@@ -5,8 +5,8 @@ the leg. The replanner intersects a forward cone with a lateral ring
 around the obstacle and a height band over the terrain, samples that
 region, and walks the candidates in cost order until the connecting
 legs clear both the cylinder and the ground. Shown here in two layers:
-the single-iteration primitive (region + samples + best candidate) and
-the full loop that appends waypoints until the remaining leg is free.
+the single-iteration primitive (samples + best candidate) and the full
+loop that appends waypoints until the remaining leg is free.
 """
 
 import math
@@ -19,12 +19,11 @@ from flocksim import (
     Point3,
     ReplanParams,
     UavState,
+    best_detour,
+    dem_elevation,
     distance3,
-    feasible_region,
-    region_contains,
     replan,
     sample_region,
-    best_detour,
     segment_obstructed,
 )
 
@@ -40,20 +39,17 @@ blocked = segment_obstructed(uav.position, target, obstacle, now)
 print(f"direct leg to ({target.north:.0f}, {target.east:.0f}): obstructed = {blocked}")
 
 params = ReplanParams(k_samples=2000, delta_r=300.0, delta_h=100.0, delta_angle=math.pi / 2)
-velocity = np.array([math.cos(uav.chi), math.sin(uav.chi), 0.0])
-region = feasible_region(uav.position, velocity, obstacle, flat,
-                         params.delta_r, params.delta_h, params.delta_angle)
+floor = dem_elevation(flat, uav.position.north, uav.position.east)
 print("\nfeasible region")
-print(f"  ring   : {region.r_bar:.0f} .. {region.r_bar + region.delta_r:.0f} m around the cylinder axis")
-print(f"  heights: {region.dem_floor:.0f} .. {region.dem_floor + region.delta_h:.0f} m")
-print(f"  cone   : half-angle {math.degrees(region.delta_angle):.0f} deg about the velocity")
+print(f"  ring   : {obstacle.lateral_radius:.0f} .. {obstacle.lateral_radius + params.delta_r:.0f} m"
+      " around the cylinder axis")
+print(f"  heights: {floor:.0f} .. {floor + params.delta_h:.0f} m")
+print(f"  cone   : half-angle {math.degrees(params.delta_angle):.0f} deg about the velocity")
 
-rng = np.random.default_rng(77)
-samples = sample_region(region, k=params.k_samples, rng=rng)
-inside = sum(region_contains(region, Point3(*row)) for row in samples)
-print(f"  sampled {len(samples)} candidates, {inside} verified inside")
+samples = sample_region(uav, obstacle, flat, params, np.random.default_rng(77))
+print(f"  sampled {len(samples)} candidates")
 
-chosen = best_detour(uav, target, region, np.random.default_rng(77), flat, obstacle, now, params)
+chosen = best_detour(uav, target, np.random.default_rng(77), flat, obstacle, now, params)
 inbound = segment_obstructed(uav.position, chosen.point, obstacle, now)
 onward = segment_obstructed(chosen.point, target, obstacle, now)
 print("\nbest single candidate")

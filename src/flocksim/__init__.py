@@ -69,16 +69,12 @@ from .network import (
     deliver,
 )
 from .replanner import (
-    FeasibleRegion,
     ReplanError,
     ReplanParams,
     best_detour,
     candidate_cost,
-    feasible_region,
-    region_contains,
     replan,
     sample_region,
-    transit_angles_leg2,
 )
 
 __all__ = [
@@ -120,11 +116,7 @@ __all__ = [
     # replanner
     "ReplanParams",
     "ReplanError",
-    "FeasibleRegion",
-    "feasible_region",
-    "region_contains",
     "sample_region",
-    "transit_angles_leg2",
     "candidate_cost",
     "best_detour",
     "replan",

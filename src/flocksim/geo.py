@@ -211,7 +211,7 @@ def segment_obstructed(a: Point3, b: Point3, obstacle: Obstacle, now: float) -> 
 
 
 def segment_above_terrain(
-    grid: DemGrid, a: Point3, b: Point3, clearance: float, step: float = 25.0
+    grid: DemGrid, a: Point3, b: Point3, clearance: float, step: float
 ) -> bool:
     """True if every sample of segment a-b clears the terrain by ``clearance``.
 

@@ -10,15 +10,16 @@ A separate, purely observational condition monitor reports whether the
 finite-time convergence premises of the steering law hold at the current
 tick.  Violations are logged by the harness, never acted on.
 
-The virtual-target advance is per vehicle; the reference angles, the
-steering law and the monitor take arrays with one element or column per
-vehicle (see :mod:`flocksim.dynamics` for the block layout).
+The waypoint acceptance test, the reference angles, the steering law
+and the monitor take arrays with one element or column per vehicle (see
+:mod:`flocksim.dynamics` for the block layout); the caller moves each
+flagged cursor on and keeps the paths.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -116,42 +117,27 @@ class WaypointPath:
         return WaypointPath(pts, cursor=self.cursor)
 
 
-def _bearing_elevation(a: Point3, b: Point3) -> tuple[float, float]:
-    dn = b.north - a.north
-    de = b.east - a.east
-    dh = b.height - a.height
-    lateral = math.hypot(dn, de)
-    if lateral == 0.0 and dh == 0.0:
-        raise DegenerateGeometryError(f"bearing undefined between coincident points {a}")
-    return math.atan2(de, dn), math.atan2(dh, lateral)
-
-
 def advance_virtual_target(
-    path: WaypointPath, position: Point3, chi: float, gamma: float, gp: GuidanceParams
-) -> WaypointPath:
-    """Advance the cursor past reached or overflown waypoints.
+    active: np.ndarray, y: np.ndarray, movable: np.ndarray, gp: GuidanceParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Acceptance test of each vehicle's active waypoint.
 
-    A waypoint is dropped once the vehicle at ``position``, flying course
-    ``chi`` and climb ``gamma``, is within ``gp.acceptance_radius`` of it
-    or the waypoint falls behind the velocity direction; the final
-    waypoint is never dropped.  Idempotent for an unchanged state.
+    ``active`` is the (3, N) block of active waypoints, ``y`` the fleet's
+    (6, N) kinematic block and ``movable`` the (N,) mask of vehicles whose
+    active waypoint is not their path's last.  Returns the (3, N) offsets
+    from each vehicle to its active waypoint, their (N,) distances, and
+    the (N,) mask of movable vehicles that are within
+    ``gp.acceptance_radius`` of it or have it behind their velocity
+    direction: their cursor moves on by one, and the new active waypoint
+    is tested again.
     """
-    cg = math.cos(gamma)
-    mu = (cg * math.cos(chi), cg * math.sin(chi), math.sin(gamma))
-    cursor = path.cursor
-    last = len(path.waypoints) - 1
-    while cursor < last:
-        wp = path.waypoints[cursor]
-        reached = distance3(position, wp) <= gp.acceptance_radius
-        rel = (wp.north - position.north, wp.east - position.east, wp.height - position.height)
-        behind = rel[0] * mu[0] + rel[1] * mu[1] + rel[2] * mu[2] < 0.0
-        if reached or behind:
-            cursor += 1
-        else:
-            break
-    if cursor == path.cursor:
-        return path
-    return replace(path, cursor=cursor)
+    offset = active - y[:3]
+    # numpy's hypot differs from math's in the last bit for some inputs;
+    # its cos and sin give math's bits.
+    distance = np.array(list(map(math.hypot, *offset.tolist())))
+    cos, sin = np.cos(y[3:5]), np.sin(y[3:5])
+    along = offset[0] * (cos[1] * cos[0]) + offset[1] * (cos[1] * sin[0]) + offset[2] * sin[1]
+    return offset, distance, movable & ((distance <= gp.acceptance_radius) | (along < 0.0))
 
 
 def reference_angles(offset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

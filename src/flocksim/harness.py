@@ -3,8 +3,8 @@
 A scenario is one YAML file naming a terrain raster, a shared target, a
 fleet of vehicles with waypoint paths, and the controller parameters.
 ``run`` executes the per-tick sequence for the whole fleet at once:
-advance the virtual targets (the scalar advance only for the vehicles a
-fleet-wide screen selects), check/replan around the obstacle once it is
+advance the virtual targets (one acceptance test over the fleet, repeated
+while it moves a cursor), check/replan around the obstacle once it is
 active (per vehicle), then the time indices, the reference angles, the
 consensus speed and the steering commands; then (after all vehicles
 have decided) exchange time indices over the network and integrate the
@@ -26,7 +26,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -548,36 +548,32 @@ class _FleetTargets:
         self.cursor[i] = path.cursor
         self.movable[i] = path.cursor < len(path.waypoints) - 1
 
-    def advance(self, y: np.ndarray, gp: GuidanceParams) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    def advance(self, y: np.ndarray, gp: GuidanceParams) -> tuple[np.ndarray, np.ndarray]:
         """Advance every vehicle's virtual target at the (6, N) state ``y``.
 
-        Returns the (3, N) offsets to the active waypoints and their (N,)
-        distances, both as they were before the advance, and the vehicles
-        whose path changed.  ``advance_virtual_target``'s test of the
-        active waypoint runs for the whole fleet in its operation order
-        (numpy's cos and sin give math's bits, as in the fleet step); only
-        the vehicles that pass it call it.
+        Each cursor that ``advance_virtual_target`` flags moves on by one,
+        and the fleet is tested again until none is flagged.  Returns the
+        (3, N) offsets to the active waypoints and their (N,) distances,
+        as they are after the advance.
         """
-        offset = self.active - y[:3]
-        distance = np.array(list(map(math.hypot, *offset.tolist())))
-        cos, sin = np.cos(y[3:5]), np.sin(y[3:5])
-        along = offset[0] * (cos[1] * cos[0]) + offset[1] * (cos[1] * sin[0]) + offset[2] * sin[1]
-        changed = (self.movable & ((distance <= gp.acceptance_radius) | (along < 0.0))).nonzero()[0].tolist()
-        for i in changed:
-            north, east, height, chi, gamma, _ = y[:, i].tolist()
-            self.take(i, advance_virtual_target(self.paths[i], Point3(north, east, height), chi, gamma, gp))
-        return offset, distance, changed
+        offset, distance, step = advance_virtual_target(self.active, y, self.movable, gp)
+        while step.any():
+            for i in step.nonzero()[0].tolist():
+                path = self.paths[i]
+                self.take(i, replace(path, cursor=path.cursor + 1))
+            offset, distance, step = advance_virtual_target(self.active, y, self.movable, gp)
+        return offset, distance
 
     def control_inputs(
-        self, y: np.ndarray, v_g: np.ndarray, offset: np.ndarray, distance: np.ndarray, changed: list[int]
+        self, y: np.ndarray, v_g: np.ndarray, offset: np.ndarray, distance: np.ndarray, spliced: list[int]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(N,) time indices and reference course and climb angles.
 
         ``offset`` and ``distance`` come from ``advance``; the entries of
-        the ``changed`` vehicles are recomputed first, in place.  A vehicle
+        the ``spliced`` vehicles are recomputed first, in place.  A vehicle
         on its active waypoint keeps its course and climb.
         """
-        for i in changed:
+        for i in spliced:
             offset[:, i] = self.active[:, i] - y[:3, i]
             distance[i] = math.hypot(*offset[:, i].tolist())
         theta = time_index(distance, self.remaining, v_g)
@@ -634,7 +630,8 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
 
     for tick in range(n_ticks):
         t = tick * dt
-        offset, distance, changed = targets.advance(y, gp)
+        offset, distance = targets.advance(y, gp)
+        spliced = []
 
         if scenario.obstacle is not None and scenario.obstacle.is_active(t):
             north, east, height = y[:3].tolist()
@@ -659,30 +656,28 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
                     )
                     continue
                 wall_ms = (time.perf_counter() - wall0) * 1e3
-                if detour:
-                    legs = [pos, *detour, path.active]
-                    detour_len = sum(
-                        distance3(legs[k], legs[k + 1]) for k in range(len(legs) - 1)
+                # replan repeats the obstruction test above, so it returns at
+                # least one waypoint here.
+                legs = [pos, *detour, path.active]
+                detour_len = sum(distance3(legs[k], legs[k + 1]) for k in range(len(legs) - 1))
+                overhead = (detour_len - distance3(pos, path.active)) / v_g
+                targets.take(i, path.splice(detour))
+                spliced.append(i)
+                # Detection and splice complete inside the same tick, so
+                # the simulated response time is zero by construction.
+                log.replan_events.append(
+                    ReplanEvent(
+                        tick=tick,
+                        t=t,
+                        uav_id=i,
+                        waypoints=tuple(detour),
+                        rt_sim=0.0,
+                        overhead=overhead,
+                        wall_ms=wall_ms,
                     )
-                    direct = distance3(pos, path.active)
-                    overhead = (detour_len - direct) / v_g
-                    targets.take(i, path.splice(detour))
-                    changed.append(i)
-                    # Detection and splice complete inside the same tick, so
-                    # the simulated response time is zero by construction.
-                    log.replan_events.append(
-                        ReplanEvent(
-                            tick=tick,
-                            t=t,
-                            uav_id=i,
-                            waypoints=tuple(detour),
-                            rt_sim=0.0,
-                            overhead=overhead,
-                            wall_ms=wall_ms,
-                        )
-                    )
+                )
 
-        theta, chi_c, gamma_c = targets.control_inputs(y, act[2], offset, distance, changed)
+        theta, chi_c, gamma_c = targets.control_inputs(y, act[2], offset, distance, spliced)
         theta_dot = consensus_rate(theta, received, strength, gains)
         v_cmd, theta_ref = speed_command(theta, theta_dot, act[2], gains, lo, hi)
         eta_lat, eta_lon = look_ahead_angles(y[3], y[4], chi_c, gamma_c)

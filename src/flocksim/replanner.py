@@ -1,16 +1,17 @@
 """Sampling-based local detour planning around a cylindrical obstacle.
 
 When the straight segment to the active waypoint crosses an active
-obstacle, the planner draws K random candidates from a feasible ring
-around the obstacle (forward of the vehicle, bounded laterally and in
-height), scores each by transit time through both legs, keeps the
-cheapest terrain-safe candidate, and repeats from that virtual position
+obstacle, :func:`replan` draws K random candidates around the obstacle
+(:func:`sample_region`: forward of the vehicle, in a lateral ring around
+the cylinder and a height band over the terrain), scores them all at
+once by their transit through both legs (:func:`candidate_cost`), keeps
+the cheapest obstacle- and terrain-safe one (:func:`best_detour`), and
+repeats from that virtual position, heading along the leg just planned,
 until the remaining straight segment is clear.
 
-The feasible region and the two-leg cost deliberately penalize sharp
-turns: each leg's length is divided by the cosines of the turn angles it
-requires, so a candidate demanding a near-perpendicular turn costs far
-more than its raw length.
+The two-leg cost deliberately penalizes sharp turns: each leg's length
+is divided by the cosines of the turn angles it requires, so a candidate
+demanding a near-perpendicular turn costs far more than its raw length.
 """
 
 from __future__ import annotations
@@ -22,18 +23,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import UavState
-from .geo import DemGrid, Obstacle, Point3, dem_elevation, distance3, segment_above_terrain, segment_obstructed
-from .guidance import _bearing_elevation, look_ahead_angles
+from .geo import DemGrid, Obstacle, Point3, dem_elevation, segment_above_terrain, segment_obstructed
+from .guidance import look_ahead_angles, reference_angles
 
 __all__ = [
     "ReplanParams",
-    "FeasibleRegion",
     "CandidateWaypoint",
     "ReplanError",
-    "feasible_region",
-    "region_contains",
     "sample_region",
-    "transit_angles_leg2",
     "candidate_cost",
     "best_detour",
     "replan",
@@ -83,38 +80,6 @@ class ReplanError(RuntimeError):
         self.iteration = iteration
 
 
-@dataclass(frozen=True, eq=False)
-class FeasibleRegion:
-    """Candidate region: forward cone x lateral ring x height band.
-
-    The height band is anchored at the terrain elevation under the
-    vehicle's own lateral position (``dem_floor``), not under the
-    candidate; the terrain-safety check in :func:`best_detour` compensates
-    where the two differ.  The extents come from a validated
-    :class:`ReplanParams` and ``velocity_unit`` is a unit vector, as
-    :meth:`UavState.velocity_unit` returns; neither is checked again here.
-    """
-
-    uav_position: Point3
-    velocity_unit: np.ndarray
-    center_north: float
-    center_east: float
-    r_bar: float
-    delta_r: float
-    dem_floor: float
-    delta_h: float
-    delta_angle: float
-
-    def __post_init__(self) -> None:
-        mu = np.array(self.velocity_unit, dtype=float)
-        if mu.shape != (3,):
-            raise ValueError("velocity_unit must be a 3-vector")
-        mu.flags.writeable = False
-        object.__setattr__(self, "velocity_unit", mu)
-        if not self.r_bar > 0.0:
-            raise ValueError(f"r_bar must be positive, got {self.r_bar}")
-
-
 @dataclass(frozen=True)
 class CandidateWaypoint:
     """A scored detour waypoint; ``cost`` is the two-leg transit objective."""
@@ -123,107 +88,57 @@ class CandidateWaypoint:
     cost: float
 
 
-def feasible_region(
-    position: Point3,
-    velocity_unit: np.ndarray,
-    obstacle: Obstacle,
-    grid: DemGrid,
-    delta_r: float,
-    delta_h: float,
-    delta_angle: float,
-) -> FeasibleRegion:
-    """Build the candidate region for a vehicle at ``position``.
+def sample_region(
+    uav: UavState, obstacle: Obstacle, grid: DemGrid, params: ReplanParams, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw up to ``params.k_samples`` candidates for ``uav``, in draw order.
 
-    The ring's inner radius is the obstacle's lateral radius, and the
-    height band floor is the terrain under the vehicle.
-    """
-    return FeasibleRegion(
-        uav_position=position,
-        velocity_unit=np.asarray(velocity_unit, dtype=float),
-        center_north=obstacle.center_north,
-        center_east=obstacle.center_east,
-        r_bar=obstacle.lateral_radius,
-        delta_r=delta_r,
-        dem_floor=dem_elevation(grid, position.north, position.east),
-        delta_h=delta_h,
-        delta_angle=delta_angle,
-    )
-
-
-def region_contains(region: FeasibleRegion, p: Point3) -> bool:
-    """Membership test: forward cone, lateral ring, and height band."""
-    rel = p.as_array() - region.uav_position.as_array()
-    norm = float(np.linalg.norm(rel))
-    if norm == 0.0:
-        return False
-    cos_angle = float(np.dot(region.velocity_unit, rel)) / norm
-    if math.acos(min(max(cos_angle, -1.0), 1.0)) > region.delta_angle:
-        return False
-    lateral = math.hypot(p.north - region.center_north, p.east - region.center_east)
-    if not region.r_bar <= lateral <= region.r_bar + region.delta_r:
-        return False
-    return region.dem_floor <= p.height <= region.dem_floor + region.delta_h
-
-
-def sample_region(region: FeasibleRegion, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw up to ``k`` points uniformly from the region, in draw order.
-
-    Rejection sampling from the enclosing ring x height box: lateral angle
-    uniform on the circle, radius with area-correct density, height
-    uniform on the band; draws failing the forward-cone constraint are
+    The region is a lateral ring from the obstacle's radius out by
+    ``params.delta_r``, a height band ``params.delta_h`` deep above the
+    terrain under the vehicle's own lateral position (not under the
+    candidate; the terrain check in :func:`best_detour` covers the
+    difference), and a forward cone of half-angle ``params.delta_angle``
+    about the vehicle's velocity.  Rejection sampling from the ring x band
+    box: lateral angle uniform on the circle, radius with area-correct
+    density, height uniform on the band; draws outside the cone are
     discarded.  Returns an (m, 3) array of [north, east, height] rows with
-    m <= k.
+    m <= k_samples.
     """
+    k = params.k_samples
+    pos = uav.position
+    floor = dem_elevation(grid, pos.north, pos.east)
     angle = rng.uniform(0.0, 2.0 * math.pi, k)
-    r_in2 = region.r_bar**2
-    r_out2 = (region.r_bar + region.delta_r) ** 2
+    r_in2 = obstacle.lateral_radius**2
+    r_out2 = (obstacle.lateral_radius + params.delta_r) ** 2
     radius = np.sqrt(r_in2 + rng.uniform(0.0, 1.0, k) * (r_out2 - r_in2))
-    height = rng.uniform(region.dem_floor, region.dem_floor + region.delta_h, k)
+    height = rng.uniform(floor, floor + params.delta_h, k)
 
     pts = np.empty((k, 3))
-    pts[:, 0] = region.center_north + radius * np.cos(angle)
-    pts[:, 1] = region.center_east + radius * np.sin(angle)
+    pts[:, 0] = obstacle.center_north + radius * np.cos(angle)
+    pts[:, 1] = obstacle.center_east + radius * np.sin(angle)
     pts[:, 2] = height
 
-    rel = pts - region.uav_position.as_array()
+    rel = pts - pos.as_array()
     norms = np.linalg.norm(rel, axis=1)
     ok = norms > 0.0
     cos_angle = np.zeros(k)
-    cos_angle[ok] = rel[ok] @ np.asarray(region.velocity_unit) / norms[ok]
-    ok &= np.arccos(np.clip(cos_angle, -1.0, 1.0)) <= region.delta_angle
+    cos_angle[ok] = rel[ok] @ uav.velocity_unit() / norms[ok]
+    ok &= np.arccos(np.clip(cos_angle, -1.0, 1.0)) <= params.delta_angle
     return pts[ok]
 
 
-def transit_angles_leg2(
-    uav: UavState, candidate: Point3, original_target: Point3
-) -> tuple[float, float]:
-    """(eta_lat, eta_lon): the turn the vehicle must make at ``candidate`` to regain the target."""
-    chi1, gamma1 = _bearing_elevation(uav.position, candidate)
-    return look_ahead_angles(chi1, gamma1, *_bearing_elevation(candidate, original_target))
+def candidate_cost(uav: UavState, pts: np.ndarray, target: Point3) -> np.ndarray:
+    """Two-leg transit objective of each row of the (m, 3) array ``pts`` (meters).
 
-
-def candidate_cost(uav: UavState, candidate: Point3, original_target: Point3) -> float:
-    """Two-leg transit objective (meters; speed is common and factored out).
-
-    Each leg's length is inflated by 1/(cos eta_lon * cos eta_lat) of the
-    turn it requires.  Candidates demanding a turn of pi/2 or more on any
-    axis are unreachable under the bounded-turn model and get an infinite
-    sentinel, losing every comparison.
+    Speed is common to both legs and factored out.  Each leg's length is
+    inflated by 1/(cos eta_lon * cos eta_lat) of the turn it requires: the
+    first leg from the vehicle's course and climb, the second from the
+    first leg's direction to the bearing of ``target``.  A candidate
+    demanding a turn of pi/2 or more on any axis is unreachable under the
+    bounded-turn model, and one on the vehicle or on the target has no
+    bearing; both get an infinite cost, losing every comparison.
     """
-    lat1, lon1 = look_ahead_angles(uav.chi, uav.gamma, *_bearing_elevation(uav.position, candidate))
-    lat2, lon2 = transit_angles_leg2(uav, candidate, original_target)
-    for eta in (lat1, lon1, lat2, lon2):
-        if abs(eta) >= _HALF_PI:
-            return math.inf
-    d1 = distance3(uav.position, candidate)
-    d2 = distance3(candidate, original_target)
-    return d1 / (math.cos(lon1) * math.cos(lat1)) + d2 / (math.cos(lon2) * math.cos(lat2))
-
-
-def _costs_vectorized(uav: UavState, pts: np.ndarray, target: Point3) -> np.ndarray:
-    """candidate_cost over an (m, 3) array of points; inf where infeasible."""
-    pos = uav.position.as_array()
-    rel1 = pts - pos
+    rel1 = pts - uav.position.as_array()
     lat1 = np.hypot(rel1[:, 0], rel1[:, 1])
     d1 = np.linalg.norm(rel1, axis=1)
     chi1 = np.arctan2(rel1[:, 1], rel1[:, 0])
@@ -238,7 +153,7 @@ def _costs_vectorized(uav: UavState, pts: np.ndarray, target: Point3) -> np.ndar
     eta1_lat, eta1_lon = look_ahead_angles(uav.chi, uav.gamma, chi1, gamma1)
     eta2_lat, eta2_lon = look_ahead_angles(chi1, gamma1, chi2, gamma2)
 
-    feasible = (
+    f = (
         (np.abs(eta1_lat) < _HALF_PI)
         & (np.abs(eta1_lon) < _HALF_PI)
         & (np.abs(eta2_lat) < _HALF_PI)
@@ -247,7 +162,6 @@ def _costs_vectorized(uav: UavState, pts: np.ndarray, target: Point3) -> np.ndar
         & (d2 > 0.0)
     )
     costs = np.full(pts.shape[0], np.inf)
-    f = feasible
     costs[f] = d1[f] / (np.cos(eta1_lon[f]) * np.cos(eta1_lat[f])) + d2[f] / (
         np.cos(eta2_lon[f]) * np.cos(eta2_lat[f])
     )
@@ -257,14 +171,13 @@ def _costs_vectorized(uav: UavState, pts: np.ndarray, target: Point3) -> np.ndar
 def best_detour(
     uav: UavState,
     target: Point3,
-    region: FeasibleRegion,
     rng: np.random.Generator,
     grid: DemGrid,
     obstacle: Obstacle,
     now: float,
     params: ReplanParams,
 ) -> CandidateWaypoint:
-    """Cheapest feasible candidate from ``params.k_samples`` draws, terrain-checked.
+    """Cheapest feasible candidate of :func:`sample_region`'s draws, terrain-checked.
 
     Candidates are walked in ascending cost order; the first acceptable
     one wins.  A candidate is rejected when its inbound leg from the
@@ -276,11 +189,10 @@ def best_detour(
     inbound leg instead.  Raises :class:`ReplanError` when no draw is
     feasible or every one is rejected.
     """
-    k = params.k_samples
-    pts = sample_region(region, k, rng)
+    pts = sample_region(uav, obstacle, grid, params, rng)
     if pts.shape[0] == 0:
-        raise ReplanError(f"no feasible samples among {k} draws", iteration=0)
-    costs = _costs_vectorized(uav, pts, target)
+        raise ReplanError(f"no feasible samples among {params.k_samples} draws", iteration=0)
+    costs = candidate_cost(uav, pts, target)
     order = np.argsort(costs, kind="stable")
     rejected_obstructed = 0
     rejected_terrain = 0
@@ -307,9 +219,7 @@ def best_detour(
                 rejected_obstructed,
                 rejected_terrain,
             )
-        # Recompute through the scalar path so the reported cost is exactly
-        # candidate_cost(point), independent of vectorized rounding.
-        return CandidateWaypoint(point=point, cost=candidate_cost(uav, point, target))
+        return CandidateWaypoint(point=point, cost=float(costs[idx]))
     raise ReplanError(
         f"no acceptable candidate among {pts.shape[0]} feasible samples "
         f"({rejected_obstructed} rejected for obstructed leg, "
@@ -343,18 +253,14 @@ def replan(
     for iteration in range(params.max_iterations):
         if not segment_obstructed(virtual.position, target, obstacle, now):
             return waypoints
-        region = feasible_region(
-            virtual.position, virtual.velocity_unit(), obstacle, grid,
-            params.delta_r, params.delta_h, params.delta_angle,
-        )
         rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(iteration,)))
         try:
-            best = best_detour(virtual, target, region, rng, grid, obstacle, now, params)
+            best = best_detour(virtual, target, rng, grid, obstacle, now, params)
         except ReplanError as exc:
             raise ReplanError(f"iteration {iteration}: {exc}", iteration=iteration) from exc
         waypoints.append(best.point)
-        chi, gamma = _bearing_elevation(virtual.position, best.point)
-        virtual = replace(virtual, position=best.point, chi=chi, gamma=gamma)
+        chi, gamma = reference_angles((best.point.as_array() - virtual.position.as_array())[:, None])
+        virtual = replace(virtual, position=best.point, chi=chi.item(), gamma=gamma.item())
     if segment_obstructed(virtual.position, target, obstacle, now):
         raise ReplanError(
             f"still obstructed after {params.max_iterations} iterations",

@@ -11,7 +11,11 @@ equal them bit for bit.  ``deliver_oracle``, ``consensus_oracle`` and
 ``speed_oracle`` are the same for the time-index exchange: one inbox of
 (strength, theta_j) pairs per receiver, in sender order; and
 ``time_index_oracle`` and ``reference_angles_oracle`` for the control
-inputs that ``run`` computes for the fleet each tick.
+inputs that ``run`` computes for the fleet each tick, with
+``advance_oracle`` for the virtual-target advance.  ``two_leg_cost``,
+``region_contains`` and ``grid_cost_oracle`` are the replanner's: the
+cost of one candidate, membership in the candidate region, and the
+constrained cost minimum over a lattice.
 """
 
 import logging
@@ -20,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from flocksim import DegenerateGeometryError, Point3, segment_above_terrain, segment_obstructed
+from flocksim import DegenerateGeometryError, Point3, dem_elevation, segment_above_terrain, segment_obstructed
 
 _network_log = logging.getLogger("flocksim.network")
 
@@ -49,44 +53,67 @@ def two_leg_cost(uav, point, target):
     return d1 / (math.cos(eta[1]) * math.cos(eta[0])) + d2 / (math.cos(eta[3]) * math.cos(eta[2]))
 
 
-def grid_cost_oracle(
-    uav,
-    target,
-    region,
-    obstacle,
-    grid,
-    now,
-    clearance=10.0,
-    terrain_step=25.0,
-    n_points=100_000,
-):
+def region_contains(uav, obstacle, grid, params, p):
+    """Membership of ``p`` in the candidate region of ``uav``: forward cone, lateral ring, height band.
+
+    The cone is ``params.delta_angle`` about the vehicle's velocity, the
+    ring runs from the obstacle's radius out by ``params.delta_r``, and
+    the band is ``params.delta_h`` deep above the terrain under the
+    vehicle; all boundaries are inclusive, and the vehicle's own position
+    is outside.
+    """
+    pos = uav.position
+    rel = (p.north - pos.north, p.east - pos.east, p.height - pos.height)
+    norm = math.sqrt(rel[0] ** 2 + rel[1] ** 2 + rel[2] ** 2)
+    if norm == 0.0:
+        return False
+    cg = math.cos(uav.gamma)
+    mu = (cg * math.cos(uav.chi), cg * math.sin(uav.chi), math.sin(uav.gamma))
+    cos_angle = (rel[0] * mu[0] + rel[1] * mu[1] + rel[2] * mu[2]) / norm
+    if math.acos(min(max(cos_angle, -1.0), 1.0)) > params.delta_angle:
+        return False
+    r_bar = obstacle.lateral_radius
+    lateral = math.hypot(p.north - obstacle.center_north, p.east - obstacle.center_east)
+    if not r_bar <= lateral <= r_bar + params.delta_r:
+        return False
+    floor = dem_elevation(grid, pos.north, pos.east)
+    return floor <= p.height <= floor + params.delta_h
+
+
+def grid_cost_oracle(uav, target, obstacle, grid, now, params, n_points=100_000):
     """Constrained minimum of the two-leg cost over a deterministic lattice.
 
-    Independent of the sampler and of the vectorized cost path: the region
-    is swept on an angle x radius x height lattice, membership in the
-    forward cone and the transit cost are both evaluated with explicit
-    trigonometry here, and candidates are accepted under the same leg rules
-    the minimizer applies (inbound leg clear of the obstacle and terrain,
-    terminal leg terrain-checked when it would end the replan).
+    Independent of the sampler and of the library's cost: the candidate
+    region of ``params`` (ring around ``obstacle``, height band over the
+    terrain under the vehicle, forward cone) is swept on an angle x
+    radius x height lattice, membership in the forward cone and the
+    transit cost are both evaluated with explicit trigonometry here, and
+    candidates are accepted under the same leg rules the minimizer applies
+    (inbound leg clear of the obstacle and terrain, terminal leg
+    terrain-checked when it would end the replan).
     """
+    clearance, terrain_step = params.clearance, params.terrain_step
+    r_bar = obstacle.lateral_radius
+    floor = dem_elevation(grid, uav.position.north, uav.position.east)
     n_angle, n_radius, n_height = 100, 40, 25
     assert n_angle * n_radius * n_height == n_points
     angles = np.linspace(-math.pi, math.pi, n_angle, endpoint=False)
-    radii = np.linspace(region.r_bar, region.r_bar + region.delta_r, n_radius)
-    heights = np.linspace(region.dem_floor, region.dem_floor + region.delta_h, n_height)
+    radii = np.linspace(r_bar, r_bar + params.delta_r, n_radius)
+    heights = np.linspace(floor, floor + params.delta_h, n_height)
     ang, rad, hgt = np.meshgrid(angles, radii, heights, indexing="ij")
 
-    pn = region.center_north + rad.ravel() * np.cos(ang.ravel())
-    pe = region.center_east + rad.ravel() * np.sin(ang.ravel())
+    pn = obstacle.center_north + rad.ravel() * np.cos(ang.ravel())
+    pe = obstacle.center_east + rad.ravel() * np.sin(ang.ravel())
     ph = hgt.ravel()
 
     pos = uav.position
     dn1, de1, dh1 = pn - pos.north, pe - pos.east, ph - pos.height
     lat1 = np.hypot(dn1, de1)
     norm1 = np.sqrt(lat1**2 + dh1**2)
-    mu = np.asarray(region.velocity_unit)
+    cg = math.cos(uav.gamma)
+    mu = (cg * math.cos(uav.chi), cg * math.sin(uav.chi), math.sin(uav.gamma))
     cos_cone = (dn1 * mu[0] + de1 * mu[1] + dh1 * mu[2]) / np.where(norm1 > 0, norm1, np.inf)
-    in_cone = np.arccos(np.clip(cos_cone, -1.0, 1.0)) <= region.delta_angle
+    in_cone = np.arccos(np.clip(cos_cone, -1.0, 1.0)) <= params.delta_angle
 
     chi1 = np.arctan2(de1, dn1)
     gamma1 = np.arctan2(dh1, lat1)
@@ -184,6 +211,29 @@ def reference_angles_oracle(position, target):
     if lateral == 0.0 and dh == 0.0:
         raise DegenerateGeometryError(f"bearing undefined between coincident points {position}")
     return math.atan2(de, dn), math.atan2(dh, lateral)
+
+
+def advance_oracle(path, position, chi, gamma, gp):
+    """Scalar virtual-target advance of one vehicle: the path with its cursor past reached waypoints.
+
+    A waypoint is dropped once the vehicle at ``position``, flying course
+    ``chi`` and climb ``gamma``, is within ``gp.acceptance_radius`` of it
+    or the waypoint falls behind the velocity direction; the final
+    waypoint is never dropped.
+    """
+    cg = math.cos(gamma)
+    mu = (cg * math.cos(chi), cg * math.sin(chi), math.sin(gamma))
+    cursor = path.cursor
+    last = len(path.waypoints) - 1
+    while cursor < last:
+        wp = path.waypoints[cursor]
+        rel = (wp.north - position.north, wp.east - position.east, wp.height - position.height)
+        reached = math.hypot(*rel) <= gp.acceptance_radius
+        behind = rel[0] * mu[0] + rel[1] * mu[1] + rel[2] * mu[2] < 0.0
+        if not (reached or behind):
+            break
+        cursor += 1
+    return path if cursor == path.cursor else replace(path, cursor=cursor)
 
 
 def deliver_oracle(thetas, neighbors):

@@ -29,7 +29,6 @@ from flocksim import (
     actuator_bounds,
     convergence_conditions,
     distance3,
-    feasible_region,
     fleet_arrays,
     guidance_commands,
     load_scenario,
@@ -185,17 +184,9 @@ def test_04_replanning_geometry_and_cost_quality(reference_run):
         position=Point3(r.north, r.east, r.height),
         chi=r.chi, gamma=r.gamma, psi=r.psi, v_g=r.v_g, phi=r.phi, n_lf=r.n_lf,
     )
-    rp = scenario.replan
-    region = feasible_region(
-        state.position, state.velocity_unit(), scenario.obstacle, scenario.dem,
-        rp.delta_r, rp.delta_h, rp.delta_angle,
-    )
     chosen_cost = two_leg_cost(state, first.waypoints[0], original)
     t0 = time.perf_counter()
-    oracle_cost = grid_cost_oracle(
-        state, original, region, scenario.obstacle, scenario.dem, now=first.t,
-        clearance=rp.clearance, terrain_step=rp.terrain_step,
-    )
+    oracle_cost = grid_cost_oracle(state, original, scenario.obstacle, scenario.dem, first.t, scenario.replan)
     oracle_wall = time.perf_counter() - t0
     gap = abs(chosen_cost - oracle_cost) / oracle_cost
     ok = gap <= 0.02 and oracle_wall < 60.0

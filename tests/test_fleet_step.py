@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     WindOracle,
+    advance_oracle,
     autopilot_oracle,
     conditions_oracle,
     guidance_oracle,
@@ -257,22 +258,21 @@ def targeted_fleets(draw):
 def fleet_control_inputs(states, paths, gp, spliced):
     """One tick's control inputs as ``run`` computes them, splices included.
 
-    Returns the fleet's targets, the vehicles the advance selected, and
-    theta, chi_c and gamma_c.
+    Returns the fleet's targets, the vehicles whose cursor the advance
+    moved, and theta, chi_c and gamma_c.
     """
     y, act = fleet_arrays(states)
     targets = _FleetTargets(paths)
-    offset, distance, changed = targets.advance(y, gp)
-    advanced = changed[:]
+    offset, distance = targets.advance(y, gp)
+    advanced = [i for i, path in enumerate(paths) if targets.paths[i].cursor != path.cursor]
     for i, detour in spliced.items():
         targets.take(i, targets.paths[i].splice(detour))
-        changed.append(i)
-    return (targets, advanced, *targets.control_inputs(y, act[2], offset, distance, changed))
+    return (targets, advanced, *targets.control_inputs(y, act[2], offset, distance, list(spliced)))
 
 
 def oracle_control_inputs(state, path, gp, detour):
     """One vehicle's path after the advance (and splice), theta, chi_c and gamma_c."""
-    path = advance_virtual_target(path, state.position, state.chi, state.gamma, gp)
+    path = advance_oracle(path, state.position, state.chi, state.gamma, gp)
     if detour is not None:
         path = path.splice(detour)
     p, a = state.position, path.active
@@ -289,10 +289,12 @@ class TestControlInputsMatchOracle:
     def test_control_inputs(self, fleet):
         states, paths, gp, spliced = fleet
         targets, advanced, theta, chi_c, gamma_c = fleet_control_inputs(states, paths, gp, spliced)
-        # the screen selects exactly the vehicles whose cursor moves
-        assert advanced == [
+        # the first acceptance test flags exactly the vehicles whose cursor moves
+        targets0 = _FleetTargets(paths)
+        _, _, step = advance_virtual_target(targets0.active, fleet_arrays(states)[0], targets0.movable, gp)
+        assert advanced == step.nonzero()[0].tolist() == [
             i for i, (state, path) in enumerate(zip(states, paths))
-            if advance_virtual_target(path, state.position, state.chi, state.gamma, gp).cursor != path.cursor
+            if advance_oracle(path, state.position, state.chi, state.gamma, gp).cursor != path.cursor
         ]
         for i, (state, path) in enumerate(zip(states, paths)):
             want, *values = oracle_control_inputs(state, path, gp, spliced.get(i))

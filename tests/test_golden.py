@@ -9,7 +9,10 @@ fleet sits above the topology screen threshold and has dropouts, so it
 runs the screened candidate path with the compiled schedule.  The
 reference scenario also runs at ``dt_s: 0.2``: every other case steps in
 whole seconds, so only this one pins ``t_s`` cells that are not integers
-(``3 * 0.2`` is ``0.6000000000000001``).
+(``3 * 0.2`` is ``0.6000000000000001``).  With ``master_seed: 1`` the
+reference scenario replans three times (4, 2 and 1 detour points) and
+fails three replans, so that case pins a multi-iteration replan, a later
+replan of the same vehicle and the failure messages in ``events.csv``.
 
 An intended change to exported numbers updates the table below in one
 place and says why in CHANGES.md.  ``manifest.json`` loses its
@@ -77,6 +80,12 @@ GOLDEN = {
         "metrics.json": "fa232a3f1d11ef606e9ce4aadbfb8cf2004ef57c21b41b7498379c0ce1b508e8",
         "trajectories": "ff19fcb123779dc09b370c37c3ea236583a8b1f70b5719f3a92aaac20cf0c2cd",
     },
+    "reference_4uav_seed1": {
+        "events.csv": "2ac185b9484bd4bc4aa7904234f6330275a67f9c79837c3e2ccdeebadd027089",
+        "manifest.json": "37e54522cdce4dab4d7998c8aae386847a0a13c8d23af398f09f71d8082a8ae3",
+        "metrics.json": "cea8ea1b80d243f1cd41c14071da1ca474cc71c06ed51d8a7d7eca035b2c1e12",
+        "trajectories": "3313e1581fa791f275c5b9c72ab630bde0698d0216b00d9225c2c11b00a1aaf2",
+    },
 }
 
 
@@ -108,6 +117,9 @@ def _scenario_file(name: str, scenario_dir: str, tmp_path: Path) -> Path:
     elif name == "reference_4uav_dt02":
         doc = yaml.safe_load((Path(scenario_dir) / "reference_4uav.yaml").read_text())
         doc["dt_s"] = 0.2
+    elif name == "reference_4uav_seed1":
+        doc = yaml.safe_load((Path(scenario_dir) / "reference_4uav.yaml").read_text())
+        doc["master_seed"] = 1
     else:
         return Path(scenario_dir) / f"{name}.yaml"
     doc["name"] = name

@@ -24,6 +24,7 @@ from flocksim import (
     steering_rates,
     step_kinematics,
 )
+from flocksim.harness import _FleetTargets
 
 GRAVITY = 9.81
 GP = GuidanceParams()
@@ -63,8 +64,10 @@ def conditions(eta_lat, eta_lon, state, target, gp):
 
 
 def advance(path, state, acceptance_radius):
-    gp = GuidanceParams(acceptance_radius=acceptance_radius)
-    return advance_virtual_target(path, state.position, state.chi, state.gamma, gp)
+    """One vehicle's path after the fleet advance that ``run`` makes each tick."""
+    targets = _FleetTargets([path])
+    targets.advance(fleet_arrays([state])[0], GuidanceParams(acceptance_radius=acceptance_radius))
+    return targets.paths[0]
 
 
 class TestWaypointPath:
@@ -166,6 +169,17 @@ class TestAdvanceVirtualTarget:
         once = advance(path, state, 40.0)
         twice = advance(once, state, 40.0)
         assert once.cursor == twice.cursor
+
+    def test_flags_reached_or_behind_movable_waypoints(self):
+        # flying north, 30 m short of the waypoint (reached), 50 m past it
+        # (behind), 50 m short (kept), and 30 m short of a last waypoint
+        y, _ = fleet_arrays([make_state(north=n) for n in (70.0, 150.0, 50.0, 70.0)])
+        active = np.array([[100.0] * 4, [0.0] * 4, [100.0] * 4])
+        movable = np.array([True, True, True, False])
+        offset, distance, step = advance_virtual_target(active, y, movable, GP)
+        assert offset.tolist() == (active - y[:3]).tolist()
+        assert distance.tolist() == [30.0, 50.0, 50.0, 30.0]
+        assert step.tolist() == [True, True, False, False]
 
 
 def one_reference(position, target):
