@@ -38,6 +38,6 @@ for tick in list(range(0, log_clean.n_ticks, 30)) + [log_clean.n_ticks - 1]:
           + "#" * int(round(spread_lossy[tick] / 2.0)))
 
 print("\nfinal-tick spread : clean {:.2f} s, dropouts {:.2f} s".format(
-    m_clean.md_final, m_lossy.md_final))
-print(f"tracking accuracy : clean {m_clean.ae_mean:.2f} m, dropouts {m_lossy.ae_mean:.2f} m")
+    m_clean.md_final_s, m_lossy.md_final_s))
+print(f"tracking accuracy : clean {m_clean.ae_mean_m:.2f} m, dropouts {m_lossy.ae_mean_m:.2f} m")
 print(f"replan events     : clean {m_clean.n_replan_events}, dropouts {m_lossy.n_replan_events}")

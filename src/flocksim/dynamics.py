@@ -28,7 +28,6 @@ import numpy as np
 from .geo import Point3
 
 __all__ = [
-    "GRAVITY",
     "UavLimits",
     "UavState",
     "AutopilotParams",

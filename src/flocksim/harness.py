@@ -26,7 +26,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -63,8 +63,6 @@ from .seeding import derive_seed
 __all__ = [
     "ScenarioError",
     "RunError",
-    "UavSpec",
-    "Scenario",
     "LOG_COLUMNS",
     "ReplanEvent",
     "RunLog",
@@ -73,7 +71,6 @@ __all__ = [
     "run",
     "compute_metrics",
     "export",
-    "WALL_CLOCK_FILES",
 ]
 
 _COINCIDENT_EPS = 1e-9
@@ -128,7 +125,6 @@ class UavSpec:
 class Scenario:
     """A fully validated simulation configuration."""
 
-    dem_path: str
     dem: DemGrid
     uavs: list[UavSpec]
     target: Point3
@@ -208,32 +204,24 @@ class RunLog:
 
 @dataclass
 class Metrics:
-    """Fleet-level summary of one run (all values >= 0)."""
+    """Fleet-level summary of one run (all values >= 0).
 
-    ae_mean: float
-    rmse_mean: float
-    md: float
-    md_final: float
-    rt_sim: float
-    detour_overhead: float
-    per_uav_ae: list[float]
+    Each field is named as its key in ``metrics.json``.
+    """
+
+    ae_mean_m: float
+    rmse_mean_m: float
+    md_max_s: float
+    md_final_s: float
+    rt_sim_s: float
+    detour_overhead_s: float
+    per_uav_ae_m: list[float]
     n_replan_events: int
     n_replan_failures: int
     n_premise_violations: int
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "ae_mean_m": self.ae_mean,
-            "rmse_mean_m": self.rmse_mean,
-            "md_max_s": self.md,
-            "md_final_s": self.md_final,
-            "rt_sim_s": self.rt_sim,
-            "detour_overhead_s": self.detour_overhead,
-            "per_uav_ae_m": self.per_uav_ae,
-            "n_replan_events": self.n_replan_events,
-            "n_replan_failures": self.n_replan_failures,
-            "n_premise_violations": self.n_premise_violations,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +347,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
     Every structural problem (missing field, unknown key, wrong type) and
     semantic problem (limit ordering, waypoint outside the terrain
-    footprint, final waypoint not at the target) raises
+    footprint, final waypoint not at the target, dropout window naming a
+    vehicle outside the fleet) raises
     :class:`ScenarioError` naming the offending field. Omitted optional
     keys take the defaults of the param dataclasses.
     """
@@ -377,9 +366,8 @@ def load_scenario(path: str | Path) -> Scenario:
     dem_rel = _get(root, "dem_file", "scenario")
     if not isinstance(dem_rel, str):
         raise ScenarioError(f"scenario.dem_file: expected a path string, got {dem_rel!r}")
-    dem_path = (path.parent / dem_rel).resolve()
     try:
-        dem = load_dem(dem_path)
+        dem = load_dem((path.parent / dem_rel).resolve())
     except DemFormatError as exc:
         raise ScenarioError(f"scenario.dem_file: {exc}") from exc
 
@@ -491,13 +479,19 @@ def load_scenario(path: str | Path) -> Scenario:
         _reject_unknown(row, ctx, _UAV_KEYS)
         uavs.append(UavSpec(uav_id=uav_id, initial=initial, limits=limits, path=path_obj))
 
+    for k, w in enumerate(comm.dropout_schedule):
+        if not (0 <= w.uav_a < len(uavs) and 0 <= w.uav_b < len(uavs)):
+            raise ScenarioError(
+                f"scenario.comm.dropout_schedule[{k}]: vehicles {w.uav_a} and {w.uav_b} must both lie in"
+                f" [0, {len(uavs)})"
+            )
+
     name = root.get("name", Scenario.name)
     if not isinstance(name, str):
         raise ScenarioError(f"scenario.name: expected a string, got {name!r}")
     _reject_unknown(root, "scenario", _ROOT_KEYS)
 
     return Scenario(
-        dem_path=str(dem_path),
         dem=dem,
         uavs=uavs,
         target=target,
@@ -728,13 +722,13 @@ def compute_metrics(log: RunLog, scenario: Scenario) -> Metrics:
     n = len(scenario.uavs)
     if log.n_ticks == 0:
         return Metrics(
-            ae_mean=0.0,
-            rmse_mean=0.0,
-            md=0.0,
-            md_final=0.0,
-            rt_sim=0.0,
-            detour_overhead=0.0,
-            per_uav_ae=[0.0] * n,
+            ae_mean_m=0.0,
+            rmse_mean_m=0.0,
+            md_max_s=0.0,
+            md_final_s=0.0,
+            rt_sim_s=0.0,
+            detour_overhead_s=0.0,
+            per_uav_ae_m=[0.0] * n,
             n_replan_events=0,
             n_replan_failures=0,
             n_premise_violations=0,
@@ -764,13 +758,13 @@ def compute_metrics(log: RunLog, scenario: Scenario) -> Metrics:
     overhead = float(sum(e.overhead for e in log.replan_events))
 
     return Metrics(
-        ae_mean=float(np.mean(per_uav_ae)),
-        rmse_mean=float(np.mean(per_uav_rmse)),
-        md=md,
-        md_final=md_final,
-        rt_sim=rt_sim,
-        detour_overhead=overhead,
-        per_uav_ae=per_uav_ae,
+        ae_mean_m=float(np.mean(per_uav_ae)),
+        rmse_mean_m=float(np.mean(per_uav_rmse)),
+        md_max_s=md,
+        md_final_s=md_final,
+        rt_sim_s=rt_sim,
+        detour_overhead_s=overhead,
+        per_uav_ae_m=per_uav_ae,
         n_replan_events=len(log.replan_events),
         n_replan_failures=len(log.replan_failures),
         n_premise_violations=int(np.count_nonzero(log.premise_violations())),

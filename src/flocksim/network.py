@@ -42,7 +42,6 @@ import numpy as np
 __all__ = [
     "DropoutWindow",
     "CommConfig",
-    "CommGraph",
     "build_topology",
     "deliver",
 ]

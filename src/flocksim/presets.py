@@ -70,23 +70,20 @@ def make_reference_dem() -> DemGrid:
     )
 
 
-def alternating_blackout(
-    duration_s: float, n_uavs: int, period_s: float = 10.0, on_s: float = 5.0
-) -> list[list[float]]:
+def alternating_blackout(duration_s: float, n_uavs: int) -> list[list[float]]:
     """Dropout rows silencing every link during alternating windows.
 
-    Within each ``period_s`` block the second ``on_s`` seconds are
-    blacked out for all pairs, so the fleet repeatedly loses and regains
-    the whole network.
+    Within each 10 s block the second 5 s are blacked out for all pairs,
+    so the fleet repeatedly loses and regains the whole network.
     """
     rows: list[list[float]] = []
-    start = period_s - on_s
+    start = 5.0
     while start < duration_s:
-        end = min(start + on_s, duration_s)
+        end = min(start + 5.0, duration_s)
         for a in range(n_uavs):
             for b in range(a + 1, n_uavs):
                 rows.append([float(start), float(end), a, b])
-        start += period_s
+        start += 10.0
     return rows
 
 
@@ -162,9 +159,7 @@ def _uav_entry(uav_id: int, start, waypoints, v_g: float = CRUISE_SPEED) -> dict
     }
 
 
-def reference_scenario_dict(
-    master_seed: int = 20260819, with_dropouts: bool = False, with_obstacle: bool = True
-) -> dict:
+def reference_scenario_dict(master_seed: int = 20260819, with_dropouts: bool = False) -> dict:
     """Four-vehicle rendezvous with a pop-up obstacle on vehicle 0's leg.
 
     Path lengths 2735 / 3010.5 / 3348 / 3618 m at a shared 13.5 m/s start
@@ -182,15 +177,14 @@ def reference_scenario_dict(
     doc.update(_common_blocks(master_seed, gamma_signal=5.0e4))
     if with_dropouts:
         doc["comm"]["dropout_schedule"] = alternating_blackout(duration, 4)
-    if with_obstacle:
-        doc["obstacle"] = {
-            "center_north_m": -1585.0,
-            "center_east_m": 45.0,
-            "lateral_radius_m": 90.0,
-            "base_height_m": 0.0,
-            "top_height_m": 250.0,
-            "activation_time_s": 75.0,
-        }
+    doc["obstacle"] = {
+        "center_north_m": -1585.0,
+        "center_east_m": 45.0,
+        "lateral_radius_m": 90.0,
+        "base_height_m": 0.0,
+        "top_height_m": 250.0,
+        "activation_time_s": 75.0,
+    }
     doc["uavs"] = [
         _uav_entry(
             0,

@@ -28,7 +28,6 @@ from .guidance import look_ahead_angles, reference_angles
 
 __all__ = [
     "ReplanParams",
-    "CandidateWaypoint",
     "ReplanError",
     "sample_region",
     "candidate_cost",

@@ -118,11 +118,11 @@ def test_02_consensus_agreement_reference_fleet(reference_run):
     thetas0 = log.thetas()[0]
     spread0 = float(thetas0.max() - thetas0.min())
     assert spread0 >= 60.0, f"scenario must start with >= 60 s spread, got {spread0:.1f}"
-    ok = metrics.md_final < 15.0 and log.wall_s < 10.0
+    ok = metrics.md_final_s < 15.0 and log.wall_s < 10.0
     report(
         "check 2 (consensus agreement)",
         ok,
-        f"initial spread {spread0:.1f} s -> final-tick max deviation {metrics.md_final:.2f} s"
+        f"initial spread {spread0:.1f} s -> final-tick max deviation {metrics.md_final_s:.2f} s"
         f" (< 15 s), wall {log.wall_s:.2f} s (< 10 s for {scenario.duration:.0f} sim-s)",
     )
 
@@ -131,12 +131,12 @@ def test_03_consensus_under_link_dropout(scenario_dir):
     scenario = load_scenario(f"{scenario_dir}/reference_4uav_dropout.yaml")
     assert scenario.comm.dropout_schedule, "dropout scenario must carry a schedule"
     log, metrics = run(scenario)
-    ok = metrics.md_final < 20.0
+    ok = metrics.md_final_s < 20.0
     report(
         "check 3 (consensus under dropout)",
         ok,
         f"{len(scenario.comm.dropout_schedule)} dropout windows -> final-tick max deviation"
-        f" {metrics.md_final:.2f} s (< 20 s)",
+        f" {metrics.md_final_s:.2f} s (< 20 s)",
     )
 
 
@@ -211,13 +211,13 @@ def test_05_replanning_wall_clock_budget(reference_run):
     params = ReplanParams(k_samples=2000, delta_r=300.0, delta_h=100.0, delta_angle=math.pi / 2)
     detour = replan(uav, Point3(900.0, 0.0, 50.0), obstacle, grid, params, rng_seed=77, now=80.0)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    overhead_ok = math.isfinite(metrics.detour_overhead) and metrics.detour_overhead >= 0.0
+    overhead_ok = math.isfinite(metrics.detour_overhead_s) and metrics.detour_overhead_s >= 0.0
     ok = bool(detour) and wall_ms < 100.0 and overhead_ok
     report(
         "check 5 (replanning responsiveness)",
         ok,
         f"one K=2000 replan in {wall_ms:.1f} ms (< 100 ms); reference-run detour overhead"
-        f" {metrics.detour_overhead:.2f} s (finite)",
+        f" {metrics.detour_overhead_s:.2f} s (finite)",
     )
 
 
@@ -228,8 +228,8 @@ def test_06_accuracy_under_wind_three_seeds(scenario_dir):
         scenario = load_scenario(f"{scenario_dir}/reference_4uav.yaml")
         scenario.master_seed = seed
         log, metrics = run(scenario)
-        results.append(f"seed {seed}: {metrics.ae_mean:.2f} m in {log.wall_s:.1f} s")
-        ok = ok and metrics.ae_mean < 15.0 and log.wall_s < 30.0
+        results.append(f"seed {seed}: {metrics.ae_mean_m:.2f} m in {log.wall_s:.1f} s")
+        ok = ok and metrics.ae_mean_m < 15.0 and log.wall_s < 30.0
     report(
         "check 6 (accuracy under wind)",
         ok,
@@ -286,8 +286,8 @@ def test_09_fleet_size_sweep(scenario_dir):
             assert float(dists.min()) <= 40.0, (
                 f"fleet {n}: uav {spec.uav_id} never entered the target's acceptance radius"
             )
-        lines.append(f"N={n}: AE {metrics.ae_mean:.2f} m, MD {metrics.md:.2f} s")
-        ok = ok and metrics.ae_mean < 15.0 and metrics.md < 25.0
+        lines.append(f"N={n}: AE {metrics.ae_mean_m:.2f} m, MD {metrics.md_max_s:.2f} s")
+        ok = ok and metrics.ae_mean_m < 15.0 and metrics.md_max_s < 25.0
     report(
         "check 9 (fleet-size sweep)",
         ok,

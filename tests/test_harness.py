@@ -339,8 +339,24 @@ class TestScenarioSchema:
             load_variant(make_scenario_file, path, value)
 
     def test_dropout_row_loads(self, make_scenario_file):
-        scenario = load_variant(make_scenario_file, ("comm", "dropout_schedule"), [[0, 10.5, 1, 0]])
+        uavs = [MINI_SCENARIO["uavs"][0], {**MINI_SCENARIO["uavs"][0], "id": 1}]
+        scenario = load_scenario(make_scenario_file(uavs=uavs, comm={"dropout_schedule": [[0, 10.5, 1, 0]]}))
         assert scenario.comm.dropout_schedule == (DropoutWindow(0.0, 10.5, 1, 0),)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([0.0, 300.0, 0, 2], "vehicles 0 and 2 must both lie in [0, 2)"),
+            ([0.0, 300.0, -1, 1], "vehicles -1 and 1 must both lie in [0, 2)"),
+        ],
+        ids=["id-N", "id-minus-1"],
+    )
+    def test_dropout_row_naming_a_vehicle_outside_the_fleet_is_rejected(self, make_scenario_file, row, message):
+        uavs = [MINI_SCENARIO["uavs"][0], {**MINI_SCENARIO["uavs"][0], "id": 1}]
+        rows = [[5.0, 10.0, 1, 0], row]
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(make_scenario_file(uavs=uavs, comm={"dropout_schedule": rows}))
+        assert str(info.value) == f"scenario.comm.dropout_schedule[1]: {message}"
 
     @pytest.mark.parametrize(
         "ambient, message",
@@ -415,7 +431,7 @@ class TestRun:
             log.positions(0) - scenario.target.as_array(), axis=1
         )
         assert float(dists.min()) < 40.0
-        assert metrics.ae_mean < 15.0
+        assert metrics.ae_mean_m < 15.0
 
     def test_straight_line_arrival_and_theta_descent(self, make_scenario_file):
         # dt fine enough that the flyby itself is sampled, not just bracketed
@@ -475,8 +491,8 @@ class TestRun:
         log, metrics = run(scenario)
         assert log.n_ticks == 0
         assert log.data.shape == (0, 1, len(LOG_COLUMNS))
-        assert metrics.ae_mean == 0.0
-        assert metrics.md == 0.0
+        assert metrics.ae_mean_m == 0.0
+        assert metrics.md_max_s == 0.0
         out = tmp_path / "empty"
         files = export(log, metrics, out)
         content = (out / "uav_00.csv").read_text()
@@ -528,7 +544,7 @@ class TestRun:
         # and the vehicle still completes the mission
         dists = np.linalg.norm(log.positions(0) - scenario.target.as_array(), axis=1)
         assert float(dists.min()) < 40.0
-        assert metrics.detour_overhead > 0.0
+        assert metrics.detour_overhead_s > 0.0
 
 
 class TestComputeMetrics:
@@ -544,10 +560,10 @@ class TestComputeMetrics:
         rec(log, 0, 0, -303.0, -4.0, 110.0)
         rec(log, 1, 0, 0.0, 0.0, 105.0)
         metrics = compute_metrics(log, scenario)
-        assert metrics.ae_mean == 5.0
-        assert metrics.per_uav_ae == [5.0]
+        assert metrics.ae_mean_m == 5.0
+        assert metrics.per_uav_ae_m == [5.0]
         expected_rmse = math.sqrt(2.0) * (5.0 - math.sqrt(12.5))
-        assert metrics.rmse_mean == pytest.approx(expected_rmse, abs=1e-12)
+        assert metrics.rmse_mean_m == pytest.approx(expected_rmse, abs=1e-12)
 
     def test_perfect_passage_zeroes_errors(self, make_scenario_file):
         scenario = self.make_scenario(make_scenario_file)
@@ -555,8 +571,8 @@ class TestComputeMetrics:
         rec(log, 0, 0, -300.0, 0.0, 110.0)
         rec(log, 1, 0, 0.0, 0.0, 110.0)
         metrics = compute_metrics(log, scenario)
-        assert metrics.ae_mean == 0.0
-        assert metrics.rmse_mean == 0.0
+        assert metrics.ae_mean_m == 0.0
+        assert metrics.rmse_mean_m == 0.0
 
     def test_md_tracks_whole_run_and_final_tick(self, make_scenario_file):
         second_uav = {
@@ -582,8 +598,8 @@ class TestComputeMetrics:
             rec(log, t, u, -300.0 if u == 0 else 0.0, 0.0 if u == 0 else -300.0, 110.0,
                 theta=theta)
         metrics = compute_metrics(log, scenario)
-        assert metrics.md == 6.0
-        assert metrics.md_final == 1.0
+        assert metrics.md_max_s == 6.0
+        assert metrics.md_final_s == 1.0
 
     def test_detour_overhead_sums_events(self, make_scenario_file):
         scenario = self.make_scenario(make_scenario_file)
@@ -594,18 +610,18 @@ class TestComputeMetrics:
             ReplanEvent(0, 0.0, 0, (Point3(0, 0, 110),), rt_sim=0.0, overhead=2.25, wall_ms=2.0),
         ]
         metrics = compute_metrics(log, scenario)
-        assert metrics.detour_overhead == 3.75
+        assert metrics.detour_overhead_s == 3.75
         assert metrics.n_replan_events == 2
-        assert metrics.rt_sim == 0.0
+        assert metrics.rt_sim_s == 0.0
 
     def test_empty_log_is_all_zero(self, make_scenario_file):
         scenario = self.make_scenario(make_scenario_file)
         log = RunLog(n_uavs=1, dt=1.0, n_ticks=0)
         metrics = compute_metrics(log, scenario)
-        assert metrics.ae_mean == 0.0
-        assert metrics.rmse_mean == 0.0
-        assert metrics.md == 0.0
-        assert metrics.md_final == 0.0
+        assert metrics.ae_mean_m == 0.0
+        assert metrics.rmse_mean_m == 0.0
+        assert metrics.md_max_s == 0.0
+        assert metrics.md_final_s == 0.0
 
 
 class TestExport:

@@ -1,0 +1,73 @@
+"""Static checks over the source: no unused imports, no dangling ``__all__`` entries.
+
+Both work on the syntax tree alone, so they need nothing beyond the
+standard library and run no module code.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "flocksim"
+CHECKED = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
+
+
+def _ids(paths):
+    return [str(p.relative_to(ROOT)) for p in paths]
+
+
+def _literal_all(tree: ast.Module) -> list[str]:
+    """The strings of a module-level ``__all__`` list or tuple literal."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [e.value for e in node.value.elts if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+    return []
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement binds, with its line; star and ``__future__`` imports excluded."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _bound_at_top_level(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name.partition(".")[0] for a in node.names}
+    return names
+
+
+@pytest.mark.parametrize("path", CHECKED, ids=_ids(CHECKED))
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(_literal_all(tree))
+    unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+SUBMODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", SUBMODULES, ids=_ids(SUBMODULES))
+def test_all_entries_are_bound_at_top_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unbound = sorted(set(_literal_all(tree)) - _bound_at_top_level(tree))
+    assert not unbound, f"{path.name} lists names in __all__ that it never binds: {unbound}"
