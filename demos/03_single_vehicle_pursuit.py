@@ -2,27 +2,26 @@
 
 Wires the control chain by hand, the same calls the mission harness
 makes each tick, here for a fleet of one: advance the virtual target
-along the waypoint list, form the look-ahead angles, turn them into bank
-and load-factor commands, then integrate autopilot lags and kinematics.
-The steering law and the dynamics take the fleet as arrays with one
-column per vehicle (``fleet_arrays``). No wind here, so the track shows
+along the path table (``FleetPaths``), form the look-ahead angles, turn
+them into bank and load-factor commands, then integrate autopilot lags
+and kinematics. The paths, the steering law and the dynamics take the
+fleet as arrays with one column per vehicle (``fleet_arrays``). No wind here, so the track shows
 the pure guidance transient: an initial 200 m lateral offset collapses,
 then the dogleg corner is rounded by the acceptance radius and the bank
 limit.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from flocksim import (
     AutopilotParams,
+    FleetPaths,
     GuidanceParams,
     Point3,
     UavLimits,
     UavState,
-    WaypointPath,
     actuator_bounds,
     advance_virtual_target,
     convergence_conditions,
@@ -40,7 +39,7 @@ DT = 0.1
 guidance = GuidanceParams(k_chi=8.8844, k_gamma=8.8844)
 autopilot = AutopilotParams()
 limits = UavLimits()
-path = WaypointPath(waypoints=(Point3(800.0, 0.0, 120.0), Point3(1100.0, 500.0, 120.0)))
+paths = FleetPaths([[(800.0, 0.0, 120.0), (1100.0, 500.0, 120.0)]])
 # Start 200 m right of the first leg, course already along it.
 y, act = fleet_arrays([UavState(position=Point3(0.0, 200.0, 100.0), chi=0.0, gamma=0.0,
                                 psi=0.0, v_g=13.5)])
@@ -53,35 +52,29 @@ closest = [math.inf, math.inf]
 for k in range(1500):
     t = k * DT
     north, east, height, chi, _, _ = y[:, 0].tolist()
-    position = Point3(north, east, height)
-    # Move the cursor on while the acceptance test flags the active
-    # waypoint (reached, or behind the velocity); the last one stays.
-    while True:
-        movable = np.array([path.cursor < len(path.waypoints) - 1])
-        _, _, step = advance_virtual_target(path.active.as_array()[:, None], y, movable, guidance)
-        if not step[0]:
-            break
-        path = replace(path, cursor=path.cursor + 1)
-    target = path.active
-    closest[path.cursor] = min(closest[path.cursor], distance3(position, target))
+    # Move the cursor past the waypoints reached or behind the velocity;
+    # the last one stays.
+    offset, distance = advance_virtual_target(paths, y, guidance)
+    cursor = int(paths.cursor[0])
+    closest[cursor] = min(closest[cursor], distance[0])
 
-    chi_c, gamma_c = reference_angles(target.as_array()[:, None] - y[:3])
+    chi_c, gamma_c = reference_angles(offset)
     eta_lat, eta_lon = look_ahead_angles(y[3], y[4], chi_c, gamma_c)
     lat_ok, lon_ok, sign_ok, margin = convergence_conditions(
-        eta_lat, eta_lon, y, act, np.array([target.height]), guidance
+        eta_lat, eta_lon, y, act, paths.active[2], guidance
     )
     phi_c, n_lf_c = guidance_commands(eta_lat, eta_lon, y, act, guidance, lo, hi)
 
     if k % 50 == 0:
         premises_ok = bool(lat_ok[0] and lon_ok[0] and sign_ok[0] and margin[0] > 0.0)
         print(f"{t:5.1f}  {north:6.0f}  {east:6.0f}  {height:6.1f}  {math.degrees(chi):6.1f}  "
-              f"{abs(math.degrees(eta_lat[0])):8.2f}  {str(premises_ok):>8}  {path.cursor}")
+              f"{abs(math.degrees(eta_lat[0])):8.2f}  {str(premises_ok):>8}  {cursor}")
 
     act = step_autopilot(act, np.array([phi_c, n_lf_c, [13.5]]), lo, hi, DT, autopilot)
     y = step_kinematics(y, act, calm, DT, autopilot)
-    position = Point3(*y[:3, 0].tolist())
-    track.append((position.north, position.east))
-    if path.cursor == len(path.waypoints) - 1 and distance3(position, path.active) < 15.0:
+    position = y[:3, 0].tolist()
+    track.append(tuple(position[:2]))
+    if not paths.movable[0] and distance3(position, paths.active[:, 0]) < 15.0:
         print(f"{t:5.1f}  arrived at the final waypoint")
         break
 
@@ -96,9 +89,9 @@ for north, east in track:
     r = int(east / e_max * (rows - 1))
     if 0 <= r < rows and 0 <= c < cols:
         canvas[r][c] = "."
-for i, wp in enumerate(path.waypoints):
-    c = int(wp.north / n_max * (cols - 1))
-    r = int(wp.east / e_max * (rows - 1))
+for i, (north, east, _) in enumerate(paths.waypoints[0].tolist()):
+    c = int(north / n_max * (cols - 1))
+    r = int(east / e_max * (rows - 1))
     canvas[r][c] = str(i)
 print("\ntrack (north to the right, east up, digits are waypoints)")
 for row in reversed(canvas):

@@ -49,22 +49,23 @@ print(f"  cone   : half-angle {math.degrees(params.delta_angle):.0f} deg about t
 samples = sample_region(uav, obstacle, flat, params, np.random.default_rng(77))
 print(f"  sampled {len(samples)} candidates")
 
-chosen = best_detour(uav, target, np.random.default_rng(77), flat, obstacle, now, params)
-inbound = segment_obstructed(uav.position, chosen.point, obstacle, now)
-onward = segment_obstructed(chosen.point, target, obstacle, now)
+point, cost = best_detour(uav, target, np.random.default_rng(77), flat, obstacle, now, params)
+inbound = segment_obstructed(uav.position, point, obstacle, now)
+onward = segment_obstructed(point, target, obstacle, now)
 print("\nbest single candidate")
-print(f"  point   : ({chosen.point.north:.1f}, {chosen.point.east:.1f}, {chosen.point.height:.1f})")
-print(f"  cost    : {chosen.cost:.1f} m two-leg transit, vs {distance3(uav.position, target):.0f} m straight")
+print(f"  point   : ({point.north:.1f}, {point.east:.1f}, {point.height:.1f})")
+print(f"  cost    : {cost:.1f} m two-leg transit, vs {distance3(uav.position, target):.0f} m straight")
 print(f"  inbound leg obstructed: {inbound} (guaranteed clear)")
 print(f"  onward leg obstructed : {onward} (may stay blocked; that is what the loop below fixes)")
 
 # The full loop re-detects from the candidate and keeps appending until
-# the final leg is clear, then the caller splices the list into the path.
+# the final leg is clear, then the caller splices the (m, 3) rows into the
+# path (FleetPaths.splice).
 print("\nreplan() from three seeds")
 for seed in (1, 2, 3):
-    wps = replan(uav, target, obstacle, flat, params, rng_seed=seed, now=now)
+    wps = replan(uav, target, obstacle, flat, params, rng_seed=seed, now=now).tolist()
     pts = [uav.position, *wps, target]
     length = sum(distance3(a, b) for a, b in zip(pts, pts[1:]))
     clear = not any(segment_obstructed(a, b, obstacle, now) for a, b in zip(pts, pts[1:]))
-    route = " -> ".join(f"({p.north:.0f}, {p.east:.0f})" for p in wps)
+    route = " -> ".join(f"({north:.0f}, {east:.0f})" for north, east, _ in wps)
     print(f"  seed {seed}: {len(wps)} waypoint(s) {route}, total {length:.1f} m, all legs clear = {clear}")

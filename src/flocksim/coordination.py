@@ -55,10 +55,11 @@ def time_index(distance: np.ndarray, remaining: np.ndarray, v_g: np.ndarray) -> 
     """(N,) estimated seconds to reach each path's terminus, the shared target.
 
     ``distance`` is the straight-line distance from each vehicle to its
-    active waypoint and ``remaining`` its path's ``remaining_length``; their
-    sum is divided by the ground speed ``v_g``.  The loader puts the target
-    at every path's terminus and ``WaypointPath.splice`` keeps it there;
-    ``UavLimits`` keeps the speed positive.
+    active waypoint and ``remaining`` the path length after it
+    (``FleetPaths.remaining``); their sum is divided by the ground speed
+    ``v_g``.  The loader puts the target at every path's last waypoint and
+    ``FleetPaths.splice`` keeps it there; ``UavLimits`` keeps the speed
+    positive.
     """
     return (distance + remaining) / v_g
 

@@ -1,8 +1,10 @@
 """Terrain raster, cylindrical obstacle volumes, and segment safety tests.
 
 Coordinates are local level: ``north``/``east`` in meters from the grid
-origin, ``height`` in meters up.  The elevation raster is row-major with
-the row axis along north, so ``elevation[r, c]`` sits at
+origin, ``height`` in meters up.  A point argument is any (north, east,
+height) triple: a :class:`Point3`, a tuple or list, or an array row.
+The elevation raster is row-major with the row axis along north, so
+``elevation[r, c]`` sits at
 ``(origin_north + r*cell_size, origin_east + c*cell_size)``.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -48,18 +51,23 @@ class Point3:
     east: float
     height: float
 
+    def __iter__(self) -> Iterator[float]:
+        return iter((self.north, self.east, self.height))
+
     def as_array(self) -> np.ndarray:
         return np.array([self.north, self.east, self.height], dtype=float)
 
 
-def lateral_distance(a: Point3, b: Point3) -> float:
+def lateral_distance(a: Iterable[float], b: Iterable[float]) -> float:
     """Horizontal separation; height is ignored."""
-    return math.hypot(b.north - a.north, b.east - a.east)
+    (an, ae, _), (bn, be, _) = a, b
+    return math.hypot(bn - an, be - ae)
 
 
-def distance3(a: Point3, b: Point3) -> float:
+def distance3(a: Iterable[float], b: Iterable[float]) -> float:
     """Full 3D separation."""
-    return math.hypot(b.north - a.north, b.east - a.east, b.height - a.height)
+    (an, ae, ah), (bn, be, bh) = a, b
+    return math.hypot(bn - an, be - ae, bh - ah)
 
 
 @dataclass(frozen=True)
@@ -170,7 +178,7 @@ def dem_elevation(grid: DemGrid, north: float, east: float) -> float:
     return float(out[0])
 
 
-def segment_obstructed(a: Point3, b: Point3, obstacle: Obstacle, now: float) -> bool:
+def segment_obstructed(a: Iterable[float], b: Iterable[float], obstacle: Obstacle, now: float) -> bool:
     """True if segment a-b intersects the obstacle volume at time ``now``.
 
     Exact test, no sampling: the height band admits an interval of the
@@ -182,24 +190,25 @@ def segment_obstructed(a: Point3, b: Point3, obstacle: Obstacle, now: float) -> 
     if not obstacle.is_active(now):
         return False
 
-    dh = b.height - a.height
+    (an, ae, ah), (bn, be, bh) = a, b
+    dh = bh - ah
     if dh == 0.0:
-        if not obstacle.base_height <= a.height <= obstacle.top_height:
+        if not obstacle.base_height <= ah <= obstacle.top_height:
             return False
         t_lo, t_hi = 0.0, 1.0
     else:
-        t1 = (obstacle.base_height - a.height) / dh
-        t2 = (obstacle.top_height - a.height) / dh
+        t1 = (obstacle.base_height - ah) / dh
+        t2 = (obstacle.top_height - ah) / dh
         t_lo, t_hi = min(t1, t2), max(t1, t2)
     t_lo = max(t_lo, 0.0)
     t_hi = min(t_hi, 1.0)
     if t_lo > t_hi:
         return False
 
-    qn = a.north - obstacle.center_north
-    qe = a.east - obstacle.center_east
-    dn = b.north - a.north
-    de = b.east - a.east
+    qn = an - obstacle.center_north
+    qe = ae - obstacle.center_east
+    dn = bn - an
+    de = be - ae
     # f(t) = |lateral(t) - center|^2 - R^2, convex in t.
     f_a = dn * dn + de * de
     f_b = 2.0 * (qn * dn + qe * de)
@@ -211,7 +220,7 @@ def segment_obstructed(a: Point3, b: Point3, obstacle: Obstacle, now: float) -> 
 
 
 def segment_above_terrain(
-    grid: DemGrid, a: Point3, b: Point3, clearance: float, step: float
+    grid: DemGrid, a: Iterable[float], b: Iterable[float], clearance: float, step: float
 ) -> bool:
     """True if every sample of segment a-b clears the terrain by ``clearance``.
 
@@ -222,11 +231,12 @@ def segment_above_terrain(
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
     length = distance3(a, b)
+    (an, ae, ah), (bn, be, bh) = a, b
     n = max(2, math.ceil(length / step) + 1)
     t = np.linspace(0.0, 1.0, n)
-    norths = a.north + t * (b.north - a.north)
-    easts = a.east + t * (b.east - a.east)
-    heights = a.height + t * (b.height - a.height)
+    norths = an + t * (bn - an)
+    easts = ae + t * (be - ae)
+    heights = ah + t * (bh - ah)
     terrain = _interpolate_many(grid, norths, easts)
     return bool(np.all(heights >= terrain + clearance))
 

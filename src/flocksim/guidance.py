@@ -10,27 +10,27 @@ A separate, purely observational condition monitor reports whether the
 finite-time convergence premises of the steering law hold at the current
 tick.  Violations are logged by the harness, never acted on.
 
-The waypoint acceptance test, the reference angles, the steering law
-and the monitor take arrays with one element or column per vehicle (see
-:mod:`flocksim.dynamics` for the block layout); the caller moves each
-flagged cursor on and keeps the paths.
+The fleet's paths live in one :class:`FleetPaths` table, which
+:func:`advance_virtual_target` walks in place and the replanner's
+detours are spliced into.  The reference angles, the steering law and
+the monitor take arrays with one element or column per vehicle (see
+:mod:`flocksim.dynamics` for the block layout).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .dynamics import GRAVITY, _clip, wrap_angle
-from .geo import Point3, distance3
+from .geo import distance3
 
 __all__ = [
     "GuidanceParams",
-    "WaypointPath",
+    "FleetPaths",
     "DegenerateGeometryError",
     "advance_virtual_target",
     "reference_angles",
@@ -64,80 +64,84 @@ class GuidanceParams:
             raise ValueError("delta_lat/delta_lon must lie in [0, pi/2)")
 
 
-@dataclass(frozen=True)
-class WaypointPath:
-    """An ordered waypoint list with a cursor marking the active target."""
+class FleetPaths:
+    """The fleet's waypoint paths and the active waypoint of each.
 
-    waypoints: tuple[Point3, ...]
-    cursor: int = 0
+    ``waypoints[i]`` is vehicle i's (m_i, 3) array of [north, east,
+    height] rows and ``cursor[i]`` the row of its active waypoint, the
+    virtual target.  Read off those per vehicle and refreshed whenever a
+    cursor or a path changes: ``active``, the (3, N) block of active
+    waypoints; ``remaining``, the path length from the active waypoint
+    through the last one; ``movable``, whether the active waypoint is not
+    the last one.  The paths are taken as valid: at least two waypoints
+    and no coincident consecutive pair (the loader checks the scenario's
+    paths).  Each cursor starts at 0 unless given.
+    """
 
-    def __post_init__(self) -> None:
-        pts = tuple(self.waypoints)
-        object.__setattr__(self, "waypoints", pts)
-        if len(pts) < 2:
-            raise ValueError(f"path needs at least 2 waypoints, got {len(pts)}")
-        for k in range(len(pts) - 1):
-            if pts[k] == pts[k + 1]:
-                raise ValueError(f"consecutive waypoints {k} and {k + 1} coincide: {pts[k]}")
-        if not 0 <= self.cursor < len(pts):
-            raise ValueError(f"cursor {self.cursor} out of range for {len(pts)} waypoints")
+    def __init__(self, waypoints: Sequence[np.ndarray], cursor: Sequence[int] | None = None) -> None:
+        n = len(waypoints)
+        self.waypoints = [np.asarray(w, dtype=float) for w in waypoints]
+        self.cursor = np.zeros(n, dtype=int) if cursor is None else np.array(cursor, dtype=int)
+        if not all(0 <= c < len(w) for c, w in zip(self.cursor.tolist(), self.waypoints)):
+            raise ValueError(f"cursor {self.cursor.tolist()} out of range for the paths")
+        self.active, self.remaining = np.empty((3, n)), np.empty(n)
+        self.movable = np.empty(n, dtype=bool)
+        for i in range(n):
+            self._refresh(i)
 
-    @property
-    def active(self) -> Point3:
-        """The current virtual target."""
-        return self.waypoints[self.cursor]
-
-    @property
-    def terminus(self) -> Point3:
-        return self.waypoints[-1]
-
-    @cached_property
-    def remaining_length(self) -> float:
-        """Polyline length from the active waypoint through the terminus.
-
-        Summed once per path object; a cursor advance or a splice builds a
-        new one.
-        """
+    def _refresh(self, i: int) -> None:
+        rows = self.waypoints[i][self.cursor[i]:].tolist()
+        # Left to right from the cursor, one leg at a time: the exported time
+        # indices depend on this summation order to the last bit.
         total = 0.0
-        for k in range(self.cursor, len(self.waypoints) - 1):
-            total += distance3(self.waypoints[k], self.waypoints[k + 1])
-        return total
+        for a, b in zip(rows, rows[1:]):
+            total += distance3(a, b)
+        self.active[:, i] = rows[0]
+        self.remaining[i] = total
+        self.movable[i] = len(rows) > 1
 
-    def splice(self, detour: Sequence[Point3]) -> "WaypointPath":
-        """Insert detour waypoints ahead of the active one.
+    def splice(self, i: int, detour: np.ndarray) -> None:
+        """Insert the (k, 3) ``detour`` rows ahead of vehicle i's active waypoint.
 
-        The previously active waypoint is retained after the detour, so the
-        terminus never changes; the cursor points at the first detour
-        waypoint.
+        The cursor stays, so it points at the first detour waypoint; the
+        previously active waypoint follows the detour, and the last
+        waypoint never changes.
         """
-        detour = tuple(detour)
-        if not detour:
-            return self
-        pts = self.waypoints[: self.cursor] + detour + self.waypoints[self.cursor:]
-        return WaypointPath(pts, cursor=self.cursor)
+        self.waypoints[i] = np.insert(self.waypoints[i], self.cursor[i], detour, axis=0)
+        self._refresh(i)
+
+    def offsets(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(3, N) offsets from the (6, N) state ``y`` to the active waypoints, and their (N,) distances."""
+        offset = self.active - y[:3]
+        # numpy's hypot differs from math's in the last bit for some inputs.
+        return offset, np.array(list(map(math.hypot, *offset.tolist())))
 
 
 def advance_virtual_target(
-    active: np.ndarray, y: np.ndarray, movable: np.ndarray, gp: GuidanceParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Acceptance test of each vehicle's active waypoint.
+    paths: FleetPaths, y: np.ndarray, gp: GuidanceParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Move each vehicle's cursor past the waypoints it has reached, in place.
 
-    ``active`` is the (3, N) block of active waypoints, ``y`` the fleet's
-    (6, N) kinematic block and ``movable`` the (N,) mask of vehicles whose
-    active waypoint is not their path's last.  Returns the (3, N) offsets
-    from each vehicle to its active waypoint, their (N,) distances, and
-    the (N,) mask of movable vehicles that are within
-    ``gp.acceptance_radius`` of it or have it behind their velocity
-    direction: their cursor moves on by one, and the new active waypoint
-    is tested again.
+    ``y`` is the fleet's (6, N) kinematic block.  A movable vehicle's
+    active waypoint is flagged when the vehicle is within
+    ``gp.acceptance_radius`` of it or has it behind its velocity
+    direction.  The walk: test the fleet, move each flagged cursor on by
+    one, test again, until nothing is flagged; the last waypoint is never
+    passed.  Returns the (3, N) offsets from each vehicle to its active
+    waypoint and their (N,) distances, after the walk.
     """
-    offset = active - y[:3]
-    # numpy's hypot differs from math's in the last bit for some inputs;
-    # its cos and sin give math's bits.
-    distance = np.array(list(map(math.hypot, *offset.tolist())))
+    # numpy's cos and sin give math's bits.
     cos, sin = np.cos(y[3:5]), np.sin(y[3:5])
-    along = offset[0] * (cos[1] * cos[0]) + offset[1] * (cos[1] * sin[0]) + offset[2] * sin[1]
-    return offset, distance, movable & ((distance <= gp.acceptance_radius) | (along < 0.0))
+    heading = (cos[1] * cos[0], cos[1] * sin[0], sin[1])
+    while True:
+        offset, distance = paths.offsets(y)
+        along = offset[0] * heading[0] + offset[1] * heading[1] + offset[2] * heading[2]
+        flagged = paths.movable & ((distance <= gp.acceptance_radius) | (along < 0.0))
+        if not flagged.any():
+            return offset, distance
+        for i in flagged.nonzero()[0].tolist():
+            paths.cursor[i] += 1
+            paths._refresh(i)
 
 
 def reference_angles(offset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

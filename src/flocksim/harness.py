@@ -2,14 +2,16 @@
 
 A scenario is one YAML file naming a terrain raster, a shared target, a
 fleet of vehicles with waypoint paths, and the controller parameters.
-``run`` executes the per-tick sequence for the whole fleet at once:
-advance the virtual targets (one acceptance test over the fleet, repeated
-while it moves a cursor), check/replan around the obstacle once it is
-active (per vehicle), then the time indices, the reference angles, the
-consensus speed and the steering commands; then (after all vehicles
-have decided) exchange time indices over the network and integrate the
-dynamics.  Time indices reach their receivers one tick later, so no
-vehicle ever acts on a peer's current-tick value.
+``run`` keeps the fleet's paths in one ``FleetPaths`` table and
+executes the per-tick sequence for the whole fleet at once: advance the
+virtual targets (``advance_virtual_target`` walks every cursor past the
+waypoints it has reached), check/replan around the obstacle once it is
+active (per vehicle, splicing each detour into the table), then the time
+indices, the reference angles, the consensus speed and the steering
+commands; then (after all vehicles have decided) exchange time indices
+over the network and integrate the dynamics.  Time indices reach their
+receivers one tick later, so no vehicle ever acts on a peer's
+current-tick value.
 
 Everything downstream of a (scenario, master seed) pair is deterministic;
 exports are byte-stable and the wall-clock timings that cannot be stable
@@ -26,7 +28,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -48,8 +50,8 @@ from .dynamics import (
 )
 from .geo import DemFormatError, DemGrid, Obstacle, Point3, distance3, load_dem, segment_obstructed
 from .guidance import (
+    FleetPaths,
     GuidanceParams,
-    WaypointPath,
     advance_virtual_target,
     convergence_conditions,
     guidance_commands,
@@ -113,12 +115,14 @@ class RunError(RuntimeError):
     """A run aborted; the message carries tick and vehicle context."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UavSpec:
+    """One vehicle of a scenario; ``waypoints`` is its (m, 3) path, last row at the target."""
+
     uav_id: int
     initial: UavState
     limits: UavLimits
-    path: WaypointPath
+    waypoints: np.ndarray
 
 
 @dataclass
@@ -346,7 +350,8 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse and fully validate a scenario file.
 
     Every structural problem (missing field, unknown key, wrong type) and
-    semantic problem (limit ordering, waypoint outside the terrain
+    semantic problem (limit ordering, a path of fewer than two waypoints
+    or with two coincident consecutive ones, waypoint outside the terrain
     footprint, final waypoint not at the target, dropout window naming a
     vehicle outside the fleet) raises
     :class:`ScenarioError` naming the offending field. Omitted optional
@@ -465,10 +470,13 @@ def load_scenario(path: str | Path) -> Scenario:
         if not isinstance(wp_rows, list):
             raise ScenarioError(f"{ctx}.waypoints: expected a list of [n, e, h] rows")
         waypoints = [_waypoint(wp, f"{ctx}.waypoints[{j}]") for j, wp in enumerate(wp_rows)]
-        try:
-            path_obj = WaypointPath(tuple(waypoints))
-        except ValueError as exc:
-            raise ScenarioError(f"{ctx}.waypoints: {exc}") from exc
+        if len(waypoints) < 2:
+            raise ScenarioError(f"{ctx}.waypoints: path needs at least 2 waypoints, got {len(waypoints)}")
+        for j in range(len(waypoints) - 1):
+            if waypoints[j] == waypoints[j + 1]:
+                raise ScenarioError(
+                    f"{ctx}.waypoints: consecutive waypoints {j} and {j + 1} coincide: {waypoints[j]}"
+                )
         for j, wp in enumerate(waypoints):
             if not dem.contains(wp.north, wp.east):
                 raise ScenarioError(f"{ctx}.waypoints[{j}]: outside the terrain footprint")
@@ -477,7 +485,8 @@ def load_scenario(path: str | Path) -> Scenario:
                 f"{ctx}.waypoints: final waypoint {waypoints[-1]} must equal the shared target {target}"
             )
         _reject_unknown(row, ctx, _UAV_KEYS)
-        uavs.append(UavSpec(uav_id=uav_id, initial=initial, limits=limits, path=path_obj))
+        uavs.append(UavSpec(uav_id=uav_id, initial=initial, limits=limits,
+                            waypoints=np.array([tuple(wp) for wp in waypoints])))
 
     for k, w in enumerate(comm.dropout_schedule):
         if not (0 <= w.uav_a < len(uavs) and 0 <= w.uav_b < len(uavs)):
@@ -515,80 +524,18 @@ def load_scenario(path: str | Path) -> Scenario:
 # The tick loop
 
 
-class _FleetTargets:
-    """The fleet's paths and the control inputs each tick reads off them.
-
-    Per vehicle: ``active`` holds its path's active waypoint as a column of
-    a (3, N) block, ``remaining`` the path's ``remaining_length``,
-    ``cursor`` its cursor and ``movable`` whether the cursor can still
-    advance.  A vehicle's entries change only through ``take``, when its
-    path object changes: a cursor advance or a splice.
-    """
-
-    def __init__(self, paths: list[WaypointPath]) -> None:
-        n = len(paths)
-        self.paths = list(paths)
-        self.active, self.remaining, self.cursor = np.empty((3, n)), np.empty(n), np.empty(n)
-        self.movable = np.empty(n, dtype=bool)
-        for i, path in enumerate(paths):
-            self.take(i, path)
-
-    def take(self, i: int, path: WaypointPath) -> None:
-        """Make ``path`` vehicle i's path."""
-        self.paths[i] = path
-        active = path.active
-        self.active[:, i] = (active.north, active.east, active.height)
-        self.remaining[i] = path.remaining_length
-        self.cursor[i] = path.cursor
-        self.movable[i] = path.cursor < len(path.waypoints) - 1
-
-    def advance(self, y: np.ndarray, gp: GuidanceParams) -> tuple[np.ndarray, np.ndarray]:
-        """Advance every vehicle's virtual target at the (6, N) state ``y``.
-
-        Each cursor that ``advance_virtual_target`` flags moves on by one,
-        and the fleet is tested again until none is flagged.  Returns the
-        (3, N) offsets to the active waypoints and their (N,) distances,
-        as they are after the advance.
-        """
-        offset, distance, step = advance_virtual_target(self.active, y, self.movable, gp)
-        while step.any():
-            for i in step.nonzero()[0].tolist():
-                path = self.paths[i]
-                self.take(i, replace(path, cursor=path.cursor + 1))
-            offset, distance, step = advance_virtual_target(self.active, y, self.movable, gp)
-        return offset, distance
-
-    def control_inputs(
-        self, y: np.ndarray, v_g: np.ndarray, offset: np.ndarray, distance: np.ndarray, spliced: list[int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(N,) time indices and reference course and climb angles.
-
-        ``offset`` and ``distance`` come from ``advance``; the entries of
-        the ``spliced`` vehicles are recomputed first, in place.  A vehicle
-        on its active waypoint keeps its course and climb.
-        """
-        for i in spliced:
-            offset[:, i] = self.active[:, i] - y[:3, i]
-            distance[i] = math.hypot(*offset[:, i].tolist())
-        theta = time_index(distance, self.remaining, v_g)
-        if distance.min() >= _COINCIDENT_EPS:
-            return theta, *reference_angles(offset)
-        far = distance >= _COINCIDENT_EPS
-        chi_c, gamma_c = y[3].copy(), y[4].copy()
-        chi_c[far], gamma_c[far] = reference_angles(offset[:, far])
-        return theta, chi_c, gamma_c
-
-
 def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
     """Execute the scenario and return its full log plus fleet metrics.
 
     Per tick, phase 1 computes the fleet's control inputs on tick-t
-    state: the virtual-target advance (``_FleetTargets.advance``), the
-    obstruction check and replan splice per vehicle while the scenario's
-    obstacle is active, then for the whole fleet at once the time
-    indices and reference angles, the consensus rate on the time indices
-    received over last tick's graph, the speed command, the steering law
-    and the premise monitor; phase 2 builds this tick's topology and
+    state: the virtual-target advance over the fleet's ``FleetPaths``;
+    while the scenario's obstacle is active, the obstruction check per
+    vehicle, on floats read off the state and the active waypoints, and
+    for each obstructed vehicle a replan spliced into its path; then for
+    the whole fleet at once the time indices and the reference angles (a
+    vehicle on its active waypoint keeps its course and climb), the
+    consensus rate on the time indices received over last tick's graph,
+    the speed command, the steering law and the premise monitor; phase 2 builds this tick's topology and
     delivers this tick's time indices over it, as the (N, w) values the
     fleet applies next tick; phase 3 integrates the fleet's dynamics as
     one (6, N) block.
@@ -604,7 +551,7 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
 
     y, act = fleet_arrays([spec.initial for spec in scenario.uavs])
     lo, hi = actuator_bounds([spec.limits for spec in scenario.uavs])
-    targets = _FleetTargets([spec.path for spec in scenario.uavs])
+    paths = FleetPaths([spec.waypoints for spec in scenario.uavs])
     winds = [
         WindModel(scenario.wind, derive_seed(scenario.master_seed, spec.uav_id, "wind"))
         for spec in scenario.uavs
@@ -624,23 +571,23 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
 
     for tick in range(n_ticks):
         t = tick * dt
-        offset, distance = targets.advance(y, gp)
-        spliced = []
+        offset, distance = advance_virtual_target(paths, y, gp)
 
         if scenario.obstacle is not None and scenario.obstacle.is_active(t):
-            north, east, height = y[:3].tolist()
-            for i, path in enumerate(targets.paths):
-                pos = Point3(north[i], east[i], height[i])
-                if not segment_obstructed(pos, path.active, scenario.obstacle, t):
+            positions, actives = y[:3].T.tolist(), paths.active.T.tolist()
+            spliced = False
+            for i in range(n):
+                if not segment_obstructed(positions[i], actives[i], scenario.obstacle, t):
                     continue
                 wall0 = time.perf_counter()
                 event_seed = derive_seed(scenario.master_seed, i, "replan", replan_counts[i])
                 replan_counts[i] += 1
+                pos, active = Point3(*positions[i]), Point3(*actives[i])
                 chi, gamma, psi = y[3:, i].tolist()
                 phi, n_lf, v_g = act[:, i].tolist()
                 state = UavState(pos, chi, gamma, psi, v_g, phi, n_lf)
                 try:
-                    detour = replan(state, path.active, scenario.obstacle, scenario.dem, rp, event_seed, t)
+                    detour = replan(state, active, scenario.obstacle, scenario.dem, rp, event_seed, t)
                 except ReplanError as exc:
                     # No acceptable detour from this pose. Keep flying the
                     # current path and retry on later ticks; the failure is
@@ -652,11 +599,11 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
                 wall_ms = (time.perf_counter() - wall0) * 1e3
                 # replan repeats the obstruction test above, so it returns at
                 # least one waypoint here.
-                legs = [pos, *detour, path.active]
+                legs = [positions[i], *detour.tolist(), actives[i]]
                 detour_len = sum(distance3(legs[k], legs[k + 1]) for k in range(len(legs) - 1))
-                overhead = (detour_len - distance3(pos, path.active)) / v_g
-                targets.take(i, path.splice(detour))
-                spliced.append(i)
+                overhead = (detour_len - distance3(positions[i], actives[i])) / v_g
+                paths.splice(i, detour)
+                spliced = True
                 # Detection and splice complete inside the same tick, so
                 # the simulated response time is zero by construction.
                 log.replan_events.append(
@@ -664,24 +611,33 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
                         tick=tick,
                         t=t,
                         uav_id=i,
-                        waypoints=tuple(detour),
+                        waypoints=tuple(Point3(*row) for row in detour.tolist()),
                         rt_sim=0.0,
                         overhead=overhead,
                         wall_ms=wall_ms,
                     )
                 )
 
-        theta, chi_c, gamma_c = targets.control_inputs(y, act[2], offset, distance, spliced)
+            if spliced:
+                offset, distance = paths.offsets(y)
+
+        theta = time_index(distance, paths.remaining, act[2])
+        if distance.min() >= _COINCIDENT_EPS:
+            chi_c, gamma_c = reference_angles(offset)
+        else:
+            far = distance >= _COINCIDENT_EPS
+            chi_c, gamma_c = y[3].copy(), y[4].copy()
+            chi_c[far], gamma_c[far] = reference_angles(offset[:, far])
         theta_dot = consensus_rate(theta, received, strength, gains)
         v_cmd, theta_ref = speed_command(theta, theta_dot, act[2], gains, lo, hi)
         eta_lat, eta_lon = look_ahead_angles(y[3], y[4], chi_c, gamma_c)
         phi_c, n_lf_c = guidance_commands(eta_lat, eta_lon, y, act, gp, lo, hi)
-        premises = convergence_conditions(eta_lat, eta_lon, y, act, targets.active[2], gp)
+        premises = convergence_conditions(eta_lat, eta_lon, y, act, paths.active[2], gp)
 
         row = log.data[tick].T
         row[:5] = y[:5]
         row[5:8] = act
-        row[8:10] = (theta, targets.cursor)
+        row[8:10] = (theta, paths.cursor)
         row[10] = y[5]
         row[11:14] = (phi_c, n_lf_c, v_cmd)
         row[14:18] = (eta_lat, eta_lon, theta_dot, theta_ref)
@@ -739,10 +695,10 @@ def compute_metrics(log: RunLog, scenario: Scenario) -> Metrics:
     for spec in scenario.uavs:
         traj = log.positions(spec.uav_id)
         errors = []
-        for wp in spec.path.waypoints:
-            d = np.linalg.norm(traj - wp.as_array(), axis=1)
+        for wp in spec.waypoints:
+            d = np.linalg.norm(traj - wp, axis=1)
             k = int(np.argmin(d))
-            errors.append(wp.as_array() - traj[k])
+            errors.append(wp - traj[k])
         err = np.array(errors)
         norms = np.linalg.norm(err, axis=1)
         per_uav_ae.append(float(np.mean(norms)))

@@ -159,7 +159,7 @@ def _uav_entry(uav_id: int, start, waypoints, v_g: float = CRUISE_SPEED) -> dict
     }
 
 
-def reference_scenario_dict(master_seed: int = 20260819, with_dropouts: bool = False) -> dict:
+def reference_scenario_dict(with_dropouts: bool = False) -> dict:
     """Four-vehicle rendezvous with a pop-up obstacle on vehicle 0's leg.
 
     Path lengths 2735 / 3010.5 / 3348 / 3618 m at a shared 13.5 m/s start
@@ -174,7 +174,7 @@ def reference_scenario_dict(master_seed: int = 20260819, with_dropouts: bool = F
         "dt_s": 1.0,
         "target": {"north_m": 0.0, "east_m": 0.0, "height_m": FLIGHT_HEIGHT},
     }
-    doc.update(_common_blocks(master_seed, gamma_signal=5.0e4))
+    doc.update(_common_blocks(master_seed=20260819, gamma_signal=5.0e4))
     if with_dropouts:
         doc["comm"]["dropout_schedule"] = alternating_blackout(duration, 4)
     doc["obstacle"] = {

@@ -79,14 +79,6 @@ class ReplanError(RuntimeError):
         self.iteration = iteration
 
 
-@dataclass(frozen=True)
-class CandidateWaypoint:
-    """A scored detour waypoint; ``cost`` is the two-leg transit objective."""
-
-    point: Point3
-    cost: float
-
-
 def sample_region(
     uav: UavState, obstacle: Obstacle, grid: DemGrid, params: ReplanParams, rng: np.random.Generator
 ) -> np.ndarray:
@@ -175,11 +167,11 @@ def best_detour(
     obstacle: Obstacle,
     now: float,
     params: ReplanParams,
-) -> CandidateWaypoint:
+) -> tuple[Point3, float]:
     """Cheapest feasible candidate of :func:`sample_region`'s draws, terrain-checked.
 
-    Candidates are walked in ascending cost order; the first acceptable
-    one wins.  A candidate is rejected when its inbound leg from the
+    Returns the candidate and its two-leg cost.  Candidates are walked in
+    ascending cost order; the first acceptable one wins.  A candidate is rejected when its inbound leg from the
     vehicle crosses the obstacle (sitting in the ring does not make the
     straight leg to it safe) or fails the terrain clearance; and, when its
     direct segment to ``target`` is already clear (it would terminate the
@@ -195,19 +187,22 @@ def best_detour(
     order = np.argsort(costs, kind="stable")
     rejected_obstructed = 0
     rejected_terrain = 0
+    # The segment tests unpack a Point3 through its Python-level __iter__;
+    # plain triples unpack several times faster.
+    start, goal = tuple(uav.position), tuple(target)
     for idx in order:
         if not math.isfinite(costs[idx]):
             break
-        point = Point3(float(pts[idx, 0]), float(pts[idx, 1]), float(pts[idx, 2]))
-        if segment_obstructed(uav.position, point, obstacle, now):
+        point = pts[idx].tolist()
+        if segment_obstructed(start, point, obstacle, now):
             rejected_obstructed += 1
             continue
-        if not segment_above_terrain(grid, uav.position, point, params.clearance, params.terrain_step):
+        if not segment_above_terrain(grid, start, point, params.clearance, params.terrain_step):
             rejected_terrain += 1
             continue
-        terminal = not segment_obstructed(point, target, obstacle, now)
+        terminal = not segment_obstructed(point, goal, obstacle, now)
         if terminal and not segment_above_terrain(
-            grid, point, target, params.clearance, params.terrain_step
+            grid, point, goal, params.clearance, params.terrain_step
         ):
             rejected_terrain += 1
             continue
@@ -218,7 +213,7 @@ def best_detour(
                 rejected_obstructed,
                 rejected_terrain,
             )
-        return CandidateWaypoint(point=point, cost=float(costs[idx]))
+        return Point3(*point), float(costs[idx])
     raise ReplanError(
         f"no acceptable candidate among {pts.shape[0]} feasible samples "
         f"({rejected_obstructed} rejected for obstructed leg, "
@@ -235,34 +230,36 @@ def replan(
     params: ReplanParams,
     rng_seed: int,
     now: float,
-) -> list[Point3]:
+) -> np.ndarray:
     """Detour waypoints clearing the obstacle, cheapest-first greedy.
 
     Iterates from the vehicle's position: while the straight segment to
     ``target`` is obstructed, draw ``params.k_samples`` candidates around the
     obstacle, keep the best, and continue from it with the leg direction
-    as the new virtual heading.  The returned sequence (which excludes
-    ``target``) leaves every leg, including the final one to ``target``,
-    unobstructed.  Deterministic for a fixed ``rng_seed``: iteration k
-    draws from its own child stream, so earlier iterations' rejection
-    counts never shift later draws.
+    as the new virtual heading.  The returned (m, 3) array of [north,
+    east, height] rows (which excludes ``target``; m is 0 when the
+    segment is already clear) leaves every leg, including the final one
+    to ``target``, unobstructed.  Deterministic for a fixed ``rng_seed``:
+    iteration k draws from its own child stream, so earlier iterations'
+    rejection counts never shift later draws.
     """
     virtual = uav
     waypoints: list[Point3] = []
     for iteration in range(params.max_iterations):
         if not segment_obstructed(virtual.position, target, obstacle, now):
-            return waypoints
+            break
         rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(iteration,)))
         try:
-            best = best_detour(virtual, target, rng, grid, obstacle, now, params)
+            point, _ = best_detour(virtual, target, rng, grid, obstacle, now, params)
         except ReplanError as exc:
             raise ReplanError(f"iteration {iteration}: {exc}", iteration=iteration) from exc
-        waypoints.append(best.point)
-        chi, gamma = reference_angles((best.point.as_array() - virtual.position.as_array())[:, None])
-        virtual = replace(virtual, position=best.point, chi=chi.item(), gamma=gamma.item())
-    if segment_obstructed(virtual.position, target, obstacle, now):
-        raise ReplanError(
-            f"still obstructed after {params.max_iterations} iterations",
-            iteration=params.max_iterations - 1,
-        )
-    return waypoints
+        waypoints.append(point)
+        chi, gamma = reference_angles((point.as_array() - virtual.position.as_array())[:, None])
+        virtual = replace(virtual, position=point, chi=chi.item(), gamma=gamma.item())
+    else:
+        if segment_obstructed(virtual.position, target, obstacle, now):
+            raise ReplanError(
+                f"still obstructed after {params.max_iterations} iterations",
+                iteration=params.max_iterations - 1,
+            )
+    return np.array([tuple(p) for p in waypoints]).reshape(-1, 3)

@@ -191,13 +191,17 @@ def topology_oracle(positions, config, tick, dt=1.0):
     return tuple(neighbors)
 
 
-def time_index_oracle(position, v_g, path):
-    """Scalar time index of one vehicle: straight to the active waypoint, then along the path."""
-    points = path.waypoints[path.cursor:]
+def time_index_oracle(position, v_g, waypoints, cursor):
+    """Scalar time index of one vehicle: straight to the active waypoint, then along the path.
+
+    ``waypoints`` is the path as a tuple of ``Point3`` and ``cursor`` the
+    index of its active waypoint.
+    """
+    points = waypoints[cursor:]
     total = 0.0
     for a, b in zip(points, points[1:]):
         total += math.hypot(b.north - a.north, b.east - a.east, b.height - a.height)
-    target = path.active
+    target = waypoints[cursor]
     d = math.hypot(target.north - position.north, target.east - position.east, target.height - position.height)
     return (d + total) / v_g
 
@@ -213,27 +217,27 @@ def reference_angles_oracle(position, target):
     return math.atan2(de, dn), math.atan2(dh, lateral)
 
 
-def advance_oracle(path, position, chi, gamma, gp):
-    """Scalar virtual-target advance of one vehicle: the path with its cursor past reached waypoints.
+def advance_oracle(waypoints, cursor, position, chi, gamma, gp):
+    """Scalar virtual-target advance of one vehicle: its cursor past the reached waypoints.
 
-    A waypoint is dropped once the vehicle at ``position``, flying course
-    ``chi`` and climb ``gamma``, is within ``gp.acceptance_radius`` of it
-    or the waypoint falls behind the velocity direction; the final
-    waypoint is never dropped.
+    ``waypoints`` is the path as a tuple of ``Point3`` and ``cursor`` the
+    index of its active waypoint.  A waypoint is dropped once the vehicle
+    at ``position``, flying course ``chi`` and climb ``gamma``, is within
+    ``gp.acceptance_radius`` of it or the waypoint falls behind the
+    velocity direction; the final waypoint is never dropped.
     """
     cg = math.cos(gamma)
     mu = (cg * math.cos(chi), cg * math.sin(chi), math.sin(gamma))
-    cursor = path.cursor
-    last = len(path.waypoints) - 1
+    last = len(waypoints) - 1
     while cursor < last:
-        wp = path.waypoints[cursor]
+        wp = waypoints[cursor]
         rel = (wp.north - position.north, wp.east - position.east, wp.height - position.height)
         reached = math.hypot(*rel) <= gp.acceptance_radius
         behind = rel[0] * mu[0] + rel[1] * mu[1] + rel[2] * mu[2] < 0.0
         if not (reached or behind):
             break
         cursor += 1
-    return path if cursor == path.cursor else replace(path, cursor=cursor)
+    return cursor
 
 
 def deliver_oracle(thetas, neighbors):

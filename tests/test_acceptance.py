@@ -149,7 +149,7 @@ def test_04_replanning_geometry_and_cost_quality(reference_run):
 
     # every spliced leg, detection point through the original waypoint,
     # must clear the obstacle at the time it was planned
-    wp_lists = {spec.uav_id: list(spec.path.waypoints) for spec in scenario.uavs}
+    wp_lists = {spec.uav_id: [Point3(*wp) for wp in spec.waypoints.tolist()] for spec in scenario.uavs}
     first_contexts = {}
     for event in log.replan_events:
         r = record(event.tick, event.uav_id)
@@ -212,7 +212,7 @@ def test_05_replanning_wall_clock_budget(reference_run):
     detour = replan(uav, Point3(900.0, 0.0, 50.0), obstacle, grid, params, rng_seed=77, now=80.0)
     wall_ms = (time.perf_counter() - t0) * 1e3
     overhead_ok = math.isfinite(metrics.detour_overhead_s) and metrics.detour_overhead_s >= 0.0
-    ok = bool(detour) and wall_ms < 100.0 and overhead_ok
+    ok = len(detour) > 0 and wall_ms < 100.0 and overhead_ok
     report(
         "check 5 (replanning responsiveness)",
         ok,
@@ -277,7 +277,7 @@ def test_09_fleet_size_sweep(scenario_dir):
         assert log.n_uavs == n
         final_cursor = log.data[-1, :, LOG_COLUMNS.index("cursor")]
         for spec in scenario.uavs:
-            assert final_cursor[spec.uav_id] == len(spec.path.waypoints) - 1, (
+            assert final_cursor[spec.uav_id] == len(spec.waypoints) - 1, (
                 f"fleet {n}: uav {spec.uav_id} never reached its final waypoint"
             )
             dists = np.linalg.norm(

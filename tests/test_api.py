@@ -16,9 +16,9 @@ SUBMODULES = ("coordination", "dynamics", "geo", "guidance", "harness", "network
 PUBLIC_NAMES = {
     "__version__",
     "AutopilotParams", "CommConfig", "CoordinationGains", "DegenerateGeometryError", "DemFormatError",
-    "DemGrid", "DropoutWindow", "GuidanceParams", "LOG_COLUMNS", "Metrics", "Obstacle", "OutOfBoundsError",
-    "Point3", "ReplanError", "ReplanEvent", "ReplanParams", "RunError", "RunLog", "ScenarioError",
-    "UavLimits", "UavState", "WaypointPath", "WindModel", "WindParams",
+    "DemGrid", "DropoutWindow", "FleetPaths", "GuidanceParams", "LOG_COLUMNS", "Metrics", "Obstacle",
+    "OutOfBoundsError", "Point3", "ReplanError", "ReplanEvent", "ReplanParams", "RunError", "RunLog",
+    "ScenarioError", "UavLimits", "UavState", "WindModel", "WindParams",
     "actuator_bounds", "advance_virtual_target", "best_detour", "build_topology", "candidate_cost",
     "compute_metrics", "consensus_rate", "convergence_conditions", "deliver", "dem_elevation", "distance3",
     "export", "fleet_arrays", "guidance_commands", "lateral_distance", "load_dem", "load_scenario",

@@ -11,10 +11,10 @@ import pytest
 
 from flocksim import (
     CoordinationGains,
+    FleetPaths,
     Point3,
     UavLimits,
     UavState,
-    WaypointPath,
     actuator_bounds,
     consensus_rate,
     distance3,
@@ -67,35 +67,31 @@ class TestCoordinationGains:
             CoordinationGains(dt=0.0)
 
 
-def one_time_index(position, v_g, path):
+def one_time_index(position, v_g, waypoints, cursor):
     """time_index of one vehicle, from its distance to the active waypoint."""
-    distance = np.array([distance3(position, path.active)])
-    (out,) = time_index(distance, np.array([path.remaining_length]), np.array([v_g])).tolist()
+    paths = FleetPaths([waypoints], cursor=[cursor])
+    distance = np.array([distance3(position, paths.active[:, 0])])
+    (out,) = time_index(distance, paths.remaining, np.array([v_g])).tolist()
     return out
 
 
 class TestTimeIndex:
     def test_at_terminus_is_zero(self):
-        target = Point3(100.0, 0.0, 100.0)
-        path = WaypointPath((Point3(0.0, 0.0, 100.0), target), cursor=1)
+        target = (100.0, 0.0, 100.0)
         state = make_state(north=100.0, v_g=13.0)
-        assert one_time_index(state.position, state.v_g, path) == 0.0
+        assert one_time_index(state.position, state.v_g, [(0.0, 0.0, 100.0), target], 1) == 0.0
 
     def test_single_remaining_leg(self):
-        target = Point3(100.0, 0.0, 100.0)
-        path = WaypointPath((Point3(-500.0, 0.0, 100.0), target), cursor=1)
+        target = (100.0, 0.0, 100.0)
         state = make_state(north=0.0, v_g=10.0)
-        assert one_time_index(state.position, state.v_g, path) == 10.0
+        assert one_time_index(state.position, state.v_g, [(-500.0, 0.0, 100.0), target], 1) == 10.0
 
     def test_hand_summed_polyline(self):
         # 50 m to the active waypoint, then segments of 100 m and 200 m,
         # all at 10 m/s: (50 + 100 + 200) / 10 = 35 s
-        target = Point3(100.0, 200.0, 100.0)
-        path = WaypointPath(
-            (Point3(0.0, 0.0, 100.0), Point3(100.0, 0.0, 100.0), target), cursor=0
-        )
+        waypoints = [(0.0, 0.0, 100.0), (100.0, 0.0, 100.0), (100.0, 200.0, 100.0)]
         state = make_state(north=-50.0, v_g=10.0)
-        assert one_time_index(state.position, state.v_g, path) == 35.0
+        assert one_time_index(state.position, state.v_g, waypoints, 0) == 35.0
 
 
 class TestConsensusRate:

@@ -29,11 +29,11 @@ from oracles import (
 
 from flocksim import (
     AutopilotParams,
+    FleetPaths,
     GuidanceParams,
     Point3,
     UavLimits,
     UavState,
-    WaypointPath,
     WindModel,
     WindParams,
     actuator_bounds,
@@ -42,11 +42,13 @@ from flocksim import (
     fleet_arrays,
     guidance_commands,
     look_ahead_angles,
+    reference_angles,
     step_autopilot,
     step_kinematics,
+    time_index,
     wrap_angle,
 )
-from flocksim.harness import _COINCIDENT_EPS, _FleetTargets
+from flocksim.harness import _COINCIDENT_EPS
 
 FLEET_SIZES = (1, 2, 4, 13, 104)
 PI = math.pi
@@ -248,7 +250,7 @@ def targeted_fleets(draw):
         if kind == ON_TERMINUS and rng.random() < 0.5:
             points[cursor][0] += 1e-10  # inside the coincidence threshold, not on it
         states.append(state)
-        paths.append(WaypointPath(tuple(Point3(*q) for q in points), cursor=cursor))
+        paths.append((tuple(Point3(*q) for q in points), cursor))
         if kind == SPLICED:
             detour = rng.uniform(-300.0, 300.0, (int(rng.integers(1, 3)), 3)) + points[0]
             spliced[i] = tuple(Point3(*q) for q in detour.tolist())
@@ -256,31 +258,39 @@ def targeted_fleets(draw):
 
 
 def fleet_control_inputs(states, paths, gp, spliced):
-    """One tick's control inputs as ``run`` computes them, splices included.
+    """One tick's control inputs in the sequence of calls that ``run`` makes, splices included.
 
-    Returns the fleet's targets, the vehicles whose cursor the advance
-    moved, and theta, chi_c and gamma_c.
+    ``paths`` holds each vehicle's (waypoints, cursor).  Returns the
+    fleet's ``FleetPaths``, the vehicles whose cursor the advance moved,
+    and theta, chi_c and gamma_c; a vehicle on its active waypoint keeps
+    its course and climb.
     """
     y, act = fleet_arrays(states)
-    targets = _FleetTargets(paths)
-    offset, distance = targets.advance(y, gp)
-    advanced = [i for i, path in enumerate(paths) if targets.paths[i].cursor != path.cursor]
+    table = FleetPaths([[tuple(p) for p in waypoints] for waypoints, _ in paths], [c for _, c in paths])
+    offset, distance = advance_virtual_target(table, y, gp)
+    advanced = [i for i, (_, cursor) in enumerate(paths) if table.cursor[i] != cursor]
     for i, detour in spliced.items():
-        targets.take(i, targets.paths[i].splice(detour))
-    return (targets, advanced, *targets.control_inputs(y, act[2], offset, distance, list(spliced)))
+        table.splice(i, [tuple(p) for p in detour])
+    if spliced:
+        offset, distance = table.offsets(y)
+    far = distance >= _COINCIDENT_EPS
+    chi_c, gamma_c = y[3].copy(), y[4].copy()
+    chi_c[far], gamma_c[far] = reference_angles(offset[:, far])
+    return table, advanced, time_index(distance, table.remaining, act[2]), chi_c, gamma_c
 
 
 def oracle_control_inputs(state, path, gp, detour):
-    """One vehicle's path after the advance (and splice), theta, chi_c and gamma_c."""
-    path = advance_oracle(path, state.position, state.chi, state.gamma, gp)
+    """One vehicle's waypoints and cursor after the advance (and splice), theta, chi_c and gamma_c."""
+    waypoints, cursor = path
+    cursor = advance_oracle(waypoints, cursor, state.position, state.chi, state.gamma, gp)
     if detour is not None:
-        path = path.splice(detour)
-    p, a = state.position, path.active
+        waypoints = waypoints[:cursor] + tuple(detour) + waypoints[cursor:]
+    p, a = state.position, waypoints[cursor]
     if math.hypot(a.north - p.north, a.east - p.east, a.height - p.height) < _COINCIDENT_EPS:
         angles = (state.chi, state.gamma)
     else:
         angles = reference_angles_oracle(p, a)
-    return path, time_index_oracle(p, state.v_g, path), *angles
+    return waypoints, cursor, time_index_oracle(p, state.v_g, waypoints, cursor), *angles
 
 
 class TestControlInputsMatchOracle:
@@ -288,19 +298,17 @@ class TestControlInputsMatchOracle:
     @given(fleet=targeted_fleets())
     def test_control_inputs(self, fleet):
         states, paths, gp, spliced = fleet
-        targets, advanced, theta, chi_c, gamma_c = fleet_control_inputs(states, paths, gp, spliced)
-        # the first acceptance test flags exactly the vehicles whose cursor moves
-        targets0 = _FleetTargets(paths)
-        _, _, step = advance_virtual_target(targets0.active, fleet_arrays(states)[0], targets0.movable, gp)
-        assert advanced == step.nonzero()[0].tolist() == [
-            i for i, (state, path) in enumerate(zip(states, paths))
-            if advance_oracle(path, state.position, state.chi, state.gamma, gp).cursor != path.cursor
+        table, advanced, theta, chi_c, gamma_c = fleet_control_inputs(states, paths, gp, spliced)
+        # the advance moves exactly the cursors that the oracle moves
+        assert advanced == [
+            i for i, (state, (waypoints, cursor)) in enumerate(zip(states, paths))
+            if advance_oracle(waypoints, cursor, state.position, state.chi, state.gamma, gp) != cursor
         ]
         for i, (state, path) in enumerate(zip(states, paths)):
-            want, *values = oracle_control_inputs(state, path, gp, spliced.get(i))
-            assert targets.paths[i] == want
-            assert targets.cursor[i] == want.cursor
-            assert targets.active[:, i].tolist() == [want.active.north, want.active.east, want.active.height]
+            waypoints, cursor, *values = oracle_control_inputs(state, path, gp, spliced.get(i))
+            assert table.waypoints[i].tolist() == [list(p) for p in waypoints]
+            assert table.cursor[i] == cursor
+            assert table.active[:, i].tolist() == list(waypoints[cursor])
             assert [theta[i], chi_c[i], gamma_c[i]] == values
 
     def test_each_placement_takes_its_branch(self):
@@ -313,23 +321,23 @@ class TestControlInputsMatchOracle:
             placed = Point3(*(placed_waypoint(k, state, gp.acceptance_radius) or (100.0 * k + 300.0, 40.0, 100.0)))
             ahead = Point3(100.0 * k + 500.0, 300.0, 100.0)
             terminal = k in (AT_TERMINUS, ON_TERMINUS)
-            paths.append(WaypointPath((ahead, placed) if terminal else (placed, ahead), cursor=int(terminal)))
+            paths.append(((ahead, placed) if terminal else (placed, ahead), int(terminal)))
             states.append(state)
         detour = (Point3(100.0 * SPLICED + 200.0, -50.0, 110.0),)
-        targets, advanced, theta, chi_c, gamma_c = fleet_control_inputs(states, paths, gp, {SPLICED: detour})
+        table, advanced, theta, chi_c, gamma_c = fleet_control_inputs(states, paths, gp, {SPLICED: detour})
         # reached on the radius alone, passed while outside it, kept when square to the velocity
         assert math.hypot(0.6 * 40.0, 0.0, -0.8 * 40.0) == 40.0
         assert advanced == [ON_RADIUS, BEHIND]
-        assert targets.cursor[[ON_RADIUS, BEHIND, SIDEWAYS]].tolist() == [1.0, 1.0, 0.0]
+        assert table.cursor[[ON_RADIUS, BEHIND, SIDEWAYS]].tolist() == [1.0, 1.0, 0.0]
         # a terminus is never dropped; on it the course and climb are held
-        assert targets.cursor[[AT_TERMINUS, ON_TERMINUS]].tolist() == [1.0, 1.0]
+        assert table.cursor[[AT_TERMINUS, ON_TERMINUS]].tolist() == [1.0, 1.0]
         assert chi_c[AT_TERMINUS] == math.atan2(40.0, 300.0)
         assert (theta[ON_TERMINUS], chi_c[ON_TERMINUS], gamma_c[ON_TERMINUS]) == (0.0, 0.0, 0.0)
         # a splice makes the detour's first point the target
-        assert targets.active[:, SPLICED].tolist() == [100.0 * SPLICED + 200.0, -50.0, 110.0]
+        assert table.active[:, SPLICED].tolist() == [100.0 * SPLICED + 200.0, -50.0, 110.0]
         for i, (state, path) in enumerate(zip(states, paths)):
-            want, *values = oracle_control_inputs(state, path, gp, detour if i == SPLICED else None)
-            assert (targets.cursor[i], [theta[i], chi_c[i], gamma_c[i]]) == (want.cursor, values)
+            _, cursor, *values = oracle_control_inputs(state, path, gp, detour if i == SPLICED else None)
+            assert (table.cursor[i], [theta[i], chi_c[i], gamma_c[i]]) == (cursor, values)
 
 
 class TestWindMatchesOracle:

@@ -1,6 +1,5 @@
 """Virtual-target bookkeeping and look-ahead steering-law tests."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -9,11 +8,11 @@ import pytest
 from flocksim import (
     AutopilotParams,
     DegenerateGeometryError,
+    FleetPaths,
     GuidanceParams,
     Point3,
     UavLimits,
     UavState,
-    WaypointPath,
     actuator_bounds,
     advance_virtual_target,
     convergence_conditions,
@@ -24,7 +23,6 @@ from flocksim import (
     steering_rates,
     step_kinematics,
 )
-from flocksim.harness import _FleetTargets
 
 GRAVITY = 9.81
 GP = GuidanceParams()
@@ -63,123 +61,141 @@ def conditions(eta_lat, eta_lon, state, target, gp):
     return lat_ok, lon_ok, sign_ok, margin, bool(lat_ok and lon_ok and sign_ok and margin > 0.0)
 
 
-def advance(path, state, acceptance_radius):
-    """One vehicle's path after the fleet advance that ``run`` makes each tick."""
-    targets = _FleetTargets([path])
-    targets.advance(fleet_arrays([state])[0], GuidanceParams(acceptance_radius=acceptance_radius))
-    return targets.paths[0]
+def advance(paths, state, acceptance_radius):
+    """One vehicle's ``paths`` after the fleet advance that ``run`` makes each tick."""
+    advance_virtual_target(paths, fleet_arrays([state])[0], GuidanceParams(acceptance_radius=acceptance_radius))
+    return paths
+
+
+def remaining_loop(rows):
+    """Length of the polyline ``rows``, summed left to right one ``math.hypot`` leg at a time."""
+    total = 0.0
+    for (an, ae, ah), (bn, be, bh) in zip(rows, rows[1:]):
+        total += math.hypot(bn - an, be - ae, bh - ah)
+    return total
 
 
 class TestWaypointPath:
-    def test_needs_two_waypoints(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            WaypointPath((Point3(0, 0, 100),))
-
-    def test_rejects_coincident_consecutive(self):
-        with pytest.raises(ValueError, match="coincide"):
-            WaypointPath((Point3(0, 0, 100), Point3(0, 0, 100), Point3(5, 0, 100)))
+    """One vehicle's waypoint path, a row of a ``FleetPaths`` table."""
 
     def test_rejects_bad_cursor(self):
-        pts = (Point3(0, 0, 100), Point3(10, 0, 100))
         with pytest.raises(ValueError, match="cursor"):
-            WaypointPath(pts, cursor=2)
+            FleetPaths([[(0, 0, 100), (10, 0, 100)]], cursor=[2])
 
     def test_active_and_terminus(self):
-        pts = (Point3(0, 0, 100), Point3(10, 0, 100), Point3(20, 0, 100))
-        path = WaypointPath(pts, cursor=1)
-        assert path.active == Point3(10, 0, 100)
-        assert path.terminus == Point3(20, 0, 100)
+        paths = FleetPaths([[(0, 0, 100), (10, 0, 100), (20, 0, 100)]], cursor=[1])
+        assert paths.active[:, 0].tolist() == [10, 0, 100]
+        assert paths.waypoints[0][-1].tolist() == [20, 0, 100]
+        assert paths.movable.tolist() == [True]
 
     def test_remaining_length_sums_from_cursor(self):
-        pts = (
-            Point3(0, 0, 100),
-            Point3(30, 0, 100),
-            Point3(30, 40, 100),
-            Point3(30, 40, 110),
-        )
-        assert WaypointPath(pts, cursor=0).remaining_length == pytest.approx(80.0)
-        assert WaypointPath(pts, cursor=1).remaining_length == pytest.approx(50.0)
-        assert WaypointPath(pts, cursor=3).remaining_length == 0.0
+        pts = [(0, 0, 100), (30, 0, 100), (30, 40, 100), (30, 40, 110)]
+        paths = FleetPaths([pts] * 3, cursor=[0, 1, 3])
+        assert paths.remaining[0] == pytest.approx(80.0)
+        assert paths.remaining[1] == pytest.approx(50.0)
+        assert paths.remaining[2] == 0.0
+        assert paths.movable.tolist() == [True, True, False]
 
     def test_remaining_length_of_every_cursor_of_a_spliced_path(self):
-        # the cached sum equals a fresh left-to-right loop from the cursor
-        pts = (Point3(0, 0, 100), Point3(100.3, 0, 100), Point3(200, 17.1, 96.2), Point3(301, 9, 100))
-        spliced = WaypointPath(pts, cursor=1).splice((Point3(80.7, 30.1, 99), Point3(120.2, 33.3, 101)))
-        for cursor in range(len(spliced.waypoints)):
-            path = dataclasses.replace(spliced, cursor=cursor)
-            total = 0.0
-            for k in range(cursor, len(path.waypoints) - 1):
-                total += math.dist(path.waypoints[k].as_array(), path.waypoints[k + 1].as_array())
-            assert path.remaining_length == path.remaining_length == total
+        # the remaining length equals a fresh left-to-right loop from the
+        # cursor; from 8 legs on, np.sum adds pairwise and differs, as does
+        # a difference of cumulative sums, so the long path has 15 legs
+        short = [(0, 0, 100), (100.3, 0, 100), (200, 17.1, 96.2), (301, 9, 100)]
+        rng = np.random.default_rng(3)
+        long = (np.cumsum(rng.uniform(-97.3, 211.9, (14, 3)), axis=0) + (0.1, 0.2, 100.3)).tolist()
+        detour = [(80.7, 30.1, 99), (120.2, 33.3, 101)]
+        for pts in (short, long):
+            # vehicle i splices the detour at cursor i
+            paths = FleetPaths([pts] * len(pts), cursor=range(len(pts)))
+            for i in range(len(pts)):
+                paths.splice(i, detour)
+                rows = paths.waypoints[i].tolist()
+                assert rows == [list(p) for p in [*pts[:i], *detour, *pts[i:]]]
+                assert paths.remaining[i] == remaining_loop(rows[i:])
+            # every cursor of one spliced path
+            spliced = paths.waypoints[0].tolist()
+            every = FleetPaths([spliced] * len(spliced), cursor=range(len(spliced)))
+            for cursor in range(len(spliced)):
+                assert every.remaining[cursor] == remaining_loop(spliced[cursor:])
 
     def test_splice_preserves_terminus_and_tail(self):
-        pts = (Point3(0, 0, 100), Point3(100, 0, 100), Point3(200, 0, 100))
-        path = WaypointPath(pts, cursor=1)
-        detour = (Point3(80, 30, 100), Point3(120, 30, 100))
-        out = path.splice(detour)
-        assert out.waypoints == (
-            Point3(0, 0, 100),
-            Point3(80, 30, 100),
-            Point3(120, 30, 100),
-            Point3(100, 0, 100),
-            Point3(200, 0, 100),
-        )
-        assert out.cursor == 1
-        assert out.active == Point3(80, 30, 100)
-        assert out.terminus == path.terminus
+        paths = FleetPaths([[(0, 0, 100), (100, 0, 100), (200, 0, 100)]], cursor=[1])
+        paths.splice(0, np.array([(80, 30, 100), (120, 30, 100)]))
+        assert paths.waypoints[0].tolist() == [
+            [0, 0, 100],
+            [80, 30, 100],
+            [120, 30, 100],
+            [100, 0, 100],
+            [200, 0, 100],
+        ]
+        assert paths.cursor.tolist() == [1]
+        assert paths.active[:, 0].tolist() == [80, 30, 100]
+        assert paths.waypoints[0][-1].tolist() == [200, 0, 100]
 
     def test_splice_empty_is_identity(self):
-        pts = (Point3(0, 0, 100), Point3(100, 0, 100))
-        path = WaypointPath(pts)
-        assert path.splice(()) is path
+        paths = FleetPaths([[(0, 0, 100), (100, 0, 100)]])
+        before = (paths.waypoints[0].tolist(), paths.cursor.tolist(), paths.active.tolist(),
+                  paths.remaining.tolist(), paths.movable.tolist())
+        paths.splice(0, np.empty((0, 3)))
+        assert (paths.waypoints[0].tolist(), paths.cursor.tolist(), paths.active.tolist(),
+                paths.remaining.tolist(), paths.movable.tolist()) == before
 
 
 class TestAdvanceVirtualTarget:
-    PTS = (Point3(0, 0, 100), Point3(100, 0, 100), Point3(200, 0, 100))
+    PTS = ((0, 0, 100), (100, 0, 100), (200, 0, 100))
 
     def test_far_behind_stays(self):
-        path = WaypointPath(self.PTS)
+        paths = FleetPaths([self.PTS])
         state = make_state(north=-500.0)
-        assert advance(path, state, 40.0).cursor == 0
+        assert advance(paths, state, 40.0).cursor.tolist() == [0]
 
     def test_acceptance_hit_advances(self):
-        path = WaypointPath(self.PTS)
+        paths = FleetPaths([self.PTS])
         state = make_state(north=0.0)
-        out = advance(path, state, 40.0)
-        assert out.cursor == 1
+        out = advance(paths, state, 40.0)
+        assert out.cursor.tolist() == [1]
 
     def test_overflown_waypoints_are_skipped(self):
         # vehicle sits 10 m past waypoint 1 heading north: both waypoint 0
         # (at -110 m) and waypoint 1 (at -10 m) fail the forward dot test
-        path = WaypointPath(self.PTS)
+        paths = FleetPaths([self.PTS])
         state = make_state(north=110.0, chi=0.0)
-        out = advance(path, state, 5.0)
-        assert out.cursor == 2
+        out = advance(paths, state, 5.0)
+        assert out.cursor.tolist() == [2]
 
     def test_terminus_is_never_dropped(self):
-        path = WaypointPath(self.PTS)
+        paths = FleetPaths([self.PTS])
         state = make_state(north=450.0)
-        out = advance(path, state, 5.0)
-        assert out.cursor == 2
-        assert out.active == path.terminus
+        out = advance(paths, state, 5.0)
+        assert out.cursor.tolist() == [2]
+        assert out.active[:, 0].tolist() == list(self.PTS[-1])
 
     def test_idempotent(self):
-        path = WaypointPath(self.PTS)
+        paths = FleetPaths([self.PTS])
         state = make_state(north=95.0)
-        once = advance(path, state, 40.0)
-        twice = advance(once, state, 40.0)
-        assert once.cursor == twice.cursor
+        once = advance(paths, state, 40.0).cursor.tolist()
+        twice = advance(paths, state, 40.0).cursor.tolist()
+        assert once == twice
 
     def test_flags_reached_or_behind_movable_waypoints(self):
         # flying north, 30 m short of the waypoint (reached), 50 m past it
-        # (behind), 50 m short (kept), and 30 m short of a last waypoint
+        # (behind), 50 m short (kept), and 30 m short of a last waypoint;
+        # the waypoint after each flagged one lies far ahead
         y, _ = fleet_arrays([make_state(north=n) for n in (70.0, 150.0, 50.0, 70.0)])
+        ahead = (900.0, 0.0, 100.0)
+        paths = FleetPaths([[(100.0, 0.0, 100.0), ahead]] * 3 + [[(0.0, 0.0, 100.0), (100.0, 0.0, 100.0)]],
+                           cursor=[0, 0, 0, 1])
         active = np.array([[100.0] * 4, [0.0] * 4, [100.0] * 4])
-        movable = np.array([True, True, True, False])
-        offset, distance, step = advance_virtual_target(active, y, movable, GP)
+        assert paths.active.tolist() == active.tolist()
+        offset, distance = paths.offsets(y)
         assert offset.tolist() == (active - y[:3]).tolist()
         assert distance.tolist() == [30.0, 50.0, 50.0, 30.0]
-        assert step.tolist() == [True, True, False, False]
+        before = paths.cursor.copy()
+        offset, distance = advance_virtual_target(paths, y, GP)
+        assert (paths.cursor != before).tolist() == [True, True, False, False]
+        assert paths.movable.tolist() == [False, False, True, False]
+        assert offset.tolist() == (paths.active - y[:3]).tolist()
+        assert distance.tolist() == [830.0, 750.0, 50.0, 30.0]
 
 
 def one_reference(position, target):

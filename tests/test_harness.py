@@ -79,7 +79,7 @@ class TestLoadScenario:
         assert (limits.phi_min, limits.phi_max) == (-0.6, 0.6)
         assert (limits.n_lf_min, limits.n_lf_max) == (0.0, 2.1)
         for spec in scenario.uavs:
-            assert spec.path.terminus == scenario.target
+            assert spec.waypoints[-1].tolist() == list(scenario.target)
 
     def test_source_hash_is_stable(self, scenario_dir):
         a = load_scenario(f"{scenario_dir}/reference_4uav.yaml")
@@ -103,6 +103,22 @@ class TestLoadScenario:
             ]
         )
         with pytest.raises(ScenarioError, match="must equal the shared target"):
+            load_scenario(path)
+
+    def test_needs_two_waypoints(self, make_scenario_file):
+        uav = {"id": 0, "initial": dict(MINI_INITIAL), "waypoints": [[0.0, 0.0, 110.0]]}
+        path = make_scenario_file(uavs=[uav])
+        with pytest.raises(ScenarioError, match=r"^scenario\.uavs\[0\]\.waypoints: .*at least 2 waypoints, got 1"):
+            load_scenario(path)
+
+    def test_rejects_coincident_consecutive(self, make_scenario_file):
+        uav = {
+            "id": 0,
+            "initial": dict(MINI_INITIAL),
+            "waypoints": [[-300.0, 0.0, 110.0], [-300.0, 0.0, 110.0], [0.0, 0.0, 110.0]],
+        }
+        path = make_scenario_file(uavs=[uav])
+        with pytest.raises(ScenarioError, match=r"^scenario\.uavs\[0\]\.waypoints: consecutive waypoints 0 and 1 coincide"):
             load_scenario(path)
 
     def test_inverted_speed_limits(self, make_scenario_file):
@@ -432,6 +448,19 @@ class TestRun:
         )
         assert float(dists.min()) < 40.0
         assert metrics.ae_mean_m < 15.0
+
+    def test_vehicle_on_its_active_waypoint_keeps_course_and_climb(self, make_scenario_file):
+        # starting on the target, heading north away from waypoint 0: the
+        # advance makes the target active, at distance 0, where no bearing exists
+        uav = {
+            "id": 0,
+            "initial": {**MINI_INITIAL, "north_m": 0.0, "chi_rad": 0.0, "gamma_rad": 0.0},
+            "waypoints": [[-300.0, 0.0, 110.0], [0.0, 0.0, 110.0]],
+        }
+        scenario = load_scenario(make_scenario_file(duration_s=1.0, uavs=[uav]))
+        log, _ = run(scenario)
+        row = dict(zip(LOG_COLUMNS, log.data[0, 0].tolist()))
+        assert (row["cursor"], row["theta"], row["eta_lat"], row["eta_lon"]) == (1.0, 0.0, 0.0, 0.0)
 
     def test_straight_line_arrival_and_theta_descent(self, make_scenario_file):
         # dt fine enough that the flyby itself is sampled, not just bracketed
