@@ -19,6 +19,7 @@ and perturbed additively by wind-induced disturbances ``d_chi``/``d_gamma``
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -265,8 +266,15 @@ def step_autopilot(
     A lag with dt > tau would overshoot its setpoint under the plain Euler
     update, so the response saturates at deadbeat tracking instead.
     """
+    return _clip(act + _autopilot_alpha(dt, ap) * (cmd - act), lo, hi)
+
+
+@functools.lru_cache(maxsize=16)
+def _autopilot_alpha(dt: float, ap: AutopilotParams) -> np.ndarray:
+    """(3, 1) read-only gains min(dt / tau, 1) of the phi, n_lf and v_g lags."""
     alpha = np.array([[min(dt / tau, 1.0)] for tau in (ap.tau_phi, ap.tau_n, ap.tau_v)])
-    return _clip(act + alpha * (cmd - act), lo, hi)
+    alpha.flags.writeable = False
+    return alpha
 
 
 def step_kinematics(

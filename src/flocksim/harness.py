@@ -24,8 +24,10 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -731,6 +733,23 @@ def compute_metrics(log: RunLog, scenario: Scenario) -> Metrics:
 # Export
 
 
+_JSON_BOOL = ("false", "true")
+
+
+def _json_float(x: float) -> str:
+    """``x`` as ``json.dumps`` spells it: ``repr``, or NaN, Infinity, -Infinity."""
+    if math.isfinite(x):
+        return repr(x)
+    return "NaN" if x != x else "Infinity" if x > 0.0 else "-Infinity"
+
+
+def _csv_line(row: list[Any]) -> str:
+    """``row`` as one ``csv.writer`` line, quoted where a field needs it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(row)
+    return buf.getvalue()
+
+
 def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
     """Write the run to ``out_dir``; returns the files written.
 
@@ -739,6 +758,17 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
     scenario hash and seed.  All of those are byte-stable for a fixed
     (scenario, seed).  Wall-clock timings go to timing.json, which replay
     verification ignores.
+
+    A float cell of a CSV is Python's ``repr`` of the value: the shortest
+    text that reads back to the same double, and ``nan``, ``inf`` or
+    ``-inf`` when it is not finite.  ``tick`` and ``uav_id`` are integers,
+    and ``cursor`` is its logged value truncated toward zero.  The
+    ``detail`` cell of ``events.csv`` is ``json.dumps(..., sort_keys=True)``
+    of the event's fields, which spells booleans ``true``/``false`` and
+    non-finite floats ``NaN``, ``Infinity`` and ``-Infinity``; it is
+    double-quoted with inner quotes doubled, as ``csv.writer`` quotes a
+    field that holds a comma.  Event rows are sorted by (tick, uav_id,
+    event).
     """
     out = Path(out_dir)
     try:
@@ -748,46 +778,45 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
 
     written: list[Path] = []
     header = ",".join(_TRAJECTORY_COLUMNS) + "\n"
+    # One %-format call per file.  The format holds each tick's literal
+    # "tick,t_s," prefix, made once for the fleet; %r is repr and %d
+    # truncates the cursor as int() does.
+    fmt = "".join([f"{tick},{tick * log.dt!r},%r,%r,%r,%r,%r,%r,%r,%r,%r,%d\n" for tick in range(log.n_ticks)])
     for uav_id in range(log.n_uavs):
-        # .tolist() yields Python floats, whose repr is the shortest
-        # round-tripping text; the cursor column holds whole numbers.
-        lines = [
-            f"{tick},{tick * log.dt!r},{','.join(map(repr, row[:9]))},{int(row[9])}\n"
-            for tick, row in enumerate(log.data[:, uav_id, :10].tolist())
-        ]
         fp = out / f"uav_{uav_id:02d}.csv"
-        fp.write_text(header + "".join(lines))
+        fp.write_text(header + fmt % tuple(log.data[:, uav_id, :10].ravel().tolist()))
         written.append(fp)
 
-    events: list[tuple[int, int, list[Any]]] = []
+    # (tick, uav_id, event, line) per row, sorted on the first three.
+    events: list[tuple[int, int, str, str]] = []
     for e in log.replan_events:
         detail = {
             "waypoints": [[p.north, p.east, p.height] for p in e.waypoints],
             "rt_sim_s": e.rt_sim,
             "overhead_s": e.overhead,
         }
-        events.append((e.tick, e.uav_id, ["replan", e.tick, e.t, e.uav_id, json.dumps(detail, sort_keys=True)]))
+        row = ["replan", e.tick, e.t, e.uav_id, json.dumps(detail, sort_keys=True)]
+        events.append((e.tick, e.uav_id, "replan", _csv_line(row)))
     for f in log.replan_failures:
-        detail_f = {"reason": f.reason}
-        events.append(
-            (f.tick, f.uav_id, ["replan_failed", f.tick, f.t, f.uav_id, json.dumps(detail_f, sort_keys=True)])
-        )
+        row = ["replan_failed", f.tick, f.t, f.uav_id, json.dumps({"reason": f.reason})]
+        events.append((f.tick, f.uav_id, "replan_failed", _csv_line(row)))
     ticks, uav_ids = np.nonzero(log.premise_violations())
     premises = log.data[ticks, uav_ids, _PREMISES]
-    # One flat list per column: bools and floats, not a list per row.
-    columns = (ticks.tolist(), uav_ids.tolist(), *(premises[:, :3] != 0.0).T.tolist(), premises[:, 3].tolist())
-    for tick, uav_id, lat_ok, lon_ok, sign_ok, margin in zip(*columns):
-        detail = {"lat_ok": lat_ok, "lon_ok": lon_ok, "sign_ok": sign_ok, "margin": margin}
-        events.append(
-            (tick, uav_id, ["premise_violation", tick, tick * log.dt, uav_id, json.dumps(detail, sort_keys=True)])
+    ticks, uav_ids = ticks.tolist(), uav_ids.tolist()
+    lat_ok, lon_ok, sign_ok = (premises[:, :3] != 0.0).T.tolist()
+    # The detail is json.dumps(sort_keys=True) of the three flags and the
+    # margin, quoted as csv.writer quotes it.
+    lines = [
+        f'premise_violation,{tick},{tick * log.dt!r},{uav_id},"{{""lat_ok"": {_JSON_BOOL[lat]}, '
+        f'""lon_ok"": {_JSON_BOOL[lon]}, ""margin"": {_json_float(margin)}, ""sign_ok"": {_JSON_BOOL[sign]}}}"\n'
+        for tick, uav_id, lat, lon, sign, margin in zip(
+            ticks, uav_ids, lat_ok, lon_ok, sign_ok, premises[:, 3].tolist()
         )
-    events.sort(key=lambda item: (item[0], item[1], item[2][0]))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_EVENT_COLUMNS)
-    writer.writerows(row for _, _, row in events)
+    ]
+    events.extend(zip(ticks, uav_ids, itertools.repeat("premise_violation"), lines))
+    events.sort(key=operator.itemgetter(0, 1, 2))
     fp = out / "events.csv"
-    fp.write_text(buf.getvalue())
+    fp.write_text(",".join(_EVENT_COLUMNS) + "\n" + "".join([line for _, _, _, line in events]))
     written.append(fp)
 
     fp = out / "metrics.json"

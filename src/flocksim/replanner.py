@@ -244,22 +244,26 @@ def replan(
     rejection counts never shift later draws.
     """
     virtual = uav
-    waypoints: list[Point3] = []
+    # The segment tests take plain triples, as in best_detour.
+    start, goal = tuple(uav.position), tuple(target)
+    waypoints: list[tuple[float, float, float]] = []
     for iteration in range(params.max_iterations):
-        if not segment_obstructed(virtual.position, target, obstacle, now):
+        if not segment_obstructed(start, goal, obstacle, now):
             break
         rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(iteration,)))
         try:
             point, _ = best_detour(virtual, target, rng, grid, obstacle, now, params)
         except ReplanError as exc:
             raise ReplanError(f"iteration {iteration}: {exc}", iteration=iteration) from exc
-        waypoints.append(point)
-        chi, gamma = reference_angles((point.as_array() - virtual.position.as_array())[:, None])
+        end = (point.north, point.east, point.height)
+        waypoints.append(end)
+        chi, gamma = reference_angles(np.subtract(end, start)[:, None])
         virtual = replace(virtual, position=point, chi=chi.item(), gamma=gamma.item())
+        start = end
     else:
-        if segment_obstructed(virtual.position, target, obstacle, now):
+        if segment_obstructed(start, goal, obstacle, now):
             raise ReplanError(
                 f"still obstructed after {params.max_iterations} iterations",
                 iteration=params.max_iterations - 1,
             )
-    return np.array([tuple(p) for p in waypoints]).reshape(-1, 3)
+    return np.array(waypoints).reshape(-1, 3)

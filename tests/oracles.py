@@ -15,16 +15,28 @@ inputs that ``run`` computes for the fleet each tick, with
 ``advance_oracle`` for the virtual-target advance.  ``two_leg_cost``,
 ``region_contains`` and ``grid_cost_oracle`` are the replanner's: the
 cost of one candidate, membership in the candidate region, and the
-constrained cost minimum over a lattice.
+constrained cost minimum over a lattice.  ``trajectory_csv_oracle`` and
+``events_csv_oracle`` build the export's CSV text one row at a time, with
+``repr``, ``json.dumps`` and ``csv.writer``.
 """
 
+import csv
+import io
+import json
 import logging
 import math
 from dataclasses import replace
 
 import numpy as np
 
-from flocksim import DegenerateGeometryError, Point3, dem_elevation, segment_above_terrain, segment_obstructed
+from flocksim import (
+    LOG_COLUMNS,
+    DegenerateGeometryError,
+    Point3,
+    dem_elevation,
+    segment_above_terrain,
+    segment_obstructed,
+)
 
 _network_log = logging.getLogger("flocksim.network")
 
@@ -370,3 +382,50 @@ class WindOracle:
         d_gamma = (self.gust[2] + p.ambient[2]) / p.airspeed_nominal
         lim = p.d_max
         return float(min(max(d_chi, -lim), lim)), float(min(max(d_gamma, -lim), lim))
+
+
+_TRAJECTORY_HEADER = "tick,t_s,p_north_m,p_east_m,height_m,chi_rad,gamma_rad,phi_rad,n_lf,v_g_mps,theta_s,cursor\n"
+_PREMISES = slice(LOG_COLUMNS.index("lat_ok"), len(LOG_COLUMNS))
+
+
+def trajectory_csv_oracle(log, uav_id):
+    """Text of ``uav_{uav_id:02d}.csv``: one f-string of ``repr`` cells per tick."""
+    # .tolist() yields Python floats, whose repr is the shortest
+    # round-tripping text; the cursor column holds whole numbers.
+    lines = [
+        f"{tick},{tick * log.dt!r},{','.join(map(repr, row[:9]))},{int(row[9])}\n"
+        for tick, row in enumerate(log.data[:, uav_id, :10].tolist())
+    ]
+    return _TRAJECTORY_HEADER + "".join(lines)
+
+
+def events_csv_oracle(log):
+    """Text of ``events.csv``: a ``json.dumps`` detail per row, written by ``csv.writer``."""
+    events = []
+    for e in log.replan_events:
+        detail = {
+            "waypoints": [[p.north, p.east, p.height] for p in e.waypoints],
+            "rt_sim_s": e.rt_sim,
+            "overhead_s": e.overhead,
+        }
+        events.append((e.tick, e.uav_id, ["replan", e.tick, e.t, e.uav_id, json.dumps(detail, sort_keys=True)]))
+    for f in log.replan_failures:
+        detail_f = {"reason": f.reason}
+        events.append(
+            (f.tick, f.uav_id, ["replan_failed", f.tick, f.t, f.uav_id, json.dumps(detail_f, sort_keys=True)])
+        )
+    ticks, uav_ids = np.nonzero(log.premise_violations())
+    premises = log.data[ticks, uav_ids, _PREMISES]
+    # One flat list per column: bools and floats, not a list per row.
+    columns = (ticks.tolist(), uav_ids.tolist(), *(premises[:, :3] != 0.0).T.tolist(), premises[:, 3].tolist())
+    for tick, uav_id, lat_ok, lon_ok, sign_ok, margin in zip(*columns):
+        detail = {"lat_ok": lat_ok, "lon_ok": lon_ok, "sign_ok": sign_ok, "margin": margin}
+        events.append(
+            (tick, uav_id, ["premise_violation", tick, tick * log.dt, uav_id, json.dumps(detail, sort_keys=True)])
+        )
+    events.sort(key=lambda item: (item[0], item[1], item[2][0]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("event", "tick", "t_s", "uav_id", "detail"))
+    writer.writerows(row for _, _, row in events)
+    return buf.getvalue()

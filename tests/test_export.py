@@ -1,0 +1,98 @@
+"""``export`` writes the bytes of the one-row-at-a-time oracles.
+
+``export`` formats each trajectory CSV with one %-format call and each
+premise-violation row with one f-string.  ``trajectory_csv_oracle`` and
+``events_csv_oracle`` in ``tests/oracles.py`` build the same files a row
+at a time with ``repr``, ``json.dumps`` and ``csv.writer``.  These tests
+fill run logs with the values whose spelling differs between formatters
+(NaN, the infinities, -0.0, 1e16, 1e-5, the smallest subnormal) in every
+column, every premise-flag combination, non-positive margins, and replan
+rows that share a (tick, vehicle) with a premise row, and require equal
+bytes.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import events_csv_oracle, trajectory_csv_oracle
+
+from flocksim import LOG_COLUMNS, Metrics, Point3, ReplanEvent, RunLog, export
+from flocksim.harness import ReplanFailure
+
+EDGES = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-5, 5e-324, -1e16, -1.5, 0.1, 2.0 / 3.0)
+# int() truncates each toward zero; 2.7 and -2.7 tell truncation from rounding.
+CURSORS = (-0.0, 0.0, 1e16, 1e-5, 5e-324, 2.7, -2.7, 3.0)
+FLAG_COMBOS = tuple(itertools.product((0.0, 1.0), repeat=3))
+DTS = (0.05, 0.1, 0.2, 0.3, 1.0)
+REASON = 'iteration 2: no acceptable candidate, "cone" empty\nsecond line'
+
+CURSOR = LOG_COLUMNS.index("cursor")
+FLAGS = slice(LOG_COLUMNS.index("lat_ok"), LOG_COLUMNS.index("margin"))
+MARGIN = LOG_COLUMNS.index("margin")
+METRICS = Metrics(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, [], 0, 0, 0)
+
+
+def _edge_log(n_ticks, n_uavs, dt, seed, n_replans):
+    """A log of edge values and normal draws, with replan rows at random and at a premise row.
+
+    With at least 20 vehicle-ticks, the first 12 are premise rows that hold
+    every edge value in every column, and the next 8 every flag combination
+    at a margin <= 0.
+    """
+    log = RunLog(n_uavs=n_uavs, dt=dt, n_ticks=n_ticks)
+    rng = np.random.default_rng(seed)
+    shape = log.data.shape
+    log.data[...] = np.where(rng.random(shape) < 0.5, rng.choice(EDGES, shape), rng.normal(0.0, 1e3, shape))
+    log.data[:, :, FLAGS] = rng.integers(0, 2, (*shape[:2], 3))
+    rows = log.data.reshape(-1, shape[2])
+    if rows.shape[0] >= len(EDGES) + len(FLAG_COMBOS):
+        for k in range(len(EDGES)):
+            rows[k] = np.roll(EDGES, -k).take(range(shape[2]), mode="wrap")
+            rows[k, FLAGS] = (0.0, 1.0, 1.0)
+        for k, flags in enumerate(FLAG_COMBOS, start=len(EDGES)):
+            rows[k, FLAGS] = flags
+            rows[k, MARGIN] = -0.0 if k % 2 else -float(k)
+    log.data[:, :, CURSOR] = rng.choice(CURSORS, shape[:2])
+
+    spots = [(int(rng.integers(n_ticks)), int(rng.integers(n_uavs))) for _ in range(n_replans if n_ticks else 0)]
+    ticks, uav_ids = np.nonzero(log.premise_violations())
+    if ticks.size:
+        spots.append((int(ticks[-1]), int(uav_ids[-1])))
+    for tick, uav_id in spots:
+        waypoints = tuple(Point3(*rng.choice(EDGES, 3).tolist()) for _ in range(int(rng.integers(1, 4))))
+        log.replan_events.append(ReplanEvent(tick=tick, t=tick * dt, uav_id=uav_id, waypoints=waypoints,
+                                             rt_sim=float(rng.choice(EDGES)), overhead=float(rng.choice(EDGES)),
+                                             wall_ms=1.0))
+        log.replan_failures.append(ReplanFailure(tick=tick, t=tick * dt, uav_id=uav_id, reason=REASON))
+    return log
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n_ticks=st.sampled_from((0, 1, 7)),
+    n_uavs=st.sampled_from((1, 13)),
+    dt=st.sampled_from(DTS),
+    seed=st.integers(0, 2**32 - 1),
+    n_replans=st.integers(0, 3),
+)
+def test_export_bytes_equal_the_oracles(tmp_path_factory, n_ticks, n_uavs, dt, seed, n_replans):
+    log = _edge_log(n_ticks, n_uavs, dt, seed, n_replans)
+    out = tmp_path_factory.mktemp("export")
+    export(log, METRICS, out)
+    for uav_id in range(n_uavs):
+        assert (out / f"uav_{uav_id:02d}.csv").read_bytes() == trajectory_csv_oracle(log, uav_id).encode()
+    assert (out / "events.csv").read_bytes() == events_csv_oracle(log).encode()
+
+
+@pytest.mark.parametrize("cursor", [math.nan, math.inf, -math.inf])
+def test_non_finite_cursor_raises_as_the_oracle_does(cursor, tmp_path):
+    log = _edge_log(7, 13, 0.1, seed=3, n_replans=0)
+    log.data[4, 5, CURSOR] = cursor
+    with pytest.raises((ValueError, OverflowError)) as want:
+        trajectory_csv_oracle(log, 5)
+    with pytest.raises(want.type):
+        export(log, METRICS, tmp_path)
