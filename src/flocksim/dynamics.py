@@ -236,7 +236,13 @@ class WindModel:
         lim = self.d_max
         d_chi = (g_v + self.ambient[1]) / self.airspeed_nominal
         d_gamma = (g_w + self.ambient[2]) / self.airspeed_nominal
-        return min(max(d_chi, -lim), lim), min(max(d_gamma, -lim), lim)
+        # min(max(x, -lim), lim) without the builtin calls: max keeps its
+        # first argument unless the second is greater, and min unless the
+        # second is smaller, so NaN passes through and a signed zero keeps
+        # its sign, as with the builtins.
+        d_chi = -lim if -lim > d_chi else d_chi
+        d_gamma = -lim if -lim > d_gamma else d_gamma
+        return (lim if lim < d_chi else d_chi), (lim if lim < d_gamma else d_gamma)
 
 
 def fleet_arrays(states: Sequence[UavState]) -> tuple[np.ndarray, np.ndarray]:

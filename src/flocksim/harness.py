@@ -649,8 +649,8 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
         received, strength = deliver(theta, graph), graph.strength
 
         act = step_autopilot(act, np.array((phi_c, n_lf_c, v_cmd)), lo, hi, dt, ap)
-        gusts = np.array([wind.sample(dt) for wind in winds]).T
-        y = step_kinematics(y, act, gusts, dt, ap)
+        gusts = np.fromiter(itertools.chain.from_iterable([wind.sample(dt) for wind in winds]), float, 2 * n)
+        y = step_kinematics(y, act, gusts.reshape(n, 2).T, dt, ap)
         # A non-finite speed makes that vehicle's position non-finite in the
         # same step, so the (6, N) block alone names the first bad vehicle.
         if not np.isfinite(y).all():

@@ -10,16 +10,20 @@ list is already full of closer peers.
 
 Below ``_SCREEN_MIN_N`` vehicles a pair loop applies that rule
 directly, since numpy's fixed cost per call exceeds the whole loop.
-From ``_SCREEN_MIN_N`` up, a numpy pass over squared pairwise distances
-first prunes the pairs that cannot reach a vehicle's top ``c_max`` (and
-keeps every pair closer than 1 m, so the near-coincident warning still
-fires); the rule then runs over arrays of the remaining pairs:
-``math.hypot`` per pair, range rejection, warnings in (i, j) order,
-strengths ``gamma_signal / d``, and one ``np.lexsort`` by (vehicle,
--strength, peer) cut at ``c_max`` per vehicle.  The screen only prunes
-and every float comes from the same operation, so both paths give
-identical graphs and warnings.  The dropout schedule
-is compiled to arrays once, in ``CommConfig``, so each tick finds the
+From ``_SCREEN_MIN_N`` up, one numpy pass screens the pairs: the (3, N, N)
+block of differences p_j - p_i gives the squared distances, and a pair
+stays when it is in range and within a margin of its row's c_max-th
+smallest (``np.partition``), or closer than 1 m, so the near-coincident
+warning still fires.  The kept pairs are flat indices into the block
+(``np.flatnonzero``), in (i, j) order, and the rule runs over them:
+``math.hypot`` on the gathered differences, range rejection, warnings
+in (i, j) order and strengths ``gamma_signal / d``.  Only when some
+vehicle has more than ``c_max`` candidates (ties, or pairs under 1 m)
+does one ``np.lexsort`` by (vehicle, -strength, peer) cut each list at
+``c_max``; otherwise the candidates already are the table.  The screen
+only prunes and every float comes from the same operation, so both
+paths give identical graphs and warnings.  The dropout schedule is
+compiled to arrays once, in ``CommConfig``, so each tick finds the
 blocked pairs with one vectorised interval test instead of checking
 every window for every pair.
 
@@ -182,27 +186,56 @@ def _warn_near(i: int, j: int, d: float) -> None:
 def _rank_screened(positions: np.ndarray, config: CommConfig, now: float) -> CommGraph:
     """The scalar rule of ``build_topology`` over arrays of the screened pairs.
 
-    Distances come from ``math.hypot`` on the same differences, so every
-    admission, strength, rank and warning equals the pair loop's.
+    The screen keeps, per vehicle, the peers whose squared distance is
+    within a margin of the c_max-th smallest in the row, plus every pair
+    closer than 1 m, so the near-coincident warning still fires; pairs
+    beyond ``r_com`` (up to the margin) go.  Self pairs and blocked pairs
+    are NaN, which no comparison keeps and ``np.partition`` sorts last.
+    Squared distances come from the (3, N, N) block of differences
+    p_j - p_i, and the kept pairs are flat indices into it in (row, col)
+    order, so each pair's ``math.hypot`` arguments are one gather of the
+    pair loop's own differences: every admission, strength, rank and
+    warning equals the pair loop's.  Ranking by (row, -strength, col)
+    with ``np.lexsort`` and the cut at c_max run only when some row has
+    more than c_max candidates (ties, or pairs under 1 m); otherwise the
+    candidates already are each row's top c_max.
     """
     n = positions.shape[1]
-    rows, cols = _screen(positions, config, now)
-    diff = (positions[:, cols] - positions[:, rows]).tolist()
-    d = np.array(list(map(math.hypot, *diff)))
+    c_max = config.c_max
+    # One block rather than three (N, N) arrays: at N = 416 the three made
+    # the allocator hand memory back and fault it in again on every call.
+    diff = positions[:, None, :] - positions[:, :, None]
+    d2 = np.einsum("kij,kij->ij", diff, diff)
+    d2.flat[:: n + 1] = np.nan
+    if config.dropout_schedule:
+        d2[config._blocked_pairs(now, n)] = np.nan
+    slack = 1.0 + _SCREEN_MARGIN
+    limit = config.r_com * config.r_com * slack
+    if c_max < n - 1:
+        # A c_max-th smallest beyond range (or NaN: too few peers) leaves
+        # every pair in range.
+        kth = np.partition(d2, c_max - 1, axis=1)[:, c_max - 1]
+        limit = np.fmin(np.maximum(kth * slack, slack), limit)[:, None]
+    flat = np.flatnonzero(d2 <= limit)
+    d = np.fromiter(map(math.hypot, *diff.reshape(3, -1)[:, flat].tolist()), float, len(flat))
     admitted = d <= config.r_com
-    rows, cols, d = rows[admitted], cols[admitted], d[admitted]
-    near = d < 1.0
+    flat, d = flat[admitted], d[admitted]
+    rows, cols = np.divmod(flat, n)
+    near = np.flatnonzero(d < 1.0)
     for i, j, dist in zip(rows[near].tolist(), cols[near].tolist(), d[near].tolist()):
         _warn_near(i, j, dist)
     with np.errstate(divide="ignore"):
         strength = config.gamma_signal / d
-    # Rank within each row by (-strength, peer) and keep the first c_max;
-    # the pairs stay in (row, col) order, the table's.
-    order = np.lexsort((cols, -strength, rows))
-    kept = np.empty(len(order), dtype=bool)
-    kept[order] = _slot(rows[order]) < config.c_max
-    rows, cols, strength = rows[kept], cols[kept], strength[kept]
-    width = max(1, min(config.c_max, n - 1))
+    # Usually no row has more than c_max candidates, and sorting would
+    # only return them in the order they already have.
+    if len(rows) > c_max and (rows[c_max:] == rows[:-c_max]).any():
+        # Rank within each row by (-strength, peer) and keep the first
+        # c_max; the pairs stay in (row, col) order, the table's.
+        order = np.lexsort((cols, -strength, rows))
+        kept = np.empty(len(order), dtype=bool)
+        kept[order] = _slot(rows[order]) < c_max
+        rows, cols, strength = rows[kept], cols[kept], strength[kept]
+    width = max(1, min(c_max, n - 1))
     peer = np.repeat(np.arange(n)[:, None], width, axis=1)
     table = np.zeros((n, width))
     slot = _slot(rows)
@@ -214,30 +247,6 @@ def _rank_screened(positions: np.ndarray, config: CommConfig, now: float) -> Com
 def _slot(rows: np.ndarray) -> np.ndarray:
     """Each entry's position within its run of equal values of the sorted ``rows``."""
     return np.arange(len(rows)) - np.searchsorted(rows, rows)
-
-
-def _screen(positions: np.ndarray, config: CommConfig, now: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ordered pairs (rows, cols) that can reach a vehicle's top ``c_max``.
-
-    A superset of the admitted top ``c_max`` (ties included) and of every
-    unblocked in-range pair closer than 1 m; blocked pairs and self pairs
-    are left out.  Out-of-range pairs within the margin may stay and are
-    rejected by the exact rule.  Sorted by (row, col).
-    """
-    n = positions.shape[1]
-    diff = positions[:, :, None] - positions[:, None, :]
-    diff *= diff
-    d2 = diff.sum(axis=0)
-    slack = 1.0 + _SCREEN_MARGIN
-    d2[d2 > config.r_com * config.r_com * slack] = np.inf
-    np.fill_diagonal(d2, np.inf)
-    if config.dropout_schedule:
-        d2[config._blocked_pairs(now, n)] = np.inf
-    keep = np.isfinite(d2)
-    if config.c_max < n - 1:
-        kth = np.partition(d2, config.c_max - 1, axis=1)[:, config.c_max - 1]
-        keep &= (d2 <= kth[:, None] * slack) | (d2 < slack)
-    return np.nonzero(keep)
 
 
 def deliver(theta: np.ndarray, graph_at_send: CommGraph) -> np.ndarray:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import WindOracle
 
 from flocksim import (
     AutopilotParams,
@@ -389,6 +390,40 @@ class TestWindModel:
         stream_a = [a.sample(1.0)[0] for _ in range(20)]
         stream_b = [b.sample(1.0)[0] for _ in range(20)]
         assert stream_a != stream_b
+
+
+def same_float(a, b):
+    """Equal as floats, with NaN equal to NaN and -0.0 told apart from 0.0."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+# Ambient lateral and vertical components (m/s) at airspeed_nominal 2 and
+# d_max 0.125: +-0.25 puts the disturbance exactly on the clip, +-0.5 beyond.
+CLIP_EDGES = [0.25, -0.25, 0.5, -0.5, 0.0, -0.0, math.nan, math.inf, -math.inf]
+
+
+class TestWindClip:
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    @pytest.mark.parametrize("ambient_v", CLIP_EDGES)
+    def test_clip_equals_oracle(self, sigma, ambient_v):
+        # sigma 0.05 moves +-0.25 to either side of the clip from tick to tick
+        for ambient_w in CLIP_EDGES:
+            params = WindParams(ambient=(0.0, ambient_v, ambient_w), sigma_u=sigma, sigma_v=sigma,
+                                sigma_w=sigma, airspeed_nominal=2.0, d_max=0.125)
+            model, oracle = WindModel(params, seed=11), WindOracle(params, seed=11)
+            for _ in range(20):
+                got, want = model.sample(1.0), oracle.sample(1.0)
+                assert all(map(same_float, got, want)), (ambient_v, ambient_w, got, want)
+
+    def test_calm_values_on_and_beyond_the_clip(self):
+        for ambient, want in (((0.25, -0.25), (0.125, -0.125)), ((-0.5, 0.5), (-0.125, 0.125)),
+                              ((math.inf, -math.inf), (0.125, -0.125))):
+            wind = WindModel(WindParams(ambient=(0.0, *ambient), airspeed_nominal=2.0, d_max=0.125), seed=1)
+            assert wind.sample(1.0) == want
+        d_chi, d_gamma = WindModel(WindParams(ambient=(0.0, math.nan, -0.0)), seed=1).sample(1.0)
+        assert math.isnan(d_chi) and same_float(d_gamma, 0.0)
 
 
 class TestWindParams:

@@ -174,6 +174,21 @@ def lattice(n, spacing=1000.0):
     return block(*(((k // 5) * spacing, (k % 5) * spacing, 100.0) for k in range(n)))
 
 
+def mixed_fleet(n, seed, tied):
+    """n vehicles scattered in a 6 km cube, the first of them on a lattice when ``tied``.
+
+    The lattice's first max(7, n // 2) points have rows with three peers at
+    the same 1000 m, and the first two scattered vehicles coincide, so the
+    fleet has ties and a zero distance.  Scattered distances are distinct.
+    """
+    rng = np.random.default_rng(seed)
+    m = max(7, n // 2) if tied else 0
+    scattered = rng.uniform(-3000.0, 3000.0, (3, n - m)) + np.array([[20_000.0], [0.0], [3100.0]])
+    if tied:
+        scattered[:, 1] = scattered[:, 0]
+    return np.hstack((lattice(m), scattered))
+
+
 def assert_matches_oracle(caplog, positions, config, tick, dt=1.0):
     """Same graph, compared float for float, and the same warnings in order.
 
@@ -266,6 +281,26 @@ class TestTopologyMatchesOracle:
         config = CommConfig(r_com=r_com or comm["r_com_m"], c_max=c_max, gamma_signal=comm["gamma_signal"])
         assert_matches_oracle(caplog, positions, config, 0)
         assert "near-coincident" in caplog.text
+
+    @pytest.mark.parametrize("n", [10, 23, 41, 60])
+    @pytest.mark.parametrize("tied", [True, False])
+    @pytest.mark.parametrize("c_max", [1, 2])
+    @pytest.mark.parametrize("r_com", [1500.0, 30_000.0])
+    def test_rank_cut_runs_only_on_overflowing_rows(self, caplog, monkeypatch, n, tied, c_max, r_com):
+        # lattice rows hold three peers at one distance, more than c_max, so
+        # the screened candidates are ranked and cut; scattered rows have
+        # distinct distances, and a fleet of them alone is never sorted
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys)) or lexsort(keys))
+        positions = mixed_fleet(n, n, tied)
+        assert_matches_oracle(caplog, positions, CommConfig(r_com=r_com, c_max=c_max), 3)
+        assert bool(sorts) == tied
+        assert ("near-coincident" in caplog.text) == tied
+
+    def test_mixed_fleet_of_416(self, caplog):
+        assert_matches_oracle(caplog, mixed_fleet(416, 416, tied=True), CommConfig(r_com=5000.0, c_max=2), 0)
+        assert "vehicles 208 and 209 at d=0 m" in caplog.text
 
     @settings(
         max_examples=150,
