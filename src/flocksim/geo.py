@@ -280,14 +280,20 @@ def load_dem(path: str | Path) -> DemGrid:
         raise DemFormatError(
             f"{path}: expected {nrows * ncols} elevation values, found {len(tokens)}"
         )
-    values = np.empty(nrows * ncols, dtype=float)
-    for k, tok in enumerate(tokens):
-        try:
-            values[k] = float(tok)
-        except ValueError as exc:
-            raise DemFormatError(f"{path}: elevation token {k} is not a number: {tok!r}") from exc
-        if not math.isfinite(values[k]):
-            raise DemFormatError(f"{path}: elevation token {k} is not finite: {tok!r}")
+    try:
+        values = np.fromiter(map(float, tokens), float, len(tokens))
+        finite = bool(np.isfinite(values).all())
+    except ValueError:
+        finite = False
+    if not finite:
+        # Token by token again: the first offending one in file order names the error.
+        for k, tok in enumerate(tokens):
+            try:
+                value = float(tok)
+            except ValueError as exc:
+                raise DemFormatError(f"{path}: elevation token {k} is not a number: {tok!r}") from exc
+            if not math.isfinite(value):
+                raise DemFormatError(f"{path}: elevation token {k} is not finite: {tok!r}")
 
     try:
         return DemGrid(

@@ -20,6 +20,7 @@ are quarantined in a separate timing file.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import functools
 import hashlib
@@ -735,6 +736,11 @@ def compute_metrics(log: RunLog, scenario: Scenario) -> Metrics:
 
 _JSON_BOOL = ("false", "true")
 
+# Vehicle-ticks per block of events.csv premise rows.  Export formats and
+# writes one block at a time, so the memory it adds is bounded by the block,
+# not by the number of rows.
+_EVENT_BLOCK = 1024
+
 
 def _json_float(x: float) -> str:
     """``x`` as ``json.dumps`` spells it: ``repr``, or NaN, Infinity, -Infinity."""
@@ -768,7 +774,9 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
     non-finite floats ``NaN``, ``Infinity`` and ``-Infinity``; it is
     double-quoted with inner quotes doubled, as ``csv.writer`` quotes a
     field that holds a comma.  Event rows are sorted by (tick, uav_id,
-    event).
+    event).  ``events.csv`` is written through one open file, a fixed block
+    of vehicle-ticks' premise rows at a time, so the memory export adds
+    does not grow with the number of rows.
     """
     out = Path(out_dir)
     try:
@@ -787,8 +795,11 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
         fp.write_text(header + fmt % tuple(log.data[:, uav_id, :10].ravel().tolist()))
         written.append(fp)
 
-    # (tick, uav_id, event, line) per row, sorted on the first three.
-    events: list[tuple[int, int, str, str]] = []
+    # Replan rows are few: sort them once on (tick, uav_id, event), then
+    # merge each into the block of premise rows that holds its vehicle-tick,
+    # after that vehicle-tick's premise row ("premise_violation" sorts
+    # before both replan names).
+    replans: list[tuple[int, int, str, str]] = []
     for e in log.replan_events:
         detail = {
             "waypoints": [[p.north, p.east, p.height] for p in e.waypoints],
@@ -796,27 +807,41 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
             "overhead_s": e.overhead,
         }
         row = ["replan", e.tick, e.t, e.uav_id, json.dumps(detail, sort_keys=True)]
-        events.append((e.tick, e.uav_id, "replan", _csv_line(row)))
+        replans.append((e.tick, e.uav_id, "replan", _csv_line(row)))
     for f in log.replan_failures:
         row = ["replan_failed", f.tick, f.t, f.uav_id, json.dumps({"reason": f.reason})]
-        events.append((f.tick, f.uav_id, "replan_failed", _csv_line(row)))
-    ticks, uav_ids = np.nonzero(log.premise_violations())
-    premises = log.data[ticks, uav_ids, _PREMISES]
-    ticks, uav_ids = ticks.tolist(), uav_ids.tolist()
-    lat_ok, lon_ok, sign_ok = (premises[:, :3] != 0.0).T.tolist()
-    # The detail is json.dumps(sort_keys=True) of the three flags and the
-    # margin, quoted as csv.writer quotes it.
-    lines = [
-        f'premise_violation,{tick},{tick * log.dt!r},{uav_id},"{{""lat_ok"": {_JSON_BOOL[lat]}, '
-        f'""lon_ok"": {_JSON_BOOL[lon]}, ""margin"": {_json_float(margin)}, ""sign_ok"": {_JSON_BOOL[sign]}}}"\n'
-        for tick, uav_id, lat, lon, sign, margin in zip(
-            ticks, uav_ids, lat_ok, lon_ok, sign_ok, premises[:, 3].tolist()
-        )
-    ]
-    events.extend(zip(ticks, uav_ids, itertools.repeat("premise_violation"), lines))
-    events.sort(key=operator.itemgetter(0, 1, 2))
+        replans.append((f.tick, f.uav_id, "replan_failed", _csv_line(row)))
+    replans.sort(key=operator.itemgetter(0, 1, 2))
+    replan_at = [tick * log.n_uavs + uav_id for tick, uav_id, _, _ in replans]
+
+    # Premise rows in flat (tick, uav_id) order, one block at a time.
+    violations = log.premise_violations().ravel()
     fp = out / "events.csv"
-    fp.write_text(",".join(_EVENT_COLUMNS) + "\n" + "".join([line for _, _, _, line in events]))
+    with fp.open("w") as events:
+        events.write(",".join(_EVENT_COLUMNS) + "\n")
+        r = 0
+        for start in range(0, violations.size, _EVENT_BLOCK):
+            at = np.flatnonzero(violations[start:start + _EVENT_BLOCK]) + start
+            ticks, uav_ids = np.divmod(at, log.n_uavs)
+            premises = log.data[ticks, uav_ids, _PREMISES]
+            lat_ok, lon_ok, sign_ok = (premises[:, :3] != 0.0).T.tolist()
+            # The detail is json.dumps(sort_keys=True) of the three flags and
+            # the margin, quoted as csv.writer quotes it.
+            lines = [
+                f'premise_violation,{tick},{tick * log.dt!r},{uav_id},"{{""lat_ok"": {_JSON_BOOL[lat]}, '
+                f'""lon_ok"": {_JSON_BOOL[lon]}, ""margin"": {_json_float(margin)}, ""sign_ok"": {_JSON_BOOL[sign]}}}"\n'
+                for tick, uav_id, lat, lon, sign, margin in zip(
+                    ticks.tolist(), uav_ids.tolist(), lat_ok, lon_ok, sign_ok, premises[:, 3].tolist()
+                )
+            ]
+            end = bisect.bisect_left(replan_at, start + _EVENT_BLOCK, r)
+            # Last first, so that each insert leaves the earlier positions valid.
+            for k in range(end - 1, r - 1, -1):
+                lines.insert(np.searchsorted(at, replan_at[k], side="right"), replans[k][3])
+            r = end
+            events.write("".join(lines))
+        # Rows past the last vehicle-tick, if any, are not dropped.
+        events.write("".join([line for _, _, _, line in replans[r:]]))
     written.append(fp)
 
     fp = out / "metrics.json"

@@ -8,11 +8,14 @@ fill run logs with the values whose spelling differs between formatters
 (NaN, the infinities, -0.0, 1e16, 1e-5, the smallest subnormal) in every
 column, every premise-flag combination, non-positive margins, and replan
 rows that share a (tick, vehicle) with a premise row, and require equal
-bytes.
+bytes.  ``export`` writes the premise rows a block of vehicle-ticks at a
+time; a shrunken block puts replan rows on block edges, and a memory gate
+keeps what export allocates independent of the number of rows.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 from oracles import events_csv_oracle, trajectory_csv_oracle
 
 from flocksim import LOG_COLUMNS, Metrics, Point3, ReplanEvent, RunLog, export
+from flocksim import harness
 from flocksim.harness import ReplanFailure
 
 EDGES = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-5, 5e-324, -1e16, -1.5, 0.1, 2.0 / 3.0)
@@ -96,3 +100,49 @@ def test_non_finite_cursor_raises_as_the_oracle_does(cursor, tmp_path):
         trajectory_csv_oracle(log, 5)
     with pytest.raises(want.type):
         export(log, METRICS, tmp_path)
+
+
+def _add_replans(log, spots):
+    """A ``replan`` and a ``replan_failed`` row at each (tick, uav_id) of ``spots``."""
+    for tick, uav_id in spots:
+        log.replan_events.append(ReplanEvent(tick=tick, t=tick * log.dt, uav_id=uav_id,
+                                             waypoints=(Point3(1.0, -0.0, math.nan),), rt_sim=0.5,
+                                             overhead=math.inf, wall_ms=1.0))
+        log.replan_failures.append(ReplanFailure(tick=tick, t=tick * log.dt, uav_id=uav_id, reason=REASON))
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 7, 13, 64])
+def test_replan_rows_on_block_edges_keep_the_oracle_bytes(monkeypatch, tmp_path, block):
+    monkeypatch.setattr(harness, "_EVENT_BLOCK", block)
+    log = _edge_log(9, 5, 0.1, seed=11, n_replans=0)
+    log.data[4, :, FLAGS] = 1.0
+    log.data[4, :, MARGIN] = 1.0  # tick 4 has no premise row
+    n_uavs = log.n_uavs
+    violations = np.flatnonzero(log.premise_violations())
+    spots = set()
+    for start in range(0, log.n_ticks * n_uavs, block):
+        stop = min(start + block, log.n_ticks * n_uavs)
+        spots.update((start, stop - 1))  # first and last vehicle-tick of the block
+        inside = violations[(violations >= start) & (violations < stop)]
+        if inside.size:
+            spots.update((int(inside[0]), int(inside[-1])))  # its first and last premise row
+    spots.update(range(4 * n_uavs, 5 * n_uavs))
+    # Appended last first, so that export's sort has to reorder them.
+    _add_replans(log, [divmod(k, n_uavs) for k in sorted(spots, reverse=True)])
+    export(log, METRICS, tmp_path)
+    assert (tmp_path / "events.csv").read_bytes() == events_csv_oracle(log).encode()
+
+
+def test_export_memory_does_not_grow_with_the_row_count(tmp_path):
+    log = RunLog(n_uavs=100, dt=0.1, n_ticks=300)
+    log.data[...] = np.random.default_rng(5).normal(0.0, 1e3, log.data.shape)
+    log.data[:, :, FLAGS] = 0.0  # every vehicle-tick is a premise row: 30,000 rows
+    _add_replans(log, [(0, 0), (150, 42), (299, 99)])
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        export(log, METRICS, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - live < log.data.nbytes / 4

@@ -230,5 +230,28 @@ class TestDemIo:
         path.write_text(
             "nrows 2\nncols 2\norigin_north_m 0.0\norigin_east_m 0.0\ncell_size_m 10.0\n1 2 nan 4\n"
         )
-        with pytest.raises(DemFormatError):
+        with pytest.raises(DemFormatError, match="elevation token 2 is not finite: 'nan'"):
             load_dem(path)
+
+    def test_non_number_value_rejected(self, tmp_path):
+        path = tmp_path / "bad.dem"
+        path.write_text(
+            "nrows 2\nncols 2\norigin_north_m 0.0\norigin_east_m 0.0\ncell_size_m 10.0\n1 2 3 4x\n"
+        )
+        with pytest.raises(DemFormatError, match="elevation token 3 is not a number: '4x'"):
+            load_dem(path)
+
+    def test_first_bad_token_in_file_order_names_the_error(self, tmp_path):
+        path = tmp_path / "bad.dem"
+        path.write_text(
+            "nrows 2\nncols 2\norigin_north_m 0.0\norigin_east_m 0.0\ncell_size_m 10.0\n1 -inf\nx 4\n"
+        )
+        with pytest.raises(DemFormatError, match="elevation token 1 is not finite: '-inf'"):
+            load_dem(path)
+
+    def test_underscore_token_reads_as_float_reads_it(self, tmp_path):
+        path = tmp_path / "t.dem"
+        path.write_text(
+            "nrows 2\nncols 2\norigin_north_m 0.0\norigin_east_m 0.0\ncell_size_m 10.0\n1_0 2 3 4\n"
+        )
+        assert load_dem(path).elevation.tolist() == [[10.0, 2.0], [3.0, 4.0]]
