@@ -1,8 +1,10 @@
 """Terrain raster, cylindrical obstacle volumes, and segment safety tests.
 
 Coordinates are local level: ``north``/``east`` in meters from the grid
-origin, ``height`` in meters up.  A point argument is any (north, east,
-height) triple: a :class:`Point3`, a tuple or list, or an array row.
+origin, ``height`` in meters up.  A point is a (north, east, height)
+triple; :class:`Point3` is that triple as a named tuple, so numpy and
+``json`` take it as they take a plain tuple.  A point argument is any
+such triple: a :class:`Point3`, a tuple or list, or an array row.
 The elevation raster is row-major with the row axis along north, so
 ``elevation[r, c]`` sits at
 ``(origin_north + r*cell_size, origin_east + c*cell_size)``.
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -43,19 +45,12 @@ class DemFormatError(ValueError):
     """A DEM file failed to parse cleanly."""
 
 
-@dataclass(frozen=True)
-class Point3:
+class Point3(NamedTuple):
     """A point in local level coordinates (meters)."""
 
     north: float
     east: float
     height: float
-
-    def __iter__(self) -> Iterator[float]:
-        return iter((self.north, self.east, self.height))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.north, self.east, self.height], dtype=float)
 
 
 def lateral_distance(a: Iterable[float], b: Iterable[float]) -> float:

@@ -21,17 +21,16 @@ are quarantined in a separate timing file.
 from __future__ import annotations
 
 import bisect
-import csv
 import functools
 import hashlib
-import io
+import inspect
 import itertools
 import json
 import math
 import operator
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -237,8 +236,9 @@ class Metrics:
 # The YAML keys of each param class. A key is its field's name, with a unit
 # suffix (_m, _s, _rad, _mps or _radps) appended where the quantity has a
 # unit and the name does not already end in one. The default and the
-# int/float type of each key come from its dataclass field; a field without
-# a default is a required key. Fields the loader fills itself
+# int/float type of each key come from its field, read as a parameter of the
+# class's constructor (a dataclass or a named tuple); a field without a
+# default is a required key. Fields the loader fills itself
 # (CoordinationGains.dt, CommConfig.dropout_schedule, WindParams.ambient,
 # UavState.position) are not listed.
 _KEYS: dict[type, tuple[str, ...]] = {
@@ -286,9 +286,11 @@ def _get(node: dict, key: str, ctx: str) -> Any:
     return node[key]
 
 
-def _value(node: dict, key: str, ctx: str, default: Any = MISSING, integer: bool = False) -> Any:
+def _value(
+    node: dict, key: str, ctx: str, default: Any = inspect.Parameter.empty, integer: bool = False
+) -> Any:
     """``node[key]`` as a finite float, or as an int when ``integer``."""
-    if key not in node and default is not MISSING:
+    if key not in node and default is not inspect.Parameter.empty:
         return default
     value = _get(node, key, ctx)
     if integer:
@@ -305,11 +307,11 @@ def _value(node: dict, key: str, ctx: str, default: Any = MISSING, integer: bool
 @functools.cache
 def _schema(cls: type) -> tuple[tuple[str, str, Any, bool], ...]:
     """(key, field name, default, is-int) for each key of ``cls``, read once per class."""
-    by_name = {f.name: f for f in fields(cls)}
+    by_name = inspect.signature(cls).parameters
     rows = []
     for key in _KEYS[cls]:
         f = by_name.get(key) or by_name[key.rpartition("_")[0]]
-        rows.append((key, f.name, f.default, f.type in (int, "int")))
+        rows.append((key, f.name, f.default, f.annotation in (int, "int")))
     return tuple(rows)
 
 
@@ -489,7 +491,7 @@ def load_scenario(path: str | Path) -> Scenario:
             )
         _reject_unknown(row, ctx, _UAV_KEYS)
         uavs.append(UavSpec(uav_id=uav_id, initial=initial, limits=limits,
-                            waypoints=np.array([tuple(wp) for wp in waypoints])))
+                            waypoints=np.array(waypoints)))
 
     for k, w in enumerate(comm.dropout_schedule):
         if not (0 <= w.uav_a < len(uavs) and 0 <= w.uav_b < len(uavs)):
@@ -749,13 +751,6 @@ def _json_float(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0.0 else "-Infinity"
 
 
-def _csv_line(row: list[Any]) -> str:
-    """``row`` as one ``csv.writer`` line, quoted where a field needs it."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(row)
-    return buf.getvalue()
-
-
 def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
     """Write the run to ``out_dir``; returns the files written.
 
@@ -768,15 +763,17 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
     A float cell of a CSV is Python's ``repr`` of the value: the shortest
     text that reads back to the same double, and ``nan``, ``inf`` or
     ``-inf`` when it is not finite.  ``tick`` and ``uav_id`` are integers,
-    and ``cursor`` is its logged value truncated toward zero.  The
-    ``detail`` cell of ``events.csv`` is ``json.dumps(..., sort_keys=True)``
-    of the event's fields, which spells booleans ``true``/``false`` and
-    non-finite floats ``NaN``, ``Infinity`` and ``-Infinity``; it is
-    double-quoted with inner quotes doubled, as ``csv.writer`` quotes a
-    field that holds a comma.  Event rows are sorted by (tick, uav_id,
-    event).  ``events.csv`` is written through one open file, a fixed block
-    of vehicle-ticks' premise rows at a time, so the memory export adds
-    does not grow with the number of rows.
+    and ``cursor`` is its logged value truncated toward zero.  Every row
+    of ``events.csv`` has one form, written by one f-string: event, tick,
+    ``t_s``, ``uav_id`` and a ``detail`` cell that is
+    ``json.dumps(..., sort_keys=True)`` of the event's fields (booleans
+    ``true``/``false``, non-finite floats ``NaN``, ``Infinity`` and
+    ``-Infinity``, points as [north, east, height] lists), double-quoted
+    with inner quotes doubled, as ``csv.writer`` quotes a field that holds
+    a quote.  Event rows are sorted by (tick, uav_id, event).
+    ``events.csv`` is written through one open file, a fixed block of
+    vehicle-ticks' premise rows at a time, so the memory export adds does
+    not grow with the number of rows.
     """
     out = Path(out_dir)
     try:
@@ -799,18 +796,13 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
     # merge each into the block of premise rows that holds its vehicle-tick,
     # after that vehicle-tick's premise row ("premise_violation" sorts
     # before both replan names).
+    rows = [("replan", e.tick, e.t, e.uav_id, {"waypoints": e.waypoints, "rt_sim_s": e.rt_sim,
+                                               "overhead_s": e.overhead}) for e in log.replan_events]
+    rows += [("replan_failed", f.tick, f.t, f.uav_id, {"reason": f.reason}) for f in log.replan_failures]
     replans: list[tuple[int, int, str, str]] = []
-    for e in log.replan_events:
-        detail = {
-            "waypoints": [[p.north, p.east, p.height] for p in e.waypoints],
-            "rt_sim_s": e.rt_sim,
-            "overhead_s": e.overhead,
-        }
-        row = ["replan", e.tick, e.t, e.uav_id, json.dumps(detail, sort_keys=True)]
-        replans.append((e.tick, e.uav_id, "replan", _csv_line(row)))
-    for f in log.replan_failures:
-        row = ["replan_failed", f.tick, f.t, f.uav_id, json.dumps({"reason": f.reason})]
-        replans.append((f.tick, f.uav_id, "replan_failed", _csv_line(row)))
+    for event, tick, t, uav_id, detail in rows:
+        quoted = json.dumps(detail, sort_keys=True).replace('"', '""')
+        replans.append((tick, uav_id, event, f'{event},{tick},{t},{uav_id},"{quoted}"\n'))
     replans.sort(key=operator.itemgetter(0, 1, 2))
     replan_at = [tick * log.n_uavs + uav_id for tick, uav_id, _, _ in replans]
 

@@ -109,7 +109,7 @@ def sample_region(
     pts[:, 1] = obstacle.center_east + radius * np.sin(angle)
     pts[:, 2] = height
 
-    rel = pts - pos.as_array()
+    rel = pts - pos
     norms = np.linalg.norm(rel, axis=1)
     ok = norms > 0.0
     cos_angle = np.zeros(k)
@@ -129,13 +129,13 @@ def candidate_cost(uav: UavState, pts: np.ndarray, target: Point3) -> np.ndarray
     bounded-turn model, and one on the vehicle or on the target has no
     bearing; both get an infinite cost, losing every comparison.
     """
-    rel1 = pts - uav.position.as_array()
+    rel1 = pts - uav.position
     lat1 = np.hypot(rel1[:, 0], rel1[:, 1])
     d1 = np.linalg.norm(rel1, axis=1)
     chi1 = np.arctan2(rel1[:, 1], rel1[:, 0])
     gamma1 = np.arctan2(rel1[:, 2], lat1)
 
-    rel2 = target.as_array() - pts
+    rel2 = target - pts
     lat2 = np.hypot(rel2[:, 0], rel2[:, 1])
     d2 = np.linalg.norm(rel2, axis=1)
     chi2 = np.arctan2(rel2[:, 1], rel2[:, 0])
@@ -187,9 +187,7 @@ def best_detour(
     order = np.argsort(costs, kind="stable")
     rejected_obstructed = 0
     rejected_terrain = 0
-    # The segment tests unpack a Point3 through its Python-level __iter__;
-    # plain triples unpack several times faster.
-    start, goal = tuple(uav.position), tuple(target)
+    start = uav.position
     for idx in order:
         if not math.isfinite(costs[idx]):
             break
@@ -200,9 +198,9 @@ def best_detour(
         if not segment_above_terrain(grid, start, point, params.clearance, params.terrain_step):
             rejected_terrain += 1
             continue
-        terminal = not segment_obstructed(point, goal, obstacle, now)
+        terminal = not segment_obstructed(point, target, obstacle, now)
         if terminal and not segment_above_terrain(
-            grid, point, goal, params.clearance, params.terrain_step
+            grid, point, target, params.clearance, params.terrain_step
         ):
             rejected_terrain += 1
             continue
@@ -244,24 +242,20 @@ def replan(
     rejection counts never shift later draws.
     """
     virtual = uav
-    # The segment tests take plain triples, as in best_detour.
-    start, goal = tuple(uav.position), tuple(target)
-    waypoints: list[tuple[float, float, float]] = []
+    waypoints: list[Point3] = []
     for iteration in range(params.max_iterations):
-        if not segment_obstructed(start, goal, obstacle, now):
+        if not segment_obstructed(virtual.position, target, obstacle, now):
             break
         rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(iteration,)))
         try:
             point, _ = best_detour(virtual, target, rng, grid, obstacle, now, params)
         except ReplanError as exc:
             raise ReplanError(f"iteration {iteration}: {exc}", iteration=iteration) from exc
-        end = (point.north, point.east, point.height)
-        waypoints.append(end)
-        chi, gamma = reference_angles(np.subtract(end, start)[:, None])
+        waypoints.append(point)
+        chi, gamma = reference_angles(np.subtract(point, virtual.position)[:, None])
         virtual = replace(virtual, position=point, chi=chi.item(), gamma=gamma.item())
-        start = end
     else:
-        if segment_obstructed(start, goal, obstacle, now):
+        if segment_obstructed(virtual.position, target, obstacle, now):
             raise ReplanError(
                 f"still obstructed after {params.max_iterations} iterations",
                 iteration=params.max_iterations - 1,

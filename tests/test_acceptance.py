@@ -66,7 +66,7 @@ def test_01_guidance_convergence_without_wind():
     state = UavState(position=Point3(0.0, 0.0, 0.0), chi=0.0, gamma=0.0, psi=0.0, v_g=13.5)
 
     assert distance3(state.position, wp) == pytest.approx(500.0, abs=1e-9)
-    rel = wp.as_array() - state.position.as_array()
+    rel = np.subtract(wp, state.position)
     mu = state.velocity_unit()
     perp = rel - float(rel @ mu) * mu
     assert float(np.linalg.norm(perp)) == pytest.approx(200.0, abs=1e-9)
@@ -81,7 +81,7 @@ def test_01_guidance_convergence_without_wind():
     for _ in range(4000):
         north, east, height, chi, gamma, _psi = y[:, 0].tolist()
         state = UavState(Point3(north, east, height), chi, gamma, _psi, v_g=float(act[2, 0]))
-        rel = wp.as_array() - state.position.as_array()
+        rel = np.subtract(wp, state.position)
         if float(rel @ state.velocity_unit()) < 0.0:
             break  # waypoint passed: the pursuit is over
         chi_c, gamma_c = reference_angles(rel[:, None])
@@ -281,7 +281,7 @@ def test_09_fleet_size_sweep(scenario_dir):
                 f"fleet {n}: uav {spec.uav_id} never reached its final waypoint"
             )
             dists = np.linalg.norm(
-                log.positions(spec.uav_id) - scenario.target.as_array(), axis=1
+                log.positions(spec.uav_id) - scenario.target, axis=1
             )
             assert float(dists.min()) <= 40.0, (
                 f"fleet {n}: uav {spec.uav_id} never entered the target's acceptance radius"

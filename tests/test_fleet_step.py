@@ -266,11 +266,11 @@ def fleet_control_inputs(states, paths, gp, spliced):
     its course and climb.
     """
     y, act = fleet_arrays(states)
-    table = FleetPaths([[tuple(p) for p in waypoints] for waypoints, _ in paths], [c for _, c in paths])
+    table = FleetPaths([waypoints for waypoints, _ in paths], [c for _, c in paths])
     offset, distance = advance_virtual_target(table, y, gp)
     advanced = [i for i, (_, cursor) in enumerate(paths) if table.cursor[i] != cursor]
     for i, detour in spliced.items():
-        table.splice(i, [tuple(p) for p in detour])
+        table.splice(i, detour)
     if spliced:
         offset, distance = table.offsets(y)
     far = distance >= _COINCIDENT_EPS

@@ -4,6 +4,7 @@ Expected values are either exact by construction or frozen from the
 independent hand evaluation named next to each assertion.
 """
 
+import json
 import math
 
 import numpy as np
@@ -45,6 +46,41 @@ class TestDistances:
     def test_distance3_identity(self):
         p = Point3(-4.0, 9.0, 2.5)
         assert distance3(p, p) == 0.0
+
+
+class TestPoint3IsATriple:
+    # The loader builds a path's (m, 3) array from its Point3 rows and the
+    # export writes a replan's Point3s through json.dumps, both unconverted.
+    def test_numpy_reads_points_as_float_rows(self):
+        rows = np.array([Point3(1.0, 2.0, 3.0), Point3(-4.5, 0.0, 1e3)])
+        assert rows.dtype == np.float64
+        assert rows.tolist() == [[1.0, 2.0, 3.0], [-4.5, 0.0, 1000.0]]
+
+    def test_json_writes_a_point_as_a_list(self):
+        assert json.dumps(Point3(1.0, 2.0, 3.0)) == "[1.0, 2.0, 3.0]"
+        assert json.loads(json.dumps((Point3(0.5, -1.0, math.inf),))) == [[0.5, -1.0, math.inf]]
+
+    def test_repr_names_the_fields(self):
+        # loader error messages embed it
+        assert repr(Point3(1.0, -2.5, 30.0)) == "Point3(north=1.0, east=-2.5, height=30.0)"
+
+    def test_immutable_and_hashed_as_its_triple(self):
+        p = Point3(1.0, 2.0, 3.0)
+        with pytest.raises(AttributeError):
+            p.north = 0.0
+        assert p == (1.0, 2.0, 3.0) and hash(p) == hash((1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [((-60.0, 0.0, 100.0), (60.0, 0.0, 100.0)), ((-100.0, 60.0, 100.0), (100.0, 60.0, 100.0)),
+         ((0.0, 0.0, 300.0), (0.0, 0.0, 50.0)), ((-50.0, 30.0, 100.0), (50.0, 30.0, 100.0))],
+    )
+    def test_geo_reads_a_point_as_its_plain_tuple(self, a, b):
+        ob = Obstacle(0.0, 0.0, 30.0, 0.0, 200.0)
+        pa, pb = Point3(*a), Point3(*b)
+        assert segment_obstructed(pa, pb, ob, now=0.0) == segment_obstructed(a, b, ob, now=0.0)
+        assert distance3(pa, pb) == distance3(a, b)
+        assert lateral_distance(pa, pb) == lateral_distance(a, b)
 
 
 class TestObstacle:

@@ -200,7 +200,7 @@ class TestAdvanceVirtualTarget:
 
 def one_reference(position, target):
     """reference_angles over the one-column offset from ``position`` to ``target``."""
-    offset = (target.as_array() - position.as_array())[:, None]
+    offset = np.subtract(target, position)[:, None]
     chi_c, gamma_c = reference_angles(offset)
     return chi_c.item(), gamma_c.item()
 

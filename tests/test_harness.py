@@ -8,6 +8,7 @@ mean error vector with the n-1 denominator.
 import copy
 import csv
 import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -391,7 +392,7 @@ class TestScenarioSchema:
         units = ("", "_m", "_s", "_rad", "_mps", "_radps")
         filled_by_loader = {"dt", "dropout_schedule", "ambient", "position"}
         for cls, keys in _KEYS.items():
-            names = [f.name for f in dataclasses.fields(cls)]
+            names = list(inspect.signature(cls).parameters)
             matched = []
             for key in keys:
                 owners = [n for n in names if any(key == n + unit for unit in units)]
@@ -444,7 +445,7 @@ class TestRun:
         scenario = load_scenario(make_scenario_file())
         log, metrics = run(scenario)
         dists = np.linalg.norm(
-            log.positions(0) - scenario.target.as_array(), axis=1
+            log.positions(0) - scenario.target, axis=1
         )
         assert float(dists.min()) < 40.0
         assert metrics.ae_mean_m < 15.0
@@ -466,7 +467,7 @@ class TestRun:
         # dt fine enough that the flyby itself is sampled, not just bracketed
         scenario = load_scenario(make_scenario_file(dt_s=0.2))
         log, metrics = run(scenario)
-        dists = np.linalg.norm(log.positions(0) - scenario.target.as_array(), axis=1)
+        dists = np.linalg.norm(log.positions(0) - scenario.target, axis=1)
         arrival = int(np.argmin(dists))
         assert dists[arrival] < 5.0
         # theta falls monotonically once the speed transient settles
@@ -571,7 +572,7 @@ class TestRun:
             assert not segment_obstructed(a, b, scenario.obstacle, event.t)
 
         # and the vehicle still completes the mission
-        dists = np.linalg.norm(log.positions(0) - scenario.target.as_array(), axis=1)
+        dists = np.linalg.norm(log.positions(0) - scenario.target, axis=1)
         assert float(dists.min()) < 40.0
         assert metrics.detour_overhead_s > 0.0
 

@@ -52,7 +52,7 @@ def region_params(k_samples=10_000, delta_angle=math.pi / 3):
 
 def cost_of(uav, candidate, target):
     """candidate_cost of one point."""
-    return candidate_cost(uav, candidate.as_array()[None, :], target)[0]
+    return candidate_cost(uav, np.array([candidate]), target)[0]
 
 
 class TestRegionContains:
@@ -166,8 +166,8 @@ class TestTransitAngles:
     def test_leg2_collinear_is_zero(self):
         uav = make_uav(chi=0.3, gamma=0.1)
         heading = uav.velocity_unit()
-        candidate = Point3(*(uav.position.as_array() + 300.0 * heading))
-        target = Point3(*(uav.position.as_array() + 700.0 * heading))
+        candidate = Point3(*np.add(uav.position, 300.0 * heading))
+        target = Point3(*np.add(uav.position, 700.0 * heading))
         assert cost_of(uav, candidate, target) == pytest.approx(700.0, abs=1e-9)
 
     def test_leg2_right_angle_dogleg(self):
@@ -223,7 +223,7 @@ class TestCandidateCost:
         pts = rng.uniform((50.0, -300.0, 60.0), (700.0, 300.0, 160.0), (200, 3))
         costs = candidate_cost(uav, pts, target)
         finite = np.isfinite(costs)
-        low = np.linalg.norm(pts - uav.position.as_array(), axis=1) + np.linalg.norm(target.as_array() - pts, axis=1)
+        low = np.linalg.norm(pts - uav.position, axis=1) + np.linalg.norm(target - pts, axis=1)
         assert np.all(costs[finite] >= low[finite] - 1e-9)
         assert np.count_nonzero(finite) > 50
 
@@ -244,7 +244,7 @@ class TestCandidateCost:
     def test_candidate_on_vehicle_or_target_is_infeasible(self):
         uav = make_uav()
         target = Point3(700.0, 0.0, 100.0)
-        pts = np.array([uav.position.as_array(), target.as_array(), (300.0, 0.0, 100.0)])
+        pts = np.array([uav.position, target, (300.0, 0.0, 100.0)])
         assert candidate_cost(uav, pts, target).tolist() == [math.inf, math.inf, 700.0]
 
 
