@@ -1,11 +1,13 @@
 """``export`` writes the bytes of the one-row-at-a-time oracles.
 
-``export`` formats each trajectory CSV with one %-format call and each
-premise-violation row with one f-string.  ``trajectory_csv_oracle`` and
-``events_csv_oracle`` in ``tests/oracles.py`` build the same files a row
-at a time with ``repr``, ``json.dumps`` and ``csv.writer``.  These tests
-fill run logs with the values whose spelling differs between formatters
-(NaN, the infinities, -0.0, 1e16, 1e-5, the smallest subnormal) in every
+``export`` joins each trajectory CSV from rows whose floats orjson
+spells, and writes each premise-violation row with one f-string.
+``trajectory_csv_oracle`` and ``events_csv_oracle`` in
+``tests/oracles.py`` build the same files a row at a time with ``repr``,
+``json.dumps`` and ``csv.writer``.  These tests fill run logs with the
+values whose spelling differs between formatters (NaN, the infinities,
+-0.0, 1e16, 1e-5, the smallest subnormal, and the doubles on each side of
+1e-4 and 1e16, where orjson's spelling stops matching ``repr``) in every
 column, every premise-flag combination, non-positive margins, and replan
 rows that share a (tick, vehicle) with a premise row, and require equal
 bytes.  ``export`` writes the premise rows a block of vehicle-ticks at a
@@ -27,7 +29,8 @@ from flocksim import LOG_COLUMNS, Metrics, Point3, ReplanEvent, RunLog, export
 from flocksim import harness
 from flocksim.harness import ReplanFailure
 
-EDGES = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-5, 5e-324, -1e16, -1.5, 0.1, 2.0 / 3.0)
+EDGES = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-5, 5e-324, -1e16, -1.5, 0.1, 2.0 / 3.0,
+         1e-4, -1e-4, math.nextafter(1e-4, 0), 9999999999999998.0, math.nextafter(1e16, math.inf))
 # int() truncates each toward zero; 2.7 and -2.7 tell truncation from rounding.
 CURSORS = (-0.0, 0.0, 1e16, 1e-5, 5e-324, 2.7, -2.7, 3.0)
 FLAG_COMBOS = tuple(itertools.product((0.0, 1.0), repeat=3))
@@ -43,9 +46,9 @@ METRICS = Metrics(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, [], 0, 0, 0)
 def _edge_log(n_ticks, n_uavs, dt, seed, n_replans):
     """A log of edge values and normal draws, with replan rows at random and at a premise row.
 
-    With at least 20 vehicle-ticks, the first 12 are premise rows that hold
-    every edge value in every column, and the next 8 every flag combination
-    at a margin <= 0.
+    With at least len(EDGES) + 8 vehicle-ticks, the first len(EDGES) are
+    premise rows that hold every edge value in every column, and the next 8
+    every flag combination at a margin <= 0.
     """
     log = RunLog(n_uavs=n_uavs, dt=dt, n_ticks=n_ticks)
     rng = np.random.default_rng(seed)
@@ -90,6 +93,32 @@ def test_export_bytes_equal_the_oracles(tmp_path_factory, n_ticks, n_uavs, dt, s
     for uav_id in range(n_uavs):
         assert (out / f"uav_{uav_id:02d}.csv").read_bytes() == trajectory_csv_oracle(log, uav_id).encode()
     assert (out / "events.csv").read_bytes() == events_csv_oracle(log).encode()
+
+
+def _bit_patterns(exponents):
+    """float64 bit patterns: any sign and mantissa, the biased exponent drawn from ``exponents``."""
+    return st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+                     st.integers(0, 1), exponents, st.integers(0, 2**52 - 1))
+
+
+# Biased exponents 1009..1077 are magnitudes from 2**-14 to 2**55, which
+# straddle both edges of orjson's band: 1e-4 is about 2**-13.3 and 1e16
+# about 2**53.2.  The full range adds subnormals, NaNs and infinities.
+NEAR_BAND = _bit_patterns(st.integers(1023 - 14, 1023 + 54))
+ANY_DOUBLE = _bit_patterns(st.integers(0, 2047))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(st.lists(NEAR_BAND, min_size=k, max_size=k)
+                                                 | st.lists(ANY_DOUBLE, min_size=k, max_size=k), max_size=16))
+    )
+)
+def test_repr_rows_equal_repr_of_each_cell(shaped):
+    k, rows = shaped
+    block = np.array(rows, dtype=np.uint64).reshape(len(rows), k).view(np.float64)
+    assert harness._repr_rows(block) == [",".join(map(repr, row)) for row in block.tolist()]
 
 
 @pytest.mark.parametrize("cursor", [math.nan, math.inf, -math.inf])

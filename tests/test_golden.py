@@ -14,6 +14,11 @@ reference scenario replans three times (4, 2 and 1 detour points) and
 fails three replans, so that case pins a multi-iteration replan, a later
 replan of the same vehicle and the failure messages in ``events.csv``.
 
+Replays must not depend on which SIMD kernels numpy dispatches to: two
+cases run again in child processes with ``NPY_DISABLE_CPU_FEATURES``
+turning off numpy's AVX-512 dispatch targets (``X86_V4`` and the later
+ones), and then also AVX2 (``X86_V3``), and must give the same digests.
+
 An intended change to exported numbers updates the table below in one
 place and says why in CHANGES.md.  ``manifest.json`` loses its
 ``scenario_path`` field before hashing, because it names the checkout
@@ -22,7 +27,10 @@ directory.
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,3 +141,53 @@ def test_export_digests_unchanged(name, scenario_dir, tmp_path):
     out = tmp_path / "out"
     export(log, metrics, out)
     assert _export_digests(out) == GOLDEN[name]
+
+
+# Run in a child process, whose numpy reads NPY_DISABLE_CPU_FEATURES at
+# import: fails unless the named features read as off, then prints the
+# digests of each case named on the command line.
+_DISPATCH_CHILD = """
+import json, os, sys
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_features__
+from flocksim import export, load_scenario, run
+from test_golden import _export_digests, _scenario_file
+
+still_on = [f for f in os.environ["NPY_DISABLE_CPU_FEATURES"].split() if __cpu_features__[f]]
+if still_on:
+    sys.exit(f"NPY_DISABLE_CPU_FEATURES left {still_on} on")
+scenario_dir, work = sys.argv[1], Path(sys.argv[2])
+digests = {}
+for name in sys.argv[3:]:
+    (work / name).mkdir()
+    log, metrics = run(load_scenario(_scenario_file(name, scenario_dir, work / name)))
+    export(log, metrics, work / name / "out")
+    digests[name] = _export_digests(work / name / "out")
+print(json.dumps(digests))
+"""
+DISPATCH_CASES = ("reference_4uav", "reference_4uav_seed1")
+
+
+# Each case keeps numpy's dispatch targets up to a level and turns off every
+# higher one this CPU has.  Turning off X86_V4 alone leaves the AVX512_ICL and
+# AVX512_SPR targets on (numpy 2.4), so the targets are listed one by one.
+@pytest.mark.parametrize("keep", [["X86_V3"], []], ids=["no-avx512", "no-avx512-no-avx2"])
+def test_digests_do_not_depend_on_simd_dispatch(keep, scenario_dir, tmp_path):
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        pytest.skip("numpy before 2.0 has no X86_V3/X86_V4 dispatch targets")
+    if not {"X86_V3", "X86_V4"} <= set(__cpu_dispatch__):
+        pytest.skip(f"numpy dispatches to {__cpu_dispatch__} here, not to X86_V3 and X86_V4")
+    features = [f for f in __cpu_dispatch__ if f not in keep and __cpu_features__[f]]
+    if not features:
+        pytest.skip(f"this CPU runs no dispatch target above {keep or 'the baseline'}")
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(features),
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _DISPATCH_CHILD, scenario_dir, str(tmp_path), *DISPATCH_CASES],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {name: GOLDEN[name] for name in DISPATCH_CASES}

@@ -16,6 +16,7 @@ import re
 import shutil
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -387,6 +388,19 @@ class TestScenarioSchema:
         with pytest.raises(ScenarioError) as info:
             load_variant(make_scenario_file, ("wind", "ambient_mps"), ambient)
         assert str(info.value) == f"scenario.wind.ambient_mps.{message}"
+
+    def test_int_field_of_a_named_tuple_loads_as_an_int(self, monkeypatch):
+        class Counted(NamedTuple):
+            # Strings, as every annotation is under postponed evaluation; a
+            # named tuple's signature shows them as ForwardRef('int').
+            count: "int"
+            scale: "float" = 1.0
+
+        monkeypatch.setitem(_KEYS, Counted, ("count", "scale_m"))
+        assert harness._section(Counted, {"count": 2}, "scenario.counted") == Counted(2, 1.0)
+        with pytest.raises(ScenarioError) as info:
+            harness._section(Counted, {"count": 1.5}, "scenario.counted")
+        assert str(info.value) == "scenario.counted.count: expected an integer, got 1.5"
 
     def test_keys_map_one_to_one_onto_fields(self):
         units = ("", "_m", "_s", "_rad", "_mps", "_radps")

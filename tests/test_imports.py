@@ -1,10 +1,14 @@
-"""Static checks over the source: no unused imports, no dangling ``__all__`` entries.
+"""Static checks over the source: no unused imports, no dangling ``__all__`` entries,
+no third-party import that ``pyproject.toml`` does not declare.
 
-Both work on the syntax tree alone, so they need nothing beyond the
-standard library and run no module code.
+They work on the syntax tree and the installed packages' metadata, so they
+need nothing beyond the standard library and run no module code.
 """
 
 import ast
+import re
+import sys
+from importlib.metadata import packages_distributions
 from pathlib import Path
 
 import pytest
@@ -71,3 +75,33 @@ def test_all_entries_are_bound_at_top_level(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unbound = sorted(set(_literal_all(tree)) - _bound_at_top_level(tree))
     assert not unbound, f"{path.name} lists names in __all__ that it never binds: {unbound}"
+
+
+def _requirement_names() -> set[str]:
+    """The normalized distribution names in ``pyproject.toml``'s ``[project] dependencies``."""
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is in the standard library from Python 3.11")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return {_normalized(re.match(r"[A-Za-z0-9._-]+", req).group()) for req in project["dependencies"]}
+
+
+def _normalized(name: str) -> str:
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+PACKAGE_FILES = sorted(PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=_ids(PACKAGE_FILES))
+def test_third_party_imports_are_declared_dependencies(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level}
+    third_party = {m.partition(".")[0] for m in modules} - set(sys.stdlib_module_names) - {"flocksim"}
+    # An import name maps to the distributions that install it (yaml -> PyYAML).
+    distributions = packages_distributions()
+    declared = _requirement_names()
+    undeclared = sorted(
+        top for top in third_party
+        if not declared & {_normalized(d) for d in distributions.get(top, [top])}
+    )
+    assert not undeclared, f"{path.name} imports {undeclared}, which pyproject.toml's dependencies do not name"
