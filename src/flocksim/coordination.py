@@ -40,15 +40,12 @@ class CoordinationGains:
     k_theta: float = 1.0
     gamma_d: float = 1.0
     k_vg: float = 0.001
-    dt: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.k_theta > 0.0:
             raise ValueError(f"k_theta must be positive, got {self.k_theta}")
         if not self.k_vg > 0.0:
             raise ValueError(f"k_vg must be positive, got {self.k_vg}")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
 
 
 def time_index(distance: np.ndarray, remaining: np.ndarray, v_g: np.ndarray) -> np.ndarray:
@@ -93,18 +90,19 @@ def speed_command(
     theta_dot: np.ndarray,
     v_g: np.ndarray,
     gains: CoordinationGains,
+    dt: float,
     lo: np.ndarray,
     hi: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(N,) ground-speed setpoints and time-index references.
 
-    The reference theta_ref = theta + theta_dot*dt and the speed moves by
-    -k_vg*(theta_ref - theta).  A vehicle lagging its peers (theta above
-    theirs) gets a reduced theta_dot from the consensus term, hence a
-    smaller subtraction and a faster setpoint than theirs: disagreement
-    shrinks.  Clipped to the speed rows of the (3, N) actuator bounds
+    The reference theta_ref = theta + theta_dot*dt looks one comm period
+    ``dt`` ahead, and the speed moves by -k_vg*(theta_ref - theta).  A
+    vehicle lagging its peers (theta above theirs) gets a reduced
+    theta_dot from the consensus term, hence a smaller subtraction and a
+    faster setpoint than theirs: disagreement shrinks.  Clipped to the speed rows of the (3, N) actuator bounds
     ``lo``/``hi``.
     """
-    theta_ref = theta + theta_dot * gains.dt
+    theta_ref = theta + theta_dot * dt
     v_cmd = v_g - gains.k_vg * (theta_ref - theta)
     return _clip(v_cmd, lo[2], hi[2]), theta_ref

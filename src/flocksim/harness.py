@@ -2,16 +2,12 @@
 
 A scenario is one YAML file naming a terrain raster, a shared target, a
 fleet of vehicles with waypoint paths, and the controller parameters.
-``run`` keeps the fleet's paths in one ``FleetPaths`` table and
-executes the per-tick sequence for the whole fleet at once: advance the
-virtual targets (``advance_virtual_target`` walks every cursor past the
-waypoints it has reached), check/replan around the obstacle once it is
-active (per vehicle, splicing each detour into the table), then the time
-indices, the reference angles, the consensus speed and the steering
-commands; then (after all vehicles have decided) exchange time indices
-over the network and integrate the dynamics.  Time indices reach their
-receivers one tick later, so no vehicle ever acts on a peer's
-current-tick value.
+Each tick ``run`` walks the fleet's virtual targets and replans around an
+active obstacle, then makes one ``comm_step`` (time indices, reference
+angles, consensus rate and speed command) and one ``control_step``
+(steering commands, premise monitor, autopilot, wind and RK4).  Time
+indices reach their receivers one tick later, so no vehicle ever acts on
+a peer's current-tick value.
 
 Everything downstream of a (scenario, master seed) pair is deterministic;
 exports are byte-stable and the wall-clock timings that cannot be stable
@@ -74,10 +70,14 @@ __all__ = [
     "Metrics",
     "load_scenario",
     "run",
+    "comm_step",
+    "control_step",
     "compute_metrics",
     "export",
 ]
 
+# Below this distance (m) to its active waypoint a vehicle has no bearing
+# and keeps its course and climb.
 _COINCIDENT_EPS = 1e-9
 
 # Export files that carry wall-clock measurements. Replay verification
@@ -240,8 +240,8 @@ class Metrics:
 # int/float type of each key come from its field, read as a parameter of the
 # class's constructor (a dataclass or a named tuple); a field without a
 # default is a required key. Fields the loader fills itself
-# (CoordinationGains.dt, CommConfig.dropout_schedule, WindParams.ambient,
-# UavState.position) are not listed.
+# (CommConfig.dropout_schedule, WindParams.ambient, UavState.position) are
+# not listed.
 _KEYS: dict[type, tuple[str, ...]] = {
     Point3: ("north_m", "east_m", "height_m"),
     GuidanceParams: ("k_chi", "k_gamma", "acceptance_radius_m", "delta_lat_rad", "delta_lon_rad"),
@@ -398,8 +398,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError("scenario.target: outside the terrain footprint")
 
     guidance = _section(GuidanceParams, root.get("guidance", {}), "scenario.guidance")
-    coordination = _section(CoordinationGains, root.get("coordination", {}), "scenario.coordination",
-                            dt=dt)
+    coordination = _section(CoordinationGains, root.get("coordination", {}), "scenario.coordination")
 
     m_node = _expect_mapping(root.get("comm", {}), "scenario.comm")
     rows = m_node.get("dropout_schedule", [])
@@ -533,21 +532,93 @@ def load_scenario(path: str | Path) -> Scenario:
 # The tick loop
 
 
+def comm_step(paths: FleetPaths, offset: np.ndarray, distance: np.ndarray, y: np.ndarray, act: np.ndarray,
+              received: np.ndarray, strength: np.ndarray, gains: CoordinationGains, dt: float,
+              lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One comm step of the fleet: (N,) theta, chi_c, gamma_c, theta_dot, v_cmd and theta_ref.
+
+    ``offset`` and ``distance`` lead to the active waypoints of ``paths``;
+    a vehicle within 1e-9 m of its own keeps its course and climb.  The
+    speed command looks one comm period ``dt`` ahead.
+    """
+    theta = time_index(distance, paths.remaining, act[2])
+    if distance.min() >= _COINCIDENT_EPS:
+        chi_c, gamma_c = reference_angles(offset)
+    else:
+        far = distance >= _COINCIDENT_EPS
+        chi_c, gamma_c = y[3].copy(), y[4].copy()
+        chi_c[far], gamma_c[far] = reference_angles(offset[:, far])
+    theta_dot = consensus_rate(theta, received, strength, gains)
+    v_cmd, theta_ref = speed_command(theta, theta_dot, act[2], gains, dt, lo, hi)
+    return theta, chi_c, gamma_c, theta_dot, v_cmd, theta_ref
+
+
+def control_step(y: np.ndarray, act: np.ndarray, chi_c: np.ndarray, gamma_c: np.ndarray, v_cmd: np.ndarray,
+                 target_height: np.ndarray, winds: list[WindModel], lo: np.ndarray, hi: np.ndarray, dt: float,
+                 gp: GuidanceParams, ap: AutopilotParams) -> tuple[Any, ...]:
+    """One control step of the fleet: ``(y, act, cmd, (eta_lat, eta_lon), premises)``.
+
+    Look-ahead, steering commands (the (3, N) ``cmd``, ``v_cmd`` its last
+    row), the premise monitor, the autopilot, one gust per vehicle from
+    ``winds``, then RK4 on the autopilot's output: the next ``y``, ``act``.
+    """
+    n = y.shape[1]
+    eta_lat, eta_lon = look_ahead_angles(y[3], y[4], chi_c, gamma_c)
+    phi_c, n_lf_c = guidance_commands(eta_lat, eta_lon, y, act, gp, lo, hi)
+    premises = convergence_conditions(eta_lat, eta_lon, y, act, target_height, gp)
+    cmd = np.array((phi_c, n_lf_c, v_cmd))
+    act = step_autopilot(act, cmd, lo, hi, dt, ap)
+    gusts = np.fromiter(itertools.chain.from_iterable([wind.sample(dt) for wind in winds]), float, 2 * n)
+    y = step_kinematics(y, act, gusts.reshape(n, 2).T, dt, ap)
+    return y, act, cmd, (eta_lat, eta_lon), premises
+
+
+def _replan_obstructed(scenario: Scenario, log: RunLog, paths: FleetPaths, y: np.ndarray, act: np.ndarray,
+                       tick: int, t: float, replan_counts: list[int]) -> bool:
+    """Splice a detour into each path that the obstacle blocks, logging each replan; True if one was spliced."""
+    positions, actives = y[:3].T.tolist(), paths.active.T.tolist()
+    spliced = False
+    for i in range(len(positions)):
+        if not segment_obstructed(positions[i], actives[i], scenario.obstacle, t):
+            continue
+        wall0 = time.perf_counter()
+        event_seed = derive_seed(scenario.master_seed, i, "replan", replan_counts[i])
+        replan_counts[i] += 1
+        pos, active = Point3(*positions[i]), Point3(*actives[i])
+        chi, gamma, psi = y[3:, i].tolist()
+        phi, n_lf, v_g = act[:, i].tolist()
+        state = UavState(pos, chi, gamma, psi, v_g, phi, n_lf)
+        try:
+            detour = replan(state, active, scenario.obstacle, scenario.dem, scenario.replan, event_seed, t)
+        except ReplanError as exc:
+            # No acceptable detour from this pose. Keep flying the
+            # current path and retry on later ticks; the failure is
+            # surfaced in the event log rather than killing the run.
+            log.replan_failures.append(ReplanFailure(tick=tick, t=t, uav_id=i, reason=str(exc)))
+            continue
+        wall_ms = (time.perf_counter() - wall0) * 1e3
+        # replan repeats the obstruction test above, so it returns at
+        # least one waypoint here.
+        legs = [positions[i], *detour.tolist(), actives[i]]
+        detour_len = sum(distance3(legs[k], legs[k + 1]) for k in range(len(legs) - 1))
+        overhead = (detour_len - distance3(positions[i], actives[i])) / v_g
+        paths.splice(i, detour)
+        spliced = True
+        # Detection and splice complete inside the same tick, so
+        # the simulated response time is zero by construction.
+        waypoints = tuple(Point3(*row) for row in detour.tolist())
+        log.replan_events.append(ReplanEvent(tick=tick, t=t, uav_id=i, waypoints=waypoints, rt_sim=0.0,
+                                             overhead=overhead, wall_ms=wall_ms))
+    return spliced
+
+
 def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
     """Execute the scenario and return its full log plus fleet metrics.
 
-    Per tick, phase 1 computes the fleet's control inputs on tick-t
-    state: the virtual-target advance over the fleet's ``FleetPaths``;
-    while the scenario's obstacle is active, the obstruction check per
-    vehicle, on floats read off the state and the active waypoints, and
-    for each obstructed vehicle a replan spliced into its path; then for
-    the whole fleet at once the time indices and the reference angles (a
-    vehicle on its active waypoint keeps its course and climb), the
-    consensus rate on the time indices received over last tick's graph,
-    the speed command, the steering law and the premise monitor; phase 2 builds this tick's topology and
-    delivers this tick's time indices over it, as the (N, w) values the
-    fleet applies next tick; phase 3 integrates the fleet's dynamics as
-    one (6, N) block.
+    Per tick, on the tick-t state: the virtual-target walk, the replans
+    while the obstacle is active, ``comm_step`` on last tick's deliveries,
+    ``control_step`` to tick t + 1, the log row, and the delivery of the
+    tick-t time indices over the tick-t topology.
     """
     t_start = time.perf_counter()
     n = len(scenario.uavs)
@@ -555,109 +626,48 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
     n_ticks = int(round(scenario.duration / dt))
     gains = scenario.coordination
     gp = scenario.guidance
-    rp = scenario.replan
     ap = scenario.autopilot
 
     y, act = fleet_arrays([spec.initial for spec in scenario.uavs])
     lo, hi = actuator_bounds([spec.limits for spec in scenario.uavs])
     paths = FleetPaths([spec.waypoints for spec in scenario.uavs])
-    winds = [
-        WindModel(scenario.wind, derive_seed(scenario.master_seed, spec.uav_id, "wind"))
-        for spec in scenario.uavs
-    ]
+    winds = [WindModel(scenario.wind, derive_seed(scenario.master_seed, spec.uav_id, "wind")) for spec in scenario.uavs]
     # Tick 0 has received nothing: one slot of strength 0 per vehicle.
     received = strength = np.zeros((n, 1))
     replan_counts = [0] * n
 
-    log = RunLog(
-        n_uavs=n,
-        dt=dt,
-        n_ticks=n_ticks,
-        scenario_path=scenario.source_path or "<memory>",
-        scenario_sha256=scenario.source_sha256,
-        master_seed=scenario.master_seed,
-    )
+    log = RunLog(n_uavs=n, dt=dt, n_ticks=n_ticks, scenario_path=scenario.source_path or "<memory>",
+                 scenario_sha256=scenario.source_sha256, master_seed=scenario.master_seed)
 
     for tick in range(n_ticks):
         t = tick * dt
         offset, distance = advance_virtual_target(paths, y, gp)
-
-        if scenario.obstacle is not None and scenario.obstacle.is_active(t):
-            positions, actives = y[:3].T.tolist(), paths.active.T.tolist()
-            spliced = False
-            for i in range(n):
-                if not segment_obstructed(positions[i], actives[i], scenario.obstacle, t):
-                    continue
-                wall0 = time.perf_counter()
-                event_seed = derive_seed(scenario.master_seed, i, "replan", replan_counts[i])
-                replan_counts[i] += 1
-                pos, active = Point3(*positions[i]), Point3(*actives[i])
-                chi, gamma, psi = y[3:, i].tolist()
-                phi, n_lf, v_g = act[:, i].tolist()
-                state = UavState(pos, chi, gamma, psi, v_g, phi, n_lf)
-                try:
-                    detour = replan(state, active, scenario.obstacle, scenario.dem, rp, event_seed, t)
-                except ReplanError as exc:
-                    # No acceptable detour from this pose. Keep flying the
-                    # current path and retry on later ticks; the failure is
-                    # surfaced in the event log rather than killing the run.
-                    log.replan_failures.append(
-                        ReplanFailure(tick=tick, t=t, uav_id=i, reason=str(exc))
-                    )
-                    continue
-                wall_ms = (time.perf_counter() - wall0) * 1e3
-                # replan repeats the obstruction test above, so it returns at
-                # least one waypoint here.
-                legs = [positions[i], *detour.tolist(), actives[i]]
-                detour_len = sum(distance3(legs[k], legs[k + 1]) for k in range(len(legs) - 1))
-                overhead = (detour_len - distance3(positions[i], actives[i])) / v_g
-                paths.splice(i, detour)
-                spliced = True
-                # Detection and splice complete inside the same tick, so
-                # the simulated response time is zero by construction.
-                log.replan_events.append(
-                    ReplanEvent(
-                        tick=tick,
-                        t=t,
-                        uav_id=i,
-                        waypoints=tuple(Point3(*row) for row in detour.tolist()),
-                        rt_sim=0.0,
-                        overhead=overhead,
-                        wall_ms=wall_ms,
-                    )
-                )
-
-            if spliced:
-                offset, distance = paths.offsets(y)
-
-        theta = time_index(distance, paths.remaining, act[2])
-        if distance.min() >= _COINCIDENT_EPS:
-            chi_c, gamma_c = reference_angles(offset)
-        else:
-            far = distance >= _COINCIDENT_EPS
-            chi_c, gamma_c = y[3].copy(), y[4].copy()
-            chi_c[far], gamma_c[far] = reference_angles(offset[:, far])
-        theta_dot = consensus_rate(theta, received, strength, gains)
-        v_cmd, theta_ref = speed_command(theta, theta_dot, act[2], gains, lo, hi)
-        eta_lat, eta_lon = look_ahead_angles(y[3], y[4], chi_c, gamma_c)
-        phi_c, n_lf_c = guidance_commands(eta_lat, eta_lon, y, act, gp, lo, hi)
-        premises = convergence_conditions(eta_lat, eta_lon, y, act, paths.active[2], gp)
+        # comm_step reads the cursors and active waypoints that the walk and
+        # the replans leave, so a test can splice any detour in between.
+        if scenario.obstacle is not None and scenario.obstacle.is_active(t) and _replan_obstructed(
+            scenario, log, paths, y, act, tick, t, replan_counts
+        ):
+            offset, distance = paths.offsets(y)
+        theta, chi_c, gamma_c, theta_dot, v_cmd, theta_ref = comm_step(
+            paths, offset, distance, y, act, received, strength, gains, dt, lo, hi
+        )
+        y_next, act_next, cmd, eta, premises = control_step(
+            y, act, chi_c, gamma_c, v_cmd, paths.active[2], winds, lo, hi, dt, gp, ap
+        )
 
         row = log.data[tick].T
         row[:5] = y[:5]
         row[5:8] = act
         row[8:10] = (theta, paths.cursor)
         row[10] = y[5]
-        row[11:14] = (phi_c, n_lf_c, v_cmd)
-        row[14:18] = (eta_lat, eta_lon, theta_dot, theta_ref)
+        row[11:14] = cmd
+        row[14:18] = (*eta, theta_dot, theta_ref)
         row[_PREMISES] = premises
 
         graph = build_topology(y[:3], scenario.comm, tick, dt)
         received, strength = deliver(theta, graph), graph.strength
 
-        act = step_autopilot(act, np.array((phi_c, n_lf_c, v_cmd)), lo, hi, dt, ap)
-        gusts = np.fromiter(itertools.chain.from_iterable([wind.sample(dt) for wind in winds]), float, 2 * n)
-        y = step_kinematics(y, act, gusts.reshape(n, 2).T, dt, ap)
+        y, act = y_next, act_next
         # A non-finite speed makes that vehicle's position non-finite in the
         # same step, so the (6, N) block alone names the first bad vehicle.
         if not np.isfinite(y).all():
@@ -873,10 +883,6 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
         events.write("".join([line for _, _, _, line in replans[r:]]))
     written.append(fp)
 
-    fp = out / "metrics.json"
-    fp.write_text(json.dumps(metrics.as_dict(), indent=2, sort_keys=True) + "\n")
-    written.append(fp)
-
     manifest = {
         "scenario_path": log.scenario_path,
         "scenario_sha256": log.scenario_sha256,
@@ -886,16 +892,9 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
         "dt_s": log.dt,
         "software_version": _VERSION,
     }
-    fp = out / "manifest.json"
-    fp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    written.append(fp)
-
-    timing = {
-        "run_wall_s": log.wall_s,
-        "replan_wall_ms": [e.wall_ms for e in log.replan_events],
-    }
-    fp = out / "timing.json"
-    fp.write_text(json.dumps(timing, indent=2, sort_keys=True) + "\n")
-    written.append(fp)
-
+    timing = {"run_wall_s": log.wall_s, "replan_wall_ms": [e.wall_ms for e in log.replan_events]}
+    for name, doc in (("metrics.json", metrics.as_dict()), ("manifest.json", manifest), ("timing.json", timing)):
+        fp = out / name
+        fp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        written.append(fp)
     return written

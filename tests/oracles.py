@@ -203,6 +203,11 @@ def topology_oracle(positions, config, tick, dt=1.0):
     return tuple(neighbors)
 
 
+# Below this distance (m) to its active waypoint a vehicle has no bearing
+# and keeps its course and climb.
+COINCIDENT_EPS = 1e-9
+
+
 def time_index_oracle(position, v_g, waypoints, cursor):
     """Scalar time index of one vehicle: straight to the active waypoint, then along the path.
 
@@ -265,9 +270,9 @@ def consensus_oracle(theta_self, inbox, gains):
     return rate
 
 
-def speed_oracle(theta, theta_dot, v_g, gains, limits):
-    """Scalar (speed setpoint, theta_ref) of one vehicle."""
-    theta_ref = theta + theta_dot * gains.dt
+def speed_oracle(theta, theta_dot, v_g, gains, dt, limits):
+    """Scalar (speed setpoint, theta_ref) of one vehicle, ``dt`` the comm period."""
+    theta_ref = theta + theta_dot * dt
     v_cmd = v_g - gains.k_vg * (theta_ref - theta)
     return min(max(v_cmd, limits.v_g_min), limits.v_g_max), theta_ref
 

@@ -20,16 +20,16 @@ PUBLIC_NAMES = {
     "OutOfBoundsError", "Point3", "ReplanError", "ReplanEvent", "ReplanParams", "RunError", "RunLog",
     "ScenarioError", "UavLimits", "UavState", "WindModel", "WindParams",
     "actuator_bounds", "advance_virtual_target", "best_detour", "build_topology", "candidate_cost",
-    "compute_metrics", "consensus_rate", "convergence_conditions", "deliver", "dem_elevation", "distance3",
-    "export", "fleet_arrays", "guidance_commands", "lateral_distance", "load_dem", "load_scenario",
-    "look_ahead_angles", "reference_angles", "replan", "run", "sample_region", "save_dem",
-    "segment_above_terrain", "segment_obstructed", "speed_command", "steering_rates", "step_autopilot",
-    "step_kinematics", "time_index", "wrap_angle",
+    "comm_step", "compute_metrics", "consensus_rate", "control_step", "convergence_conditions",
+    "deliver", "dem_elevation", "distance3", "export", "fleet_arrays", "guidance_commands",
+    "lateral_distance", "load_dem", "load_scenario", "look_ahead_angles", "reference_angles", "replan",
+    "run", "sample_region", "save_dem", "segment_above_terrain", "segment_obstructed", "speed_command",
+    "steering_rates", "step_autopilot", "step_kinematics", "time_index", "wrap_angle",
 }
 
 
 def test_public_names_are_unique_and_resolve():
-    assert len(PUBLIC_NAMES) == 56
+    assert len(PUBLIC_NAMES) == 58
     assert set(flocksim.__all__) == PUBLIC_NAMES
     assert len(flocksim.__all__) == len(set(flocksim.__all__))
     for name in flocksim.__all__:

@@ -4,6 +4,7 @@ The line-topology convergence horizon (45 s) was pinned from a dt=0.01
 reference integration that crossed the 1 s gap threshold at t = 40.0 s.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -42,11 +43,11 @@ def one_rate(theta, inbox, gains):
     return out
 
 
-def one_command(theta, theta_dot, v_g, gains, limits):
-    """One vehicle's speed setpoint."""
+def one_command(theta, theta_dot, v_g, gains, limits, dt=1.0):
+    """One vehicle's speed setpoint over a comm period ``dt``."""
     lo, hi = actuator_bounds([limits])
-    v_cmd, theta_ref = speed_command(np.array([theta]), np.array([theta_dot]), np.array([v_g]), gains, lo, hi)
-    assert theta_ref.tolist() == [theta + theta_dot * gains.dt]
+    v_cmd, theta_ref = speed_command(np.array([theta]), np.array([theta_dot]), np.array([v_g]), gains, dt, lo, hi)
+    assert theta_ref.tolist() == [theta + theta_dot * dt]
     return v_cmd.item()
 
 
@@ -56,15 +57,14 @@ class TestCoordinationGains:
         assert gains.k_theta == 1.0
         assert gains.gamma_d == 1.0
         assert gains.k_vg == 0.001
-        assert gains.dt == 1.0
+        # the comm period is the scenario's dt_s, passed per call
+        assert [f.name for f in dataclasses.fields(gains)] == ["k_theta", "gamma_d", "k_vg"]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="k_theta"):
             CoordinationGains(k_theta=0.0)
         with pytest.raises(ValueError, match="k_vg"):
             CoordinationGains(k_vg=-0.1)
-        with pytest.raises(ValueError, match="dt"):
-            CoordinationGains(dt=0.0)
 
 
 def one_time_index(position, v_g, waypoints, cursor):
@@ -138,28 +138,28 @@ class TestSpeedCommand:
 
     def test_upper_clip(self):
         # 18 + 0.001*10 = 18.01 exceeds the envelope
-        gains = CoordinationGains(k_vg=0.001, dt=1.0)
+        gains = CoordinationGains(k_vg=0.001)
         assert one_command(100.0, -10.0, 18.0, gains, self.LIMITS) == 18.0
 
     def test_lower_clip(self):
-        gains = CoordinationGains(k_vg=0.001, dt=1.0)
+        gains = CoordinationGains(k_vg=0.001)
         assert one_command(100.0, 5000.0, 9.0, gains, self.LIMITS) == 9.0
 
     def test_hand_evaluated_decrement(self):
         # 12 - 0.001*500*1 = 11.5
-        gains = CoordinationGains(k_vg=0.001, dt=1.0)
+        gains = CoordinationGains(k_vg=0.001)
         assert one_command(100.0, 500.0, 12.0, gains, self.LIMITS) == 11.5
 
     def test_consensus_fixed_point_drift_is_exact(self):
         # all peers agreeing leaves theta_dot = gamma_d, so the command is
         # exactly v_g - k_vg * gamma_d * dt, not v_g itself
-        gains = CoordinationGains(k_theta=1.0, gamma_d=1.0, k_vg=0.001, dt=1.0)
+        gains = CoordinationGains(k_theta=1.0, gamma_d=1.0, k_vg=0.001)
         rate = one_rate(50.0, [(0.8, 50.0), (0.3, 50.0)], gains)
-        cmd = one_command(50.0, rate, 13.5, gains, self.LIMITS)
+        cmd = one_command(50.0, rate, 13.5, gains, self.LIMITS, dt=1.0)
         assert cmd == 13.5 - 0.001 * 1.0 * 1.0
 
     def test_always_within_envelope(self):
-        gains = CoordinationGains(k_vg=0.5, dt=1.0)
+        gains = CoordinationGains(k_vg=0.5)
         rng = np.random.default_rng(19)
         for _ in range(200):
             cmd = one_command(

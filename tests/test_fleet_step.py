@@ -1,11 +1,12 @@
 """The fleet step equals the scalar oracles bit for bit.
 
-``run`` computes the control inputs (virtual-target advance, time index
-and reference angles) and steps guidance, the premise monitor, the
-autopilot and the RK4 kinematics once per tick over (N,) arrays.  These
-tests draw whole fleets, including the edge values of every clip, wrap
-and acceptance test, and require each vehicle's column to equal the
-one-vehicle oracle in ``tests/oracles.py`` with ``==``.
+``run`` walks the virtual targets, then makes one ``comm_step`` (time
+index, reference angles, consensus rate and speed command) and one
+``control_step`` (guidance, the premise monitor, the autopilot, wind and
+the RK4 kinematics) per tick over (N,) arrays.  These tests draw whole
+fleets, including the edge values of every clip, wrap and acceptance
+test, and require each vehicle's column to equal the one-vehicle oracle
+in ``tests/oracles.py`` with ``==``.
 """
 
 import math
@@ -15,20 +16,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    COINCIDENT_EPS,
     WindOracle,
     advance_oracle,
     autopilot_oracle,
     conditions_oracle,
+    consensus_oracle,
     guidance_oracle,
     kinematics_oracle,
     look_ahead_oracle,
     reference_angles_oracle,
+    speed_oracle,
     time_index_oracle,
     wrap_oracle,
 )
 
 from flocksim import (
     AutopilotParams,
+    CoordinationGains,
     FleetPaths,
     GuidanceParams,
     Point3,
@@ -38,17 +43,16 @@ from flocksim import (
     WindParams,
     actuator_bounds,
     advance_virtual_target,
+    comm_step,
+    control_step,
     convergence_conditions,
     fleet_arrays,
     guidance_commands,
     look_ahead_angles,
-    reference_angles,
     step_autopilot,
     step_kinematics,
-    time_index,
     wrap_angle,
 )
-from flocksim.harness import _COINCIDENT_EPS
 
 FLEET_SIZES = (1, 2, 4, 13, 104)
 PI = math.pi
@@ -63,6 +67,10 @@ GUIDANCE = (
     GuidanceParams(k_chi=0.5, k_gamma=0.7, delta_lat=0.1, delta_lon=1.2),
 )
 AUTOPILOT = (AutopilotParams(), AutopilotParams(tau_phi=0.2, tau_n=3.0, tau_v=0.7, tau_psi=0.3))
+WINDS = (
+    WindParams(),
+    WindParams(ambient=(2.5, 1.0, -0.5), sigma_u=2.12, sigma_v=2.12, sigma_w=1.4, d_max=0.02),
+)
 
 EDGE_ANGLES = (PI, -PI, PI / 2, -PI / 2, 0.0, -0.0, math.nextafter(PI, 0.0),
                math.nextafter(-PI, 0.0))
@@ -175,6 +183,35 @@ class TestFleetMatchesOracle:
             p = want.position
             assert column(out, i) == [p.north, p.east, p.height, want.chi, want.gamma, want.psi]
 
+    @FLEET_SETTINGS
+    @given(fleet=fleets(), dt=st.sampled_from(DTS), gp=st.sampled_from(GUIDANCE),
+           ap=st.sampled_from(AUTOPILOT), wind=st.sampled_from(WINDS))
+    def test_control_step(self, fleet, dt, gp, ap, wind):
+        # the chain in run's order: look-ahead, commands, premises, the
+        # autopilot, one gust per vehicle, then RK4 on the autopilot's output
+        d, states, limits, y, act, lo, hi = fleet
+        chi_c = d.values(-PI, PI, EDGE_ANGLES)
+        gamma_c = d.values(-PI / 2, PI / 2)
+        v_cmd = d.values(5.0, 25.0)
+        target_h = d.values(0.0, 500.0)
+        seeds = d.rng.integers(0, 2**32, d.n).tolist()
+        winds = [WindModel(wind, seed) for seed in seeds]
+        y_next, act_next, cmd, (eta_lat, eta_lon), premises = control_step(
+            y, act, chi_c, gamma_c, v_cmd, target_h, winds, lo, hi, dt, gp, ap
+        )
+        premises = [p.tolist() for p in premises]
+        for i, (state, lim, seed) in enumerate(zip(states, limits, seeds)):
+            lat, lon = look_ahead_oracle(state, chi_c[i].item(), gamma_c[i].item())
+            assert (eta_lat[i], eta_lon[i]) == (lat, lon)
+            phi_c, n_lf_c = guidance_oracle(state, lat, lon, gp, lim)
+            assert column(cmd, i) == [phi_c, n_lf_c, v_cmd[i]]
+            assert tuple(p[i] for p in premises) == conditions_oracle(state, lat, lon, target_h[i].item(), gp)
+            steered = autopilot_oracle(state, (phi_c, n_lf_c, v_cmd[i].item()), lim, dt, ap)
+            assert column(act_next, i) == [steered.phi, steered.n_lf, steered.v_g]
+            want = kinematics_oracle(steered, *WindOracle(wind, seed).sample(dt), dt, ap)
+            p = want.position
+            assert column(y_next, i) == [p.north, p.east, p.height, want.chi, want.gamma, want.psi]
+
     def test_clip_and_wrap_boundaries(self):
         # the climb cap, a saturated asin clipped to phi_max, and the wrap of -pi
         state = UavState(Point3(0.0, 0.0, 100.0), PI, GAMMA_CAP, -PI, v_g=18.0, phi=0.0, n_lf=2.1)
@@ -257,13 +294,14 @@ def targeted_fleets(draw):
     return states, paths, gp, spliced
 
 
-def fleet_control_inputs(states, paths, gp, spliced):
+def fleet_control_inputs(states, paths, gp, spliced, dt):
     """One tick's control inputs in the sequence of calls that ``run`` makes, splices included.
 
-    ``paths`` holds each vehicle's (waypoints, cursor).  Returns the
-    fleet's ``FleetPaths``, the vehicles whose cursor the advance moved,
-    and theta, chi_c and gamma_c; a vehicle on its active waypoint keeps
-    its course and climb.
+    ``paths`` holds each vehicle's (waypoints, cursor).  ``comm_step`` runs
+    on an empty inbox, with default gains and limits and a comm period
+    ``dt``.  Returns the fleet's ``FleetPaths``, the vehicles whose cursor
+    the advance moved, and the (N,) theta, chi_c, gamma_c, theta_dot,
+    v_cmd and theta_ref.
     """
     y, act = fleet_arrays(states)
     table = FleetPaths([waypoints for waypoints, _ in paths], [c for _, c in paths])
@@ -273,10 +311,9 @@ def fleet_control_inputs(states, paths, gp, spliced):
         table.splice(i, detour)
     if spliced:
         offset, distance = table.offsets(y)
-    far = distance >= _COINCIDENT_EPS
-    chi_c, gamma_c = y[3].copy(), y[4].copy()
-    chi_c[far], gamma_c[far] = reference_angles(offset[:, far])
-    return table, advanced, time_index(distance, table.remaining, act[2]), chi_c, gamma_c
+    inbox = np.zeros((len(states), 1))
+    lo, hi = actuator_bounds([UavLimits()] * len(states))
+    return table, advanced, *comm_step(table, offset, distance, y, act, inbox, inbox, CoordinationGains(), dt, lo, hi)
 
 
 def oracle_control_inputs(state, path, gp, detour):
@@ -286,7 +323,7 @@ def oracle_control_inputs(state, path, gp, detour):
     if detour is not None:
         waypoints = waypoints[:cursor] + tuple(detour) + waypoints[cursor:]
     p, a = state.position, waypoints[cursor]
-    if math.hypot(a.north - p.north, a.east - p.east, a.height - p.height) < _COINCIDENT_EPS:
+    if math.hypot(a.north - p.north, a.east - p.east, a.height - p.height) < COINCIDENT_EPS:
         angles = (state.chi, state.gamma)
     else:
         angles = reference_angles_oracle(p, a)
@@ -295,21 +332,28 @@ def oracle_control_inputs(state, path, gp, detour):
 
 class TestControlInputsMatchOracle:
     @FLEET_SETTINGS
-    @given(fleet=targeted_fleets())
-    def test_control_inputs(self, fleet):
+    @given(fleet=targeted_fleets(), dt=st.sampled_from(DTS))
+    def test_control_inputs(self, fleet, dt):
         states, paths, gp, spliced = fleet
-        table, advanced, theta, chi_c, gamma_c = fleet_control_inputs(states, paths, gp, spliced)
+        table, advanced, theta, chi_c, gamma_c, theta_dot, v_cmd, theta_ref = fleet_control_inputs(
+            states, paths, gp, spliced, dt
+        )
         # the advance moves exactly the cursors that the oracle moves
         assert advanced == [
             i for i, (state, (waypoints, cursor)) in enumerate(zip(states, paths))
             if advance_oracle(waypoints, cursor, state.position, state.chi, state.gamma, gp) != cursor
         ]
+        gains = CoordinationGains()
         for i, (state, path) in enumerate(zip(states, paths)):
             waypoints, cursor, *values = oracle_control_inputs(state, path, gp, spliced.get(i))
             assert table.waypoints[i].tolist() == [list(p) for p in waypoints]
             assert table.cursor[i] == cursor
             assert table.active[:, i].tolist() == list(waypoints[cursor])
             assert [theta[i], chi_c[i], gamma_c[i]] == values
+            # an empty inbox leaves the drift; the speed command looks dt ahead
+            rate = consensus_oracle(values[0], [], gains)
+            assert theta_dot[i] == rate
+            assert (v_cmd[i], theta_ref[i]) == speed_oracle(values[0], rate, state.v_g, gains, dt, UavLimits())
 
     def test_each_placement_takes_its_branch(self):
         # vehicle k flies north from (100 k, 0, 100) with placement k at the
@@ -324,7 +368,7 @@ class TestControlInputsMatchOracle:
             paths.append(((ahead, placed) if terminal else (placed, ahead), int(terminal)))
             states.append(state)
         detour = (Point3(100.0 * SPLICED + 200.0, -50.0, 110.0),)
-        table, advanced, theta, chi_c, gamma_c = fleet_control_inputs(states, paths, gp, {SPLICED: detour})
+        table, advanced, theta, chi_c, gamma_c, *_ = fleet_control_inputs(states, paths, gp, {SPLICED: detour}, 1.0)
         # reached on the radius alone, passed while outside it, kept when square to the velocity
         assert math.hypot(0.6 * 40.0, 0.0, -0.8 * 40.0) == 40.0
         assert advanced == [ON_RADIUS, BEHIND]

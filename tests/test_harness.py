@@ -404,7 +404,7 @@ class TestScenarioSchema:
 
     def test_keys_map_one_to_one_onto_fields(self):
         units = ("", "_m", "_s", "_rad", "_mps", "_radps")
-        filled_by_loader = {"dt", "dropout_schedule", "ambient", "position"}
+        filled_by_loader = {"dropout_schedule", "ambient", "position"}
         for cls, keys in _KEYS.items():
             names = list(inspect.signature(cls).parameters)
             matched = []
@@ -419,7 +419,7 @@ class TestScenarioSchema:
         "section, built, default",
         [
             ("guidance", attrgetter("guidance"), GuidanceParams()),
-            ("coordination", attrgetter("coordination"), CoordinationGains(dt=MINI_SCENARIO["dt_s"])),
+            ("coordination", attrgetter("coordination"), CoordinationGains()),
             ("comm", attrgetter("comm"), CommConfig()),
             ("replan", attrgetter("replan"), ReplanParams()),
             ("autopilot", attrgetter("autopilot"), AutopilotParams()),
