@@ -197,9 +197,9 @@ class WindModel:
 
     def __init__(self, params: WindParams, seed: int) -> None:
         self.ambient = tuple(float(a) for a in params.ambient)
-        self.sigma = np.array([params.sigma_u, params.sigma_v, params.sigma_w], dtype=float)
-        lengths = np.array([params.length_u, params.length_v, params.length_w], dtype=float)
-        self.tau = lengths / params.airspeed_nominal
+        self.sigma = (params.sigma_u, params.sigma_v, params.sigma_w)
+        lengths = (params.length_u, params.length_v, params.length_w)
+        self.tau = tuple(length / params.airspeed_nominal for length in lengths)
         self.airspeed_nominal = float(params.airspeed_nominal)
         self.d_max = float(params.d_max)
         self.seed = int(seed)
@@ -218,8 +218,9 @@ class WindModel:
     def sample(self, dt: float) -> tuple[float, float]:
         """Advance the gusts by ``dt`` and return (d_chi, d_gamma) in rad/s."""
         if dt != self._dt:
-            a = np.exp(-dt / self.tau)
-            self._coef = (*a.tolist(), *(self.sigma * np.sqrt(1.0 - a * a)).tolist())
+            # math.exp, not np.exp: numpy's result can change in the last bit with its SIMD dispatch level.
+            a = [math.exp(-dt / tau) for tau in self.tau]
+            self._coef = (*a, *(sigma * math.sqrt(1.0 - x * x) for sigma, x in zip(self.sigma, a)))
             self._dt = dt
         k = self._next
         noise = self._noise

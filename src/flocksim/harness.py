@@ -241,7 +241,8 @@ class Metrics:
 # class's constructor (a dataclass or a named tuple); a field without a
 # default is a required key. Fields the loader fills itself
 # (CommConfig.dropout_schedule, WindParams.ambient, UavState.position) are
-# not listed.
+# not listed. ``_fields`` reads a section by this table, and ``_node``
+# writes one for ``presets``.
 _KEYS: dict[type, tuple[str, ...]] = {
     Point3: ("north_m", "east_m", "height_m"),
     GuidanceParams: ("k_chi", "k_gamma", "acceptance_radius_m", "delta_lat_rad", "delta_lon_rad"),
@@ -317,6 +318,14 @@ def _schema(cls: type) -> tuple[tuple[str, str, Any, bool], ...]:
         f = by_name.get(key) or by_name[key.rpartition("_")[0]]
         rows.append((key, f.name, f.default, types[f.name] is int))
     return tuple(rows)
+
+
+def _node(obj: Any) -> dict[str, Any]:
+    """The mapping ``_fields`` reads ``obj``'s fields back from, keyed in ``_KEYS`` order.
+
+    The fields the loader fills itself are not in it.
+    """
+    return {key: getattr(obj, name) for key, name, _, _ in _schema(type(obj))}
 
 
 def _fields(cls: type, node: Any, ctx: str, other_keys: tuple[str, ...] = ()) -> dict[str, Any]:

@@ -10,9 +10,10 @@ instead of splitting symmetrically around the disc.
 A fleet builder places N vehicles on a 2.74 km circle with randomized
 bearings, doglegs, and initial speeds for scale tests.
 
-All builders emit plain scenario dictionaries ready for YAML; `write_*`
-helpers put files on disk so `load_scenario` remains the single
-validation path.
+All builders emit plain scenario dictionaries ready for YAML.  Each
+section is built as its param object, which validates it, and written
+under the loader's keys, so a value equal to a dataclass default is not
+restated here; `write_*` helpers put files on disk.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .geo import DemGrid, save_dem
+from .coordination import CoordinationGains
+from .dynamics import AutopilotParams, UavLimits, UavState, WindParams
+from .geo import DemGrid, Obstacle, Point3, save_dem
+from .guidance import GuidanceParams
+from .harness import _node
+from .network import CommConfig
+from .replanner import ReplanParams
 from .seeding import derive_rng
 
 __all__ = [
@@ -88,73 +95,26 @@ def alternating_blackout(duration_s: float, n_uavs: int) -> list[list[float]]:
 
 
 def _common_blocks(master_seed: int, gamma_signal: float) -> dict:
+    wind = WindParams(ambient=(2.5, 0.0, 0.0), sigma_u=2.12, sigma_v=2.12, sigma_w=1.4)
     return {
-        "guidance": {
-            "k_chi": 8.8844,
-            "k_gamma": 8.8844,
-            "acceptance_radius_m": 40.0,
-            "delta_lat_rad": 0.5,
-            "delta_lon_rad": 0.5,
-        },
-        "coordination": {"k_theta": 1.0, "gamma_d": 1.0, "k_vg": 0.001},
-        "comm": {
-            "r_com_m": 30000.0,
-            "c_max": 2,
-            "gamma_signal": gamma_signal,
-            "dropout_schedule": [],
-        },
-        "replan": {
-            "k_samples": 2000,
-            "delta_r_m": 300.0,
-            "delta_h_m": 60.0,
-            "delta_angle_rad": math.pi / 3,
-            "clearance_m": 10.0,
-            "terrain_step_m": 25.0,
-            "max_iterations": 20,
-        },
-        "autopilot": {"tau_phi_s": 0.5, "tau_n_s": 0.5, "tau_v_s": 2.0, "tau_psi_s": 1.0},
-        "wind": {
-            "ambient_mps": [2.5, 0.0, 0.0],
-            "sigma_u_mps": 2.12,
-            "sigma_v_mps": 2.12,
-            "sigma_w_mps": 1.4,
-            "length_u_m": 200.0,
-            "length_v_m": 200.0,
-            "length_w_m": 50.0,
-            "airspeed_nominal_mps": CRUISE_SPEED,
-            "d_max_radps": 0.1,
-        },
-        "limits": {
-            "v_g_min_mps": 9.0,
-            "v_g_max_mps": 18.0,
-            "phi_min_rad": -0.6,
-            "phi_max_rad": 0.6,
-            "n_lf_min": 0.0,
-            "n_lf_max": 2.1,
-            "eta_lat_min_rad": -1.5,
-            "eta_lat_max_rad": 1.5,
-            "eta_lon_min_rad": -1.5,
-            "eta_lon_max_rad": 1.5,
-        },
+        "guidance": _node(GuidanceParams()),
+        "coordination": _node(CoordinationGains()),
+        "comm": {**_node(CommConfig(gamma_signal=gamma_signal)), "dropout_schedule": []},
+        "replan": _node(ReplanParams(delta_r=300.0, delta_h=60.0)),
+        "autopilot": _node(AutopilotParams()),
+        "wind": {"ambient_mps": list(wind.ambient), **_node(wind)},
+        "limits": _node(UavLimits()),
         "master_seed": master_seed,
     }
 
 
 def _uav_entry(uav_id: int, start, waypoints, v_g: float = CRUISE_SPEED) -> dict:
     chi = math.atan2(waypoints[0][1] - start[1], waypoints[0][0] - start[0])
+    initial = UavState(Point3(float(start[0]), float(start[1]), FLIGHT_HEIGHT), chi=chi, gamma=0.0, psi=chi,
+                       v_g=float(v_g))
     return {
         "id": uav_id,
-        "initial": {
-            "north_m": float(start[0]),
-            "east_m": float(start[1]),
-            "height_m": FLIGHT_HEIGHT,
-            "chi_rad": chi,
-            "gamma_rad": 0.0,
-            "psi_rad": chi,
-            "v_g_mps": float(v_g),
-            "phi_rad": 0.0,
-            "n_lf": 1.0,
-        },
+        "initial": {**_node(initial.position), **_node(initial)},
         "waypoints": [[float(n), float(e), FLIGHT_HEIGHT] for n, e in waypoints],
     }
 
@@ -172,19 +132,13 @@ def reference_scenario_dict(with_dropouts: bool = False) -> dict:
         "dem_file": "terrain.dem",
         "duration_s": duration,
         "dt_s": 1.0,
-        "target": {"north_m": 0.0, "east_m": 0.0, "height_m": FLIGHT_HEIGHT},
+        "target": _node(Point3(0.0, 0.0, FLIGHT_HEIGHT)),
     }
     doc.update(_common_blocks(master_seed=20260819, gamma_signal=5.0e4))
     if with_dropouts:
         doc["comm"]["dropout_schedule"] = alternating_blackout(duration, 4)
-    doc["obstacle"] = {
-        "center_north_m": -1585.0,
-        "center_east_m": 45.0,
-        "lateral_radius_m": 90.0,
-        "base_height_m": 0.0,
-        "top_height_m": 250.0,
-        "activation_time_s": 75.0,
-    }
+    doc["obstacle"] = _node(Obstacle(center_north=-1585.0, center_east=45.0, lateral_radius=90.0, base_height=0.0,
+                                     top_height=250.0, activation_time=75.0))
     doc["uavs"] = [
         _uav_entry(
             0,
@@ -225,7 +179,7 @@ def fleet_scenario_dict(n_uavs: int, master_seed: int = 7) -> dict:
         "dem_file": "terrain.dem",
         "duration_s": 230.0,
         "dt_s": 1.0,
-        "target": {"north_m": 0.0, "east_m": 0.0, "height_m": FLIGHT_HEIGHT},
+        "target": _node(Point3(0.0, 0.0, FLIGHT_HEIGHT)),
     }
     # Vehicles on the same circle can start a few hundred meters apart, so
     # the link strength gamma/d is orders of magnitude hotter than in the

@@ -381,7 +381,7 @@ class WindOracle:
     def sample(self, dt):
         p = self.params
         sigma = np.array([p.sigma_u, p.sigma_v, p.sigma_w])
-        a = np.exp(-dt / (np.array([p.length_u, p.length_v, p.length_w]) / p.airspeed_nominal))
+        a = np.array([math.exp(-dt / (length / p.airspeed_nominal)) for length in (p.length_u, p.length_v, p.length_w)])
         self.gust = a * self.gust + sigma * np.sqrt(1.0 - a * a) * self.rng.standard_normal(3)
         d_chi = (self.gust[1] + p.ambient[1]) / p.airspeed_nominal
         d_gamma = (self.gust[2] + p.ambient[2]) / p.airspeed_nominal

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 import yaml
-from conftest import MINI_SCENARIO
+from mini_scenario import MINI_SCENARIO
 from oracles import consensus_oracle, deliver_oracle, topology_oracle
 
 from flocksim import (
@@ -44,7 +44,8 @@ from flocksim import (
     run,
     segment_obstructed,
 )
-from flocksim.dynamics import UavLimits
+from flocksim.dynamics import UavLimits, UavState
+from flocksim.geo import Obstacle
 from flocksim.harness import _KEYS
 from flocksim.network import CommConfig, DropoutWindow
 from flocksim.presets import fleet_scenario_dict
@@ -202,6 +203,22 @@ class TestLoadScenario:
 
 
 REMOVE = object()
+
+
+# One object of each class in _KEYS, every field read from YAML off its default.
+OFF_DEFAULT = [
+    Point3(1.5, -2.5, 3.25),
+    GuidanceParams(2.0, 3.0, 41.0, 0.25, 0.75),
+    CoordinationGains(2.0, 0.5, 0.002),
+    CommConfig(1000.0, 3, 2.0, (DropoutWindow(1.0, 2.0, 0, 1),)),
+    DropoutWindow(1.0, 2.0, 0, 1),
+    ReplanParams(10, 100.0, 30.0, 1.0, 5.0, 10.0, 3),
+    AutopilotParams(0.25, 0.75, 1.5, 2.5),
+    WindParams((1.0, 2.0, 3.0), 0.5, 0.25, 0.125, 100.0, 150.0, 60.0, 12.0, 0.2),
+    Obstacle(1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+    UavLimits(8.0, 19.0, -0.5, 0.5, 0.1, 2.0, -1.25, 1.25, -1.0, 1.0),
+    UavState(Point3(1.0, 2.0, 3.0), 0.5, 0.1, 0.25, 12.0, 0.2, 1.1),
+]
 
 
 def load_variant(make_scenario_file, path, value=REMOVE):
@@ -414,6 +431,20 @@ class TestScenarioSchema:
                 matched.extend(owners)
             assert len(set(matched)) == len(keys), cls.__name__
             assert set(names) - set(matched) <= filled_by_loader, cls.__name__
+
+    @pytest.mark.parametrize("built", OFF_DEFAULT, ids=lambda built: type(built).__name__)
+    def test_node_reads_back_as_the_same_object(self, built):
+        cls = type(built)
+        schema = harness._schema(cls)
+        assert all(getattr(built, name) != default for _, name, default, _ in schema)
+        node = harness._node(built)
+        assert list(node) == list(_KEYS[cls])
+        read = {name for _, name, _, _ in schema}
+        filled_by_loader = {f: getattr(built, f) for f in inspect.signature(cls).parameters if f not in read}
+        assert harness._section(cls, node, "scenario.x", **filled_by_loader) == built
+
+    def test_node_round_trip_covers_every_keyed_class(self):
+        assert sorted(type(built).__name__ for built in OFF_DEFAULT) == sorted(cls.__name__ for cls in _KEYS)
 
     @pytest.mark.parametrize(
         "section, built, default",
