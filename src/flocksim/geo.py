@@ -12,10 +12,13 @@ The elevation raster is row-major with the row axis along north, so
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,6 +66,11 @@ def distance3(a: Iterable[float], b: Iterable[float]) -> float:
     """Full 3D separation."""
     (an, ae, ah), (bn, be, bh) = a, b
     return math.hypot(bn - an, be - ae, bh - ah)
+
+
+def _path_length(points: Sequence[Iterable[float]]) -> float:
+    """The 3D legs between consecutive ``points``, added left to right from 0.0 (not by ``sum``)."""
+    return functools.reduce(operator.add, map(distance3, points, points[1:]), 0.0)
 
 
 @dataclass(frozen=True)
@@ -245,13 +253,18 @@ def load_dem(path: str | Path) -> DemGrid:
     the origin.  The parse is strict: wrong counts, unknown headers, and
     non-finite values all raise :class:`DemFormatError`.
     """
+    return _read_dem(path)[0]
+
+
+def _read_dem(path: str | Path) -> tuple[DemGrid, str]:
+    """:func:`load_dem`'s grid, and the sha256 of the file bytes it parsed."""
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise DemFormatError(f"cannot read DEM file {path}: {exc}") from exc
 
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in data.decode().splitlines() if ln.strip()]
     if len(lines) < len(_DEM_HEADER_KEYS) + 1:
         raise DemFormatError(f"{path}: truncated file, expected header plus elevation rows")
 
@@ -291,7 +304,7 @@ def load_dem(path: str | Path) -> DemGrid:
                 raise DemFormatError(f"{path}: elevation token {k} is not finite: {tok!r}")
 
     try:
-        return DemGrid(
+        grid = DemGrid(
             origin_north=header["origin_north_m"],
             origin_east=header["origin_east_m"],
             cell_size=header["cell_size_m"],
@@ -299,6 +312,7 @@ def load_dem(path: str | Path) -> DemGrid:
         )
     except ValueError as exc:
         raise DemFormatError(f"{path}: {exc}") from exc
+    return grid, hashlib.sha256(data).hexdigest()
 
 
 def save_dem(grid: DemGrid, path: str | Path) -> None:

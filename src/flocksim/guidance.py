@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import GRAVITY, _clip, wrap_angle
-from .geo import distance3
+from .geo import _path_length
 
 __all__ = [
     "GuidanceParams",
@@ -91,13 +91,9 @@ class FleetPaths:
 
     def _refresh(self, i: int) -> None:
         rows = self.waypoints[i][self.cursor[i]:].tolist()
-        # Left to right from the cursor, one leg at a time: the exported time
-        # indices depend on this summation order to the last bit.
-        total = 0.0
-        for a, b in zip(rows, rows[1:]):
-            total += distance3(a, b)
         self.active[:, i] = rows[0]
-        self.remaining[i] = total
+        # The exported time indices depend on this summation order to the last bit.
+        self.remaining[i] = _path_length(rows)
         self.movable[i] = len(rows) > 1
 
     def splice(self, i: int, detour: np.ndarray) -> None:

@@ -47,7 +47,7 @@ from .dynamics import (
     step_autopilot,
     step_kinematics,
 )
-from .geo import DemFormatError, DemGrid, Obstacle, Point3, distance3, load_dem, segment_obstructed
+from .geo import DemFormatError, DemGrid, Obstacle, Point3, _path_length, _read_dem, distance3, segment_obstructed
 from .guidance import (
     FleetPaths,
     GuidanceParams,
@@ -148,6 +148,7 @@ class Scenario:
     name: str = ""
     source_path: str | None = None
     source_sha256: str = ""
+    dem_sha256: str = ""
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,6 @@ class ReplanEvent:
     t: float
     uav_id: int
     waypoints: tuple[Point3, ...]
-    rt_sim: float
     overhead: float
     wall_ms: float
 
@@ -185,6 +185,7 @@ class RunLog:
     replan_failures: list[ReplanFailure] = field(default_factory=list)
     scenario_path: str = "<memory>"
     scenario_sha256: str = ""
+    dem_sha256: str = ""
     master_seed: int = 0
     wall_s: float = 0.0
 
@@ -220,7 +221,6 @@ class Metrics:
     rmse_mean_m: float
     md_max_s: float
     md_final_s: float
-    rt_sim_s: float
     detour_overhead_s: float
     per_uav_ae_m: list[float]
     n_replan_events: int
@@ -390,7 +390,7 @@ def load_scenario(path: str | Path) -> Scenario:
     if not isinstance(dem_rel, str):
         raise ScenarioError(f"scenario.dem_file: expected a path string, got {dem_rel!r}")
     try:
-        dem = load_dem((path.parent / dem_rel).resolve())
+        dem, dem_sha256 = _read_dem((path.parent / dem_rel).resolve())
     except DemFormatError as exc:
         raise ScenarioError(f"scenario.dem_file: {exc}") from exc
 
@@ -534,6 +534,7 @@ def load_scenario(path: str | Path) -> Scenario:
         name=name,
         source_path=str(path),
         source_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        dem_sha256=dem_sha256,
     )
 
 
@@ -608,15 +609,12 @@ def _replan_obstructed(scenario: Scenario, log: RunLog, paths: FleetPaths, y: np
         wall_ms = (time.perf_counter() - wall0) * 1e3
         # replan repeats the obstruction test above, so it returns at
         # least one waypoint here.
-        legs = [positions[i], *detour.tolist(), actives[i]]
-        detour_len = sum(distance3(legs[k], legs[k + 1]) for k in range(len(legs) - 1))
+        detour_len = _path_length([positions[i], *detour.tolist(), actives[i]])
         overhead = (detour_len - distance3(positions[i], actives[i])) / v_g
         paths.splice(i, detour)
         spliced = True
-        # Detection and splice complete inside the same tick, so
-        # the simulated response time is zero by construction.
         waypoints = tuple(Point3(*row) for row in detour.tolist())
-        log.replan_events.append(ReplanEvent(tick=tick, t=t, uav_id=i, waypoints=waypoints, rt_sim=0.0,
+        log.replan_events.append(ReplanEvent(tick=tick, t=t, uav_id=i, waypoints=waypoints,
                                              overhead=overhead, wall_ms=wall_ms))
     return spliced
 
@@ -646,7 +644,8 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
     replan_counts = [0] * n
 
     log = RunLog(n_uavs=n, dt=dt, n_ticks=n_ticks, scenario_path=scenario.source_path or "<memory>",
-                 scenario_sha256=scenario.source_sha256, master_seed=scenario.master_seed)
+                 scenario_sha256=scenario.source_sha256, dem_sha256=scenario.dem_sha256,
+                 master_seed=scenario.master_seed)
 
     for tick in range(n_ticks):
         t = tick * dt
@@ -694,7 +693,7 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
 
 
 def compute_metrics(log: RunLog, scenario: Scenario) -> Metrics:
-    """Closest-approach error statistics and time-index agreement.
+    """Closest-approach error statistics, time-index agreement and replan totals.
 
     For each vehicle and each waypoint of its original path, the error is
     taken at the tick of closest 3D approach over the whole run.  The AE
@@ -705,7 +704,8 @@ def compute_metrics(log: RunLog, scenario: Scenario) -> Metrics:
     scenario's ``duration_s``, which the bundled scenarios set past the
     vehicles' closest approach to the target, so ``md_final_s`` is the
     time-index spread after arrival, not at it, and does not measure
-    how far apart the vehicles arrived.
+    how far apart the vehicles arrived.  ``detour_overhead_s`` adds the
+    replans' overheads in event order, left to right from 0.0.
     """
     n = len(scenario.uavs)
     if log.n_ticks == 0:
@@ -714,7 +714,6 @@ def compute_metrics(log: RunLog, scenario: Scenario) -> Metrics:
             rmse_mean_m=0.0,
             md_max_s=0.0,
             md_final_s=0.0,
-            rt_sim_s=0.0,
             detour_overhead_s=0.0,
             per_uav_ae_m=[0.0] * n,
             n_replan_events=0,
@@ -742,15 +741,13 @@ def compute_metrics(log: RunLog, scenario: Scenario) -> Metrics:
     md = float(spread.max())
     md_final = float(spread[-1])
 
-    rt_sim = log.replan_events[0].rt_sim if log.replan_events else 0.0
-    overhead = float(sum(e.overhead for e in log.replan_events))
+    overhead = functools.reduce(operator.add, [e.overhead for e in log.replan_events], 0.0)
 
     return Metrics(
         ae_mean_m=float(np.mean(per_uav_ae)),
         rmse_mean_m=float(np.mean(per_uav_rmse)),
         md_max_s=md,
         md_final_s=md_final,
-        rt_sim_s=rt_sim,
         detour_overhead_s=overhead,
         per_uav_ae_m=per_uav_ae,
         n_replan_events=len(log.replan_events),
@@ -801,10 +798,10 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
     """Write the run to ``out_dir``; returns the files written.
 
     Per-vehicle trajectory CSVs, an event CSV (replans and premise
-    violations), metrics JSON, and a manifest tying the run to its
-    scenario hash and seed.  All of those are byte-stable for a fixed
-    (scenario, seed).  Wall-clock timings go to timing.json, which replay
-    verification ignores.
+    violations), metrics JSON, and a manifest tying the run to the sha256
+    of its scenario file and of its DEM file, and to its seed.  All of
+    those are byte-stable for a fixed (scenario, DEM, seed).  Wall-clock
+    timings go to timing.json, which replay verification ignores.
 
     A float cell of a CSV is Python's ``repr`` of the value: the shortest
     text that reads back to the same double, and ``nan``, ``inf`` or
@@ -817,7 +814,9 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
 
     Every row of ``events.csv`` has one form, written by one f-string:
     event, tick, ``t_s``, ``uav_id`` and a ``detail`` cell that is
-    ``json.dumps(..., sort_keys=True)`` of the event's fields (booleans
+    ``json.dumps(..., sort_keys=True)`` of the event's fields: a replan's
+    detour ``waypoints`` and ``overhead_s``, a failed replan's ``reason``,
+    a premise violation's three flags and margin (booleans
     ``true``/``false``, non-finite floats ``NaN``, ``Infinity`` and
     ``-Infinity``, points as [north, east, height] lists), double-quoted
     with inner quotes doubled, as ``csv.writer`` quotes a field that holds
@@ -852,8 +851,8 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
     # merge each into the block of premise rows that holds its vehicle-tick,
     # after that vehicle-tick's premise row ("premise_violation" sorts
     # before both replan names).
-    rows = [("replan", e.tick, e.t, e.uav_id, {"waypoints": e.waypoints, "rt_sim_s": e.rt_sim,
-                                               "overhead_s": e.overhead}) for e in log.replan_events]
+    rows = [("replan", e.tick, e.t, e.uav_id, {"waypoints": e.waypoints, "overhead_s": e.overhead})
+            for e in log.replan_events]
     rows += [("replan_failed", f.tick, f.t, f.uav_id, {"reason": f.reason}) for f in log.replan_failures]
     replans: list[tuple[int, int, str, str]] = []
     for event, tick, t, uav_id, detail in rows:
@@ -895,6 +894,7 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
     manifest = {
         "scenario_path": log.scenario_path,
         "scenario_sha256": log.scenario_sha256,
+        "dem_sha256": log.dem_sha256,
         "master_seed": log.master_seed,
         "n_uavs": log.n_uavs,
         "n_ticks": log.n_ticks,

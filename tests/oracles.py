@@ -410,7 +410,6 @@ def events_csv_oracle(log):
     for e in log.replan_events:
         detail = {
             "waypoints": [[p.north, p.east, p.height] for p in e.waypoints],
-            "rt_sim_s": e.rt_sim,
             "overhead_s": e.overhead,
         }
         events.append((e.tick, e.uav_id, ["replan", e.tick, e.t, e.uav_id, json.dumps(detail, sort_keys=True)]))

@@ -74,7 +74,6 @@ def test_metrics_reads_run_dir(make_scenario_file, tmp_path, capsys):
         "rmse_mean_m",
         "md_max_s",
         "md_final_s",
-        "rt_sim_s",
         "detour_overhead_s",
         "per_uav_ae_m",
         "n_replan_events",

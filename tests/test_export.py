@@ -40,7 +40,7 @@ REASON = 'iteration 2: no acceptable candidate, "cone" empty\nsecond line'
 CURSOR = LOG_COLUMNS.index("cursor")
 FLAGS = slice(LOG_COLUMNS.index("lat_ok"), LOG_COLUMNS.index("margin"))
 MARGIN = LOG_COLUMNS.index("margin")
-METRICS = Metrics(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, [], 0, 0, 0)
+METRICS = Metrics(0.0, 0.0, 0.0, 0.0, 0.0, [], 0, 0, 0)
 
 
 def _edge_log(n_ticks, n_uavs, dt, seed, n_replans):
@@ -72,8 +72,7 @@ def _edge_log(n_ticks, n_uavs, dt, seed, n_replans):
     for tick, uav_id in spots:
         waypoints = tuple(Point3(*rng.choice(EDGES, 3).tolist()) for _ in range(int(rng.integers(1, 4))))
         log.replan_events.append(ReplanEvent(tick=tick, t=tick * dt, uav_id=uav_id, waypoints=waypoints,
-                                             rt_sim=float(rng.choice(EDGES)), overhead=float(rng.choice(EDGES)),
-                                             wall_ms=1.0))
+                                             overhead=float(rng.choice(EDGES)), wall_ms=1.0))
         log.replan_failures.append(ReplanFailure(tick=tick, t=tick * dt, uav_id=uav_id, reason=REASON))
     return log
 
@@ -135,8 +134,8 @@ def _add_replans(log, spots):
     """A ``replan`` and a ``replan_failed`` row at each (tick, uav_id) of ``spots``."""
     for tick, uav_id in spots:
         log.replan_events.append(ReplanEvent(tick=tick, t=tick * log.dt, uav_id=uav_id,
-                                             waypoints=(Point3(1.0, -0.0, math.nan),), rt_sim=0.5,
-                                             overhead=math.inf, wall_ms=1.0))
+                                             waypoints=(Point3(1.0, -0.0, math.nan),), overhead=math.inf,
+                                             wall_ms=1.0))
         log.replan_failures.append(ReplanFailure(tick=tick, t=tick * log.dt, uav_id=uav_id, reason=REASON))
 
 

@@ -4,6 +4,7 @@ Expected values are either exact by construction or frozen from the
 independent hand evaluation named next to each assertion.
 """
 
+import hashlib
 import json
 import math
 
@@ -24,6 +25,7 @@ from flocksim import (
     segment_above_terrain,
     segment_obstructed,
 )
+from flocksim.geo import _path_length, _read_dem
 
 
 class TestDistances:
@@ -46,6 +48,15 @@ class TestDistances:
     def test_distance3_identity(self):
         p = Point3(-4.0, 9.0, 2.5)
         assert distance3(p, p) == 0.0
+
+    def test_path_length_adds_legs_left_to_right(self):
+        # Legs 1, 1e16 and 1: each 1 added to 1e16 is a tie that rounds back
+        # to 1e16, where a compensated sum (math.fsum, Python 3.12's sum)
+        # gives 1e16 + 2.
+        points = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1e16, 0.0), (1.0, 1e16, 1.0)]
+        assert _path_length(points) == 1e16
+        assert math.fsum(map(distance3, points, points[1:])) == 1e16 + 2.0
+        assert _path_length(points[:1]) == 0.0
 
 
 class TestPoint3IsATriple:
@@ -284,6 +295,14 @@ class TestDemIo:
         )
         with pytest.raises(DemFormatError, match="elevation token 1 is not finite: '-inf'"):
             load_dem(path)
+
+    def test_read_dem_hashes_the_bytes_it_parsed(self, tmp_path):
+        path = tmp_path / "t.dem"
+        path.write_bytes(b"nrows 2\r\nncols 2\r\norigin_north_m 0.0\r\norigin_east_m 0.0\r\n"
+                         b"cell_size_m 10.0\r\n1 2 3 4\r\n")
+        grid, digest = _read_dem(path)
+        assert grid.elevation.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_underscore_token_reads_as_float_reads_it(self, tmp_path):
         path = tmp_path / "t.dem"

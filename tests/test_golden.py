@@ -20,7 +20,9 @@ turning off numpy's AVX-512 dispatch targets (``X86_V4`` and the later
 ones), and then also AVX2 (``X86_V3``), and must give the same digests.
 
 An intended change to exported numbers updates the table below in one
-place and says why in CHANGES.md.  ``manifest.json`` loses its
+place and says why in CHANGES.md.  ``PYTHONPATH=src python
+tests/test_golden.py`` prints the table for the current code in this
+file's layout, to paste over the one below.  ``manifest.json`` loses its
 ``scenario_path`` field before hashing, because it names the checkout
 directory.
 """
@@ -31,6 +33,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -42,56 +45,56 @@ from flocksim.harness import WALL_CLOCK_FILES
 GOLDEN = {
     "fleet_04": {
         "events.csv": "672d351dc22adc4404d0e6f02b7941a6a8b4df250f6c92ceeb4aa84262bbe26e",
-        "manifest.json": "d36c3a3fd27299a96a6a58b48329bec79f850dc1ddc9458e660fc304eed0aba3",
-        "metrics.json": "dd114b395729060e9b9ab38f6b5b5231579ae9ae72b23b5159ea0fb2921d0b6e",
+        "manifest.json": "20879fa9e0d0ec72ed4cd5770020c54acd772faaf2249aa75a8f6f8a67f78141",
+        "metrics.json": "2dc3305ca3fd5a534e189702c06d24306f3f1a67ca6a4315b0e9922ae8863d5c",
         "trajectories": "16132b045d33ca869d47fbe80000237196f9d0aabb6b5de3330529b3e7048ddb",
     },
     "fleet_07": {
         "events.csv": "aace4c925d6ffd0a9b22d09b723f5e07df6f3193e9b89bf01d9ac98dea7ff59d",
-        "manifest.json": "bd6763c358d0e1b6081023f999fc7f688ad54d367a870c485354c9fba2a6c149",
-        "metrics.json": "76c32ae3e7501817303d9aaf7ba1cfcfd3c50675760e5539c7610b428ce07f4b",
+        "manifest.json": "56069ff8aa6c8ccb3f7b24f1f4d3916e45b576998eb369a329eb60e5848fd3e8",
+        "metrics.json": "9d3e76f020864545f0c60d33d8fcb006caac3acef24a07c14cd179aba5a10044",
         "trajectories": "74a799e29ba82db4a61ac3620383eaf33ad52257111e149c14ad73cdd58a2ded",
     },
     "fleet_10": {
         "events.csv": "daabcd2490734c91aad10677e75020619ce9b2b8d012f4b47946018896ca6c7a",
-        "manifest.json": "cc8ddd9ec0ea519cac1689bbaff001bae2d283e2e36754f4659e7925dc1a21c7",
-        "metrics.json": "d19018489eafc74c78e7bdb816478cb316dba0f6f32f5ae9cf46435e0de46026",
+        "manifest.json": "464c59f2782b83df4675a16ab069f27c18823a72d2737b3a6e600bd1ae346f57",
+        "metrics.json": "647f794edf352dfc2b2da6f26a04b8cf45bbb5974e02b6260a541e7e43573ee2",
         "trajectories": "e49eb5bd90006029a7d0f646e2a8c84b5d70505e75c749d0194d98a4cc7b68a4",
     },
     "fleet_13": {
         "events.csv": "081a5d1cb41f645ba918e648c745ae9c0cb86ae87453290813a7ca2b6bbe6b70",
-        "manifest.json": "cec785046757863266c630913f470fbc5778d4bb793a13fe0c43c6400f7a43de",
-        "metrics.json": "73c1a94d2731ca6b6bada62f4888c4b0bbed726fec21aabc8d57c4618c717206",
+        "manifest.json": "a872244bb06cd298c38a22e80e8270b718ea847937a726e1b013e6a13b733d1c",
+        "metrics.json": "aeedbee439bfb9a240d8e42c41cd28dc7fee05976a1d1e9127983567db71d39c",
         "trajectories": "cea7e2314992c25358dd322d1b26ec85673c4e3dbd2ebe60b606bba398bc63c7",
     },
     "fleet_40_blackout": {
         "events.csv": "9e0c5daef6216bc56e918d0584141ead12dfad90c8a59199c52ef2de203a2f78",
-        "manifest.json": "b642c75b281c087bd6bc404a2249be3630e113302864524bff50fe70d81cb6d9",
-        "metrics.json": "361d8a8edefd202355bf487718173023fbeee7b0119ca6d13bb025ce0c222e96",
+        "manifest.json": "0a7cfe4411a104d10acfdd79aaf7c75d7163e466cb12f5fc40a8b341f947e9b3",
+        "metrics.json": "29bd2b0a84cf532850abe916dce320f62da8c935b47ec16ab69f36a1753541cc",
         "trajectories": "a2fb823bb18390fa2eb99616d2bc520e401da570a1618764e9c46297e2f5899d",
     },
     "reference_4uav": {
-        "events.csv": "fcdce997a83407c4e1dac8e2a50a8a254bc89bc3467a0580d7f6d19a51272b2b",
-        "manifest.json": "7581ad3fbf775dac5597e0bbd60c4830128a17913a96bd97b82cc2dba1b089bc",
-        "metrics.json": "2361d0def4471b3f6c6ff7ba334d0f20ba2308a62170e050dd7f89e46913962c",
+        "events.csv": "07a014d3b9b0ba7afa84ff0202df1396fbf3c05006e56cb4f6b59a4165fad7d8",
+        "manifest.json": "16bd019e8f7a002c1b68fe850b5002fe2f75acebaf94695d20ce1c2cb13bbbf7",
+        "metrics.json": "04a60170692e29b97f46b74dbbc61020e119ce0ab807eb9373006a57cdaeffdc",
         "trajectories": "d35ed0be159aff6960a45007074675241dae2b702b11ef65ad3ffdb82a0c353a",
     },
-    "reference_4uav_dt02": {
-        "events.csv": "a578770a8eb501c30d9175ee9685e93fe2a66c52dd7437d3b61af1e4bd925c0a",
-        "manifest.json": "6aef2ac9f7c53cddb4ab71301844931ac75691afda1da82d6f60e3bb2ccd9f96",
-        "metrics.json": "e3ad977878468218e69302503c35fabbd7f522fd1ea95ff87be3221335dfe348",
-        "trajectories": "40a0025db055f24e9ee0c9c19841542187f07e71cf7a036c2295091b230a586f",
-    },
     "reference_4uav_dropout": {
-        "events.csv": "fefbe57bb622dfa9b2f7e57bbdc9a790724b6826bc55c2d821c333af36fba531",
-        "manifest.json": "2fe74af6e68957a9f59eb765d4401fe5cfd48d3c5f0064b2f9e7ae610decafde",
-        "metrics.json": "fa232a3f1d11ef606e9ce4aadbfb8cf2004ef57c21b41b7498379c0ce1b508e8",
+        "events.csv": "85574e8a33e97bdaa26699175d718016960b42633c2a665612d7668e7838e4cd",
+        "manifest.json": "e1ba7561177fa46d766a16d141541b5218e7844b8391a9437ed3353c628cf257",
+        "metrics.json": "b506102bc2e62f571665cb3fb9461b2b9469ba4781aa5b297237360f9f6307af",
         "trajectories": "ff19fcb123779dc09b370c37c3ea236583a8b1f70b5719f3a92aaac20cf0c2cd",
     },
+    "reference_4uav_dt02": {
+        "events.csv": "301144fae88a04eccea7ad3689ad01c7eab9bc71c61f2bb09d8519786016a955",
+        "manifest.json": "695f73655b3391aa37085c3dc277088c1b7e574e86516506ca9a221e33d1e67a",
+        "metrics.json": "23f0c3d8b2c87f50bc6d7b999be31e3405f6360de1b4d73a3304bc01fe32876b",
+        "trajectories": "40a0025db055f24e9ee0c9c19841542187f07e71cf7a036c2295091b230a586f",
+    },
     "reference_4uav_seed1": {
-        "events.csv": "2ac185b9484bd4bc4aa7904234f6330275a67f9c79837c3e2ccdeebadd027089",
-        "manifest.json": "37e54522cdce4dab4d7998c8aae386847a0a13c8d23af398f09f71d8082a8ae3",
-        "metrics.json": "cea8ea1b80d243f1cd41c14071da1ca474cc71c06ed51d8a7d7eca035b2c1e12",
+        "events.csv": "18dd7fd2f38bff32ab6ebcf4f1ca6393029dffaa6f5668c0045d2f9d38aace81",
+        "manifest.json": "8fd6da12baab725103488b899b904db12c132e9dad0839d0e5c1378b5e74e29e",
+        "metrics.json": "5ab13c2ec1207fa77e9923d6c316dee44eafbb4bbf4407c7926d5bc1d4b74687",
         "trajectories": "3313e1581fa791f275c5b9c72ab630bde0698d0216b00d9225c2c11b00a1aaf2",
     },
 }
@@ -135,12 +138,16 @@ def _scenario_file(name: str, scenario_dir: str, tmp_path: Path) -> Path:
     return presets.write_scenario(doc, tmp_path / f"{name}.yaml")
 
 
+def _case_digests(name: str, scenario_dir: str, work: Path) -> dict[str, str]:
+    """Run the golden case ``name`` in the directory ``work`` and digest its exports."""
+    log, metrics = run(load_scenario(_scenario_file(name, scenario_dir, work)))
+    export(log, metrics, work / "out")
+    return _export_digests(work / "out")
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_export_digests_unchanged(name, scenario_dir, tmp_path):
-    log, metrics = run(load_scenario(_scenario_file(name, scenario_dir, tmp_path)))
-    out = tmp_path / "out"
-    export(log, metrics, out)
-    assert _export_digests(out) == GOLDEN[name]
+    assert _case_digests(name, scenario_dir, tmp_path) == GOLDEN[name]
 
 
 # Run in a child process, whose numpy reads NPY_DISABLE_CPU_FEATURES at
@@ -150,8 +157,7 @@ _DISPATCH_CHILD = """
 import json, os, sys
 from pathlib import Path
 from numpy._core._multiarray_umath import __cpu_features__
-from flocksim import export, load_scenario, run
-from test_golden import _export_digests, _scenario_file
+from test_golden import _case_digests
 
 still_on = [f for f in os.environ["NPY_DISABLE_CPU_FEATURES"].split() if __cpu_features__[f]]
 if still_on:
@@ -160,9 +166,7 @@ scenario_dir, work = sys.argv[1], Path(sys.argv[2])
 digests = {}
 for name in sys.argv[3:]:
     (work / name).mkdir()
-    log, metrics = run(load_scenario(_scenario_file(name, scenario_dir, work / name)))
-    export(log, metrics, work / name / "out")
-    digests[name] = _export_digests(work / name / "out")
+    digests[name] = _case_digests(name, scenario_dir, work / name)
 print(json.dumps(digests))
 """
 DISPATCH_CASES = ("reference_4uav", "reference_4uav_seed1")
@@ -191,3 +195,15 @@ def test_digests_do_not_depend_on_simd_dispatch(keep, scenario_dir, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {name: GOLDEN[name] for name in DISPATCH_CASES}
+
+
+if __name__ == "__main__":
+    scenarios = str(Path(__file__).resolve().parent.parent / "scenarios")
+    print("GOLDEN = {")
+    for case in sorted(GOLDEN):
+        with tempfile.TemporaryDirectory() as work:
+            print(f'    "{case}": {{')
+            for kind, digest in sorted(_case_digests(case, scenarios, Path(work)).items()):
+                print(f'        "{kind}": "{digest}",')
+            print("    },")
+    print("}")

@@ -8,6 +8,7 @@ mean error vector with the n-1 denominator.
 import copy
 import csv
 import dataclasses
+import hashlib
 import inspect
 import itertools
 import json
@@ -601,9 +602,11 @@ class TestRun:
         log, metrics = run(scenario)
         assert len(log.replan_events) >= 1
         event = log.replan_events[0]
+        assert [f.name for f in dataclasses.fields(ReplanEvent)] == [
+            "tick", "t", "uav_id", "waypoints", "overhead", "wall_ms"
+        ]
         assert event.uav_id == 0
         assert event.tick == 0
-        assert event.rt_sim == 0.0
         assert event.overhead > 0.0
         assert event.wall_ms >= 0.0
 
@@ -681,13 +684,24 @@ class TestComputeMetrics:
         log = RunLog(n_uavs=1, dt=1.0, n_ticks=1)
         rec(log, 0, 0, -300.0, 0.0, 110.0)
         log.replan_events = [
-            ReplanEvent(0, 0.0, 0, (Point3(0, 0, 110),), rt_sim=0.0, overhead=1.5, wall_ms=2.0),
-            ReplanEvent(0, 0.0, 0, (Point3(0, 0, 110),), rt_sim=0.0, overhead=2.25, wall_ms=2.0),
+            ReplanEvent(0, 0.0, 0, (Point3(0, 0, 110),), overhead=1.5, wall_ms=2.0),
+            ReplanEvent(0, 0.0, 0, (Point3(0, 0, 110),), overhead=2.25, wall_ms=2.0),
         ]
         metrics = compute_metrics(log, scenario)
         assert metrics.detour_overhead_s == 3.75
         assert metrics.n_replan_events == 2
-        assert metrics.rt_sim_s == 0.0
+
+    def test_detour_overhead_adds_left_to_right(self, make_scenario_file):
+        # 1 + 1e16 is a tie that rounds back to 1e16, twice; a compensated
+        # sum (math.fsum, Python 3.12's builtin sum) gives 1e16 + 2.
+        scenario = self.make_scenario(make_scenario_file)
+        log = RunLog(n_uavs=1, dt=1.0, n_ticks=1)
+        rec(log, 0, 0, -300.0, 0.0, 110.0)
+        overheads = [1.0, 1e16, 1.0]
+        log.replan_events = [ReplanEvent(0, 0.0, 0, (Point3(0, 0, 110),), overhead=x, wall_ms=2.0)
+                             for x in overheads]
+        assert compute_metrics(log, scenario).detour_overhead_s == 1e16
+        assert math.fsum(overheads) == 1e16 + 2.0
 
     def test_empty_log_is_all_zero(self, make_scenario_file):
         scenario = self.make_scenario(make_scenario_file)
@@ -732,10 +746,32 @@ class TestExport:
         export(log, metrics, out)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["scenario_sha256"] == scenario.source_sha256
+        dem_bytes = (path.parent / MINI_SCENARIO["dem_file"]).read_bytes()
+        assert manifest["dem_sha256"] == hashlib.sha256(dem_bytes).hexdigest()
         assert manifest["master_seed"] == 11
         assert manifest["n_uavs"] == 1
         assert manifest["n_ticks"] == 80
         assert manifest["software_version"] == flocksim.__version__
+
+    def test_manifest_names_the_terrain_it_flew_over(self, scenario_dir, tmp_path):
+        # One elevation token edited in place: the manifests differ in the
+        # DEM hash alone, the scenario file and its path being unchanged.
+        for name in ("reference_4uav.yaml", "terrain.dem"):
+            shutil.copy(Path(scenario_dir) / name, tmp_path / name)
+
+        def manifest(out):
+            export(*run(load_scenario(tmp_path / "reference_4uav.yaml")), out)
+            return json.loads((out / "manifest.json").read_text())
+
+        a = manifest(tmp_path / "a")
+        dem = tmp_path / "terrain.dem"
+        lines = dem.read_text().splitlines(keepends=True)
+        first, rest = lines[5].split(" ", 1)  # the first elevation, after the five header lines
+        lines[5] = f"{float(first) + 1.0!r} {rest}"
+        dem.write_text("".join(lines))
+        b = manifest(tmp_path / "b")
+        assert {key for key in a if a[key] != b[key]} == {"dem_sha256"}
+        assert a.keys() == b.keys()
 
     def test_metrics_json_matches_as_dict(self, make_scenario_file, tmp_path):
         scenario = load_scenario(make_scenario_file())
@@ -761,8 +797,8 @@ class TestExport:
 
         row = next(csv_mod.reader(io.StringIO(replan_rows[0])))
         detail = json.loads(row[4])
+        assert set(detail) == {"overhead_s", "waypoints"}
         assert detail["waypoints"]
-        assert detail["rt_sim_s"] == 0.0
         assert detail["overhead_s"] > 0.0
 
     def test_premise_violation_rows_come_from_the_monitor_columns(self, scenario_dir, tmp_path):
