@@ -760,7 +760,14 @@ def compute_metrics(log: RunLog, scenario: Scenario) -> Metrics:
 # Export
 
 
-_JSON_BOOL = ("false", "true")
+# The detail cell of a premise row, json.dumps(sort_keys=True) of its three
+# flags and margin quoted as csv.writer quotes it, as the text before and
+# after the margin.  Index 4 * lat_ok + 2 * lon_ok + sign_ok.
+_PREMISE_HEADS, _PREMISE_TAILS = zip(*(
+    (f'"{{""lat_ok"": {json.dumps(lat)}, ""lon_ok"": {json.dumps(lon)}, ""margin"": ',
+     f', ""sign_ok"": {json.dumps(sign)}}}"\n')
+    for lat, lon, sign in itertools.product((False, True), repeat=3)
+))
 
 # Vehicle-ticks per block of events.csv premise rows.  Export formats and
 # writes one block at a time, so the memory it adds is bounded by the block,
@@ -768,30 +775,46 @@ _JSON_BOOL = ("false", "true")
 _EVENT_BLOCK = 1024
 
 
-def _json_float(x: float) -> str:
-    """``x`` as ``json.dumps`` spells it: ``repr``, or NaN, Infinity, -Infinity."""
-    if math.isfinite(x):
-        return repr(x)
-    return "NaN" if x != x else "Infinity" if x > 0.0 else "-Infinity"
+def _orjson_band(values: np.ndarray) -> np.ndarray:
+    """Mask of the floats in ``values`` that orjson spells as ``repr`` does.
+
+    orjson writes the shortest round-trip digits, as ``repr`` does, and
+    spells them as ``repr`` does for ±0 and for magnitudes in [1e-4, 1e16).
+    Other values (smaller or larger magnitudes, NaN and the infinities)
+    are outside the band.
+    """
+    mag = np.abs(values)
+    return (mag >= 1e-4) & (mag < 1e16) | (mag == 0.0)
 
 
 def _repr_rows(block: np.ndarray) -> list[str]:
     """One string per row of the (T, k) float ``block``: the comma-joined ``repr`` of its cells.
 
-    orjson writes the shortest round-trip digits, as ``repr`` does, and
-    spells them as ``repr`` does for magnitudes in [1e-4, 1e16) and for
-    ±0.  A row with any other cell (a smaller or larger magnitude, NaN or
-    an infinity) is written by ``repr``.
+    The rows are orjson's text; a row with any cell outside ``_orjson_band``
+    is written by ``repr``.
     """
     if not len(block):
         return []
     text = orjson.dumps(np.ascontiguousarray(block), option=orjson.OPT_SERIALIZE_NUMPY)
     rows = text[2:-2].decode().split("],[")  # b"[[a,b],[c,d]]" -> ["a,b", "c,d"]
-    mag = np.abs(block)
-    outside = ~((mag >= 1e-4) & (mag < 1e16) | (mag == 0.0)).all(axis=1)
-    for i in np.flatnonzero(outside).tolist():
+    for i in np.flatnonzero(~_orjson_band(block).all(axis=1)).tolist():
         rows[i] = ",".join(map(repr, block[i].tolist()))
     return rows
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """``json.dumps`` of each float of the 1-D ``values``.
+
+    The texts are orjson's; a value outside ``_orjson_band`` is written by
+    ``json.dumps`` itself.
+    """
+    if not len(values):
+        return []
+    text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
+    texts = text[1:-1].decode().split(",")  # b"[a,b]" -> ["a", "b"]
+    for i in np.flatnonzero(~_orjson_band(values)).tolist():
+        texts[i] = json.dumps(float(values[i]))
+    return texts
 
 
 def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
@@ -812,15 +835,18 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
     and magnitudes in [1e-4, 1e16); a row holding any other value is
     written by ``repr`` itself.
 
-    Every row of ``events.csv`` has one form, written by one f-string:
-    event, tick, ``t_s``, ``uav_id`` and a ``detail`` cell that is
-    ``json.dumps(..., sort_keys=True)`` of the event's fields: a replan's
-    detour ``waypoints`` and ``overhead_s``, a failed replan's ``reason``,
-    a premise violation's three flags and margin (booleans
+    Every row of ``events.csv`` has one form: event, tick, ``t_s``,
+    ``uav_id`` and a ``detail`` cell that is ``json.dumps(...,
+    sort_keys=True)`` of the event's fields: a replan's detour
+    ``waypoints`` and ``overhead_s``, a failed replan's ``reason``, a
+    premise violation's three flags and margin (booleans
     ``true``/``false``, non-finite floats ``NaN``, ``Infinity`` and
     ``-Infinity``, points as [north, east, height] lists), double-quoted
     with inner quotes doubled, as ``csv.writer`` quotes a field that holds
-    a quote.  Event rows are sorted by (tick, uav_id, event).
+    a quote.  The margins of a block of premise rows come from one
+    ``orjson.dumps`` call, in the same band; a margin outside it is
+    written by ``json.dumps``.
+    Event rows are sorted by (tick, uav_id, event).
     ``events.csv`` is written through one open file, a fixed block of
     vehicle-ticks' premise rows at a time, so the memory export adds does
     not grow with the number of rows.
@@ -871,15 +897,11 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
             at = np.flatnonzero(violations[start:start + _EVENT_BLOCK]) + start
             ticks, uav_ids = np.divmod(at, log.n_uavs)
             premises = log.data[ticks, uav_ids, _PREMISES]
-            lat_ok, lon_ok, sign_ok = (premises[:, :3] != 0.0).T.tolist()
-            # The detail is json.dumps(sort_keys=True) of the three flags and
-            # the margin, quoted as csv.writer quotes it.
+            flags = ((premises[:, :3] != 0.0) @ (4, 2, 1)).tolist()
             lines = [
-                f'premise_violation,{tick},{tick * log.dt!r},{uav_id},"{{""lat_ok"": {_JSON_BOOL[lat]}, '
-                f'""lon_ok"": {_JSON_BOOL[lon]}, ""margin"": {_json_float(margin)}, ""sign_ok"": {_JSON_BOOL[sign]}}}"\n'
-                for tick, uav_id, lat, lon, sign, margin in zip(
-                    ticks.tolist(), uav_ids.tolist(), lat_ok, lon_ok, sign_ok, premises[:, 3].tolist()
-                )
+                f"premise_violation,{prefixes[tick]}{uav_id},{_PREMISE_HEADS[d]}{margin}{_PREMISE_TAILS[d]}"
+                for tick, uav_id, d, margin in zip(ticks.tolist(), uav_ids.tolist(), flags,
+                                                   _json_floats(premises[:, 3]))
             ]
             end = bisect.bisect_left(replan_at, start + _EVENT_BLOCK, r)
             # Last first, so that each insert leaves the earlier positions valid.

@@ -1,14 +1,15 @@
 """``export`` writes the bytes of the one-row-at-a-time oracles.
 
 ``export`` joins each trajectory CSV from rows whose floats orjson
-spells, and writes each premise-violation row with one f-string.
-``trajectory_csv_oracle`` and ``events_csv_oracle`` in
-``tests/oracles.py`` build the same files a row at a time with ``repr``,
-``json.dumps`` and ``csv.writer``.  These tests fill run logs with the
-values whose spelling differs between formatters (NaN, the infinities,
--0.0, 1e16, 1e-5, the smallest subnormal, and the doubles on each side of
-1e-4 and 1e16, where orjson's spelling stops matching ``repr``) in every
-column, every premise-flag combination, non-positive margins, and replan
+spells, and each premise-violation row from a margin orjson spells and
+the text of its three flags.  ``trajectory_csv_oracle`` and
+``events_csv_oracle`` in ``tests/oracles.py`` build the same files a row
+at a time with ``repr``, ``json.dumps`` and ``csv.writer``.  These tests
+fill run logs with the values whose spelling differs between formatters
+(NaN, the infinities, -0.0, 1e16, 1e-5, the smallest subnormal, and the
+doubles on each side of 1e-4 and 1e16, where orjson's spelling stops
+matching ``repr``) in every column, every premise-flag combination,
+non-positive margins, margins of raw float64 bit patterns, and replan
 rows that share a (tick, vehicle) with a premise row, and require equal
 bytes.  ``export`` writes the premise rows a block of vehicle-ticks at a
 time; a shrunken block puts replan rows on block edges, and a memory gate
@@ -16,6 +17,7 @@ keeps what export allocates independent of the number of rows.
 """
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -94,6 +96,11 @@ def test_export_bytes_equal_the_oracles(tmp_path_factory, n_ticks, n_uavs, dt, s
     assert (out / "events.csv").read_bytes() == events_csv_oracle(log).encode()
 
 
+def _doubles(bits):
+    """The float64 values of a list of uint64 bit patterns."""
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
 def _bit_patterns(exponents):
     """float64 bit patterns: any sign and mantissa, the biased exponent drawn from ``exponents``."""
     return st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
@@ -116,8 +123,35 @@ ANY_DOUBLE = _bit_patterns(st.integers(0, 2047))
 )
 def test_repr_rows_equal_repr_of_each_cell(shaped):
     k, rows = shaped
-    block = np.array(rows, dtype=np.uint64).reshape(len(rows), k).view(np.float64)
+    block = _doubles(rows).reshape(len(rows), k)
     assert harness._repr_rows(block) == [",".join(map(repr, row)) for row in block.tolist()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(NEAR_BAND, max_size=16) | st.lists(ANY_DOUBLE, max_size=16))
+def test_json_floats_equal_json_dumps_of_each_value(bits):
+    values = _doubles(bits)
+    assert harness._json_floats(values) == [json.dumps(x) for x in values.tolist()]
+
+
+def test_orjson_band_edges():
+    inside = [x == 0.0 or 1e-4 <= abs(x) < 1e16 for x in EDGES]
+    assert harness._orjson_band(np.array(EDGES)).tolist() == inside
+    assert inside.count(False) == 9  # the non-finite, tiny and huge EDGES, and one ulp past each band edge
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    bits=st.lists(NEAR_BAND, min_size=1, max_size=40) | st.lists(ANY_DOUBLE, min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_premise_margins_of_any_bits_equal_the_oracle(tmp_path_factory, bits, seed):
+    log = RunLog(n_uavs=2, dt=0.1, n_ticks=len(bits))
+    log.data[:, :, MARGIN] = _doubles(bits)[:, None]
+    log.data[:, :, FLAGS] = np.random.default_rng(seed).integers(0, 2, (len(bits), 2, 3))
+    out = tmp_path_factory.mktemp("export")
+    export(log, METRICS, out)
+    assert (out / "events.csv").read_bytes() == events_csv_oracle(log).encode()
 
 
 @pytest.mark.parametrize("cursor", [math.nan, math.inf, -math.inf])
