@@ -17,6 +17,7 @@ are quarantined in a separate timing file.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import hashlib
 import inspect
@@ -24,11 +25,12 @@ import itertools
 import json
 import math
 import operator
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, get_type_hints
+from typing import IO, Any, Iterator, get_type_hints
 
 import numpy as np
 import orjson
@@ -725,12 +727,8 @@ def compute_metrics(log: RunLog, scenario: Scenario) -> Metrics:
     per_uav_rmse: list[float] = []
     for spec in scenario.uavs:
         traj = log.positions(spec.uav_id)
-        errors = []
-        for wp in spec.waypoints:
-            d = np.linalg.norm(traj - wp, axis=1)
-            k = int(np.argmin(d))
-            errors.append(wp - traj[k])
-        err = np.array(errors)
+        d = np.linalg.norm(traj[:, None, :] - spec.waypoints, axis=2)
+        err = spec.waypoints - traj[d.argmin(axis=0)]
         norms = np.linalg.norm(err, axis=1)
         per_uav_ae.append(float(np.mean(norms)))
         mean_norm = float(np.linalg.norm(np.mean(err, axis=0)))
@@ -817,6 +815,20 @@ def _json_floats(values: np.ndarray) -> list[str]:
     return texts
 
 
+@contextlib.contextmanager
+def _open_in_place(fp: Path, mode: str) -> Iterator[IO[Any]]:
+    """``fp`` opened with ``mode`` (``"wb"`` or ``"w"``) to be rewritten from its start.
+
+    The file is never cut to length zero: on a file that holds data, ext4
+    makes ``O_TRUNC`` cost more than overwriting the same blocks.  When the
+    block ends, the file is cut at the last position written, which drops
+    the tail of a longer earlier file.
+    """
+    with open(os.open(fp, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), mode) as f:
+        yield f
+        f.truncate()
+
+
 def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
     """Write the run to ``out_dir``; returns the files written.
 
@@ -850,6 +862,11 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
     ``events.csv`` is written through one open file, a fixed block of
     vehicle-ticks' premise rows at a time, so the memory export adds does
     not grow with the number of rows.
+
+    Export into a used directory rewrites each file it names in place and
+    then cuts it to its new length, never to length zero first.  It
+    deletes nothing: the ``uav_XX.csv`` files of an earlier, larger fleet
+    in ``out_dir`` stay as they were.
     """
     out = Path(out_dir)
     try:
@@ -859,18 +876,22 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
 
     written: list[Path] = []
     header = ",".join(_TRAJECTORY_COLUMNS) + "\n"
-    # Each tick's literal "tick,t_s," prefix is made once for the fleet, and
-    # int() truncates the cursor.  One join per file sizes its text once: a
-    # %-format over the rows grows its buffer as it goes, which left glibc's
-    # heap fragmented in a long process (+3.7 MB peak RSS after a few
-    # 104-vehicle missions).
+    # A file's text is one join of one list, reused across vehicles: the
+    # header, then per tick its "tick,t_s," prefix (made once for the fleet),
+    # the row's floats, ",", the cursor (int() truncates it) and "\n".  One
+    # join per file sizes its text once: a %-format over the rows grows its
+    # buffer as it goes, which left glibc's heap fragmented in a long process
+    # (+3.7 MB peak RSS after a few 104-vehicle missions).
     prefixes = [f"{tick},{tick * log.dt!r}," for tick in range(log.n_ticks)]
+    parts = [header] + ["", "", ",", "", "\n"] * log.n_ticks
+    parts[1::5] = prefixes
     for uav_id in range(log.n_uavs):
-        rows = _repr_rows(log.data[:, uav_id, :9])
-        cursors = log.data[:, uav_id, 9].tolist()
-        text = "".join([f"{prefix}{row},{int(cursor)}\n" for prefix, row, cursor in zip(prefixes, rows, cursors)])
+        parts[2::5] = _repr_rows(log.data[:, uav_id, :9])
+        parts[4::5] = map(str, map(int, log.data[:, uav_id, 9].tolist()))
+        text = "".join(parts).encode()
         fp = out / f"uav_{uav_id:02d}.csv"
-        fp.write_bytes((header + text).encode())
+        with _open_in_place(fp, "wb") as f:
+            f.write(text)
         written.append(fp)
 
     # Replan rows are few: sort them once on (tick, uav_id, event), then
@@ -890,7 +911,7 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
     # Premise rows in flat (tick, uav_id) order, one block at a time.
     violations = log.premise_violations().ravel()
     fp = out / "events.csv"
-    with fp.open("w") as events:
+    with _open_in_place(fp, "w") as events:
         events.write(",".join(_EVENT_COLUMNS) + "\n")
         r = 0
         for start in range(0, violations.size, _EVENT_BLOCK):
@@ -926,6 +947,7 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
     timing = {"run_wall_s": log.wall_s, "replan_wall_ms": [e.wall_ms for e in log.replan_events]}
     for name, doc in (("metrics.json", metrics.as_dict()), ("manifest.json", manifest), ("timing.json", timing)):
         fp = out / name
-        fp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        with _open_in_place(fp, "w") as f:
+            f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         written.append(fp)
     return written

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from flocksim.cli import main
+from flocksim.harness import WALL_CLOCK_FILES
 
 
 def test_validate_ok(make_scenario_file, capsys):
@@ -43,6 +44,19 @@ def test_run_writes_artifacts(make_scenario_file, tmp_path, capsys):
     assert "run complete: 1 uavs, 80 ticks" in stdout
     for name in ("uav_00.csv", "events.csv", "metrics.json", "manifest.json", "timing.json"):
         assert (out / name).is_file()
+
+
+def test_rerun_into_a_used_directory_equals_a_fresh_run(make_scenario_file, tmp_path):
+    longer = make_scenario_file(name="longer", duration_s=120.0, master_seed=12)
+    path = make_scenario_file()
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(["run", str(longer), "--out", str(out)]) == 0
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert main(["run", str(path), "--out", str(fresh)]) == 0
+    names = sorted(p.name for p in fresh.iterdir() if p.name not in WALL_CLOCK_FILES)
+    assert names == ["events.csv", "manifest.json", "metrics.json", "uav_00.csv"]
+    for name in names:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
 
 def test_run_json_payload(make_scenario_file, tmp_path, capsys):

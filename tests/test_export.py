@@ -13,12 +13,15 @@ non-positive margins, margins of raw float64 bit patterns, and replan
 rows that share a (tick, vehicle) with a premise row, and require equal
 bytes.  ``export`` writes the premise rows a block of vehicle-ticks at a
 time; a shrunken block puts replan rows on block edges, and a memory gate
-keeps what export allocates independent of the number of rows.
+keeps what export allocates independent of the number of rows.  A re-export
+over an earlier, longer or shorter export must leave the same bytes as a
+fresh one, and no file may be opened with ``O_TRUNC``.
 """
 
 import itertools
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -94,6 +97,55 @@ def test_export_bytes_equal_the_oracles(tmp_path_factory, n_ticks, n_uavs, dt, s
     for uav_id in range(n_uavs):
         assert (out / f"uav_{uav_id:02d}.csv").read_bytes() == trajectory_csv_oracle(log, uav_id).encode()
     assert (out / "events.csv").read_bytes() == events_csv_oracle(log).encode()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n_ticks=st.sampled_from((0, 1, 7)),
+    n_uavs=st.sampled_from((1, 13)),
+    dt=st.sampled_from(DTS),
+    seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+    n_replans=st.integers(0, 3),
+    longer=st.booleans(),
+)
+def test_reexport_over_an_earlier_export_keeps_the_oracle_bytes(tmp_path_factory, n_ticks, n_uavs, dt, seeds,
+                                                                 n_replans, longer):
+    log = _edge_log(n_ticks, n_uavs, dt, seeds[0], n_replans)
+    if longer:  # more ticks, vehicles, premise rows and replan rows
+        earlier = _edge_log(n_ticks + 9, n_uavs + 3, dt, seeds[1], n_replans + 4)
+    else:
+        earlier = _edge_log(n_ticks // 2, (n_uavs + 1) // 2, dt, seeds[1], 0)
+    out = tmp_path_factory.mktemp("export")
+    export(earlier, METRICS, out)
+    files = export(log, METRICS, out)
+    for uav_id in range(n_uavs):
+        assert (out / f"uav_{uav_id:02d}.csv").read_bytes() == trajectory_csv_oracle(log, uav_id).encode()
+    assert (out / "events.csv").read_bytes() == events_csv_oracle(log).encode()
+    fresh = tmp_path_factory.mktemp("fresh")
+    export(log, METRICS, fresh)
+    for fp in files:
+        assert fp.read_bytes() == (fresh / fp.name).read_bytes()
+    # A larger earlier fleet's extra trajectory files are left as they were.
+    for uav_id in range(n_uavs, earlier.n_uavs):
+        assert (out / f"uav_{uav_id:02d}.csv").read_bytes() == trajectory_csv_oracle(earlier, uav_id).encode()
+
+
+def test_export_opens_each_file_once_without_truncating_it(monkeypatch, tmp_path):
+    log = _edge_log(7, 3, 0.1, seed=5, n_replans=1)
+    export(log, METRICS, tmp_path)
+    opened = []
+    real_open = os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    files = export(log, METRICS, tmp_path)
+    monkeypatch.undo()
+    assert len(files) == log.n_uavs + 4
+    assert sorted(path for path, _ in opened) == sorted(map(str, files))
+    assert not [path for path, flags in opened if flags & os.O_TRUNC]
 
 
 def _doubles(bits):
