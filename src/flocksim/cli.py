@@ -75,7 +75,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     path = Path(args.run_dir) / "metrics.json"
     try:
         payload = json.loads(path.read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc

@@ -115,8 +115,10 @@ class DemGrid:
         grid = np.array(self.elevation, dtype=float)
         if grid.ndim != 2 or grid.shape[0] < 2 or grid.shape[1] < 2:
             raise ValueError(f"elevation must be at least 2x2, got shape {grid.shape}")
-        if not self.cell_size > 0.0:
-            raise ValueError(f"cell_size must be positive, got {self.cell_size}")
+        if not 0.0 < self.cell_size < math.inf:
+            raise ValueError(f"cell_size must be positive and finite, got {self.cell_size}")
+        if not (math.isfinite(self.origin_north) and math.isfinite(self.origin_east)):
+            raise ValueError(f"origin must be finite, got ({self.origin_north}, {self.origin_east})")
         if not np.all(np.isfinite(grid)):
             raise ValueError("elevation values must all be finite")
         grid.flags.writeable = False
@@ -250,21 +252,47 @@ def load_dem(path: str | Path) -> DemGrid:
     Format: five header lines ``nrows``, ``ncols``, ``origin_north_m``,
     ``origin_east_m``, ``cell_size_m`` (in that order), then
     ``nrows * ncols`` whitespace-separated elevations, row-major, row 0 at
-    the origin.  The parse is strict: wrong counts, unknown headers, and
-    non-finite values all raise :class:`DemFormatError`.
+    the origin.  The parse is strict: text that is not UTF-8, wrong
+    counts, unknown headers, and non-finite values all raise
+    :class:`DemFormatError`.
+
+    Identical file bytes are parsed once per process: a load whose bytes
+    (by sha256, whatever the path) equal those of the last grid parsed
+    returns that same grid object.  It is shared and immutable (frozen,
+    with a read-only ``elevation``), and the last grid parsed stays in
+    memory until a file with other bytes is parsed.
     """
     return _read_dem(path)[0]
 
 
+# The last DemGrid parsed, keyed by the sha256 of its file bytes; one entry
+# at most.  Keyed on content, so a file rewritten in place is parsed again.
+_LAST_DEM: dict[str, DemGrid] = {}
+
+
 def _read_dem(path: str | Path) -> tuple[DemGrid, str]:
-    """:func:`load_dem`'s grid, and the sha256 of the file bytes it parsed."""
+    """:func:`load_dem`'s grid, and the sha256 of the file bytes it read."""
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise DemFormatError(f"cannot read DEM file {path}: {exc}") from exc
+    digest = hashlib.sha256(data).hexdigest()
+    grid = _LAST_DEM.get(digest)
+    if grid is None:
+        grid = _parse_dem(data, path)
+        _LAST_DEM.clear()
+        _LAST_DEM[digest] = grid
+    return grid, digest
 
-    lines = [ln for ln in data.decode().splitlines() if ln.strip()]
+
+def _parse_dem(data: bytes, path: Path) -> DemGrid:
+    """The grid in DEM file bytes ``data``; errors name ``path``."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise DemFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < len(_DEM_HEADER_KEYS) + 1:
         raise DemFormatError(f"{path}: truncated file, expected header plus elevation rows")
 
@@ -277,6 +305,8 @@ def _read_dem(path: str | Path) -> tuple[DemGrid, str]:
             header[key] = float(parts[1])
         except ValueError as exc:
             raise DemFormatError(f"{path}: bad value for header '{key}': {parts[1]!r}") from exc
+        if not math.isfinite(header[key]):
+            raise DemFormatError(f"{path}: header line {i + 1}: '{key}' must be finite, got {parts[1]!r}")
 
     nrows = int(header["nrows"])
     ncols = int(header["ncols"])
@@ -304,7 +334,7 @@ def _read_dem(path: str | Path) -> tuple[DemGrid, str]:
                 raise DemFormatError(f"{path}: elevation token {k} is not finite: {tok!r}")
 
     try:
-        grid = DemGrid(
+        return DemGrid(
             origin_north=header["origin_north_m"],
             origin_east=header["origin_east_m"],
             cell_size=header["cell_size_m"],
@@ -312,7 +342,6 @@ def _read_dem(path: str | Path) -> tuple[DemGrid, str]:
         )
     except ValueError as exc:
         raise DemFormatError(f"{path}: {exc}") from exc
-    return grid, hashlib.sha256(data).hexdigest()
 
 
 def save_dem(grid: DemGrid, path: str | Path) -> None:

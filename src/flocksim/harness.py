@@ -375,12 +375,14 @@ def load_scenario(path: str | Path) -> Scenario:
     footprint, final waypoint not at the target, dropout window naming a
     vehicle outside the fleet) raises
     :class:`ScenarioError` naming the offending field. Omitted optional
-    keys take the defaults of the param dataclasses.
+    keys take the defaults of the param dataclasses. The terrain is read
+    as :func:`~flocksim.geo.load_dem` reads it, so scenarios whose DEM
+    files hold identical bytes share one immutable grid.
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     try:
         root = yaml.load(text, Loader=_YAML_LOADER)

@@ -6,6 +6,7 @@ import pytest
 
 from flocksim.cli import main
 from flocksim.harness import WALL_CLOCK_FILES
+from mini_scenario import MINI_SCENARIO
 
 
 def test_validate_ok(make_scenario_file, capsys):
@@ -34,6 +35,32 @@ def test_validate_rejects_bad_scenario(make_scenario_file, capsys):
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.yaml")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_validate_rejects_non_utf8_scenario(make_scenario_file, capsys):
+    path = make_scenario_file()
+    path.write_bytes(path.read_bytes() + b"# \xff\n")
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read scenario {path}: ")
+    assert "byte 0xff" in err
+
+
+@pytest.mark.parametrize("line, bad, message", [
+    (-1, "1 \xff", "not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+    (0, "nrows nan", "header line 1: 'nrows' must be finite, got 'nan'"),
+    (0, "nrows inf", "header line 1: 'nrows' must be finite, got 'inf'"),
+    (2, "origin_north_m nan", "header line 3: 'origin_north_m' must be finite, got 'nan'"),
+    (4, "cell_size_m inf", "header line 5: 'cell_size_m' must be finite, got 'inf'"),
+])
+def test_validate_rejects_a_bad_dem(make_scenario_file, capsys, line, bad, message):
+    path = make_scenario_file()
+    dem = (path.parent / MINI_SCENARIO["dem_file"]).resolve()
+    lines = dem.read_bytes().splitlines()
+    lines[line] = bad.encode("latin-1")
+    dem.write_bytes(b"\n".join(lines))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: scenario.dem_file: {dem}: {message}")
 
 
 def test_run_writes_artifacts(make_scenario_file, tmp_path, capsys):
@@ -99,6 +126,12 @@ def test_metrics_reads_run_dir(make_scenario_file, tmp_path, capsys):
 def test_metrics_missing_dir(tmp_path, capsys):
     assert main(["metrics", str(tmp_path / "absent")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_metrics_rejects_non_utf8_file(tmp_path, capsys):
+    (tmp_path / "metrics.json").write_bytes(b'{"ae_mean_m": \xff}')
+    assert main(["metrics", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path / 'metrics.json'}: ")
 
 
 def test_replay_check_passes(make_scenario_file, capsys):

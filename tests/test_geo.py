@@ -7,6 +7,7 @@ independent hand evaluation named next to each assertion.
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,11 @@ class TestDemGrid:
             DemGrid(0.0, 0.0, 10.0, np.zeros((1, 5)))
         with pytest.raises(ValueError):
             DemGrid(0.0, 0.0, 0.0, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="cell_size must be positive and finite"):
+            DemGrid(0.0, 0.0, math.inf, np.zeros((3, 3)))
+        for origin in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)):
+            with pytest.raises(ValueError, match="origin must be finite"):
+                DemGrid(*origin, 10.0, np.zeros((3, 3)))
         bad = np.zeros((3, 3))
         bad[1, 1] = np.nan
         with pytest.raises(ValueError):
@@ -296,13 +302,53 @@ class TestDemIo:
         with pytest.raises(DemFormatError, match="elevation token 1 is not finite: '-inf'"):
             load_dem(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("line", range(1, 6))
+    def test_non_finite_header_value_rejected(self, tmp_path, line, value):
+        header = ["nrows 2", "ncols 2", "origin_north_m 0.0", "origin_east_m 0.0", "cell_size_m 10.0"]
+        key = header[line - 1].split()[0]
+        header[line - 1] = f"{key} {value}"
+        path = tmp_path / "bad.dem"
+        path.write_text("\n".join(header) + "\n1 2 3 4\n")
+        with pytest.raises(DemFormatError, match=f"bad.dem: header line {line}: '{key}' must be finite, got '{value}'"):
+            load_dem(path)
+
     def test_read_dem_hashes_the_bytes_it_parsed(self, tmp_path):
         path = tmp_path / "t.dem"
         path.write_bytes(b"nrows 2\r\nncols 2\r\norigin_north_m 0.0\r\norigin_east_m 0.0\r\n"
                          b"cell_size_m 10.0\r\n1 2 3 4\r\n")
+        copy = tmp_path / "copy.dem"
+        copy.write_bytes(path.read_bytes())
         grid, digest = _read_dem(path)
         assert grid.elevation.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        # Identical bytes, at the same path or another, are not parsed again.
+        assert _read_dem(path) == (grid, digest)
+        assert _read_dem(copy)[0] is grid
+        assert load_dem(copy) is grid
+        with pytest.raises(ValueError, match="read-only"):
+            grid.elevation[0, 0] = 9.0
+
+    def test_dem_rewritten_in_place_is_parsed_again(self, tmp_path):
+        path = tmp_path / "t.dem"
+        save_dem(DemGrid(0.0, 0.0, 10.0, [[1.0, 2.0], [3.0, 4.0]]), path)
+        first = load_dem(path)
+        save_dem(DemGrid(0.0, 0.0, 10.0, [[1.0, 2.0], [3.0, 5.0]]), path)
+        second, digest = _read_dem(path)
+        assert second is not first
+        assert second.elevation.tolist() == [[1.0, 2.0], [3.0, 5.0]]
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_malformed_dem_raises_on_every_load_naming_its_own_path(self, tmp_path):
+        bad = "nrows 2\nncols 2\norigin_north_m 0.0\norigin_east_m 0.0\ncell_size_m 10.0\n1 2 3\n"
+        first, second = tmp_path / "first.dem", tmp_path / "second.dem"
+        first.write_text(bad)
+        second.write_text(bad)
+        for path in (first, second, first):
+            with pytest.raises(DemFormatError, match=f"^{re.escape(str(path))}: expected 4 elevation values, found 3$"):
+                load_dem(path)
+        second.write_text(bad.replace("1 2 3", "1 2 3 4"))
+        assert load_dem(second).elevation.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_underscore_token_reads_as_float_reads_it(self, tmp_path):
         path = tmp_path / "t.dem"
