@@ -60,13 +60,11 @@ for k in range(1500):
 
     chi_c, gamma_c = reference_angles(offset)
     eta_lat, eta_lon = look_ahead_angles(y[3], y[4], chi_c, gamma_c)
-    lat_ok, lon_ok, sign_ok, margin = convergence_conditions(
-        eta_lat, eta_lon, y, act, paths.active[2], guidance
-    )
+    lat_ok, lon_ok, sign_ok = convergence_conditions(eta_lat, eta_lon, y, paths.active[2], guidance)
     phi_c, n_lf_c = guidance_commands(eta_lat, eta_lon, y, act, guidance, lo, hi)
 
     if k % 50 == 0:
-        premises_ok = bool(lat_ok[0] and lon_ok[0] and sign_ok[0] and margin[0] > 0.0)
+        premises_ok = bool(lat_ok[0] and lon_ok[0] and sign_ok[0])
         print(f"{t:5.1f}  {north:6.0f}  {east:6.0f}  {height:6.1f}  {math.degrees(chi):6.1f}  "
               f"{abs(math.degrees(eta_lat[0])):8.2f}  {str(premises_ok):>8}  {cursor}")
 

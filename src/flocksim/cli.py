@@ -79,6 +79,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ScenarioError(f"{path}: expected a JSON object")
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -206,26 +206,27 @@ def convergence_conditions(
     eta_lat: np.ndarray,
     eta_lon: np.ndarray,
     y: np.ndarray,
-    act: np.ndarray,
     target_height: np.ndarray,
     gp: GuidanceParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check the finite-time convergence premises at the current tick.
 
-    Returns (N,) arrays ``lat_ok``, ``lon_ok``, ``sign_ok`` and
-    ``margin``.  Premises: both look-ahead angles inside their trust
-    bounds, and the climb direction not diverging from the target height
-    (gamma and the height error may not have the same sign).  ``margin``
-    is V_g cos(delta_lon) cos(delta_lat), the worst-case closure speed
-    toward the target; the target's own speed bound is zero, since the
-    virtual target is a fixed waypoint.  The premises guarantee
-    finite-time convergence only while all three booleans hold and the
-    margin is positive.  Observational only; the harness logs violations
-    and control proceeds regardless.
+    Returns (N,) arrays ``lat_ok``, ``lon_ok`` and ``sign_ok``: both
+    look-ahead angles inside their trust bounds, and the climb direction
+    not diverging from the target height (gamma and the height error may
+    not have the same sign).  The premises guarantee finite-time
+    convergence only while all three flags hold.  Observational only; the
+    harness logs violations and control proceeds regardless.
+
+    The law's closure-speed premise, V_g cos(delta_lon) cos(delta_lat) >
+    V_t with V_t = 0 for a virtual target that is a fixed waypoint, is not
+    checked here: the loader's checks make it hold at every vehicle-tick.
+    ``UavLimits`` requires ``v_g_min > 0``, the loader requires each
+    initial V_g >= ``v_g_min`` (and the autopilot clips V_g there), and
+    ``GuidanceParams`` requires both trust bounds in [0, pi/2).
     """
     return (
         np.abs(eta_lat) <= gp.delta_lat,
         np.abs(eta_lon) <= gp.delta_lon,
         y[4] * (y[2] - target_height) <= 0.0,
-        act[2] * math.cos(gp.delta_lon) * math.cos(gp.delta_lat),
     )

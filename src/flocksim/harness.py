@@ -26,6 +26,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -88,10 +89,10 @@ WALL_CLOCK_FILES = ("timing.json",)
 
 # The columns of RunLog.data, one row per vehicle and tick. The first ten
 # are the trajectory CSV's values after tick and t_s, in CSV order; the
-# last four are the outputs of convergence_conditions, booleans as 0/1.
+# last three are the flags of convergence_conditions, as 0/1.
 LOG_COLUMNS = ("north", "east", "height", "chi", "gamma", "phi", "n_lf", "v_g", "theta", "cursor",
                "psi", "phi_cmd", "n_lf_cmd", "v_g_cmd", "eta_lat", "eta_lon", "theta_dot", "theta_ref",
-               "lat_ok", "lon_ok", "sign_ok", "margin")
+               "lat_ok", "lon_ok", "sign_ok")
 _PREMISES = slice(LOG_COLUMNS.index("lat_ok"), len(LOG_COLUMNS))
 
 _TRAJECTORY_COLUMNS = (
@@ -205,11 +206,10 @@ class RunLog:
     def premise_violations(self) -> np.ndarray:
         """(n_ticks, n_uavs) mask of the vehicle-ticks where a convergence premise failed.
 
-        A premise fails unless all three booleans hold and the margin is
-        positive.
+        A premise fails unless all three flags hold.
         """
-        lat_ok, lon_ok, sign_ok, margin = np.moveaxis(self.data[:, :, _PREMISES], 2, 0)
-        return ~((lat_ok != 0.0) & (lon_ok != 0.0) & (sign_ok != 0.0) & (margin > 0.0))
+        lat_ok, lon_ok, sign_ok = np.moveaxis(self.data[:, :, _PREMISES], 2, 0)
+        return ~((lat_ok != 0.0) & (lon_ok != 0.0) & (sign_ok != 0.0))
 
 
 @dataclass
@@ -266,6 +266,10 @@ _ROOT_KEYS = ("name", "dem_file", "duration_s", "dt_s", "master_seed", "target",
               "coordination", "comm", "replan", "autopilot", "wind", "obstacle", "limits", "uavs")
 _UAV_KEYS = ("id", "initial", "limits", "waypoints")
 
+# A number with an unsigned exponent, which YAML 1.1 (PyYAML) reads as a
+# string: sign, digits before and after the point, exponent.
+_UNSIGNED_EXPONENT = re.compile(r"([-+]?)(?=\.?\d)(\d*)\.?(\d*)[eE](\d+)")
+
 # libyaml's parser when PyYAML was built with it: it builds the same
 # documents as the pure-Python SafeLoader, about eight times faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -302,7 +306,12 @@ def _value(
             raise ScenarioError(f"{ctx}.{key}: expected an integer, got {value!r}")
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{ctx}.{key}: expected a number, got {value!r}")
+        hint = ""
+        if isinstance(value, str) and (m := _UNSIGNED_EXPONENT.fullmatch(value)):
+            sign, whole, fraction, exponent = m.groups()
+            hint = (f" (YAML reads an exponent without a sign as text;"
+                    f" write {sign}{whole or 0}.{fraction or 0}e+{exponent})")
+        raise ScenarioError(f"{ctx}.{key}: expected a number, got {value!r}{hint}")
     if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int too large for a float
         raise ScenarioError(f"{ctx}.{key}: must be finite, got {value!r}")
     return float(value)
@@ -579,7 +588,7 @@ def control_step(y: np.ndarray, act: np.ndarray, chi_c: np.ndarray, gamma_c: np.
     n = y.shape[1]
     eta_lat, eta_lon = look_ahead_angles(y[3], y[4], chi_c, gamma_c)
     phi_c, n_lf_c = guidance_commands(eta_lat, eta_lon, y, act, gp, lo, hi)
-    premises = convergence_conditions(eta_lat, eta_lon, y, act, target_height, gp)
+    premises = convergence_conditions(eta_lat, eta_lon, y, target_height, gp)
     cmd = np.array((phi_c, n_lf_c, v_cmd))
     act = step_autopilot(act, cmd, lo, hi, dt, ap)
     gusts = np.fromiter(itertools.chain.from_iterable([wind.sample(dt) for wind in winds]), float, 2 * n)
@@ -629,7 +638,8 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
     Per tick, on the tick-t state: the virtual-target walk, the replans
     while the obstacle is active, ``comm_step`` on last tick's deliveries,
     ``control_step`` to tick t + 1, the log row, and the delivery of the
-    tick-t time indices over the tick-t topology.
+    tick-t time indices over the tick-t topology.  An allocation that
+    fails raises ``RunError`` naming the run log's shape or the tick.
     """
     t_start = time.perf_counter()
     n = len(scenario.uavs)
@@ -647,46 +657,51 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
     received = strength = np.zeros((n, 1))
     replan_counts = [0] * n
 
-    log = RunLog(n_uavs=n, dt=dt, n_ticks=n_ticks, scenario_path=scenario.source_path or "<memory>",
-                 scenario_sha256=scenario.source_sha256, dem_sha256=scenario.dem_sha256,
-                 master_seed=scenario.master_seed)
+    try:
+        log = RunLog(n_uavs=n, dt=dt, n_ticks=n_ticks, scenario_path=scenario.source_path or "<memory>",
+                     scenario_sha256=scenario.source_sha256, dem_sha256=scenario.dem_sha256,
+                     master_seed=scenario.master_seed)
+    except MemoryError as exc:
+        raise RunError(f"cannot allocate the run log of shape {(n_ticks, n, len(LOG_COLUMNS))}: {exc}") from exc
+    try:
+        for tick in range(n_ticks):
+            t = tick * dt
+            offset, distance = advance_virtual_target(paths, y, gp)
+            # comm_step reads the cursors and active waypoints that the walk and
+            # the replans leave, so a test can splice any detour in between.
+            if scenario.obstacle is not None and scenario.obstacle.is_active(t) and _replan_obstructed(
+                scenario, log, paths, y, act, tick, t, replan_counts
+            ):
+                offset, distance = paths.offsets(y)
+            theta, chi_c, gamma_c, theta_dot, v_cmd, theta_ref = comm_step(
+                paths, offset, distance, y, act, received, strength, gains, dt, lo, hi
+            )
+            y_next, act_next, cmd, eta, premises = control_step(
+                y, act, chi_c, gamma_c, v_cmd, paths.active[2], winds, lo, hi, dt, gp, ap
+            )
 
-    for tick in range(n_ticks):
-        t = tick * dt
-        offset, distance = advance_virtual_target(paths, y, gp)
-        # comm_step reads the cursors and active waypoints that the walk and
-        # the replans leave, so a test can splice any detour in between.
-        if scenario.obstacle is not None and scenario.obstacle.is_active(t) and _replan_obstructed(
-            scenario, log, paths, y, act, tick, t, replan_counts
-        ):
-            offset, distance = paths.offsets(y)
-        theta, chi_c, gamma_c, theta_dot, v_cmd, theta_ref = comm_step(
-            paths, offset, distance, y, act, received, strength, gains, dt, lo, hi
-        )
-        y_next, act_next, cmd, eta, premises = control_step(
-            y, act, chi_c, gamma_c, v_cmd, paths.active[2], winds, lo, hi, dt, gp, ap
-        )
+            row = log.data[tick].T
+            row[:5] = y[:5]
+            row[5:8] = act
+            row[8:10] = (theta, paths.cursor)
+            row[10] = y[5]
+            row[11:14] = cmd
+            row[14:18] = (*eta, theta_dot, theta_ref)
+            row[_PREMISES] = premises
 
-        row = log.data[tick].T
-        row[:5] = y[:5]
-        row[5:8] = act
-        row[8:10] = (theta, paths.cursor)
-        row[10] = y[5]
-        row[11:14] = cmd
-        row[14:18] = (*eta, theta_dot, theta_ref)
-        row[_PREMISES] = premises
+            graph = build_topology(y[:3], scenario.comm, tick, dt)
+            received, strength = deliver(theta, graph), graph.strength
 
-        graph = build_topology(y[:3], scenario.comm, tick, dt)
-        received, strength = deliver(theta, graph), graph.strength
-
-        y, act = y_next, act_next
-        # A non-finite speed makes that vehicle's position non-finite in the
-        # same step, so the (6, N) block alone names the first bad vehicle.
-        if not np.isfinite(y).all():
-            i = int(np.argmin(np.isfinite(y).all(axis=0)))
-            values = dict(zip(("north", "east", "height", "chi", "gamma", "psi", "v_g"),
-                              [*y[:, i].tolist(), float(act[2, i])]))
-            raise RunError(f"tick {tick}, uav {i}: state became non-finite: {values}")
+            y, act = y_next, act_next
+            # A non-finite speed makes that vehicle's position non-finite in the
+            # same step, so the (6, N) block alone names the first bad vehicle.
+            if not np.isfinite(y).all():
+                i = int(np.argmin(np.isfinite(y).all(axis=0)))
+                values = dict(zip(("north", "east", "height", "chi", "gamma", "psi", "v_g"),
+                                  [*y[:, i].tolist(), float(act[2, i])]))
+                raise RunError(f"tick {tick}, uav {i}: state became non-finite: {values}")
+    except MemoryError as exc:
+        raise RunError(f"tick {tick}: cannot allocate: {exc}") from exc
 
     log.wall_s = time.perf_counter() - t_start
     return log, compute_metrics(log, scenario)
@@ -760,14 +775,13 @@ def compute_metrics(log: RunLog, scenario: Scenario) -> Metrics:
 # Export
 
 
-# The detail cell of a premise row, json.dumps(sort_keys=True) of its three
-# flags and margin quoted as csv.writer quotes it, as the text before and
-# after the margin.  Index 4 * lat_ok + 2 * lon_ok + sign_ok.
-_PREMISE_HEADS, _PREMISE_TAILS = zip(*(
-    (f'"{{""lat_ok"": {json.dumps(lat)}, ""lon_ok"": {json.dumps(lon)}, ""margin"": ',
-     f', ""sign_ok"": {json.dumps(sign)}}}"\n')
+# The detail cell of a premise row and its line end: json.dumps(sort_keys=True)
+# of its three flags, quoted as csv.writer quotes it.  Index
+# 4 * lat_ok + 2 * lon_ok + sign_ok.
+_PREMISE_DETAILS = tuple(
+    '"{}"\n'.format(json.dumps({"lat_ok": lat, "lon_ok": lon, "sign_ok": sign}, sort_keys=True).replace('"', '""'))
     for lat, lon, sign in itertools.product((False, True), repeat=3)
-))
+)
 
 # Vehicle-ticks per block of events.csv premise rows.  Export formats and
 # writes one block at a time, so the memory it adds is bounded by the block,
@@ -800,21 +814,6 @@ def _repr_rows(block: np.ndarray) -> list[str]:
     for i in np.flatnonzero(~_orjson_band(block).all(axis=1)).tolist():
         rows[i] = ",".join(map(repr, block[i].tolist()))
     return rows
-
-
-def _json_floats(values: np.ndarray) -> list[str]:
-    """``json.dumps`` of each float of the 1-D ``values``.
-
-    The texts are orjson's; a value outside ``_orjson_band`` is written by
-    ``json.dumps`` itself.
-    """
-    if not len(values):
-        return []
-    text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
-    texts = text[1:-1].decode().split(",")  # b"[a,b]" -> ["a", "b"]
-    for i in np.flatnonzero(~_orjson_band(values)).tolist():
-        texts[i] = json.dumps(float(values[i]))
-    return texts
 
 
 @contextlib.contextmanager
@@ -853,13 +852,11 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
     ``uav_id`` and a ``detail`` cell that is ``json.dumps(...,
     sort_keys=True)`` of the event's fields: a replan's detour
     ``waypoints`` and ``overhead_s``, a failed replan's ``reason``, a
-    premise violation's three flags and margin (booleans
-    ``true``/``false``, non-finite floats ``NaN``, ``Infinity`` and
-    ``-Infinity``, points as [north, east, height] lists), double-quoted
-    with inner quotes doubled, as ``csv.writer`` quotes a field that holds
-    a quote.  The margins of a block of premise rows come from one
-    ``orjson.dumps`` call, in the same band; a margin outside it is
-    written by ``json.dumps``.
+    premise violation's three flags (booleans ``true``/``false``,
+    non-finite floats ``NaN``, ``Infinity`` and ``-Infinity``, points as
+    [north, east, height] lists), double-quoted with inner quotes doubled,
+    as ``csv.writer`` quotes a field that holds a quote.  A premise row's
+    cell is one of eight constant strings, chosen by its flags.
     Event rows are sorted by (tick, uav_id, event).
     ``events.csv`` is written through one open file, a fixed block of
     vehicle-ticks' premise rows at a time, so the memory export adds does
@@ -919,12 +916,10 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
         for start in range(0, violations.size, _EVENT_BLOCK):
             at = np.flatnonzero(violations[start:start + _EVENT_BLOCK]) + start
             ticks, uav_ids = np.divmod(at, log.n_uavs)
-            premises = log.data[ticks, uav_ids, _PREMISES]
-            flags = ((premises[:, :3] != 0.0) @ (4, 2, 1)).tolist()
+            flags = ((log.data[ticks, uav_ids, _PREMISES] != 0.0) @ (4, 2, 1)).tolist()
             lines = [
-                f"premise_violation,{prefixes[tick]}{uav_id},{_PREMISE_HEADS[d]}{margin}{_PREMISE_TAILS[d]}"
-                for tick, uav_id, d, margin in zip(ticks.tolist(), uav_ids.tolist(), flags,
-                                                   _json_floats(premises[:, 3]))
+                f"premise_violation,{prefixes[tick]}{uav_id},{_PREMISE_DETAILS[d]}"
+                for tick, uav_id, d in zip(ticks.tolist(), uav_ids.tolist(), flags)
             ]
             end = bisect.bisect_left(replan_at, start + _EVENT_BLOCK, r)
             # Last first, so that each insert leaves the earlier positions valid.

@@ -312,12 +312,11 @@ def guidance_oracle(state, eta_lat, eta_lon, gp, limits):
 
 
 def conditions_oracle(state, eta_lat, eta_lon, target_height, gp):
-    """Scalar (lat_ok, lon_ok, sign_ok, margin) for one vehicle."""
+    """Scalar (lat_ok, lon_ok, sign_ok) for one vehicle."""
     return (
         abs(eta_lat) <= gp.delta_lat,
         abs(eta_lon) <= gp.delta_lon,
         state.gamma * (state.position.height - target_height) <= 0.0,
-        state.v_g * math.cos(gp.delta_lon) * math.cos(gp.delta_lat),
     )
 
 
@@ -419,11 +418,10 @@ def events_csv_oracle(log):
             (f.tick, f.uav_id, ["replan_failed", f.tick, f.t, f.uav_id, json.dumps(detail_f, sort_keys=True)])
         )
     ticks, uav_ids = np.nonzero(log.premise_violations())
-    premises = log.data[ticks, uav_ids, _PREMISES]
-    # One flat list per column: bools and floats, not a list per row.
-    columns = (ticks.tolist(), uav_ids.tolist(), *(premises[:, :3] != 0.0).T.tolist(), premises[:, 3].tolist())
-    for tick, uav_id, lat_ok, lon_ok, sign_ok, margin in zip(*columns):
-        detail = {"lat_ok": lat_ok, "lon_ok": lon_ok, "sign_ok": sign_ok, "margin": margin}
+    # One flat list per column, not a list per row.
+    columns = (ticks.tolist(), uav_ids.tolist(), *(log.data[ticks, uav_ids, _PREMISES] != 0.0).T.tolist())
+    for tick, uav_id, lat_ok, lon_ok, sign_ok in zip(*columns):
+        detail = {"lat_ok": lat_ok, "lon_ok": lon_ok, "sign_ok": sign_ok}
         events.append(
             (tick, uav_id, ["premise_violation", tick, tick * log.dt, uav_id, json.dumps(detail, sort_keys=True)])
         )

@@ -86,11 +86,9 @@ def test_01_guidance_convergence_without_wind():
             break  # waypoint passed: the pursuit is over
         chi_c, gamma_c = reference_angles(rel[:, None])
         eta_lat, eta_lon = look_ahead_angles(y[3], y[4], chi_c, gamma_c)
-        lat_ok, lon_ok, sign_ok, margin = convergence_conditions(
-            eta_lat, eta_lon, y, act, target_height, gp
-        )
+        lat_ok, lon_ok, sign_ok = convergence_conditions(eta_lat, eta_lon, y, target_height, gp)
         errs.append(distance3(state.position, wp))
-        oks.append(bool(lat_ok[0] and lon_ok[0] and sign_ok[0] and margin[0] > 0.0))
+        oks.append(bool(lat_ok[0] and lon_ok[0] and sign_ok[0]))
         phi_c, n_lf_c = guidance_commands(eta_lat, eta_lon, y, act, gp, lo, hi)
         act = step_autopilot(act, np.array([phi_c, n_lf_c, [13.5]]), lo, hi, dt, ap)
         y = step_kinematics(y, act, np.zeros((2, 1)), dt, ap)

@@ -134,6 +134,33 @@ def test_metrics_rejects_non_utf8_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path / 'metrics.json'}: ")
 
 
+def test_metrics_rejects_a_file_that_is_not_an_object(tmp_path, capsys):
+    (tmp_path / "metrics.json").write_text("[1, 2]")
+    for flags in ([], ["--json"]):
+        assert main(["metrics", str(tmp_path), *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {tmp_path / 'metrics.json'}: expected a JSON object\n")
+
+
+OBSTACLE_ON_PATH = {"center_north_m": -450.0, "center_east_m": 20.0, "lateral_radius_m": 60.0,
+                    "base_height_m": 0.0, "top_height_m": 250.0, "activation_time_s": 0.0}
+
+
+# Each array requested is above 2**47 bytes, more than a process's address
+# space holds, so it fails at once and commits no memory under any
+# overcommit setting: the (1e13, 1, 21) run log, and the 1e14 replan
+# samples drawn at the first tick.
+@pytest.mark.parametrize("overrides, message", [
+    ({"duration_s": 1e13}, "error: cannot allocate the run log of shape (10000000000000, 1, 21): "),
+    ({"replan": {"k_samples": 10**14}, "obstacle": OBSTACLE_ON_PATH}, "error: tick 0: cannot allocate: "),
+], ids=["run-log", "replan-samples"])
+def test_run_that_cannot_be_allocated_exits_3(make_scenario_file, tmp_path, capsys, overrides, message):
+    path = make_scenario_file(**overrides)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
 def test_replay_check_passes(make_scenario_file, capsys):
     path = make_scenario_file()
     assert main(["replay-check", str(path)]) == 0

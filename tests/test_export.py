@@ -1,17 +1,16 @@
 """``export`` writes the bytes of the one-row-at-a-time oracles.
 
 ``export`` joins each trajectory CSV from rows whose floats orjson
-spells, and each premise-violation row from a margin orjson spells and
-the text of its three flags.  ``trajectory_csv_oracle`` and
-``events_csv_oracle`` in ``tests/oracles.py`` build the same files a row
-at a time with ``repr``, ``json.dumps`` and ``csv.writer``.  These tests
-fill run logs with the values whose spelling differs between formatters
-(NaN, the infinities, -0.0, 1e16, 1e-5, the smallest subnormal, and the
-doubles on each side of 1e-4 and 1e16, where orjson's spelling stops
-matching ``repr``) in every column, every premise-flag combination,
-non-positive margins, margins of raw float64 bit patterns, and replan
-rows that share a (tick, vehicle) with a premise row, and require equal
-bytes.  ``export`` writes the premise rows a block of vehicle-ticks at a
+spells, and writes each premise-violation row's detail as one of eight
+constant strings, chosen by its three flags.  ``trajectory_csv_oracle``
+and ``events_csv_oracle`` in ``tests/oracles.py`` build the same files a
+row at a time with ``repr``, ``json.dumps`` and ``csv.writer``.  These
+tests fill run logs with the values whose spelling differs between
+formatters (NaN, the infinities, -0.0, 1e16, 1e-5, the smallest
+subnormal, and the doubles on each side of 1e-4 and 1e16, where orjson's
+spelling stops matching ``repr``) in every column, every premise-flag
+combination, and replan rows that share a (tick, vehicle) with a premise
+row, and require equal bytes.  ``export`` writes the premise rows a block of vehicle-ticks at a
 time; a shrunken block puts replan rows on block edges, and a memory gate
 keeps what export allocates independent of the number of rows.  A re-export
 over an earlier, longer or shorter export must leave the same bytes as a
@@ -19,7 +18,6 @@ fresh one, and no file may be opened with ``O_TRUNC``.
 """
 
 import itertools
-import json
 import math
 import os
 import tracemalloc
@@ -43,8 +41,7 @@ DTS = (0.05, 0.1, 0.2, 0.3, 1.0)
 REASON = 'iteration 2: no acceptable candidate, "cone" empty\nsecond line'
 
 CURSOR = LOG_COLUMNS.index("cursor")
-FLAGS = slice(LOG_COLUMNS.index("lat_ok"), LOG_COLUMNS.index("margin"))
-MARGIN = LOG_COLUMNS.index("margin")
+FLAGS = slice(LOG_COLUMNS.index("lat_ok"), len(LOG_COLUMNS))
 METRICS = Metrics(0.0, 0.0, 0.0, 0.0, 0.0, [], 0, 0, 0)
 
 
@@ -53,7 +50,7 @@ def _edge_log(n_ticks, n_uavs, dt, seed, n_replans):
 
     With at least len(EDGES) + 8 vehicle-ticks, the first len(EDGES) are
     premise rows that hold every edge value in every column, and the next 8
-    every flag combination at a margin <= 0.
+    every flag combination (all true writes no premise row).
     """
     log = RunLog(n_uavs=n_uavs, dt=dt, n_ticks=n_ticks)
     rng = np.random.default_rng(seed)
@@ -67,7 +64,6 @@ def _edge_log(n_ticks, n_uavs, dt, seed, n_replans):
             rows[k, FLAGS] = (0.0, 1.0, 1.0)
         for k, flags in enumerate(FLAG_COMBOS, start=len(EDGES)):
             rows[k, FLAGS] = flags
-            rows[k, MARGIN] = -0.0 if k % 2 else -float(k)
     log.data[:, :, CURSOR] = rng.choice(CURSORS, shape[:2])
 
     spots = [(int(rng.integers(n_ticks)), int(rng.integers(n_uavs))) for _ in range(n_replans if n_ticks else 0)]
@@ -179,31 +175,10 @@ def test_repr_rows_equal_repr_of_each_cell(shaped):
     assert harness._repr_rows(block) == [",".join(map(repr, row)) for row in block.tolist()]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.lists(NEAR_BAND, max_size=16) | st.lists(ANY_DOUBLE, max_size=16))
-def test_json_floats_equal_json_dumps_of_each_value(bits):
-    values = _doubles(bits)
-    assert harness._json_floats(values) == [json.dumps(x) for x in values.tolist()]
-
-
 def test_orjson_band_edges():
     inside = [x == 0.0 or 1e-4 <= abs(x) < 1e16 for x in EDGES]
     assert harness._orjson_band(np.array(EDGES)).tolist() == inside
     assert inside.count(False) == 9  # the non-finite, tiny and huge EDGES, and one ulp past each band edge
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(
-    bits=st.lists(NEAR_BAND, min_size=1, max_size=40) | st.lists(ANY_DOUBLE, min_size=1, max_size=40),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_premise_margins_of_any_bits_equal_the_oracle(tmp_path_factory, bits, seed):
-    log = RunLog(n_uavs=2, dt=0.1, n_ticks=len(bits))
-    log.data[:, :, MARGIN] = _doubles(bits)[:, None]
-    log.data[:, :, FLAGS] = np.random.default_rng(seed).integers(0, 2, (len(bits), 2, 3))
-    out = tmp_path_factory.mktemp("export")
-    export(log, METRICS, out)
-    assert (out / "events.csv").read_bytes() == events_csv_oracle(log).encode()
 
 
 @pytest.mark.parametrize("cursor", [math.nan, math.inf, -math.inf])
@@ -229,8 +204,7 @@ def _add_replans(log, spots):
 def test_replan_rows_on_block_edges_keep_the_oracle_bytes(monkeypatch, tmp_path, block):
     monkeypatch.setattr(harness, "_EVENT_BLOCK", block)
     log = _edge_log(9, 5, 0.1, seed=11, n_replans=0)
-    log.data[4, :, FLAGS] = 1.0
-    log.data[4, :, MARGIN] = 1.0  # tick 4 has no premise row
+    log.data[4, :, FLAGS] = 1.0  # tick 4 has no premise row
     n_uavs = log.n_uavs
     violations = np.flatnonzero(log.premise_violations())
     spots = set()

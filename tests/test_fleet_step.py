@@ -149,7 +149,7 @@ class TestFleetMatchesOracle:
 
         eta_lat, eta_lon = look_ahead_angles(y[3], y[4], chi_c, gamma_c)
         phi_c, n_lf_c = guidance_commands(eta_lat, eta_lon, y, act, gp, lo, hi)
-        premises = convergence_conditions(eta_lat, eta_lon, y, act, target_h, gp)
+        premises = convergence_conditions(eta_lat, eta_lon, y, target_h, gp)
         premises = [p.tolist() for p in premises]
         for i, (state, lim) in enumerate(zip(states, limits)):
             lat, lon = look_ahead_oracle(state, chi_c[i].item(), gamma_c[i].item())

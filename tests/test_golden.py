@@ -44,55 +44,55 @@ from flocksim.harness import WALL_CLOCK_FILES
 
 GOLDEN = {
     "fleet_04": {
-        "events.csv": "672d351dc22adc4404d0e6f02b7941a6a8b4df250f6c92ceeb4aa84262bbe26e",
+        "events.csv": "97b676702749bc01aab48d40635099429e7848dd3d5f8bf0b5a6d4547c642093",
         "manifest.json": "20879fa9e0d0ec72ed4cd5770020c54acd772faaf2249aa75a8f6f8a67f78141",
         "metrics.json": "2dc3305ca3fd5a534e189702c06d24306f3f1a67ca6a4315b0e9922ae8863d5c",
         "trajectories": "16132b045d33ca869d47fbe80000237196f9d0aabb6b5de3330529b3e7048ddb",
     },
     "fleet_07": {
-        "events.csv": "aace4c925d6ffd0a9b22d09b723f5e07df6f3193e9b89bf01d9ac98dea7ff59d",
+        "events.csv": "9c7e3c6a61650d43e30136493a4533bdd3ffde00b59a395bbab8316da532f477",
         "manifest.json": "56069ff8aa6c8ccb3f7b24f1f4d3916e45b576998eb369a329eb60e5848fd3e8",
         "metrics.json": "9d3e76f020864545f0c60d33d8fcb006caac3acef24a07c14cd179aba5a10044",
         "trajectories": "74a799e29ba82db4a61ac3620383eaf33ad52257111e149c14ad73cdd58a2ded",
     },
     "fleet_10": {
-        "events.csv": "daabcd2490734c91aad10677e75020619ce9b2b8d012f4b47946018896ca6c7a",
+        "events.csv": "befe1dad73ea93c14600f1d80f80322af34cc34fe610f57e1e7a603f7b58011d",
         "manifest.json": "464c59f2782b83df4675a16ab069f27c18823a72d2737b3a6e600bd1ae346f57",
         "metrics.json": "647f794edf352dfc2b2da6f26a04b8cf45bbb5974e02b6260a541e7e43573ee2",
         "trajectories": "e49eb5bd90006029a7d0f646e2a8c84b5d70505e75c749d0194d98a4cc7b68a4",
     },
     "fleet_13": {
-        "events.csv": "081a5d1cb41f645ba918e648c745ae9c0cb86ae87453290813a7ca2b6bbe6b70",
+        "events.csv": "554db8da7cb1e58d6fe1ea2627563e970dd014f22667c1f9985033a210a9a18d",
         "manifest.json": "a872244bb06cd298c38a22e80e8270b718ea847937a726e1b013e6a13b733d1c",
         "metrics.json": "aeedbee439bfb9a240d8e42c41cd28dc7fee05976a1d1e9127983567db71d39c",
         "trajectories": "cea7e2314992c25358dd322d1b26ec85673c4e3dbd2ebe60b606bba398bc63c7",
     },
     "fleet_40_blackout": {
-        "events.csv": "9e0c5daef6216bc56e918d0584141ead12dfad90c8a59199c52ef2de203a2f78",
+        "events.csv": "59c1110e0d805e39a69afcb6ddf5165c0beb6d67c2eadcfe5e02fee8a09a24f6",
         "manifest.json": "0a7cfe4411a104d10acfdd79aaf7c75d7163e466cb12f5fc40a8b341f947e9b3",
         "metrics.json": "29bd2b0a84cf532850abe916dce320f62da8c935b47ec16ab69f36a1753541cc",
         "trajectories": "a2fb823bb18390fa2eb99616d2bc520e401da570a1618764e9c46297e2f5899d",
     },
     "reference_4uav": {
-        "events.csv": "07a014d3b9b0ba7afa84ff0202df1396fbf3c05006e56cb4f6b59a4165fad7d8",
+        "events.csv": "5aaa2f1780d6d77087414367512bec0223a5699f7ffa0d77f5ae63025f0c4a83",
         "manifest.json": "16bd019e8f7a002c1b68fe850b5002fe2f75acebaf94695d20ce1c2cb13bbbf7",
         "metrics.json": "04a60170692e29b97f46b74dbbc61020e119ce0ab807eb9373006a57cdaeffdc",
         "trajectories": "d35ed0be159aff6960a45007074675241dae2b702b11ef65ad3ffdb82a0c353a",
     },
     "reference_4uav_dropout": {
-        "events.csv": "85574e8a33e97bdaa26699175d718016960b42633c2a665612d7668e7838e4cd",
+        "events.csv": "f3266c85deed177f5abff4cc7e255d344ae75b817a79385e30310e0833d12163",
         "manifest.json": "e1ba7561177fa46d766a16d141541b5218e7844b8391a9437ed3353c628cf257",
         "metrics.json": "b506102bc2e62f571665cb3fb9461b2b9469ba4781aa5b297237360f9f6307af",
         "trajectories": "ff19fcb123779dc09b370c37c3ea236583a8b1f70b5719f3a92aaac20cf0c2cd",
     },
     "reference_4uav_dt02": {
-        "events.csv": "301144fae88a04eccea7ad3689ad01c7eab9bc71c61f2bb09d8519786016a955",
+        "events.csv": "8c56a5db2697fc88eda97f1613e8128128409b574bdd3ce453cefb61ed7d678f",
         "manifest.json": "695f73655b3391aa37085c3dc277088c1b7e574e86516506ca9a221e33d1e67a",
         "metrics.json": "23f0c3d8b2c87f50bc6d7b999be31e3405f6360de1b4d73a3304bc01fe32876b",
         "trajectories": "40a0025db055f24e9ee0c9c19841542187f07e71cf7a036c2295091b230a586f",
     },
     "reference_4uav_seed1": {
-        "events.csv": "18dd7fd2f38bff32ab6ebcf4f1ca6393029dffaa6f5668c0045d2f9d38aace81",
+        "events.csv": "690a6695738fd6f195b66fbf9e95f81c21964a1014f3de9330857de66c7f4825",
         "manifest.json": "8fd6da12baab725103488b899b904db12c132e9dad0839d0e5c1378b5e74e29e",
         "metrics.json": "5ab13c2ec1207fa77e9923d6c316dee44eafbb4bbf4407c7926d5bc1d4b74687",
         "trajectories": "3313e1581fa791f275c5b9c72ab630bde0698d0216b00d9225c2c11b00a1aaf2",

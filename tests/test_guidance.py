@@ -52,13 +52,11 @@ def commands(state, eta_lat, eta_lon, gp, limits):
 
 
 def conditions(eta_lat, eta_lon, state, target, gp):
-    """One vehicle's (lat_ok, lon_ok, sign_ok, margin, all_ok) from convergence_conditions."""
-    y, act = fleet_arrays([state])
-    premises = convergence_conditions(
-        np.array([eta_lat]), np.array([eta_lon]), y, act, np.array([target.height]), gp
-    )
-    lat_ok, lon_ok, sign_ok, margin = (p[0] for p in premises)
-    return lat_ok, lon_ok, sign_ok, margin, bool(lat_ok and lon_ok and sign_ok and margin > 0.0)
+    """One vehicle's (lat_ok, lon_ok, sign_ok, all_ok) from convergence_conditions."""
+    y, _ = fleet_arrays([state])
+    premises = convergence_conditions(np.array([eta_lat]), np.array([eta_lon]), y, np.array([target.height]), gp)
+    lat_ok, lon_ok, sign_ok = (p[0] for p in premises)
+    return lat_ok, lon_ok, sign_ok, bool(lat_ok and lon_ok and sign_ok)
 
 
 def advance(paths, state, acceptance_radius):
@@ -320,12 +318,11 @@ class TestGuidanceCommands:
 
 class TestConvergenceConditions:
     def test_all_premises_true_with_margin(self):
-        lat_ok, lon_ok, sign_ok, margin, all_ok = conditions(
+        lat_ok, lon_ok, sign_ok, all_ok = conditions(
             0.0, 0.0, make_state(v_g=12.0), Point3(500, 0, 100),
             GuidanceParams(delta_lat=0.5, delta_lon=0.5),
         )
         assert lat_ok and lon_ok and sign_ok
-        assert margin == pytest.approx(12.0 * math.cos(0.5) ** 2, abs=1e-12)
         assert all_ok
 
     def test_lateral_premise_fails_outside_trust_bound(self):

@@ -246,6 +246,12 @@ class TestScenarioSchema:
         [
             (("target", "east_m"), "x", "scenario.target.east_m: expected a number, got 'x'"),
             (("guidance", "k_chi"), "x", "scenario.guidance.k_chi: expected a number, got 'x'"),
+            (
+                ("duration_s",),
+                "1.0e12",
+                "scenario.duration_s: expected a number, got '1.0e12'"
+                " (YAML reads an exponent without a sign as text; write 1.0e+12)",
+            ),
             (("coordination", "k_vg"), None, "scenario.coordination.k_vg: expected a number, got None"),
             (("comm", "c_max"), 2.5, "scenario.comm.c_max: expected an integer, got 2.5"),
             (("replan", "k_samples"), True, "scenario.replan.k_samples: expected an integer, got True"),
@@ -273,8 +279,8 @@ class TestScenarioSchema:
                 "scenario.uavs[0].initial.chi_rad: expected a number, got 'x'",
             ),
         ],
-        ids=["target", "guidance", "coordination", "comm", "replan", "autopilot", "wind",
-             "wind-semantic", "obstacle", "obstacle-missing", "limits", "initial"],
+        ids=["target", "guidance", "duration-unsigned-exponent", "coordination", "comm", "replan", "autopilot",
+             "wind", "wind-semantic", "obstacle", "obstacle-missing", "limits", "initial"],
     )
     def test_each_section_reports_one_prefix(self, make_scenario_file, path, value, message):
         with pytest.raises(ScenarioError) as info:
@@ -803,7 +809,7 @@ class TestExport:
 
     def test_premise_violation_rows_come_from_the_monitor_columns(self, scenario_dir, tmp_path):
         # one row per vehicle-tick where a premise failed, in (tick, uav)
-        # order, with JSON booleans and the logged margin
+        # order, with the three flags as JSON booleans
         scenario = load_scenario(f"{scenario_dir}/reference_4uav.yaml")
         log, metrics = run(scenario)
         export(log, metrics, tmp_path)
@@ -816,10 +822,9 @@ class TestExport:
             for uav_id, v in enumerate(uavs):
                 lat_ok, lon_ok = abs(v[col["eta_lat"]]) <= gp.delta_lat, abs(v[col["eta_lon"]]) <= gp.delta_lon
                 assert (v[col["lat_ok"]], v[col["lon_ok"]]) == (float(lat_ok), float(lon_ok))
-                assert v[col["margin"]] == v[col["v_g"]] * math.cos(gp.delta_lon) * math.cos(gp.delta_lat)
                 sign_ok = v[col["sign_ok"]] == 1.0
-                if not (lat_ok and lon_ok and sign_ok and v[col["margin"]] > 0.0):
-                    detail = {"lat_ok": lat_ok, "lon_ok": lon_ok, "sign_ok": sign_ok, "margin": v[col["margin"]]}
+                if not (lat_ok and lon_ok and sign_ok):
+                    detail = {"lat_ok": lat_ok, "lon_ok": lon_ok, "sign_ok": sign_ok}
                     want.append(["premise_violation", str(tick), repr(tick * log.dt), str(uav_id),
                                  json.dumps(detail, sort_keys=True)])
         assert rows == want
