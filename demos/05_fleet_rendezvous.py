@@ -39,10 +39,10 @@ for tick in list(range(0, log.n_ticks, 30)) + [log.n_ticks - 1]:
 print("\nreplan events")
 for ev in log.replan_events:
     wps = " -> ".join(f"({p.north:.0f}, {p.east:.0f})" for p in ev.waypoints)
-    print(f"  t = {ev.t:.0f} s, vehicle {ev.uav_id}: spliced {len(ev.waypoints)} waypoint(s) {wps}, "
+    print(f"  t = {ev.tick * log.dt:.0f} s, vehicle {ev.uav_id}: spliced {len(ev.waypoints)} waypoint(s) {wps}, "
           f"detour overhead {ev.overhead:.2f} s")
 for fail in log.replan_failures:
-    print(f"  t = {fail.t:.0f} s, vehicle {fail.uav_id}: no acceptable detour this tick, retrying")
+    print(f"  t = {fail.tick * log.dt:.0f} s, vehicle {fail.uav_id}: no acceptable detour this tick, retrying")
 
 # Closest approach to each vehicle's original waypoints, the headline
 # tracking-accuracy number.

@@ -157,7 +157,6 @@ class Scenario:
 @dataclass(frozen=True)
 class ReplanEvent:
     tick: int
-    t: float
     uav_id: int
     waypoints: tuple[Point3, ...]
     overhead: float
@@ -167,7 +166,6 @@ class ReplanEvent:
 @dataclass(frozen=True)
 class ReplanFailure:
     tick: int
-    t: float
     uav_id: int
     reason: str
 
@@ -556,13 +554,13 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def comm_step(paths: FleetPaths, offset: np.ndarray, distance: np.ndarray, y: np.ndarray, act: np.ndarray,
-              received: np.ndarray, strength: np.ndarray, gains: CoordinationGains, dt: float,
+              received: np.ndarray, strength: np.ndarray, gains: CoordinationGains,
               lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
     """One comm step of the fleet: (N,) theta, chi_c, gamma_c, theta_dot, v_cmd and theta_ref.
 
     ``offset`` and ``distance`` lead to the active waypoints of ``paths``;
-    a vehicle within 1e-9 m of its own keeps its course and climb.  The
-    speed command looks one comm period ``dt`` ahead.
+    a vehicle within 1e-9 m of its own keeps its course and climb.  No
+    step enters: the speed command looks a fixed second ahead.
     """
     theta = time_index(distance, paths.remaining, act[2])
     if distance.min() >= _COINCIDENT_EPS:
@@ -572,7 +570,7 @@ def comm_step(paths: FleetPaths, offset: np.ndarray, distance: np.ndarray, y: np
         chi_c, gamma_c = y[3].copy(), y[4].copy()
         chi_c[far], gamma_c[far] = reference_angles(offset[:, far])
     theta_dot = consensus_rate(theta, received, strength, gains)
-    v_cmd, theta_ref = speed_command(theta, theta_dot, act[2], gains, dt, lo, hi)
+    v_cmd, theta_ref = speed_command(theta, theta_dot, act[2], gains, lo, hi)
     return theta, chi_c, gamma_c, theta_dot, v_cmd, theta_ref
 
 
@@ -617,7 +615,7 @@ def _replan_obstructed(scenario: Scenario, log: RunLog, paths: FleetPaths, y: np
             # No acceptable detour from this pose. Keep flying the
             # current path and retry on later ticks; the failure is
             # surfaced in the event log rather than killing the run.
-            log.replan_failures.append(ReplanFailure(tick=tick, t=t, uav_id=i, reason=str(exc)))
+            log.replan_failures.append(ReplanFailure(tick=tick, uav_id=i, reason=str(exc)))
             continue
         wall_ms = (time.perf_counter() - wall0) * 1e3
         # replan repeats the obstruction test above, so it returns at
@@ -627,8 +625,8 @@ def _replan_obstructed(scenario: Scenario, log: RunLog, paths: FleetPaths, y: np
         paths.splice(i, detour)
         spliced = True
         waypoints = tuple(Point3(*row) for row in detour.tolist())
-        log.replan_events.append(ReplanEvent(tick=tick, t=t, uav_id=i, waypoints=waypoints,
-                                             overhead=overhead, wall_ms=wall_ms))
+        log.replan_events.append(ReplanEvent(tick=tick, uav_id=i, waypoints=waypoints, overhead=overhead,
+                                             wall_ms=wall_ms))
     return spliced
 
 
@@ -674,7 +672,7 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
             ):
                 offset, distance = paths.offsets(y)
             theta, chi_c, gamma_c, theta_dot, v_cmd, theta_ref = comm_step(
-                paths, offset, distance, y, act, received, strength, gains, dt, lo, hi
+                paths, offset, distance, y, act, received, strength, gains, lo, hi
             )
             y_next, act_next, cmd, eta, premises = control_step(
                 y, act, chi_c, gamma_c, v_cmd, paths.active[2], winds, lo, hi, dt, gp, ap
@@ -689,7 +687,7 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
             row[14:18] = (*eta, theta_dot, theta_ref)
             row[_PREMISES] = premises
 
-            graph = build_topology(y[:3], scenario.comm, tick, dt)
+            graph = build_topology(y[:3], scenario.comm, t)
             received, strength = deliver(theta, graph), graph.strength
 
             y, act = y_next, act_next
@@ -897,13 +895,13 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
     # merge each into the block of premise rows that holds its vehicle-tick,
     # after that vehicle-tick's premise row ("premise_violation" sorts
     # before both replan names).
-    rows = [("replan", e.tick, e.t, e.uav_id, {"waypoints": e.waypoints, "overhead_s": e.overhead})
+    rows = [("replan", e.tick, e.uav_id, {"waypoints": e.waypoints, "overhead_s": e.overhead})
             for e in log.replan_events]
-    rows += [("replan_failed", f.tick, f.t, f.uav_id, {"reason": f.reason}) for f in log.replan_failures]
+    rows += [("replan_failed", f.tick, f.uav_id, {"reason": f.reason}) for f in log.replan_failures]
     replans: list[tuple[int, int, str, str]] = []
-    for event, tick, t, uav_id, detail in rows:
+    for event, tick, uav_id, detail in rows:
         quoted = json.dumps(detail, sort_keys=True).replace('"', '""')
-        replans.append((tick, uav_id, event, f'{event},{tick},{t},{uav_id},"{quoted}"\n'))
+        replans.append((tick, uav_id, event, f'{event},{prefixes[tick]}{uav_id},"{quoted}"\n'))
     replans.sort(key=operator.itemgetter(0, 1, 2))
     replan_at = [tick * log.n_uavs + uav_id for tick, uav_id, _, _ in replans]
 
@@ -927,8 +925,6 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
                 lines.insert(np.searchsorted(at, replan_at[k], side="right"), replans[k][3])
             r = end
             events.write("".join(lines))
-        # Rows past the last vehicle-tick, if any, are not dropped.
-        events.write("".join([line for _, _, _, line in replans[r:]]))
     written.append(fp)
 
     manifest = {

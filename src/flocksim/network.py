@@ -139,23 +139,23 @@ class CommGraph:
         )
 
 
-def build_topology(positions: np.ndarray, config: CommConfig, tick: int, dt: float = 1.0) -> CommGraph:
-    """Admit, rank, and cap each vehicle's neighbor list for this tick.
+def build_topology(positions: np.ndarray, config: CommConfig, now: float) -> CommGraph:
+    """Admit, rank, and cap each vehicle's neighbor list at simulated time ``now``.
 
     ``positions`` is the (3, N) block of north, east and height rows, the
-    first three rows of the fleet's kinematic block.  ``dt`` converts the
-    tick count to seconds for the dropout schedule, whose windows are
-    expressed in simulated time.  Pure function of its arguments.
+    first three rows of the fleet's kinematic block.  ``now`` (seconds)
+    selects the active windows of the dropout schedule.  Pure function of
+    its arguments.
     """
     n = positions.shape[1]
     if n < 1:
         raise ValueError("need at least one position")
     if n >= _SCREEN_MIN_N:
-        return _rank_screened(positions, config, tick * dt)
+        return _rank_screened(positions, config, now)
     north, east, height = positions.tolist()
     blocked: set[tuple[int, int]] = set()
     if config.dropout_schedule:
-        rows, cols = config._blocked_pairs(tick * dt, n)
+        rows, cols = config._blocked_pairs(now, n)
         blocked = set(zip(rows.tolist(), cols.tolist()))
     width = max(1, min(config.c_max, n - 1))
     peer, strength = [], []

@@ -160,8 +160,8 @@ def grid_cost_oracle(uav, target, obstacle, grid, now, params, n_points=100_000)
     raise AssertionError("grid oracle found no acceptable lattice point")
 
 
-def topology_oracle(positions, config, tick, dt=1.0):
-    """Scalar per-pair topology: every pair, every dropout window, every tick.
+def topology_oracle(positions, config, now):
+    """Scalar per-pair topology at time ``now``: every pair, every dropout window.
 
     ``positions`` is the (3, N) north, east, height block.  The admission
     rule written out in full: a peer in range (``d <= r_com``) whose link
@@ -176,7 +176,6 @@ def topology_oracle(positions, config, tick, dt=1.0):
     n = len(points)
     if n < 1:
         raise ValueError("need at least one position")
-    now = tick * dt
     neighbors = []
     for i in range(n):
         admitted = []
@@ -270,9 +269,9 @@ def consensus_oracle(theta_self, inbox, gains):
     return rate
 
 
-def speed_oracle(theta, theta_dot, v_g, gains, dt, limits):
-    """Scalar (speed setpoint, theta_ref) of one vehicle, ``dt`` the comm period."""
-    theta_ref = theta + theta_dot * dt
+def speed_oracle(theta, theta_dot, v_g, gains, limits):
+    """Scalar (speed setpoint, theta_ref) of one vehicle, looking one second ahead at any step."""
+    theta_ref = theta + theta_dot
     v_cmd = v_g - gains.k_vg * (theta_ref - theta)
     return min(max(v_cmd, limits.v_g_min), limits.v_g_max), theta_ref
 
@@ -411,12 +410,12 @@ def events_csv_oracle(log):
             "waypoints": [[p.north, p.east, p.height] for p in e.waypoints],
             "overhead_s": e.overhead,
         }
-        events.append((e.tick, e.uav_id, ["replan", e.tick, e.t, e.uav_id, json.dumps(detail, sort_keys=True)]))
+        row = ["replan", e.tick, e.tick * log.dt, e.uav_id, json.dumps(detail, sort_keys=True)]
+        events.append((e.tick, e.uav_id, row))
     for f in log.replan_failures:
         detail_f = {"reason": f.reason}
-        events.append(
-            (f.tick, f.uav_id, ["replan_failed", f.tick, f.t, f.uav_id, json.dumps(detail_f, sort_keys=True)])
-        )
+        row = ["replan_failed", f.tick, f.tick * log.dt, f.uav_id, json.dumps(detail_f, sort_keys=True)]
+        events.append((f.tick, f.uav_id, row))
     ticks, uav_ids = np.nonzero(log.premise_violations())
     # One flat list per column, not a list per row.
     columns = (ticks.tolist(), uav_ids.tolist(), *(log.data[ticks, uav_ids, _PREMISES] != 0.0).T.tolist())

@@ -6,6 +6,7 @@ checklist.  Property bands and runtime budgets live here; the per-module
 suites hold the fine-grained equation-level checks.
 """
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -156,10 +157,9 @@ def test_04_replanning_geometry_and_cost_quality(reference_run):
         before = wp_lists[event.uav_id]
         original = before[cursor]
         legs = [pos, *event.waypoints, original]
+        now = event.tick * log.dt
         for a, b in zip(legs, legs[1:]):
-            assert not segment_obstructed(a, b, scenario.obstacle, event.t), (
-                f"spliced leg {a} -> {b} obstructed at t={event.t}"
-            )
+            assert not segment_obstructed(a, b, scenario.obstacle, now), f"spliced leg {a} -> {b} obstructed at t={now}"
         if event.uav_id not in first_contexts:
             first_contexts[event.uav_id] = (r, original)
         wp_lists[event.uav_id] = (
@@ -184,7 +184,8 @@ def test_04_replanning_geometry_and_cost_quality(reference_run):
     )
     chosen_cost = two_leg_cost(state, first.waypoints[0], original)
     t0 = time.perf_counter()
-    oracle_cost = grid_cost_oracle(state, original, scenario.obstacle, scenario.dem, first.t, scenario.replan)
+    now = first.tick * log.dt
+    oracle_cost = grid_cost_oracle(state, original, scenario.obstacle, scenario.dem, now, scenario.replan)
     oracle_wall = time.perf_counter() - t0
     gap = abs(chosen_cost - oracle_cost) / oracle_cost
     ok = gap <= 0.02 and oracle_wall < 60.0
@@ -290,4 +291,69 @@ def test_09_fleet_size_sweep(scenario_dir):
         "check 9 (fleet-size sweep)",
         ok,
         "; ".join(lines) + " (AE < 15 m, MD < 25 s at every N)",
+    )
+
+
+# The calm reference case of the two step gates: reference_4uav without its
+# obstacle, gusts off (ambient wind kept).  "No links" sets r_com to 1 mm, so
+# no vehicle hears another.
+CALM_DTS = (0.2, 0.1, 0.05)
+NO_LINKS_R_COM = 0.001
+
+
+@pytest.fixture(scope="module")
+def calm_runs(scenario_dir):
+    """(dt, r_com or None) -> (scenario, log) of the calm reference case, each run once."""
+    base = load_scenario(f"{scenario_dir}/reference_4uav.yaml")
+    wind = dataclasses.replace(base.wind, sigma_u=0.0, sigma_v=0.0, sigma_w=0.0)
+    runs = {}
+
+    def get(dt, r_com=None):
+        if (dt, r_com) not in runs:
+            comm = base.comm if r_com is None else dataclasses.replace(base.comm, r_com=r_com)
+            scenario = dataclasses.replace(base, obstacle=None, dt=dt, wind=wind, comm=comm)
+            runs[dt, r_com] = scenario, run(scenario)[0]
+        return runs[dt, r_com]
+
+    return get
+
+
+def arrival_spread(scenario, log):
+    """Spread (s) of each vehicle's first tick within the acceptance radius of the target."""
+    arrivals = []
+    for i in range(log.n_uavs):
+        dist = np.linalg.norm(log.positions(i) - np.asarray(scenario.target), axis=1)
+        inside = np.flatnonzero(dist <= scenario.guidance.acceptance_radius)
+        assert inside.size, f"dt {log.dt}: uav {i} never entered the target's acceptance radius"
+        arrivals.append(inside[0] * log.dt)
+    return max(arrivals) - min(arrivals)
+
+
+def test_10_consensus_synchronises_arrival_at_a_fine_step(calm_runs):
+    linked = arrival_spread(*calm_runs(0.2))
+    alone = arrival_spread(*calm_runs(0.2, NO_LINKS_R_COM))
+    ok = linked <= 0.2 * alone
+    report(
+        "check 10 (consensus ablation at dt 0.2 s)",
+        ok,
+        f"arrival spread {linked:.1f} s with links vs {alone:.1f} s without ({linked / alone:.3f} <= 0.2)",
+    )
+
+
+def test_11_consensus_does_not_depend_on_the_step(calm_runs):
+    runs = [calm_runs(dt) for dt in CALM_DTS]
+    spreads = [arrival_spread(*r) for r in runs]
+    # largest position gap between dt and dt/2 at the whole seconds 0..120
+    gaps = []
+    for (_, coarse), (_, fine) in zip(runs, runs[1:]):
+        seconds = np.arange(121)
+        a = coarse.data[seconds * round(1.0 / coarse.dt), :, :3]
+        b = fine.data[seconds * round(1.0 / fine.dt), :, :3]
+        gaps.append(float(np.linalg.norm(a - b, axis=2).max()))
+    ok = max(spreads) - min(spreads) <= 2.0 and gaps[0] >= 1.6 * gaps[1]
+    report(
+        "check 11 (step refinement)",
+        ok,
+        "arrival spread " + " / ".join(f"{s:.1f}" for s in spreads) + f" s at dt {CALM_DTS} s (within 2 s);"
+        f" 120 s position gap {gaps[0]:.3f} -> {gaps[1]:.3f} m per halving ({gaps[0] / gaps[1]:.2f}x >= 1.6x)",
     )

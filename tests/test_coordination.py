@@ -43,11 +43,11 @@ def one_rate(theta, inbox, gains):
     return out
 
 
-def one_command(theta, theta_dot, v_g, gains, limits, dt=1.0):
-    """One vehicle's speed setpoint over a comm period ``dt``."""
+def one_command(theta, theta_dot, v_g, gains, limits):
+    """One vehicle's speed setpoint, looking one second ahead."""
     lo, hi = actuator_bounds([limits])
-    v_cmd, theta_ref = speed_command(np.array([theta]), np.array([theta_dot]), np.array([v_g]), gains, dt, lo, hi)
-    assert theta_ref.tolist() == [theta + theta_dot * dt]
+    v_cmd, theta_ref = speed_command(np.array([theta]), np.array([theta_dot]), np.array([v_g]), gains, lo, hi)
+    assert theta_ref.tolist() == [theta + theta_dot]
     return v_cmd.item()
 
 
@@ -57,7 +57,7 @@ class TestCoordinationGains:
         assert gains.k_theta == 1.0
         assert gains.gamma_d == 1.0
         assert gains.k_vg == 0.001
-        # the comm period is the scenario's dt_s, passed per call
+        # no step and no look-ahead horizon: speed_command looks a fixed second ahead
         assert [f.name for f in dataclasses.fields(gains)] == ["k_theta", "gamma_d", "k_vg"]
 
     def test_validation(self):
@@ -152,10 +152,10 @@ class TestSpeedCommand:
 
     def test_consensus_fixed_point_drift_is_exact(self):
         # all peers agreeing leaves theta_dot = gamma_d, so the command is
-        # exactly v_g - k_vg * gamma_d * dt, not v_g itself
+        # exactly v_g - k_vg * gamma_d * 1 s, not v_g itself
         gains = CoordinationGains(k_theta=1.0, gamma_d=1.0, k_vg=0.001)
         rate = one_rate(50.0, [(0.8, 50.0), (0.3, 50.0)], gains)
-        cmd = one_command(50.0, rate, 13.5, gains, self.LIMITS, dt=1.0)
+        cmd = one_command(50.0, rate, 13.5, gains, self.LIMITS)
         assert cmd == 13.5 - 0.001 * 1.0 * 1.0
 
     def test_always_within_envelope(self):

@@ -28,11 +28,10 @@ from flocksim import (
 
 FLEET_SIZES = (1, 2, 4, 13, 104)
 LIMITS = (UavLimits(), UavLimits(v_g_min=12.0, v_g_max=14.0))
-# (gains, comm period of the speed command)
 GAINS = (
-    (CoordinationGains(), 1.0),
-    (CoordinationGains(k_theta=0.05, gamma_d=0.0, k_vg=0.5), 0.2),
-    (CoordinationGains(k_theta=3.0, gamma_d=-0.5, k_vg=0.01), 5.0),
+    CoordinationGains(),
+    CoordinationGains(k_theta=0.05, gamma_d=0.0, k_vg=0.5),
+    CoordinationGains(k_theta=3.0, gamma_d=-0.5, k_vg=0.01),
 )
 FAR = 1.0e7  # an isolated vehicle's north offset, beyond every drawn r_com
 
@@ -95,13 +94,12 @@ def exchanges(draw):
 
 class TestExchangeMatchesOracle:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(case=exchanges(), gains_dt=st.sampled_from(GAINS), dt=st.sampled_from((1.0, 0.5)))
-    def test_topology_delivery_consensus_and_speed(self, case, gains_dt, dt):
+    @given(case=exchanges(), gains=st.sampled_from(GAINS), dt=st.sampled_from((1.0, 0.5)))
+    def test_topology_delivery_consensus_and_speed(self, case, gains, dt):
         positions, config, tick, theta_sent, theta_now, limits, lo, hi, v_g = case
-        gains, speed_dt = gains_dt
         n = positions.shape[1]
-        links = topology_oracle(positions, config, tick, dt)
-        graph = build_topology(positions, config, tick, dt)
+        links = topology_oracle(positions, config, tick * dt)
+        graph = build_topology(positions, config, tick * dt)
         assert graph.neighbors == links
         # the drawn layout's isolated vehicle, inf link and one-way link
         active = {frozenset((w.uav_a, w.uav_b)) for w in config.dropout_schedule
@@ -121,12 +119,12 @@ class TestExchangeMatchesOracle:
             assert graph.strength[i, : len(inbox)].tolist() == [s for s, _ in inbox]
 
         theta_dot = consensus_rate(theta_now, received, graph.strength, gains)
-        v_cmd, theta_ref = speed_command(theta_now, theta_dot, v_g, gains, speed_dt, lo, hi)
+        v_cmd, theta_ref = speed_command(theta_now, theta_dot, v_g, gains, lo, hi)
         assert theta_dot.shape == v_cmd.shape == theta_ref.shape == (n,)
         for i, lim in enumerate(limits):
             rate = consensus_oracle(theta_now[i].item(), inboxes[i], gains)
             assert same(theta_dot[i].item(), rate)
-            want_cmd, want_ref = speed_oracle(theta_now[i].item(), rate, v_g[i].item(), gains, speed_dt, lim)
+            want_cmd, want_ref = speed_oracle(theta_now[i].item(), rate, v_g[i].item(), gains, lim)
             assert same(v_cmd[i].item(), want_cmd)
             assert same(theta_ref[i].item(), want_ref)
 
@@ -138,10 +136,10 @@ class TestExchangeMatchesOracle:
         theta = np.full(4, 100.0)
         v_g = np.array([9.0, 18.0, 9.0, 18.0])
         theta_dot = np.array([0.0, 0.0, 1.0, -1.0])
-        v_cmd, _ = speed_command(theta, theta_dot, v_g, gains, 1.0, lo, hi)
+        v_cmd, _ = speed_command(theta, theta_dot, v_g, gains, lo, hi)
         assert v_cmd.tolist() == [9.0, 18.0, 9.0, 18.0]
         assert v_cmd.tolist() == [
-            speed_oracle(100.0, r, v, gains, 1.0, UavLimits())[0] for r, v in zip(theta_dot.tolist(), v_g.tolist())
+            speed_oracle(100.0, r, v, gains, UavLimits())[0] for r, v in zip(theta_dot.tolist(), v_g.tolist())
         ]
 
     def test_numpy_tanh_is_not_used(self):

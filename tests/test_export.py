@@ -72,9 +72,9 @@ def _edge_log(n_ticks, n_uavs, dt, seed, n_replans):
         spots.append((int(ticks[-1]), int(uav_ids[-1])))
     for tick, uav_id in spots:
         waypoints = tuple(Point3(*rng.choice(EDGES, 3).tolist()) for _ in range(int(rng.integers(1, 4))))
-        log.replan_events.append(ReplanEvent(tick=tick, t=tick * dt, uav_id=uav_id, waypoints=waypoints,
+        log.replan_events.append(ReplanEvent(tick=tick, uav_id=uav_id, waypoints=waypoints,
                                              overhead=float(rng.choice(EDGES)), wall_ms=1.0))
-        log.replan_failures.append(ReplanFailure(tick=tick, t=tick * dt, uav_id=uav_id, reason=REASON))
+        log.replan_failures.append(ReplanFailure(tick=tick, uav_id=uav_id, reason=REASON))
     return log
 
 
@@ -194,10 +194,9 @@ def test_non_finite_cursor_raises_as_the_oracle_does(cursor, tmp_path):
 def _add_replans(log, spots):
     """A ``replan`` and a ``replan_failed`` row at each (tick, uav_id) of ``spots``."""
     for tick, uav_id in spots:
-        log.replan_events.append(ReplanEvent(tick=tick, t=tick * log.dt, uav_id=uav_id,
-                                             waypoints=(Point3(1.0, -0.0, math.nan),), overhead=math.inf,
-                                             wall_ms=1.0))
-        log.replan_failures.append(ReplanFailure(tick=tick, t=tick * log.dt, uav_id=uav_id, reason=REASON))
+        log.replan_events.append(ReplanEvent(tick=tick, uav_id=uav_id, waypoints=(Point3(1.0, -0.0, math.nan),),
+                                             overhead=math.inf, wall_ms=1.0))
+        log.replan_failures.append(ReplanFailure(tick=tick, uav_id=uav_id, reason=REASON))
 
 
 @pytest.mark.parametrize("block", [1, 2, 5, 7, 13, 64])

@@ -294,14 +294,13 @@ def targeted_fleets(draw):
     return states, paths, gp, spliced
 
 
-def fleet_control_inputs(states, paths, gp, spliced, dt):
+def fleet_control_inputs(states, paths, gp, spliced):
     """One tick's control inputs in the sequence of calls that ``run`` makes, splices included.
 
     ``paths`` holds each vehicle's (waypoints, cursor).  ``comm_step`` runs
-    on an empty inbox, with default gains and limits and a comm period
-    ``dt``.  Returns the fleet's ``FleetPaths``, the vehicles whose cursor
-    the advance moved, and the (N,) theta, chi_c, gamma_c, theta_dot,
-    v_cmd and theta_ref.
+    on an empty inbox, with default gains and limits.  Returns the fleet's
+    ``FleetPaths``, the vehicles whose cursor the advance moved, and the
+    (N,) theta, chi_c, gamma_c, theta_dot, v_cmd and theta_ref.
     """
     y, act = fleet_arrays(states)
     table = FleetPaths([waypoints for waypoints, _ in paths], [c for _, c in paths])
@@ -313,7 +312,7 @@ def fleet_control_inputs(states, paths, gp, spliced, dt):
         offset, distance = table.offsets(y)
     inbox = np.zeros((len(states), 1))
     lo, hi = actuator_bounds([UavLimits()] * len(states))
-    return table, advanced, *comm_step(table, offset, distance, y, act, inbox, inbox, CoordinationGains(), dt, lo, hi)
+    return table, advanced, *comm_step(table, offset, distance, y, act, inbox, inbox, CoordinationGains(), lo, hi)
 
 
 def oracle_control_inputs(state, path, gp, detour):
@@ -332,11 +331,11 @@ def oracle_control_inputs(state, path, gp, detour):
 
 class TestControlInputsMatchOracle:
     @FLEET_SETTINGS
-    @given(fleet=targeted_fleets(), dt=st.sampled_from(DTS))
-    def test_control_inputs(self, fleet, dt):
+    @given(fleet=targeted_fleets())
+    def test_control_inputs(self, fleet):
         states, paths, gp, spliced = fleet
         table, advanced, theta, chi_c, gamma_c, theta_dot, v_cmd, theta_ref = fleet_control_inputs(
-            states, paths, gp, spliced, dt
+            states, paths, gp, spliced
         )
         # the advance moves exactly the cursors that the oracle moves
         assert advanced == [
@@ -350,10 +349,10 @@ class TestControlInputsMatchOracle:
             assert table.cursor[i] == cursor
             assert table.active[:, i].tolist() == list(waypoints[cursor])
             assert [theta[i], chi_c[i], gamma_c[i]] == values
-            # an empty inbox leaves the drift; the speed command looks dt ahead
+            # an empty inbox leaves the drift; the speed command looks one second ahead
             rate = consensus_oracle(values[0], [], gains)
             assert theta_dot[i] == rate
-            assert (v_cmd[i], theta_ref[i]) == speed_oracle(values[0], rate, state.v_g, gains, dt, UavLimits())
+            assert (v_cmd[i], theta_ref[i]) == speed_oracle(values[0], rate, state.v_g, gains, UavLimits())
 
     def test_each_placement_takes_its_branch(self):
         # vehicle k flies north from (100 k, 0, 100) with placement k at the
@@ -368,7 +367,7 @@ class TestControlInputsMatchOracle:
             paths.append(((ahead, placed) if terminal else (placed, ahead), int(terminal)))
             states.append(state)
         detour = (Point3(100.0 * SPLICED + 200.0, -50.0, 110.0),)
-        table, advanced, theta, chi_c, gamma_c, *_ = fleet_control_inputs(states, paths, gp, {SPLICED: detour}, 1.0)
+        table, advanced, theta, chi_c, gamma_c, *_ = fleet_control_inputs(states, paths, gp, {SPLICED: detour})
         # reached on the radius alone, passed while outside it, kept when square to the velocity
         assert math.hypot(0.6 * 40.0, 0.0, -0.8 * 40.0) == 40.0
         assert advanced == [ON_RADIUS, BEHIND]

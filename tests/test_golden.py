@@ -86,10 +86,10 @@ GOLDEN = {
         "trajectories": "ff19fcb123779dc09b370c37c3ea236583a8b1f70b5719f3a92aaac20cf0c2cd",
     },
     "reference_4uav_dt02": {
-        "events.csv": "8c56a5db2697fc88eda97f1613e8128128409b574bdd3ce453cefb61ed7d678f",
+        "events.csv": "12cdae7ac39af948acfe12d9e2790957488f50f882a941813d8fd3adf68fc809",
         "manifest.json": "695f73655b3391aa37085c3dc277088c1b7e574e86516506ca9a221e33d1e67a",
-        "metrics.json": "23f0c3d8b2c87f50bc6d7b999be31e3405f6360de1b4d73a3304bc01fe32876b",
-        "trajectories": "40a0025db055f24e9ee0c9c19841542187f07e71cf7a036c2295091b230a586f",
+        "metrics.json": "48317eabe2b8d0e79355095d51e5f6c9d3a58e135470f3293d60fb69c9043d8c",
+        "trajectories": "b5dbc557f444ae13f33e01ef80dc2364a48dbccca0a3994860d768d08661f4b9",
     },
     "reference_4uav_seed1": {
         "events.csv": "690a6695738fd6f195b66fbf9e95f81c21964a1014f3de9330857de66c7f4825",

@@ -555,12 +555,11 @@ class TestRun:
         assert theta_dot[0] == [gains.gamma_d] * log.n_uavs
         suppressed = current_differs = 0
         for tick in range(1, log.n_ticks):
-            positions = log.data[tick - 1, :, :3].T
-            links = topology_oracle(positions, scenario.comm, tick - 1, log.dt)
+            positions, now = log.data[tick - 1, :, :3].T, (tick - 1) * log.dt
+            links = topology_oracle(positions, scenario.comm, now)
             inboxes = deliver_oracle(theta[tick - 1], links)
             assert theta_dot[tick] == [consensus_oracle(th, inbox, gains) for th, inbox in zip(theta[tick], inboxes)]
-            open_links = topology_oracle(positions, dataclasses.replace(scenario.comm, dropout_schedule=()),
-                                         tick - 1, log.dt)
+            open_links = topology_oracle(positions, dataclasses.replace(scenario.comm, dropout_schedule=()), now)
             suppressed += links != open_links
             current = deliver_oracle(theta[tick], links)
             current_differs += theta_dot[tick] != [consensus_oracle(th, inbox, gains)
@@ -609,7 +608,7 @@ class TestRun:
         assert len(log.replan_events) >= 1
         event = log.replan_events[0]
         assert [f.name for f in dataclasses.fields(ReplanEvent)] == [
-            "tick", "t", "uav_id", "waypoints", "overhead", "wall_ms"
+            "tick", "uav_id", "waypoints", "overhead", "wall_ms"
         ]
         assert event.uav_id == 0
         assert event.tick == 0
@@ -620,10 +619,11 @@ class TestRun:
         # waypoint that was active at detection time
         detection = Point3(-600.0, 0.0, 110.0)
         original = Point3(-300.0, 0.0, 110.0)
-        assert segment_obstructed(detection, original, scenario.obstacle, event.t)
+        now = event.tick * log.dt
+        assert segment_obstructed(detection, original, scenario.obstacle, now)
         legs = [detection, *event.waypoints, original]
         for a, b in zip(legs, legs[1:]):
-            assert not segment_obstructed(a, b, scenario.obstacle, event.t)
+            assert not segment_obstructed(a, b, scenario.obstacle, now)
 
         # and the vehicle still completes the mission
         dists = np.linalg.norm(log.positions(0) - scenario.target, axis=1)
@@ -690,8 +690,8 @@ class TestComputeMetrics:
         log = RunLog(n_uavs=1, dt=1.0, n_ticks=1)
         rec(log, 0, 0, -300.0, 0.0, 110.0)
         log.replan_events = [
-            ReplanEvent(0, 0.0, 0, (Point3(0, 0, 110),), overhead=1.5, wall_ms=2.0),
-            ReplanEvent(0, 0.0, 0, (Point3(0, 0, 110),), overhead=2.25, wall_ms=2.0),
+            ReplanEvent(0, 0, (Point3(0, 0, 110),), overhead=1.5, wall_ms=2.0),
+            ReplanEvent(0, 0, (Point3(0, 0, 110),), overhead=2.25, wall_ms=2.0),
         ]
         metrics = compute_metrics(log, scenario)
         assert metrics.detour_overhead_s == 3.75
@@ -704,7 +704,7 @@ class TestComputeMetrics:
         log = RunLog(n_uavs=1, dt=1.0, n_ticks=1)
         rec(log, 0, 0, -300.0, 0.0, 110.0)
         overheads = [1.0, 1e16, 1.0]
-        log.replan_events = [ReplanEvent(0, 0.0, 0, (Point3(0, 0, 110),), overhead=x, wall_ms=2.0)
+        log.replan_events = [ReplanEvent(0, 0, (Point3(0, 0, 110),), overhead=x, wall_ms=2.0)
                              for x in overheads]
         assert compute_metrics(log, scenario).detour_overhead_s == 1e16
         assert math.fsum(overheads) == 1e16 + 2.0

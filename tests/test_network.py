@@ -48,7 +48,7 @@ class TestDropoutWindow:
         config = CommConfig(dropout_schedule=(DropoutWindow(start_s=10.0, end_s=20.0, uav_a=0, uav_b=1),))
 
         def linked(i, j, now):
-            graph = build_topology(at_km(0, 1, 2), config, tick=round(now * 1000), dt=0.001)
+            graph = build_topology(at_km(0, 1, 2), config, now)
             return j in peers(graph, i)
 
         assert not linked(0, 1, 10.0)
@@ -82,18 +82,18 @@ class TestCommConfig:
 
 class TestBuildTopology:
     def test_pair_within_range(self):
-        graph = build_topology(at_km(0, 1), CommConfig(gamma_signal=1.0), tick=0)
+        graph = build_topology(at_km(0, 1), CommConfig(gamma_signal=1.0), now=0.0)
         assert graph.neighbors[0] == ((1, 0.001),)
         assert graph.neighbors[1] == ((0, 0.001),)
 
     def test_pair_out_of_range(self):
-        graph = build_topology(at_km(0, 31), CommConfig(r_com=30_000.0), tick=0)
+        graph = build_topology(at_km(0, 31), CommConfig(r_com=30_000.0), now=0.0)
         assert graph.neighbors == ((), ())
 
     def test_collinear_four_against_brute_force(self):
         positions = at_km(0, 10, 20, 30)
         config = CommConfig(r_com=15_000.0, c_max=2, gamma_signal=1.0)
-        graph = build_topology(positions, config, tick=0)
+        graph = build_topology(positions, config, now=0.0)
 
         # independent enumeration of the admission rule
         for i in range(4):
@@ -114,7 +114,7 @@ class TestBuildTopology:
 
     def test_strength_tracks_distance(self):
         positions = block((0.0, 0.0, 100.0), (3000.0, 400.0, 150.0), (-1200.0, 2500.0, 80.0))
-        graph = build_topology(positions, CommConfig(gamma_signal=7.5), tick=0)
+        graph = build_topology(positions, CommConfig(gamma_signal=7.5), now=0.0)
         for i, links in enumerate(graph.neighbors):
             for peer, strength in links:
                 d = math.dist(positions[:, i], positions[:, peer])
@@ -124,7 +124,7 @@ class TestBuildTopology:
         rng = np.random.default_rng(21)
         positions = block(*((rng.uniform(-5000, 5000), rng.uniform(-5000, 5000), 100.0) for _ in range(6)))
         config = CommConfig(r_com=4000.0, c_max=3)
-        graph = build_topology(positions, config, tick=0)
+        graph = build_topology(positions, config, now=0.0)
         assert graph.peer.shape == graph.strength.shape == (6, 3)
         for i, links in enumerate(graph.neighbors):
             assert len(links) <= 3
@@ -138,9 +138,9 @@ class TestBuildTopology:
             dropout_schedule=(DropoutWindow(10.0, 20.0, 0, 1),)
         )
         positions = at_km(0, 1, 2)
-        before = build_topology(positions, config, tick=9, dt=1.0)
-        during = build_topology(positions, config, tick=10, dt=1.0)
-        after = build_topology(positions, config, tick=20, dt=1.0)
+        before = build_topology(positions, config, now=9.0)
+        during = build_topology(positions, config, now=10.0)
+        after = build_topology(positions, config, now=20.0)
         assert 1 in peers(before, 0)
         assert 1 not in peers(during, 0)
         assert 0 not in peers(during, 1)
@@ -150,11 +150,12 @@ class TestBuildTopology:
 
     def test_dropout_uses_seconds_not_ticks(self):
         config = CommConfig(dropout_schedule=(DropoutWindow(10.0, 20.0, 0, 1),))
-        graph = build_topology(at_km(0, 1), config, tick=30, dt=0.5)
+        # tick 30 at dt 0.5 s: 15 s is inside the window, 30 would not be
+        graph = build_topology(at_km(0, 1), config, now=30 * 0.5)
         assert 1 not in peers(graph, 0)
 
     def test_coincident_vehicles_get_infinite_strength(self):
-        graph = build_topology(block((0.0, 0.0, 100.0), (0.0, 0.0, 100.0)), CommConfig(), tick=0)
+        graph = build_topology(block((0.0, 0.0, 100.0), (0.0, 0.0, 100.0)), CommConfig(), now=0.0)
         assert graph.neighbors[0] == ((1, math.inf),)
 
     def test_pure_function(self):
@@ -166,7 +167,7 @@ class TestBuildTopology:
 
     def test_rejects_empty_fleet(self):
         with pytest.raises(ValueError, match="at least one"):
-            build_topology(np.zeros((3, 0)), CommConfig(), tick=0)
+            build_topology(np.zeros((3, 0)), CommConfig(), now=0.0)
 
 
 def lattice(n, spacing=1000.0):
@@ -189,7 +190,7 @@ def mixed_fleet(n, seed, tied):
     return np.hstack((lattice(m), scattered))
 
 
-def assert_matches_oracle(caplog, positions, config, tick, dt=1.0):
+def assert_matches_oracle(caplog, positions, config, now):
     """Same graph, compared float for float, and the same warnings in order.
 
     The tables are (N, w) with w = min(c_max, N - 1), at least 1, and each
@@ -197,10 +198,10 @@ def assert_matches_oracle(caplog, positions, config, tick, dt=1.0):
     """
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="flocksim.network"):
-        graph = build_topology(positions, config, tick, dt)
+        graph = build_topology(positions, config, now)
         got = [r.getMessage() for r in caplog.records]
         caplog.clear()
-        expected = topology_oracle(positions, config, tick, dt)
+        expected = topology_oracle(positions, config, now)
         want = [r.getMessage() for r in caplog.records]
     assert graph.neighbors == expected
     assert got == want
@@ -248,11 +249,11 @@ class TestTopologyMatchesOracle:
         assert_matches_oracle(caplog, at_km(0), CommConfig(), 0)
 
     @pytest.mark.parametrize("n", SIZES)
-    @pytest.mark.parametrize("tick", [9, 10, 19, 20])
-    def test_window_edges(self, caplog, n, tick):
+    @pytest.mark.parametrize("now", [9, 10, 19, 20])
+    def test_window_edges(self, caplog, n, now):
         windows = (DropoutWindow(10.0, 20.0, 0, 1), DropoutWindow(10.0, 20.0, 2, 1))
         config = CommConfig(r_com=1500.0, c_max=2, dropout_schedule=windows)
-        assert_matches_oracle(caplog, lattice(n), config, tick)
+        assert_matches_oracle(caplog, lattice(n), config, now)
 
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("c_max", [1, 2, 100])
@@ -339,7 +340,7 @@ class TestTopologyMatchesOracle:
         )
         tick = data.draw(st.integers(0, 16), label="tick")
         dt = data.draw(st.sampled_from([1.0, 0.5]), label="dt")
-        assert_matches_oracle(caplog, positions, config, tick, dt)
+        assert_matches_oracle(caplog, positions, config, tick * dt)
 
 
 class TestLinkCount:
@@ -363,7 +364,7 @@ class TestDeliver:
     def test_isolated_fleet_gets_empty_inboxes(self):
         # every slot is padding: the receiver's own value at strength 0,
         # so the rate is exactly the drift
-        graph = build_topology(at_km(0, 31, 62), CommConfig(r_com=30_000.0), tick=0)
+        graph = build_topology(at_km(0, 31, 62), CommConfig(r_com=30_000.0), now=0.0)
         theta = np.array([10.0, 20.0, 30.0])
         received = deliver(theta, graph)
         assert graph.neighbors == ((), (), ())
@@ -372,7 +373,7 @@ class TestDeliver:
         assert consensus_rate(theta, received, graph.strength, self.GAINS).tolist() == [1.0] * 3
 
     def test_fully_connected_three(self):
-        graph = build_topology(at_km(0, 1, 2), CommConfig(c_max=2, gamma_signal=1.0), tick=0)
+        graph = build_topology(at_km(0, 1, 2), CommConfig(c_max=2, gamma_signal=1.0), now=0.0)
         received = deliver(np.array([10.0, 20.0, 30.0]), graph)
         # ordered by sender id; strengths match the 1-km and 2-km links
         assert received.tolist() == [[20.0, 30.0], [10.0, 30.0], [10.0, 20.0]]
@@ -381,7 +382,7 @@ class TestDeliver:
     def test_asymmetric_admission_delivers_one_way(self):
         # with c_max=1: 0's only peer is 1, 1's is 2, 2's is 1, so 0 hears 1
         # but 1 never hears 0
-        graph = build_topology(at_km(0, 10, 11), CommConfig(c_max=1), tick=0)
+        graph = build_topology(at_km(0, 10, 11), CommConfig(c_max=1), now=0.0)
         assert peers(graph, 0) == (1,)
         assert peers(graph, 1) == (2,)
         assert deliver(np.array([10.0, 20.0, 30.0]), graph).tolist() == [[20.0], [30.0], [20.0]]
