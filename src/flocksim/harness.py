@@ -272,6 +272,15 @@ _UNSIGNED_EXPONENT = re.compile(r"([-+]?)(?=\.?\d)(\d*)\.?(\d*)[eE](\d+)")
 # documents as the pure-Python SafeLoader, about eight times faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+# The last scenario document parsed, keyed by the sha256 of its file bytes;
+# one entry at most, as geo._LAST_DEM.  The loader only reads it, and no
+# Scenario holds a mutable part of it.
+_LAST_DOC: dict[str, Any] = {}
+
+# No array above this many bytes can be addressed, so the loader refuses a
+# run log or a replan sample block that ``run`` could never allocate.
+_MAX_ARRAY_BYTES = 2**47
+
 
 def _expect_mapping(node: Any, ctx: str) -> dict:
     if not isinstance(node, dict):
@@ -361,6 +370,11 @@ def _section(cls: type, node: Any, ctx: str, other_keys: tuple[str, ...] = (), *
         raise ScenarioError(f"{ctx}: {exc}") from exc
 
 
+def _tick_count(duration: float, dt: float) -> int:
+    """The ticks ``run`` makes of a ``duration``-second scenario at step ``dt``."""
+    return int(round(duration / dt))
+
+
 def _waypoint(row: Any, ctx: str) -> Point3:
     if (
         not isinstance(row, (list, tuple))
@@ -380,21 +394,34 @@ def load_scenario(path: str | Path) -> Scenario:
     semantic problem (limit ordering, a path of fewer than two waypoints
     or with two coincident consecutive ones, waypoint outside the terrain
     footprint, final waypoint not at the target, dropout window naming a
-    vehicle outside the fleet) raises
+    vehicle outside the fleet, a run log or replan sample block too large
+    for ``run`` to allocate) raises
     :class:`ScenarioError` naming the offending field. Omitted optional
     keys take the defaults of the param dataclasses. The terrain is read
     as :func:`~flocksim.geo.load_dem` reads it, so scenarios whose DEM
     files hold identical bytes share one immutable grid.
+
+    ``source_sha256`` is the sha256 of the file's bytes. When they equal
+    the bytes parsed last, at any path, their YAML document is not parsed
+    again; the terrain is still read and every field validated on each
+    call, and each call returns a new ``Scenario``.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        data = path.read_bytes()
+    except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    try:
-        root = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
+    source_sha256 = hashlib.sha256(data).hexdigest()
+    root = _LAST_DOC.get(source_sha256)
+    if root is None:
+        try:
+            root = yaml.load(data.decode(), Loader=_YAML_LOADER)
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
+        except yaml.YAMLError as exc:
+            raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
+        _LAST_DOC.clear()
+        _LAST_DOC[source_sha256] = root
     root = _expect_mapping(root, str(path))
 
     dem_rel = _get(root, "dem_file", "scenario")
@@ -523,6 +550,15 @@ def load_scenario(path: str | Path) -> Scenario:
                 f" [0, {len(uavs)})"
             )
 
+    # duration / dt is tested first: its rounding overflows when it is infinite.
+    if (duration / dt > _MAX_ARRAY_BYTES
+            or _tick_count(duration, dt) * len(uavs) * len(LOG_COLUMNS) * 8 > _MAX_ARRAY_BYTES):
+        raise ScenarioError(f"scenario.duration_s: the run log of {duration} s at dt_s {dt} for {len(uavs)}"
+                            f" vehicles exceeds {_MAX_ARRAY_BYTES} bytes")
+    if replan_params.k_samples * 3 * 8 > _MAX_ARRAY_BYTES:
+        raise ScenarioError(f"scenario.replan.k_samples: a ({replan_params.k_samples}, 3) sample block"
+                            f" exceeds {_MAX_ARRAY_BYTES} bytes")
+
     name = root.get("name", Scenario.name)
     if not isinstance(name, str):
         raise ScenarioError(f"scenario.name: expected a string, got {name!r}")
@@ -544,7 +580,7 @@ def load_scenario(path: str | Path) -> Scenario:
         obstacle=obstacle,
         name=name,
         source_path=str(path),
-        source_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        source_sha256=source_sha256,
         dem_sha256=dem_sha256,
     )
 
@@ -642,7 +678,7 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
     t_start = time.perf_counter()
     n = len(scenario.uavs)
     dt = scenario.dt
-    n_ticks = int(round(scenario.duration / dt))
+    n_ticks = _tick_count(scenario.duration, dt)
     gains = scenario.coordination
     gp = scenario.guidance
     ap = scenario.autopilot
@@ -833,7 +869,8 @@ def export(log: RunLog, metrics: Metrics, out_dir: str | Path) -> list[Path]:
 
     Per-vehicle trajectory CSVs, an event CSV (replans and premise
     violations), metrics JSON, and a manifest tying the run to the sha256
-    of its scenario file and of its DEM file, and to its seed.  All of
+    of its scenario file's bytes (``scenario_sha256``) and of its DEM
+    file's bytes, and to its seed.  All of
     those are byte-stable for a fixed (scenario, DEM, seed).  Wall-clock
     timings go to timing.json, which replay verification ignores.
 

@@ -145,19 +145,30 @@ OBSTACLE_ON_PATH = {"center_north_m": -450.0, "center_east_m": 20.0, "lateral_ra
                     "base_height_m": 0.0, "top_height_m": 250.0, "activation_time_s": 0.0}
 
 
-# Each array requested is above 2**47 bytes, more than a process's address
-# space holds, so it fails at once and commits no memory under any
-# overcommit setting: the (1e13, 1, 21) run log, and the 1e14 replan
-# samples drawn at the first tick.
+# Each array these scenarios ask of run is above 2**47 bytes, more than a
+# process's address space holds: the (1e13, 1, 21) run log, and the 1e14
+# replan samples drawn at the first tick. The loader refuses both, so
+# validate and run exit 2 without allocating anything.
 @pytest.mark.parametrize("overrides, message", [
-    ({"duration_s": 1e13}, "error: cannot allocate the run log of shape (10000000000000, 1, 21): "),
-    ({"replan": {"k_samples": 10**14}, "obstacle": OBSTACLE_ON_PATH}, "error: tick 0: cannot allocate: "),
+    ({"duration_s": 1e13}, "error: scenario.duration_s: the run log of 10000000000000.0 s at dt_s 1.0 for 1"
+                           " vehicles exceeds 140737488355328 bytes\n"),
+    ({"replan": {"k_samples": 10**14}, "obstacle": OBSTACLE_ON_PATH},
+     "error: scenario.replan.k_samples: a (100000000000000, 3) sample block exceeds 140737488355328 bytes\n"),
 ], ids=["run-log", "replan-samples"])
-def test_run_that_cannot_be_allocated_exits_3(make_scenario_file, tmp_path, capsys, overrides, message):
+def test_scenario_that_run_cannot_allocate_exits_2(make_scenario_file, tmp_path, capsys, overrides, message):
     path = make_scenario_file(**overrides)
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_into_an_output_path_that_is_a_file_exits_3(make_scenario_file, tmp_path, capsys):
+    path = make_scenario_file(duration_s=2.0)
+    (tmp_path / "out").write_text("")
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith(message)
+    assert err.startswith(f"error: cannot create output directory {tmp_path / 'out'}: ")
     assert "Traceback" not in err
 
 

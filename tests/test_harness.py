@@ -28,6 +28,7 @@ from oracles import consensus_oracle, deliver_oracle, topology_oracle
 from flocksim import (
     AutopilotParams,
     CoordinationGains,
+    DemGrid,
     GuidanceParams,
     LOG_COLUMNS,
     Point3,
@@ -43,6 +44,7 @@ from flocksim import (
     harness,
     load_scenario,
     run,
+    save_dem,
     segment_obstructed,
 )
 from flocksim.dynamics import UavLimits, UavState
@@ -163,6 +165,23 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="duration_s"):
             load_scenario(make_scenario_file(duration_s=-1.0))
 
+    # run's (n_ticks, 1, 21) float64 log and one replan's (k_samples, 3)
+    # float64 samples may take up to 2**47 bytes, and not one byte more.
+    @pytest.mark.parametrize("overrides, message", [
+        ({"duration_s": 837_723_144_972.0}, None),
+        ({"duration_s": 837_723_144_973.0}, r"^scenario\.duration_s: the run log of 837723144973\.0 s at dt_s 1\.0 for 1 "),
+        ({"duration_s": 1e300, "dt_s": 1e-300}, r"^scenario\.duration_s: the run log of 1e\+300 s at dt_s 1e-300 "),
+        ({"replan": {"k_samples": 5_864_062_014_805}}, None),
+        ({"replan": {"k_samples": 5_864_062_014_806}}, r"^scenario\.replan\.k_samples: a \(5864062014806, 3\) "),
+    ])
+    def test_arrays_run_cannot_allocate_are_rejected(self, make_scenario_file, overrides, message):
+        path = make_scenario_file(**overrides)
+        if message is None:
+            load_scenario(path)
+        else:
+            with pytest.raises(ScenarioError, match=message):
+                load_scenario(path)
+
     def test_initial_speed_outside_limits(self, make_scenario_file):
         path = make_scenario_file(uavs=[{
             "id": 0,
@@ -201,6 +220,114 @@ class TestLoadScenario:
         fast = yaml.load(text, Loader=yaml.CSafeLoader)
         # repr also tells 1 from 1.0 and compares key order
         assert repr(fast) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def loaded(scenario, *ignore):
+    """``scenario``'s fields less ``ignore``, its vehicles compared by value."""
+    fields = {**vars(scenario), "uavs": [(u.uav_id, u.initial, u.limits, u.waypoints.tolist()) for u in scenario.uavs]}
+    return {key: value for key, value in fields.items() if key not in ignore}
+
+
+@pytest.fixture
+def yaml_loads(monkeypatch):
+    """Count the YAML parses, from an empty parse store."""
+    monkeypatch.setattr(harness, "_LAST_DOC", {})
+    calls = []
+    parse = yaml.load
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(yaml, "load", counted)
+    return calls
+
+
+class TestScenarioParseReuse:
+    """Identical scenario bytes are parsed once; all else runs on every load."""
+
+    def test_identical_bytes_parse_once_into_distinct_scenarios(self, make_scenario_file, tmp_path, yaml_loads):
+        path = make_scenario_file()
+        copy_path = tmp_path / "copy.yaml"
+        copy_path.write_bytes(path.read_bytes())
+        first, second = load_scenario(path), load_scenario(copy_path)
+        assert len(yaml_loads) == 1
+        assert first is not second and first.uavs is not second.uavs
+        assert loaded(first, "source_path") == loaded(second, "source_path")
+        assert second.source_path == str(copy_path)
+        first.master_seed = 99
+        first.uavs.append(first.uavs[0])
+        third = load_scenario(path)
+        assert len(yaml_loads) == 1
+        assert third.master_seed == 11 and len(third.uavs) == 1
+        assert loaded(third) == loaded(second, "source_path") | {"source_path": str(path)}
+
+    def test_same_text_over_other_terrain_is_validated_against_it(self, make_scenario_file, tmp_path, yaml_loads):
+        uav = {"id": 0, "initial": dict(MINI_INITIAL), "waypoints": [[-300.0, 500.0, 110.0], [0.0, 0.0, 110.0]]}
+        path = make_scenario_file(uavs=[uav])
+        raised, narrow = tmp_path / "raised", tmp_path / "narrow"
+        for directory, dem in ((raised, DemGrid(-2000.0, -2000.0, 500.0, np.full((9, 9), 5.0))),
+                               (narrow, DemGrid(-2000.0, -200.0, 200.0, np.zeros((21, 3))))):
+            directory.mkdir()
+            (directory / "mini.yaml").write_bytes(path.read_bytes())
+            save_dem(dem, directory / "flat.dem")
+        flat, high = load_scenario(path), load_scenario(raised / "mini.yaml")
+        for scenario, directory in ((flat, tmp_path), (high, raised)):
+            assert scenario.dem_sha256 == hashlib.sha256((directory / "flat.dem").read_bytes()).hexdigest()
+        assert high.dem.elevation.tolist() == np.full((9, 9), 5.0).tolist()
+        with pytest.raises(ScenarioError, match=r"^scenario\.uavs\[0\]\.waypoints\[0\]: outside the terrain footprint$"):
+            load_scenario(narrow / "mini.yaml")
+        assert len(yaml_loads) == 1
+
+    def test_file_rewritten_in_place_loads_its_new_value(self, make_scenario_file, yaml_loads):
+        path = make_scenario_file()
+        assert load_scenario(path).duration == 80.0
+        assert make_scenario_file(duration_s=90.0) == path
+        assert load_scenario(path).duration == 90.0
+        assert len(yaml_loads) == 2
+
+    def test_invalid_yaml_raises_on_every_load_and_is_not_stored(self, tmp_path, yaml_loads):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("uavs: [unclosed\n")
+        for _ in range(2):
+            with pytest.raises(ScenarioError, match="not valid YAML"):
+                load_scenario(bad)
+        assert len(yaml_loads) == 2
+        assert harness._LAST_DOC == {}
+
+    def test_invalid_document_raises_the_same_message_on_every_load(self, make_scenario_file, yaml_loads):
+        path = make_scenario_file(limits={"v_g_min_mps": 19.0})
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ScenarioError) as exc:
+                load_scenario(path)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] and "v_g" in messages[0]
+        assert len(yaml_loads) == 1
+
+    @pytest.mark.parametrize("name", ["reference_4uav", "reference_4uav_dropout", "fleet_13", "mini"])
+    def test_validation_leaves_the_stored_document_as_parsed(self, scenario_dir, make_scenario_file, name,
+                                                           monkeypatch):
+        monkeypatch.setattr(harness, "_LAST_DOC", {})
+        if name == "mini":
+            # Root and vehicle limits are merged, and the obstacle and wind blocks read.
+            uav = {**MINI_SCENARIO["uavs"][0], "limits": {"v_g_max_mps": 17.0}}
+            path = make_scenario_file(obstacle=dict(ACTIVE_OBSTACLE), uavs=[uav])
+        else:
+            path = Path(scenario_dir) / f"{name}.yaml"
+        scenario = load_scenario(path)
+        data = path.read_bytes()
+        assert harness._LAST_DOC == {scenario.source_sha256: yaml.load(data.decode(), Loader=harness._YAML_LOADER)}
+
+    def test_crlf_copy_hashes_its_bytes_and_loads_like_the_lf_file(self, scenario_dir, tmp_path):
+        lf = Path(scenario_dir) / "reference_4uav.yaml"
+        crlf = tmp_path / "reference_4uav.yaml"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        shutil.copy(Path(scenario_dir) / "terrain.dem", tmp_path / "terrain.dem")
+        a, b = load_scenario(lf), load_scenario(crlf)
+        assert b.source_sha256 == hashlib.sha256(crlf.read_bytes()).hexdigest() != a.source_sha256
+        assert a.source_sha256 == hashlib.sha256(lf.read_bytes()).hexdigest()
+        assert loaded(a, "source_path", "source_sha256") == loaded(b, "source_path", "source_sha256")
 
 
 REMOVE = object()
@@ -541,6 +668,20 @@ class TestRun:
 
         monkeypatch.setattr(WindModel, "sample", nan_gust)
         with pytest.raises(RunError, match=r"^tick 3, uav 2: state became non-finite"):
+            run(scenario)
+
+    # Each array asked for is above 2**47 bytes, more than a process's address
+    # space holds, so it fails at once and commits no memory under any
+    # overcommit setting. The loader refuses both, so each is raised after it.
+    @pytest.mark.parametrize("field, message", [
+        ("duration", r"^cannot allocate the run log of shape \(10000000000000, 1, 21\): "),
+        ("replan", r"^tick 0: cannot allocate: "),
+    ])
+    def test_allocation_that_fails_raises_run_error(self, make_scenario_file, field, message):
+        scenario = load_scenario(make_scenario_file(obstacle=dict(ACTIVE_OBSTACLE)))
+        raised = {"duration": 1e13, "replan": dataclasses.replace(scenario.replan, k_samples=10**14)}
+        setattr(scenario, field, raised[field])
+        with pytest.raises(RunError, match=message):
             run(scenario)
 
     def test_consensus_uses_last_ticks_values_over_last_ticks_graph(self, scenario_dir):
