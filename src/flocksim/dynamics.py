@@ -10,7 +10,7 @@ The fleet steps as arrays with one column per vehicle: ``y`` is the
 and ``act`` the (3, N) actuator block with rows phi, n_lf, v_g.  Every
 elementwise operation is one numpy ufunc whose result is bit-identical to
 the same ``math`` expression on one vehicle; ``tan`` is the exception and
-runs per element through ``math``.
+runs per element through ``math``, as RK4 does under ``_ARRAY_MIN_N`` vehicles.
 
 The angular-rate channels are driven by guidance through ``phi``/``n_lf``
 and perturbed additively by wind-induced disturbances ``d_chi``/``d_gamma``
@@ -56,6 +56,8 @@ _TWO = np.array(2.0)
 # few drawn floats (64 ticks raised a 104-vehicle run's peak RSS by ~1.5 MB).
 _NOISE_BLOCK = 16
 
+_ARRAY_MIN_N = 10  # fleet size from which numpy's fixed cost per call pays in step_kinematics
+
 
 def wrap_angle(x):
     """Wrap angles to (-pi, pi], elementwise; takes a float or an array.
@@ -63,8 +65,11 @@ def wrap_angle(x):
     Bit for bit the scalar rule r = fmod(x + pi, 2 pi), plus 2 pi when
     r <= 0, minus pi: numpy's Python-style mod of -(x + pi) by -2 pi is
     -r after that fix-up, except that it gives -0.0 where r == 0, which
-    the heaviside step maps to 2 pi.
+    the heaviside step maps to 2 pi.  A float takes the scalar rule itself.
     """
+    if isinstance(x, float):
+        r = math.fmod(x + math.pi, 2.0 * math.pi)
+        return (r + 2.0 * math.pi if r <= 0.0 else r) - math.pi
     q = np.mod(_NEG_PI - x, _NEG_TWO_PI)
     return (np.heaviside(q, _TWO_PI) - q) - _PI
 
@@ -292,17 +297,53 @@ def step_kinematics(
     The actuators ``act`` and the (2, N) ``disturbance`` rows d_chi,
     d_gamma are held constant across the step.  Heading relaxes toward
     course through a first-order lag on the wrapped difference, integrated
-    alongside the five kinematic states.  Returns the new block.
+    alongside the five kinematic states.  Returns the new block.  Under
+    ``_ARRAY_MIN_N`` vehicles ``_rk4_floats`` gives the same bits; an input
+    that ``math`` rejects (inf, v_g = 0) takes the array step and its warning.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if y.shape[1] < _ARRAY_MIN_N:
+        try:
+            return _rk4_floats(y, act, disturbance, dt, ap.tau_psi)
+        except (ValueError, ZeroDivisionError):
+            pass
+    return _rk4_arrays(y, act, disturbance, dt, ap.tau_psi)
+
+
+def _rk4_floats(y: np.ndarray, act: np.ndarray, disturbance: np.ndarray, dt: float, tau_psi: float) -> np.ndarray:
+    """``_rk4_arrays`` for one vehicle at a time, on Python floats."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    columns = []
+    for *y0, phi, n_lf, v_g, d_chi, d_gamma in zip(*y.tolist(), *act.tolist(), *disturbance.tolist()):
+        g_over_v = GRAVITY / v_g
+        turn, lift = g_over_v * math.tan(phi), n_lf * math.cos(phi)
+
+        def deriv(chi: float, gamma: float, psi: float) -> tuple[float, ...]:
+            cos_g, slip = math.cos(gamma), chi - psi
+            v_cg = v_g * cos_g
+            return (v_cg * math.cos(chi), v_cg * math.sin(chi), v_g * math.sin(gamma), turn * math.cos(slip) + d_chi,
+                    g_over_v * (lift - cos_g) + d_gamma, wrap_angle(slip) / tau_psi)
+
+        chi, gamma, psi = y0[3:]
+        k1 = deriv(chi, gamma, psi)
+        k2 = deriv(chi + half * k1[3], gamma + half * k1[4], psi + half * k1[5])
+        k3 = deriv(chi + half * k2[3], gamma + half * k2[4], psi + half * k2[5])
+        k4 = deriv(chi + dt * k3[3], gamma + dt * k3[4], psi + dt * k3[5])
+        y1 = [s + sixth * (a + 2.0 * b + 2.0 * c + d) for s, a, b, c, d in zip(y0, k1, k2, k3, k4)]
+        columns.append((*y1[:3], wrap_angle(y1[3]), min(max(y1[4], -_GAMMA_CAP), _GAMMA_CAP), wrap_angle(y1[5])))
+    return np.array(columns).T.copy()
+
+
+def _rk4_arrays(y: np.ndarray, act: np.ndarray, disturbance: np.ndarray, dt: float, tau_psi: float) -> np.ndarray:
+    """The RK4 step of ``step_kinematics`` on the whole (6, N) block."""
     phi, v_g = act[0], act[2]
     d_chi, d_gamma = disturbance[0], disturbance[1]
     g_over_v = GRAVITY / v_g
     # numpy's tan differs from math.tan in the last bit for some inputs.
     turn = g_over_v * np.array([math.tan(p) for p in phi.tolist()])
     lift = act[1] * np.cos(phi)
-    tau_psi = np.array(ap.tau_psi)
+    tau_psi = np.array(tau_psi)
 
     def deriv(s: np.ndarray) -> np.ndarray:
         cos_cg, sin_cg = np.cos(s[3:5]), np.sin(s[3:5])

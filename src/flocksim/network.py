@@ -23,9 +23,9 @@ does one ``np.lexsort`` by (vehicle, -strength, peer) cut each list at
 ``c_max``; otherwise the candidates already are the table.  The screen
 only prunes and every float comes from the same operation, so both
 paths give identical graphs and warnings.  The dropout schedule is
-compiled to arrays once, in ``CommConfig``, so each tick finds the
-blocked pairs with one vectorised interval test instead of checking
-every window for every pair.
+compiled to arrays once, in ``CommConfig``, so a tick that crosses a
+window boundary finds the blocked pairs with one vectorised interval
+test instead of checking every window for every pair.
 
 A tick's topology is a ``CommGraph``: each vehicle's admitted links as
 one row of an (N, w) peer table and an (N, w) strength table, in
@@ -37,6 +37,7 @@ tick, so no vehicle ever reads a peer's current-tick state.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -98,12 +99,17 @@ class CommConfig:
         object.__setattr__(self, "_window_end", np.array([w.end_s for w in windows], dtype=float))
         object.__setattr__(self, "_window_a", np.array([w.uav_a for w in windows], dtype=np.int64))
         object.__setattr__(self, "_window_b", np.array([w.uav_b for w in windows], dtype=np.int64))
+        object.__setattr__(self, "_bounds", sorted({w.start_s for w in windows} | {w.end_s for w in windows}))
+        object.__setattr__(self, "_last_blocked", [None, None])
 
-    def _blocked_pairs(self, now: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ordered pairs (rows, cols) of an n-vehicle fleet that a window active at ``now`` blocks.
+    def _blocked_pairs(self, now: float, n: int) -> tuple[np.ndarray, np.ndarray, frozenset[tuple[int, int]]]:
+        """Ordered pairs of an n-vehicle fleet that a window active at ``now`` blocks, as (rows, cols) and a set.
 
-        Windows naming an id outside [0, n) block nothing.
+        Windows naming an id outside [0, n) block nothing.  Kept per (interval between boundaries, n).
         """
+        key = (bisect.bisect_right(self._bounds, now), n)
+        if self._last_blocked[0] == key:
+            return self._last_blocked[1]
         a, b = self._window_a, self._window_b
         active = (
             (self._window_start <= now)
@@ -113,8 +119,9 @@ class CommConfig:
             & (b >= 0)
             & (b < n)
         )
-        a, b = a[active], b[active]
-        return np.concatenate((a, b)), np.concatenate((b, a))
+        rows, cols = np.concatenate((a[active], b[active])), np.concatenate((b[active], a[active]))
+        self._last_blocked[:] = key, (rows, cols, frozenset(zip(rows.tolist(), cols.tolist())))
+        return self._last_blocked[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,10 +160,7 @@ def build_topology(positions: np.ndarray, config: CommConfig, now: float) -> Com
     if n >= _SCREEN_MIN_N:
         return _rank_screened(positions, config, now)
     north, east, height = positions.tolist()
-    blocked: set[tuple[int, int]] = set()
-    if config.dropout_schedule:
-        rows, cols = config._blocked_pairs(now, n)
-        blocked = set(zip(rows.tolist(), cols.tolist()))
+    blocked = config._blocked_pairs(now, n)[2] if config.dropout_schedule else frozenset()
     width = max(1, min(config.c_max, n - 1))
     peer, strength = [], []
     for i in range(n):
@@ -208,7 +212,7 @@ def _rank_screened(positions: np.ndarray, config: CommConfig, now: float) -> Com
     d2 = np.einsum("kij,kij->ij", diff, diff)
     d2.flat[:: n + 1] = np.nan
     if config.dropout_schedule:
-        d2[config._blocked_pairs(now, n)] = np.nan
+        d2[config._blocked_pairs(now, n)[:2]] = np.nan
     slack = 1.0 + _SCREEN_MARGIN
     limit = config.r_com * config.r_com * slack
     if c_max < n - 1:

@@ -29,6 +29,7 @@ from flocksim import (
     UavState,
     actuator_bounds,
     convergence_conditions,
+    dem_elevation,
     distance3,
     fleet_arrays,
     guidance_commands,
@@ -356,4 +357,53 @@ def test_11_consensus_does_not_depend_on_the_step(calm_runs):
         ok,
         "arrival spread " + " / ".join(f"{s:.1f}" for s in spreads) + f" s at dt {CALM_DTS} s (within 2 s);"
         f" 120 s position gap {gaps[0]:.3f} -> {gaps[1]:.3f} m per halving ({gaps[0] / gaps[1]:.2f}x >= 1.6x)",
+    )
+
+
+# Check 12: reference_4uav as bundled (gusts and obstacle) at dt 0.2 s, over
+# gust realisations.  The no-link half runs on fewer seeds to keep the
+# check's cost down; its median is the yardstick of the linked spreads.
+# fleet_13 joins for safety alone: its paths are nearly synchronous, so its
+# spread says nothing about consensus.
+GUST_SEEDS = tuple(range(1, 11))
+NO_LINK_SEEDS = GUST_SEEDS[:3]
+
+
+def min_height_above_terrain(scenario, log):
+    return min(
+        height - dem_elevation(scenario.dem, north, east)
+        for i in range(log.n_uavs)
+        for north, east, height in log.positions(i).tolist()
+    )
+
+
+def test_12_robust_arrival_over_gust_realisations(scenario_dir):
+    base = load_scenario(f"{scenario_dir}/reference_4uav.yaml")
+    clearance = base.replan.clearance
+    alone = []
+    for seed in NO_LINK_SEEDS:
+        comm = dataclasses.replace(base.comm, r_com=NO_LINKS_R_COM)
+        scenario = dataclasses.replace(base, dt=0.2, master_seed=seed, comm=comm)
+        alone.append(arrival_spread(scenario, run(scenario)[0]))
+    rows = []
+    for seed in GUST_SEEDS:
+        scenario = dataclasses.replace(base, dt=0.2, master_seed=seed)
+        log = run(scenario)[0]
+        rows.append((seed, arrival_spread(scenario, log), min_height_above_terrain(scenario, log)))
+        print(f"  seed {seed:2d}: arrival spread {rows[-1][1]:4.1f} s, min height above terrain {rows[-1][2]:5.1f} m")
+    fleet = dataclasses.replace(load_scenario(f"{scenario_dir}/fleet_13.yaml"), dt=0.2)
+    fleet_floor = min_height_above_terrain(fleet, run(fleet)[0])
+    print(f"  fleet_13: min height above terrain {fleet_floor:5.1f} m (clearance {fleet.replan.clearance:g} m)")
+    worst_spread = max(spread for _, spread, _ in rows)
+    lowest = min(floor for _, _, floor in rows)
+    median_alone = float(np.median(alone))
+    ok = (worst_spread <= 5.0 and worst_spread <= 0.2 * median_alone and lowest >= clearance
+          and fleet_floor >= fleet.replan.clearance)
+    report(
+        "check 12 (robust arrival over gust realisations at dt 0.2 s)",
+        ok,
+        f"reference_4uav seeds {GUST_SEEDS[0]}-{GUST_SEEDS[-1]}: every vehicle arrives; worst arrival spread "
+        f"{worst_spread:.1f} s (<= 5 s and <= 0.2 x {median_alone:.1f} s, the no-link median of seeds "
+        f"{NO_LINK_SEEDS}); min height above terrain {lowest:.1f} m (>= {clearance:g} m clearance); "
+        f"fleet_13 {fleet_floor:.1f} m (>= {fleet.replan.clearance:g} m)",
     )

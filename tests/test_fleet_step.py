@@ -10,6 +10,7 @@ in ``tests/oracles.py`` with ``==``.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,7 @@ from flocksim import (
     step_kinematics,
     wrap_angle,
 )
+from flocksim.dynamics import _ARRAY_MIN_N, _rk4_arrays, _rk4_floats
 
 FLEET_SIZES = (1, 2, 4, 13, 104)
 PI = math.pi
@@ -107,8 +109,8 @@ class Draws:
 
 
 @st.composite
-def fleets(draw):
-    n = draw(st.sampled_from(FLEET_SIZES), label="n")
+def fleets(draw, sizes=st.sampled_from(FLEET_SIZES)):
+    n = draw(sizes, label="n")
     seed = draw(st.integers(0, 2**32 - 1), label="seed")
     d = Draws(n, seed, draw(st.sampled_from((0.0, 0.1, 0.5)), label="edge_share"))
     limits = [LIMITS[k] for k in d.rng.integers(0, len(LIMITS), n)]
@@ -224,6 +226,77 @@ class TestFleetMatchesOracle:
         phi_c, _ = guidance_commands(np.array([1.0]), np.array([0.0]), y, act, gp, lo, hi)
         assert phi_c[0] == guidance_oracle(state, 1.0, 0.0, gp, UavLimits())[0] == 0.6
         assert wrap_angle(-PI) == wrap_oracle(-PI) == PI
+
+
+SIZES = (4, 13)  # fleet sizes on both sides of the float-kernel threshold
+
+# Inputs where math raises and numpy warns or raises: (block, row, value).
+MATH_REJECTS = [("y", 3, math.inf), ("y", 4, -math.inf), ("y", 5, math.inf), ("act", 0, math.inf),
+                ("act", 2, 0.0), ("act", 2, -0.0), ("gusts", 0, math.inf)]
+
+
+def block_state(y, act, i):
+    """Vehicle i of the (6, N) kinematic and (3, N) actuator blocks."""
+    north, east, height, chi, gamma, psi = column(y, i)
+    phi, n_lf, v_g = column(act, i)
+    return UavState(Point3(north, east, height), chi, gamma, psi, v_g=v_g, phi=phi, n_lf=n_lf)
+
+
+def outcome(step, *args):
+    """The bytes of ``step(*args)`` or its exception, and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = step(*args).tobytes()
+        except (ValueError, ZeroDivisionError) as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestKinematicKernels:
+    def test_sizes_straddle_float_threshold(self):
+        assert SIZES[0] < _ARRAY_MIN_N <= SIZES[1]
+
+    @FLEET_SETTINGS
+    @given(fleet=fleets(st.integers(1, 2 * _ARRAY_MIN_N)), dt=st.sampled_from(DTS),
+           ap=st.sampled_from(AUTOPILOT), nan_share=st.sampled_from((0.0, 0.05)))
+    def test_each_kernel_equals_the_oracle(self, fleet, dt, ap, nan_share):
+        # the fleet draws put angles at +-pi and gamma at the cap, DTS reach
+        # beyond every tau_psi, and NaN entries (numpy's positive NaN) pass
+        # through bit for bit
+        d, _, _, y, act, _, _ = fleet
+        gusts = np.array([d.values(-0.1, 0.1), d.values(-0.1, 0.1)])
+        for values in (y, act, gusts):
+            values[d.rng.random(values.shape) < nan_share] = np.nan
+        for kernel in (_rk4_floats, _rk4_arrays):
+            out = kernel(y, act, gusts, dt, ap.tau_psi)
+            for i in range(d.n):
+                want = kinematics_oracle(block_state(y, act, i), gusts[0, i].item(), gusts[1, i].item(), dt, ap)
+                p = want.position
+                assert out[:, i].tobytes() == np.array(
+                    [p.north, p.east, p.height, want.chi, want.gamma, want.psi]).tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("where, row, value", MATH_REJECTS)
+    def test_inputs_math_rejects_get_the_array_outcome(self, n, where, row, value):
+        state = UavState(Point3(0.0, 0.0, 100.0), 0.3, 0.1, 0.2, v_g=12.0, phi=0.1, n_lf=1.0)
+        y, act = fleet_arrays([state] * n)
+        blocks = {"y": y, "act": act, "gusts": np.zeros((2, n))}
+        blocks[where][row, n // 2] = value
+        args = (y, act, blocks["gusts"], 1.0)
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            _rk4_floats(*args, AutopilotParams().tau_psi)
+        want = outcome(_rk4_arrays, *args, AutopilotParams().tau_psi)
+        assert isinstance(want[0], tuple) or want[1], "numpy neither raised nor warned"
+        assert outcome(step_kinematics, *args, AutopilotParams()) == want
+
+    def test_wrap_angle_float_equals_array(self):
+        rng = np.random.default_rng(1)
+        x = np.concatenate([rng.uniform(-30.0, 30.0, 5_000), EDGE_ANGLES, np.arange(-20, 21) * PI,
+                            [1e300, -1e300, 5e-324, -5e-324, math.nan]])
+        wrapped = [wrap_angle(a) for a in x.tolist()]
+        assert {type(w) for w in wrapped} == {float}
+        assert np.array(wrapped).tobytes() == wrap_angle(x).tobytes()
 
 
 # Ways to place a vehicle against its active waypoint, beside random paths.

@@ -256,6 +256,25 @@ class TestTopologyMatchesOracle:
         assert_matches_oracle(caplog, lattice(n), config, now)
 
     @pytest.mark.parametrize("n", SIZES)
+    def test_one_config_at_times_out_of_order(self, caplog, n):
+        # the blocked pairs are kept per (boundary interval, fleet size):
+        # a window blocks at its start and not at its end, nothing blocks
+        # before the first boundary or from the last on, and neither a step
+        # back in time nor a change of fleet size reuses a stale answer
+        windows = (DropoutWindow(10.0, 20.0, 0, 1), DropoutWindow(15.0, 25.0, 2, 1),
+                   DropoutWindow(20.0, 30.0, 0, 5))
+        config = CommConfig(r_com=1500.0, c_max=2, dropout_schedule=windows)
+        for m in (n, 6):
+            for now in (0.0, 10.0, 20.0, 9.5, 30.0, 15.0, 25.0, 20.0, 31.0, 10.0, 19.999, 0.0):
+                assert_matches_oracle(caplog, lattice(m), config, now)
+        for m in (n, 6, n):
+            assert_matches_oracle(caplog, lattice(m), config, 20.0)
+        assert 1 not in peers(build_topology(lattice(n), config, 10.0), 0)
+        assert 1 in peers(build_topology(lattice(n), config, 20.0), 0)
+        assert 5 not in peers(build_topology(lattice(6), config, 20.0), 0)
+        assert 5 in peers(build_topology(lattice(6), config, 30.0), 0)
+
+    @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("c_max", [1, 2, 100])
     def test_out_of_fleet_ids_suppress_nothing(self, caplog, n, c_max):
         # the last vehicle is everyone's nearest peer; under numpy indexing
