@@ -1,8 +1,8 @@
 """Gust streams and the angular-rate disturbances they induce.
 
-The wind model keeps three first-order Gauss-Markov gust states (along,
-cross, vertical) plus a constant ambient vector, and maps the cross and
-vertical components into course/climb rate disturbances scaled by the
+The wind model keeps two first-order Gauss-Markov gust states (cross,
+vertical) plus a constant ambient vector, and maps them with the matching
+ambient components into course/climb rate disturbances scaled by the
 nominal airspeed. This script checks the sampled statistics against the
 configured intensities, shows the saturation guard, and demonstrates
 that equal seeds reproduce the stream bit for bit.

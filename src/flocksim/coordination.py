@@ -87,16 +87,15 @@ def consensus_rate(
 
 def speed_command(
     theta: np.ndarray, theta_dot: np.ndarray, v_g: np.ndarray, gains: CoordinationGains, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(N,) ground-speed setpoints and time-index references.
+) -> np.ndarray:
+    """(N,) ground-speed setpoints.
 
-    The reference theta_ref = theta + theta_dot looks one second ahead,
-    whatever the step, and the speed moves by -k_vg*(theta_ref - theta).
+    The speed moves by -k_vg*((theta + theta_dot) - theta): the time index
+    one second ahead, whatever the step, less the time index now.
     A vehicle lagging its peers (theta above theirs) gets a reduced
     theta_dot from the consensus term, hence a smaller subtraction and a
     faster setpoint than theirs: disagreement shrinks.  Clipped to the
     speed rows of the (3, N) actuator bounds ``lo``/``hi``.
     """
-    theta_ref = theta + theta_dot
-    v_cmd = v_g - gains.k_vg * (theta_ref - theta)
-    return _clip(v_cmd, lo[2], hi[2]), theta_ref
+    v_cmd = v_g - gains.k_vg * ((theta + theta_dot) - theta)
+    return _clip(v_cmd, lo[2], hi[2])

@@ -66,6 +66,8 @@ def wrap_angle(x):
     r <= 0, minus pi: numpy's Python-style mod of -(x + pi) by -2 pi is
     -r after that fix-up, except that it gives -0.0 where r == 0, which
     the heaviside step maps to 2 pi.  A float takes the scalar rule itself.
+    NaN is the exception: the float branch keeps its sign, and the array
+    branch returns numpy's positive NaN for either sign, as heaviside does.
     """
     if isinstance(x, float):
         r = math.fmod(x + math.pi, 2.0 * math.pi)
@@ -160,7 +162,11 @@ class AutopilotParams:
 
 @dataclass(frozen=True)
 class WindParams:
-    """Ambient wind [north, east, up] (m/s), gust sigmas (m/s) and length scales (m)."""
+    """Ambient wind [north, east, up] (m/s), gust sigmas (m/s) and length scales (m).
+
+    ``sigma_u`` and ``length_u`` belong to an along-track gust that the
+    model does not simulate: they are validated and not read.
+    """
 
     ambient: tuple[float, float, float] = (0.0, 0.0, 0.0)
     sigma_u: float = 0.0
@@ -186,39 +192,32 @@ class WindParams:
 
 
 class WindModel:
-    """Ambient wind plus first-order colored gusts on three body axes.
+    """Ambient wind plus first-order colored gusts on the lateral and vertical axes.
 
     Each axis carries a Gauss-Markov filter with correlation time
     ``length/airspeed_nominal`` advanced by its exact discretization, so
     the stationary standard deviation equals ``sigma`` for any dt.  The
-    lateral (v) and vertical (w) channels, plus the matching ambient
+    lateral (v) and vertical (w) gusts, plus the matching ambient
     components, map to course/climb rate disturbances scaled by
-    ``1/airspeed_nominal`` and clipped to ``d_max``.  The along-track (u)
-    filter is advanced but unmapped: it exists so the draw layout per tick
-    is fixed at three normals regardless of which channels are consumed.
-    Normals are drawn a block at a time; the stream is the one that
+    ``1/airspeed_nominal`` and clipped to ``d_max``.  Each tick consumes
+    three normals and skips the first, the draw of an along-track gust
+    that no channel uses, so the stream per seed stays fixed.  Normals are
+    drawn a block at a time; the stream is the one that
     ``standard_normal(3)`` per sample would give.
     """
 
     def __init__(self, params: WindParams, seed: int) -> None:
         self.ambient = tuple(float(a) for a in params.ambient)
-        self.sigma = (params.sigma_u, params.sigma_v, params.sigma_w)
-        lengths = (params.length_u, params.length_v, params.length_w)
-        self.tau = tuple(length / params.airspeed_nominal for length in lengths)
+        self.sigma = (params.sigma_v, params.sigma_w)
+        self.tau = tuple(length / params.airspeed_nominal for length in (params.length_v, params.length_w))
         self.airspeed_nominal = float(params.airspeed_nominal)
         self.d_max = float(params.d_max)
-        self.seed = int(seed)
-        self._rng = np.random.default_rng(self.seed)
-        self._gust = (0.0, 0.0, 0.0)
+        self._rng = np.random.default_rng(int(seed))
+        self._gust = (0.0, 0.0)
         self._noise: list[float] = []
         self._next = 0
         # No dt equals NaN, so the first sample sets the filter coefficients.
         self._dt = math.nan
-
-    @property
-    def gust(self) -> np.ndarray:
-        """Current [u, v, w] gust values (m/s), copy."""
-        return np.array(self._gust)
 
     def sample(self, dt: float) -> tuple[float, float]:
         """Advance the gusts by ``dt`` and return (d_chi, d_gamma) in rad/s."""
@@ -233,12 +232,11 @@ class WindModel:
             noise = self._noise = self._rng.standard_normal(3 * _NOISE_BLOCK).tolist()
             k = 0
         self._next = k + 3
-        a_u, a_v, a_w, b_u, b_v, b_w = self._coef
-        g_u, g_v, g_w = self._gust
-        g_u = a_u * g_u + b_u * noise[k]
+        a_v, a_w, b_v, b_w = self._coef
+        g_v, g_w = self._gust
         g_v = a_v * g_v + b_v * noise[k + 1]
         g_w = a_w * g_w + b_w * noise[k + 2]
-        self._gust = (g_u, g_v, g_w)
+        self._gust = (g_v, g_w)
         lim = self.d_max
         d_chi = (g_v + self.ambient[1]) / self.airspeed_nominal
         d_gamma = (g_w + self.ambient[2]) / self.airspeed_nominal

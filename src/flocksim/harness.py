@@ -91,7 +91,7 @@ WALL_CLOCK_FILES = ("timing.json",)
 # are the trajectory CSV's values after tick and t_s, in CSV order; the
 # last three are the flags of convergence_conditions, as 0/1.
 LOG_COLUMNS = ("north", "east", "height", "chi", "gamma", "phi", "n_lf", "v_g", "theta", "cursor",
-               "psi", "phi_cmd", "n_lf_cmd", "v_g_cmd", "eta_lat", "eta_lon", "theta_dot", "theta_ref",
+               "psi", "phi_cmd", "n_lf_cmd", "v_g_cmd", "eta_lat", "eta_lon", "theta_dot",
                "lat_ok", "lon_ok", "sign_ok")
 _PREMISES = slice(LOG_COLUMNS.index("lat_ok"), len(LOG_COLUMNS))
 
@@ -592,7 +592,7 @@ def load_scenario(path: str | Path) -> Scenario:
 def comm_step(paths: FleetPaths, offset: np.ndarray, distance: np.ndarray, y: np.ndarray, act: np.ndarray,
               received: np.ndarray, strength: np.ndarray, gains: CoordinationGains,
               lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One comm step of the fleet: (N,) theta, chi_c, gamma_c, theta_dot, v_cmd and theta_ref.
+    """One comm step of the fleet: (N,) theta, chi_c, gamma_c, theta_dot and v_cmd.
 
     ``offset`` and ``distance`` lead to the active waypoints of ``paths``;
     a vehicle within 1e-9 m of its own keeps its course and climb.  No
@@ -606,8 +606,7 @@ def comm_step(paths: FleetPaths, offset: np.ndarray, distance: np.ndarray, y: np
         chi_c, gamma_c = y[3].copy(), y[4].copy()
         chi_c[far], gamma_c[far] = reference_angles(offset[:, far])
     theta_dot = consensus_rate(theta, received, strength, gains)
-    v_cmd, theta_ref = speed_command(theta, theta_dot, act[2], gains, lo, hi)
-    return theta, chi_c, gamma_c, theta_dot, v_cmd, theta_ref
+    return theta, chi_c, gamma_c, theta_dot, speed_command(theta, theta_dot, act[2], gains, lo, hi)
 
 
 def control_step(y: np.ndarray, act: np.ndarray, chi_c: np.ndarray, gamma_c: np.ndarray, v_cmd: np.ndarray,
@@ -707,7 +706,7 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
                 scenario, log, paths, y, act, tick, t, replan_counts
             ):
                 offset, distance = paths.offsets(y)
-            theta, chi_c, gamma_c, theta_dot, v_cmd, theta_ref = comm_step(
+            theta, chi_c, gamma_c, theta_dot, v_cmd = comm_step(
                 paths, offset, distance, y, act, received, strength, gains, lo, hi
             )
             y_next, act_next, cmd, eta, premises = control_step(
@@ -720,7 +719,7 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
             row[8:10] = (theta, paths.cursor)
             row[10] = y[5]
             row[11:14] = cmd
-            row[14:18] = (*eta, theta_dot, theta_ref)
+            row[14:17] = (*eta, theta_dot)
             row[_PREMISES] = premises
 
             graph = build_topology(y[:3], scenario.comm, t)

@@ -72,11 +72,7 @@ class ReplanParams:
 
 
 class ReplanError(RuntimeError):
-    """Replanning failed; ``iteration`` names the loop pass that failed."""
-
-    def __init__(self, message: str, iteration: int) -> None:
-        super().__init__(message)
-        self.iteration = iteration
+    """Replanning failed.  A message from :func:`replan` names the iteration."""
 
 
 def sample_region(
@@ -182,7 +178,7 @@ def best_detour(
     """
     pts = sample_region(uav, obstacle, grid, params, rng)
     if pts.shape[0] == 0:
-        raise ReplanError(f"no feasible samples among {params.k_samples} draws", iteration=0)
+        raise ReplanError(f"no feasible samples among {params.k_samples} draws")
     costs = candidate_cost(uav, pts, target)
     order = np.argsort(costs, kind="stable")
     rejected_obstructed = 0
@@ -215,8 +211,7 @@ def best_detour(
     raise ReplanError(
         f"no acceptable candidate among {pts.shape[0]} feasible samples "
         f"({rejected_obstructed} rejected for obstructed leg, "
-        f"{rejected_terrain} for terrain clearance)",
-        iteration=0,
+        f"{rejected_terrain} for terrain clearance)"
     )
 
 
@@ -250,14 +245,11 @@ def replan(
         try:
             point, _ = best_detour(virtual, target, rng, grid, obstacle, now, params)
         except ReplanError as exc:
-            raise ReplanError(f"iteration {iteration}: {exc}", iteration=iteration) from exc
+            raise ReplanError(f"iteration {iteration}: {exc}") from exc
         waypoints.append(point)
         chi, gamma = reference_angles(np.subtract(point, virtual.position)[:, None])
         virtual = replace(virtual, position=point, chi=chi.item(), gamma=gamma.item())
     else:
         if segment_obstructed(virtual.position, target, obstacle, now):
-            raise ReplanError(
-                f"still obstructed after {params.max_iterations} iterations",
-                iteration=params.max_iterations - 1,
-            )
+            raise ReplanError(f"still obstructed after {params.max_iterations} iterations")
     return np.array(waypoints).reshape(-1, 3)

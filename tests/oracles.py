@@ -270,10 +270,9 @@ def consensus_oracle(theta_self, inbox, gains):
 
 
 def speed_oracle(theta, theta_dot, v_g, gains, limits):
-    """Scalar (speed setpoint, theta_ref) of one vehicle, looking one second ahead at any step."""
-    theta_ref = theta + theta_dot
-    v_cmd = v_g - gains.k_vg * (theta_ref - theta)
-    return min(max(v_cmd, limits.v_g_min), limits.v_g_max), theta_ref
+    """Scalar speed setpoint of one vehicle, looking one second ahead at any step."""
+    v_cmd = v_g - gains.k_vg * ((theta + theta_dot) - theta)
+    return min(max(v_cmd, limits.v_g_min), limits.v_g_max)
 
 
 def _wrap(x):

@@ -146,9 +146,9 @@ OBSTACLE_ON_PATH = {"center_north_m": -450.0, "center_east_m": 20.0, "lateral_ra
 
 
 # Each array these scenarios ask of run is above 2**47 bytes, more than a
-# process's address space holds: the (1e13, 1, 21) run log, and the 1e14
-# replan samples drawn at the first tick. The loader refuses both, so
-# validate and run exit 2 without allocating anything.
+# process's address space holds: the (1e13, 1, len(LOG_COLUMNS)) run log,
+# and the 1e14 replan samples drawn at the first tick. The loader refuses
+# both, so validate and run exit 2 without allocating anything.
 @pytest.mark.parametrize("overrides, message", [
     ({"duration_s": 1e13}, "error: scenario.duration_s: the run log of 10000000000000.0 s at dt_s 1.0 for 1"
                            " vehicles exceeds 140737488355328 bytes\n"),

@@ -46,9 +46,7 @@ def one_rate(theta, inbox, gains):
 def one_command(theta, theta_dot, v_g, gains, limits):
     """One vehicle's speed setpoint, looking one second ahead."""
     lo, hi = actuator_bounds([limits])
-    v_cmd, theta_ref = speed_command(np.array([theta]), np.array([theta_dot]), np.array([v_g]), gains, lo, hi)
-    assert theta_ref.tolist() == [theta + theta_dot]
-    return v_cmd.item()
+    return speed_command(np.array([theta]), np.array([theta_dot]), np.array([v_g]), gains, lo, hi).item()
 
 
 class TestCoordinationGains:

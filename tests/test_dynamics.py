@@ -391,6 +391,18 @@ class TestWindModel:
         stream_b = [b.sample(1.0)[0] for _ in range(20)]
         assert stream_a != stream_b
 
+    def test_along_track_keys_are_inert(self):
+        # sigma_u and length_u are validated and not read: the streams of
+        # models that differ only in them are equal, at either step
+        base = {**REFERENCE_TURBULENCE, "d_max": 10.0}
+        a = WindModel(WindParams(**base), seed=31)
+        b = WindModel(WindParams(**{**base, "sigma_u": 0.0, "length_u": 7.0}), seed=31)
+        c = WindModel(WindParams(**{**base, "sigma_u": 50.0, "length_u": 9000.0}), seed=31)
+        steps = [1.0] * 100 + [0.2] * 100
+        stream_a, stream_b, stream_c = ([m.sample(dt) for dt in steps] for m in (a, b, c))
+        assert stream_a == stream_b == stream_c
+        assert len(set(stream_a)) == len(steps)
+
 
 def same_float(a, b):
     """Equal as floats, with NaN equal to NaN and -0.0 told apart from 0.0."""

@@ -119,14 +119,12 @@ class TestExchangeMatchesOracle:
             assert graph.strength[i, : len(inbox)].tolist() == [s for s, _ in inbox]
 
         theta_dot = consensus_rate(theta_now, received, graph.strength, gains)
-        v_cmd, theta_ref = speed_command(theta_now, theta_dot, v_g, gains, lo, hi)
-        assert theta_dot.shape == v_cmd.shape == theta_ref.shape == (n,)
+        v_cmd = speed_command(theta_now, theta_dot, v_g, gains, lo, hi)
+        assert theta_dot.shape == v_cmd.shape == (n,)
         for i, lim in enumerate(limits):
             rate = consensus_oracle(theta_now[i].item(), inboxes[i], gains)
             assert same(theta_dot[i].item(), rate)
-            want_cmd, want_ref = speed_oracle(theta_now[i].item(), rate, v_g[i].item(), gains, lim)
-            assert same(v_cmd[i].item(), want_cmd)
-            assert same(theta_ref[i].item(), want_ref)
+            assert same(v_cmd[i].item(), speed_oracle(theta_now[i].item(), rate, v_g[i].item(), gains, lim))
 
     def test_speed_clip_edges_and_ties(self):
         # a zero rate leaves a speed on its bound exactly; rates of either
@@ -136,10 +134,10 @@ class TestExchangeMatchesOracle:
         theta = np.full(4, 100.0)
         v_g = np.array([9.0, 18.0, 9.0, 18.0])
         theta_dot = np.array([0.0, 0.0, 1.0, -1.0])
-        v_cmd, _ = speed_command(theta, theta_dot, v_g, gains, lo, hi)
+        v_cmd = speed_command(theta, theta_dot, v_g, gains, lo, hi)
         assert v_cmd.tolist() == [9.0, 18.0, 9.0, 18.0]
         assert v_cmd.tolist() == [
-            speed_oracle(100.0, r, v, gains, UavLimits())[0] for r, v in zip(theta_dot.tolist(), v_g.tolist())
+            speed_oracle(100.0, r, v, gains, UavLimits()) for r, v in zip(theta_dot.tolist(), v_g.tolist())
         ]
 
     def test_numpy_tanh_is_not_used(self):

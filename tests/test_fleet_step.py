@@ -297,6 +297,9 @@ class TestKinematicKernels:
         wrapped = [wrap_angle(a) for a in x.tolist()]
         assert {type(w) for w in wrapped} == {float}
         assert np.array(wrapped).tobytes() == wrap_angle(x).tobytes()
+        # the documented exception: only the float branch keeps a NaN's sign
+        signs = np.signbit([wrap_angle(-math.nan), *wrap_angle(np.array([-math.nan, math.nan])).tolist()])
+        assert signs.tolist() == [True, False, False]
 
 
 # Ways to place a vehicle against its active waypoint, beside random paths.
@@ -373,7 +376,7 @@ def fleet_control_inputs(states, paths, gp, spliced):
     ``paths`` holds each vehicle's (waypoints, cursor).  ``comm_step`` runs
     on an empty inbox, with default gains and limits.  Returns the fleet's
     ``FleetPaths``, the vehicles whose cursor the advance moved, and the
-    (N,) theta, chi_c, gamma_c, theta_dot, v_cmd and theta_ref.
+    (N,) theta, chi_c, gamma_c, theta_dot and v_cmd.
     """
     y, act = fleet_arrays(states)
     table = FleetPaths([waypoints for waypoints, _ in paths], [c for _, c in paths])
@@ -407,7 +410,7 @@ class TestControlInputsMatchOracle:
     @given(fleet=targeted_fleets())
     def test_control_inputs(self, fleet):
         states, paths, gp, spliced = fleet
-        table, advanced, theta, chi_c, gamma_c, theta_dot, v_cmd, theta_ref = fleet_control_inputs(
+        table, advanced, theta, chi_c, gamma_c, theta_dot, v_cmd = fleet_control_inputs(
             states, paths, gp, spliced
         )
         # the advance moves exactly the cursors that the oracle moves
@@ -425,7 +428,7 @@ class TestControlInputsMatchOracle:
             # an empty inbox leaves the drift; the speed command looks one second ahead
             rate = consensus_oracle(values[0], [], gains)
             assert theta_dot[i] == rate
-            assert (v_cmd[i], theta_ref[i]) == speed_oracle(values[0], rate, state.v_g, gains, UavLimits())
+            assert v_cmd[i] == speed_oracle(values[0], rate, state.v_g, gains, UavLimits())
 
     def test_each_placement_takes_its_branch(self):
         # vehicle k flies north from (100 k, 0, 100) with placement k at the
@@ -466,7 +469,6 @@ class TestWindMatchesOracle:
         got = [model.sample(dt) for dt in [1.0] * 150 + [0.2] * 150]
         want = [oracle.sample(dt) for dt in [1.0] * 150 + [0.2] * 150]
         assert got == want
-        assert model.gust.tolist() == oracle.gust.tolist()
         if d_max == 0.02:
             assert sum(abs(v) == d_max for pair in got for v in pair) > 50
 

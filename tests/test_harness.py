@@ -60,6 +60,9 @@ def rec(log, tick, uav_id, north, east, height, theta=0.0):
     log.thetas()[tick, uav_id] = theta
 
 
+# The most ticks of a one-vehicle run log in 2**47 bytes of float64.
+MAX_LOG_TICKS = 2**47 // (len(LOG_COLUMNS) * 8)
+
 ACTIVE_OBSTACLE = {
     "center_north_m": -450.0,
     "center_east_m": 20.0,
@@ -165,11 +168,12 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="duration_s"):
             load_scenario(make_scenario_file(duration_s=-1.0))
 
-    # run's (n_ticks, 1, 21) float64 log and one replan's (k_samples, 3)
-    # float64 samples may take up to 2**47 bytes, and not one byte more.
+    # run's (n_ticks, 1, len(LOG_COLUMNS)) float64 log and one replan's
+    # (k_samples, 3) float64 samples may take up to 2**47 bytes, and not one byte more.
     @pytest.mark.parametrize("overrides, message", [
-        ({"duration_s": 837_723_144_972.0}, None),
-        ({"duration_s": 837_723_144_973.0}, r"^scenario\.duration_s: the run log of 837723144973\.0 s at dt_s 1\.0 for 1 "),
+        ({"duration_s": float(MAX_LOG_TICKS)}, None),
+        ({"duration_s": float(MAX_LOG_TICKS + 1)},
+         rf"^scenario\.duration_s: the run log of {MAX_LOG_TICKS + 1}\.0 s at dt_s 1\.0 for 1 "),
         ({"duration_s": 1e300, "dt_s": 1e-300}, r"^scenario\.duration_s: the run log of 1e\+300 s at dt_s 1e-300 "),
         ({"replan": {"k_samples": 5_864_062_014_805}}, None),
         ({"replan": {"k_samples": 5_864_062_014_806}}, r"^scenario\.replan\.k_samples: a \(5864062014806, 3\) "),
@@ -674,7 +678,7 @@ class TestRun:
     # space holds, so it fails at once and commits no memory under any
     # overcommit setting. The loader refuses both, so each is raised after it.
     @pytest.mark.parametrize("field, message", [
-        ("duration", r"^cannot allocate the run log of shape \(10000000000000, 1, 21\): "),
+        ("duration", rf"^cannot allocate the run log of shape \(10000000000000, 1, {len(LOG_COLUMNS)}\): "),
         ("replan", r"^tick 0: cannot allocate: "),
     ])
     def test_allocation_that_fails_raises_run_error(self, make_scenario_file, field, message):
