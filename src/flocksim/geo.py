@@ -112,7 +112,7 @@ class DemGrid:
     elevation: np.ndarray
 
     def __post_init__(self) -> None:
-        grid = np.array(self.elevation, dtype=float)
+        grid = np.array(self.elevation, dtype=float, order="C")
         if grid.ndim != 2 or grid.shape[0] < 2 or grid.shape[1] < 2:
             raise ValueError(f"elevation must be at least 2x2, got shape {grid.shape}")
         if not 0.0 < self.cell_size < math.inf:
@@ -147,40 +147,84 @@ class DemGrid:
         )
 
 
-def _interpolate_many(grid: DemGrid, norths: np.ndarray, easts: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation at arrays of query points (meters)."""
+def _out_of_footprint(grid: DemGrid, north: float, east: float) -> OutOfBoundsError:
+    return OutOfBoundsError(
+        f"terrain query (north={float(north)}, east={float(east)}) "
+        f"outside grid footprint north=[{grid.origin_north}, {grid.north_max}], "
+        f"east=[{grid.origin_east}, {grid.east_max}]"
+    )
+
+
+def _cell_coords(grid: DemGrid, norths: np.ndarray, easts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fractional row and column of each query, and which queries fall off the footprint.
+
+    The footprint test is a negated inside-test, so a NaN coordinate is off it.
+    """
     fn = (norths - grid.origin_north) / grid.cell_size
     fe = (easts - grid.origin_east) / grid.cell_size
-    bad = (fn < 0.0) | (fn > grid.n_rows - 1) | (fe < 0.0) | (fe > grid.n_cols - 1)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise OutOfBoundsError(
-            f"terrain query (north={float(norths.flat[k])}, east={float(easts.flat[k])}) "
-            f"outside grid footprint north=[{grid.origin_north}, {grid.north_max}], "
-            f"east=[{grid.origin_east}, {grid.east_max}]"
-        )
-    r0 = np.clip(np.floor(fn).astype(int), 0, grid.n_rows - 2)
-    c0 = np.clip(np.floor(fe).astype(int), 0, grid.n_cols - 2)
+    off = ~((fn >= 0.0) & (fn <= grid.n_rows - 1) & (fe >= 0.0) & (fe <= grid.n_cols - 1))
+    return fn, fe, off
+
+
+def _bilinear(grid: DemGrid, fn: np.ndarray, fe: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation at fractional rows ``fn`` and columns ``fe``, all on the footprint.
+
+    Truncation is the floor there; the last row and column fold into the
+    cell below them, at u or v = 1.  The four corners are gathered from the
+    flat raster.
+    """
+    n_cols = grid.n_cols
+    r0 = np.minimum(fn.astype(np.intp), grid.n_rows - 2)
+    c0 = np.minimum(fe.astype(np.intp), n_cols - 2)
     u = fn - r0
     v = fe - c0
-    z = grid.elevation
+    z = grid.elevation.ravel()
+    i00 = r0 * n_cols + c0
+    i10 = i00 + n_cols
     return (
-        (1.0 - u) * (1.0 - v) * z[r0, c0]
-        + (1.0 - u) * v * z[r0, c0 + 1]
-        + u * (1.0 - v) * z[r0 + 1, c0]
-        + u * v * z[r0 + 1, c0 + 1]
+        (1.0 - u) * (1.0 - v) * z[i00]
+        + (1.0 - u) * v * z[i00 + 1]
+        + u * (1.0 - v) * z[i10]
+        + u * v * z[i10 + 1]
     )
+
+
+def _interpolate_many(grid: DemGrid, norths: np.ndarray, easts: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation at arrays of query points (meters).
+
+    A query off the footprint, NaN included, raises
+    :class:`OutOfBoundsError` naming the first such query in array order.
+    """
+    fn, fe, off = _cell_coords(grid, norths, easts)
+    if off.any():
+        k = int(np.argmax(off))
+        raise _out_of_footprint(grid, norths.flat[k], easts.flat[k])
+    return _bilinear(grid, fn, fe)
 
 
 def dem_elevation(grid: DemGrid, north: float, east: float) -> float:
     """Terrain height under (north, east).
 
     Bilinear in the enclosing cell: exact at grid nodes, continuous across
-    cell edges.  Queries outside the footprint raise
-    :class:`OutOfBoundsError` naming the offending coordinate.
+    cell edges.  Queries outside the footprint, NaN included, raise
+    :class:`OutOfBoundsError` naming the offending coordinate.  The same
+    arithmetic as :func:`_interpolate_many`, on Python floats.
     """
-    out = _interpolate_many(grid, np.array([north], dtype=float), np.array([east], dtype=float))
-    return float(out[0])
+    fn = (north - grid.origin_north) / grid.cell_size
+    fe = (east - grid.origin_east) / grid.cell_size
+    if not (0.0 <= fn <= grid.n_rows - 1 and 0.0 <= fe <= grid.n_cols - 1):
+        raise _out_of_footprint(grid, north, east)
+    r0 = min(int(fn), grid.n_rows - 2)
+    c0 = min(int(fe), grid.n_cols - 2)
+    u = fn - r0
+    v = fe - c0
+    z = grid.elevation.item
+    return float(
+        (1.0 - u) * (1.0 - v) * z(r0, c0)
+        + (1.0 - u) * v * z(r0, c0 + 1)
+        + u * (1.0 - v) * z(r0 + 1, c0)
+        + u * v * z(r0 + 1, c0 + 1)
+    )
 
 
 def segment_obstructed(a: Iterable[float], b: Iterable[float], obstacle: Obstacle, now: float) -> bool:
@@ -224,6 +268,50 @@ def segment_obstructed(a: Iterable[float], b: Iterable[float], obstacle: Obstacl
     return f_a * t_star * t_star + f_b * t_star + f_c <= 0.0
 
 
+def _legs_obstructed(a: np.ndarray, b: np.ndarray, obstacle: Obstacle, now: float) -> np.ndarray:
+    """:func:`segment_obstructed` of each leg ``a[i]``-``b[i]``, decision for decision.
+
+    ``a`` and ``b`` are (m, 3) arrays of [north, east, height] rows, or one
+    of them is a single point that every leg shares.  Each leg takes the
+    scalar test's arithmetic in its order, elementwise, so the two agree
+    on every leg.  A level leg (``dh == 0``) gets the interval [0, 1] in
+    the height band and an empty one outside it; a leg of no lateral
+    length takes the scalar test's ``f_c <= 0`` branch.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not obstacle.is_active(now):
+        return np.zeros(np.broadcast_shapes(a.shape, b.shape)[0], dtype=bool)
+    an, ae, ah = a.T
+    bn, be, bh = b.T
+    base, top = obstacle.base_height, obstacle.top_height
+    dh = bh - ah
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t1 = (base - ah) / dh
+        t2 = (top - ah) / dh
+        t_lo = np.minimum(t1, t2)
+        t_hi = np.maximum(t1, t2)
+        level = dh == 0.0
+        if level.any():
+            # A level leg is in the height band over all of it or over none.
+            in_band = np.broadcast_to((base <= ah) & (ah <= top), dh.shape)[level]
+            t_lo[level] = np.where(in_band, 0.0, 1.0)
+            t_hi[level] = np.where(in_band, 1.0, 0.0)
+        t_lo = np.maximum(t_lo, 0.0)
+        t_hi = np.minimum(t_hi, 1.0)
+
+        qn = an - obstacle.center_north
+        qe = ae - obstacle.center_east
+        dn = bn - an
+        de = be - ae
+        f_a = dn * dn + de * de
+        f_b = 2.0 * (qn * dn + qe * de)
+        f_c = qn * qn + qe * qe - obstacle.lateral_radius**2
+        t_star = np.minimum(np.maximum(-f_b / (2.0 * f_a), t_lo), t_hi)
+        inside = np.where(f_a == 0.0, f_c <= 0.0, f_a * t_star * t_star + f_b * t_star + f_c <= 0.0)
+    return (t_lo <= t_hi) & inside
+
+
 def segment_above_terrain(
     grid: DemGrid, a: Iterable[float], b: Iterable[float], clearance: float, step: float
 ) -> bool:
@@ -231,12 +319,16 @@ def segment_above_terrain(
 
     Samples are evenly spaced at intervals no larger than ``step`` meters
     (endpoints always included).  Out-of-footprint samples raise
-    :class:`OutOfBoundsError`.
+    :class:`OutOfBoundsError`, and so does an end with a NaN or infinite
+    north or east, which has no sample spacing.
     """
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
     length = distance3(a, b)
     (an, ae, ah), (bn, be, bh) = a, b
+    if not math.isfinite(length):
+        _interpolate_many(grid, np.array([an, bn], dtype=float), np.array([ae, be], dtype=float))
+        raise ValueError(f"segment {(an, ae, ah)} to {(bn, be, bh)} has no finite length")
     n = max(2, math.ceil(length / step) + 1)
     t = np.linspace(0.0, 1.0, n)
     norths = an + t * (bn - an)
@@ -244,6 +336,44 @@ def segment_above_terrain(
     heights = ah + t * (bh - ah)
     terrain = _interpolate_many(grid, norths, easts)
     return bool(np.all(heights >= terrain + clearance))
+
+
+def _legs_above_terrain(
+    grid: DemGrid, a: np.ndarray, b: np.ndarray, clearance: float, step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`segment_above_terrain` of each leg ``a[i]``-``b[i]``, with one terrain query for all.
+
+    ``a`` and ``b`` are (m, 3) arrays of finite [north, east, height]
+    rows, m >= 1.  Each leg is sampled as the scalar test samples it.
+    Returns ``(clear, off)``: ``off[i]`` marks a leg with a sample off the
+    footprint, where the scalar test raises :class:`OutOfBoundsError` and
+    ``clear[i]`` means nothing; elsewhere ``clear[i]`` is the scalar
+    test's answer.
+    """
+    d = b - a
+    counts = np.array([max(2, math.ceil(math.hypot(dn, de, dh) / step) + 1) for dn, de, dh in d.tolist()])
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    t = _unit_steps(counts, starts, ends)
+    (an, ae, ah), (dn, de, dh) = np.repeat(a, counts, axis=0).T, np.repeat(d, counts, axis=0).T
+    fn, fe, off = _cell_coords(grid, an + t * dn, ae + t * de)
+    if off.any():
+        fn[off] = 0.0
+        fe[off] = 0.0
+    clear = ah + t * dh >= _bilinear(grid, fn, fe) + clearance
+    return np.logical_and.reduceat(clear, starts), np.logical_or.reduceat(off, starts)
+
+
+def _unit_steps(counts: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``np.linspace(0.0, 1.0, n)`` for each n in ``counts``, end to end; leg i fills ``starts[i]:ends[i]``.
+
+    numpy's linspace takes i * (1.0 / (n - 1)) and sets its last entry to
+    1.0; this does the same for all legs at once.
+    """
+    local = np.arange(ends[-1]) - np.repeat(starts, counts)
+    t = local * np.repeat(1.0 / (counts - 1), counts)
+    t[ends - 1] = 1.0
+    return t
 
 
 def load_dem(path: str | Path) -> DemGrid:

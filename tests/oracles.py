@@ -15,7 +15,9 @@ inputs that ``run`` computes for the fleet each tick, with
 ``advance_oracle`` for the virtual-target advance.  ``two_leg_cost``,
 ``region_contains`` and ``grid_cost_oracle`` are the replanner's: the
 cost of one candidate, membership in the candidate region, and the
-constrained cost minimum over a lattice.  ``trajectory_csv_oracle`` and
+constrained cost minimum over a lattice.  ``best_detour_oracle`` is
+``best_detour``'s candidate walk one candidate at a time, on the
+library's own draws and costs.  ``trajectory_csv_oracle`` and
 ``events_csv_oracle`` build the export's CSV text one row at a time, with
 ``repr``, ``json.dumps`` and ``csv.writer``.
 """
@@ -33,7 +35,10 @@ from flocksim import (
     LOG_COLUMNS,
     DegenerateGeometryError,
     Point3,
+    ReplanError,
+    candidate_cost,
     dem_elevation,
+    sample_region,
     segment_above_terrain,
     segment_obstructed,
 )
@@ -158,6 +163,46 @@ def grid_cost_oracle(uav, target, obstacle, grid, now, params, n_points=100_000)
             continue
         return float(cost[idx])
     raise AssertionError("grid oracle found no acceptable lattice point")
+
+
+def best_detour_oracle(uav, target, rng, grid, obstacle, now, params):
+    """``best_detour`` as one sequential walk: every candidate in ascending cost order, one at a time.
+
+    Draws and costs come from ``sample_region`` and ``candidate_cost``; the
+    walk stops at the first infinite cost.  A candidate is rejected for an
+    inbound leg crossing the obstacle, then for an inbound leg or (when
+    its leg to ``target`` clears the obstacle) a leg to ``target`` that
+    fails the terrain clearance; a terrain check off the footprint
+    raises.  Returns ``(point, cost, rejected_obstructed,
+    rejected_terrain)`` for the first candidate accepted, and raises
+    ``ReplanError`` with ``best_detour``'s message when none is.
+    """
+    pts = sample_region(uav, obstacle, grid, params, rng)
+    if pts.shape[0] == 0:
+        raise ReplanError(f"no feasible samples among {params.k_samples} draws")
+    costs = candidate_cost(uav, pts, target)
+    rejected_obstructed = rejected_terrain = 0
+    start = uav.position
+    for idx in np.argsort(costs, kind="stable"):
+        if not math.isfinite(costs[idx]):
+            break
+        point = pts[idx].tolist()
+        if segment_obstructed(start, point, obstacle, now):
+            rejected_obstructed += 1
+            continue
+        if not segment_above_terrain(grid, start, point, params.clearance, params.terrain_step):
+            rejected_terrain += 1
+            continue
+        terminal = not segment_obstructed(point, target, obstacle, now)
+        if terminal and not segment_above_terrain(grid, point, target, params.clearance, params.terrain_step):
+            rejected_terrain += 1
+            continue
+        return Point3(*point), float(costs[idx]), rejected_obstructed, rejected_terrain
+    raise ReplanError(
+        f"no acceptable candidate among {pts.shape[0]} feasible samples "
+        f"({rejected_obstructed} rejected for obstructed leg, "
+        f"{rejected_terrain} for terrain clearance)"
+    )
 
 
 def topology_oracle(positions, config, now):

@@ -11,6 +11,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flocksim import (
     DemFormatError,
@@ -26,7 +28,14 @@ from flocksim import (
     segment_above_terrain,
     segment_obstructed,
 )
-from flocksim.geo import _path_length, _read_dem
+from flocksim.geo import (
+    _interpolate_many,
+    _legs_above_terrain,
+    _legs_obstructed,
+    _path_length,
+    _read_dem,
+    _unit_steps,
+)
 
 
 class TestDistances:
@@ -153,6 +162,58 @@ class TestSegmentObstructed:
         assert segment_obstructed(a, b, self.OB, now=0.0) is True
 
 
+# Coordinates where the scalar test changes branch around OB_BAND: the
+# axis, the wall (18, 24 and 30 lie on it), and the band's base and top.
+LATERAL = st.one_of(st.sampled_from((-60.0, -30.0, -24.0, -18.0, 0.0, 18.0, 24.0, 30.0, 60.0)),
+                    st.floats(-80.0, 80.0))
+HEIGHT = st.one_of(st.sampled_from((-10.0, 0.0, 100.0, 200.0, 250.0)), st.floats(-50.0, 300.0))
+POINT = st.tuples(LATERAL, LATERAL, HEIGHT)
+
+
+@st.composite
+def leg_blocks(draw):
+    """(a, b): an (m, 3) block of leg starts and one of leg ends, or a single point shared by all legs."""
+    legs = draw(st.lists(st.one_of(
+        st.tuples(POINT, POINT),
+        # level legs: dh == 0
+        POINT.flatmap(lambda a: st.tuples(st.just(a), st.tuples(LATERAL, LATERAL, st.just(a[2])))),
+        # vertical legs: no lateral length
+        POINT.flatmap(lambda a: st.tuples(st.just(a), st.tuples(st.just(a[0]), st.just(a[1]), HEIGHT))),
+    ), min_size=1, max_size=30))
+    a, b = np.array([leg[0] for leg in legs]), np.array([leg[1] for leg in legs])
+    shared = draw(st.sampled_from(("none", "start", "end")))
+    if shared == "start":
+        a = a[0]
+    elif shared == "end":
+        b = b[0]
+    return a, b
+
+
+class TestLegsObstructed:
+    # The replanner's one-pass screen: the scalar test's decision on every leg.
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(legs=leg_blocks(), now=st.sampled_from((0.0, 1.0)))
+    def test_equals_segment_obstructed_leg_by_leg(self, legs, now):
+        a, b = legs
+        ob = Obstacle(0.0, 0.0, 30.0, 0.0, 200.0, activation_time=0.5)
+        a_rows, b_rows = np.broadcast_arrays(a, b)
+        want = [segment_obstructed(p, q, ob, now) for p, q in zip(a_rows.tolist(), b_rows.tolist())]
+        assert _legs_obstructed(a, b, ob, now).tolist() == want
+
+    def test_branches_reached(self):
+        ob = Obstacle(0.0, 0.0, 30.0, 0.0, 200.0)
+        a = np.array([
+            (-60.0, 30.0, 100.0),  # level, tangent to the wall
+            (-60.0, 0.0, 250.0),   # level, above the top
+            (0.0, 0.0, 300.0),     # vertical through the cap
+            (40.0, 0.0, 300.0),    # vertical beside the wall
+            (-60.0, 0.0, 200.0),   # level at the top height
+        ])
+        b = np.array([(60.0, 30.0, 100.0), (60.0, 0.0, 250.0), (0.0, 0.0, 50.0), (40.0, 0.0, 50.0),
+                      (60.0, 0.0, 200.0)])
+        assert _legs_obstructed(a, b, ob, 0.0).tolist() == [True, False, True, False, True]
+
+
 class TestDemGrid:
     def make_grid(self) -> DemGrid:
         # 3x3 nodes, cell 10 m, origin (0, 0).
@@ -206,6 +267,96 @@ class TestDemGrid:
         bad[1, 1] = np.nan
         with pytest.raises(ValueError):
             DemGrid(0.0, 0.0, 10.0, bad)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+class TestNonFiniteTerrainQueries:
+    # A NaN or infinite north or east is off the footprint, like any
+    # other query outside it.
+    GRID = DemGrid(0.0, 0.0, 10.0, np.arange(9.0).reshape(3, 3))
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    @pytest.mark.parametrize("axis", ("north", "east"))
+    def test_dem_elevation_raises(self, value, axis):
+        query = {"north": 5.0, "east": 5.0, axis: value}
+        with pytest.raises(OutOfBoundsError, match=f"{axis}={value}"):
+            dem_elevation(self.GRID, query["north"], query["east"])
+        with pytest.raises(OutOfBoundsError, match=f"{axis}={value}"):
+            _interpolate_many(self.GRID, np.array([5.0, query["north"]]), np.array([5.0, query["east"]]))
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    @pytest.mark.parametrize("axis", (0, 1), ids=("north", "east"))
+    @pytest.mark.parametrize("end", ("a", "b"))
+    def test_segment_above_terrain_raises(self, value, axis, end):
+        bad = [5.0, 5.0, 50.0]
+        bad[axis] = value
+        a, b = (bad, (15.0, 15.0, 50.0)) if end == "a" else ((15.0, 15.0, 50.0), bad)
+        with pytest.raises(OutOfBoundsError, match=f"{('north', 'east')[axis]}={value}"):
+            segment_above_terrain(self.GRID, a, b, clearance=1.0, step=5.0)
+
+    def test_non_finite_height_has_no_sample_spacing(self):
+        with pytest.raises(ValueError, match="no finite length"):
+            segment_above_terrain(self.GRID, (5.0, 5.0, math.nan), (15.0, 15.0, 50.0), clearance=1.0, step=5.0)
+
+
+@st.composite
+def grids(draw):
+    rows, cols = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    cell = draw(st.sampled_from((1.0, 10.0, 37.5, 100.0)))
+    origin = (draw(st.floats(-500.0, 500.0)), draw(st.floats(-500.0, 500.0)))
+    elevation = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-20.0, 120.0, (rows, cols))
+    return DemGrid(origin[0], origin[1], cell, elevation)
+
+
+class TestBatchedTerrainQueries:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(grid=grids(), fractions=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 0.5, 1.0))),
+                                            min_size=2, max_size=40))
+    def test_scalar_query_equals_array_query(self, grid, fractions):
+        # dem_elevation on Python floats against _interpolate_many's arrays,
+        # at interior points, nodes and the far edges, which rounding may
+        # put just off the footprint for both.
+        def query(fn, north, east):
+            try:
+                return fn(north, east)
+            except OutOfBoundsError as exc:
+                return str(exc)
+
+        for f_north, f_east in zip(fractions[::2], fractions[1::2]):
+            north = grid.origin_north + f_north * (grid.north_max - grid.origin_north)
+            east = grid.origin_east + f_east * (grid.east_max - grid.origin_east)
+            got = query(lambda n, e: dem_elevation(grid, n, e), north, east)
+            want = query(lambda n, e: float(_interpolate_many(grid, np.array([n]), np.array([e]))[0]), north, east)
+            assert got == want
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(grid=grids(), seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+           step=st.sampled_from((0.7, 5.0, 25.0)), clearance=st.sampled_from((0.0, 10.0)))
+    def test_legs_equal_segment_above_terrain(self, grid, seed, m, step, clearance):
+        # Ends spread a little past the footprint, so some legs leave it.
+        rng = np.random.default_rng(seed)
+        span = np.array([grid.north_max - grid.origin_north, grid.east_max - grid.origin_east])
+        lo = np.array([grid.origin_north, grid.origin_east]) - 0.1 * span
+        a, b = (np.column_stack((lo + rng.uniform(0.0, 1.2, (m, 2)) * span, rng.uniform(-20.0, 140.0, m)))
+                for _ in range(2))
+        clear, off = _legs_above_terrain(grid, a, b, clearance, step)
+        for i, (p, q) in enumerate(zip(a.tolist(), b.tolist())):
+            try:
+                want = segment_above_terrain(grid, p, q, clearance, step)
+            except OutOfBoundsError:
+                assert off[i]
+                continue
+            assert not off[i] and clear[i] == want
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(counts=st.lists(st.integers(2, 3000), min_size=1, max_size=8))
+    def test_unit_steps_are_linspace(self, counts):
+        counts = np.array(counts)
+        ends = np.cumsum(counts)
+        want = np.concatenate([np.linspace(0.0, 1.0, n) for n in counts])
+        assert _unit_steps(counts, ends - counts, ends).tobytes() == want.tobytes()
 
 
 class TestSegmentAboveTerrain:

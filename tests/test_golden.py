@@ -20,6 +20,11 @@ turning off numpy's AVX-512 dispatch targets (``X86_V4`` and the later
 ones), and then also AVX2 (``X86_V3``), and must give the same digests.
 ``fleet_13`` is among them because its 13 vehicles step RK4 through
 numpy's sin and cos; the 4-vehicle cases step it through ``math``.
+Nor on the BLAS kernel: the replanner's cone test is a matrix-vector
+product whose last bits are OpenBLAS's, and a ``DYNAMIC_ARCH`` build picks
+its kernel by CPU at load.  The two replanning reference cases run again
+in child processes with ``OPENBLAS_CORETYPE`` forcing the Prescott and the
+Haswell kernels, and must give the same digests.
 
 An intended change to exported numbers updates the table below in one
 place and says why in CHANGES.md.  ``PYTHONPATH=src python
@@ -152,16 +157,17 @@ def test_export_digests_unchanged(name, scenario_dir, tmp_path):
     assert _case_digests(name, scenario_dir, tmp_path) == GOLDEN[name]
 
 
-# Run in a child process, whose numpy reads NPY_DISABLE_CPU_FEATURES at
-# import: fails unless the named features read as off, then prints the
-# digests of each case named on the command line.
-_DISPATCH_CHILD = """
+# Run in a child process, whose numpy reads NPY_DISABLE_CPU_FEATURES and
+# OpenBLAS reads OPENBLAS_CORETYPE at import: fails unless the features
+# named in NPY_DISABLE_CPU_FEATURES read as off, then prints the OpenBLAS
+# core and the digests of each case named on the command line.
+_CHILD = """
 import json, os, sys
 from pathlib import Path
 from numpy._core._multiarray_umath import __cpu_features__
-from test_golden import _case_digests
+from test_golden import _case_digests, _openblas_core
 
-still_on = [f for f in os.environ["NPY_DISABLE_CPU_FEATURES"].split() if __cpu_features__[f]]
+still_on = [f for f in os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split() if __cpu_features__[f]]
 if still_on:
     sys.exit(f"NPY_DISABLE_CPU_FEATURES left {still_on} on")
 scenario_dir, work = sys.argv[1], Path(sys.argv[2])
@@ -169,9 +175,38 @@ digests = {}
 for name in sys.argv[3:]:
     (work / name).mkdir()
     digests[name] = _case_digests(name, scenario_dir, work / name)
-print(json.dumps(digests))
+print(json.dumps({"core": _openblas_core(), "digests": digests}))
 """
 DISPATCH_CASES = ("fleet_13", "reference_4uav", "reference_4uav_seed1")
+BLAS_CASES = ("reference_4uav", "reference_4uav_seed1")
+
+
+def _child_run(env: dict[str, str], scenario_dir: str, work: Path, cases: tuple[str, ...]) -> dict:
+    """The child's core and digests of ``cases``, run with ``env`` added to this environment."""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, scenario_dir, str(work), *cases],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _openblas_core() -> str | None:
+    """The kernel family of the OpenBLAS that numpy's wheel bundles, or None where it cannot be read."""
+    import ctypes
+
+    import numpy as np
+
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename"):
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
 
 
 # Each case keeps numpy's dispatch targets up to a level and turns off every
@@ -188,15 +223,34 @@ def test_digests_do_not_depend_on_simd_dispatch(keep, scenario_dir, tmp_path):
     features = [f for f in __cpu_dispatch__ if f not in keep and __cpu_features__[f]]
     if not features:
         pytest.skip(f"this CPU runs no dispatch target above {keep or 'the baseline'}")
-    tests = Path(__file__).resolve().parent
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(features),
-           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
-    proc = subprocess.run(
-        [sys.executable, "-c", _DISPATCH_CHILD, scenario_dir, str(tmp_path), *DISPATCH_CASES],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {name: GOLDEN[name] for name in DISPATCH_CASES}
+    out = _child_run({"NPY_DISABLE_CPU_FEATURES": " ".join(features)}, scenario_dir, tmp_path, DISPATCH_CASES)
+    assert out["digests"] == {name: GOLDEN[name] for name in DISPATCH_CASES}
+
+
+# OPENBLAS_CORETYPE forces the kernel family of a DYNAMIC_ARCH build.  A
+# child whose core reads as this process's did not take the forced one,
+# unless that is the one this CPU picks anyway.
+@pytest.mark.parametrize("core", ["Prescott", "Haswell"])
+def test_digests_do_not_depend_on_blas_kernel(core, scenario_dir, tmp_path):
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:
+        pytest.skip("numpy before 1.26 does not report its BLAS build")
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip(f"numpy's BLAS ({blas.get('name')}) is not an OpenBLAS DYNAMIC_ARCH build")
+    own = _openblas_core()
+    if own is None:
+        pytest.skip("cannot read which OpenBLAS kernel numpy runs")
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    if core == "Haswell" and not (__cpu_features__["AVX2"] and __cpu_features__["FMA3"]):
+        pytest.skip("this CPU cannot run the Haswell kernel")
+    out = _child_run({"OPENBLAS_CORETYPE": core}, scenario_dir, tmp_path, BLAS_CASES)
+    if core.lower() != own.lower():
+        assert out["core"] != own, f"OPENBLAS_CORETYPE={core} left the {own} kernel in place"
+    assert out["digests"] == {name: GOLDEN[name] for name in BLAS_CASES}
 
 
 if __name__ == "__main__":

@@ -4,16 +4,23 @@ The statistical checks run at the 1% level with fixed seeds; the
 chi-squared critical value for 7 degrees of freedom is 18.4753.
 """
 
+import contextlib
 import dataclasses
+import logging
 import math
+import re
 
 import numpy as np
+import oracles
 import pytest
-from oracles import grid_cost_oracle, reference_angles_oracle, region_contains, two_leg_cost
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import best_detour_oracle, grid_cost_oracle, reference_angles_oracle, region_contains, two_leg_cost
 
 from flocksim import (
     DemGrid,
     Obstacle,
+    OutOfBoundsError,
     Point3,
     ReplanError,
     ReplanParams,
@@ -25,9 +32,12 @@ from flocksim import (
     look_ahead_angles,
     replan,
     sample_region,
+    segment_above_terrain,
     segment_obstructed,
     wrap_angle,
 )
+from flocksim import replanner
+from flocksim.replanner import _norms
 
 CHI2_7DOF_1PCT = 18.4753
 
@@ -137,6 +147,17 @@ class TestSampleRegion:
         under = np.array([dem_elevation(sloped, n, e) for n, e in pts[:, :2].tolist()])
         assert np.all(under > floor)
         assert np.any(pts[:, 2] < under)
+
+
+class TestRowNorms:
+    # sample_region and candidate_cost take offset lengths from three rows
+    # at once; they must be np.linalg.norm's bits.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 2000), scale=st.sampled_from((1e-3, 1.0, 300.0, 1e4)))
+    def test_equal_linalg_norm(self, seed, k, scale):
+        block = np.random.default_rng(seed).normal(0.0, scale, (k, 3))
+        x, y, z = (block[:, i].copy() for i in range(3))
+        assert _norms(x, y, z).tobytes() == np.linalg.norm(block, axis=1).tobytes()
 
 
 class TestTransitAngles:
@@ -283,6 +304,147 @@ class TestBestDetour:
                 uav, target, np.random.default_rng(9), flat_dem, obstacle, 0.0,
                 ReplanParams(k_samples=500, delta_angle=0.01),
             )
+
+
+@contextlib.contextmanager
+def replanner_log():
+    """The messages that flocksim.replanner logs at INFO inside the block."""
+    records: list[str] = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = lambda record: records.append(record.getMessage())
+    logger = logging.getLogger("flocksim.replanner")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def detour_outcome(uav, target, seed, grid, obstacle, now, params):
+    """best_detour's answer, or the error it raised, with what it logged."""
+    with replanner_log() as records:
+        try:
+            point, cost = best_detour(uav, target, np.random.default_rng(seed), grid, obstacle, now, params)
+            answer = (tuple(point), cost)
+        except (ReplanError, OutOfBoundsError) as exc:
+            answer = (type(exc), str(exc))
+    return answer, records
+
+
+def oracle_outcome(uav, target, seed, grid, obstacle, now, params):
+    """best_detour_oracle's answer in detour_outcome's form, with the log line best_detour owes."""
+    try:
+        point, cost, obstructed, terrain = best_detour_oracle(
+            uav, target, np.random.default_rng(seed), grid, obstacle, now, params
+        )
+    except (ReplanError, OutOfBoundsError) as exc:
+        return (type(exc), str(exc)), []
+    records = []
+    if obstructed or terrain:
+        records.append(
+            f"replan: rejected {obstructed + terrain} cheaper candidates "
+            f"({obstructed} obstructed leg, {terrain} terrain clearance)"
+        )
+    return (tuple(point), cost), records
+
+
+@st.composite
+def detour_problems(draw):
+    """A vehicle south of a cylinder, a target north of it, and rough terrain that may not cover the ring.
+
+    The terrain spans north -550..550 m at least, so it covers the vehicle.
+    """
+    cell = draw(st.sampled_from((100.0, 250.0, 400.0)))
+    rows = math.ceil(2.0 * draw(st.floats(550.0, 1500.0)) / cell) + 1
+    cols = math.ceil(2.0 * draw(st.floats(150.0, 1500.0)) / cell) + 1
+    relief = draw(st.sampled_from((0.0, 60.0, 120.0)))
+    elevation = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, relief, (rows, cols))
+    grid = DemGrid(-cell * (rows - 1) / 2, -cell * (cols - 1) / 2, cell, elevation)
+    base = draw(st.floats(0.0, 50.0))
+    obstacle = Obstacle(
+        draw(st.floats(-100.0, 300.0)), draw(st.floats(-200.0, 200.0)), draw(st.floats(40.0, 200.0)),
+        base, base + draw(st.floats(50.0, 250.0)), activation_time=draw(st.sampled_from((0.0, 5.0))),
+    )
+    uav = make_uav(draw(st.floats(-500.0, -100.0)), draw(st.floats(-200.0, 200.0)), draw(st.floats(20.0, 200.0)),
+                   chi=draw(st.floats(-1.0, 1.0)), gamma=draw(st.floats(-0.2, 0.2)))
+    target = Point3(draw(st.floats(300.0, 900.0)), draw(st.floats(-400.0, 400.0)), draw(st.floats(20.0, 200.0)))
+    params = ReplanParams(
+        k_samples=draw(st.integers(1, 400)), delta_r=draw(st.floats(50.0, 400.0)),
+        delta_h=draw(st.floats(10.0, 150.0)), delta_angle=draw(st.floats(0.3, math.pi)),
+        clearance=draw(st.floats(0.0, 40.0)), terrain_step=draw(st.floats(10.0, 60.0)),
+    )
+    return uav, target, draw(st.integers(0, 2**32 - 1)), grid, obstacle, 0.0, params
+
+
+class TestBestDetourMatchesSequentialWalk:
+    # best_detour screens all inbound legs in one pass and checks terrain in
+    # chunks; best_detour_oracle walks the candidates one at a time.  The
+    # chosen point and cost, the log line's counts, the failure message's
+    # counts and an off-footprint error must all be the same.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(problem=detour_problems())
+    def test_same_answer_log_and_error(self, problem):
+        assert detour_outcome(*problem) == oracle_outcome(*problem)
+
+    def test_equal_costs_keep_draw_order(self, flat_dem, monkeypatch):
+        # A draw and its mirror image across the vehicle's axis cost the same
+        # to the bit.  The first drawn, whose leg crosses the cylinder, is a
+        # cheaper rejected candidate; the second wins.
+        pts = np.array([(300.0, -150.0, 100.0), (300.0, 150.0, 100.0)])
+        monkeypatch.setattr(replanner, "sample_region", lambda *args: pts)
+        monkeypatch.setattr(oracles, "sample_region", lambda *args: pts)
+        uav, target = make_uav(), Point3(900.0, 0.0, 100.0)
+        problem = (uav, target, 0, flat_dem, Obstacle(150.0, -75.0, 30.0, 0.0, 200.0), 0.0, ReplanParams())
+        costs = candidate_cost(uav, pts, target)
+        assert costs[0] == costs[1]
+        outcome = detour_outcome(*problem)
+        assert outcome == (
+            ((300.0, 150.0, 100.0), costs[1]),
+            ["replan: rejected 1 cheaper candidates (1 obstructed leg, 0 terrain clearance)"],
+        )
+        assert outcome == oracle_outcome(*problem)
+
+    def test_all_candidates_rejected(self, flat_dem):
+        # A clearance above the height band fails every terrain check; the
+        # cheaper candidates behind the cylinder fail the obstacle first.
+        uav, target = make_uav(height=50.0), Point3(900.0, 0.0, 50.0)
+        params = ReplanParams(k_samples=600, delta_r=250.0, delta_h=100.0, delta_angle=math.pi / 2, clearance=500.0)
+        problem = (uav, target, 3, flat_dem, Obstacle(450.0, 0.0, 80.0, 0.0, 200.0), 0.0, params)
+        outcome = detour_outcome(*problem)
+        (kind, message), records = outcome
+        assert kind is ReplanError and records == []
+        found = re.fullmatch(
+            r"no acceptable candidate among (\d+) feasible samples "
+            r"\((\d+) rejected for obstructed leg, (\d+) for terrain clearance\)",
+            message,
+        )
+        feasible, obstructed, terrain = map(int, found.groups())
+        assert obstructed > 0 and terrain > 100 and obstructed + terrain <= feasible
+        assert outcome == oracle_outcome(*problem)
+
+    def test_off_footprint_leg_raises_at_the_same_candidate(self):
+        # The footprint spans east -220..80 m, so the ring around the
+        # cylinder reaches off it.  A 120 m ridge across north -100..200 m
+        # rejects the cheapest clear candidates first, so the walk meets the
+        # leg off the footprint in a later chunk.
+        north = np.arange(21) * 100.0 - 1000.0
+        ridge = np.where((north >= -100.0) & (north <= 200.0), 120.0, 0.0)
+        grid = DemGrid(-1000.0, -220.0, 100.0, np.repeat(ridge[:, None], 4, axis=1))
+        uav, target = make_uav(height=50.0), Point3(900.0, 0.0, 50.0)
+        obstacle = Obstacle(450.0, 0.0, 80.0, 0.0, 200.0)
+        params = ReplanParams(k_samples=2000, delta_r=250.0, delta_h=100.0, delta_angle=math.pi / 2)
+        problem = (uav, target, 0, grid, obstacle, 0.0, params)
+        outcome = detour_outcome(*problem)
+        assert outcome[0][0] is OutOfBoundsError
+        assert outcome == oracle_outcome(*problem)
+
+        pts = sample_region(uav, obstacle, grid, params, np.random.default_rng(0))
+        ranked = pts[np.argsort(candidate_cost(uav, pts, target), kind="stable")].tolist()
+        cheapest_clear = next(p for p in ranked if not segment_obstructed(uav.position, p, obstacle, 0.0))
+        assert not segment_above_terrain(grid, uav.position, cheapest_clear, params.clearance, params.terrain_step)
 
 
 class TestReplan:
