@@ -14,12 +14,16 @@ runs per element through ``math``, as RK4 does under ``_ARRAY_MIN_N`` vehicles.
 
 The angular-rate channels are driven by guidance through ``phi``/``n_lf``
 and perturbed additively by wind-induced disturbances ``d_chi``/``d_gamma``
-(rad/s), produced by :class:`WindModel`.
+(rad/s), produced by :class:`WindModel`.  The fleet's (2, N) block of them
+comes from ``_FleetWind``: per vehicle through ``WindModel`` under
+``_ARRAY_MIN_N`` vehicles, and from there as one array update of every
+vehicle's gust filter on the same normals, with the same bits.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,10 +57,13 @@ _TWO = np.array(2.0)
 
 # Ticks of gust noise drawn from a vehicle's generator at a time: enough to
 # spread the cost of a generator call, few enough that a large fleet holds
-# few drawn floats (64 ticks raised a 104-vehicle run's peak RSS by ~1.5 MB).
+# few drawn normals (64 ticks raised a 104-vehicle run's peak RSS by ~1.5 MB
+# when each vehicle kept its block as a list of Python floats).
 _NOISE_BLOCK = 16
 
-_ARRAY_MIN_N = 10  # fleet size from which numpy's fixed cost per call pays in step_kinematics
+# Fleet size from which numpy's fixed cost per call pays, in step_kinematics
+# and in _FleetWind.
+_ARRAY_MIN_N = 10
 
 
 def wrap_angle(x):
@@ -203,7 +210,8 @@ class WindModel:
     three normals and skips the first, the draw of an along-track gust
     that no channel uses, so the stream per seed stays fixed.  Normals are
     drawn a block at a time; the stream is the one that
-    ``standard_normal(3)`` per sample would give.
+    ``standard_normal(3)`` per sample would give.  A fleet of
+    ``_ARRAY_MIN_N`` or more advances these filters through ``_FleetWind``.
     """
 
     def __init__(self, params: WindParams, seed: int) -> None:
@@ -222,9 +230,7 @@ class WindModel:
     def sample(self, dt: float) -> tuple[float, float]:
         """Advance the gusts by ``dt`` and return (d_chi, d_gamma) in rad/s."""
         if dt != self._dt:
-            # math.exp, not np.exp: numpy's result can change in the last bit with its SIMD dispatch level.
-            a = [math.exp(-dt / tau) for tau in self.tau]
-            self._coef = (*a, *(sigma * math.sqrt(1.0 - x * x) for sigma, x in zip(self.sigma, a)))
+            self._coef = _gust_coefficients(dt, self.tau, self.sigma)
             self._dt = dt
         k = self._next
         noise = self._noise
@@ -247,6 +253,68 @@ class WindModel:
         d_chi = -lim if -lim > d_chi else d_chi
         d_gamma = -lim if -lim > d_gamma else d_gamma
         return (lim if lim < d_chi else d_chi), (lim if lim < d_gamma else d_gamma)
+
+
+def _gust_coefficients(dt: float, tau: tuple[float, ...], sigma: tuple[float, ...]) -> tuple[float, ...]:
+    """(a_v, a_w, b_v, b_w): the gust filters' exact discretization over ``dt``, g <- a * g + b * n."""
+    # math.exp, not np.exp: numpy's result can change in the last bit with its SIMD dispatch level.
+    a = [math.exp(-dt / t) for t in tau]
+    return (*a, *(s * math.sqrt(1.0 - x * x) for s, x in zip(sigma, a)))
+
+
+class _FleetWind:
+    """The fleet's gusts: ``sample(dt)`` returns the (2, N) rows d_chi, d_gamma of one tick.
+
+    Column i is what ``WindModel(params, seeds[i]).sample(dt)`` returns,
+    bit for bit.  Under ``_ARRAY_MIN_N`` vehicles each call samples those
+    models in turn.  From there every ``_NOISE_BLOCK`` ticks each vehicle's
+    own generator draws the block that its model would, and each tick
+    advances all the filters in one array update.  That update is the
+    model's arithmetic in the model's order, IEEE ``+ * /`` and the clip,
+    so only its warnings differ; they are silenced, as the floats raise none.
+    """
+
+    def __init__(self, params: WindParams, seeds: Sequence[int]) -> None:
+        self._models = models = [WindModel(params, seed) for seed in seeds]
+        n = len(models)
+        if n < _ARRAY_MIN_N:
+            return
+        # Bound per instance: the small fleet's sample takes no branch.
+        self.sample = self._sample_fleet
+        m = models[0]
+        self._tau, self._sigma = m.tau, m.sigma
+        self._ambient = np.array([[m.ambient[1]], [m.ambient[2]]])
+        self._airspeed = np.array(m.airspeed_nominal)
+        self._lo, self._hi = np.array(-m.d_max), np.array(m.d_max)
+        self._rngs = [model._rng for model in models]
+        self._draws = np.empty((n, 3 * _NOISE_BLOCK))
+        self._gust = np.zeros((2, n))
+        self._next = _NOISE_BLOCK
+        self._dt = math.nan
+
+    def sample(self, dt: float) -> np.ndarray:
+        """Advance every vehicle's gusts by ``dt``; the (2, N) d_chi, d_gamma in rad/s."""
+        n = len(self._models)
+        pairs = [model.sample(dt) for model in self._models]
+        return np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * n).reshape(n, 2).T
+
+    def _sample_fleet(self, dt: float) -> np.ndarray:
+        if dt != self._dt:
+            a_v, a_w, b_v, b_w = _gust_coefficients(dt, self._tau, self._sigma)
+            self._a, self._b = np.array([[a_v], [a_w]]), np.array([[b_v], [b_w]])
+            self._dt = dt
+        k = self._next
+        if k == _NOISE_BLOCK:
+            for rng, row in zip(self._rngs, self._draws):
+                rng.standard_normal(out=row)
+            # (vehicle, tick, normal) -> (v or w, tick, vehicle), without the along-track normal
+            blocks = self._draws.reshape(len(self._rngs), _NOISE_BLOCK, 3)
+            self._noise = blocks[:, :, 1:].transpose(2, 1, 0).copy()
+            k = 0
+        self._next = k + 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = self._gust = self._a * self._gust + self._b * self._noise[:, k]
+            return _clip((g + self._ambient) / self._airspeed, self._lo, self._hi)
 
 
 def fleet_arrays(states: Sequence[UavState]) -> tuple[np.ndarray, np.ndarray]:

@@ -141,10 +141,14 @@ class DemGrid:
         return self.origin_east + (self.n_cols - 1) * self.cell_size
 
     def contains(self, north: float, east: float) -> bool:
-        return (
-            self.origin_north <= north <= self.north_max
-            and self.origin_east <= east <= self.east_max
-        )
+        """True where the terrain queries answer: fractional row and column in [0, n - 1].
+
+        ``north_max`` and ``east_max`` name the footprint in messages; their
+        rounding can put them just off it.
+        """
+        fn = (north - self.origin_north) / self.cell_size
+        fe = (east - self.origin_east) / self.cell_size
+        return 0.0 <= fn <= self.n_rows - 1 and 0.0 <= fe <= self.n_cols - 1
 
 
 def _out_of_footprint(grid: DemGrid, north: float, east: float) -> OutOfBoundsError:
@@ -210,10 +214,10 @@ def dem_elevation(grid: DemGrid, north: float, east: float) -> float:
     :class:`OutOfBoundsError` naming the offending coordinate.  The same
     arithmetic as :func:`_interpolate_many`, on Python floats.
     """
+    if not grid.contains(north, east):
+        raise _out_of_footprint(grid, north, east)
     fn = (north - grid.origin_north) / grid.cell_size
     fe = (east - grid.origin_east) / grid.cell_size
-    if not (0.0 <= fn <= grid.n_rows - 1 and 0.0 <= fe <= grid.n_cols - 1):
-        raise _out_of_footprint(grid, north, east)
     r0 = min(int(fn), grid.n_rows - 2)
     c0 = min(int(fe), grid.n_cols - 2)
     u = fn - r0

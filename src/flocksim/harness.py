@@ -43,8 +43,8 @@ from .dynamics import (
     AutopilotParams,
     UavLimits,
     UavState,
-    WindModel,
     WindParams,
+    _FleetWind,
     actuator_bounds,
     fleet_arrays,
     step_autopilot,
@@ -610,22 +610,20 @@ def comm_step(paths: FleetPaths, offset: np.ndarray, distance: np.ndarray, y: np
 
 
 def control_step(y: np.ndarray, act: np.ndarray, chi_c: np.ndarray, gamma_c: np.ndarray, v_cmd: np.ndarray,
-                 target_height: np.ndarray, winds: list[WindModel], lo: np.ndarray, hi: np.ndarray, dt: float,
+                 target_height: np.ndarray, wind: _FleetWind, lo: np.ndarray, hi: np.ndarray, dt: float,
                  gp: GuidanceParams, ap: AutopilotParams) -> tuple[Any, ...]:
     """One control step of the fleet: ``(y, act, cmd, (eta_lat, eta_lon), premises)``.
 
     Look-ahead, steering commands (the (3, N) ``cmd``, ``v_cmd`` its last
-    row), the premise monitor, the autopilot, one gust per vehicle from
-    ``winds``, then RK4 on the autopilot's output: the next ``y``, ``act``.
+    row), the premise monitor, the autopilot, the fleet's (2, N) gust block
+    from ``wind``, then RK4 on the autopilot's output: the next ``y``, ``act``.
     """
-    n = y.shape[1]
     eta_lat, eta_lon = look_ahead_angles(y[3], y[4], chi_c, gamma_c)
     phi_c, n_lf_c = guidance_commands(eta_lat, eta_lon, y, act, gp, lo, hi)
     premises = convergence_conditions(eta_lat, eta_lon, y, target_height, gp)
     cmd = np.array((phi_c, n_lf_c, v_cmd))
     act = step_autopilot(act, cmd, lo, hi, dt, ap)
-    gusts = np.fromiter(itertools.chain.from_iterable([wind.sample(dt) for wind in winds]), float, 2 * n)
-    y = step_kinematics(y, act, gusts.reshape(n, 2).T, dt, ap)
+    y = step_kinematics(y, act, wind.sample(dt), dt, ap)
     return y, act, cmd, (eta_lat, eta_lon), premises
 
 
@@ -685,7 +683,7 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
     y, act = fleet_arrays([spec.initial for spec in scenario.uavs])
     lo, hi = actuator_bounds([spec.limits for spec in scenario.uavs])
     paths = FleetPaths([spec.waypoints for spec in scenario.uavs])
-    winds = [WindModel(scenario.wind, derive_seed(scenario.master_seed, spec.uav_id, "wind")) for spec in scenario.uavs]
+    wind = _FleetWind(scenario.wind, [derive_seed(scenario.master_seed, spec.uav_id, "wind") for spec in scenario.uavs])
     # Tick 0 has received nothing: one slot of strength 0 per vehicle.
     received = strength = np.zeros((n, 1))
     replan_counts = [0] * n
@@ -710,7 +708,7 @@ def run(scenario: Scenario) -> tuple[RunLog, Metrics]:
                 paths, offset, distance, y, act, received, strength, gains, lo, hi
             )
             y_next, act_next, cmd, eta, premises = control_step(
-                y, act, chi_c, gamma_c, v_cmd, paths.active[2], winds, lo, hi, dt, gp, ap
+                y, act, chi_c, gamma_c, v_cmd, paths.active[2], wind, lo, hi, dt, gp, ap
             )
 
             row = log.data[tick].T

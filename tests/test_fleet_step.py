@@ -9,7 +9,9 @@ test, and require each vehicle's column to equal the one-vehicle oracle
 in ``tests/oracles.py`` with ``==``.
 """
 
+import contextlib
 import math
+import shutil
 import warnings
 
 import numpy as np
@@ -49,12 +51,15 @@ from flocksim import (
     convergence_conditions,
     fleet_arrays,
     guidance_commands,
+    load_scenario,
     look_ahead_angles,
+    run,
     step_autopilot,
     step_kinematics,
     wrap_angle,
 )
-from flocksim.dynamics import _ARRAY_MIN_N, _rk4_arrays, _rk4_floats
+from flocksim import dynamics, presets
+from flocksim.dynamics import _ARRAY_MIN_N, _FleetWind, _rk4_arrays, _rk4_floats
 
 FLEET_SIZES = (1, 2, 4, 13, 104)
 PI = math.pi
@@ -190,16 +195,15 @@ class TestFleetMatchesOracle:
            ap=st.sampled_from(AUTOPILOT), wind=st.sampled_from(WINDS))
     def test_control_step(self, fleet, dt, gp, ap, wind):
         # the chain in run's order: look-ahead, commands, premises, the
-        # autopilot, one gust per vehicle, then RK4 on the autopilot's output
+        # autopilot, the fleet's gusts, then RK4 on the autopilot's output
         d, states, limits, y, act, lo, hi = fleet
         chi_c = d.values(-PI, PI, EDGE_ANGLES)
         gamma_c = d.values(-PI / 2, PI / 2)
         v_cmd = d.values(5.0, 25.0)
         target_h = d.values(0.0, 500.0)
         seeds = d.rng.integers(0, 2**32, d.n).tolist()
-        winds = [WindModel(wind, seed) for seed in seeds]
         y_next, act_next, cmd, (eta_lat, eta_lon), premises = control_step(
-            y, act, chi_c, gamma_c, v_cmd, target_h, winds, lo, hi, dt, gp, ap
+            y, act, chi_c, gamma_c, v_cmd, target_h, _FleetWind(wind, seeds), lo, hi, dt, gp, ap
         )
         premises = [p.tolist() for p in premises]
         for i, (state, lim, seed) in enumerate(zip(states, limits, seeds)):
@@ -477,6 +481,91 @@ class TestWindMatchesOracle:
         block = np.random.default_rng(5).standard_normal(3 * 500)
         draws = [per_call.standard_normal(3) for _ in range(500)]
         assert block.tolist() == np.concatenate(draws).tolist()
+
+
+GUST_AMBIENTS = (0.0, -0.0, 1.0, -0.5, math.nan, 40.0, -40.0)
+
+
+@st.composite
+def gust_params(draw):
+    # +-40 m/s of ambient holds a channel on the clip at exactly +-d_max
+    sigma = st.sampled_from((0.0, 1.4, 2.12))
+    return WindParams(ambient=(2.5, draw(st.sampled_from(GUST_AMBIENTS)), draw(st.sampled_from(GUST_AMBIENTS))),
+                      sigma_v=draw(sigma), sigma_w=draw(sigma), length_v=draw(st.sampled_from((200.0, 5.0))),
+                      length_w=draw(st.sampled_from((50.0, 5.0))), d_max=draw(st.sampled_from((0.02, 0.1, 10.0))))
+
+
+def model_blocks(models, dt):
+    """The (2, N) block of one tick, one scalar ``sample`` per vehicle."""
+    return np.array([m.sample(dt) for m in models]).T
+
+
+class TestFleetWind:
+    def test_sizes_straddle_array_threshold(self):
+        # the property's 1-40 vehicles and the run-level 9, 10 and 13
+        assert 9 < _ARRAY_MIN_N <= 10
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 40), params=gust_params(), seed=st.integers(0, 2**32 - 1),
+           dts=st.tuples(st.sampled_from(DTS), st.sampled_from(DTS)), switch=st.integers(0, 60),
+           ticks=st.integers(3 * dynamics._NOISE_BLOCK, 70))
+    def test_blocks_equal_models_and_oracle(self, n, params, seed, dts, switch, ticks):
+        # three noise blocks or more, dt changing mid-stream, under and
+        # from the array threshold
+        seeds = np.random.default_rng(seed).integers(0, 2**63, n).tolist()
+        source = _FleetWind(params, seeds)
+        models = [WindModel(params, s) for s in seeds]
+        oracles = [WindOracle(params, s) for s in seeds]
+        for tick in range(ticks):
+            dt = dts[tick >= switch]
+            got = source.sample(dt)
+            assert got.shape == (2, n)
+            assert got.tobytes() == model_blocks(models, dt).tobytes()
+            assert got.tobytes() == model_blocks(oracles, dt).tobytes()
+
+    # (ambient, sigma, airspeed, dt, what each block must show)
+    EDGES = {
+        "clip": ((0.0, 40.0, -40.0), 2.12, 13.5, 1.0, lambda b: (b[0] == 0.1).all() and (b[1] == -0.1).all()),
+        "nan_and_negative_zero": ((0.0, math.nan, -0.0), 0.0, 13.5, 1.0,
+                                  lambda b: np.isnan(b[0]).all() and (b[1] == 0.0).all()),
+        "ratio_overflow": ((0.0, 1e10, -1e10), 0.0, 1e-300, 1.0,
+                           lambda b: (b[0] == 0.1).all() and (b[1] == -0.1).all()),
+        "gust_overflow": ((0.0, 0.0, 0.0), 1.7e308, 13.5, 1e6, lambda b: not np.isfinite(b).all()),
+    }
+
+    @pytest.mark.parametrize("n", (4, 13))
+    @pytest.mark.parametrize("case", sorted(EDGES))
+    def test_special_values_equal_models_and_oracle(self, n, case):
+        # The scalar models give inf and NaN without a warning, so the
+        # source must too; only the numpy oracle is silenced, where its
+        # arithmetic overflows.
+        ambient, sigma, airspeed, dt, shows = self.EDGES[case]
+        params = WindParams(ambient=ambient, sigma_v=sigma, sigma_w=sigma, airspeed_nominal=airspeed)
+        seeds = list(range(50, 50 + n))
+        source = _FleetWind(params, seeds)
+        models = [WindModel(params, s) for s in seeds]
+        oracles = [WindOracle(params, s) for s in seeds]
+        overflows = case.endswith("overflow")
+        shown = []
+        for _ in range(3 * dynamics._NOISE_BLOCK):
+            got = source.sample(dt)
+            assert got.tobytes() == model_blocks(models, dt).tobytes()
+            with np.errstate(over="ignore", invalid="ignore") if overflows else contextlib.nullcontext():
+                assert got.tobytes() == model_blocks(oracles, dt).tobytes()
+            shown.append(shows(got))
+        assert any(shown)
+
+    @pytest.mark.parametrize("n", (9, 10, 13))
+    def test_run_logs_equal_across_threshold(self, n, scenario_dir, tmp_path, monkeypatch):
+        # The same gusty fleet with the threshold moved to the other side of n.
+        doc = presets.fleet_scenario_dict(n)
+        doc["duration_s"] = 60.0
+        shutil.copy(f"{scenario_dir}/{doc['dem_file']}", tmp_path / doc["dem_file"])
+        scenario = load_scenario(presets.write_scenario(doc, tmp_path / "fleet.yaml"))
+        log, _ = run(scenario)
+        monkeypatch.setattr(dynamics, "_ARRAY_MIN_N", n + 1 if n >= _ARRAY_MIN_N else n)
+        other, _ = run(scenario)
+        assert log.data.tobytes() == other.data.tobytes()
 
 
 def test_numpy_trig_and_wrap_match_math():

@@ -253,6 +253,22 @@ class TestDemGrid:
         assert grid.contains(20.0, 20.0)
         assert not grid.contains(20.1, 0.0)
 
+    @pytest.mark.parametrize("north, east", [(37.5, 474.99999999999994), (0.0, 512.5), (37.5, 512.5)])
+    def test_contains_agrees_with_terrain_queries_at_far_edges(self, north, east):
+        # east_max rounds to 512.5, whose fractional column rounds above 1:
+        # off the footprint, although north_max and east_max bound it.
+        grid = DemGrid(0.0, 474.99999999999994, 37.5, np.zeros((2, 2)))
+        assert grid.east_max == 512.5
+        inside = grid.contains(north, east)
+        assert inside == (east != 512.5)
+        if inside:
+            assert dem_elevation(grid, north, east) == _interpolate_many(grid, np.array([north]), np.array([east]))[0]
+            return
+        with pytest.raises(OutOfBoundsError):
+            dem_elevation(grid, north, east)
+        with pytest.raises(OutOfBoundsError):
+            _interpolate_many(grid, np.array([north]), np.array([east]))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DemGrid(0.0, 0.0, 10.0, np.zeros((1, 5)))
@@ -316,8 +332,8 @@ class TestBatchedTerrainQueries:
                                             min_size=2, max_size=40))
     def test_scalar_query_equals_array_query(self, grid, fractions):
         # dem_elevation on Python floats against _interpolate_many's arrays,
-        # at interior points, nodes and the far edges, which rounding may
-        # put just off the footprint for both.
+        # and contains against both, at interior points, nodes and the far
+        # edges, which rounding may put just off the footprint for all three.
         def query(fn, north, east):
             try:
                 return fn(north, east)
@@ -330,6 +346,7 @@ class TestBatchedTerrainQueries:
             got = query(lambda n, e: dem_elevation(grid, n, e), north, east)
             want = query(lambda n, e: float(_interpolate_many(grid, np.array([n]), np.array([e]))[0]), north, east)
             assert got == want
+            assert grid.contains(north, east) == isinstance(got, float)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(grid=grids(), seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
