@@ -371,7 +371,10 @@ def _section(cls: type, node: Any, ctx: str, other_keys: tuple[str, ...] = (), *
 
 
 def _tick_count(duration: float, dt: float) -> int:
-    """The ticks ``run`` makes of a ``duration``-second scenario at step ``dt``."""
+    """The ticks ``run`` makes of a ``duration``-second scenario at step ``dt``.
+
+    The loader admits only a ratio within 1e-9 (relative) of a whole number.
+    """
     return int(round(duration / dt))
 
 
@@ -555,6 +558,9 @@ def load_scenario(path: str | Path) -> Scenario:
             or _tick_count(duration, dt) * len(uavs) * len(LOG_COLUMNS) * 8 > _MAX_ARRAY_BYTES):
         raise ScenarioError(f"scenario.duration_s: the run log of {duration} s at dt_s {dt} for {len(uavs)}"
                             f" vehicles exceeds {_MAX_ARRAY_BYTES} bytes")
+    # run makes _tick_count steps, so any other duration would be cut or stretched.
+    if abs(duration / dt - _tick_count(duration, dt)) > 1e-9 * (duration / dt):
+        raise ScenarioError(f"scenario.duration_s: {duration} s is not a whole number of dt_s {dt} s steps")
     if replan_params.k_samples * 3 * 8 > _MAX_ARRAY_BYTES:
         raise ScenarioError(f"scenario.replan.k_samples: a ({replan_params.k_samples}, 3) sample block"
                             f" exceeds {_MAX_ARRAY_BYTES} bytes")

@@ -12,6 +12,10 @@ until the remaining straight segment is clear.
 The two-leg cost deliberately penalizes sharp turns: each leg's length
 is divided by the cosines of the turn angles it requires, so a candidate
 demanding a near-perpendicular turn costs far more than its raw length.
+
+Neither the forward cone nor a turn needs an angle: both are sign or
+threshold tests on dot products in exactly rounded arithmetic, so no
+arctangent, arccosine or BLAS product enters a replan.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .geo import (
     segment_above_terrain,
     segment_obstructed,
 )
-from .guidance import look_ahead_angles, reference_angles
+from .guidance import reference_angles
 
 __all__ = [
     "ReplanParams",
@@ -46,8 +50,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-_HALF_PI = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -101,9 +103,11 @@ def sample_region(
     discarded.  Returns an (m, 3) array of [north, east, height] rows with
     m <= k_samples: the draws themselves when the cone keeps them all.
 
-    The cone test takes each draw's angle to the velocity from a (k, 3)
-    @ (3,) matrix-vector product, so its last bits are the BLAS kernel's
-    (see the README on determinism).
+    The cone test compares each draw's dot product with the velocity to
+    ``cos(delta_angle)`` times its offset's length, and a draw on the
+    vehicle has no direction and is dropped.  At ``delta_angle = pi`` every
+    other draw is kept: the test is skipped, since a rounded unit velocity
+    longer than 1 would otherwise drop a draw straight behind the vehicle.
     """
     k = params.k_samples
     pos = uav.position
@@ -116,29 +120,15 @@ def sample_region(
 
     north = obstacle.center_north + radius * np.cos(angle)
     east = obstacle.center_east + radius * np.sin(angle)
-    pts = _rows_to_block(north, east, height)
     x, y, z = north - pos.north, east - pos.east, height - pos.height
     norms = _norms(x, y, z)
-    # Keep the product on a C-contiguous (k, 3) block: explicit sums give
-    # other bits than the BLAS kernel's.
-    rel = _rows_to_block(x, y, z)
     ok = norms > 0.0
-    if ok.all():
-        cos_angle = rel @ uav.velocity_unit() / norms
-    else:
-        cos_angle = np.zeros(k)
-        cos_angle[ok] = rel[ok] @ uav.velocity_unit() / norms[ok]
-    ok &= np.arccos(np.minimum(np.maximum(cos_angle, -1.0), 1.0)) <= params.delta_angle
-    return pts if ok.all() else pts.compress(ok, axis=0)
-
-
-def _rows_to_block(north: np.ndarray, east: np.ndarray, height: np.ndarray) -> np.ndarray:
-    """The (k, 3) C-contiguous block whose columns are the three length-k rows."""
-    block = np.empty((north.shape[0], 3))
-    block[:, 0] = north
-    block[:, 1] = east
-    block[:, 2] = height
-    return block
+    if params.delta_angle < math.pi:
+        vn, ve, vh = uav.velocity_unit().tolist()
+        ok &= x * vn + y * ve + z * vh >= math.cos(params.delta_angle) * norms
+    if not ok.all():
+        north, east, height = north[ok], east[ok], height[ok]
+    return np.column_stack((north, east, height))
 
 
 def _norms(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -154,42 +144,31 @@ def candidate_cost(uav: UavState, pts: np.ndarray, target: Point3) -> np.ndarray
     """Two-leg transit objective of each row of the (m, 3) array ``pts`` (meters).
 
     Speed is common to both legs and factored out.  Each leg's length is
-    inflated by 1/(cos eta_lon * cos eta_lat) of the turn it requires: the
+    divided by cos eta_lon * cos eta_lat of the turn it requires: the
     first leg from the vehicle's course and climb, the second from the
-    first leg's direction to the bearing of ``target``.  A candidate
-    demanding a turn of pi/2 or more on any axis is unreachable under the
-    bounded-turn model, and one on the vehicle or on the target has no
-    bearing; both get an infinite cost, losing every comparison.
+    first leg's direction to ``target``.  The four cosines are dot
+    products of the legs, with no angle computed.  A candidate is
+    infeasible, at an infinite cost that loses every comparison, when one
+    of them is not positive (a turn of pi/2 or more, unreachable under
+    the bounded-turn model) or when a leg has no lateral length and so
+    no course: a vertical leg, a candidate on the vehicle or on the
+    target, or a lateral length whose square underflows.
     """
     pn, pe, ph = pts.T
     (un, ue, uh), (tn, te, th) = uav.position, target
     x1, y1, z1 = pn - un, pe - ue, ph - uh
-    lat1 = np.hypot(x1, y1)
-    d1 = _norms(x1, y1, z1)
-    chi1 = np.arctan2(y1, x1)
-    gamma1 = np.arctan2(z1, lat1)
-
     x2, y2, z2 = tn - pn, te - pe, th - ph
-    lat2 = np.hypot(x2, y2)
-    d2 = _norms(x2, y2, z2)
-    chi2 = np.arctan2(y2, x2)
-    gamma2 = np.arctan2(z2, lat2)
-
-    eta1_lat, eta1_lon = look_ahead_angles(uav.chi, uav.gamma, chi1, gamma1)
-    eta2_lat, eta2_lon = look_ahead_angles(chi1, gamma1, chi2, gamma2)
-
-    f = (
-        (np.abs(eta1_lat) < _HALF_PI)
-        & (np.abs(eta1_lon) < _HALF_PI)
-        & (np.abs(eta2_lat) < _HALF_PI)
-        & (np.abs(eta2_lon) < _HALF_PI)
-        & (d1 > 0.0)
-        & (d2 > 0.0)
-    )
-    # Elementwise, so every row in f gets the bits it would get alone; the
-    # rows outside f are then replaced.
-    costs = d1 / (np.cos(eta1_lon) * np.cos(eta1_lat)) + d2 / (np.cos(eta2_lon) * np.cos(eta2_lat))
-    return np.where(f, costs, np.inf)
+    lat1, lat2 = np.sqrt(x1 * x1 + y1 * y1), np.sqrt(x2 * x2 + y2 * y2)
+    d1, d2 = _norms(x1, y1, z1), _norms(x2, y2, z2)
+    # A zero lateral length, or one whose square underflows, has no course.
+    f = lat1 * lat2 > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c1_lat = (x1 * math.cos(uav.chi) + y1 * math.sin(uav.chi)) / lat1
+        c1_lon = (lat1 * math.cos(uav.gamma) + z1 * math.sin(uav.gamma)) / d1
+        c2_lat = (x1 * x2 + y1 * y2) / (lat1 * lat2)
+        c2_lon = (lat1 * lat2 + z1 * z2) / (d1 * d2)
+        costs = d1 / (c1_lon * c1_lat) + d2 / (c2_lon * c2_lat)
+    return np.where(f & (c1_lat > 0.0) & (c1_lon > 0.0) & (c2_lat > 0.0) & (c2_lon > 0.0), costs, np.inf)
 
 
 def best_detour(

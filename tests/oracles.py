@@ -12,12 +12,12 @@ equal them bit for bit.  ``deliver_oracle``, ``consensus_oracle`` and
 (strength, theta_j) pairs per receiver, in sender order; and
 ``time_index_oracle`` and ``reference_angles_oracle`` for the control
 inputs that ``run`` computes for the fleet each tick, with
-``advance_oracle`` for the virtual-target advance.  ``two_leg_cost``,
-``region_contains`` and ``grid_cost_oracle`` are the replanner's: the
-cost of one candidate, membership in the candidate region, and the
-constrained cost minimum over a lattice.  ``best_detour_oracle`` is
-``best_detour``'s candidate walk one candidate at a time, on the
-library's own draws and costs.  ``trajectory_csv_oracle`` and
+``advance_oracle`` for the virtual-target advance.  ``two_leg_turns``,
+``two_leg_cost``, ``region_contains`` and ``grid_cost_oracle`` are the
+replanner's: the turns and the cost of one candidate, membership in the
+candidate region, and the constrained cost minimum over a lattice.
+``best_detour_oracle`` is ``best_detour``'s candidate walk one candidate
+at a time, on the library's own draws and costs.  ``trajectory_csv_oracle`` and
 ``events_csv_oracle`` build the export's CSV text one row at a time, with
 ``repr``, ``json.dumps`` and ``csv.writer``.
 """
@@ -46,27 +46,32 @@ from flocksim import (
 _network_log = logging.getLogger("flocksim.network")
 
 
-def two_leg_cost(uav, point, target):
-    """Scalar transit cost, written independently of the library path."""
+def two_leg_turns(uav, point, target):
+    """The turns (eta1_lat, eta1_lon, eta2_lat, eta2_lon) of a candidate, from bearings.
+
+    Leg 1 turns from the vehicle's course and climb to the bearing of
+    ``point``, leg 2 from there to the bearing of ``target``.
+    """
     pos = uav.position
     dn1, de1, dh1 = point.north - pos.north, point.east - pos.east, point.height - pos.height
-    lat1 = math.hypot(dn1, de1)
     chi1 = math.atan2(de1, dn1)
-    gamma1 = math.atan2(dh1, lat1)
-    eta = [
+    gamma1 = math.atan2(dh1, math.hypot(dn1, de1))
+    dn2, de2, dh2 = target.north - point.north, target.east - point.east, target.height - point.height
+    return (
         _wrap(chi1 - uav.chi),
         gamma1 - uav.gamma,
-    ]
-    dn2, de2, dh2 = target.north - point.north, target.east - point.east, target.height - point.height
-    lat2 = math.hypot(dn2, de2)
-    eta += [
         _wrap(math.atan2(de2, dn2) - chi1),
-        math.atan2(dh2, lat2) - gamma1,
-    ]
+        math.atan2(dh2, math.hypot(dn2, de2)) - gamma1,
+    )
+
+
+def two_leg_cost(uav, point, target):
+    """Scalar transit cost, written independently of the library path."""
+    eta = two_leg_turns(uav, point, target)
     if any(abs(e) >= math.pi / 2 for e in eta):
         return math.inf
-    d1 = math.sqrt(lat1**2 + dh1**2)
-    d2 = math.sqrt(lat2**2 + dh2**2)
+    d1 = math.dist(uav.position, point)
+    d2 = math.dist(point, target)
     return d1 / (math.cos(eta[1]) * math.cos(eta[0])) + d2 / (math.cos(eta[3]) * math.cos(eta[2]))
 
 

@@ -20,11 +20,12 @@ turning off numpy's AVX-512 dispatch targets (``X86_V4`` and the later
 ones), and then also AVX2 (``X86_V3``), and must give the same digests.
 ``fleet_13`` is among them because its 13 vehicles step RK4 through
 numpy's sin and cos; the 4-vehicle cases step it through ``math``.
-Nor on the BLAS kernel: the replanner's cone test is a matrix-vector
-product whose last bits are OpenBLAS's, and a ``DYNAMIC_ARCH`` build picks
-its kernel by CPU at load.  The two replanning reference cases run again
-in child processes with ``OPENBLAS_CORETYPE`` forcing the Prescott and the
-Haswell kernels, and must give the same digests.
+Nor on the BLAS kernel, which a ``DYNAMIC_ARCH`` OpenBLAS build picks by
+CPU at load.  The replanner computes its cone and turn tests as dot
+products written out elementwise, so no BLAS call reaches a replan; the
+two replanning reference cases run again in child processes with
+``OPENBLAS_CORETYPE`` forcing the Prescott and the Haswell kernels, and
+must give the same digests, which guards that this stays so.
 
 An intended change to exported numbers updates the table below in one
 place and says why in CHANGES.md.  ``PYTHONPATH=src python

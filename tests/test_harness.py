@@ -168,6 +168,26 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="duration_s"):
             load_scenario(make_scenario_file(duration_s=-1.0))
 
+    # run steps round(duration_s / dt_s) times, and round takes halves to
+    # even: at dt_s 1 it would fly 0 ticks for 0.5 s, 2 for 1.5 s and 2.5 s.
+    @pytest.mark.parametrize("duration, dt", [(0.5, 1.0), (1.5, 1.0), (2.5, 1.0), (3.5, 1.0), (80.0, 0.3),
+                                              (1.0, 1.0 + 1e-8)])
+    def test_duration_not_a_whole_number_of_steps(self, make_scenario_file, duration, dt):
+        path = make_scenario_file(duration_s=duration, dt_s=dt)
+        with pytest.raises(ScenarioError, match=rf"^scenario\.duration_s: {duration} s is not a whole number of"
+                                                rf" dt_s {re.escape(repr(dt))} s steps$"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("duration, dt, n_ticks", [(270.0, 0.2, 1350), (1.0, 1.0 + 1e-10, 1), (0.0, 0.3, 0)])
+    def test_duration_within_1e9_of_whole_steps(self, make_scenario_file, duration, dt, n_ticks):
+        log, _ = run(load_scenario(make_scenario_file(duration_s=duration, dt_s=dt)))
+        assert log.n_ticks == n_ticks
+
+    def test_oversized_log_is_reported_before_a_fractional_step(self, make_scenario_file):
+        path = make_scenario_file(duration_s=2.0**47 + 0.5)
+        with pytest.raises(ScenarioError, match=r"^scenario\.duration_s: the run log of "):
+            load_scenario(path)
+
     # run's (n_ticks, 1, len(LOG_COLUMNS)) float64 log and one replan's
     # (k_samples, 3) float64 samples may take up to 2**47 bytes, and not one byte more.
     @pytest.mark.parametrize("overrides, message", [

@@ -9,13 +9,21 @@ import dataclasses
 import logging
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import best_detour_oracle, grid_cost_oracle, reference_angles_oracle, region_contains, two_leg_cost
+from oracles import (
+    best_detour_oracle,
+    grid_cost_oracle,
+    reference_angles_oracle,
+    region_contains,
+    two_leg_cost,
+    two_leg_turns,
+)
 
 from flocksim import (
     DemGrid,
@@ -148,6 +156,51 @@ class TestSampleRegion:
         assert np.all(under > floor)
         assert np.any(pts[:, 2] < under)
 
+    @pytest.mark.parametrize("chi, gamma", [(1.0, -0.7), (-2.9, 0.5)])
+    @pytest.mark.parametrize("t", [1.0, 64.0, 1024.0])
+    def test_full_cone_keeps_a_draw_straight_behind(self, flat_dem, chi, gamma, t):
+        # Every draw lands on (0, 0, 0), and the vehicle sits t velocity
+        # units ahead of it, so each offset is exactly -t times the rounded
+        # unit velocity.  That vector is longer than 1, so its dot product
+        # with the offset falls below -|offset|: a cone test at
+        # cos(pi) = -1 would drop the draw.
+        velocity = make_uav(chi=chi, gamma=gamma).velocity_unit().tolist()
+        assert sum(Fraction(c) ** 2 for c in velocity) > 1
+        uav = make_uav(*(t * c for c in velocity), chi=chi, gamma=gamma)
+        params = region_params(k_samples=50, delta_angle=math.pi)
+        pts = sample_region(uav, Obstacle(-100.0, 0.0, 100.0, 0.0, 200.0), flat_dem, params, _LowestDraws())
+        assert pts.tolist() == [[0.0, 0.0, 0.0]] * 50
+
+    @pytest.mark.parametrize("delta_angle", [0.5, math.pi / 3, math.pi])
+    def test_draw_on_the_vehicle_is_dropped(self, flat_dem, delta_angle):
+        params = region_params(k_samples=50, delta_angle=delta_angle)
+        obstacle = Obstacle(-100.0, 0.0, 100.0, 0.0, 200.0)
+        pts = sample_region(make_uav(height=0.0), obstacle, flat_dem, params, _LowestDraws())
+        assert pts.shape == (0, 3)
+
+    @pytest.mark.parametrize("delta_angle", [0.3, math.pi / 3, math.pi / 2, 2.5])
+    @pytest.mark.parametrize("chi, gamma", [(0.0, 0.0), (0.8, 0.2), (-2.0, -0.3)])
+    def test_cone_keeps_exactly_the_draws_in_the_region(self, flat_dem, delta_angle, chi, gamma):
+        # From the ring's centre the draws lie all around the vehicle.  The
+        # full cone keeps all 2000; a narrower one must keep, in order,
+        # exactly those that region_contains admits.
+        uav = make_uav(north=RING.center_north, height=75.0, chi=chi, gamma=gamma)
+        draws = sample_region(uav, RING, flat_dem, region_params(2000, math.pi), np.random.default_rng(7))
+        assert draws.shape == (2000, 3)
+        params = region_params(2000, delta_angle)
+        kept = sample_region(uav, RING, flat_dem, params, np.random.default_rng(7))
+        inside = [row for row in draws.tolist() if region_contains(uav, RING, flat_dem, params, Point3(*row))]
+        assert 0 < len(inside) < 2000
+        assert kept.tolist() == inside
+
+
+class _LowestDraws:
+    """An rng stand-in whose every draw is the low end of its range."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.full(size, float(low))
+
 
 class TestRowNorms:
     # sample_region and candidate_cost take offset lengths from three rows
@@ -210,6 +263,42 @@ class TestTransitAngles:
         assert cost_of(uav, candidate, target) == pytest.approx(expected, rel=1e-12)
 
 
+_NEAR_PI = (math.pi, -math.pi, math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0), math.pi - 1e-9)
+
+
+@st.composite
+def cost_problems(draw):
+    """A vehicle, a target and candidate rows whose legs are level, climbing or vertical.
+
+    The vehicle sits at (0, 0, 100) with its course at or near +-pi or
+    anywhere, and its climb near +-1.5 rad or anywhere between.  The
+    target lies within 1 rad of its course, and each row within 2.5 rad,
+    at a lateral distance of at least 1 m, so no square of an offset
+    underflows.  A row may instead sit at the vehicle's or the target's
+    lateral position (a vertical first or second leg), and at the
+    vehicle's or the target's height (a level first or second leg).
+    """
+    chi = draw(st.one_of(st.sampled_from(_NEAR_PI), st.floats(-math.pi, math.pi)))
+    gamma = draw(st.one_of(st.sampled_from((1.5, -1.5, 1.4999, -1.4999)), st.floats(-1.5, 1.5)))
+
+    def lateral(max_bearing, min_distance):
+        bearing = chi + draw(st.floats(-max_bearing, max_bearing))
+        distance = draw(st.floats(min_distance, 1000.0))
+        return distance * math.cos(bearing), distance * math.sin(bearing)
+
+    target = Point3(*lateral(1.0, 200.0), draw(st.floats(0.0, 300.0)))
+    rows = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(("free",) * 4 + ("vertical 1", "vertical 2")))
+        if kind == "free":
+            north, east = lateral(2.5, 1.0)
+        else:
+            north, east = (0.0, 0.0) if kind == "vertical 1" else target[:2]
+        height = draw(st.one_of(st.floats(0.0, 300.0), st.sampled_from((100.0, target.height))))
+        rows.append((north, east, height))
+    return make_uav(chi=chi, gamma=gamma), target, rows
+
+
 class TestCandidateCost:
     def test_collinear_sum_of_lengths(self):
         uav = make_uav()
@@ -267,6 +356,50 @@ class TestCandidateCost:
         target = Point3(700.0, 0.0, 100.0)
         pts = np.array([uav.position, target, (300.0, 0.0, 100.0)])
         assert candidate_cost(uav, pts, target).tolist() == [math.inf, math.inf, 700.0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(problem=cost_problems())
+    def test_matches_oracle_at_every_attitude(self, problem):
+        uav, target, rows = problem
+        costs = candidate_cost(uav, np.array(rows), target).tolist()
+        for row, got in zip(rows, costs):
+            point = Point3(*row)
+            if (point.north, point.east) in ((uav.position.north, uav.position.east), (target.north, target.east)):
+                assert got == math.inf, "a vertical leg has no course"
+                continue
+            # Each formula's turn cosine is off by about 1e-15, a relative
+            # error of 1e-15 / margin in it and in the cost, where the
+            # margin is the turn's distance from pi/2.  The two round
+            # apart past rel=1e-12 only below a margin of 1e-3 rad
+            # (measured on 600,000 random rows: at most 5e-13 for margins
+            # of 1e-3 to 1e-2 rad, 5e-12 for 1e-4 to 1e-3).
+            if min(abs(abs(eta) - math.pi / 2) for eta in two_leg_turns(uav, point, target)) < 1e-3:
+                continue
+            want = two_leg_cost(uav, point, target)
+            if math.isinf(want):
+                assert got == math.inf
+            else:
+                assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma, climb", [(1.5, 300.0), (-1.5, -80.0)])
+    def test_vertical_leg_is_infeasible(self, gamma, climb):
+        # Climbing at 1.5 rad, a vertical first leg is a turn of 0.07 rad
+        # by its bearing (atan2(0, 0) = 0), but it has no course to turn to.
+        uav = make_uav(gamma=gamma)
+        candidate = Point3(0.0, 0.0, 100.0 + climb)
+        target = Point3(100.0, 0.0, candidate.height + math.copysign(300.0, climb))
+        assert math.isfinite(two_leg_cost(uav, candidate, target))
+        assert cost_of(uav, candidate, target) == math.inf
+        assert cost_of(make_uav(), Point3(300.0, 0.0, 100.0), Point3(300.0, 0.0, 100.0 + climb)) == math.inf
+
+    @pytest.mark.parametrize("uav, candidate, target", [
+        (make_uav(gamma=1.5), Point3(1e-170, 0.0, 400.0), Point3(100.0, 0.0, 700.0)),
+        (make_uav(north=-100.0), Point3(-1e-170, 0.0, 150.0), Point3(0.0, 0.0, 400.0)),
+    ])
+    def test_lateral_length_that_underflows_is_infeasible(self, uav, candidate, target):
+        # 1e-170 squared is 0: the leg's lateral length reads 0, its
+        # cosines divide by it, and the leg must not then cost nothing.
+        assert cost_of(uav, candidate, target) == math.inf
 
 
 class TestBestDetour:
