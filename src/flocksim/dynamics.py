@@ -378,27 +378,56 @@ def step_kinematics(
 
 
 def _rk4_floats(y: np.ndarray, act: np.ndarray, disturbance: np.ndarray, dt: float, tau_psi: float) -> np.ndarray:
-    """``_rk4_arrays`` for one vehicle at a time, on Python floats."""
+    """``_rk4_arrays`` for one vehicle at a time, on Python floats.
+
+    Each stage is the array step's derivative rows written out on local
+    floats, stage j's rates with suffix j.  A per-vehicle closure whose
+    stages return 6-tuples, read back by index, cost Python more than the
+    arithmetic: this form takes about 15 against 25 µs per call at N=4.
+    """
+    sin, cos, tan, wrap = math.sin, math.cos, math.tan, wrap_angle
     half, sixth = 0.5 * dt, dt / 6.0
-    columns = []
-    for *y0, phi, n_lf, v_g, d_chi, d_gamma in zip(*y.tolist(), *act.tolist(), *disturbance.tolist()):
+    out: list[float] = []
+    for north, east, height, chi, gamma, psi, phi, n_lf, v_g, d_chi, d_gamma in zip(
+            *y.tolist(), *act.tolist(), *disturbance.tolist()):
         g_over_v = GRAVITY / v_g
-        turn, lift = g_over_v * math.tan(phi), n_lf * math.cos(phi)
+        turn, lift = g_over_v * tan(phi), n_lf * cos(phi)
 
-        def deriv(chi: float, gamma: float, psi: float) -> tuple[float, ...]:
-            cos_g, slip = math.cos(gamma), chi - psi
-            v_cg = v_g * cos_g
-            return (v_cg * math.cos(chi), v_cg * math.sin(chi), v_g * math.sin(gamma), turn * math.cos(slip) + d_chi,
-                    g_over_v * (lift - cos_g) + d_gamma, wrap_angle(slip) / tau_psi)
+        cos_g, slip = cos(gamma), chi - psi
+        v_cg = v_g * cos_g
+        n1, e1, h1 = v_cg * cos(chi), v_cg * sin(chi), v_g * sin(gamma)
+        c1, g1, p1 = turn * cos(slip) + d_chi, g_over_v * (lift - cos_g) + d_gamma, wrap(slip) / tau_psi
 
-        chi, gamma, psi = y0[3:]
-        k1 = deriv(chi, gamma, psi)
-        k2 = deriv(chi + half * k1[3], gamma + half * k1[4], psi + half * k1[5])
-        k3 = deriv(chi + half * k2[3], gamma + half * k2[4], psi + half * k2[5])
-        k4 = deriv(chi + dt * k3[3], gamma + dt * k3[4], psi + dt * k3[5])
-        y1 = [s + sixth * (a + 2.0 * b + 2.0 * c + d) for s, a, b, c, d in zip(y0, k1, k2, k3, k4)]
-        columns.append((*y1[:3], wrap_angle(y1[3]), min(max(y1[4], -_GAMMA_CAP), _GAMMA_CAP), wrap_angle(y1[5])))
-    return np.array(columns).T.copy()
+        x, g, p = chi + half * c1, gamma + half * g1, psi + half * p1
+        cos_g, slip = cos(g), x - p
+        v_cg = v_g * cos_g
+        n2, e2, h2 = v_cg * cos(x), v_cg * sin(x), v_g * sin(g)
+        c2, g2, p2 = turn * cos(slip) + d_chi, g_over_v * (lift - cos_g) + d_gamma, wrap(slip) / tau_psi
+
+        x, g, p = chi + half * c2, gamma + half * g2, psi + half * p2
+        cos_g, slip = cos(g), x - p
+        v_cg = v_g * cos_g
+        n3, e3, h3 = v_cg * cos(x), v_cg * sin(x), v_g * sin(g)
+        c3, g3, p3 = turn * cos(slip) + d_chi, g_over_v * (lift - cos_g) + d_gamma, wrap(slip) / tau_psi
+
+        x, g, p = chi + dt * c3, gamma + dt * g3, psi + dt * p3
+        cos_g, slip = cos(g), x - p
+        v_cg = v_g * cos_g
+        n4, e4, h4 = v_cg * cos(x), v_cg * sin(x), v_g * sin(g)
+        c4, g4, p4 = turn * cos(slip) + d_chi, g_over_v * (lift - cos_g) + d_gamma, wrap(slip) / tau_psi
+
+        gamma = gamma + sixth * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+        # min(max(gamma, -cap), cap) without the builtin calls, NaN and signed zeros kept
+        gamma = -_GAMMA_CAP if -_GAMMA_CAP > gamma else gamma
+        out += (
+            north + sixth * (n1 + 2.0 * n2 + 2.0 * n3 + n4),
+            east + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4),
+            height + sixth * (h1 + 2.0 * h2 + 2.0 * h3 + h4),
+            wrap(chi + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)),
+            _GAMMA_CAP if _GAMMA_CAP < gamma else gamma,
+            wrap(psi + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)),
+        )
+    return np.array(out).reshape(-1, 6).T.copy()
 
 
 def _rk4_arrays(y: np.ndarray, act: np.ndarray, disturbance: np.ndarray, dt: float, tau_psi: float) -> np.ndarray:

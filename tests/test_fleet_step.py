@@ -294,6 +294,33 @@ class TestKinematicKernels:
         assert isinstance(want[0], tuple) or want[1], "numpy neither raised nor warned"
         assert outcome(step_kinematics, *args, AutopilotParams()) == want
 
+    def test_negative_zero_east_stays_negative_zero(self):
+        # Straight and level with every east-bound input at -0.0: all four
+        # east rates are -0.0, so a stage sum that started from 0.0 would
+        # export +0.0.  The fleet draws never give -0.0 for east, phi or a gust.
+        state = UavState(Point3(0.0, -0.0, 100.0), -0.0, 0.0, -0.0, v_g=12.0, phi=-0.0, n_lf=1.0)
+        y, act = fleet_arrays([state])
+        gusts = np.array([[-0.0], [0.0]])
+        ap = AutopilotParams()
+        want = kinematics_oracle(state, -0.0, 0.0, 1.0, ap)
+        assert np.float64(want.position.east).tobytes() == np.float64(-0.0).tobytes()
+        for kernel in (_rk4_floats, _rk4_arrays):
+            assert kernel(y, act, gusts, 1.0, ap.tau_psi)[1, 0].tobytes() == np.float64(-0.0).tobytes()
+
+    @pytest.mark.parametrize("name", ("reference_4uav", "reference_4uav_dropout"))
+    def test_small_fleet_runs_never_take_the_array_step(self, name, scenario_dir, monkeypatch):
+        # An ordinary input that raised in _rk4_floats would fall back to the
+        # array step with the same bytes and only the speed lost.
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return _rk4_arrays(*args)
+
+        monkeypatch.setattr(dynamics, "_rk4_arrays", spy)
+        run(load_scenario(f"{scenario_dir}/{name}.yaml"))
+        assert not calls, f"{len(calls)} array steps"
+
     def test_wrap_angle_float_equals_array(self):
         rng = np.random.default_rng(1)
         x = np.concatenate([rng.uniform(-30.0, 30.0, 5_000), EDGE_ANGLES, np.arange(-20, 21) * PI,
