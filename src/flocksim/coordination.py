@@ -8,7 +8,9 @@ one slows down.  No leader, no global state; the only coupling is the
 bounded tanh disagreement term, weighted by link strength.
 
 The time index, the consensus rate and the speed command run once per
-tick over (N,) arrays for the fleet.
+tick and return (N,) arrays for the fleet; under ``_ARRAY_MIN_N``
+vehicles the consensus rate is computed per vehicle on Python floats,
+with the same bits.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from math import tanh
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import _clip
 
 __all__ = [
@@ -71,8 +74,19 @@ def consensus_rate(
     The drift gamma_d is common to the fleet and cancels in pairwise
     differences; only the bounded disagreement terms move vehicles
     relative to each other.  Slots are subtracted in column order; a slot
-    of strength 0 holding a finite value subtracts exactly zero.
+    of strength 0 holding a finite value subtracts exactly zero.  Under
+    ``_ARRAY_MIN_N`` vehicles the rates are taken per vehicle on Python
+    floats, with the same bits.
     """
+    if len(theta) < dynamics._ARRAY_MIN_N:
+        k, drift = gains.k_theta, gains.gamma_d
+        rates = []
+        for th, row, weights in zip(theta.tolist(), received.tolist(), strength.tolist()):
+            rate = drift
+            for th_j, s in zip(row, weights):
+                rate = rate - s * tanh(k * (th - th_j))
+            rates.append(rate)
+        return np.array(rates)
     arg = gains.k_theta * (theta[:, None] - received)
     # numpy's tanh differs from math.tanh in the last bit for some inputs.
     bounded = np.array(list(map(tanh, arg.ravel().tolist()))).reshape(arg.shape)

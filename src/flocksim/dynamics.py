@@ -61,8 +61,8 @@ _TWO = np.array(2.0)
 # when each vehicle kept its block as a list of Python floats).
 _NOISE_BLOCK = 16
 
-# Fleet size from which numpy's fixed cost per call pays, in step_kinematics
-# and in _FleetWind.
+# Fleet size from which numpy's fixed cost per call pays, in step_kinematics,
+# _FleetWind, advance_virtual_target, guidance_commands and consensus_rate.
 _ARRAY_MIN_N = 10
 
 

@@ -12,9 +12,11 @@ tick.  Violations are logged by the harness, never acted on.
 
 The fleet's paths live in one :class:`FleetPaths` table, which
 :func:`advance_virtual_target` walks in place and the replanner's
-detours are spliced into.  The reference angles, the steering law and
-the monitor take arrays with one element or column per vehicle (see
-:mod:`flocksim.dynamics` for the block layout).
+detours are spliced into.  The walk, the reference angles, the steering
+commands and the monitor take and return arrays with one element or
+column per vehicle (see :mod:`flocksim.dynamics` for the block layout);
+under ``_ARRAY_MIN_N`` vehicles the walk and the steering commands
+compute per vehicle on Python floats, with the same bits.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import GRAVITY, _clip, wrap_angle
 from .geo import _path_length
 
@@ -124,8 +127,15 @@ def advance_virtual_target(
     direction.  The walk: test the fleet, move each flagged cursor on by
     one, test again, until nothing is flagged; the last waypoint is never
     passed.  Returns the (3, N) offsets from each vehicle to its active
-    waypoint and their (N,) distances, after the walk.
+    waypoint and their (N,) distances, after the walk.  Under
+    ``_ARRAY_MIN_N`` vehicles ``_walk_floats`` gives the same bits; an
+    infinite angle, which ``math`` rejects, takes the array walk.
     """
+    if y.shape[1] < dynamics._ARRAY_MIN_N:
+        try:
+            return _walk_floats(paths, y, gp.acceptance_radius)
+        except ValueError:
+            pass
     # numpy's cos and sin give math's bits.
     cos, sin = np.cos(y[3:5]), np.sin(y[3:5])
     heading = (cos[1] * cos[0], cos[1] * sin[0], sin[1])
@@ -136,6 +146,26 @@ def advance_virtual_target(
         if not flagged.any():
             return offset, distance
         for i in flagged.nonzero()[0].tolist():
+            paths.cursor[i] += 1
+            paths._refresh(i)
+
+
+def _walk_floats(paths: FleetPaths, y: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The walk of ``advance_virtual_target``, its heading and flag test per vehicle on Python floats."""
+    cos, sin, hypot = math.cos, math.sin, math.hypot
+    rows = y.tolist()
+    # Every angle goes through math before a cursor moves, so a rejected one moves none.
+    heading = [(cos(g) * cos(x), cos(g) * sin(x), sin(g)) for x, g in zip(rows[3], rows[4])]
+    while True:
+        offset = paths.active - y[:3]
+        dn, de, dh = offset.tolist()
+        distance = list(map(hypot, dn, de, dh))
+        flagged = [i for i, (o_n, o_e, o_h, d, (u_n, u_e, u_h), m) in enumerate(
+                   zip(dn, de, dh, distance, heading, paths.movable.tolist()))
+                   if m and (d <= radius or o_n * u_n + o_e * u_e + o_h * u_h < 0.0)]
+        if not flagged:
+            return offset, np.array(distance)
+        for i in flagged:
             paths.cursor[i] += 1
             paths._refresh(i)
 
@@ -191,8 +221,15 @@ def guidance_commands(
     argument saturated to [-1, 1] (at practical gains the argument
     routinely exceeds 1; saturation is the only continuous completion).
     The load factor inverts the climb-rate relation at the commanded roll.
-    Both outputs are clipped to the bounds.
+    Both outputs are clipped to the bounds.  Under ``_ARRAY_MIN_N``
+    vehicles ``_commands_floats`` gives the same bits; an infinite angle,
+    which ``math`` rejects, takes the array path.
     """
+    if y.shape[1] < dynamics._ARRAY_MIN_N:
+        try:
+            return _commands_floats(eta_lat, eta_lon, y, act, gp, lo, hi)
+        except ValueError:
+            pass
     f_chi, f_gamma = steering_rates(eta_lat, eta_lon, gp.k_chi, gp.k_gamma)
     v_g = act[2]
     arg = _clip(v_g * np.cos(act[0]) / GRAVITY * f_chi, -1.0, 1.0)
@@ -200,6 +237,34 @@ def guidance_commands(
     phi_c = _clip(np.array([-math.asin(a) for a in arg.tolist()]), lo[0], hi[0])
     n_lf_c = (GRAVITY * np.cos(y[4]) - v_g * f_gamma) / (GRAVITY * np.cos(phi_c))
     return phi_c, _clip(n_lf_c, lo[1], hi[1])
+
+
+def _commands_floats(eta_lat: np.ndarray, eta_lon: np.ndarray, y: np.ndarray, act: np.ndarray,
+                     gp: GuidanceParams, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``guidance_commands`` one vehicle at a time, on Python floats.
+
+    Each clip is ``min(max(x, lo), hi)`` as two conditional expressions,
+    which keep NaN and signed zeros as ``_clip`` does.
+    """
+    sin, cos, asin = math.sin, math.cos, math.asin
+    k_chi, k_gamma = -gp.k_chi, -gp.k_gamma
+    phi_lo, n_lo, _ = lo.tolist()
+    phi_hi, n_hi, _ = hi.tolist()
+    phi_out, n_out = [], []
+    for lat, lon, gamma, phi, v_g, p_lo, p_hi, l_lo, l_hi in zip(
+            eta_lat.tolist(), eta_lon.tolist(), y[4].tolist(), act[0].tolist(), act[2].tolist(),
+            phi_lo, phi_hi, n_lo, n_hi):
+        f_chi, f_gamma = k_chi * sin(lat), k_gamma * sin(lon)
+        arg = v_g * cos(phi) / GRAVITY * f_chi
+        arg = -1.0 if -1.0 > arg else arg
+        phi_c = -asin(1.0 if 1.0 < arg else arg)
+        phi_c = p_lo if p_lo > phi_c else phi_c
+        phi_c = p_hi if p_hi < phi_c else phi_c
+        n_lf_c = (GRAVITY * cos(gamma) - v_g * f_gamma) / (GRAVITY * cos(phi_c))
+        n_lf_c = l_lo if l_lo > n_lf_c else n_lf_c
+        phi_out.append(phi_c)
+        n_out.append(l_hi if l_hi < n_lf_c else n_lf_c)
+    return np.array(phi_out), np.array(n_out)
 
 
 def convergence_conditions(

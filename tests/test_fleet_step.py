@@ -13,6 +13,7 @@ import contextlib
 import math
 import shutil
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,8 +48,10 @@ from flocksim import (
     actuator_bounds,
     advance_virtual_target,
     comm_step,
+    consensus_rate,
     control_step,
     convergence_conditions,
+    export,
     fleet_arrays,
     guidance_commands,
     load_scenario,
@@ -58,8 +61,9 @@ from flocksim import (
     step_kinematics,
     wrap_angle,
 )
-from flocksim import dynamics, presets
-from flocksim.dynamics import _ARRAY_MIN_N, _FleetWind, _rk4_arrays, _rk4_floats
+from flocksim import dynamics, guidance, presets
+from flocksim.dynamics import _ARRAY_MIN_N, GRAVITY, _FleetWind, _rk4_arrays, _rk4_floats
+from flocksim.harness import WALL_CLOCK_FILES
 
 FLEET_SIZES = (1, 2, 4, 13, 104)
 PI = math.pi
@@ -247,11 +251,12 @@ def block_state(y, act, i):
 
 
 def outcome(step, *args):
-    """The bytes of ``step(*args)`` or its exception, and the warnings it gave."""
+    """The bytes of ``step(*args)`` (of each array, for a tuple) or its exception, and the warnings it gave."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = step(*args).tobytes()
+            result = step(*args)
+            result = [a.tobytes() for a in result] if isinstance(result, tuple) else result.tobytes()
         except (ValueError, ZeroDivisionError) as exc:
             result = (type(exc), str(exc))
     return result, [(w.category, str(w.message)) for w in caught]
@@ -309,15 +314,27 @@ class TestKinematicKernels:
 
     @pytest.mark.parametrize("name", ("reference_4uav", "reference_4uav_dropout"))
     def test_small_fleet_runs_never_take_the_array_step(self, name, scenario_dir, monkeypatch):
-        # An ordinary input that raised in _rk4_floats would fall back to the
-        # array step with the same bytes and only the speed lost.
+        # An ordinary input that raised in _rk4_floats, _walk_floats or
+        # _commands_floats would fall back to the array path with the same
+        # bytes and only the speed lost.
         calls = []
 
         def spy(*args):
             calls.append(args[0].shape)
             return _rk4_arrays(*args)
 
+        def raising(kernel):
+            def wrapped(*args):
+                try:
+                    return kernel(*args)
+                except ValueError:
+                    calls.append(kernel.__name__)
+                    raise
+            return wrapped
+
         monkeypatch.setattr(dynamics, "_rk4_arrays", spy)
+        for kernel in ("_walk_floats", "_commands_floats"):
+            monkeypatch.setattr(guidance, kernel, raising(getattr(guidance, kernel)))
         run(load_scenario(f"{scenario_dir}/{name}.yaml"))
         assert not calls, f"{len(calls)} array steps"
 
@@ -331,6 +348,175 @@ class TestKinematicKernels:
         # the documented exception: only the float branch keeps a NaN's sign
         signs = np.signbit([wrap_angle(-math.nan), *wrap_angle(np.array([-math.nan, math.nan])).tolist()])
         assert signs.tolist() == [True, False, False]
+
+
+FLOATS, ARRAYS = 10**9, 0  # an _ARRAY_MIN_N that puts every fleet on the float kernels, or on none
+
+
+def at_threshold(threshold, f, *args):
+    """``outcome(f, *args)`` with ``_ARRAY_MIN_N`` at ``threshold``."""
+    with mock.patch.object(dynamics, "_ARRAY_MIN_N", threshold):
+        return outcome(f, *args)
+
+
+def walk_outcome(threshold, waypoints, cursor, y, gp):
+    """``at_threshold`` of one walk over fresh paths, and the cursors it leaves."""
+    paths = FleetPaths(waypoints, cursor)
+    return at_threshold(threshold, advance_virtual_target, paths, y, gp), paths.cursor.tolist()
+
+
+GUIDANCE_KERNEL = GUIDANCE + (GuidanceParams(k_chi=1.0, k_gamma=1.0),)
+# (phi_min, phi_max, n_lf_min, n_lf_max) rails: +-pi/2 meet a saturated asin,
+# the signed zeros a roll of +-0.0, 1.0 the load factor of a level, unrolled vehicle
+RAILS = [(-PI / 2, PI / 2, 0.0, 2.1), (-0.0, 0.6, 1.0, 1.5), (-0.6, 0.0, 0.5, 1.0), (-0.0, 0.0, 1.0, 1.0)]
+SPECIALS = (0.0, -0.0, math.nan)
+
+
+@st.composite
+def walks(draw):
+    """Paths, cursors, a (6, N) block and guidance params for one walk.
+
+    With probability ``edge_share`` a vehicle has the waypoints from its
+    cursor on placed behind it (the walk passes them all in one tick), or
+    its active waypoint on its position (met at an acceptance radius of 0).
+    """
+    n = draw(st.integers(1, 2 * _ARRAY_MIN_N), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    edge_share = draw(st.sampled_from((0.0, 0.3, 1.0)), label="edge_share")
+    gp = GuidanceParams(acceptance_radius=draw(st.sampled_from((0.0, 40.0, 120.0)), label="radius"))
+    states, waypoints, cursor = [], [], []
+    for _ in range(n):
+        p = rng.integers(-2000, 2000, 3).astype(float)
+        chi = float(rng.choice(EDGE_ANGLES)) if rng.random() < edge_share else rng.uniform(-PI, PI)
+        gamma = float(rng.choice((0.0, -0.0, GAMMA_CAP))) if rng.random() < edge_share else rng.uniform(-1.0, 1.0)
+        m = int(rng.integers(2, 7))
+        c = int(rng.integers(0, m))
+        points = p + rng.uniform(-300.0, 300.0, (m, 3))
+        kind = rng.integers(0, 2) if rng.random() < edge_share else -1
+        if kind == 0:
+            mu = np.array([math.cos(gamma) * math.cos(chi), math.cos(gamma) * math.sin(chi), math.sin(gamma)])
+            points[c:] = p - np.outer(np.arange(1, m - c + 1) * 50.0, mu)
+        elif kind == 1:
+            points[c] = p
+        states.append(UavState(Point3(*p.tolist()), chi, gamma, 0.0, v_g=12.0))
+        waypoints.append(points)
+        cursor.append(c)
+    return waypoints, cursor, fleet_arrays(states)[0], gp
+
+
+class TestSteeringKernels:
+    """The float kernels of the walk, the steering commands and the consensus rate equal their array paths."""
+
+    @FLEET_SETTINGS
+    @given(fleet=fleets(st.integers(1, 2 * _ARRAY_MIN_N)), gp=st.sampled_from(GUIDANCE_KERNEL),
+           special_share=st.sampled_from((0.0, 0.1, 0.4)))
+    def test_guidance_commands(self, fleet, gp, special_share):
+        d, _, _, y, act, lo, hi = fleet
+        eta_lat, eta_lon = d.values(-PI, PI, (PI / 2, -PI / 2, *SPECIALS)), d.values(-PI / 2, PI / 2, SPECIALS)
+        for row in (y[4], act[0], act[2]):
+            pick = d.rng.random(d.n) < special_share
+            row[pick] = d.rng.choice(SPECIALS, d.n)[pick]
+        rails = np.array(RAILS)[d.rng.integers(0, len(RAILS), d.n)].T
+        pick = d.rng.random(d.n) < special_share
+        lo[:2, pick], hi[:2, pick] = rails[::2, pick], rails[1::2, pick]
+        # roll 0 at v_g = g puts the asin argument at exactly -+1 for eta_lat = +-pi/2 when k_chi = 1
+        pick = d.rng.random(d.n) < special_share
+        act[0, pick], act[2, pick] = 0.0, GRAVITY
+        args = (eta_lat, eta_lon, y, act, gp, lo, hi)
+        arrays = at_threshold(ARRAYS, guidance_commands, *args)
+        assert outcome(guidance._commands_floats, *args)[0] == arrays[0]
+        assert at_threshold(FLOATS, guidance_commands, *args) == arrays
+
+    def test_guidance_commands_edges(self):
+        # eta_lat = -pi/2, k_chi = 1, roll 0 and v_g = g: asin argument
+        # exactly 1 (and -1 for +pi/2); at v_g = 18 and eta_lat = -1.2, beyond 1
+        gp = GuidanceParams(k_chi=1.0, k_gamma=1.0)
+        eta_lat = np.array([-PI / 2, PI / 2, -1.2, -0.0, math.nan, 1.0])
+        eta_lon = np.array([0.0, -0.0, 0.2, -0.0, 0.1, math.nan])
+        state = UavState(Point3(0.0, 0.0, 100.0), 0.0, 0.0, 0.0, v_g=GRAVITY, phi=0.0, n_lf=1.0)
+        y, act = fleet_arrays([state] * 6)
+        act[2, 2] = 18.0
+        lo, hi = (np.array([[-PI / 2, -PI / 2, -0.6, 0.0, -0.6, -0.6], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0], [9.0] * 6]),
+                  np.array([[PI / 2, PI / 2, 0.6, 0.6, 0.6, 0.6], [2.1, 2.1, 2.1, 1.5, 2.1, 2.1], [18.0] * 6]))
+        phi_c, n_lf_c = guidance._commands_floats(eta_lat, eta_lon, y, act, gp, lo, hi)
+        # ties on the +-pi/2 rails, the -0.6 rail, a -0.0 roll on the 0.0 rail
+        # with the load factor on its 1.0 rail, and NaN through both clips
+        assert phi_c[:3].tolist() == [-PI / 2, PI / 2, -0.6] and n_lf_c[:2].tolist() == [2.1, 2.1]
+        assert np.signbit(phi_c[3]) and n_lf_c[3] == 1.0 and np.isnan(phi_c[4]) and np.isnan(n_lf_c[5])
+        args = (eta_lat, eta_lon, y, act, gp, lo, hi)
+        assert at_threshold(FLOATS, guidance_commands, *args) == at_threshold(ARRAYS, guidance_commands, *args)
+
+    @FLEET_SETTINGS
+    @given(n=st.integers(1, 2 * _ARRAY_MIN_N), w=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           special_share=st.sampled_from((0.0, 0.1, 0.4)),
+           gains=st.sampled_from((CoordinationGains(), CoordinationGains(k_theta=0.05, gamma_d=0.9))))
+    def test_consensus_rate(self, n, w, seed, special_share, gains):
+        # a received value equal to the vehicle's own gives tanh(0), which an
+        # inf strength (coincident vehicles) turns into NaN
+        d = Draws(n, seed, special_share)
+        theta = d.values(0.0, 200.0, SPECIALS)
+        received = np.array([d.values(0.0, 200.0, SPECIALS) for _ in range(w)]).T
+        same = d.rng.random((n, w)) < special_share
+        received[same] = np.broadcast_to(theta[:, None], (n, w))[same]
+        strength = np.array([d.values(0.0, 2.0, (0.0, -0.0, math.inf)) for _ in range(w)]).T
+        args = (theta, received, strength, gains)
+        assert at_threshold(FLOATS, consensus_rate, *args) == at_threshold(ARRAYS, consensus_rate, *args)
+
+    def test_consensus_rate_inf_strength_at_tanh_zero(self):
+        theta, received = np.array([5.0, 0.0]), np.array([[5.0, 7.0], [-0.0, 1.0]])
+        args = (theta, received, np.array([[math.inf, 1.0], [math.inf, 0.0]]), CoordinationGains())
+        floats = at_threshold(FLOATS, consensus_rate, *args)
+        assert floats == at_threshold(ARRAYS, consensus_rate, *args)
+        assert np.isnan(np.frombuffer(floats[0])).all() and floats[1] == []
+
+    @FLEET_SETTINGS
+    @given(walk=walks())
+    def test_advance_virtual_target(self, walk):
+        waypoints, cursor, y, gp = walk
+        floats = walk_outcome(FLOATS, waypoints, cursor, y, gp)
+        assert floats == walk_outcome(ARRAYS, waypoints, cursor, y, gp)
+        assert floats[0][1] == []
+
+    def test_walk_edges(self):
+        # vehicle 0 flies north with its next three waypoints behind it,
+        # vehicle 1 sits on its active waypoint at an acceptance radius of 0
+        waypoints = [[(-50.0, 0.0, 100.0), (-100.0, 0.0, 100.0), (-150.0, 0.0, 100.0), (500.0, 0.0, 100.0)],
+                     [(10.0, 20.0, 100.0), (900.0, 20.0, 100.0)]]
+        y = fleet_arrays([UavState(Point3(0.0, 0.0, 100.0), 0.0, 0.0, 0.0, v_g=12.0),
+                          UavState(Point3(10.0, 20.0, 100.0), 0.0, -0.0, 0.0, v_g=12.0)])[0]
+        gp = GuidanceParams(acceptance_radius=0.0)
+        floats = walk_outcome(FLOATS, waypoints, [0, 0], y, gp)
+        assert floats[1] == [3, 1]
+        assert floats == walk_outcome(ARRAYS, waypoints, [0, 0], y, gp)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("where, row, value", [
+        ("eta_lat", 0, math.inf), ("eta_lon", 0, -math.inf), ("y", 4, math.inf), ("act", 0, -math.inf)])
+    def test_infinite_angle_takes_the_array_commands(self, n, where, row, value):
+        state = UavState(Point3(0.0, 0.0, 100.0), 0.3, 0.1, 0.2, v_g=12.0, phi=0.1, n_lf=1.0)
+        y, act = fleet_arrays([state] * n)
+        blocks = {"eta_lat": np.full((1, n), 0.2), "eta_lon": np.full((1, n), 0.1), "y": y, "act": act}
+        blocks[where][row, n // 2] = value
+        lo, hi = actuator_bounds([UavLimits()] * n)
+        args = (blocks["eta_lat"][0], blocks["eta_lon"][0], y, act, GuidanceParams(), lo, hi)
+        with pytest.raises(ValueError):
+            guidance._commands_floats(*args)
+        want = at_threshold(ARRAYS, guidance_commands, *args)
+        assert want[1], "numpy did not warn"
+        assert at_threshold(FLOATS, guidance_commands, *args) == want
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("row, value", [(3, math.inf), (4, -math.inf)])
+    def test_infinite_angle_takes_the_array_walk(self, n, row, value):
+        state = UavState(Point3(0.0, 0.0, 100.0), 0.3, 0.1, 0.2, v_g=12.0)
+        y = fleet_arrays([state] * n)[0]
+        y[row, n // 2] = value
+        waypoints = [[(60.0, 30.0, 100.0), (900.0, 400.0, 100.0)]] * n
+        with pytest.raises(ValueError):
+            guidance._walk_floats(FleetPaths(waypoints), y, 40.0)
+        want = walk_outcome(ARRAYS, waypoints, None, y, GuidanceParams())
+        assert want[0][1], "numpy did not warn"
+        assert walk_outcome(FLOATS, waypoints, None, y, GuidanceParams()) == want
 
 
 # Ways to place a vehicle against its active waypoint, beside random paths.
@@ -593,6 +779,23 @@ class TestFleetWind:
         monkeypatch.setattr(dynamics, "_ARRAY_MIN_N", n + 1 if n >= _ARRAY_MIN_N else n)
         other, _ = run(scenario)
         assert log.data.tobytes() == other.data.tobytes()
+
+    @pytest.mark.parametrize("name", ("reference_4uav", "reference_4uav_dropout"))
+    def test_reference_runs_equal_across_threshold(self, name, scenario_dir, tmp_path, monkeypatch):
+        # The benchmark's two 4-vehicle missions, each with one replan and
+        # the second with dropouts, once on the float kernels and once on the
+        # array paths: the log, the replans and every replay-checked export.
+        scenario = load_scenario(f"{scenario_dir}/{name}.yaml")
+        outcomes = []
+        for threshold in (_ARRAY_MIN_N, 1):
+            monkeypatch.setattr(dynamics, "_ARRAY_MIN_N", threshold)
+            log, metrics = run(scenario)
+            files = export(log, metrics, tmp_path / str(threshold))
+            replans = [(e.tick, e.uav_id, e.waypoints, e.overhead) for e in log.replan_events]
+            outcomes.append((log.data.tobytes(), replans, log.replan_failures,
+                             {f.name: f.read_bytes() for f in files if f.name not in WALL_CLOCK_FILES}))
+        assert outcomes[0] == outcomes[1]
+        assert len(outcomes[0][1]) == 1
 
 
 def test_numpy_trig_and_wrap_match_math():

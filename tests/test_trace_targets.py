@@ -4,7 +4,9 @@
 as absent instead of failing, so a renamed or deleted function would
 silently drop its span from the per-layer metrics.  A target that still
 resolves but that the simulator no longer calls through it reports 0 s
-just as silently, so one traced reference mission must call every span.
+just as silently, so one traced reference mission must call every span,
+and each per-tick span once per tick: a small-fleet path that skipped one
+on some ticks would report part of its time.
 """
 
 import importlib
@@ -16,6 +18,12 @@ import pytest
 from flocksim import harness
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+PER_TICK = (
+    "guidance.advance_virtual_target", "guidance.reference_angles", "coordination.time_index",
+    "coordination.consensus_rate", "coordination.speed_command", "guidance.look_ahead_angles",
+    "guidance.guidance_commands", "guidance.convergence_conditions", "dynamics.step_autopilot",
+    "dynamics.step_kinematics", "network.build_topology", "network.deliver",
+)
 
 
 def _tracing():
@@ -45,3 +53,4 @@ def test_reference_mission_calls_every_span(scenario_dir, tmp_path):
     calls = {name: row["calls"] for name, row in tracing.summarize(tracer.spans).items()}
     assert sorted(calls) == sorted(tracing.SPAN_NAMES)
     assert [name for name, n in calls.items() if n == 0] == []
+    assert {name: calls[name] for name in PER_TICK} == dict.fromkeys(PER_TICK, log.n_ticks)
