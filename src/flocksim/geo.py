@@ -18,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -399,25 +399,33 @@ def load_dem(path: str | Path) -> DemGrid:
     return _read_dem(path)[0]
 
 
-# The last DemGrid parsed, keyed by the sha256 of its file bytes; one entry
-# at most.  Keyed on content, so a file rewritten in place is parsed again.
-_LAST_DEM: dict[str, DemGrid] = {}
+# For each parser, the sha256 of the last bytes it parsed and the object it
+# built from them.  Keyed on content, so a file rewritten in place is parsed again.
+_LAST_PARSE: dict[Callable[[bytes, Path], Any], tuple[str, Any]] = {}
 
 
-def _read_dem(path: str | Path) -> tuple[DemGrid, str]:
-    """:func:`load_dem`'s grid, and the sha256 of the file bytes it read."""
+def _read_once(path: str | Path, parse: Callable, error: type[Exception], what: str) -> tuple[Any, str]:
+    """``parse(data, path)`` of the bytes ``data`` of ``path``, and their sha256.
+
+    Bytes equal to those ``parse`` built its last object from give that
+    object again, unparsed; a parse that raised is not stored.  A file
+    that cannot be read raises ``error``, naming it as ``what``.
+    """
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
-        raise DemFormatError(f"cannot read DEM file {path}: {exc}") from exc
+        raise error(f"cannot read {what} {path}: {exc}") from exc
     digest = hashlib.sha256(data).hexdigest()
-    grid = _LAST_DEM.get(digest)
-    if grid is None:
-        grid = _parse_dem(data, path)
-        _LAST_DEM.clear()
-        _LAST_DEM[digest] = grid
-    return grid, digest
+    last = _LAST_PARSE.get(parse)
+    if last is None or last[0] != digest:
+        last = _LAST_PARSE[parse] = (digest, parse(data, path))
+    return last[1], digest
+
+
+def _read_dem(path: str | Path) -> tuple[DemGrid, str]:
+    """:func:`load_dem`'s grid, and the sha256 of the file bytes it read, by :func:`_read_once`."""
+    return _read_once(path, _parse_dem, DemFormatError, "DEM file")
 
 
 def _parse_dem(data: bytes, path: Path) -> DemGrid:
@@ -442,37 +450,29 @@ def _parse_dem(data: bytes, path: Path) -> DemGrid:
         if not math.isfinite(header[key]):
             raise DemFormatError(f"{path}: header line {i + 1}: '{key}' must be finite, got {parts[1]!r}")
 
-    nrows = int(header["nrows"])
-    ncols = int(header["ncols"])
+    nrows, ncols = int(header["nrows"]), int(header["ncols"])
     if nrows != header["nrows"] or ncols != header["ncols"] or nrows < 2 or ncols < 2:
         raise DemFormatError(f"{path}: nrows/ncols must be integers >= 2, got {header['nrows']}, {header['ncols']}")
 
     tokens = " ".join(lines[len(_DEM_HEADER_KEYS):]).split()
     if len(tokens) != nrows * ncols:
-        raise DemFormatError(
-            f"{path}: expected {nrows * ncols} elevation values, found {len(tokens)}"
-        )
-    try:
-        values = np.fromiter(map(float, tokens), float, len(tokens))
-        finite = bool(np.isfinite(values).all())
-    except ValueError:
-        finite = False
-    if not finite:
-        # Token by token again: the first offending one in file order names the error.
-        for k, tok in enumerate(tokens):
-            try:
-                value = float(tok)
-            except ValueError as exc:
-                raise DemFormatError(f"{path}: elevation token {k} is not a number: {tok!r}") from exc
-            if not math.isfinite(value):
-                raise DemFormatError(f"{path}: elevation token {k} is not finite: {tok!r}")
+        raise DemFormatError(f"{path}: expected {nrows * ncols} elevation values, found {len(tokens)}")
+    values = []
+    for k, tok in enumerate(tokens):
+        try:
+            value = float(tok)
+        except ValueError as exc:
+            raise DemFormatError(f"{path}: elevation token {k} is not a number: {tok!r}") from exc
+        if not math.isfinite(value):
+            raise DemFormatError(f"{path}: elevation token {k} is not finite: {tok!r}")
+        values.append(value)
 
     try:
         return DemGrid(
             origin_north=header["origin_north_m"],
             origin_east=header["origin_east_m"],
             cell_size=header["cell_size_m"],
-            elevation=values.reshape(nrows, ncols),
+            elevation=np.array(values).reshape(nrows, ncols),
         )
     except ValueError as exc:
         raise DemFormatError(f"{path}: {exc}") from exc

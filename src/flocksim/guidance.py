@@ -15,8 +15,9 @@ The fleet's paths live in one :class:`FleetPaths` table, which
 detours are spliced into.  The walk, the reference angles, the steering
 commands and the monitor take and return arrays with one element or
 column per vehicle (see :mod:`flocksim.dynamics` for the block layout);
-under ``_ARRAY_MIN_N`` vehicles the walk and the steering commands
-compute per vehicle on Python floats, with the same bits.
+under ``_ARRAY_MIN_N`` vehicles the walk's headings and flag test and
+the steering commands compute per vehicle on Python floats, with the
+same bits.
 """
 
 from __future__ import annotations
@@ -111,9 +112,15 @@ class FleetPaths:
 
     def offsets(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(3, N) offsets from the (6, N) state ``y`` to the active waypoints, and their (N,) distances."""
+        offset, _, distance = self._offset_rows(y)
+        return offset, np.array(distance)
+
+    def _offset_rows(self, y: np.ndarray) -> tuple[np.ndarray, list[list[float]], list[float]]:
+        """:meth:`offsets`, with the offsets also as three lists and the distances as a list."""
         offset = self.active - y[:3]
+        rows = offset.tolist()
         # numpy's hypot differs from math's in the last bit for some inputs.
-        return offset, np.array(list(map(math.hypot, *offset.tolist())))
+        return offset, rows, list(map(math.hypot, *rows))
 
 
 def advance_virtual_target(
@@ -127,47 +134,43 @@ def advance_virtual_target(
     direction.  The walk: test the fleet, move each flagged cursor on by
     one, test again, until nothing is flagged; the last waypoint is never
     passed.  Returns the (3, N) offsets from each vehicle to its active
-    waypoint and their (N,) distances, after the walk.  Under
-    ``_ARRAY_MIN_N`` vehicles ``_walk_floats`` gives the same bits; an
-    infinite angle, which ``math`` rejects, takes the array walk.
+    waypoint and their (N,) distances, after the walk, as
+    :meth:`FleetPaths.offsets` gives them.  Under ``_ARRAY_MIN_N``
+    vehicles the headings (``_headings_floats``) and the flag test run on
+    Python floats, with the same bits; an infinite angle, which ``math``
+    rejects, takes the arrays.
     """
-    if y.shape[1] < dynamics._ARRAY_MIN_N:
-        try:
-            return _walk_floats(paths, y, gp.acceptance_radius)
-        except ValueError:
-            pass
-    # numpy's cos and sin give math's bits.
-    cos, sin = np.cos(y[3:5]), np.sin(y[3:5])
-    heading = (cos[1] * cos[0], cos[1] * sin[0], sin[1])
-    while True:
-        offset, distance = paths.offsets(y)
-        along = offset[0] * heading[0] + offset[1] * heading[1] + offset[2] * heading[2]
-        flagged = paths.movable & ((distance <= gp.acceptance_radius) | (along < 0.0))
-        if not flagged.any():
-            return offset, distance
-        for i in flagged.nonzero()[0].tolist():
-            paths.cursor[i] += 1
-            paths._refresh(i)
-
-
-def _walk_floats(paths: FleetPaths, y: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """The walk of ``advance_virtual_target``, its heading and flag test per vehicle on Python floats."""
-    cos, sin, hypot = math.cos, math.sin, math.hypot
-    rows = y.tolist()
+    radius = gp.acceptance_radius
     # Every angle goes through math before a cursor moves, so a rejected one moves none.
-    heading = [(cos(g) * cos(x), cos(g) * sin(x), sin(g)) for x, g in zip(rows[3], rows[4])]
+    try:
+        heading = _headings_floats(y) if y.shape[1] < dynamics._ARRAY_MIN_N else None
+    except ValueError:
+        heading = None
+    if heading is None:
+        # numpy's cos and sin give math's bits.
+        cos, sin = np.cos(y[3:5]), np.sin(y[3:5])
+        u_n, u_e, u_h = cos[1] * cos[0], cos[1] * sin[0], sin[1]
     while True:
-        offset = paths.active - y[:3]
-        dn, de, dh = offset.tolist()
-        distance = list(map(hypot, dn, de, dh))
-        flagged = [i for i, (o_n, o_e, o_h, d, (u_n, u_e, u_h), m) in enumerate(
-                   zip(dn, de, dh, distance, heading, paths.movable.tolist()))
-                   if m and (d <= radius or o_n * u_n + o_e * u_e + o_h * u_h < 0.0)]
+        offset, rows, distance = paths._offset_rows(y)
+        if heading is None:
+            distance = np.array(distance)
+            along = offset[0] * u_n + offset[1] * u_e + offset[2] * u_h
+            flagged = (paths.movable & ((distance <= radius) | (along < 0.0))).nonzero()[0].tolist()
+        else:
+            flagged = [i for i, (o_n, o_e, o_h, d, (h_n, h_e, h_h), m) in enumerate(
+                       zip(*rows, distance, heading, paths.movable.tolist()))
+                       if m and (d <= radius or o_n * h_n + o_e * h_e + o_h * h_h < 0.0)]
         if not flagged:
-            return offset, np.array(distance)
+            return offset, np.asarray(distance)
         for i in flagged:
             paths.cursor[i] += 1
             paths._refresh(i)
+
+
+def _headings_floats(y: np.ndarray) -> list[tuple[float, float, float]]:
+    """Each vehicle's unit velocity direction on Python floats; an infinite angle raises ``ValueError``."""
+    cos, sin = math.cos, math.sin
+    return [(cos(g) * cos(x), cos(g) * sin(x), sin(g)) for x, g in zip(*y[3:5].tolist())]
 
 
 def reference_angles(offset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import functools
-import hashlib
 import inspect
 import itertools
 import json
@@ -50,7 +49,8 @@ from .dynamics import (
     step_autopilot,
     step_kinematics,
 )
-from .geo import DemFormatError, DemGrid, Obstacle, Point3, _path_length, _read_dem, distance3, segment_obstructed
+from .geo import (DemFormatError, DemGrid, Obstacle, Point3, _path_length, _read_dem, _read_once, distance3,
+                  segment_obstructed)
 from .guidance import (
     FleetPaths,
     GuidanceParams,
@@ -272,11 +272,6 @@ _UNSIGNED_EXPONENT = re.compile(r"([-+]?)(?=\.?\d)(\d*)\.?(\d*)[eE](\d+)")
 # documents as the pure-Python SafeLoader, about eight times faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-# The last scenario document parsed, keyed by the sha256 of its file bytes;
-# one entry at most, as geo._LAST_DEM.  The loader only reads it, and no
-# Scenario holds a mutable part of it.
-_LAST_DOC: dict[str, Any] = {}
-
 # No array above this many bytes can be addressed, so the loader refuses a
 # run log or a replan sample block that ``run`` could never allocate.
 _MAX_ARRAY_BYTES = 2**47
@@ -378,16 +373,25 @@ def _tick_count(duration: float, dt: float) -> int:
     return int(round(duration / dt))
 
 
-def _waypoint(row: Any, ctx: str) -> Point3:
-    if (
-        not isinstance(row, (list, tuple))
-        or len(row) != 3
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row)
-    ):
-        raise ScenarioError(f"{ctx}: expected [north_m, east_m, height_m], got {row!r}")
-    if any(not abs(v) <= sys.float_info.max for v in row):
-        raise ScenarioError(f"{ctx}: waypoint components must be finite, got {row!r}")
-    return Point3(float(row[0]), float(row[1]), float(row[2]))
+def _row(row: Any, keys: tuple[str, ...], ctx: str) -> dict[str, Any]:
+    """The list ``row`` as a mapping from ``keys``, for ``_value`` to read."""
+    if not isinstance(row, (list, tuple)) or len(row) != len(keys):
+        raise ScenarioError(f"{ctx}: expected [{', '.join(keys)}], got {row!r}")
+    return dict(zip(keys, row))
+
+
+def _parse_yaml(data: bytes, path: Path) -> Any:
+    """The YAML document in scenario file bytes ``data``; errors name ``path``.
+
+    ``geo._read_once`` keeps the document: the loader only reads it, and no
+    ``Scenario`` holds a mutable part of it.
+    """
+    try:
+        return yaml.load(data.decode(), Loader=_YAML_LOADER)
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -400,31 +404,18 @@ def load_scenario(path: str | Path) -> Scenario:
     vehicle outside the fleet, a run log or replan sample block too large
     for ``run`` to allocate) raises
     :class:`ScenarioError` naming the offending field. Omitted optional
-    keys take the defaults of the param dataclasses. The terrain is read
-    as :func:`~flocksim.geo.load_dem` reads it, so scenarios whose DEM
-    files hold identical bytes share one immutable grid.
+    keys take the defaults of the param dataclasses, and every number, in
+    a list row too, is read by one rule.
 
-    ``source_sha256`` is the sha256 of the file's bytes. When they equal
-    the bytes parsed last, at any path, their YAML document is not parsed
-    again; the terrain is still read and every field validated on each
-    call, and each call returns a new ``Scenario``.
+    ``source_sha256`` is the sha256 of the file's bytes. The file and its
+    terrain are read as ``geo._read_once`` reads them: bytes equal to the
+    last it parsed as YAML, or as a DEM, at any path, are not parsed
+    again, so scenarios over identical DEM bytes share one immutable grid.
+    Every field is still validated on each call, and each call returns a
+    new ``Scenario``.
     """
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    source_sha256 = hashlib.sha256(data).hexdigest()
-    root = _LAST_DOC.get(source_sha256)
-    if root is None:
-        try:
-            root = yaml.load(data.decode(), Loader=_YAML_LOADER)
-        except UnicodeDecodeError as exc:
-            raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
-        _LAST_DOC.clear()
-        _LAST_DOC[source_sha256] = root
+    root, source_sha256 = _read_once(path, _parse_yaml, ScenarioError, "scenario")
     root = _expect_mapping(root, str(path))
 
     dem_rel = _get(root, "dem_file", "scenario")
@@ -457,9 +448,7 @@ def load_scenario(path: str | Path) -> Scenario:
     windows = []
     for k, row in enumerate(rows):
         ctx = f"scenario.comm.dropout_schedule[{k}]"
-        if not isinstance(row, (list, tuple)) or len(row) != 4:
-            raise ScenarioError(f"{ctx}: expected [start_s, end_s, uav_a, uav_b], got {row!r}")
-        windows.append(_section(DropoutWindow, dict(zip(_KEYS[DropoutWindow], row)), ctx))
+        windows.append(_section(DropoutWindow, _row(row, _KEYS[DropoutWindow], ctx), ctx))
     comm = _section(CommConfig, m_node, "scenario.comm", other_keys=("dropout_schedule",),
                     dropout_schedule=tuple(windows))
 
@@ -469,13 +458,9 @@ def load_scenario(path: str | Path) -> Scenario:
     w_node = _expect_mapping(root.get("wind", {}), "scenario.wind")
     ambient = {}
     if "ambient_mps" in w_node:
-        row = w_node["ambient_mps"]
-        if not isinstance(row, (list, tuple)) or len(row) != 3:
-            raise ScenarioError(
-                f"scenario.wind.ambient_mps: expected [north, east, up] m/s, got {row!r}"
-            )
-        axes = dict(zip(("north", "east", "up"), row))
-        ambient["ambient"] = tuple(_value(axes, a, "scenario.wind.ambient_mps") for a in axes)
+        ctx = "scenario.wind.ambient_mps"
+        axes = _row(w_node["ambient_mps"], ("north", "east", "up"), ctx)
+        ambient["ambient"] = tuple(_value(axes, a, ctx) for a in axes)
     wind = _section(WindParams, w_node, "scenario.wind", other_keys=("ambient_mps",), **ambient)
 
     obstacle = None
@@ -527,7 +512,11 @@ def load_scenario(path: str | Path) -> Scenario:
         wp_rows = _get(row, "waypoints", ctx)
         if not isinstance(wp_rows, list):
             raise ScenarioError(f"{ctx}.waypoints: expected a list of [n, e, h] rows")
-        waypoints = [_waypoint(wp, f"{ctx}.waypoints[{j}]") for j, wp in enumerate(wp_rows)]
+        waypoints = []
+        for j, wp in enumerate(wp_rows):
+            wp_ctx = f"{ctx}.waypoints[{j}]"
+            wp = _row(wp, _KEYS[Point3], wp_ctx)
+            waypoints.append(Point3(*[_value(wp, key, wp_ctx) for key in wp]))
         if len(waypoints) < 2:
             raise ScenarioError(f"{ctx}.waypoints: path needs at least 2 waypoints, got {len(waypoints)}")
         for j in range(len(waypoints) - 1):

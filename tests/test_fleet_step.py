@@ -314,7 +314,7 @@ class TestKinematicKernels:
 
     @pytest.mark.parametrize("name", ("reference_4uav", "reference_4uav_dropout"))
     def test_small_fleet_runs_never_take_the_array_step(self, name, scenario_dir, monkeypatch):
-        # An ordinary input that raised in _rk4_floats, _walk_floats or
+        # An ordinary input that raised in _rk4_floats, _headings_floats or
         # _commands_floats would fall back to the array path with the same
         # bytes and only the speed lost.
         calls = []
@@ -333,7 +333,7 @@ class TestKinematicKernels:
             return wrapped
 
         monkeypatch.setattr(dynamics, "_rk4_arrays", spy)
-        for kernel in ("_walk_floats", "_commands_floats"):
+        for kernel in ("_headings_floats", "_commands_floats"):
             monkeypatch.setattr(guidance, kernel, raising(getattr(guidance, kernel)))
         run(load_scenario(f"{scenario_dir}/{name}.yaml"))
         assert not calls, f"{len(calls)} array steps"
@@ -513,7 +513,7 @@ class TestSteeringKernels:
         y[row, n // 2] = value
         waypoints = [[(60.0, 30.0, 100.0), (900.0, 400.0, 100.0)]] * n
         with pytest.raises(ValueError):
-            guidance._walk_floats(FleetPaths(waypoints), y, 40.0)
+            guidance._headings_floats(y)
         want = walk_outcome(ARRAYS, waypoints, None, y, GuidanceParams())
         assert want[0][1], "numpy did not warn"
         assert walk_outcome(FLOATS, waypoints, None, y, GuidanceParams()) == want

@@ -41,7 +41,9 @@ from flocksim import (
     WindParams,
     compute_metrics,
     export,
+    geo,
     harness,
+    load_dem,
     load_scenario,
     run,
     save_dem,
@@ -255,7 +257,7 @@ def loaded(scenario, *ignore):
 @pytest.fixture
 def yaml_loads(monkeypatch):
     """Count the YAML parses, from an empty parse store."""
-    monkeypatch.setattr(harness, "_LAST_DOC", {})
+    monkeypatch.setattr(geo, "_LAST_PARSE", {})
     calls = []
     parse = yaml.load
 
@@ -317,7 +319,7 @@ class TestScenarioParseReuse:
             with pytest.raises(ScenarioError, match="not valid YAML"):
                 load_scenario(bad)
         assert len(yaml_loads) == 2
-        assert harness._LAST_DOC == {}
+        assert geo._LAST_PARSE == {}
 
     def test_invalid_document_raises_the_same_message_on_every_load(self, make_scenario_file, yaml_loads):
         path = make_scenario_file(limits={"v_g_min_mps": 19.0})
@@ -332,7 +334,7 @@ class TestScenarioParseReuse:
     @pytest.mark.parametrize("name", ["reference_4uav", "reference_4uav_dropout", "fleet_13", "mini"])
     def test_validation_leaves_the_stored_document_as_parsed(self, scenario_dir, make_scenario_file, name,
                                                            monkeypatch):
-        monkeypatch.setattr(harness, "_LAST_DOC", {})
+        monkeypatch.setattr(geo, "_LAST_PARSE", {})
         if name == "mini":
             # Root and vehicle limits are merged, and the obstacle and wind blocks read.
             uav = {**MINI_SCENARIO["uavs"][0], "limits": {"v_g_max_mps": 17.0}}
@@ -341,7 +343,32 @@ class TestScenarioParseReuse:
             path = Path(scenario_dir) / f"{name}.yaml"
         scenario = load_scenario(path)
         data = path.read_bytes()
-        assert harness._LAST_DOC == {scenario.source_sha256: yaml.load(data.decode(), Loader=harness._YAML_LOADER)}
+        document = yaml.load(data.decode(), Loader=harness._YAML_LOADER)
+        assert geo._LAST_PARSE[harness._parse_yaml] == (scenario.source_sha256, document)
+
+    def test_other_terrain_bytes_leave_the_document_parsed_once(self, make_scenario_file, tmp_path, yaml_loads):
+        path = make_scenario_file()
+        first = load_scenario(path)
+        save_dem(DemGrid(0.0, 0.0, 10.0, np.full((3, 3), 7.0)), tmp_path / "other.dem")
+        assert load_dem(tmp_path / "other.dem").elevation.tolist() == np.full((3, 3), 7.0).tolist()
+        second = load_scenario(path)
+        assert len(yaml_loads) == 1
+        assert loaded(first, "dem") == loaded(second, "dem")
+
+    def test_other_scenario_over_the_same_terrain_reuses_its_grid(self, make_scenario_file, monkeypatch):
+        monkeypatch.setattr(geo, "_LAST_PARSE", {})
+        dem_parses = []
+        parse = geo._parse_dem
+
+        def counted(data, path):
+            dem_parses.append(path)
+            return parse(data, path)
+
+        monkeypatch.setattr(geo, "_parse_dem", counted)
+        first = load_scenario(make_scenario_file())
+        second = load_scenario(make_scenario_file(name="other", duration_s=90.0))
+        assert first.source_sha256 != second.source_sha256 and second.duration == 90.0
+        assert len(dem_parses) == 1 and second.dem is first.dem
 
     def test_crlf_copy_hashes_its_bytes_and_loads_like_the_lf_file(self, scenario_dir, tmp_path):
         lf = Path(scenario_dir) / "reference_4uav.yaml"
@@ -522,7 +549,7 @@ class TestScenarioSchema:
             (
                 ("uavs", 0, "waypoints", 0),
                 [10**400, 0.0, 110.0],
-                r"scenario\.uavs\[0\]\.waypoints\[0\]: waypoint components must be finite",
+                r"scenario\.uavs\[0\]\.waypoints\[0\]\.north_m: must be finite",
             ),
         ],
         ids=["field", "waypoint"],
@@ -563,6 +590,36 @@ class TestScenarioSchema:
         with pytest.raises(ScenarioError) as info:
             load_variant(make_scenario_file, ("wind", "ambient_mps"), ambient)
         assert str(info.value) == f"scenario.wind.ambient_mps.{message}"
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (REMOVE, ": expected [{keys}], got {row!r}"),
+            (True, ".{key}: expected a number, got True"),
+            ("north", ".{key}: expected a number, got 'north'"),
+            ("1e3", ".{key}: expected a number, got '1e3' (YAML reads an exponent without a sign as text;"
+                    " write 1.0e+3)"),
+            (math.inf, ".{key}: must be finite, got inf"),
+        ],
+        ids=["short", "bool", "text", "unsigned-exponent", "infinite"],
+    )
+    @pytest.mark.parametrize(
+        "path, ctx, keys, row",
+        [
+            (("uavs", 0, "waypoints", 0), "scenario.uavs[0].waypoints[0]", ("north_m", "east_m", "height_m"),
+             [-300.0, 0.0, 110.0]),
+            (("comm", "dropout_schedule"), "scenario.comm.dropout_schedule[0]",
+             ("start_s", "end_s", "uav_a", "uav_b"), [0.0, 10.0, 0, 0]),
+            (("wind", "ambient_mps"), "scenario.wind.ambient_mps", ("north", "east", "up"), [0.0, 0.0, 0.0]),
+        ],
+        ids=["waypoint", "dropout", "ambient"],
+    )
+    def test_list_row_values_follow_the_number_rules(self, make_scenario_file, path, ctx, keys, row, value, message):
+        # REMOVE drops the row's last value; any other value replaces its first.
+        row = row[:-1] if value is REMOVE else [value, *row[1:]]
+        with pytest.raises(ScenarioError) as info:
+            load_variant(make_scenario_file, path, [row] if path[-1] == "dropout_schedule" else row)
+        assert str(info.value) == ctx + message.format(keys=", ".join(keys), row=row, key=keys[0])
 
     def test_int_field_of_a_named_tuple_loads_as_an_int(self, monkeypatch):
         class Counted(NamedTuple):

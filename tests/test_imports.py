@@ -1,5 +1,6 @@
 """Static checks over the source: no unused imports, no dangling ``__all__`` entries,
-no third-party import that ``pyproject.toml`` does not declare.
+no third-party import that ``pyproject.toml`` does not declare, and no syntax
+newer than the Python that its ``requires-python`` names as the minimum.
 
 They work on the syntax tree and the installed packages' metadata, so they
 need nothing beyond the standard library and run no module code.
@@ -16,6 +17,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "flocksim"
 CHECKED = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
+# The (major, minor) minimum of requires-python; read by pattern, since tomllib is newer than 3.10.
+FLOOR = tuple(map(int, re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', (ROOT / "pyproject.toml").read_text(),
+                                 re.M).groups()))
+
+
+def _parse(path: Path) -> ast.Module:
+    """The syntax tree of ``path``; syntax newer than Python ``FLOOR`` raises ``SyntaxError``."""
+    return ast.parse(path.read_text(), filename=str(path), feature_version=FLOOR)
 
 
 def _ids(paths):
@@ -59,9 +68,18 @@ def _bound_at_top_level(tree: ast.Module) -> set[str]:
     return names
 
 
+def test_floor_parse_rejects_newer_syntax():
+    assert FLOOR == (3, 10)
+    newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # exception groups: Python 3.11
+    if sys.version_info >= (3, 11):
+        ast.parse(newer)
+    with pytest.raises(SyntaxError):
+        ast.parse(newer, feature_version=FLOOR)
+
+
 @pytest.mark.parametrize("path", CHECKED, ids=_ids(CHECKED))
 def test_every_import_is_used(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = _parse(path)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(_literal_all(tree))
     unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
@@ -72,7 +90,7 @@ SUBMODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 @pytest.mark.parametrize("path", SUBMODULES, ids=_ids(SUBMODULES))
 def test_all_entries_are_bound_at_top_level(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = _parse(path)
     unbound = sorted(set(_literal_all(tree)) - _bound_at_top_level(tree))
     assert not unbound, f"{path.name} lists names in __all__ that it never binds: {unbound}"
 
@@ -93,7 +111,7 @@ PACKAGE_FILES = sorted(PACKAGE.glob("*.py"))
 
 @pytest.mark.parametrize("path", PACKAGE_FILES, ids=_ids(PACKAGE_FILES))
 def test_third_party_imports_are_declared_dependencies(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = _parse(path)
     modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level}
     third_party = {m.partition(".")[0] for m in modules} - set(sys.stdlib_module_names) - {"flocksim"}
