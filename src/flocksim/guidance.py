@@ -112,15 +112,9 @@ class FleetPaths:
 
     def offsets(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(3, N) offsets from the (6, N) state ``y`` to the active waypoints, and their (N,) distances."""
-        offset, _, distance = self._offset_rows(y)
-        return offset, np.array(distance)
-
-    def _offset_rows(self, y: np.ndarray) -> tuple[np.ndarray, list[list[float]], list[float]]:
-        """:meth:`offsets`, with the offsets also as three lists and the distances as a list."""
         offset = self.active - y[:3]
-        rows = offset.tolist()
         # numpy's hypot differs from math's in the last bit for some inputs.
-        return offset, rows, list(map(math.hypot, *rows))
+        return offset, np.array(list(map(math.hypot, *offset.tolist())))
 
 
 def advance_virtual_target(
@@ -151,14 +145,16 @@ def advance_virtual_target(
         cos, sin = np.cos(y[3:5]), np.sin(y[3:5])
         u_n, u_e, u_h = cos[1] * cos[0], cos[1] * sin[0], sin[1]
     while True:
-        offset, rows, distance = paths._offset_rows(y)
+        offset = paths.active - y[:3]
+        dn, de, dh = offset.tolist()
+        distance = list(map(math.hypot, dn, de, dh))
         if heading is None:
             distance = np.array(distance)
             along = offset[0] * u_n + offset[1] * u_e + offset[2] * u_h
             flagged = (paths.movable & ((distance <= radius) | (along < 0.0))).nonzero()[0].tolist()
         else:
             flagged = [i for i, (o_n, o_e, o_h, d, (h_n, h_e, h_h), m) in enumerate(
-                       zip(*rows, distance, heading, paths.movable.tolist()))
+                       zip(dn, de, dh, distance, heading, paths.movable.tolist()))
                        if m and (d <= radius or o_n * h_n + o_e * h_e + o_h * h_h < 0.0)]
         if not flagged:
             return offset, np.asarray(distance)

@@ -296,13 +296,18 @@ def _get(node: dict, key: str, ctx: str) -> Any:
     return node[key]
 
 
-def _value(
-    node: dict, key: str, ctx: str, default: Any = inspect.Parameter.empty, integer: bool = False
-) -> Any:
+# No default: the marker ``inspect.signature`` gives a required parameter.
+_ABSENT = inspect.Parameter.empty
+# A number beyond this magnitude (or NaN) is not a finite float.
+_FLOAT_MAX = sys.float_info.max
+
+
+def _value(node: dict, key: str, ctx: str, default: Any = _ABSENT, integer: bool = False) -> Any:
     """``node[key]`` as a finite float, or as an int when ``integer``."""
-    if key not in node and default is not inspect.Parameter.empty:
+    if (value := node.get(key, _ABSENT)) is _ABSENT:
+        if default is _ABSENT:
+            raise ScenarioError(f"{ctx}: missing required field '{key}'")
         return default
-    value = _get(node, key, ctx)
     if integer:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ScenarioError(f"{ctx}.{key}: expected an integer, got {value!r}")
@@ -314,7 +319,7 @@ def _value(
             hint = (f" (YAML reads an exponent without a sign as text;"
                     f" write {sign}{whole or 0}.{fraction or 0}e+{exponent})")
         raise ScenarioError(f"{ctx}.{key}: expected a number, got {value!r}{hint}")
-    if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int too large for a float
+    if not abs(value) <= _FLOAT_MAX:  # NaN, inf, or an int too large for a float
         raise ScenarioError(f"{ctx}.{key}: must be finite, got {value!r}")
     return float(value)
 

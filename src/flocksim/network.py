@@ -1,31 +1,30 @@
 """Range-limited peer network: topology from geometry, one-tick delivery.
 
 Admission rule: vehicle i admits peer j when their distance ``d`` (from
-``math.hypot``) satisfies ``d <= r_com`` and no active dropout window
-``[start_s, end_s)`` names the pair in either order.  Admitted peers get
-strength ``gamma_signal / d`` (inf when coincident), are sorted by
-(-strength, peer), and the first ``c_max`` are kept.  Because the cap is
-applied per vehicle, admission can be asymmetric: i may keep j while j's
-list is already full of closer peers.
+``math.hypot``) satisfies ``d <= r_com``, which NaN fails, and no active
+dropout window ``[start_s, end_s)`` names the pair in either order.
+Admitted peers get strength ``gamma_signal / d`` (inf when coincident),
+are sorted by (-strength, peer), and the first ``c_max`` are kept.
+Because the cap is applied per vehicle, admission can be asymmetric: i
+may keep j while j's list is already full of closer peers.
 
-Below ``_SCREEN_MIN_N`` vehicles a pair loop applies that rule
-directly, since numpy's fixed cost per call exceeds the whole loop.
-From ``_SCREEN_MIN_N`` up, one numpy pass screens the pairs: the (3, N, N)
-block of differences p_j - p_i gives the squared distances, and a pair
-stays when it is in range and within a margin of its row's c_max-th
-smallest (``np.partition``), or closer than 1 m, so the near-coincident
-warning still fires.  The kept pairs are flat indices into the block
-(``np.flatnonzero``), in (i, j) order, and the rule runs over them:
-``math.hypot`` on the gathered differences, range rejection, warnings
-in (i, j) order and strengths ``gamma_signal / d``.  Only when some
-vehicle has more than ``c_max`` candidates (ties, or pairs under 1 m)
-does one ``np.lexsort`` by (vehicle, -strength, peer) cut each list at
-``c_max``; otherwise the candidates already are the table.  The screen
-only prunes and every float comes from the same operation, so both
-paths give identical graphs and warnings.  The dropout schedule is
-compiled to arrays once, in ``CommConfig``, so a tick that crosses a
-window boundary finds the blocked pairs with one vectorised interval
-test instead of checking every window for every pair.
+Below ``_SCREEN_MIN_N`` vehicles a pair loop applies that rule, since
+numpy's fixed cost per call exceeds the whole loop.  It measures each
+unordered pair once: IEEE subtraction is sign-symmetric and
+``math.hypot`` reads magnitudes, so one distance, range test and
+strength serve both rows.  From ``_SCREEN_MIN_N`` up, one numpy pass
+screens the pairs: the (3, N, N) block of differences p_j - p_i gives
+the squared distances, and a pair stays when it is in range and within
+a margin of its row's c_max-th smallest (``np.partition``), or closer
+than 1 m.  The rule then runs over the kept pairs, flat indices into
+the block in (i, j) order: ``math.hypot`` on the gathered differences,
+range rejection and strengths; one ``np.lexsort`` by (vehicle,
+-strength, peer) cuts the lists only when some vehicle has more than
+``c_max`` candidates (ties, or pairs under 1 m).  Every float comes
+from the same operation and both paths warn of pairs under 1 m in
+(i, j) order, so their graphs and warnings are identical.  The dropout
+schedule is compiled to arrays once, in ``CommConfig``: a tick that
+crosses a window boundary finds the blocked pairs in one vectorised test.
 
 A tick's topology is a ``CommGraph``: each vehicle's admitted links as
 one row of an (N, w) peer table and an (N, w) strength table, in
@@ -40,6 +39,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,11 +54,12 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 # Fleet size from which build_topology screens candidates with numpy;
-# below it the scalar pair loop is cheaper than numpy's per-call cost.
-_SCREEN_MIN_N = 10
+# below it the scalar pair loop is cheaper (measured crossover, N 11-12).
+_SCREEN_MIN_N = 12
 # Relative slack on squared distances in the screen, far above the
 # rounding gap between numpy's squared sums and math.hypot.
 _SCREEN_MARGIN = 1e-9
+_PEER = operator.itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -161,26 +162,35 @@ def build_topology(positions: np.ndarray, config: CommConfig, now: float) -> Com
         return _rank_screened(positions, config, now)
     north, east, height = positions.tolist()
     blocked = config._blocked_pairs(now, n)[2] if config.dropout_schedule else frozenset()
-    width = max(1, min(config.c_max, n - 1))
-    peer, strength = [], []
-    for i in range(n):
-        # (-strength, peer): ascending order is the admission rank
-        ranked: list[tuple[float, int]] = []
-        for j in range(n):
-            if j == i or (i, j) in blocked:
+    r_com, gamma, c_max = config.r_com, config.gamma_signal, config.c_max
+    # Entries (-strength, peer, strength): ascending order is the admission rank.
+    ranked, near = [[] for _ in north], []
+    for i in range(n - 1):
+        ni, ei, hi, row = north[i], east[i], height[i], ranked[i]
+        for j in range(i + 1, n):
+            if (i, j) in blocked:
                 continue
-            d = math.hypot(north[j] - north[i], east[j] - east[i], height[j] - height[i])
-            if d > config.r_com:
+            d = math.hypot(north[j] - ni, east[j] - ei, height[j] - hi)
+            if not d <= r_com:  # NaN is out of range
                 continue
             if d < 1.0:
-                _warn_near(i, j, d)
-            ranked.append((-config.gamma_signal / d if d > 0.0 else -math.inf, j))
-        ranked.sort()
-        links = sorted((j, -s) for s, j in ranked[: config.c_max])
-        pad = width - len(links)
-        peer.append([j for j, _ in links] + [i] * pad)
-        strength.append([s for _, s in links] + [0.0] * pad)
-    return CommGraph(peer=np.array(peer), strength=np.array(strength))
+                near += (i, j, d), (j, i, d)
+            s = gamma / d if d > 0.0 else math.inf
+            row.append((-s, j, s))
+            ranked[j].append((-s, i, s))
+    for i, j, d in sorted(near):
+        _warn_near(i, j, d)
+    width = max(1, min(c_max, n - 1))
+    kept = []
+    for i, row in enumerate(ranked):
+        row.sort()
+        del row[c_max:]
+        row.sort(key=_PEER)
+        kept += row
+        if len(row) < width:
+            kept += [(0.0, i, 0.0)] * (width - len(row))
+    _, peer, strength = zip(*kept)
+    return CommGraph(peer=np.array(peer).reshape(n, width), strength=np.array(strength).reshape(n, width))
 
 
 def _warn_near(i: int, j: int, d: float) -> None:

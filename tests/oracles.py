@@ -214,8 +214,9 @@ def topology_oracle(positions, config, now):
     """Scalar per-pair topology at time ``now``: every pair, every dropout window.
 
     ``positions`` is the (3, N) north, east, height block.  The admission
-    rule written out in full: a peer in range (``d <= r_com``) whose link
-    no active window ``[start_s, end_s)`` names in either order is admitted
+    rule written out in full: a peer in range (``d <= r_com``, which a NaN
+    distance fails) whose link no active window ``[start_s, end_s)`` names
+    in either order is admitted
     with strength ``gamma / d`` (inf when coincident); each list is sorted
     by (-strength, peer), cut at ``c_max`` and returned as (peer, strength)
     pairs in ascending peer order.  Warnings for pairs closer than 1 m go
@@ -234,7 +235,7 @@ def topology_oracle(positions, config, now):
                 continue
             a, b = points[i], points[j]
             d = math.hypot(b.north - a.north, b.east - a.east, b.height - a.height)
-            if d > config.r_com:
+            if not d <= config.r_com:
                 continue
             if any(
                 {i, j} == {w.uav_a, w.uav_b} and w.start_s <= now < w.end_s

@@ -17,6 +17,7 @@ from flocksim import (
     consensus_rate,
     deliver,
 )
+from flocksim import network
 from flocksim.network import _SCREEN_MIN_N
 from flocksim.presets import fleet_scenario_dict
 
@@ -249,6 +250,18 @@ class TestTopologyMatchesOracle:
         assert_matches_oracle(caplog, at_km(0), CommConfig(), 0)
 
     @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_nan_coordinate_is_out_of_range(self, caplog, n, axis):
+        # a NaN distance fails d <= r_com: the vehicle keeps no link and is
+        # no one's peer, on both sides of the screen
+        positions = lattice(n)
+        positions[axis, 2] = math.nan
+        graph = assert_matches_oracle(caplog, positions, CommConfig(r_com=2000.0, c_max=2), 0)
+        assert graph.neighbors[2] == ()
+        assert not any(2 in peers(graph, i) for i in range(n))
+        assert all(graph.neighbors[i] for i in range(n) if i != 2)
+
+    @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("now", [9, 10, 19, 20])
     def test_window_edges(self, caplog, n, now):
         windows = (DropoutWindow(10.0, 20.0, 0, 1), DropoutWindow(10.0, 20.0, 2, 1))
@@ -302,7 +315,7 @@ class TestTopologyMatchesOracle:
         assert_matches_oracle(caplog, positions, config, 0)
         assert "near-coincident" in caplog.text
 
-    @pytest.mark.parametrize("n", [10, 23, 41, 60])
+    @pytest.mark.parametrize("n", [_SCREEN_MIN_N, 23, 41, 60])
     @pytest.mark.parametrize("tied", [True, False])
     @pytest.mark.parametrize("c_max", [1, 2])
     @pytest.mark.parametrize("r_com", [1500.0, 30_000.0])
@@ -360,6 +373,35 @@ class TestTopologyMatchesOracle:
         tick = data.draw(st.integers(0, 16), label="tick")
         dt = data.draw(st.sampled_from([1.0, 0.5]), label="dt")
         assert_matches_oracle(caplog, positions, config, tick * dt)
+
+
+class CountingMath:
+    """``math`` with a count of its ``hypot`` calls."""
+
+    def __init__(self):
+        self.hypot_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def hypot(self, *coordinates):
+        self.hypot_calls += 1
+        return math.hypot(*coordinates)
+
+
+class TestPairLoop:
+    @pytest.mark.parametrize("n", range(1, _SCREEN_MIN_N))
+    @pytest.mark.parametrize("windows", [(), (DropoutWindow(5.0, 9.0, 0, 1),)])
+    def test_one_hypot_per_unordered_pair(self, monkeypatch, n, windows):
+        # each pair's distance serves both rows; the window is not active
+        spy = CountingMath()
+        monkeypatch.setattr(network, "math", spy)
+        positions = lattice(n)
+        config = CommConfig(r_com=2500.0, c_max=2, dropout_schedule=windows)
+        graph = build_topology(positions, config, 1.0)
+        assert spy.hypot_calls == n * (n - 1) // 2
+        monkeypatch.undo()
+        assert graph.neighbors == topology_oracle(positions, config, 1.0)
 
 
 class TestLinkCount:
