@@ -18,13 +18,18 @@ the squared distances, and a pair stays when it is in range and within
 a margin of its row's c_max-th smallest (``np.partition``), or closer
 than 1 m.  The rule then runs over the kept pairs, flat indices into
 the block in (i, j) order: ``math.hypot`` on the gathered differences,
-range rejection and strengths; one ``np.lexsort`` by (vehicle,
--strength, peer) cuts the lists only when some vehicle has more than
-``c_max`` candidates (ties, or pairs under 1 m).  Every float comes
-from the same operation and both paths warn of pairs under 1 m in
-(i, j) order, so their graphs and warnings are identical.  The dropout
-schedule is compiled to arrays once, in ``CommConfig``: a tick that
-crosses a window boundary finds the blocked pairs in one vectorised test.
+range rejection (when some pair is out of range) and strengths; one
+``np.lexsort`` by (vehicle, -strength, peer) cuts the lists only when
+some vehicle has more than ``c_max`` candidates (ties, or pairs under
+1 m).  When every row is full, as on each tick of a fleet in mutual
+range, the kept pairs reshaped are the tables; a short row (range,
+dropout, a NaN vehicle) takes a padding scatter.  Only a tick with a
+pair under 1 m runs the warnings and the zero-distance guard.  At N=104
+a call takes about 150 us on recorded ticks, 155-170 us inside a run.
+Every float comes from the same operation and both paths warn of pairs
+under 1 m in (i, j) order, so their graphs and warnings are identical.
+The dropout schedule is compiled to arrays once, in ``CommConfig``: a
+tick that crosses a window boundary finds the blocked pairs in one test.
 
 A tick's topology is a ``CommGraph``: each vehicle's admitted links as
 one row of an (N, w) peer table and an (N, w) strength table, in
@@ -53,8 +58,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Fleet size from which build_topology screens candidates with numpy;
-# below it the scalar pair loop is cheaper (measured crossover, N 11-12).
+# Fleet size from which build_topology screens candidates with numpy,
+# below it the pair loop.  Per call the screen is cheaper from N 10-11,
+# but whole fleet_10 runs tie and fleet_13 runs favour it.
 _SCREEN_MIN_N = 12
 # Relative slack on squared distances in the screen, far above the
 # rounding gap between numpy's squared sums and math.hypot.
@@ -233,12 +239,16 @@ def _rank_screened(positions: np.ndarray, config: CommConfig, now: float) -> Com
     flat = np.flatnonzero(d2 <= limit)
     d = np.fromiter(map(math.hypot, *diff.reshape(3, -1)[:, flat].tolist()), float, len(flat))
     admitted = d <= config.r_com
-    flat, d = flat[admitted], d[admitted]
+    if not admitted.all():
+        flat, d = flat[admitted], d[admitted]
     rows, cols = np.divmod(flat, n)
     near = np.flatnonzero(d < 1.0)
-    for i, j, dist in zip(rows[near].tolist(), cols[near].tolist(), d[near].tolist()):
-        _warn_near(i, j, dist)
-    with np.errstate(divide="ignore"):
+    if near.size:  # a zero distance is one of these pairs
+        for i, j, dist in zip(rows[near].tolist(), cols[near].tolist(), d[near].tolist()):
+            _warn_near(i, j, dist)
+        with np.errstate(divide="ignore"):
+            strength = config.gamma_signal / d
+    else:
         strength = config.gamma_signal / d
     # Usually no row has more than c_max candidates, and sorting would
     # only return them in the order they already have.
@@ -250,6 +260,10 @@ def _rank_screened(positions: np.ndarray, config: CommConfig, now: float) -> Com
         kept[order] = _slot(rows[order]) < c_max
         rows, cols, strength = rows[kept], cols[kept], strength[kept]
     width = max(1, min(c_max, n - 1))
+    if len(cols) == n * width:
+        # No row holds more than width links, so every row is full and
+        # the pairs, in (row, col) order, already are the tables.
+        return CommGraph(peer=cols.reshape(n, width), strength=strength.reshape(n, width))
     peer = np.repeat(np.arange(n)[:, None], width, axis=1)
     table = np.zeros((n, width))
     slot = _slot(rows)

@@ -206,6 +206,9 @@ def assert_matches_oracle(caplog, positions, config, now):
         want = [r.getMessage() for r in caplog.records]
     assert graph.neighbors == expected
     assert got == want
+    assert graph.peer.dtype == np.intp and graph.strength.dtype == np.float64
+    assert graph.peer.flags.c_contiguous and graph.strength.flags.c_contiguous
+    assert not np.shares_memory(graph.peer, graph.strength)
     n = positions.shape[1]
     width = max(1, min(config.c_max, n - 1))
     assert graph.peer.shape == graph.strength.shape == (n, width)
@@ -330,6 +333,67 @@ class TestTopologyMatchesOracle:
         assert_matches_oracle(caplog, positions, CommConfig(r_com=r_com, c_max=c_max), 3)
         assert bool(sorts) == tied
         assert ("near-coincident" in caplog.text) == tied
+
+    @pytest.mark.parametrize("master_seed", [6, 7])
+    @pytest.mark.parametrize("case", ["plain", "piled", "range", "window", "nan"])
+    def test_scatter_builds_only_tables_with_a_short_row(self, caplog, monkeypatch, master_seed, case):
+        # only the scatter calls np.repeat: when every row holds c_max links
+        # the tables are the kept pairs reshaped, also when starts piled
+        # within a metre of vehicle 0 overflow its row and the rank cut runs;
+        # a row cut short by range, an isolating window or a NaN vehicle
+        # takes the scatter
+        doc = fleet_scenario_dict(104, master_seed)
+        positions = block(*(
+            (u["initial"]["north_m"], u["initial"]["east_m"], u["initial"]["height_m"]) for u in doc["uavs"]
+        ))
+        r_com, windows = 30_000.0, ()
+        if case == "piled":
+            positions[:, 1:4] = positions[:, :1] + [[0.0, 0.0, 0.0], [0.0, 0.3, 0.6], [0.2, 0.0, 0.0]]
+        elif case == "range":
+            r_com = 400.0
+        elif case == "window":
+            windows = tuple(DropoutWindow(0.0, 5.0, 0, j) for j in range(1, 104))
+        elif case == "nan":
+            positions[1, 5] = math.nan
+        sorts, scatters = [], []
+        lexsort, repeat = np.lexsort, np.repeat
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys)) or lexsort(keys))
+        monkeypatch.setattr(np, "repeat", lambda *args, **kwargs: scatters.append(1) or repeat(*args, **kwargs))
+        config = CommConfig(r_com=r_com, c_max=2, gamma_signal=doc["comm"]["gamma_signal"], dropout_schedule=windows)
+        graph = assert_matches_oracle(caplog, positions, config, 1.0)
+        short = any(len(links) < 2 for links in graph.neighbors)
+        assert short == (case in ("range", "window", "nan"))
+        assert bool(scatters) == short
+        assert bool(sorts) == (case == "piled")
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_full_and_short_rows(self, caplog, monkeypatch, data):
+        # scattered fleets whose range is near their spacing: some rows full,
+        # some short; the scatter runs exactly when a row is short
+        n = data.draw(st.integers(_SCREEN_MIN_N, 60), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="layout"))
+        positions = rng.uniform(-1000.0, 1000.0, (3, n)) + np.array([[0.0], [0.0], [1100.0]])
+        c_max = data.draw(st.integers(1, 4), label="c_max")
+        r_com = data.draw(st.one_of(st.floats(100.0, 1500.0), st.just(30_000.0)), label="r_com")
+        nan_vehicle = data.draw(st.none() | st.integers(0, n - 1), label="nan_vehicle")
+        if nan_vehicle is not None:
+            positions[0, nan_vehicle] = math.nan
+        cut = data.draw(st.lists(st.integers(1, n - 1), unique=True, max_size=n - 1), label="windows")
+        config = CommConfig(r_com=r_com, c_max=c_max, dropout_schedule=tuple(DropoutWindow(0.0, 9.0, 0, j) for j in cut))
+        scatters = []
+        repeat = np.repeat
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "repeat", lambda *args, **kwargs: scatters.append(1) or repeat(*args, **kwargs))
+            graph = assert_matches_oracle(caplog, positions, config, 4.0)
+        width = min(c_max, n - 1)
+        assert bool(scatters) == any(len(links) < width for links in graph.neighbors)
 
     def test_mixed_fleet_of_416(self, caplog):
         assert_matches_oracle(caplog, mixed_fleet(416, 416, tied=True), CommConfig(r_com=5000.0, c_max=2), 0)
