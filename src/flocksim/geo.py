@@ -344,15 +344,14 @@ def segment_above_terrain(
 
 def _legs_above_terrain(
     grid: DemGrid, a: np.ndarray, b: np.ndarray, clearance: float, step: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """:func:`segment_above_terrain` of each leg ``a[i]``-``b[i]``, with one terrain query for all.
 
     ``a`` and ``b`` are (m, 3) arrays of finite [north, east, height]
     rows, m >= 1.  Each leg is sampled as the scalar test samples it.
-    Returns ``(clear, off)``: ``off[i]`` marks a leg with a sample off the
-    footprint, where the scalar test raises :class:`OutOfBoundsError` and
-    ``clear[i]`` means nothing; elsewhere ``clear[i]`` is the scalar
-    test's answer.
+    True marks a leg whose samples all lie on the footprint and clear the
+    terrain: the scalar test's answer where it answers, and False where
+    it raises :class:`OutOfBoundsError`.
     """
     d = b - a
     counts = np.array([max(2, math.ceil(math.hypot(dn, de, dh) / step) + 1) for dn, de, dh in d.tolist()])
@@ -365,7 +364,7 @@ def _legs_above_terrain(
         fn[off] = 0.0
         fe[off] = 0.0
     clear = ah + t * dh >= _bilinear(grid, fn, fe) + clearance
-    return np.logical_and.reduceat(clear, starts), np.logical_or.reduceat(off, starts)
+    return np.logical_and.reduceat(clear & ~off, starts)
 
 
 def _unit_steps(counts: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:

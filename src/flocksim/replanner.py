@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +30,7 @@ from .dynamics import UavState
 from .geo import (
     DemGrid,
     Obstacle,
+    OutOfBoundsError,
     Point3,
     _legs_above_terrain,
     _legs_obstructed,
@@ -108,9 +108,14 @@ def sample_region(
     vehicle has no direction and is dropped.  At ``delta_angle = pi`` every
     other draw is kept: the test is skipped, since a rounded unit velocity
     longer than 1 would otherwise drop a draw straight behind the vehicle.
+
+    A vehicle off the terrain footprint has no height band: that raises
+    :class:`ReplanError` naming its position.
     """
     k = params.k_samples
     pos = uav.position
+    if not grid.contains(pos.north, pos.east):
+        raise ReplanError(f"vehicle at (north={pos.north}, east={pos.east}) is off the terrain footprint")
     floor = dem_elevation(grid, pos.north, pos.east)
     angle = rng.uniform(0.0, 2.0 * math.pi, k)
     r_in2 = obstacle.lateral_radius**2
@@ -186,22 +191,23 @@ def best_detour(
     in ascending cost order, ties in draw order.  A candidate of infinite
     cost is never acceptable.  A candidate is rejected when its inbound
     leg from the vehicle crosses the obstacle (sitting in the ring does
-    not make the straight leg to it safe) or fails the terrain clearance;
+    not make the straight leg to it safe) or fails the terrain check;
     and, when its direct segment to ``target`` is already clear (it would
-    terminate the replan loop), that final leg must clear the terrain
-    too.  Non-terminal candidates get their outbound leg checked as the
-    next iteration's inbound leg instead.  Raises :class:`ReplanError`
-    when no draw is feasible or every one is rejected, with the counts of
-    both rejections, and logs them at INFO when a cheaper candidate was
-    rejected.
+    terminate the replan loop), that final leg must pass the terrain
+    check too.  A leg passes it when every terrain sample lies on the
+    footprint and clears the terrain by ``params.clearance``, so a detour
+    never leaves the terrain.  Non-terminal candidates get their outbound
+    leg checked as the next iteration's inbound leg instead.  Raises
+    :class:`ReplanError` when no draw is feasible or every one is
+    rejected, with the counts of both rejections, and logs them at INFO
+    when a cheaper candidate was rejected.
 
     All inbound legs are tested against the obstacle in one pass.  The
-    terrain checks then go down the clear candidates in cost order: the
-    cheapest alone, then chunks of 2, 4, 8, 16 and then 32 at a time, with
-    one terrain query per chunk, and the scalar checks confirm the one a
-    chunk settles on.  The
-    answer, the counts, and an :class:`OutOfBoundsError` for a leg off the
-    terrain are those of walking the candidates one at a time.
+    clear candidates are then sorted by cost and walked once: the
+    cheapest alone through the scalar checks, since it usually passes,
+    then chunks of ``_CHUNK_MAX`` with one terrain query each.  The
+    answer and the counts are those of walking the candidates one at a
+    time.
     """
     pts = sample_region(uav, obstacle, grid, params, rng)
     if pts.shape[0] == 0:
@@ -211,31 +217,41 @@ def best_detour(
     finite = np.isfinite(costs)
     blocked = finite & _legs_obstructed(start, pts, obstacle, now)
     clear = np.flatnonzero(finite & ~blocked)
-    # Every clear candidate the walk passes over fails a terrain check.
-    rejected_terrain = 0
-    for chunk in _in_cost_order(costs, clear):
-        j = 0 if chunk.size == 1 else _first_settled(grid, start, pts[chunk], target, obstacle, now, params)
-        if j is not None:
-            point = pts[chunk[j]].tolist()
-            if _acceptable(grid, start, point, target, obstacle, now, params):
-                rejected_terrain += j
-                cost = costs[chunk[j]]
-                cheaper = (costs < cost) | ((costs == cost) & (np.arange(costs.size) < chunk[j]))
-                rejected_obstructed = np.count_nonzero(blocked & cheaper)
-                if rejected_obstructed or rejected_terrain:
-                    log.info(
-                        "replan: rejected %d cheaper candidates (%d obstructed leg, %d terrain clearance)",
-                        rejected_obstructed + rejected_terrain,
-                        rejected_obstructed,
-                        rejected_terrain,
-                    )
-                return Point3(*point), float(cost)
-        rejected_terrain += chunk.size
-    raise ReplanError(
-        f"no acceptable candidate among {pts.shape[0]} feasible samples "
-        f"({np.count_nonzero(blocked)} rejected for obstructed leg, "
-        f"{rejected_terrain} for terrain clearance)"
-    )
+    ranked = clear[np.argsort(costs[clear], kind="stable")]
+    # Every clear candidate ranked before the chosen one fails a terrain check.
+    rank = None
+    if ranked.size and _acceptable(grid, start, pts[ranked[0]].tolist(), target, obstacle, now, params):
+        rank = 0
+    else:
+        for lo in range(1, ranked.size, _CHUNK_MAX):
+            j = _first_settled(grid, start, pts[ranked[lo : lo + _CHUNK_MAX]], target, obstacle, now, params)
+            if j is not None:
+                rank = lo + j
+                break
+    if rank is None:
+        raise ReplanError(
+            f"no acceptable candidate among {pts.shape[0]} feasible samples "
+            f"({np.count_nonzero(blocked)} rejected for obstructed leg, "
+            f"{ranked.size} for terrain clearance)"
+        )
+    chosen = ranked[rank]
+    cost = costs[chosen]
+    cheaper = (costs < cost) | ((costs == cost) & (np.arange(costs.size) < chosen))
+    rejected_obstructed = np.count_nonzero(blocked & cheaper)
+    if rejected_obstructed or rank:
+        log.info(
+            "replan: rejected %d cheaper candidates (%d obstructed leg, %d terrain clearance)",
+            rejected_obstructed + rank,
+            rejected_obstructed,
+            rank,
+        )
+    return Point3(*pts[chosen].tolist()), float(cost)
+
+
+# Largest chunk of candidates whose terrain is checked in one query.  Past
+# it, a chunk's temporaries would raise a run's peak memory (a chunk of 128
+# took a reference mission's traced peak from 1.45 to 1.98 MB; 32 keeps it).
+_CHUNK_MAX = 32
 
 
 def _acceptable(
@@ -245,21 +261,24 @@ def _acceptable(
     """The walk's terrain checks of one candidate whose inbound leg clears the obstacle.
 
     Its inbound leg must clear the terrain, and so must its leg to
-    ``target`` when that leg clears the obstacle.  A sample off the
-    footprint raises :class:`OutOfBoundsError`.
+    ``target`` when that leg clears the obstacle.  A leg with a sample off
+    the footprint fails.
     """
-    if not segment_above_terrain(grid, start, point, params.clearance, params.terrain_step):
+    try:
+        if not segment_above_terrain(grid, start, point, params.clearance, params.terrain_step):
+            return False
+        return segment_obstructed(point, target, obstacle, now) or segment_above_terrain(
+            grid, point, target, params.clearance, params.terrain_step
+        )
+    except OutOfBoundsError:
         return False
-    return segment_obstructed(point, target, obstacle, now) or segment_above_terrain(
-        grid, point, target, params.clearance, params.terrain_step
-    )
 
 
 def _first_settled(
     grid: DemGrid, start: Point3, legs: np.ndarray, target: Point3, obstacle: Obstacle, now: float,
     params: ReplanParams,
 ) -> int | None:
-    """Index of the first candidate in ``legs`` that :func:`_acceptable` accepts or raises on, or None.
+    """Index of the first candidate in ``legs`` that :func:`_acceptable` accepts, or None.
 
     ``legs`` is an (n, 3) block of candidates whose inbound legs clear the
     obstacle.  The terminal test is one pass, and the terrain checks of
@@ -273,35 +292,11 @@ def _first_settled(
     ends[0, n:] = legs[terminal]
     ends[1, :n] = legs
     ends[1, n:] = target
-    clear, off = _legs_above_terrain(grid, ends[0], ends[1], params.clearance, params.terrain_step)
+    clear = _legs_above_terrain(grid, ends[0], ends[1], params.clearance, params.terrain_step)
     outbound = np.ones(n, dtype=bool)
-    outbound[terminal] = clear[n:] | off[n:]
-    settled = np.flatnonzero(off[:n] | (clear[:n] & outbound))
+    outbound[terminal] = clear[n:]
+    settled = np.flatnonzero(clear[:n] & outbound)
     return int(settled[0]) if settled.size else None
-
-
-# Largest chunk of candidates whose terrain is checked in one query.  Past
-# it, a chunk's temporaries would raise a run's peak memory (a chunk of 128
-# took a reference mission's traced peak from 1.45 to 1.98 MB; 32 keeps it).
-_CHUNK_MAX = 32
-
-
-def _in_cost_order(costs: np.ndarray, idx: np.ndarray) -> Iterator[np.ndarray]:
-    """The indices ``idx`` by ascending ``costs[idx]``, ties in index order, in chunks of 1, 2, 4, ... 32.
-
-    The cheapest comes alone and first, before anything is sorted, since
-    it usually ends the walk.
-    """
-    if idx.size == 0:
-        return
-    sub = costs[idx]
-    yield idx[np.argmin(sub)][None]
-    ranked = idx[np.argsort(sub, kind="stable")]
-    lo, size = 1, 2
-    while lo < ranked.size:
-        yield ranked[lo : lo + size]
-        lo += size
-        size = min(2 * size, _CHUNK_MAX)
 
 
 def replan(
@@ -321,9 +316,11 @@ def replan(
     as the new virtual heading.  The returned (m, 3) array of [north,
     east, height] rows (which excludes ``target``; m is 0 when the
     segment is already clear) leaves every leg, including the final one
-    to ``target``, unobstructed.  Deterministic for a fixed ``rng_seed``:
-    iteration k draws from its own child stream, so earlier iterations'
-    rejection counts never shift later draws.
+    to ``target``, unobstructed, and on the terrain footprint.
+    Deterministic for a fixed ``rng_seed``: iteration k draws from its own
+    child stream, so earlier iterations' rejection counts never shift
+    later draws.  Raises :class:`ReplanError`, naming the iteration, when
+    one finds no acceptable candidate or the vehicle is off the footprint.
     """
     virtual = uav
     waypoints: list[Point3] = []

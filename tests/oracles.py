@@ -34,6 +34,7 @@ import numpy as np
 from flocksim import (
     LOG_COLUMNS,
     DegenerateGeometryError,
+    OutOfBoundsError,
     Point3,
     ReplanError,
     candidate_cost,
@@ -177,10 +178,11 @@ def best_detour_oracle(uav, target, rng, grid, obstacle, now, params):
     walk stops at the first infinite cost.  A candidate is rejected for an
     inbound leg crossing the obstacle, then for an inbound leg or (when
     its leg to ``target`` clears the obstacle) a leg to ``target`` that
-    fails the terrain clearance; a terrain check off the footprint
-    raises.  Returns ``(point, cost, rejected_obstructed,
-    rejected_terrain)`` for the first candidate accepted, and raises
-    ``ReplanError`` with ``best_detour``'s message when none is.
+    fails the terrain check: a leg with a sample off the footprint fails
+    it as one below the clearance does.  Returns ``(point, cost,
+    rejected_obstructed, rejected_terrain)`` for the first candidate
+    accepted, and raises ``ReplanError`` with ``best_detour``'s message
+    when none is.
     """
     pts = sample_region(uav, obstacle, grid, params, rng)
     if pts.shape[0] == 0:
@@ -195,11 +197,11 @@ def best_detour_oracle(uav, target, rng, grid, obstacle, now, params):
         if segment_obstructed(start, point, obstacle, now):
             rejected_obstructed += 1
             continue
-        if not segment_above_terrain(grid, start, point, params.clearance, params.terrain_step):
+        if not _on_and_above_terrain(grid, start, point, params):
             rejected_terrain += 1
             continue
         terminal = not segment_obstructed(point, target, obstacle, now)
-        if terminal and not segment_above_terrain(grid, point, target, params.clearance, params.terrain_step):
+        if terminal and not _on_and_above_terrain(grid, point, target, params):
             rejected_terrain += 1
             continue
         return Point3(*point), float(costs[idx]), rejected_obstructed, rejected_terrain
@@ -208,6 +210,14 @@ def best_detour_oracle(uav, target, rng, grid, obstacle, now, params):
         f"({rejected_obstructed} rejected for obstructed leg, "
         f"{rejected_terrain} for terrain clearance)"
     )
+
+
+def _on_and_above_terrain(grid, a, b, params):
+    """``segment_above_terrain`` of a-b, False where a sample is off the footprint."""
+    try:
+        return segment_above_terrain(grid, a, b, params.clearance, params.terrain_step)
+    except OutOfBoundsError:
+        return False
 
 
 def topology_oracle(positions, config, now):

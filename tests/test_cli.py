@@ -141,6 +141,19 @@ def test_metrics_rejects_a_file_that_is_not_an_object(tmp_path, capsys):
         assert capsys.readouterr() == ("", f"error: {tmp_path / 'metrics.json'}: expected a JSON object\n")
 
 
+def test_metrics_rejects_invalid_json(tmp_path, capsys):
+    (tmp_path / "metrics.json").write_text('{"ae_mean_m": 1.0,')
+    assert main(["metrics", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {tmp_path / 'metrics.json'}: not valid JSON: ")
+
+
+def test_metrics_lists_sorted_key_value_lines(tmp_path, capsys):
+    (tmp_path / "metrics.json").write_text('{"md_max_s": 2.5, "ae_mean_m": 1.0, "per_uav_ae_m": [1.0, 3]}')
+    assert main(["metrics", str(tmp_path)]) == 0
+    assert capsys.readouterr() == ("ae_mean_m: 1.0\nmd_max_s: 2.5\nper_uav_ae_m: [1.0, 3]\n", "")
+
+
 OBSTACLE_ON_PATH = {"center_north_m": -450.0, "center_east_m": 20.0, "lateral_radius_m": 60.0,
                     "base_height_m": 0.0, "top_height_m": 250.0, "activation_time_s": 0.0}
 

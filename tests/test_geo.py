@@ -20,10 +20,12 @@ from flocksim import (
     Obstacle,
     OutOfBoundsError,
     Point3,
+    ScenarioError,
     dem_elevation,
     distance3,
     lateral_distance,
     load_dem,
+    load_scenario,
     save_dem,
     segment_above_terrain,
     segment_obstructed,
@@ -358,14 +360,14 @@ class TestBatchedTerrainQueries:
         lo = np.array([grid.origin_north, grid.origin_east]) - 0.1 * span
         a, b = (np.column_stack((lo + rng.uniform(0.0, 1.2, (m, 2)) * span, rng.uniform(-20.0, 140.0, m)))
                 for _ in range(2))
-        clear, off = _legs_above_terrain(grid, a, b, clearance, step)
+        # A leg off the footprint, where the scalar test raises, is not clear.
+        clear = _legs_above_terrain(grid, a, b, clearance, step)
         for i, (p, q) in enumerate(zip(a.tolist(), b.tolist())):
             try:
                 want = segment_above_terrain(grid, p, q, clearance, step)
             except OutOfBoundsError:
-                assert off[i]
-                continue
-            assert not off[i] and clear[i] == want
+                want = False
+            assert clear[i] == want
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(counts=st.lists(st.integers(2, 3000), min_size=1, max_size=8))
@@ -480,6 +482,28 @@ class TestDemIo:
         path.write_text("\n".join(header) + "\n1 2 3 4\n")
         with pytest.raises(DemFormatError, match=f"bad.dem: header line {line}: '{key}' must be finite, got '{value}'"):
             load_dem(path)
+
+    @pytest.mark.parametrize("line, text, message", [
+        (3, None, "truncated file, expected header plus elevation rows"),
+        (5, "cell_size_m ten", "bad value for header 'cell_size_m': 'ten'"),
+        (1, "nrows 2.5", "nrows/ncols must be integers >= 2, got 2.5, 2.0"),
+        (2, "ncols 1", "nrows/ncols must be integers >= 2, got 2.0, 1.0"),
+        (5, "cell_size_m 0", "cell_size must be positive and finite, got 0.0"),
+    ], ids=["truncated", "header_not_a_number", "nrows_not_an_integer", "ncols_below_2", "grid_rejects_cell"])
+    def test_malformed_header_names_the_file_in_both_loaders(self, make_scenario_file, line, text, message):
+        # Header line ``line`` becomes ``text``, or the file ends after it.
+        scenario = make_scenario_file()
+        path = scenario.parent / "flat.dem"
+        lines = ["nrows 2", "ncols 2", "origin_north_m 0.0", "origin_east_m 0.0", "cell_size_m 10.0", "1 2 3 4"]
+        if text is None:
+            del lines[line:]
+        else:
+            lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DemFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_dem(path)
+        with pytest.raises(ScenarioError, match=f"^{re.escape(f'scenario.dem_file: {path}: {message}')}$"):
+            load_scenario(scenario)
 
     def test_read_dem_hashes_the_bytes_it_parsed(self, tmp_path):
         path = tmp_path / "t.dem"

@@ -53,7 +53,7 @@ from flocksim.dynamics import UavLimits, UavState
 from flocksim.geo import Obstacle
 from flocksim.harness import _KEYS
 from flocksim.network import CommConfig, DropoutWindow
-from flocksim.presets import fleet_scenario_dict
+from flocksim.presets import fleet_scenario_dict, reference_scenario_dict, write_scenario
 
 
 def rec(log, tick, uav_id, north, east, height, theta=0.0):
@@ -691,6 +691,19 @@ class TestScenarioSchema:
         assert len(scenario.uavs) == 1
 
 
+def edge_scenario(scenario_dir, tmp_path, corridor_east, obstacle_east, seed):
+    """The reference scenario with vehicle 0's leg and the obstacle moved east, at ``master_seed`` ``seed``."""
+    doc = reference_scenario_dict()
+    uav = doc["uavs"][0]
+    uav["initial"]["east_m"] = corridor_east
+    for row in uav["waypoints"][:3]:
+        row[1] = corridor_east
+    doc["obstacle"]["center_east_m"] = obstacle_east
+    doc["master_seed"] = seed
+    shutil.copy(Path(scenario_dir) / "terrain.dem", tmp_path / "terrain.dem")
+    return load_scenario(write_scenario(doc, tmp_path / "edge.yaml"))
+
+
 class TestRun:
     def test_tick_accounting(self, make_scenario_file):
         scenario = load_scenario(make_scenario_file())
@@ -764,6 +777,34 @@ class TestRun:
         setattr(scenario, field, raised[field])
         with pytest.raises(RunError, match=message):
             run(scenario)
+
+    @pytest.mark.parametrize("corridor_east, obstacle_east", [(4000.0, 4045.0), (4199.0, 4154.0)],
+                             ids=["ring_off_terrain", "vehicle_off_terrain"])
+    def test_detours_near_the_terrain_edge_stay_on_it(self, scenario_dir, tmp_path, corridor_east, obstacle_east):
+        # Vehicle 0 flies north 1-200 m inside the terrain's east edge at
+        # 4200 m, so the detour ring around the obstacle reaches off it.
+        for seed in range(1, 11):
+            log, _ = run(edge_scenario(scenario_dir, tmp_path, corridor_east, obstacle_east, seed))
+            assert np.isfinite(log.data).all()
+            grid = load_dem(tmp_path / "terrain.dem")
+            assert all(grid.contains(n, e) for event in log.replan_events for n, e, _ in event.waypoints)
+
+    def test_vehicle_off_the_terrain_fails_its_replans(self, scenario_dir, tmp_path):
+        # On the corridor 1 m inside the edge, vehicle 0 drifts off the
+        # terrain while the obstacle blocks it: each replan from there fails,
+        # naming the position that the log holds for that tick.
+        log, metrics = run(edge_scenario(scenario_dir, tmp_path, 4199.0, 4154.0, 1))
+        grid = load_dem(tmp_path / "terrain.dem")
+        off = [f for f in log.replan_failures if "off the terrain footprint" in f.reason]
+        assert off and all(f.uav_id == 0 for f in off)
+        for f in off:
+            north, east = log.positions(0)[f.tick, :2].tolist()
+            assert not grid.contains(north, east)
+            assert f.reason == f"iteration 0: vehicle at (north={north}, east={east}) is off the terrain footprint"
+        export(log, metrics, tmp_path / "out")
+        with open(tmp_path / "out" / "events.csv", newline="") as fp:
+            failed = [row for row in csv.DictReader(fp) if row["event"] == "replan_failed"]
+        assert sum("off the terrain footprint" in row["detail"] for row in failed) == len(off)
 
     def test_consensus_uses_last_ticks_values_over_last_ticks_graph(self, scenario_dir):
         # theta_dot at tick t is the scalar law on the peers' tick t-1 theta,

@@ -238,6 +238,21 @@ class TestTopologyMatchesOracle:
         assert 1 in peers(graph, 0)
         assert_matches_oracle(caplog, lattice(n), config, 0)
 
+    def test_screened_pair_just_past_r_com_is_cut(self, caplog):
+        # Vehicle 1 sits just past r_com north of vehicle 0, inside the
+        # screen's margin, so the screen keeps the pair and the range test
+        # after it must drop it.  The other ten, 3 r_com away and 10 m
+        # apart, put each row's c_max-th smallest far off.
+        r_com = 1000.0
+        positions = np.zeros((3, 12))
+        positions[0, 1] = r_com * (1.0 + 4e-10)
+        positions[0, 2:] = 10.0 * np.arange(10)
+        positions[1, 2:] = 3.0 * r_com
+        assert _SCREEN_MIN_N <= 12
+        assert r_com**2 < positions[0, 1] ** 2 <= r_com**2 * (1.0 + network._SCREEN_MARGIN)
+        graph = assert_matches_oracle(caplog, positions, CommConfig(r_com=r_com, c_max=2), 0)
+        assert graph.neighbors[0] == graph.neighbors[1] == ()
+
     @pytest.mark.parametrize("n", SIZES)
     def test_coincident_and_near_pairs_warn(self, caplog, n):
         # 0 and 3 coincide; 2 sits 0.5 m from 0 but outside its top c_max=1,

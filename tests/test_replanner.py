@@ -156,6 +156,15 @@ class TestSampleRegion:
         assert np.all(under > floor)
         assert np.any(pts[:, 2] < under)
 
+    @pytest.mark.parametrize("north, east", [(2000.5, 0.0), (0.0, -2001.0), (math.nan, 0.0)])
+    def test_vehicle_off_the_terrain_raises_replan_error(self, flat_dem, north, east):
+        # The footprint spans +-2000 m: off it there is no floor for the height band.
+        message = f"vehicle at (north={north}, east={east}) is off the terrain footprint"
+        with pytest.raises(ReplanError, match=f"^{re.escape(message)}$"):
+            sample_region(make_uav(north, east), RING, flat_dem, region_params(), np.random.default_rng(0))
+        # A vehicle on the footprint's corner still draws.
+        assert sample_region(make_uav(-2000.0, -2000.0), RING, flat_dem, region_params(), np.random.default_rng(0)).size
+
     @pytest.mark.parametrize("chi, gamma", [(1.0, -0.7), (-2.9, 0.5)])
     @pytest.mark.parametrize("t", [1.0, 64.0, 1024.0])
     def test_full_cone_keeps_a_draw_straight_behind(self, flat_dem, chi, gamma, t):
@@ -515,8 +524,9 @@ def detour_problems(draw):
 class TestBestDetourMatchesSequentialWalk:
     # best_detour screens all inbound legs in one pass and checks terrain in
     # chunks; best_detour_oracle walks the candidates one at a time.  The
-    # chosen point and cost, the log line's counts, the failure message's
-    # counts and an off-footprint error must all be the same.
+    # chosen point and cost, the log line's counts and the failure message's
+    # counts must all be the same, and neither raises for a leg off the
+    # terrain.
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(problem=detour_problems())
     def test_same_answer_log_and_error(self, problem):
@@ -558,11 +568,36 @@ class TestBestDetourMatchesSequentialWalk:
         assert obstructed > 0 and terrain > 100 and obstructed + terrain <= feasible
         assert outcome == oracle_outcome(*problem)
 
-    def test_off_footprint_leg_raises_at_the_same_candidate(self):
+    def test_off_footprint_leg_is_a_terrain_rejection(self):
+        # The footprint ends at east 0 m, on the vehicle's track, so the two
+        # cheapest clear candidates lie off it: the first fails the scalar
+        # check of the cheapest, the second its chunk's terrain query, and
+        # the third is chosen.
+        grid = DemGrid(-1000.0, -300.0, 100.0, np.zeros((21, 4)))
+        uav, target = make_uav(height=70.0), Point3(900.0, 0.0, 70.0)
+        obstacle = Obstacle(450.0, 0.0, 80.0, 0.0, 200.0)
+        params = ReplanParams(k_samples=2000, delta_r=250.0, delta_h=100.0, delta_angle=math.pi / 2)
+        problem = (uav, target, 0, grid, obstacle, 0.0, params)
+        outcome = detour_outcome(*problem)
+        assert outcome == oracle_outcome(*problem)
+        (point, _), records = outcome
+        assert grid.contains(point[0], point[1])
+        assert records == ["replan: rejected 8 cheaper candidates (6 obstructed leg, 2 terrain clearance)"]
+
+        pts = sample_region(uav, obstacle, grid, params, np.random.default_rng(0))
+        ranked = pts[np.argsort(candidate_cost(uav, pts, target), kind="stable")].tolist()
+        clear = [p for p in ranked if not segment_obstructed(uav.position, p, obstacle, 0.0)]
+        assert clear[2] == list(point)
+        for off in clear[:2]:
+            assert not grid.contains(off[0], off[1])
+            with pytest.raises(OutOfBoundsError):
+                segment_above_terrain(grid, uav.position, off, params.clearance, params.terrain_step)
+
+    def test_off_footprint_legs_count_when_all_are_rejected(self):
         # The footprint spans east -220..80 m, so the ring around the
         # cylinder reaches off it.  A 120 m ridge across north -100..200 m
-        # rejects the cheapest clear candidates first, so the walk meets the
-        # leg off the footprint in a later chunk.
+        # rejects every candidate on it; the message counts the ones off it
+        # as terrain rejections too.
         north = np.arange(21) * 100.0 - 1000.0
         ridge = np.where((north >= -100.0) & (north <= 200.0), 120.0, 0.0)
         grid = DemGrid(-1000.0, -220.0, 100.0, np.repeat(ridge[:, None], 4, axis=1))
@@ -571,13 +606,15 @@ class TestBestDetourMatchesSequentialWalk:
         params = ReplanParams(k_samples=2000, delta_r=250.0, delta_h=100.0, delta_angle=math.pi / 2)
         problem = (uav, target, 0, grid, obstacle, 0.0, params)
         outcome = detour_outcome(*problem)
-        assert outcome[0][0] is OutOfBoundsError
         assert outcome == oracle_outcome(*problem)
-
-        pts = sample_region(uav, obstacle, grid, params, np.random.default_rng(0))
-        ranked = pts[np.argsort(candidate_cost(uav, pts, target), kind="stable")].tolist()
-        cheapest_clear = next(p for p in ranked if not segment_obstructed(uav.position, p, obstacle, 0.0))
-        assert not segment_above_terrain(grid, uav.position, cheapest_clear, params.clearance, params.terrain_step)
+        assert outcome == (
+            (ReplanError, "no acceptable candidate among 2000 feasible samples "
+                          "(379 rejected for obstructed leg, 1621 for terrain clearance)"),
+            [],
+        )
+        pts = sample_region(uav, obstacle, grid, params, np.random.default_rng(0)).tolist()
+        clear = [p for p in pts if not segment_obstructed(uav.position, p, obstacle, 0.0)]
+        assert any(not grid.contains(n, e) for n, e, _ in clear)
 
 
 class TestReplan:
